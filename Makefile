@@ -107,9 +107,9 @@ bench-fleet:
 
 ## bench-hotpath: the hot-path proof benches — one isolated benchmark per
 ## `//lint:hotpath` root with a hotpath floor in scripts/bench_floors.txt
-## (fast checker, incremental path counting, penalty fold, sim settle, fleet
-## Route), exact single-replay allocation counts; raw text goes to
-## BENCH_hotpath.txt and a parsed summary to BENCH_hotpath.json.
+## (fast checker, engine report, incremental path counting, penalty fold, sim
+## settle, fleet Route), exact single-replay allocation counts; raw text goes
+## to BENCH_hotpath.txt and a parsed summary to BENCH_hotpath.json.
 bench-hotpath:
 	./scripts/bench.sh hotpath
 

@@ -9,6 +9,7 @@ package corropt
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -316,22 +317,39 @@ func BenchmarkAblationPenaltyFunction(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineReport measures the end-to-end cost of one corruption
-// report through the engine (record + fast check + disable).
+// BenchmarkEngineReport measures one corruption report through the engine
+// (record + check + disable) and is the 0 allocs/op floor of the
+// //lint:hotpath root Engine.ReportCorruption: each link is reported below
+// the threshold, then above it twice, so the loop visits all four outcomes
+// (below threshold, disabled, already disabled, blocked).
 func BenchmarkEngineReport(b *testing.B) {
 	net, corrupting := largeNetwork(b, 0.75, 200)
+	// Every uplink of one ToR: capacity lets only some of them go, so the
+	// rest are blocked.
+	topo := net.Topology()
+	corrupting = append(corrupting, topo.Switch(topo.ToRs()[0]).Uplinks...)
 	engine := NewEngine(net, EngineConfig{})
+	cycle := 3 * len(corrupting)
+	var seen [4]int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := corrupting[i%len(corrupting)]
-		engine.ReportCorruption(l, 1e-4)
-		if i%len(corrupting) == len(corrupting)-1 {
+		rate := 1e-4
+		if i%3 == 0 {
+			rate = 5e-7
+		}
+		seen[engine.ReportCorruption(corrupting[i/3%len(corrupting)], rate).Outcome]++
+		if (i+1)%cycle == 0 {
 			b.StopTimer()
 			for _, c := range corrupting {
 				net.Enable(c)
 			}
 			b.StartTimer()
 		}
+	}
+	b.StopTimer()
+	if b.N >= cycle && slices.Contains(seen[:], 0) {
+		b.Fatalf("an outcome was never reached in %d reports: %v", b.N, seen)
 	}
 }
 

@@ -84,8 +84,9 @@ type (
 	// Network is the mutable mitigation state: disabled links, corruption
 	// records, per-ToR capacity constraints.
 	Network = core.Network
-	// Engine combines fast checker and optimizer behind the Figure 13
-	// workflow.
+	// Engine is the Figure 13 workflow — report, check, disable; repair,
+	// enable, re-check — that the simulator, the fleet supervisor and the
+	// control plane all drive.
 	Engine = core.Engine
 	// EngineConfig parameterizes an Engine.
 	EngineConfig = core.EngineConfig
@@ -102,7 +103,8 @@ type (
 	SwitchLocal = core.SwitchLocal
 	// PenaltyFunc maps a corruption rate to application impact I(f).
 	PenaltyFunc = core.PenaltyFunc
-	// Decision records the outcome of a corruption report.
+	// Decision records the outcome of a corruption report; its Reason
+	// method explains a link that was kept.
 	Decision = core.Decision
 	// Diagnostics carries Algorithm 1's inputs for one corrupting link.
 	Diagnostics = core.Diagnostics
@@ -209,15 +211,15 @@ type (
 	// SimResult aggregates one run.
 	SimResult = sim.Result
 	// PolicyKind selects the mitigation strategy under test.
-	PolicyKind = sim.PolicyKind
+	PolicyKind = core.PolicyKind
 )
 
 // Mitigation policies.
 const (
-	PolicyNone        = sim.PolicyNone
-	PolicySwitchLocal = sim.PolicySwitchLocal
-	PolicyFastOnly    = sim.PolicyFastOnly
-	PolicyCorrOpt     = sim.PolicyCorrOpt
+	PolicyNone        = core.PolicyNone
+	PolicySwitchLocal = core.PolicySwitchLocal
+	PolicyFastOnly    = core.PolicyFastOnly
+	PolicyCorrOpt     = core.PolicyCorrOpt
 )
 
 // NewSim builds a mitigation simulation.

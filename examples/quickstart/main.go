@@ -40,7 +40,7 @@ func main() {
 		if d.Disabled {
 			fmt.Printf("link %-3d rate %.0e -> disabled\n", l, rate)
 		} else {
-			fmt.Printf("link %-3d rate %.0e -> kept active (%s)\n", l, rate, d.Reason)
+			fmt.Printf("link %-3d rate %.0e -> kept active (%s)\n", l, rate, d.Reason())
 		}
 	}
 	report(up[0], 1e-3)

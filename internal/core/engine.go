@@ -17,23 +17,106 @@ const DefaultDetectionThreshold = 1e-6
 // bucket boundary is the same floor.
 const LossyFloor = 1e-8
 
+// PolicyKind selects the link-disabling strategy: which check a corruption
+// report runs and what re-checks the remaining corrupting links when a link
+// is activated.
+type PolicyKind int
+
+const (
+	// PolicyNone never disables links; the do-nothing baseline that
+	// calibrates how much any mitigation helps (the paper estimates
+	// corruption losses would be two orders of magnitude higher without
+	// automatic disabling, §2).
+	PolicyNone PolicyKind = iota
+	// PolicySwitchLocal is the production baseline: a link may go down
+	// only if its switch keeps c^(1/r) of its uplinks.
+	PolicySwitchLocal
+	// PolicyFastOnly runs CorrOpt's fast checker for new corrupting links
+	// and re-runs it (instead of the optimizer) on activations.
+	PolicyFastOnly
+	// PolicyCorrOpt is the full system: fast checker on arrival, global
+	// optimizer on activation.
+	PolicyCorrOpt
+)
+
+// String implements fmt.Stringer.
+func (p PolicyKind) String() string {
+	switch p {
+	case PolicyNone:
+		return "none"
+	case PolicySwitchLocal:
+		return "switch-local"
+	case PolicyFastOnly:
+		return "fast-only"
+	case PolicyCorrOpt:
+		return "corropt"
+	default:
+		return fmt.Sprintf("PolicyKind(%d)", int(p))
+	}
+}
+
+// Outcome classifies what the engine did with a corruption report.
+type Outcome uint8
+
+const (
+	// OutcomeBelowThreshold: the rate was recorded but does not reach the
+	// detection threshold, so no check ran.
+	OutcomeBelowThreshold Outcome = iota
+	// OutcomeAlreadyDisabled: the link was down before the report.
+	OutcomeAlreadyDisabled
+	// OutcomeDisabled: the check passed and the link was taken down.
+	OutcomeDisabled
+	// OutcomeBlocked: the check refused; the link stays up, corrupting.
+	OutcomeBlocked
+)
+
 // Decision records what the engine did with a corruption report.
 type Decision struct {
 	Link topology.LinkID
-	// Disabled reports whether the link was taken down.
+	// Disabled is true for OutcomeDisabled and OutcomeAlreadyDisabled.
 	Disabled bool
-	// Reason explains a negative decision.
-	Reason string
+	Outcome  Outcome
+
+	rate, threshold float64 // for Reason only
 }
 
-// Engine ties CorrOpt's pieces into the workflow of Figure 13: switches
-// report corruption; the fast checker decides immediately whether the link
-// can be disabled; when repaired links come back, the optimizer reconsiders
-// every remaining active corrupting link.
+// Reason explains a negative or no-op decision; empty when the report
+// disabled the link. It is formatted on demand so that reports themselves
+// never allocate.
+func (d Decision) Reason() string {
+	switch d.Outcome {
+	case OutcomeBelowThreshold:
+		return fmt.Sprintf("rate %.3g below detection threshold %.3g", d.rate, d.threshold)
+	case OutcomeAlreadyDisabled:
+		return "already disabled"
+	case OutcomeBlocked:
+		return "capacity constraints forbid disabling"
+	default:
+		return ""
+	}
+}
+
+// Scope restricts an activation's re-check to one cone-closed segment of
+// the topology (see Optimizer.RunScoped for the exactness preconditions).
+// The zero value is the whole topology.
+type Scope struct {
+	Links *topology.LinkSet
+	ToRs  []topology.SwitchID
+}
+
+// Engine is the workflow of Figure 13, the only implementation of it in the
+// repository: switches report corruption; the policy's check decides
+// immediately whether the link can be disabled; when repaired links come
+// back, the remaining active corrupting links are reconsidered. The
+// simulator, the fleet shards and the control plane all drive this type and
+// keep only their own bookkeeping.
 type Engine struct {
 	net       *Network
+	policy    PolicyKind
 	fast      *FastChecker
-	opt       *Optimizer
+	local     *SwitchLocal // PolicySwitchLocal only
+	opt       *Optimizer   // PolicyCorrOpt only
+	penalty   PenaltyFunc
 	threshold float64
 }
 
@@ -48,20 +131,46 @@ type EngineConfig struct {
 	Optimizer OptimizerConfig
 }
 
-// NewEngine returns an Engine over net.
+// NewEngine returns the full CorrOpt Engine (PolicyCorrOpt) over net.
 func NewEngine(net *Network, cfg EngineConfig) *Engine {
+	e, _ := NewPolicyEngine(net, PolicyCorrOpt, cfg) // only the other policies can fail
+	return e
+}
+
+// NewPolicyEngine returns an Engine over net running the given policy. The
+// switch-local baseline guarantees the strictest ToR constraint net carries
+// at construction.
+func NewPolicyEngine(net *Network, policy PolicyKind, cfg EngineConfig) (*Engine, error) {
 	if cfg.DetectionThreshold == 0 {
 		cfg.DetectionThreshold = DefaultDetectionThreshold
 	}
 	if cfg.Penalty == nil {
 		cfg.Penalty = LinearPenalty
 	}
-	return &Engine{
+	e := &Engine{
 		net:       net,
+		policy:    policy,
 		fast:      NewFastChecker(net),
-		opt:       NewOptimizer(net, cfg.Penalty, cfg.Optimizer),
+		penalty:   cfg.Penalty,
 		threshold: cfg.DetectionThreshold,
 	}
+	switch policy {
+	case PolicyNone, PolicyFastOnly:
+	case PolicyCorrOpt:
+		e.opt = NewOptimizer(net, cfg.Penalty, cfg.Optimizer)
+	case PolicySwitchLocal:
+		c := 0.0
+		for _, tor := range net.Topology().ToRs() {
+			c = max(c, net.Constraint(tor))
+		}
+		var err error
+		if e.local, err = NewSwitchLocal(net, c); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("core: unknown policy %v", policy)
+	}
+	return e, nil
 }
 
 // Network returns the engine's network state.
@@ -70,45 +179,80 @@ func (e *Engine) Network() *Network { return e.net }
 // Threshold reports the detection threshold in use.
 func (e *Engine) Threshold() float64 { return e.threshold }
 
+// TotalPenalty is the engine's objective Σ (1 - d_l) · I(f_l) under its own
+// impact function, by an exact scan in ascending link order.
+func (e *Engine) TotalPenalty() float64 { return e.net.TotalPenalty(e.penalty) }
+
 // ReportCorruption handles a new corruption report for link l at the given
 // worst-direction rate: it records the rate and, if the rate is at or above
-// the detection threshold, runs the fast checker and disables the link when
-// capacity allows. The whole decision is incremental — an Apply/Revert
+// the detection threshold, runs the policy's check and disables the link
+// when it passes. The whole decision is incremental — an Apply/Revert
 // probe over l's downstream cone plus, on success, one Apply to commit —
 // so a report costs microseconds even on the largest topologies, and the
 // engine can absorb report storms (e.g. a breakout cable taking 8 links
 // down at once) without re-sweeping the data center per link.
+//
+//lint:hotpath every report of the simulator, the fleet shards and the control plane
 func (e *Engine) ReportCorruption(l topology.LinkID, rate float64) Decision {
 	e.net.SetCorruption(l, rate)
-	d := Decision{Link: l}
+	d := Decision{Link: l, rate: rate, threshold: e.threshold}
 	switch {
 	case rate < e.threshold:
-		d.Reason = fmt.Sprintf("rate %.3g below detection threshold %.3g", rate, e.threshold)
+		d.Outcome = OutcomeBelowThreshold
 	case e.net.Disabled(l):
-		d.Disabled = true
-		d.Reason = "already disabled"
-	case e.fast.DisableIfSafe(l):
-		d.Disabled = true
+		d.Outcome, d.Disabled = OutcomeAlreadyDisabled, true
+	case e.net.disableIf(l, e.CanDisable(l)):
+		d.Outcome, d.Disabled = OutcomeDisabled, true
 	default:
-		d.Reason = "capacity constraints forbid disabling"
+		d.Outcome = OutcomeBlocked
 	}
 	return d
 }
 
-// LinkRepaired handles a link coming back from repair: the link is enabled,
-// its corruption record cleared (stillCorrupting rates get re-reported by
-// monitoring), and the optimizer runs over the remaining active corrupting
-// links, as link activations are what create room to disable more of them.
-// It returns the links the optimizer newly disabled.
-func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
+// CanDisable is the policy's check: whether link l may be taken down right
+// now. The dispatch is a switch over concrete checkers, not an interface
+// call, so the report path stays provably allocation-free.
+func (e *Engine) CanDisable(l topology.LinkID) bool {
+	switch e.policy {
+	case PolicyNone:
+		return false
+	case PolicySwitchLocal:
+		return e.local.CanDisable(l)
+	default:
+		return e.fast.CanDisable(l)
+	}
+}
+
+// Activate enables link l and runs the policy's activation step — the
+// optimizer under PolicyCorrOpt, a worst-first sweep of the policy's check
+// under the baselines — over the remaining active corrupting links in
+// scope, as link activations are what create room to disable more of them.
+// It returns the newly disabled links. l's recorded corruption rate is left
+// as it is: callers that know the link came back clean use LinkRepaired.
+func (e *Engine) Activate(l topology.LinkID, scope Scope) []topology.LinkID {
 	e.net.Enable(l)
-	e.net.SetCorruption(l, 0)
-	disabled, _ := e.opt.Run(e.threshold)
+	disabled, _ := e.recheck(scope)
 	return disabled
 }
 
-// Reoptimize runs the optimizer without any link state change, returning
-// the links it disabled; exposed for periodic background optimization.
+// LinkRepaired handles a link coming back from repair: its corruption
+// record is cleared (a link that is still corrupting gets re-reported by
+// monitoring) and it is activated over the whole topology.
+func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
+	e.net.SetCorruption(l, 0)
+	return e.Activate(l, Scope{})
+}
+
+// Reoptimize runs the activation step without any link state change,
+// returning the links it disabled; exposed for periodic background
+// optimization.
 func (e *Engine) Reoptimize() ([]topology.LinkID, OptimizeStats) {
-	return e.opt.Run(e.threshold)
+	return e.recheck(Scope{})
+}
+
+func (e *Engine) recheck(scope Scope) ([]topology.LinkID, OptimizeStats) {
+	if e.opt != nil {
+		return e.opt.RunScoped(e.threshold, scope.Links, scope.ToRs)
+	}
+	return sweep(e.net, e, e.threshold, scope.Links), OptimizeStats{}
 }

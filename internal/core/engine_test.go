@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"corropt/internal/rngutil"
 	"corropt/internal/topology"
 )
 
@@ -26,7 +28,7 @@ func TestEngineReportAndRepair(t *testing.T) {
 	// A real report disables the link via the fast checker.
 	d = e.ReportCorruption(l1, 1e-3)
 	if !d.Disabled {
-		t.Fatalf("link not disabled: %s", d.Reason)
+		t.Fatalf("link not disabled: %s", d.Reason())
 	}
 	if !net.Disabled(l1) {
 		t.Fatal("network state not updated")
@@ -37,13 +39,13 @@ func TestEngineReportAndRepair(t *testing.T) {
 	if d.Disabled {
 		t.Fatal("disabling both uplinks would violate the constraint")
 	}
-	if d.Reason == "" {
+	if d.Reason() == "" {
 		t.Fatal("negative decision carries no reason")
 	}
 
 	// Re-reporting a disabled link is a no-op positive.
 	d = e.ReportCorruption(l1, 1e-3)
-	if !d.Disabled || d.Reason != "already disabled" {
+	if !d.Disabled || d.Reason() != "already disabled" {
 		t.Fatalf("re-report: %+v", d)
 	}
 
@@ -141,5 +143,112 @@ func TestSwitchLocalRawValidation(t *testing.T) {
 	}
 	if _, err := NewSwitchLocal(net, 2); err == nil {
 		t.Fatal("c > 1 accepted")
+	}
+}
+
+// TestEnginePolicies drives one seeded report/repair script through the
+// engine under each policy, twice: once activating over the whole topology
+// (LinkRepaired) and once scoped to the repaired link's segment of a
+// Partitioned Clos (clear + Activate). Every decision and every activation
+// result must agree, the capacity constraint must hold throughout, and each
+// policy must reach the outcomes it can produce.
+func TestEnginePolicies(t *testing.T) {
+	topo := scopedTestTopo(t)
+	segs := topo.Partition()
+	scopeOf := make([]Scope, topo.NumLinks())
+	for _, seg := range segs {
+		sc := Scope{Links: topology.NewLinkSet(topo.NumLinks()), ToRs: seg.ToRs}
+		for _, l := range seg.Links {
+			sc.Links.Add(l)
+			scopeOf[l] = sc
+		}
+	}
+
+	type op struct {
+		repair bool
+		link   topology.LinkID
+		rate   float64
+	}
+	var script []op
+	var reported []topology.LinkID
+	rates := []float64{5e-7, 1e-5, 1e-4, 1e-3}
+	rng := rngutil.New(12).Split("engine-policies")
+	for len(script) < 1500 {
+		if len(reported) > 0 && rng.Bool(0.4) {
+			script = append(script, op{repair: true, link: reported[rng.Intn(len(reported))]})
+			continue
+		}
+		l := topology.LinkID(rng.Intn(topo.NumLinks()))
+		script = append(script, op{link: l, rate: rates[rng.Intn(len(rates))]})
+		reported = append(reported, l)
+	}
+
+	all := []Outcome{OutcomeBelowThreshold, OutcomeAlreadyDisabled, OutcomeDisabled, OutcomeBlocked}
+	for _, tc := range []struct {
+		policy PolicyKind
+		want   []Outcome
+	}{
+		{PolicyNone, []Outcome{OutcomeBelowThreshold, OutcomeBlocked}},
+		{PolicySwitchLocal, all},
+		{PolicyFastOnly, all},
+		{PolicyCorrOpt, all},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			build := func() *Engine {
+				// c = 0.25: the switch-local rule then lets one of a switch's
+				// three uplinks go (sc = 0.5), so every policy has room to act.
+				net, err := NewNetwork(topo, 0.25)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := NewPolicyEngine(net, tc.policy, EngineConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			whole, scoped := build(), build()
+			seen := map[Outcome]bool{}
+			activated := 0
+			for i, o := range script {
+				if o.repair {
+					got := whole.LinkRepaired(o.link)
+					scoped.Network().SetCorruption(o.link, 0)
+					if sc := scoped.Activate(o.link, scopeOf[o.link]); !slices.Equal(sc, got) {
+						t.Fatalf("op %d: repair of %d: scoped activation disabled %v, whole-topology %v", i, o.link, sc, got)
+					}
+					activated += len(got)
+				} else {
+					got, sc := whole.ReportCorruption(o.link, o.rate), scoped.ReportCorruption(o.link, o.rate)
+					if got != sc || got.Reason() != sc.Reason() {
+						t.Fatalf("op %d: report %d at %g: scoped engine decided %+v, whole-topology %+v", i, o.link, o.rate, sc, got)
+					}
+					down := got.Outcome == OutcomeDisabled || got.Outcome == OutcomeAlreadyDisabled
+					if got.Disabled != down || (down && !whole.Network().Disabled(o.link)) || (got.Reason() == "") != (got.Outcome == OutcomeDisabled) {
+						t.Fatalf("op %d: inconsistent decision %+v (reason %q)", i, got, got.Reason())
+					}
+					seen[got.Outcome] = true
+				}
+				if !whole.Network().Feasible(nil) {
+					t.Fatalf("op %d: capacity constraint violated", i)
+				}
+			}
+			for _, o := range all {
+				if seen[o] != slices.Contains(tc.want, o) {
+					t.Errorf("outcome %d seen=%v, want %v", o, seen[o], !seen[o])
+				}
+			}
+			if (activated > 0) != (tc.policy != PolicyNone) {
+				t.Errorf("activations disabled %d links in total", activated)
+			}
+			if whole.Network().NumDisabled() != scoped.Network().NumDisabled() {
+				t.Errorf("final state differs: %d vs %d links down", whole.Network().NumDisabled(), scoped.Network().NumDisabled())
+			}
+		})
+	}
+
+	net, _ := NewNetwork(topo, 0.25)
+	if _, err := NewPolicyEngine(net, PolicyKind(9), EngineConfig{}); err == nil {
+		t.Error("unknown policy accepted")
 	}
 }

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"corropt/internal/topology"
 )
@@ -71,14 +72,7 @@ func (fc *FastChecker) CanDisable(l topology.LinkID) bool {
 // DisableIfSafe disables l if the capacity constraints allow it and reports
 // whether it did.
 func (fc *FastChecker) DisableIfSafe(l topology.LinkID) bool {
-	if fc.net.Disabled(l) {
-		return false
-	}
-	if !fc.CanDisable(l) {
-		return false
-	}
-	fc.net.Disable(l)
-	return true
+	return fc.net.disableIf(l, fc.CanDisable(l))
 }
 
 // Sweep runs the fast check over every active corrupting link at or above
@@ -90,19 +84,39 @@ func (fc *FastChecker) DisableIfSafe(l topology.LinkID) bool {
 // the network is maximal after a sweep — no further link can be disabled —
 // so Sweep only needs to run on new corrupting links or after activations.
 func (fc *FastChecker) Sweep(threshold float64) []topology.LinkID {
-	active := fc.net.ActiveCorrupting(threshold)
-	// Sort by corruption rate, highest first; ties broken by LinkID so the
-	// sweep order (and therefore the disabled set) is deterministic.
-	sort.Slice(active, func(i, j int) bool {
-		ri, rj := fc.net.CorruptionRate(active[i]), fc.net.CorruptionRate(active[j])
-		if ri != rj {
-			return ri > rj
-		}
-		return active[i] < active[j]
+	return sweep(fc.net, fc, threshold, nil)
+}
+
+// checker is a link-disabling rule: the fast checker's global path counts,
+// the switch-local baseline's per-switch uplink fraction, or an Engine's
+// policy choosing between them. All answer in O(1) for a link that is
+// already down, so callers may evaluate the rule before looking.
+type checker interface {
+	CanDisable(topology.LinkID) bool
+}
+
+// disableIf disables l when the checker allowed it and it is not already
+// down, and reports whether it did.
+func (n *Network) disableIf(l topology.LinkID, allowed bool) bool {
+	if !allowed || n.disabled.Has(l) {
+		return false
+	}
+	n.Disable(l)
+	return true
+}
+
+// sweep applies c to every active corrupting link at or above threshold
+// (within scope, when non-nil), worst first with ties broken by LinkID so
+// the order — and therefore the disabled set — is deterministic, disabling
+// those that pass. It returns the links it disabled.
+func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []topology.LinkID {
+	active := n.ActiveCorrupting(threshold)
+	slices.SortFunc(active, func(a, b topology.LinkID) int {
+		return cmp.Or(cmp.Compare(n.rate[b], n.rate[a]), cmp.Compare(a, b))
 	})
 	var disabled []topology.LinkID
 	for _, l := range active {
-		if fc.DisableIfSafe(l) {
+		if (scope == nil || scope.Has(l)) && n.disableIf(l, c.CanDisable(l)) {
 			disabled = append(disabled, l)
 		}
 	}

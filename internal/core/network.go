@@ -211,11 +211,7 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 	} else {
 		n.corrupting.Remove(l)
 	}
-	var c float64
-	if rate > 0 && !n.disabled.Has(l) {
-		c = n.penalty(rate)
-	}
-	n.setContrib(l, c)
+	n.penaltyOnToggle(l, n.disabled.Has(l))
 }
 
 // RegisterPenalty installs p as the network's impact function and switches
@@ -294,11 +290,12 @@ func (n *Network) setContrib(l topology.LinkID, c float64) {
 	}
 }
 
-// penaltyOnToggle updates the penalty state for link l transitioning to
-// disabled (true) or enabled (false). Callers invoke it before the path
-// counter's disabled set flips, so the new state is passed explicitly.
+// penaltyOnToggle updates the penalty state for link l after its rate
+// changed or as it transitions to disabled (true) or enabled (false).
+// Disable and Enable invoke it before the path counter's disabled set
+// flips, so the new state is passed explicitly.
 //
-//lint:hotpath runs on every Disable/Enable event
+//lint:hotpath runs on every SetCorruption/Disable/Enable event
 func (n *Network) penaltyOnToggle(l topology.LinkID, nowDisabled bool) {
 	if n.penalty == nil {
 		return
@@ -343,8 +340,8 @@ func (n *Network) ActiveCorrupting(threshold float64) []topology.LinkID {
 // hot paths pass a retained buffer (dst[:0]) to avoid re-allocating the set
 // on every optimizer run.
 func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float64) []topology.LinkID {
-	for l := range n.rate {
-		if n.rate[l] >= threshold && !n.disabled.Has(topology.LinkID(l)) {
+	for l, r := range n.rate {
+		if r >= threshold && !n.disabled.Has(topology.LinkID(l)) {
 			dst = append(dst, topology.LinkID(l))
 		}
 	}
@@ -356,8 +353,8 @@ func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float6
 // path and the control-plane status endpoint only need the count.
 func (n *Network) NumActiveCorrupting(threshold float64) int {
 	count := 0
-	for l := range n.rate {
-		if n.rate[l] >= threshold && !n.disabled.Has(topology.LinkID(l)) {
+	for l, r := range n.rate {
+		if r >= threshold && !n.disabled.Has(topology.LinkID(l)) {
 			count++
 		}
 	}

@@ -127,7 +127,7 @@ func NewOptimizer(net *Network, penalty PenaltyFunc, cfg OptimizerConfig) *Optim
 // disables the chosen subset on the network, and returns the disabled links
 // along with run statistics.
 func (o *Optimizer) Run(threshold float64) ([]topology.LinkID, OptimizeStats) {
-	return o.run(threshold, nil, nil)
+	return o.RunScoped(threshold, nil, nil)
 }
 
 // RunScoped is Run restricted to one shard segment: only active corrupting
@@ -142,10 +142,6 @@ func (o *Optimizer) Run(threshold float64) ([]topology.LinkID, OptimizeStats) {
 // what Run would choose from the scoped links. A nil scope with nil tors is
 // exactly Run.
 func (o *Optimizer) RunScoped(threshold float64, scope *topology.LinkSet, tors []topology.SwitchID) ([]topology.LinkID, OptimizeStats) {
-	return o.run(threshold, scope, tors)
-}
-
-func (o *Optimizer) run(threshold float64, scope *topology.LinkSet, tors []topology.SwitchID) ([]topology.LinkID, OptimizeStats) {
 	var st OptimizeStats
 	active := o.net.AppendActiveCorrupting(o.activeBuf[:0], threshold)
 	if scope != nil {

@@ -72,14 +72,7 @@ func (s *SwitchLocal) CanDisable(l topology.LinkID) bool {
 // DisableIfSafe disables l if the switch-local rule allows it and reports
 // whether it did.
 func (s *SwitchLocal) DisableIfSafe(l topology.LinkID) bool {
-	if s.net.Disabled(l) {
-		return false
-	}
-	if !s.CanDisable(l) {
-		return false
-	}
-	s.net.Disable(l)
-	return true
+	return s.net.disableIf(l, s.CanDisable(l))
 }
 
 // Sweep applies the switch-local check to every active corrupting link at
@@ -87,17 +80,5 @@ func (s *SwitchLocal) DisableIfSafe(l topology.LinkID) bool {
 // production systems run when a link is re-enabled. It returns the links it
 // disabled.
 func (s *SwitchLocal) Sweep(threshold float64) []topology.LinkID {
-	active := s.net.ActiveCorrupting(threshold)
-	for i := 1; i < len(active); i++ {
-		for j := i; j > 0 && s.net.CorruptionRate(active[j]) > s.net.CorruptionRate(active[j-1]); j-- {
-			active[j], active[j-1] = active[j-1], active[j]
-		}
-	}
-	var disabled []topology.LinkID
-	for _, l := range active {
-		if s.DisableIfSafe(l) {
-			disabled = append(disabled, l)
-		}
-	}
-	return disabled
+	return sweep(s.net, s, threshold, nil)
 }

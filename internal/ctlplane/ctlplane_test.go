@@ -2,11 +2,15 @@ package ctlplane
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"corropt/internal/core"
+	"corropt/internal/rngutil"
 	"corropt/internal/topology"
 )
 
@@ -205,5 +209,108 @@ func TestControllerCloseUnblocksClients(t *testing.T) {
 	// Double close is a no-op.
 	if err := ctl.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestControllerMatchesEngine is the wire == engine check: a seeded mix of
+// Report/Activate/Status requests over loopback TCP, with every field of
+// every reply compared against an in-process core.Engine fed the same
+// operations. The scenario goldens hold engine == simulator; this holds the
+// socket path to the same engine, under the default penalty and a
+// non-linear one.
+func TestControllerMatchesEngine(t *testing.T) {
+	topo, err := topology.NewClos(topology.ClosConfig{
+		Pods: 4, ToRsPerPod: 6, AggsPerPod: 3, Spines: 9, SpineUplinksPerAgg: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     core.EngineConfig
+		penalty core.PenaltyFunc // what Status must report under cfg
+	}{
+		{"default", core.EngineConfig{}, core.LinearPenalty},
+		{"tcp-penalty", core.EngineConfig{Penalty: core.TCPThroughputPenalty}, core.TCPThroughputPenalty},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *core.Engine {
+				net, err := core.NewNetwork(topo, 0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return core.NewEngine(net, tc.cfg)
+			}
+			ctl, err := NewController("127.0.0.1:0", build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctl.Close()
+			cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: 5 * time.Second, AgentID: "tor-agent"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+
+			mirror := build()
+			net := mirror.Network()
+			rng := rngutil.New(11).Split("wire-vs-engine")
+			reasons := map[string]int{}
+			for i := 0; i < 3000; i++ {
+				l := topology.LinkID(rng.Intn(topo.NumLinks()))
+				switch p := rng.Float64(); {
+				case p < 0.6:
+					rate := math.Pow(10, rng.Range(-7, -2))
+					got, err := cli.Report(l, rate)
+					if err != nil {
+						t.Fatalf("op %d: report: %v", i, err)
+					}
+					d := mirror.ReportCorruption(l, rate)
+					want := Decision{Link: d.Link, Disabled: d.Disabled, Reason: d.Reason()}
+					if *got != want {
+						t.Fatalf("op %d: report link %d rate %g: wire %+v, engine %+v", i, l, rate, *got, want)
+					}
+					if got.Reason == fmt.Sprintf("rate %.3g below detection threshold %.3g", rate, core.DefaultDetectionThreshold) {
+						reasons["below"]++
+					} else {
+						reasons[got.Reason]++
+					}
+				case p < 0.8:
+					got, err := cli.Activate(l)
+					if err != nil {
+						t.Fatalf("op %d: activate: %v", i, err)
+					}
+					if want := mirror.LinkRepaired(l); !slices.Equal(got, want) {
+						t.Fatalf("op %d: activate link %d: wire disabled %v, engine %v", i, l, got, want)
+					}
+				default:
+					got, err := cli.Status()
+					if err != nil {
+						t.Fatalf("op %d: status: %v", i, err)
+					}
+					want := StatusResult{
+						Links:            topo.NumLinks(),
+						Disabled:         net.NumDisabled(),
+						ActiveCorrupting: net.NumActiveCorrupting(mirror.Threshold()),
+						WorstToRFraction: net.WorstToRFraction(),
+						TotalPenalty:     net.TotalPenalty(tc.penalty),
+						Agents:           1,
+					}
+					if *got != want {
+						t.Fatalf("op %d: status: wire %+v, engine %+v", i, *got, want)
+					}
+				}
+			}
+			// The wire carries exactly the engine's reasons, and the mix
+			// reached all of them.
+			for _, r := range []string{"", "below", "already disabled", "capacity constraints forbid disabling"} {
+				if reasons[r] == 0 {
+					t.Errorf("no report was answered with reason %q (saw %v)", r, reasons)
+				}
+			}
+			if len(reasons) != 4 {
+				t.Errorf("unexpected reasons on the wire: %v", reasons)
+			}
+		})
 	}
 }

@@ -18,6 +18,7 @@ func FuzzFaultyFrame(f *testing.F) {
 	f.Add(uint32(2), 1e-3, uint64(1))
 	f.Add(uint32(9), 0.5, uint64(42))
 	f.Add(uint32(0), 0.0, uint64(7))
+	f.Add(uint32(3), 2.0, uint64(5)) // a rate the controller rejects must still frame faithfully
 	f.Fuzz(func(t *testing.T, link uint32, rate float64, seed uint64) {
 		orig := &Envelope{
 			Type:   TypeReport,

@@ -14,6 +14,9 @@ func FuzzReadMsg(f *testing.F) {
 	var buf2 bytes.Buffer
 	WriteMsg(&buf2, &Envelope{Type: TypeActivate, Activate: &Activate{Link: 9}})
 	f.Add(buf2.Bytes())
+	var buf3 bytes.Buffer
+	WriteMsg(&buf3, &Envelope{Type: TypeReport, Report: &Report{Link: 2, Rate: -1}}) // out-of-range rate
+	f.Add(buf3.Bytes())
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -323,3 +323,39 @@ func TestLegacyClientsBypassIdempotency(t *testing.T) {
 		t.Fatalf("legacy client tracked: AgentStats = (%d, %d)", live, stale)
 	}
 }
+
+// TestReportRejectsOutOfRangeRate pins ingress validation: a corruption
+// rate outside [0, 1] is answered with an error envelope and never reaches
+// the engine, and the connection stays usable.
+func TestReportRejectsOutOfRangeRate(t *testing.T) {
+	engine := testEngine(t)
+	ctl, err := NewController("127.0.0.1:0", engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	cli, err := Dial(ctl.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	for _, rate := range []float64{-1, -1e-12, 1.0000001, 2, 1e300} {
+		if d, err := cli.Report(0, rate); err == nil {
+			t.Errorf("Report(rate=%g) accepted: %+v", rate, d)
+		}
+	}
+	st, err := cli.Status()
+	if err != nil {
+		t.Fatalf("connection dead after error replies: %v", err)
+	}
+	if st.Disabled != 0 || st.ActiveCorrupting != 0 || st.TotalPenalty != 0 {
+		t.Fatalf("rejected reports reached the engine: %+v", st)
+	}
+	// The bounds themselves are valid rates.
+	for _, rate := range []float64{0, 1} {
+		if _, err := cli.Report(0, rate); err != nil {
+			t.Errorf("Report(rate=%g): %v", rate, err)
+		}
+	}
+}

@@ -255,11 +255,14 @@ func (c *Controller) dispatch(msg *Envelope) *Envelope {
 		if int(r.Link) < 0 || int(r.Link) >= net.Topology().NumLinks() {
 			return errEnvelope("unknown link")
 		}
+		if !(r.Rate >= 0 && r.Rate <= 1) { // written so that NaN is rejected too
+			return errEnvelope("corruption rate out of [0,1]")
+		}
 		d := c.engine.ReportCorruption(r.Link, r.Rate)
 		return &Envelope{Type: TypeDecision, Decision: &Decision{
 			Link:     d.Link,
 			Disabled: d.Disabled,
-			Reason:   d.Reason,
+			Reason:   d.Reason(),
 		}}
 	case TypeActivate:
 		if msg.Activate == nil {
@@ -277,7 +280,7 @@ func (c *Controller) dispatch(msg *Envelope) *Envelope {
 			Disabled:         net.NumDisabled(),
 			ActiveCorrupting: net.NumActiveCorrupting(c.engine.Threshold()),
 			WorstToRFraction: net.WorstToRFraction(),
-			TotalPenalty:     net.TotalPenalty(core.LinearPenalty),
+			TotalPenalty:     c.engine.TotalPenalty(),
 			Agents:           len(c.agents),
 			StaleAgents:      c.staleTotal,
 		}}

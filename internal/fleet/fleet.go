@@ -4,19 +4,18 @@
 // static sharding axis: every DCN is partitioned into cone-closed segments
 // (topology.Partition), segments are packed into shards, and each shard owns
 // a standalone sub-topology with its own core.Network, incremental path
-// counter, fast checker and segment-scoped optimizer. A supervisor routes
-// corruption events to shards by link ownership, fans shard drains out on
-// internal/runner, and owns every cross-segment invariant: the global ticket
-// queue, the fleet-wide penalty sum, and capacity-constraint headroom
-// aggregation.
+// counter and core.Engine. A supervisor routes corruption events to shards
+// by link ownership, fans shard drains out on internal/runner, and owns
+// every cross-segment invariant: the global ticket queue, the fleet-wide
+// penalty sum, and capacity-constraint headroom aggregation.
 //
 // The determinism contract matches the rest of the repository: for a fixed
 // event sequence, Snapshot output is byte-identical for any shard count and
 // any worker count. Shard-locality makes that cheap to guarantee — the
 // segment boundary invariant (a ToR's valley-free path counts depend only on
 // links in its own segment) means shard-local Apply/Revert deltas are exact,
-// and per-segment accounting makes every float accumulate in the same order
-// no matter how segments are packed into shards.
+// and every float is summed per segment, in global segment order, no matter
+// how segments are packed into shards.
 package fleet
 
 import (
@@ -265,9 +264,9 @@ func (s *Supervisor) Route(ev Event) error {
 		//lint:allow hotalloc error construction on the reject path only
 		return fmt.Errorf("fleet: unknown event kind %d", ev.Kind)
 	}
-	if ev.Rate < 0 {
+	if !(ev.Rate >= 0 && ev.Rate <= 1) { // written so that NaN is rejected too
 		//lint:allow hotalloc error construction on the reject path only
-		return fmt.Errorf("fleet: negative corruption rate %g", ev.Rate)
+		return fmt.Errorf("fleet: corruption rate %g out of [0,1]", ev.Rate)
 	}
 	sh := s.shards[s.shardOf[ev.DCN][ev.Link]]
 	//lint:allow hotalloc append into per-shard pending buffer, steady capacity after warmup
@@ -368,19 +367,6 @@ func (s *Supervisor) Disabled(dcn int) []topology.LinkID {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// PenaltySum is the fleet-wide §5 penalty of corrupting links left enabled,
-// aggregated from the per-segment accumulators in global segment order so
-// the float is identical for every shard packing.
-func (s *Supervisor) PenaltySum() float64 {
-	sum := 0.0
-	for _, sh := range s.shards {
-		for i := range sh.segs {
-			sum += sh.segs[i].penalty
-		}
-	}
-	return sum
 }
 
 // Headroom aggregates capacity-constraint headroom across the fleet: the
@@ -485,7 +471,7 @@ func (s *Supervisor) Snapshot() Snapshot {
 			st.Segments += len(sh.segs)
 			st.DisabledNow += sh.net.NumDisabled()
 			for j := range sh.segs {
-				st.Penalty += sh.segs[j].penalty
+				st.Penalty += sh.segPenalty(&sh.segs[j], s.cfg.Penalty)
 			}
 		}
 		snap.DisabledNow += st.DisabledNow

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -114,9 +115,9 @@ func TestFleetMatchesSerial(t *testing.T) {
 
 // TestFleetInvariants replays a stream and then checks the supervisor's
 // cross-segment invariants against independent recomputation: the penalty
-// sum against a from-scratch walk over the reported disabled/rate state, and
-// the capacity constraint against a fresh full-topology path counter per
-// DCN.
+// sum against a from-scratch walk over the reported disabled/rate state —
+// exactly, per DCN, since the supervisor sums it at read time too — and the
+// capacity constraint against a fresh full-topology path counter per DCN.
 func TestFleetInvariants(t *testing.T) {
 	dcns := testFleetTopos(t)
 	evs := synthesizeEvents(dcns, 7, 3000)
@@ -145,12 +146,24 @@ func TestFleetInvariants(t *testing.T) {
 		for _, l := range down {
 			isDown[l] = true
 		}
-		// Penalty: corrupting links still enabled, in ascending link order.
-		for l := 0; l < d.Topo.NumLinks(); l++ {
-			if r := rates[i][topology.LinkID(l)]; r > 0 && !isDown[topology.LinkID(l)] {
-				wantPenalty += r // LinearPenalty
+		// Penalty: corrupting links still enabled, summed per segment in
+		// ascending link order, segments added in partition order.
+		dcnPenalty := 0.0
+		for _, seg := range d.Topo.Partition() {
+			links := slices.Clone(seg.Links)
+			slices.Sort(links)
+			segPenalty := 0.0
+			for _, l := range links {
+				if r := rates[i][l]; r > 0 && !isDown[l] {
+					segPenalty += r // LinearPenalty
+				}
 			}
+			dcnPenalty += segPenalty
 		}
+		if got := snap.PerDCN[i].Penalty; got != dcnPenalty {
+			t.Errorf("DCN %s penalty %.17g, from-scratch walk %.17g", d.Name, got, dcnPenalty)
+		}
+		wantPenalty += dcnPenalty
 		// Capacity: every ToR keeps >= capacity of its paths on a fresh
 		// full-topology counter with the fleet's disabled set applied.
 		set := topology.NewLinkSet(d.Topo.NumLinks())
@@ -174,8 +187,8 @@ func TestFleetInvariants(t *testing.T) {
 	if snap.DisabledNow != totalDown {
 		t.Errorf("snapshot reports %d links down, Disabled() lists %d", snap.DisabledNow, totalDown)
 	}
-	if diff := snap.PenaltySum - wantPenalty; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("penalty sum %.12g, reference %.12g", snap.PenaltySum, wantPenalty)
+	if wantPenalty == 0 || snap.PenaltySum != wantPenalty {
+		t.Errorf("penalty sum %.17g, reference %.17g", snap.PenaltySum, wantPenalty)
 	}
 	if snap.ViolatedToRs != 0 {
 		t.Errorf("%d ToRs violated; the controller must never violate capacity", snap.ViolatedToRs)
@@ -202,6 +215,8 @@ func TestFleetRouteErrors(t *testing.T) {
 		{DCN: 0, Link: topology.LinkID(dcns[0].Topo.NumLinks()), Kind: Corruption, Rate: 1e-5},
 		{DCN: 0, Link: 0, Kind: EventKind(9), Rate: 1e-5},
 		{DCN: 0, Link: 0, Kind: Corruption, Rate: -1},
+		{DCN: 0, Link: 0, Kind: Corruption, Rate: 2},
+		{DCN: 0, Link: 0, Kind: Corruption, Rate: math.NaN()},
 	} {
 		if err := sup.Route(ev); err == nil {
 			t.Errorf("Route(%+v) accepted, want error", ev)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -12,24 +11,17 @@ import (
 
 // shard owns one sub-topology — a union of whole cone-closed segments of one
 // DCN — and every piece of controller state for it: the Network with its
-// incremental path counter, a FastChecker for the corruption-event fast
-// path, and a segment-scoped Optimizer for re-optimizing freed capacity
-// after repairs. drain runs on a worker pool but touches shard-local state
-// only; the supervisor serializes everything that crosses shards.
+// incremental path counter and the core.Engine that decides over it, with
+// activations scoped to the repaired link's segment. drain runs on a worker
+// pool but touches shard-local state only; the supervisor serializes
+// everything that crosses shards.
 type shard struct {
 	dcn int
 	sub *topology.SegmentGraph
 	net *core.Network
-	fc  *core.FastChecker
-	opt *core.Optimizer
+	eng *core.Engine
 
-	threshold float64
-	penalty   core.PenaltyFunc
-
-	// segOf maps a local link to its index in segs. Per-segment penalty
-	// accounting is what makes the fleet-wide penalty sum shard-packing
-	// invariant: each float accumulates per atomic segment in event
-	// order, and the supervisor sums segments in global order.
+	// segOf maps a local link to its index in segs.
 	segOf []int32
 	segs  []segState
 
@@ -40,11 +32,9 @@ type shard struct {
 
 // segState is the controller state of one atomic segment within a shard.
 type segState struct {
-	global  int                 // fleet-wide segment index
-	links   *topology.LinkSet   // local link ids
-	tors    []topology.SwitchID // local ToR ids, ascending
-	penalty float64
-	ops     int // float ops since the last exact rebuild
+	global int                 // fleet-wide segment index
+	links  *topology.LinkSet   // local link ids
+	tors   []topology.SwitchID // local ToR ids, ascending
 }
 
 // shardEvent is a routed event in shard-local coordinates, tagged with the
@@ -101,15 +91,16 @@ func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error)
 		return nil, err
 	}
 	sh := &shard{
-		dcn:       dcn,
-		sub:       bs.sub,
-		net:       net,
-		fc:        core.NewFastChecker(net),
-		opt:       core.NewOptimizer(net, cfg.Penalty, cfg.Optimizer),
-		threshold: cfg.Threshold,
-		penalty:   cfg.Penalty,
-		segOf:     make([]int32, bs.sub.Topo.NumLinks()),
-		segs:      make([]segState, len(bs.segs)),
+		dcn: dcn,
+		sub: bs.sub,
+		net: net,
+		eng: core.NewEngine(net, core.EngineConfig{
+			DetectionThreshold: cfg.Threshold,
+			Penalty:            cfg.Penalty,
+			Optimizer:          cfg.Optimizer,
+		}),
+		segOf: make([]int32, bs.sub.Topo.NumLinks()),
+		segs:  make([]segState, len(bs.segs)),
 	}
 	for si, seg := range bs.segs {
 		st := &sh.segs[si]
@@ -134,48 +125,39 @@ func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error)
 	return sh, nil
 }
 
-// drain processes the shard's pending events in routed order. Corruption
-// events take the FastChecker path (one incremental feasibility probe);
-// repairs re-enable the link and re-optimize the owning segment with the
-// scoped optimizer. All decisions that cross the shard — ticket opens and
-// resolves — are buffered for the supervisor's ordered merge.
+// drain runs the shard's pending events through its engine in routed
+// order and keeps the fleet's own bookkeeping from each outcome: the event
+// tallies, and the decisions that cross the shard — ticket opens and
+// resolves — buffered for the supervisor's ordered merge.
 func (sh *shard) drain() {
 	for i := range sh.pending {
 		ev := &sh.pending[i]
-		seg := &sh.segs[sh.segOf[ev.link]]
 		ord := int32(0)
 		switch ev.kind {
 		case Corruption:
 			sh.stats.corruptions++
-			sh.setRate(seg, ev.link, ev.rate)
-			if ev.rate >= sh.threshold && !sh.net.Disabled(ev.link) {
-				if sh.fc.DisableIfSafe(ev.link) {
-					sh.onDisabled(seg, ev.link)
-					sh.stats.disabled++
-					sh.emit(ev, &ord, ev.link, actDisable)
-				} else {
-					sh.stats.blocked++
-				}
+			switch sh.eng.ReportCorruption(ev.link, ev.rate).Outcome {
+			case core.OutcomeDisabled:
+				sh.stats.disabled++
+				sh.emit(ev, &ord, ev.link, actDisable)
+			case core.OutcomeBlocked:
+				sh.stats.blocked++
 			}
 		case Repair:
 			sh.stats.repairs++
-			sh.setRate(seg, ev.link, 0)
+			sh.net.SetCorruption(ev.link, 0)
 			if !sh.net.Disabled(ev.link) {
 				// The controller never took the link down; the repair
 				// just clears its corruption.
 				sh.stats.cleared++
 				continue
 			}
-			// Re-enabling a repaired (rate-zero) link adds no penalty
-			// contribution, so no accounting entry is needed here.
-			sh.net.Enable(ev.link)
 			sh.emit(ev, &ord, ev.link, actRepair)
 			// The repair freed capacity: links the constraint previously
 			// blocked may be safe to take down now. Segment-scoped by the
 			// boundary invariant — no other segment's counts moved.
-			chosen, _ := sh.opt.RunScoped(sh.threshold, seg.links, seg.tors)
-			for _, cl := range chosen {
-				sh.onDisabled(seg, cl)
+			seg := &sh.segs[sh.segOf[ev.link]]
+			for _, cl := range sh.eng.Activate(ev.link, core.Scope{Links: seg.links, ToRs: seg.tors}) {
 				sh.stats.reoptDisabled++
 				sh.emit(ev, &ord, cl, actDisable)
 			}
@@ -184,56 +166,18 @@ func (sh *shard) drain() {
 	sh.pending = sh.pending[:0]
 }
 
-// setRate updates a link's corruption rate and its penalty contribution.
-func (sh *shard) setRate(seg *segState, l topology.LinkID, rate float64) {
-	old := sh.contrib(l)
-	sh.net.SetCorruption(l, rate)
-	sh.bump(seg, old, sh.contrib(l))
-}
-
-// onDisabled records the penalty a just-disabled corrupting link no longer
-// incurs. Must be called after the network state change.
-func (sh *shard) onDisabled(seg *segState, l topology.LinkID) {
-	if r := sh.net.CorruptionRate(l); r > 0 {
-		sh.bump(seg, sh.penalty(r), 0)
-	}
-}
-
-// contrib is l's current penalty contribution: corrupting links incur their
-// penalty only while enabled.
-func (sh *shard) contrib(l topology.LinkID) float64 {
-	if r := sh.net.CorruptionRate(l); r > 0 && !sh.net.Disabled(l) {
-		return sh.penalty(r)
-	}
-	return 0
-}
-
-// segRebuildEvery bounds float drift: after this many incremental penalty
-// updates a segment re-sums exactly, in ascending link order. The trigger
-// count is a pure function of the segment's event sequence, so rebuild
-// points — and therefore the float value — are shard-packing invariant.
-const segRebuildEvery = 1024
-
-func (sh *shard) bump(seg *segState, old, new float64) {
-	if old == new {
-		return
-	}
-	seg.penalty += new - old
-	seg.ops++
-	if seg.ops >= segRebuildEvery {
-		// Walk the bitset word-by-word (ascending link order, same terms as
-		// Each) so the amortized exact re-sum stays closure-free on the
-		// per-event path.
-		sum := 0.0
-		for wi, w := range seg.links.Words() {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				sum += sh.contrib(topology.LinkID(wi*64 + b))
-				w &= w - 1
-			}
+// segPenalty sums one segment's §5 penalty — corrupting links left enabled
+// — from the network state at read time, in ascending link order. Nothing
+// is accumulated per event, so the float depends only on the segment's
+// current state, not on shard packing, worker count or flush batching.
+func (sh *shard) segPenalty(seg *segState, penalty core.PenaltyFunc) float64 {
+	sum := 0.0
+	seg.links.Each(func(l topology.LinkID) {
+		if r := sh.net.CorruptionRate(l); r > 0 && !sh.net.Disabled(l) {
+			sum += penalty(r)
 		}
-		seg.penalty, seg.ops = sum, 0
-	}
+	})
+	return sum
 }
 
 func (sh *shard) emit(ev *shardEvent, ord *int32, local topology.LinkID, act action) {

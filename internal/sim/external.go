@@ -142,9 +142,5 @@ func (s *Sim) releaseDampened(l topology.LinkID, now time.Duration) {
 		s.openTicket(l, now)
 		return
 	}
-	s.net.Enable(l)
-	for _, nl := range s.pol.onActivation() {
-		s.result.LinksDisabled++
-		s.openTicket(nl, now)
-	}
+	s.activate(l, now)
 }

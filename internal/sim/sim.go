@@ -20,41 +20,17 @@ import (
 	"corropt/internal/topology"
 )
 
-// PolicyKind selects the link-disabling strategy under test.
-type PolicyKind int
+// PolicyKind selects the link-disabling strategy under test; the engine
+// defines the strategies, the simulator only forwards the choice.
+type PolicyKind = core.PolicyKind
 
+// Mitigation policies.
 const (
-	// PolicyNone never disables links; the do-nothing baseline that
-	// calibrates how much any mitigation helps (the paper estimates
-	// corruption losses would be two orders of magnitude higher without
-	// automatic disabling, §2).
-	PolicyNone PolicyKind = iota
-	// PolicySwitchLocal is the production baseline: a link may go down
-	// only if its switch keeps c^(1/r) of its uplinks.
-	PolicySwitchLocal
-	// PolicyFastOnly runs CorrOpt's fast checker for new corrupting links
-	// and re-runs it (instead of the optimizer) on activations.
-	PolicyFastOnly
-	// PolicyCorrOpt is the full system: fast checker on arrival, global
-	// optimizer on activation.
-	PolicyCorrOpt
+	PolicyNone        = core.PolicyNone
+	PolicySwitchLocal = core.PolicySwitchLocal
+	PolicyFastOnly    = core.PolicyFastOnly
+	PolicyCorrOpt     = core.PolicyCorrOpt
 )
-
-// String implements fmt.Stringer.
-func (p PolicyKind) String() string {
-	switch p {
-	case PolicyNone:
-		return "none"
-	case PolicySwitchLocal:
-		return "switch-local"
-	case PolicyFastOnly:
-		return "fast-only"
-	case PolicyCorrOpt:
-		return "corropt"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", int(p))
-	}
-}
 
 // RepairMode selects how repair outcomes are decided.
 type RepairMode int
@@ -76,7 +52,8 @@ type Config struct {
 	// Capacity is the per-ToR constraint c; default 0.75 (the realistic
 	// regime the paper highlights).
 	Capacity float64
-	// Policy is the link-disabling strategy; default PolicyCorrOpt.
+	// Policy is the link-disabling strategy. The zero value is PolicyNone,
+	// the do-nothing baseline; there is no default substitution.
 	Policy PolicyKind
 	// DetectionThreshold is the corruption rate that triggers
 	// mitigation; default core.DefaultDetectionThreshold.
@@ -202,55 +179,13 @@ type Result struct {
 	DampenedHolds int
 }
 
-// policy abstracts the three strategies behind a uniform interface.
-type policy interface {
-	// tryDisable attempts to disable l, returning success.
-	tryDisable(l topology.LinkID) bool
-	// onActivation is invoked after a link was re-enabled; it returns any
-	// additional links disabled in response.
-	onActivation() []topology.LinkID
-}
-
-type nonePolicy struct{}
-
-func (nonePolicy) tryDisable(topology.LinkID) bool { return false }
-func (nonePolicy) onActivation() []topology.LinkID { return nil }
-
-type switchLocalPolicy struct {
-	sl        *core.SwitchLocal
-	threshold float64
-}
-
-func (p *switchLocalPolicy) tryDisable(l topology.LinkID) bool { return p.sl.DisableIfSafe(l) }
-func (p *switchLocalPolicy) onActivation() []topology.LinkID   { return p.sl.Sweep(p.threshold) }
-
-type fastOnlyPolicy struct {
-	fc        *core.FastChecker
-	threshold float64
-}
-
-func (p *fastOnlyPolicy) tryDisable(l topology.LinkID) bool { return p.fc.DisableIfSafe(l) }
-func (p *fastOnlyPolicy) onActivation() []topology.LinkID   { return p.fc.Sweep(p.threshold) }
-
-type corrOptPolicy struct {
-	fc        *core.FastChecker
-	opt       *core.Optimizer
-	threshold float64
-}
-
-func (p *corrOptPolicy) tryDisable(l topology.LinkID) bool { return p.fc.DisableIfSafe(l) }
-func (p *corrOptPolicy) onActivation() []topology.LinkID {
-	disabled, _ := p.opt.Run(p.threshold)
-	return disabled
-}
-
 // Sim is one configured simulation.
 type Sim struct {
 	cfg    Config
 	topo   *topology.Topology
 	state  *faults.State
 	net    *core.Network
-	pol    policy
+	eng    *core.Engine
 	queue  *tickets.Queue
 	tech   *tickets.Technician
 	clock  *simclock.Clock
@@ -354,26 +289,15 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 	// rescanning every link per event.
 	s.net.RegisterPenalty(cfg.Penalty)
 	s.tech = tickets.NewTechnician(1-cfg.IgnoreProb, s.rng.Split("technician"))
-	switch cfg.Policy {
-	case PolicyNone:
-		s.pol = nonePolicy{}
-	case PolicySwitchLocal:
-		sl, err := core.NewSwitchLocal(s.net, cfg.Capacity)
-		if err != nil {
-			return nil, err
-		}
-		s.pol = &switchLocalPolicy{sl: sl, threshold: cfg.DetectionThreshold}
-	case PolicyFastOnly:
-		s.pol = &fastOnlyPolicy{fc: core.NewFastChecker(s.net), threshold: cfg.DetectionThreshold}
-	case PolicyCorrOpt:
-		s.pol = &corrOptPolicy{
-			fc:        core.NewFastChecker(s.net),
-			opt:       core.NewOptimizer(s.net, cfg.Penalty, cfg.Optimizer),
-			threshold: cfg.DetectionThreshold,
-		}
-	default:
-		return nil, fmt.Errorf("sim: unknown policy %v", cfg.Policy)
+	eng, err := core.NewPolicyEngine(s.net, cfg.Policy, core.EngineConfig{
+		DetectionThreshold: cfg.DetectionThreshold,
+		Penalty:            cfg.Penalty,
+		Optimizer:          cfg.Optimizer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
+	s.eng = eng
 	return s, nil
 }
 
@@ -458,33 +382,54 @@ func (s *Sim) onFault(f *faults.Fault, now time.Duration) {
 	for _, e := range f.Effects {
 		l := e.Link
 		s.syncRate(l)
-		if s.cfg.DetectionDelay > 0 {
-			s.clock.After(s.cfg.DetectionDelay, func(at time.Duration) {
-				s.accrue(at)
-				defer s.settle()
-				s.syncRate(l) // the fault may have evolved meanwhile
-				s.detect(l, at)
-			})
-		} else {
-			s.detect(l, now)
-		}
+		s.monitor(l, now)
 	}
 }
 
-// detect reacts to link l possibly being over the detection threshold.
+// monitor models the monitoring system noticing link l: detection runs at
+// once, or — with a DetectionDelay, the polling latency during which
+// application traffic stays exposed — after the delay, on the rate as it is
+// by then.
+func (s *Sim) monitor(l topology.LinkID, now time.Duration) {
+	if s.cfg.DetectionDelay <= 0 {
+		s.detect(l, now)
+		return
+	}
+	s.clock.After(s.cfg.DetectionDelay, func(at time.Duration) {
+		s.accrue(at)
+		defer s.settle()
+		s.syncRate(l) // the fault may have evolved meanwhile
+		s.detect(l, at)
+	})
+}
+
+// detect reports link l's mirrored rate to the engine and books what the
+// simulator owns of the outcome: the counters, the flap window, the ticket.
 func (s *Sim) detect(l topology.LinkID, now time.Duration) {
-	if s.net.Disabled(l) || s.net.CorruptionRate(l) < s.cfg.DetectionThreshold {
+	d := s.eng.ReportCorruption(l, s.net.CorruptionRate(l))
+	switch d.Outcome {
+	case core.OutcomeBelowThreshold, core.OutcomeAlreadyDisabled:
 		return
 	}
 	s.result.CorruptionReports++
 	if s.cfg.Dampening != nil {
 		s.noteFlap(l, now)
 	}
-	if s.pol.tryDisable(l) {
+	if d.Disabled {
 		s.result.LinksDisabled++
 		s.openTicket(l, now)
 	} else {
 		s.result.UndisabledEvents++
+	}
+}
+
+// activate returns link l to service and tickets every link the engine's
+// activation step disables in response. The recorded rate stays what
+// syncRate mirrored: a sub-threshold residual keeps accruing penalty.
+func (s *Sim) activate(l topology.LinkID, now time.Duration) {
+	for _, nl := range s.eng.Activate(l, core.Scope{}) {
+		s.result.LinksDisabled++
+		s.openTicket(nl, now)
 	}
 }
 
@@ -579,16 +524,7 @@ func (s *Sim) completeRepair(tk *tickets.Ticket, now time.Duration) {
 		// application traffic exposed meanwhile), and a fresh ticket adds
 		// two more days.
 		s.net.Enable(l)
-		if s.cfg.DetectionDelay > 0 {
-			s.clock.After(s.cfg.DetectionDelay, func(at time.Duration) {
-				s.accrue(at)
-				defer s.settle()
-				s.syncRate(l)
-				s.detect(l, at)
-			})
-		} else {
-			s.detect(l, now)
-		}
+		s.monitor(l, now)
 		return
 	}
 	if s.cfg.Dampening != nil {
@@ -603,11 +539,7 @@ func (s *Sim) completeRepair(tk *tickets.Ticket, now time.Duration) {
 	}
 	// A real activation: the policy may now disable other corrupting
 	// links that previously had to stay up.
-	s.net.Enable(l)
-	for _, nl := range s.pol.onActivation() {
-		s.result.LinksDisabled++
-		s.openTicket(nl, now)
-	}
+	s.activate(l, now)
 }
 
 // noOptics reports whether link l's switches expose no optical power data;
