@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint lint-fast vet ci race test-race test-chaos test-scenarios cover fuzz bench bench-experiments bench-fleet bench-hotpath bench-lint bench-check bench-profile clean
+.PHONY: all build test bench-smoke lint lint-fast vet ci race test-race test-chaos test-scenarios cover fuzz bench bench-experiments bench-fleet bench-hotpath bench-lint bench-check bench-profile clean
 
 all: build test
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+## bench-smoke: bench/ is its own module, which `go build ./...` and
+## `go test ./...` here never see; this builds it against the tree and runs
+## its tests (~1 s), so an API the benchmark calls cannot break unnoticed.
+bench-smoke:
+	cd bench && $(GO) test .
 
 ## vet: the stock toolchain checks only.
 vet:
@@ -35,7 +41,7 @@ lint-fast:
 	$(GO) run ./cmd/corropt-lint -diff $(LINT_DIFF_REF) ./...
 
 ## ci: everything the CI workflow runs, in the same order.
-ci: build test lint race test-race test-chaos test-scenarios cover
+ci: build test bench-smoke lint race test-race test-chaos test-scenarios cover
 
 ## race: the parallel-optimizer and incremental-engine paths under the race
 ## detector (Workers>1 workers each own a cloned PathCounter scratch).
@@ -107,9 +113,10 @@ bench-fleet:
 
 ## bench-hotpath: the hot-path proof benches — one isolated benchmark per
 ## `//lint:hotpath` root with a hotpath floor in scripts/bench_floors.txt
-## (fast checker, engine report, incremental path counting, penalty fold, sim
-## settle, fleet Route), exact single-replay allocation counts; raw text goes
-## to BENCH_hotpath.txt and a parsed summary to BENCH_hotpath.json.
+## (fast checker, engine report, incremental path counting, penalty fold,
+## active-corrupting readers, sim settle, fleet Route), exact single-replay
+## allocation counts; raw text goes to BENCH_hotpath.txt and a parsed summary
+## to BENCH_hotpath.json.
 bench-hotpath:
 	./scripts/bench.sh hotpath
 

@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"corropt/internal/topology"
 )
@@ -43,6 +42,13 @@ type Network struct {
 	// healthy links. Disabled links keep their rate so that re-enabling a
 	// still-broken link is visible to the caller.
 	rate []float64
+	// corrupting indexes the links with a recorded rate: the invariant
+	// corrupting == {l : rate[l] > 0} is kept by SetCorruption and Reset,
+	// the only writers of rate. The corrupting links are a few dozen among
+	// tens of thousands, so every read that needs them (Network.active and
+	// its callers, SaveState, LoadState, the exact penalty rebuild) walks
+	// this set word by word instead of scanning rate.
+	corrupting *topology.LinkSet
 	// constraint is the per-ToR minimum fraction of valley-free spine
 	// paths that must remain available, indexed by SwitchID (non-ToR
 	// entries unused).
@@ -58,12 +64,10 @@ type Network struct {
 	// that function; contrib[l] caches link l's current contribution
 	// (p(rate[l]) when the link is enabled and corrupting, else 0);
 	// penaltySum is Σ contrib, maintained in O(1) per SetCorruption /
-	// Disable / Enable. corrupting tracks the links with a nonzero recorded
-	// rate so exact rebuilds touch O(#corrupting) links, not O(#links).
+	// Disable / Enable.
 	penalty    PenaltyFunc
 	contrib    []float64
 	penaltySum float64
-	corrupting *topology.LinkSet
 	// penaltyOps counts updates folded into penaltySum since the last
 	// exact rebuild; PenaltySum re-sums the contributions (in link order,
 	// matching the TotalPenalty scan) every penaltyRebuildEvery updates so
@@ -94,6 +98,7 @@ func NewNetwork(topo *topology.Topology, c float64) (*Network, error) {
 		pc:         pc,
 		disabled:   pc.IncDisabled(),
 		rate:       make([]float64, topo.NumLinks()),
+		corrupting: topology.NewLinkSet(topo.NumLinks()),
 		constraint: make([]float64, topo.NumSwitches()),
 		meetsNow:   make([]bool, topo.NumSwitches()),
 	}
@@ -119,15 +124,13 @@ func (n *Network) Reset(c float64) error {
 	n.pc.ResetIncremental(nil)
 	n.numDisabled = 0
 	clear(n.rate)
+	n.corrupting.Clear()
 	clear(n.constraint)
 	for _, tor := range n.topo.ToRs() {
 		n.constraint[tor] = c
 	}
 	n.recomputeViolated()
-	// Unregister the penalty function but keep the buffers: RegisterPenalty
-	// reuses them.
-	n.penalty = nil
-	n.penaltySum, n.penaltyOps = 0, 0
+	n.RegisterPenalty(nil)
 	return nil
 }
 
@@ -195,17 +198,18 @@ func (n *Network) DisabledFunc() topology.DisabledFunc {
 func (n *Network) NumDisabled() int { return n.numDisabled }
 
 // SetCorruption records the observed worst-direction corruption rate of
-// link l; zero clears it (the link has been repaired or was misdetected).
-// With a registered penalty function the running penalty sum is updated in
-// O(1).
+// link l; zero — or anything else that is not a positive number — clears it
+// (the link has been repaired or was misdetected). With a registered penalty
+// function the running penalty sum is updated in O(1).
 func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
+	if !(rate > 0) { // written so that NaN clears too
+		// Stored, it would be a nonzero rate outside the corrupting index.
+		rate = 0
+	}
 	if n.rate[l] == rate {
 		return
 	}
 	n.rate[l] = rate
-	if n.penalty == nil {
-		return
-	}
 	if rate > 0 {
 		n.corrupting.Add(l)
 	} else {
@@ -222,7 +226,8 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 // recomputes the sum from scratch.
 func (n *Network) RegisterPenalty(p PenaltyFunc) {
 	if p == nil {
-		n.penalty, n.contrib, n.corrupting = nil, nil, nil
+		// Keep the contribution buffer: the next registration reuses it.
+		n.penalty = nil
 		n.penaltySum, n.penaltyOps = 0, 0
 		return
 	}
@@ -234,18 +239,9 @@ func (n *Network) RegisterPenalty(p PenaltyFunc) {
 	} else {
 		n.contrib = make([]float64, n.topo.NumLinks())
 	}
-	if n.corrupting != nil {
-		n.corrupting.Clear()
-	} else {
-		n.corrupting = topology.NewLinkSet(n.topo.NumLinks())
-	}
-	for l, r := range n.rate {
-		if r > 0 {
-			n.corrupting.Add(topology.LinkID(l))
-			if !n.disabled.Has(topology.LinkID(l)) {
-				n.contrib[l] = p(r)
-			}
-		}
+	it := n.active(0)
+	for l := it.next(); l != topology.NoLink; l = it.next() {
+		n.contrib[l] = p(n.rate[l])
 	}
 	n.rebuildPenaltySum()
 }
@@ -311,16 +307,13 @@ func (n *Network) penaltyOnToggle(l topology.LinkID, nowDisabled bool) {
 // rebuildPenaltySum re-sums the cached contributions exactly, iterating the
 // corrupting set in ascending link order — term-for-term the same additions
 // as TotalPenalty's fresh scan, so the result is bit-identical to it. The
-// bitset is walked word-by-word rather than through Each so the amortized
+// bitset is walked with an iterator rather than through Each so the amortized
 // rebuild inside PenaltySum stays closure-free (hotalloc's proof obligation).
 func (n *Network) rebuildPenaltySum() {
 	sum := 0.0
-	for wi, w := range n.corrupting.Words() {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			sum += n.contrib[wi*64+b]
-			w &= w - 1
-		}
+	it := n.corrupting.Iter(nil)
+	for l := it.Next(); l != topology.NoLink; l = it.Next() {
+		sum += n.contrib[l]
 	}
 	n.penaltySum = sum
 	n.penaltyOps = 0
@@ -329,34 +322,74 @@ func (n *Network) rebuildPenaltySum() {
 // CorruptionRate reports the recorded corruption rate of link l.
 func (n *Network) CorruptionRate(l topology.LinkID) float64 { return n.rate[l] }
 
-// ActiveCorrupting returns the enabled links whose corruption rate is at or
-// above threshold — the set the optimizer works over.
+// activeIter walks the active corrupting links at one threshold in ascending
+// link order; see Network.active.
+type activeIter struct {
+	links     topology.LinkIter
+	rate      []float64
+	threshold float64
+}
+
+// active returns an iterator over the active corrupting links at threshold:
+// a link is active corrupting when it has a recorded rate (rate > 0), that
+// rate is at or above threshold, and the link is enabled. Healthy links are
+// never active, whatever the threshold. Every reader of that set loops
+//
+//	it := n.active(threshold)
+//	for l := it.next(); l != topology.NoLink; l = it.next() { … }
+//
+// which walks corrupting &^ disabled in ascending link order — the order,
+// and so the float-addition order, of a scan over every link — at a cost of
+// O(#links/64 + #corrupting), not O(#links).
+func (n *Network) active(threshold float64) activeIter {
+	return activeIter{links: n.corrupting.Iter(n.disabled), rate: n.rate, threshold: threshold}
+}
+
+// next returns the next active corrupting link, or topology.NoLink.
+func (it *activeIter) next() topology.LinkID {
+	for {
+		l := it.links.Next()
+		if l == topology.NoLink || it.rate[l] >= it.threshold {
+			return l
+		}
+	}
+}
+
+// ActiveCorrupting returns the active corrupting links at threshold — the
+// enabled links with a recorded corruption rate (rate > 0) at or above
+// threshold, in ascending order — the set the optimizer works over. A
+// threshold at or below zero selects every enabled corrupting link, never a
+// healthy one.
 func (n *Network) ActiveCorrupting(threshold float64) []topology.LinkID {
 	return n.AppendActiveCorrupting(nil, threshold)
 }
 
-// AppendActiveCorrupting appends the enabled links whose corruption rate is
-// at or above threshold to dst and returns the extended slice. Callers on
-// hot paths pass a retained buffer (dst[:0]) to avoid re-allocating the set
-// on every optimizer run.
+// AppendActiveCorrupting appends the active corrupting links at threshold
+// (rate > 0, rate >= threshold, enabled; ascending) to dst and returns the
+// extended slice. Callers on hot paths pass a retained buffer (dst[:0]) to
+// avoid re-allocating the set on every optimizer run.
+//
+//lint:hotpath every optimizer run and baseline sweep starts by collecting this set
 func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float64) []topology.LinkID {
-	for l, r := range n.rate {
-		if r >= threshold && !n.disabled.Has(topology.LinkID(l)) {
-			dst = append(dst, topology.LinkID(l))
-		}
+	it := n.active(threshold)
+	for l := it.next(); l != topology.NoLink; l = it.next() {
+		//lint:allow hotalloc append into the caller's retained buffer, steady capacity after warmup
+		dst = append(dst, l)
 	}
 	return dst
 }
 
-// NumActiveCorrupting counts the enabled links whose corruption rate is at
-// or above threshold, without materializing the set. The simulator's sample
-// path and the control-plane status endpoint only need the count.
+// NumActiveCorrupting counts the active corrupting links at threshold
+// (rate > 0, rate >= threshold, enabled) without materializing the set. The
+// simulator's sample path and the control-plane status endpoint only need
+// the count.
+//
+//lint:hotpath every simulator sample and control-plane status read
 func (n *Network) NumActiveCorrupting(threshold float64) int {
 	count := 0
-	for l, r := range n.rate {
-		if r >= threshold && !n.disabled.Has(topology.LinkID(l)) {
-			count++
-		}
+	it := n.active(threshold)
+	for l := it.next(); l != topology.NoLink; l = it.next() {
+		count++
 	}
 	return count
 }
@@ -536,49 +569,54 @@ func (n *Network) composite(extra map[topology.LinkID]bool) topology.DisabledFun
 	return func(l topology.LinkID) bool { return n.disabled.Has(l) || extra[l] }
 }
 
-// WorstToRFraction reports the minimum per-ToR available-path fraction in
-// the current state (Figures 15 and 16). O(|ToRs|): reads the incremental
-// counts directly.
-func (n *Network) WorstToRFraction() float64 {
+// ToRFractions reports the minimum and the average per-ToR available-path
+// fraction in the current state in one O(|ToRs|) pass over the incremental
+// counts — one division per ToR for callers, like the simulator's sampler,
+// that want both.
+func (n *Network) ToRFractions() (worst, mean float64) {
+	tors := n.topo.ToRs()
+	worst = 1.0
+	if len(tors) == 0 {
+		return worst, 0
+	}
 	counts, total := n.pc.IncCounts(), n.pc.Total()
-	worst := 1.0
-	for _, tor := range n.topo.ToRs() {
+	sum := 0.0
+	for _, tor := range tors {
 		var f float64
 		if total[tor] > 0 {
 			f = float64(counts[tor]) / float64(total[tor])
+			sum += f
 		}
 		if f < worst {
 			worst = f
 		}
 	}
+	return worst, sum / float64(len(tors))
+}
+
+// WorstToRFraction reports the minimum per-ToR available-path fraction in
+// the current state (Figures 15 and 16). O(|ToRs|): reads the incremental
+// counts directly.
+func (n *Network) WorstToRFraction() float64 {
+	worst, _ := n.ToRFractions()
 	return worst
 }
 
 // MeanToRFraction reports the average per-ToR available-path fraction in
 // the current state (§7.3's capacity-cost metric). O(|ToRs|).
 func (n *Network) MeanToRFraction() float64 {
-	tors := n.topo.ToRs()
-	if len(tors) == 0 {
-		return 0
-	}
-	counts, total := n.pc.IncCounts(), n.pc.Total()
-	sum := 0.0
-	for _, tor := range tors {
-		if total[tor] > 0 {
-			sum += float64(counts[tor]) / float64(total[tor])
-		}
-	}
-	return sum / float64(len(tors))
+	_, mean := n.ToRFractions()
+	return mean
 }
 
-// TotalPenalty sums penalty(rate) over enabled corrupting links: the
-// objective Σ (1 - d_l) · I(f_l) of §5.1.
+// TotalPenalty sums penalty(rate) over the enabled corrupting links (rate >
+// 0, enabled) in ascending link order: the objective Σ (1 - d_l) · I(f_l) of
+// §5.1.
 func (n *Network) TotalPenalty(p PenaltyFunc) float64 {
 	sum := 0.0
-	for l, r := range n.rate {
-		if r > 0 && !n.disabled.Has(topology.LinkID(l)) {
-			sum += p(r)
-		}
+	it := n.active(0)
+	for l := it.next(); l != topology.NoLink; l = it.next() {
+		sum += p(n.rate[l])
 	}
 	return sum
 }

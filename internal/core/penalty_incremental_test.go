@@ -145,13 +145,14 @@ func TestPenaltySumRequiresRegistration(t *testing.T) {
 	net.PenaltySum()
 }
 
-// BenchmarkPenaltySum measures the O(1) incremental read against the full
-// TotalPenalty rescan it replaces on the event path.
-func BenchmarkPenaltySum(b *testing.B) {
+// mediumNetwork builds a healthy Network at c = 0.75 over the paper's
+// O(15K)-link medium DCN (15,120 links).
+func mediumNetwork(b *testing.B) *Network {
+	b.Helper()
 	topo, err := topology.NewClos(topology.ClosConfig{
 		Pods: 45, ToRsPerPod: 40, AggsPerPod: 6,
 		Spines: 96, SpineUplinksPerAgg: 16, BreakoutSize: 4,
-	}) // the paper's O(15K)-link medium DCN
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -159,6 +160,14 @@ func BenchmarkPenaltySum(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return net
+}
+
+// BenchmarkPenaltySum measures the O(1) incremental read against the full
+// TotalPenalty rescan it replaces on the event path.
+func BenchmarkPenaltySum(b *testing.B) {
+	net := mediumNetwork(b)
+	topo := net.Topology()
 	net.RegisterPenalty(LinearPenalty)
 	rng := rngutil.New(3).Split("bench")
 	for i := 0; i < 200; i++ {

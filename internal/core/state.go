@@ -56,14 +56,13 @@ func (n *Network) SaveState(w io.Writer) error {
 		Corruption:  make(map[topology.LinkID]float64),
 		Constraints: make(map[string]float64),
 	}
-	for l := 0; l < n.topo.NumLinks(); l++ {
-		id := topology.LinkID(l)
-		if n.disabled.Has(id) {
-			sf.Disabled = append(sf.Disabled, id)
-		}
-		if r := n.rate[id]; r > 0 {
-			sf.Corruption[id] = r
-		}
+	down := n.disabled.Iter(nil)
+	for l := down.Next(); l != topology.NoLink; l = down.Next() {
+		sf.Disabled = append(sf.Disabled, l)
+	}
+	corrupting := n.corrupting.Iter(nil)
+	for l := corrupting.Next(); l != topology.NoLink; l = corrupting.Next() {
+		sf.Corruption[l] = n.rate[l]
 	}
 	for _, tor := range n.topo.ToRs() {
 		sf.Constraints[n.topo.Switch(tor).Name] = n.constraint[tor]
@@ -86,14 +85,14 @@ func (n *Network) LoadState(r io.Reader) error {
 			sf.Fingerprint, fingerprint(n.topo))
 	}
 	// Clear corruption records through SetCorruption, not by writing rate
-	// directly: with a registered penalty function the incremental
-	// contribution cache and corrupting-link set must stay in sync with the
-	// rates (mutexheld pins this — direct n.rate writes here once left
-	// PenaltySum stale after a load).
-	for l := range n.rate {
-		if n.rate[l] != 0 {
-			n.SetCorruption(topology.LinkID(l), 0)
-		}
+	// directly: the corrupting index and, with a registered penalty
+	// function, the incremental contribution cache must stay in sync with
+	// the rates (mutexheld pins this — direct n.rate writes here once left
+	// PenaltySum stale after a load). Clearing l removes it from the set
+	// being walked, which the iterator allows for a link already returned.
+	corrupting := n.corrupting.Iter(nil)
+	for l := corrupting.Next(); l != topology.NoLink; l = corrupting.Next() {
+		n.SetCorruption(l, 0)
 	}
 	for _, l := range sf.Disabled {
 		if int(l) < 0 || int(l) >= n.topo.NumLinks() {

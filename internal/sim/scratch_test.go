@@ -2,9 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/optics"
 	"corropt/internal/topology"
 )
@@ -59,6 +61,9 @@ func TestScratchMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if n := pooled.Network().NumActiveCorrupting(0); n != 0 {
+				t.Fatalf("pass %d config %d: reused Network starts with %d active corrupting links", pass, i, n)
+			}
 			got, err := pooled.Run(trace, horizon)
 			if err != nil {
 				t.Fatal(err)
@@ -67,6 +72,32 @@ func TestScratchMatchesFresh(t *testing.T) {
 				t.Fatalf("pass %d config %d (%v): scratch result differs from fresh reference",
 					pass, i, cfg.Policy)
 			}
+			checkActiveCorrupting(t, pooled.Network())
+		}
+	}
+}
+
+// checkActiveCorrupting holds the pooled Network's corrupting index — reset,
+// then rewritten by a whole run — to a scan over every link, first as the
+// run left it and again with every link enabled, so that the disabled
+// corrupting links are read through the index too.
+func checkActiveCorrupting(t *testing.T, net *core.Network) {
+	t.Helper()
+	for _, enableAll := range []bool{false, true} {
+		var want []topology.LinkID
+		for l := topology.LinkID(0); int(l) < net.Topology().NumLinks(); l++ {
+			if enableAll {
+				net.Enable(l)
+			}
+			if net.CorruptionRate(l) > 0 && !net.Disabled(l) {
+				want = append(want, l)
+			}
+		}
+		if got := net.ActiveCorrupting(0); !slices.Equal(got, want) {
+			t.Fatalf("ActiveCorrupting(0) = %v, a scan of every link finds %v (all enabled: %v)", got, want, enableAll)
+		}
+		if got := net.NumActiveCorrupting(0); got != len(want) {
+			t.Fatalf("NumActiveCorrupting(0) = %d, a scan of every link finds %d", got, len(want))
 		}
 	}
 }

@@ -603,12 +603,13 @@ func (s *Sim) sample(now time.Duration) {
 	s.accrue(now)
 	p := s.net.PenaltySum()
 	s.lastPenalty = p
+	worst, mean := s.net.ToRFractions()
 	//lint:allow hotalloc Samples is the output series; one append per sample interval
 	s.result.Samples = append(s.result.Samples, Sample{
 		At:               now,
 		Penalty:          p,
-		WorstToRFraction: s.net.WorstToRFraction(),
-		MeanToRFraction:  s.net.MeanToRFraction(),
+		WorstToRFraction: worst,
+		MeanToRFraction:  mean,
 		ActiveCorrupting: s.net.NumActiveCorrupting(s.cfg.DetectionThreshold),
 		Disabled:         s.net.NumDisabled(),
 	})

@@ -134,16 +134,44 @@ func (s *LinkSet) Each(fn func(LinkID)) {
 	}
 }
 
-// Words exposes the underlying bit words (word i covers links
-// i*64..i*64+63, LSB first) so hot paths can iterate the set without the
-// Each closure: a `for` over Words with bits.TrailingZeros64 compiles to
-// the same loop with zero captures. The slice is the live storage — callers
-// must not mutate it.
-func (s *LinkSet) Words() []uint64 {
-	if s == nil {
-		return nil
+// LinkIter walks a LinkSet in increasing id order without the Each closure,
+// so hot paths can iterate a sparse set with zero captures; see Iter.
+type LinkIter struct {
+	words, skip []uint64
+	wi          int    // the word w was taken from
+	w           uint64 // links of word wi not yet returned
+}
+
+// Iter returns an iterator over the links that are in s and not in except; a
+// nil except excludes nothing. The whole walk costs O(words + links
+// returned). The iterator reads each word once, on reaching it, so removing
+// a link it has already returned does not disturb the walk.
+func (s *LinkSet) Iter(except *LinkSet) LinkIter {
+	it := LinkIter{wi: -1}
+	if s != nil {
+		it.words = s.words
 	}
-	return s.words
+	if except != nil {
+		it.skip = except.words
+	}
+	return it
+}
+
+// Next returns the next link, or NoLink once the walk is over.
+func (it *LinkIter) Next() LinkID {
+	for it.w == 0 {
+		it.wi++
+		if it.wi >= len(it.words) {
+			return NoLink
+		}
+		it.w = it.words[it.wi]
+		if it.wi < len(it.skip) {
+			it.w &^= it.skip[it.wi]
+		}
+	}
+	l := LinkID(it.wi<<6 | bits.TrailingZeros64(it.w))
+	it.w &= it.w - 1
+	return l
 }
 
 // Func adapts the set to the DisabledFunc interface for callers that still

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestLinkSetBasics(t *testing.T) {
 	s := NewLinkSet(200)
@@ -92,6 +95,42 @@ func TestLinkSetEachOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Each order: got %v, want %v", got, want)
 		}
+	}
+}
+
+func TestLinkSetIter(t *testing.T) {
+	s := NewLinkSet(300)
+	for _, l := range []LinkID{2, 5, 63, 64, 190, 255, 299} {
+		s.Add(l)
+	}
+	walk := func(s, except *LinkSet) []LinkID {
+		var got []LinkID
+		it := s.Iter(except)
+		for l := it.Next(); l != NoLink; l = it.Next() {
+			got = append(got, l)
+			s.Remove(l) // a returned link may go
+		}
+		if l := it.Next(); l != NoLink {
+			t.Errorf("Next after the end of the walk = %d", l)
+		}
+		return got
+	}
+	except := NewLinkSet(128) // shorter than s: links past it are not excluded
+	except.Add(5)
+	except.Add(64)
+	except.Add(7) // not in s
+	if got, want := walk(s.Clone(), except), []LinkID{2, 63, 190, 255, 299}; !slices.Equal(got, want) {
+		t.Errorf("walk with an except set: got %v, want %v", got, want)
+	}
+	if got, want := walk(s.Clone(), nil), []LinkID{2, 5, 63, 64, 190, 255, 299}; !slices.Equal(got, want) {
+		t.Errorf("walk: got %v, want %v", got, want)
+	}
+	if got := walk(s, s.Clone()); got != nil {
+		t.Errorf("walk of s except s: got %v", got)
+	}
+	var ns *LinkSet
+	if it := ns.Iter(s); it.Next() != NoLink {
+		t.Error("a nil set has a link")
 	}
 }
 

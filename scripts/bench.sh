@@ -77,7 +77,7 @@ fleet)
 hotpath)
 	TXT=BENCH_hotpath.txt
 	JSON=BENCH_hotpath.json
-	PATTERN='FastChecker$|EngineReport$|PathCountingIncremental$|PenaltySum$|SimSettle$|FleetRoute$'
+	PATTERN='FastChecker$|EngineReport$|PathCountingIncremental$|PenaltySum$|ActiveCorrupting$|SimSettle$|FleetRoute$'
 	COUNT=1
 	PKG=". ./internal/core ./internal/sim ./internal/fleet"
 	;;
