@@ -1,9 +1,15 @@
 // Package detector implements the monitoring component of Figure 13: it
 // periodically reads each link's packet and error counters (from a
-// telemetry collector directly, or over the snmplite wire), derives
-// per-interval corruption loss rates from counter deltas, applies the
-// detection threshold with hysteresis, and reports state transitions —
-// "link started corrupting", "link recovered" — to whoever mitigates.
+// telemetry collector directly, or over the snmplite wire, 22 links to a
+// datagram), derives per-interval corruption loss rates from counter
+// deltas, applies the detection threshold with hysteresis, and reports
+// state transitions — "link started corrupting", "link recovered" — to
+// whoever mitigates.
+//
+// A sweep reads first and classifies second: every link's counters are in
+// hand before any baseline advances or any flag flips, so a sweep whose
+// read fails leaves the detector exactly as it was and the next one reports
+// what this one would have.
 //
 // The counter-delta arithmetic deliberately mirrors what production SNMP
 // pollers do: rates come from differences of monotonically increasing
@@ -29,6 +35,16 @@ type Reading struct {
 type Source interface {
 	// Read returns the current cumulative counters of the given link.
 	Read(l topology.LinkID) (Reading, error)
+}
+
+// BatchSource is a Source that can read many links at once; Poll hands it
+// the whole sweep.
+type BatchSource interface {
+	Source
+	// ReadBatch stores the current cumulative counters of links[i] in
+	// out[i]; len(out) == len(links). When it fails, out holds garbage and
+	// the error says which link it concerns where one link is at fault.
+	ReadBatch(links []topology.LinkID, out []Reading) error
 }
 
 // SourceFunc adapts a function to the Source interface.
@@ -80,59 +96,91 @@ type Detector struct {
 	cfg    Config
 	source Source
 	links  []topology.LinkID
-	last   map[topology.LinkID]Reading
-	state  map[topology.LinkID]bool // true = currently flagged corrupting
+
+	// Parallel to links. A sweep reads into cur; once it has classified
+	// every link, cur and last trade places.
+	cur, last []Reading
+	flagged   []bool // currently considered corrupting
+	primed    bool   // last holds a completed sweep
 }
 
-// New returns a Detector polling the given links from source.
+// New returns a Detector polling the given links from source. A link
+// listed twice is tracked twice.
 func New(source Source, links []topology.LinkID, cfg Config) (*Detector, error) {
 	if source == nil {
 		return nil, fmt.Errorf("detector: nil source")
 	}
 	cfg.fillDefaults()
 	return &Detector{
-		cfg:    cfg,
-		source: source,
-		links:  append([]topology.LinkID(nil), links...),
-		last:   make(map[topology.LinkID]Reading, len(links)),
-		state:  make(map[topology.LinkID]bool),
+		cfg:     cfg,
+		source:  source,
+		links:   append([]topology.LinkID(nil), links...),
+		cur:     make([]Reading, len(links)),
+		last:    make([]Reading, len(links)),
+		flagged: make([]bool, len(links)),
 	}, nil
 }
 
 // Poll reads every link once and returns the state-transition events since
 // the previous poll. The first poll only establishes baselines and returns
-// no events.
+// no events. A poll that returns an error has changed nothing: the next
+// successful one compares against the same baselines and raises the events
+// this one would have.
 func (d *Detector) Poll() ([]Event, error) {
+	if err := d.read(); err != nil {
+		return nil, err
+	}
 	var events []Event
-	for _, l := range d.links {
-		cur, err := d.source.Read(l)
-		if err != nil {
-			return events, fmt.Errorf("detector: link %d: %w", l, err)
-		}
-		prev, seen := d.last[l]
-		d.last[l] = cur
-		if !seen {
-			continue
-		}
-		rate, ok := worstRate(prev, cur, d.cfg.MinPackets)
-		if !ok {
-			continue
-		}
-		flagged := d.state[l]
-		switch {
-		case !flagged && rate >= d.cfg.Threshold:
-			d.state[l] = true
-			events = append(events, Event{Link: l, Corrupting: true, Rate: rate})
-		case flagged && rate < d.cfg.Threshold*d.cfg.ClearFactor:
-			d.state[l] = false
-			events = append(events, Event{Link: l, Corrupting: false, Rate: rate})
+	if d.primed {
+		for i, l := range d.links {
+			rate, ok := worstRate(d.last[i], d.cur[i], d.cfg.MinPackets)
+			if !ok {
+				continue
+			}
+			switch {
+			case !d.flagged[i] && rate >= d.cfg.Threshold:
+				d.flagged[i] = true
+				events = append(events, Event{Link: l, Corrupting: true, Rate: rate})
+			case d.flagged[i] && rate < d.cfg.Threshold*d.cfg.ClearFactor:
+				d.flagged[i] = false
+				events = append(events, Event{Link: l, Corrupting: false, Rate: rate})
+			}
 		}
 	}
+	d.cur, d.last = d.last, d.cur
+	d.primed = true
 	return events, nil
 }
 
+// read fills cur with one reading per link: in one call when the source
+// reads batches, link by link when it does not.
+func (d *Detector) read() error {
+	if b, ok := d.source.(BatchSource); ok {
+		if err := b.ReadBatch(d.links, d.cur); err != nil {
+			return fmt.Errorf("detector: %w", err)
+		}
+		return nil
+	}
+	for i, l := range d.links {
+		r, err := d.source.Read(l)
+		if err != nil {
+			return fmt.Errorf("detector: link %d: %w", l, err)
+		}
+		d.cur[i] = r
+	}
+	return nil
+}
+
 // Flagged reports whether the detector currently considers l corrupting.
-func (d *Detector) Flagged(l topology.LinkID) bool { return d.state[l] }
+// It searches the watched links: a spot check, not a per-sweep read.
+func (d *Detector) Flagged(l topology.LinkID) bool {
+	for i, w := range d.links {
+		if w == l {
+			return d.flagged[i]
+		}
+	}
+	return false
+}
 
 // worstRate derives the worst-direction loss rate from two consecutive
 // readings. Counter resets (cur < prev, e.g. a switch reboot) discard the

@@ -2,6 +2,7 @@ package detector
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +139,59 @@ func TestDetectorSourceError(t *testing.T) {
 	}
 	if _, err := New(nil, nil, Config{}); err == nil {
 		t.Fatal("nil source accepted")
+	}
+}
+
+// TestFailedSweepConsumesNothing: a sweep that dies on its third link must
+// not keep the transitions of the first two or move their baselines — the
+// caller got an error and no events — so the retry raises all of them, once.
+func TestFailedSweepConsumesNothing(t *testing.T) {
+	src := &fakeSource{readings: make(map[topology.LinkID]Reading)}
+	failing := false
+	flaky := SourceFunc(func(l topology.LinkID) (Reading, error) {
+		if failing && l == 3 {
+			return Reading{}, errors.New("boom")
+		}
+		return src.Read(l)
+	})
+	links := []topology.LinkID{1, 2, 3, 4}
+	d, err := New(flaky, links, Config{Threshold: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range links {
+		src.set(l, 1e6, 0)
+	}
+	if ev, err := d.Poll(); err != nil || len(ev) != 0 {
+		t.Fatalf("baseline poll: %v %v", ev, err)
+	}
+
+	for _, l := range []topology.LinkID{1, 2, 4} {
+		src.set(l, 1e6, 5000)
+	}
+	failing = true
+	ev, err := d.Poll()
+	if ev != nil || err == nil || !strings.Contains(err.Error(), "detector: link 3: boom") {
+		t.Fatalf("failed sweep returned %v, %v; want no events and an error naming link 3", ev, err)
+	}
+	for _, l := range links {
+		if d.Flagged(l) {
+			t.Fatalf("failed sweep flagged link %d", l)
+		}
+	}
+
+	failing = false
+	ev, err = d.Poll()
+	if err != nil || len(ev) != 3 {
+		t.Fatalf("retry sweep returned %v, %v; want links 1, 2 and 4 raised", ev, err)
+	}
+	for i, l := range []topology.LinkID{1, 2, 4} {
+		if ev[i].Link != l || !ev[i].Corrupting || ev[i].Rate != 5e-3 {
+			t.Fatalf("retry sweep event %d = %+v; want link %d corrupting at 5e-3", i, ev[i], l)
+		}
+	}
+	if ev, err = d.Poll(); err != nil || len(ev) != 0 {
+		t.Fatalf("sweep after the retry returned %v, %v; want nothing new", ev, err)
 	}
 }
 

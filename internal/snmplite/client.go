@@ -70,7 +70,8 @@ type Client struct {
 	conn   net.Conn
 	cfg    ClientConfig
 	nextID uint32
-	buf    []byte
+	buf    []byte // receive buffer
+	req    []byte // the request in flight, kept for its retransmits
 }
 
 // Dial connects a client to the server at addr. timeout is the per-attempt
@@ -108,31 +109,29 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // Get fetches the given counters, splitting into multiple requests when
-// more than MaxEntries are asked for.
+// more than MaxEntries are asked for. The caller owns the returned slice.
 func (c *Client) Get(queries []Query) ([]Value, error) {
 	var out []Value
 	for len(queries) > 0 {
-		n := len(queries)
-		if n > MaxEntries {
-			n = MaxEntries
-		}
-		vals, err := c.getOnce(queries[:n])
-		if err != nil {
+		n := min(len(queries), MaxEntries)
+		var err error
+		if out, err = c.getOnce(out, queries[:n]); err != nil {
 			return nil, err
 		}
-		out = append(out, vals...)
 		queries = queries[n:]
 	}
 	return out, nil
 }
 
-func (c *Client) getOnce(queries []Query) ([]Value, error) {
+// getOnce runs one request/response exchange and appends the answer to dst.
+func (c *Client) getOnce(dst []Value, queries []Query) ([]Value, error) {
 	c.nextID++
 	id := c.nextID
-	pkt, err := EncodeRequest(id, queries)
+	pkt, err := appendRequest(c.req[:0], id, queries)
 	if err != nil {
 		return nil, err
 	}
+	c.req = pkt
 	p := c.cfg.Retry
 	start := c.cfg.Clock.Now()
 	var lastErr error
@@ -167,7 +166,7 @@ func (c *Client) getOnce(queries []Query) ([]Value, error) {
 				}
 				return nil, fmt.Errorf("snmplite: recv: %w", err)
 			}
-			gotID, values, err := DecodeResponse(c.buf[:n])
+			gotID, values, err := appendResponseValues(dst, c.buf[:n])
 			if gotID != id {
 				continue // stale reply to an earlier (retransmitted) request
 			}
@@ -248,23 +247,27 @@ func CollectorProvider(c *telemetry.Collector, numLinks int) Provider {
 		if int(link) >= numLinks {
 			return 0, fmt.Errorf("unknown link")
 		}
+		if counter >= NumCounters {
+			return 0, fmt.Errorf("unknown counter")
+		}
 		l := topology.LinkID(link)
-		ctr := c.Counters(l)
-		obs, ok := c.Latest(l)
 		switch counter {
 		case CounterPacketsUp:
-			return ctr.Packets[0], nil
+			return c.Counters(l).Packets[0], nil
 		case CounterPacketsDown:
-			return ctr.Packets[1], nil
+			return c.Counters(l).Packets[1], nil
 		case CounterErrorsUp:
-			return ctr.Errors[0], nil
+			return c.Counters(l).Errors[0], nil
 		case CounterErrorsDown:
-			return ctr.Errors[1], nil
+			return c.Counters(l).Errors[1], nil
 		case CounterDropsUp:
-			return ctr.Drops[0], nil
+			return c.Counters(l).Drops[0], nil
 		case CounterDropsDown:
-			return ctr.Drops[1], nil
+			return c.Counters(l).Drops[1], nil
 		}
+		// What is left is a power level, and only those need the latest
+		// observation: a second lock and a ~150-byte copy.
+		obs, ok := c.Latest(l)
 		if !ok {
 			return 0, fmt.Errorf("no observation yet")
 		}
@@ -275,9 +278,8 @@ func CollectorProvider(c *telemetry.Collector, numLinks int) Provider {
 			return EncodePower(float64(obs.TxPower[1])), nil
 		case CounterRxPowerLower:
 			return EncodePower(float64(obs.RxPower[0])), nil
-		case CounterRxPowerUpper:
+		default: // CounterRxPowerUpper
 			return EncodePower(float64(obs.RxPower[1])), nil
 		}
-		return 0, fmt.Errorf("unknown counter")
 	})
 }

@@ -40,6 +40,11 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 	done   chan struct{}
+
+	// Scratch of the serve goroutine, reused from one datagram to the next.
+	queries []Query
+	values  []Value
+	reply   []byte
 }
 
 // NewServer starts a server on addr (e.g. "127.0.0.1:0") backed by the
@@ -138,16 +143,18 @@ func (s *Server) isClosed() bool {
 // garbage gets no response, like real SNMP agents behave toward noise —
 // and a checksum failure *is* noise: the request id itself may be
 // corrupted, so answering could poison an unrelated exchange; silence
-// makes the client retransmit instead).
+// makes the client retransmit instead). The reply aliases the server's
+// scratch and is valid until the next call.
 func (s *Server) handle(pkt []byte) []byte {
-	reqID, queries, err := DecodeRequest(pkt)
+	reqID, queries, err := appendRequestQueries(s.queries[:0], pkt)
 	if err != nil {
 		if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrTruncated) || errors.Is(err, ErrChecksum) {
 			return nil
 		}
 		return EncodeError(reqID, 1, err.Error())
 	}
-	values := make([]Value, 0, len(queries))
+	s.queries = queries
+	values := s.values[:0]
 	for _, q := range queries {
 		v, err := s.provider.Counter(q.Link, q.Counter)
 		if err != nil {
@@ -155,9 +162,11 @@ func (s *Server) handle(pkt []byte) []byte {
 		}
 		values = append(values, Value{Query: q, Value: v})
 	}
-	reply, err := EncodeResponse(reqID, values)
+	s.values = values
+	reply, err := appendResponse(s.reply[:0], reqID, values)
 	if err != nil {
 		return EncodeError(reqID, 3, err.Error())
 	}
+	s.reply = reply
 	return reply
 }

@@ -1,9 +1,11 @@
 // Package snmplite implements a minimal SNMP-like polling protocol over
 // UDP, the transport the paper's monitoring pipeline uses to read each
 // link's packet, error, and drop counters plus optical power levels every
-// 15 minutes (§2). The protocol is a tiny subset of what SNMP GET provides:
-// fixed-size binary requests naming (link, counter) pairs, fixed-size
-// responses carrying 64-bit values.
+// 15 minutes (§2). The protocol is a tiny subset of what SNMP GET provides,
+// with one operation: a GET naming up to MaxEntries (link, counter) pairs,
+// answered by one response carrying a 64-bit value for each, in order. There
+// is no GETBULK or table walk; a poller that wants many links packs them
+// into one GET (the detector asks for 22 links' four counters per datagram).
 //
 // Wire format (all integers big-endian):
 //
@@ -143,12 +145,10 @@ func (e *RemoteError) Error() string {
 
 const reqHeaderLen = 10
 
-// appendChecksum grows buf by the CRC-32C trailer over its current
-// contents.
-func appendChecksum(buf []byte) []byte {
-	var crc [checksumLen]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(buf, crcTable))
-	return append(buf, crc[:]...)
+// appendChecksum grows buf by the CRC-32C trailer over buf[start:], the
+// packet being built.
+func appendChecksum(buf []byte, start int) []byte {
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
 }
 
 // verifyChecksum checks the trailer over pkt[:body] stored at pkt[body:].
@@ -162,77 +162,97 @@ func verifyChecksum(pkt []byte, body int) error {
 	return nil
 }
 
+// The exported codec functions allocate what they return. Server and Client
+// run the append* forms below over buffers they keep across exchanges.
+
 // EncodeRequest serializes a GET request.
 func EncodeRequest(reqID uint32, queries []Query) ([]byte, error) {
+	return appendRequest(make([]byte, 0, reqHeaderLen+6*len(queries)+checksumLen), reqID, queries)
+}
+
+// appendRequest appends a serialized GET request to buf.
+func appendRequest(buf []byte, reqID uint32, queries []Query) ([]byte, error) {
 	if len(queries) > MaxEntries {
 		return nil, ErrTooMany
 	}
-	buf := make([]byte, reqHeaderLen+6*len(queries), reqHeaderLen+6*len(queries)+checksumLen)
-	buf[0], buf[1], buf[2], buf[3] = magic0, magic1, Version, byte(OpGet)
-	binary.BigEndian.PutUint32(buf[4:], reqID)
-	binary.BigEndian.PutUint16(buf[8:], uint16(len(queries)))
-	off := reqHeaderLen
+	start := len(buf)
+	buf = appendHeader(buf, OpGet, reqID, len(queries))
 	for _, q := range queries {
-		binary.BigEndian.PutUint32(buf[off:], q.Link)
-		binary.BigEndian.PutUint16(buf[off+4:], uint16(q.Counter))
-		off += 6
+		buf = binary.BigEndian.AppendUint32(buf, q.Link)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Counter))
 	}
-	return appendChecksum(buf), nil
+	return appendChecksum(buf, start), nil
+}
+
+// appendHeader appends the 10 bytes requests and responses start with.
+func appendHeader(buf []byte, op Op, reqID uint32, count int) []byte {
+	buf = append(buf, magic0, magic1, Version, byte(op))
+	buf = binary.BigEndian.AppendUint32(buf, reqID)
+	return binary.BigEndian.AppendUint16(buf, uint16(count))
 }
 
 // DecodeRequest parses a GET request, returning its id and queries.
 func DecodeRequest(pkt []byte) (reqID uint32, queries []Query, err error) {
+	return appendRequestQueries(nil, pkt)
+}
+
+// appendRequestQueries is DecodeRequest appending to dst, which comes back
+// unchanged with any error.
+func appendRequestQueries(dst []Query, pkt []byte) (reqID uint32, queries []Query, err error) {
 	if len(pkt) < reqHeaderLen {
-		return 0, nil, ErrTruncated
+		return 0, dst, ErrTruncated
 	}
 	if pkt[0] != magic0 || pkt[1] != magic1 {
-		return 0, nil, ErrBadMagic
+		return 0, dst, ErrBadMagic
 	}
 	if pkt[2] != Version {
-		return 0, nil, ErrBadVersion
+		return 0, dst, ErrBadVersion
 	}
 	if Op(pkt[3]) != OpGet {
-		return 0, nil, fmt.Errorf("snmplite: unexpected op %#x in request", pkt[3])
+		return 0, dst, fmt.Errorf("snmplite: unexpected op %#x in request", pkt[3])
 	}
 	reqID = binary.BigEndian.Uint32(pkt[4:])
 	n := int(binary.BigEndian.Uint16(pkt[8:]))
 	if n > MaxEntries {
-		return reqID, nil, ErrTooMany
+		return reqID, dst, ErrTooMany
 	}
 	body := reqHeaderLen + 6*n
 	if len(pkt) < body+checksumLen {
-		return reqID, nil, ErrTruncated
+		return reqID, dst, ErrTruncated
 	}
 	if err := verifyChecksum(pkt, body); err != nil {
-		return reqID, nil, err
+		return reqID, dst, err
 	}
-	queries = make([]Query, n)
-	off := reqHeaderLen
-	for i := range queries {
-		queries[i].Link = binary.BigEndian.Uint32(pkt[off:])
-		queries[i].Counter = CounterID(binary.BigEndian.Uint16(pkt[off+4:]))
-		off += 6
+	if dst == nil {
+		dst = make([]Query, 0, n)
 	}
-	return reqID, queries, nil
+	for off := reqHeaderLen; off < body; off += 6 {
+		dst = append(dst, Query{
+			Link:    binary.BigEndian.Uint32(pkt[off:]),
+			Counter: CounterID(binary.BigEndian.Uint16(pkt[off+4:])),
+		})
+	}
+	return reqID, dst, nil
 }
 
 // EncodeResponse serializes a GET response.
 func EncodeResponse(reqID uint32, values []Value) ([]byte, error) {
+	return appendResponse(make([]byte, 0, reqHeaderLen+14*len(values)+checksumLen), reqID, values)
+}
+
+// appendResponse appends a serialized GET response to buf.
+func appendResponse(buf []byte, reqID uint32, values []Value) ([]byte, error) {
 	if len(values) > MaxEntries {
 		return nil, ErrTooMany
 	}
-	buf := make([]byte, reqHeaderLen+14*len(values), reqHeaderLen+14*len(values)+checksumLen)
-	buf[0], buf[1], buf[2], buf[3] = magic0, magic1, Version, byte(OpGet)|opResponseFlag
-	binary.BigEndian.PutUint32(buf[4:], reqID)
-	binary.BigEndian.PutUint16(buf[8:], uint16(len(values)))
-	off := reqHeaderLen
+	start := len(buf)
+	buf = appendHeader(buf, OpGet|opResponseFlag, reqID, len(values))
 	for _, v := range values {
-		binary.BigEndian.PutUint32(buf[off:], v.Link)
-		binary.BigEndian.PutUint16(buf[off+4:], uint16(v.Counter))
-		binary.BigEndian.PutUint64(buf[off+6:], v.Value)
-		off += 14
+		buf = binary.BigEndian.AppendUint32(buf, v.Link)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(v.Counter))
+		buf = binary.BigEndian.AppendUint64(buf, v.Value)
 	}
-	return appendChecksum(buf), nil
+	return appendChecksum(buf, start), nil
 }
 
 // EncodeError serializes an error reply.
@@ -246,57 +266,67 @@ func EncodeError(reqID uint32, code uint16, msg string) []byte {
 	binary.BigEndian.PutUint16(buf[8:], code)
 	binary.BigEndian.PutUint16(buf[10:], uint16(len(msg)))
 	copy(buf[12:], msg)
-	return appendChecksum(buf)
+	return appendChecksum(buf, 0)
 }
 
 // DecodeResponse parses a server reply: either values or a *RemoteError.
 func DecodeResponse(pkt []byte) (reqID uint32, values []Value, err error) {
+	return appendResponseValues(nil, pkt)
+}
+
+// appendResponseValues is DecodeResponse appending to dst, which comes back
+// unchanged with any error.
+func appendResponseValues(dst []Value, pkt []byte) (reqID uint32, values []Value, err error) {
 	if len(pkt) < reqHeaderLen {
-		return 0, nil, ErrTruncated
+		return 0, dst, ErrTruncated
 	}
 	if pkt[0] != magic0 || pkt[1] != magic1 {
-		return 0, nil, ErrBadMagic
+		return 0, dst, ErrBadMagic
 	}
 	if pkt[2] != Version {
-		return 0, nil, ErrBadVersion
+		return 0, dst, ErrBadVersion
 	}
 	reqID = binary.BigEndian.Uint32(pkt[4:])
 	if Op(pkt[3]) == OpError {
 		if len(pkt) < 12 {
-			return reqID, nil, ErrTruncated
+			return reqID, dst, ErrTruncated
 		}
 		code := binary.BigEndian.Uint16(pkt[8:])
 		msgLen := int(binary.BigEndian.Uint16(pkt[10:]))
 		body := 12 + msgLen
 		if len(pkt) < body+checksumLen {
-			return reqID, nil, ErrTruncated
+			return reqID, dst, ErrTruncated
 		}
 		if err := verifyChecksum(pkt, body); err != nil {
-			return reqID, nil, err
+			return reqID, dst, err
 		}
-		return reqID, nil, &RemoteError{Code: code, Msg: string(pkt[12:body])}
+		return reqID, dst, &RemoteError{Code: code, Msg: string(pkt[12:body])}
 	}
 	if Op(pkt[3]) != OpGet|opResponseFlag {
-		return reqID, nil, fmt.Errorf("snmplite: unexpected op %#x in response", pkt[3])
+		return reqID, dst, fmt.Errorf("snmplite: unexpected op %#x in response", pkt[3])
 	}
 	n := int(binary.BigEndian.Uint16(pkt[8:]))
 	if n > MaxEntries {
-		return reqID, nil, ErrTooMany
+		return reqID, dst, ErrTooMany
 	}
 	body := reqHeaderLen + 14*n
 	if len(pkt) < body+checksumLen {
-		return reqID, nil, ErrTruncated
+		return reqID, dst, ErrTruncated
 	}
 	if err := verifyChecksum(pkt, body); err != nil {
-		return reqID, nil, err
+		return reqID, dst, err
 	}
-	values = make([]Value, n)
-	off := reqHeaderLen
-	for i := range values {
-		values[i].Link = binary.BigEndian.Uint32(pkt[off:])
-		values[i].Counter = CounterID(binary.BigEndian.Uint16(pkt[off+4:]))
-		values[i].Value = binary.BigEndian.Uint64(pkt[off+6:])
-		off += 14
+	if dst == nil {
+		dst = make([]Value, 0, n)
 	}
-	return reqID, values, nil
+	for off := reqHeaderLen; off < body; off += 14 {
+		dst = append(dst, Value{
+			Query: Query{
+				Link:    binary.BigEndian.Uint32(pkt[off:]),
+				Counter: CounterID(binary.BigEndian.Uint16(pkt[off+4:])),
+			},
+			Value: binary.BigEndian.Uint64(pkt[off+6:]),
+		})
+	}
+	return reqID, dst, nil
 }

@@ -228,3 +228,77 @@ func TestCounterIDString(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorProviderBeforeFirstPoll: the packet, error and drop counters
+// are served from the cumulative store alone; only a power level needs an
+// observation to exist.
+func TestCollectorProviderBeforeFirstPoll(t *testing.T) {
+	topo, err := topology.NewClos(topology.ClosConfig{
+		Pods: 1, ToRsPerPod: 2, AggsPerPod: 2, Spines: 2, SpineUplinksPerAgg: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tech := optics.Technology{Name: "t", NominalTx: 0, TxThreshold: -4, RxThreshold: -10, PathLoss: 3}
+	col := telemetry.NewCollector(faults.NewState(topo, tech), nil, nil, telemetry.Config{})
+	p := CollectorProvider(col, topo.NumLinks())
+
+	for c := CounterPacketsUp; c <= CounterDropsDown; c++ {
+		if v, err := p.Counter(0, c); err != nil || v != 0 {
+			t.Errorf("%v before the first poll = %d, %v; want 0", c, v, err)
+		}
+	}
+	for c := CounterTxPowerLower; c < NumCounters; c++ {
+		if _, err := p.Counter(0, c); err == nil || err.Error() != "no observation yet" {
+			t.Errorf("%v before the first poll: %v; want no observation yet", c, err)
+		}
+	}
+	if _, err := p.Counter(0, NumCounters); err == nil || err.Error() != "unknown counter" {
+		t.Errorf("counter %d: %v; want unknown counter", NumCounters, err)
+	}
+
+	col.Poll(0)
+	want := []float64{0, 0, -3, -3}
+	for c := CounterTxPowerLower; c < NumCounters; c++ {
+		if v, err := p.Counter(0, c); err != nil || DecodePower(v) != want[c-CounterTxPowerLower] {
+			t.Errorf("%v = %v, %v; want %v dBm", c, DecodePower(v), err, want[c-CounterTxPowerLower])
+		}
+	}
+}
+
+// TestServerHandleReusesScratch: a short request after a long one is
+// answered with its own entries only, and once warm the server builds a
+// reply without allocating.
+func TestServerHandleReusesScratch(t *testing.T) {
+	s := &Server{provider: ProviderFunc(func(link uint32, c CounterID) (uint64, error) {
+		return uint64(link)<<8 | uint64(c), nil
+	})}
+	request := func(id uint32, n int) []byte {
+		queries := make([]Query, n)
+		for i := range queries {
+			queries[i] = Query{Link: id + uint32(i), Counter: CounterID(i % int(NumCounters))}
+		}
+		pkt, err := EncodeRequest(id, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkt
+	}
+	for _, n := range []int{88, 4, 0, MaxEntries} {
+		id := uint32(1000 * (n + 1))
+		gotID, values, err := DecodeResponse(s.handle(request(id, n)))
+		if err != nil || gotID != id || len(values) != n {
+			t.Fatalf("%d-entry request: reply id %d with %d values, %v", n, gotID, len(values), err)
+		}
+		for i, v := range values {
+			q := Query{Link: id + uint32(i), Counter: CounterID(i % int(NumCounters))}
+			if v.Query != q || v.Value != uint64(q.Link)<<8|uint64(q.Counter) {
+				t.Fatalf("%d-entry request: value %d = %+v", n, i, v)
+			}
+		}
+	}
+	pkt := request(7, 88)
+	if allocs := testing.AllocsPerRun(100, func() { s.handle(pkt) }); allocs != 0 {
+		t.Errorf("a warm handle allocates %v times per datagram, want 0", allocs)
+	}
+}
