@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-smoke lint lint-fast vet ci race test-race test-chaos test-scenarios cover fuzz bench bench-experiments bench-fleet bench-hotpath bench-lint bench-check bench-profile clean
+.PHONY: all build test bench-smoke lint lint-fast vet ci test-race test-chaos test-scenarios cover fuzz bench bench-experiments bench-fleet bench-hotpath bench-lint bench-check bench-profile clean
 
 all: build test
 
@@ -41,23 +41,20 @@ lint-fast:
 	$(GO) run ./cmd/corropt-lint -diff $(LINT_DIFF_REF) ./...
 
 ## ci: everything the CI workflow runs, in the same order.
-ci: build test bench-smoke lint race test-race test-chaos test-scenarios cover
+ci: build test bench-smoke lint test-race test-chaos test-scenarios cover
 
-## race: the parallel-optimizer and incremental-engine paths under the race
-## detector (Workers>1 workers each own a cloned PathCounter scratch).
-race:
-	$(GO) test -race ./internal/core/... ./internal/topology/...
-
-## test-race: the simulator and the parallel scenario runner under the race
-## detector — the pool shares topologies and fault traces across workers, so
-## this is the guard on that immutability contract. The experiments run
+## test-race: the mitigation engine, the simulator and the parallel scenario
+## runner under the race detector — the pool shares topologies and fault
+## traces across workers, so this is the guard on that immutability contract
+## (core and topology start no goroutine; each worker owns its Network and
+## PathCounter). The experiments run
 ## covers the scenario-sharded drivers: the global RunMany work list, the
 ## memoized topology/trace cache under concurrent misses and FIFO eviction,
 ## and per-worker Scratch reuse. The fleet run pins TestFleetMatchesSerial —
 ## byte-identical supervisor snapshots for every shard/worker count — with
 ## shard drains racing on the worker pool.
 test-race:
-	$(GO) test -race ./internal/sim/... ./internal/runner/... ./internal/fleet/...
+	$(GO) test -race ./internal/core/... ./internal/topology/... ./internal/sim/... ./internal/runner/... ./internal/fleet/...
 	$(GO) test -race -run 'TestParallelRunnerDeterminism|TestRunMany|TestMemoTrace|TestConcurrentRunMany|TestFleetShards' ./internal/experiments
 
 ## test-chaos: the deployment-path chaos matrix (DESIGN.md §7.3) under the
@@ -81,10 +78,10 @@ test-scenarios:
 cover:
 	./scripts/coverage.sh
 
-## fuzz: short smoke runs of the differential fuzzers that pin the scoped +
-## incremental path-counting engines to the full-sweep reference.
+## fuzz: short smoke runs of the differential fuzzers that pin the
+## incremental path-counting engine to the full-sweep reference, and of the
+## protocol and scenario-parser fuzzers.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzCountScoped -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz FuzzFastCheckDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFaultyFrame -fuzztime 10s ./internal/ctlplane

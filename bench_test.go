@@ -148,8 +148,8 @@ func BenchmarkOptimizer(b *testing.B) {
 
 // BenchmarkPathCounting measures the O(|V|+|E|) valley-free path count
 // sweep that underlies every capacity check in the legacy full-recount
-// path. The scoped and incremental variants below are its replacements on
-// the hot paths; comparing the three quantifies the engine's win.
+// path. The incremental variant below is its replacement on the hot paths;
+// comparing the two quantifies the engine's win.
 func BenchmarkPathCounting(b *testing.B) {
 	topo, err := experiments.DCN(experiments.ScaleLarge)
 	if err != nil {
@@ -160,28 +160,6 @@ func BenchmarkPathCounting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc.Count(disabled)
-	}
-}
-
-// BenchmarkPathCountingScoped measures one scoped count over a single
-// ToR's upward cone on the large DCN — the unit of work of a segment
-// feasibility check, O(cone) instead of O(|V|+|E|).
-func BenchmarkPathCountingScoped(b *testing.B) {
-	b.ReportAllocs()
-	topo, err := experiments.DCN(experiments.ScaleLarge)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pc := topology.NewPathCounter(topo)
-	disabled := topology.NewLinkSet(topo.NumLinks())
-	for l := 0; l < topo.NumLinks(); l += 97 {
-		disabled.Add(topology.LinkID(l))
-	}
-	tors := []topology.SwitchID{topo.ToRs()[0]}
-	b.ReportMetric(float64(pc.ScopeSize(tors)), "cone-switches")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pc.CountScopedSet(tors, disabled, nil)
 	}
 }
 
@@ -433,21 +411,5 @@ func BenchmarkExperimentsBatch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkOptimizerParallel measures the segment-parallel optimizer on the
-// large DCN against the serial baseline (BenchmarkOptimizer).
-func BenchmarkOptimizerParallel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		net, _ := largeNetwork(b, 0.75, 200)
-		opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{Workers: 4})
-		b.StartTimer()
-		disabled, _ := opt.Run(1e-6)
-		if len(disabled) == 0 {
-			b.Fatal("optimizer disabled nothing")
-		}
 	}
 }

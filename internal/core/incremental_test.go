@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"corropt/internal/rngutil"
@@ -159,6 +160,7 @@ func TestLoadStateRebuildsIncrementalState(t *testing.T) {
 
 // TestRejectCacheCapKeepsAnswer: capping the reject cache may cost probes
 // but must never change the chosen subset; evictions are surfaced in stats.
+// A negative limit is "use the default", not an index or an empty budget.
 func TestRejectCacheCapKeepsAnswer(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		uncapped := randomCorruptionScenario(t, seed+7000, 16)
@@ -177,26 +179,16 @@ func TestRejectCacheCapKeepsAnswer(t *testing.T) {
 			t.Fatalf("seed %d: cap reduced hits (%d -> %d) without recording evictions",
 				seed, ust.RejectCacheHits, cst.RejectCacheHits)
 		}
-	}
-}
-
-// TestParallelOptimizerStress exercises the Workers>1 path on a larger
-// random scenario; run under -race this validates that each worker's
-// cloned scratch is truly independent of the network's counter.
-func TestParallelOptimizerStress(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		serial := randomCorruptionScenario(t, seed+8800, 24)
-		parallel := randomCorruptionScenario(t, seed+8800, 24)
-		so := NewOptimizer(serial, LinearPenalty, OptimizerConfig{})
-		po := NewOptimizer(parallel, LinearPenalty, OptimizerConfig{Workers: 4})
-		sd, _ := so.Run(1e-7)
-		pd, _ := po.Run(1e-7)
-		if disabledPenalty(serial, sd, LinearPenalty) != disabledPenalty(parallel, pd, LinearPenalty) {
-			t.Fatalf("seed %d: parallel penalty differs from serial", seed)
-		}
-		for l := 0; l < serial.Topology().NumLinks(); l++ {
-			if serial.Disabled(topology.LinkID(l)) != parallel.Disabled(topology.LinkID(l)) {
-				t.Fatalf("seed %d: link %d state differs", seed, l)
+		for _, cfg := range []OptimizerConfig{
+			{MaxRejectCacheEntries: -1},
+			{MaxFeasibilityChecks: -1},
+			{MaxExactLinks: -1},
+		} {
+			neg := randomCorruptionScenario(t, seed+7000, 16)
+			nd, nst := NewOptimizer(neg, LinearPenalty, cfg).Run(1e-7)
+			if !slices.Equal(nd, ud) || nst != ust {
+				t.Fatalf("seed %d: %+v chose %v (stats %+v), the default config chose %v (stats %+v)",
+					seed, cfg, nd, nst, ud, ust)
 			}
 		}
 	}

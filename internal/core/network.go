@@ -533,14 +533,6 @@ func (n *Network) violatedUnder(tors []topology.SwitchID, extra, applied []topol
 	return out, applied
 }
 
-// FeasibleToRs reports whether every ToR in tors meets its constraint with
-// the current disabled set plus extra. The count is scoped to the upward
-// closure of tors, so the check touches O(cone) switches, not O(|V|).
-func (n *Network) FeasibleToRs(tors []topology.SwitchID, extra map[topology.LinkID]bool) bool {
-	counts := n.pc.CountScoped(tors, n.composite(extra))
-	return n.meetsAll(tors, counts, n.pc.Total())
-}
-
 // meetsAll reports whether every ToR in tors meets its constraint under the
 // given counts.
 func (n *Network) meetsAll(tors []topology.SwitchID, counts, total []int64) bool {

@@ -9,7 +9,8 @@ import (
 )
 
 // OptimizerConfig toggles the optimizer's acceleration techniques; all
-// default to on. The ablation benches flip them individually.
+// default to on. The ablation benches flip them individually. A limit that
+// is zero or negative takes its default.
 type OptimizerConfig struct {
 	// DisablePruning turns off topology pruning (§5.1, Figure 11): the
 	// step that disables unconditionally every corrupting link not
@@ -34,25 +35,19 @@ type OptimizerConfig struct {
 	// the least-general (largest) cached subset is evicted and
 	// Stats.RejectCacheEvictions incremented. Default 4096.
 	MaxRejectCacheEntries int
-	// Workers solves independent segments concurrently when > 1, each
-	// worker with its own path counter (incremental scratch included). 0
-	// or 1 is serial. Segments are independent by construction (§8's
-	// segmentation argument), so the answer is identical to the serial
-	// one.
-	Workers int
 }
 
 func (c *OptimizerConfig) fillDefaults() {
-	if c.MaxExactLinks == 0 {
+	if c.MaxExactLinks <= 0 {
 		c.MaxExactLinks = 24
 	}
 	if c.MaxExactLinks > 62 {
 		c.MaxExactLinks = 62
 	}
-	if c.MaxFeasibilityChecks == 0 {
+	if c.MaxFeasibilityChecks <= 0 {
 		c.MaxFeasibilityChecks = 500000
 	}
-	if c.MaxRejectCacheEntries == 0 {
+	if c.MaxRejectCacheEntries <= 0 {
 		c.MaxRejectCacheEntries = 4096
 	}
 }
@@ -215,72 +210,13 @@ func (o *Optimizer) RunScoped(threshold float64, scope *topology.LinkSet, tors [
 	o.safeBuf, o.contestedBuf = safe, contested
 
 	disabled := append([]topology.LinkID(nil), safe...)
-	segs := o.segments(contested, violated, torUp, &st)
-	if o.cfg.Workers > 1 && len(segs) > 1 {
-		for _, l := range o.solveParallel(segs, &st) {
+	for _, seg := range o.segments(contested, violated, torUp, &st) {
+		for _, l := range o.solveSegment(seg, &st) {
 			o.net.Disable(l)
 			disabled = append(disabled, l)
 		}
-	} else {
-		for _, seg := range segs {
-			chosen := o.solveSegment(seg, o.net.PathCounter(), &st)
-			for _, l := range chosen {
-				o.net.Disable(l)
-				disabled = append(disabled, l)
-			}
-		}
 	}
 	return disabled, st
-}
-
-// solveParallel fans the segments out over a bounded worker pool. The
-// network's disabled set and constraints are read-only while workers run;
-// every worker evaluates feasibility on its own incremental path counter
-// seeded from the network's current disabled set, and results are applied
-// only after all workers return.
-func (o *Optimizer) solveParallel(segs []segment, st *OptimizeStats) []topology.LinkID {
-	workers := o.cfg.Workers
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	type result struct {
-		chosen []topology.LinkID
-		stats  OptimizeStats
-	}
-	results := make([]result, len(segs))
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			// Clone the network's counter: the worker inherits the
-			// current disabled set and counts in O(|V|) copies with no
-			// sweep. The source counter is read-only while workers run.
-			pc := o.net.PathCounter().Clone()
-			for i := range jobs {
-				var local OptimizeStats
-				results[i].chosen = o.solveSegment(segs[i], pc, &local)
-				results[i].stats = local
-			}
-		}()
-	}
-	for i := range segs {
-		jobs <- i
-	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	var out []topology.LinkID
-	for _, res := range results {
-		out = append(out, res.chosen...)
-		st.FeasibilityChecks += res.stats.FeasibilityChecks
-		st.RejectCacheHits += res.stats.RejectCacheHits
-		st.RejectCacheEvictions += res.stats.RejectCacheEvictions
-		st.GreedyFallbacks += res.stats.GreedyFallbacks
-		st.BudgetExhausted += res.stats.BudgetExhausted
-	}
-	return out
 }
 
 // segment is one independent group of contested links and the endangered
@@ -393,10 +329,10 @@ func dedupToRs(tors []topology.SwitchID) []topology.SwitchID {
 }
 
 // solveSegment picks the subset of seg.links to disable that maximizes the
-// disabled penalty while keeping seg.tors feasible. pc must be an
-// incremental path counter whose disabled set mirrors the network's current
-// one; its state is restored before returning.
-func (o *Optimizer) solveSegment(seg segment, pc *topology.PathCounter, st *OptimizeStats) []topology.LinkID {
+// disabled penalty while keeping seg.tors feasible. It probes on the
+// network's own path counter and restores its state before returning.
+func (o *Optimizer) solveSegment(seg segment, st *OptimizeStats) []topology.LinkID {
+	pc := o.net.PathCounter()
 	// The incremental probes below only check ToRs whose counts change,
 	// which is exact while the running state stays feasible for seg.tors.
 	// If some segment ToR is infeasible before anything is disabled, every

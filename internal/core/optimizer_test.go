@@ -278,31 +278,3 @@ func TestSegmentationSplitsIndependentGroups(t *testing.T) {
 		t.Fatal("constraints violated")
 	}
 }
-
-// TestParallelOptimizerMatchesSerial: segment-level parallelism is an
-// implementation detail — the chosen sets must be identical.
-func TestParallelOptimizerMatchesSerial(t *testing.T) {
-	for seed := uint64(0); seed < 12; seed++ {
-		serial := randomCorruptionScenario(t, seed+3000, 14)
-		parallel := randomCorruptionScenario(t, seed+3000, 14)
-
-		so := NewOptimizer(serial, LinearPenalty, OptimizerConfig{})
-		po := NewOptimizer(parallel, LinearPenalty, OptimizerConfig{Workers: 4})
-		sd, sst := so.Run(1e-7)
-		pd, pst := po.Run(1e-7)
-		if disabledPenalty(serial, sd, LinearPenalty) != disabledPenalty(parallel, pd, LinearPenalty) {
-			t.Fatalf("seed %d: parallel penalty differs", seed)
-		}
-		if len(sd) != len(pd) {
-			t.Fatalf("seed %d: disabled counts differ: %d vs %d", seed, len(sd), len(pd))
-		}
-		for l := 0; l < serial.Topology().NumLinks(); l++ {
-			if serial.Disabled(topology.LinkID(l)) != parallel.Disabled(topology.LinkID(l)) {
-				t.Fatalf("seed %d: link %d state differs", seed, l)
-			}
-		}
-		if sst.Segments != pst.Segments || sst.FeasibilityChecks != pst.FeasibilityChecks {
-			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, sst, pst)
-		}
-	}
-}

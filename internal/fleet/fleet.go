@@ -61,9 +61,7 @@ type Config struct {
 	// Penalty scores a corrupting link left enabled. Defaults to
 	// core.LinearPenalty.
 	Penalty core.PenaltyFunc
-	// Optimizer tunes the per-shard segment optimizers. Workers is
-	// forced to 1: parallelism lives at the shard fan-out, not inside a
-	// segment solve.
+	// Optimizer tunes the per-shard segment optimizers.
 	Optimizer core.OptimizerConfig
 	// ServiceTime and Technicians configure the global ticket queue (see
 	// tickets.QueueConfig); zero values take that package's defaults.
@@ -81,7 +79,6 @@ func (c *Config) fillDefaults() {
 	if c.Penalty == nil {
 		c.Penalty = core.LinearPenalty
 	}
-	c.Optimizer.Workers = 1
 }
 
 // EventKind discriminates fleet input events.

@@ -13,9 +13,7 @@ import (
 // strict: unknown fields, duplicate keys, wrong types, bad enum values,
 // events before t=0, and assertions on unknown metrics or runs are all
 // rejected with a position-bearing *Error. The returned Scenario has every
-// default filled in, so Encode(Parse(x)) is a canonical form and
-// Parse(Encode(Parse(x))) is a fixpoint (the property FuzzScenarioParse
-// pins).
+// default filled in.
 func Parse(data []byte, file string) (*Scenario, error) {
 	root, err := parseTree(data, file)
 	if err != nil {

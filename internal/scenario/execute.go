@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
 	"strings"
+	"time"
 
 	"corropt/internal/runner"
 	"corropt/internal/sim"
@@ -246,6 +248,16 @@ func (o *Outcome) Transcript() string {
 		b.WriteString("result: FAIL\n")
 	}
 	return b.String()
+}
+
+// formatDur renders a duration for the transcript: whole days as "Nd",
+// everything else in Go's time.Duration syntax — both forms parseDur reads.
+func formatDur(d time.Duration) string {
+	const day = 24 * time.Hour
+	if d > 0 && d%day == 0 {
+		return strconv.FormatInt(int64(d/day), 10) + "d"
+	}
+	return d.String()
 }
 
 // seriesHash is FNV-64a over the full sample series and per-day penalty

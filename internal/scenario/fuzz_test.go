@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,10 +10,10 @@ import (
 )
 
 // FuzzScenarioParse drives the strict parser with arbitrary bytes. The
-// contract under fuzzing is reject-or-roundtrip: any input either fails
-// with an error (never a panic), or parses to a Scenario whose canonical
-// encoding re-parses to the identical Scenario and re-encodes to the
-// identical bytes (the fixpoint the committed profiles rely on).
+// contract under fuzzing: never a panic; parsing is a function of the bytes
+// alone (a second parse is deeply equal to the first); and every rejection
+// is a *Error pointing inside the input — a 1-based line that exists and a
+// byte column no further than one past that line's end.
 func FuzzScenarioParse(f *testing.F) {
 	for _, dir := range []string{filepath.Join("..", "..", "scenarios"), filepath.Join("testdata", "bad")} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
@@ -35,19 +36,20 @@ func FuzzScenarioParse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data, "fuzz")
-		if err != nil {
+		s2, err2 := Parse(data, "fuzz")
+		if !reflect.DeepEqual(s, s2) || !reflect.DeepEqual(err, err2) {
+			t.Fatalf("two parses differ\ninput: %q\nfirst:  %+v, %v\nsecond: %+v, %v", data, s, err, s2, err2)
+		}
+		if err == nil {
 			return
 		}
-		enc := Encode(s)
-		s2, err := Parse(enc, "fuzz(encoded)")
-		if err != nil {
-			t.Fatalf("canonical encoding rejected: %v\ninput: %q\nencoded:\n%s", err, data, enc)
+		var perr *Error
+		if !errors.As(err, &perr) {
+			t.Fatalf("rejection is %T, want *scenario.Error: %v\ninput: %q", err, err, data)
 		}
-		if !reflect.DeepEqual(s, s2) {
-			t.Fatalf("roundtrip changed the scenario\ninput: %q\nfirst:  %+v\nsecond: %+v", data, s, s2)
-		}
-		if enc2 := Encode(s2); !bytes.Equal(enc, enc2) {
-			t.Fatalf("encoding unstable\ninput: %q\nfirst:\n%s\nsecond:\n%s", data, enc, enc2)
+		lines := bytes.Split(data, []byte("\n"))
+		if perr.Line < 1 || perr.Line > len(lines) || perr.Col < 1 || perr.Col > len(lines[perr.Line-1])+1 {
+			t.Fatalf("error position %d:%d lies outside the input: %v\ninput: %q", perr.Line, perr.Col, err, data)
 		}
 	})
 }

@@ -352,8 +352,7 @@ func (p *parser) parseString() (string, error) {
 
 // parseUnicodeEscape reads the XXXX of a \uXXXX escape (the backslash and
 // 'u' are already consumed), combining surrogate pairs; lone surrogates
-// are rejected so every parsed string is valid UTF-8 and the canonical
-// encoder can round-trip it byte-exactly.
+// are rejected so every parsed string is valid UTF-8.
 func (p *parser) parseUnicodeEscape() (rune, error) {
 	hi, err := p.parseHex4()
 	if err != nil {

@@ -40,63 +40,6 @@ func (t *Topology) torsBelow(s SwitchID) []SwitchID {
 	return tors
 }
 
-// UpstreamLinks returns every link that lies on some valley-free path from
-// any ToR in tors to the spine. Disabling links outside this set cannot
-// change those ToRs' path counts, which is what justifies the optimizer's
-// pruning step: corrupting links not upstream of any at-risk ToR can be
-// disabled unconditionally.
-func (t *Topology) UpstreamLinks(tors []SwitchID) map[LinkID]bool {
-	links := make(map[LinkID]bool)
-	seen := make(map[SwitchID]bool)
-	stack := make([]SwitchID, 0, len(tors))
-	for _, tor := range tors {
-		if !seen[tor] {
-			seen[tor] = true
-			stack = append(stack, tor)
-		}
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ul := range t.Switch(cur).Uplinks {
-			links[ul] = true
-			nxt := t.Link(ul).Upper
-			if !seen[nxt] {
-				seen[nxt] = true
-				stack = append(stack, nxt)
-			}
-		}
-	}
-	return links
-}
-
-// UpstreamLinkSet is UpstreamLinks with a bitset result: it adds to set
-// every link on some valley-free path from any ToR in tors to the spine.
-// set must be sized for this topology (NewLinkSet(t.NumLinks())); it is not
-// cleared first, so callers can union several cones into one set.
-func (t *Topology) UpstreamLinkSet(tors []SwitchID, set *LinkSet) {
-	seen := make([]bool, len(t.switches))
-	stack := make([]SwitchID, 0, len(tors))
-	for _, tor := range tors {
-		if !seen[tor] {
-			seen[tor] = true
-			stack = append(stack, tor)
-		}
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ul := range t.Switch(cur).Uplinks {
-			set.Add(ul)
-			nxt := t.Link(ul).Upper
-			if !seen[nxt] {
-				seen[nxt] = true
-				stack = append(stack, nxt)
-			}
-		}
-	}
-}
-
 // UpstreamWalker recomputes upstream link cones repeatedly without
 // re-allocating traversal state; the zero value is ready to use. The
 // optimizer holds one per instance and walks a cone per endangered ToR on
@@ -108,8 +51,11 @@ type UpstreamWalker struct {
 }
 
 // FromToR adds to set every link on some valley-free path from tor to the
-// spine — UpstreamLinkSet for a single ToR, with the walker owning the
-// visited/stack scratch. set must be sized for t and is not cleared first.
+// spine. Disabling a link outside that cone cannot change tor's path count,
+// which is what justifies the optimizer's pruning step: a corrupting link
+// upstream of no at-risk ToR can be disabled unconditionally. set must be
+// sized for t (NewLinkSet(t.NumLinks())) and is not cleared first, so
+// callers can union several cones into one set.
 func (w *UpstreamWalker) FromToR(t *Topology, tor SwitchID, set *LinkSet) {
 	if cap(w.seen) < len(t.switches) {
 		w.seen = make([]bool, len(t.switches))

@@ -18,33 +18,6 @@ package topology
 // per-link decision and the optimizer DFS's one-link-at-a-time probes into
 // sub-millisecond updates.
 
-// Clone returns an independent PathCounter seeded with pc's current
-// incremental state. The topology-derived immutable pieces (evaluation
-// order, all-active totals) are shared; all mutable scratch is fresh, so
-// the clone can run on another goroutine as long as the source is not
-// mutated during the copy. Cloning is O(|V|) copies — no path-count sweep —
-// which is what makes per-worker counters cheap for the parallel optimizer.
-func (pc *PathCounter) Clone() *PathCounter {
-	t := pc.t
-	n := t.NumSwitches()
-	c := &PathCounter{
-		t:           t,
-		counts:      make([]int64, n),
-		order:       pc.order, // immutable after construction
-		total:       pc.total, // immutable after construction
-		scoped:      make([]int64, n),
-		mark:        make([]uint32, n),
-		stageBucket: make([][]SwitchID, t.Stages()),
-		inc:         make([]int64, n),
-		delta:       make([]int64, n),
-		dirty:       make([]uint32, n),
-		dirtyStage:  make([][]SwitchID, t.Stages()),
-	}
-	copy(c.inc, pc.inc)
-	c.incDisabled.CopyFrom(&pc.incDisabled)
-	return c
-}
-
 // ResetIncremental (re)initializes the incremental state to the given
 // disabled set (nil for all-active) with one full sweep. The set is copied;
 // later mutations of the caller's set are not observed.

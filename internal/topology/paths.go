@@ -18,33 +18,21 @@ type DisabledFunc func(LinkID) bool
 // allocations across the many recounts a simulation performs. A PathCounter
 // is not safe for concurrent use.
 //
-// Beyond the full O(|V|+|E|) sweep of Count, a PathCounter offers two
-// engines that scale with the affected part of the topology instead of the
-// whole data center (the paper's §5.1 "check only the downstream of l"
-// refinement taken to its conclusion):
+// Beyond the full O(|V|+|E|) sweep of Count — the reference every
+// differential test compares against — Apply/Revert maintain counts
+// incrementally under single-link toggles by propagating exact deltas
+// through the link's downstream cone (see incremental.go); that is the
+// engine production runs (the paper's §5.1 "check only the downstream of l"
+// refinement taken to its conclusion).
 //
-//   - CountScoped evaluates counts only over the upward closure of a given
-//     ToR set (see scoped.go);
-//   - Apply/Revert maintain counts incrementally under single-link toggles
-//     by propagating exact deltas through the link's downstream cone (see
-//     incremental.go).
-//
-// The three engines share the topology's stage structure but use disjoint
-// result buffers, so interleaving Count, CountScoped, and Apply/Revert is
-// safe (though each method's returned slice is invalidated by the next call
-// to the *same* method).
+// The two engines share the topology's stage structure but use disjoint
+// result buffers, so interleaving Count and Apply/Revert is safe (though the
+// slice Count returns is invalidated by the next Count).
 type PathCounter struct {
 	t      *Topology
 	counts []int64 // per switch, paths to spine (full-sweep scratch)
 	order  []SwitchID
 	total  []int64 // per switch, paths with all links active (lazily built)
-
-	// Scoped-count scratch (scoped.go): epoch-marked membership plus
-	// per-stage buckets of the closure, reused across calls.
-	scoped      []int64 // per switch, valid only for the last scope
-	mark        []uint32
-	markEpoch   uint32
-	stageBucket [][]SwitchID
 
 	// Incremental state (incremental.go): exact counts under incDisabled,
 	// maintained by Apply/Revert delta propagation.
@@ -63,15 +51,12 @@ type PathCounter struct {
 func NewPathCounter(t *Topology) *PathCounter {
 	n := t.NumSwitches()
 	pc := &PathCounter{
-		t:           t,
-		counts:      make([]int64, n),
-		scoped:      make([]int64, n),
-		mark:        make([]uint32, n),
-		stageBucket: make([][]SwitchID, t.Stages()),
-		inc:         make([]int64, n),
-		delta:       make([]int64, n),
-		dirty:       make([]uint32, n),
-		dirtyStage:  make([][]SwitchID, t.Stages()),
+		t:          t,
+		counts:     make([]int64, n),
+		inc:        make([]int64, n),
+		delta:      make([]int64, n),
+		dirty:      make([]uint32, n),
+		dirtyStage: make([][]SwitchID, t.Stages()),
 	}
 	pc.incDisabled.Reset(t.NumLinks())
 	// Evaluation order: stages top-down, so every switch is processed after

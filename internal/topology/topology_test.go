@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -158,16 +159,22 @@ func TestDownstreamToRs(t *testing.T) {
 	}
 }
 
+// upstreamCone is what UpstreamWalker.FromToR adds to an empty set for one
+// ToR, in ascending link order.
+func upstreamCone(w *UpstreamWalker, topo *Topology, tor SwitchID) []LinkID {
+	set := NewLinkSet(topo.NumLinks())
+	w.FromToR(topo, tor, set)
+	var links []LinkID
+	set.Each(func(l LinkID) { links = append(links, l) })
+	return links
+}
+
 func TestUpstreamLinks(t *testing.T) {
 	topo, _, _ := buildFig10(t)
-	tor := topo.ToRs()[0]
-	up := topo.UpstreamLinks([]SwitchID{tor})
+	var w UpstreamWalker
+	up := upstreamCone(&w, topo, topo.ToRs()[0])
 	if len(up) != topo.NumLinks() {
 		t.Fatalf("upstream of the only ToR covers %d links, want all %d", len(up), topo.NumLinks())
-	}
-	// No ToRs means no upstream links.
-	if got := topo.UpstreamLinks(nil); len(got) != 0 {
-		t.Fatalf("upstream of empty set = %d links", len(got))
 	}
 }
 
@@ -177,16 +184,23 @@ func TestUpstreamLinksPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	tor := topo.ToRs()[0]
-	up := topo.UpstreamLinks([]SwitchID{tor})
-	// The other pod's ToR uplinks must not be upstream of this ToR.
 	otherTor := topo.ToRs()[len(topo.ToRs())-1]
 	if topo.Switch(otherTor).Pod == topo.Switch(tor).Pod {
 		t.Fatal("test assumes ToRs in different pods")
 	}
+	var w UpstreamWalker
+	up := upstreamCone(&w, topo, tor)
+	// The other pod's ToR uplinks must not be upstream of this ToR.
 	for _, l := range topo.Switch(otherTor).Uplinks {
-		if up[l] {
+		if slices.Contains(up, l) {
 			t.Fatalf("link %d of a different pod's ToR marked upstream", l)
 		}
+	}
+	// A reused walker carries no visited state over: walking the other
+	// pod's ToR in between leaves this ToR's cone unchanged.
+	upstreamCone(&w, topo, otherTor)
+	if again := upstreamCone(&w, topo, tor); !slices.Equal(again, up) {
+		t.Fatalf("second walk from ToR %d = %v, first = %v", tor, again, up)
 	}
 }
 

@@ -26,8 +26,7 @@
 #    "cpu":"Intel(R) Xeon(R) ...","count":5},
 #    "benchmarks":[{"name":"BenchmarkFastChecker-8","iterations":3504,
 #    "ns/op":335399,"B/op":0,"allocs/op":0}, ...]}
-# Custom metrics (e.g. "cone-switches" from BenchmarkPathCountingScoped)
-# come through under their own unit names.
+# Custom metrics come through under their own unit names.
 #
 # Benchmarks from a tree that fails `make lint` are not comparable (a
 # nodeterminism or mutexheld violation can silently change what the code
