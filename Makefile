@@ -52,9 +52,14 @@ ci: build test bench-smoke lint test-race test-chaos test-scenarios cover
 ## memoized topology/trace cache under concurrent misses and FIFO eviction,
 ## and per-worker Scratch reuse. The fleet run pins TestFleetMatchesSerial —
 ## byte-identical supervisor snapshots for every shard/worker count — with
-## shard drains racing on the worker pool.
+## shard drains racing on the worker pool. ctlplane, snmplite and detector
+## are the packages that run one goroutine per connection or in-flight
+## request: each connection's read buffer, the reply cache behind the
+## controller's mutex and the clocks tests inject are what the detector
+## watches there.
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/topology/... ./internal/sim/... ./internal/runner/... ./internal/fleet/...
+	$(GO) test -race ./internal/ctlplane/... ./internal/snmplite/... ./internal/detector/...
 	$(GO) test -race -run 'TestParallelRunnerDeterminism|TestRunMany|TestMemoTrace|TestConcurrentRunMany|TestFleetShards' ./internal/experiments
 
 ## test-chaos: the deployment-path chaos matrix (DESIGN.md §7.3) under the

@@ -1,6 +1,7 @@
 package ctlplane
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -102,7 +103,11 @@ type Client struct {
 	addr string
 	cfg  ClientConfig
 	conn net.Conn
-	seq  uint64
+	// br buffers reads from conn and shares its lifetime: whatever a dead
+	// connection left unread is dropped with it, never parsed as the start
+	// of a reply on the next one.
+	br  *bufio.Reader
+	seq uint64
 }
 
 // Dial connects to the controller at addr with a per-phase deadline
@@ -126,7 +131,15 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctlplane: dial: %w", err)
 	}
-	return &Client{addr: addr, cfg: cfg, conn: conn}, nil
+	c := &Client{addr: addr, cfg: cfg}
+	c.attach(conn)
+	return c, nil
+}
+
+// attach adopts a freshly dialled connection and gives it its own reader.
+func (c *Client) attach(conn net.Conn) {
+	c.conn = conn
+	c.br = bufio.NewReaderSize(conn, connReaderSize)
 }
 
 // Close tears the connection down.
@@ -135,7 +148,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	err := c.conn.Close()
-	c.conn = nil
+	c.conn, c.br = nil, nil
 	return err
 }
 
@@ -143,7 +156,7 @@ func (c *Client) Close() error {
 func (c *Client) dropConn() {
 	if c.conn != nil {
 		_ = c.conn.Close() // already failing; the transport error is the one reported
-		c.conn = nil
+		c.conn, c.br = nil, nil
 	}
 }
 
@@ -154,7 +167,7 @@ func (c *Client) exchange(req *Envelope) (*Envelope, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ctlplane: redial: %w", err)
 		}
-		c.conn = conn
+		c.attach(conn)
 	}
 	if err := c.conn.SetWriteDeadline(c.cfg.Clock.Now().Add(c.cfg.WriteTimeout)); err != nil {
 		return nil, fmt.Errorf("ctlplane: set write deadline: %w", err)
@@ -165,7 +178,7 @@ func (c *Client) exchange(req *Envelope) (*Envelope, error) {
 	if err := c.conn.SetReadDeadline(c.cfg.Clock.Now().Add(c.cfg.ReadTimeout)); err != nil {
 		return nil, fmt.Errorf("ctlplane: set read deadline: %w", err)
 	}
-	resp, err := ReadMsg(c.conn)
+	resp, err := ReadMsg(c.br)
 	if err != nil {
 		return nil, phaseErr("read response", ErrReadTimeout, err)
 	}
@@ -226,6 +239,9 @@ func (c *Client) Report(link topology.LinkID, rate float64) (*Decision, error) {
 	}
 	if resp.Type != TypeDecision || resp.Decision == nil {
 		return nil, fmt.Errorf("ctlplane: unexpected reply %q to report", resp.Type)
+	}
+	if resp.Decision.Link != link {
+		return nil, fmt.Errorf("ctlplane: decision is about link %d, report was about link %d", resp.Decision.Link, link)
 	}
 	return resp.Decision, nil
 }

@@ -11,6 +11,16 @@
 // corrupting network the protocol manages (§5–§6): a frame that survives a
 // bit-flip must be rejected loudly (the client retries), never silently
 // misparsed into a wrong rate or link id.
+//
+// A frame is one Write (WriteMsg assembles header and body first), so one
+// fault on the wire — a lost, duplicated or reset write — strikes one whole
+// frame and never leaves an orphan body for the peer to read as a length.
+// Each end of a connection reads through one buffered reader that is created
+// with the connection and dies with it: header and body come out of a single
+// read, a second frame in the same segment is kept for the next ReadMsg, and
+// nothing a dead connection delivered survives into its replacement.
+// WriteMsg and ReadMsg are the only framing code; the callers arm the
+// deadlines around them.
 package ctlplane
 
 import (
@@ -30,6 +40,12 @@ const MaxFrame = 1 << 20
 
 // frameHeaderLen is the length prefix plus the body checksum.
 const frameHeaderLen = 8
+
+// connReaderSize is the read buffer each connection end owns for as long as
+// the connection lives. Frames are ≈ 100 bytes, so header and body arrive
+// in one read; a body larger than the buffer is read straight into its own
+// slice, so the size bounds memory per connection, not frame length.
+const connReaderSize = 4 << 10
 
 // ErrChecksum reports a frame whose body does not match its CRC-32C — the
 // signature of in-flight corruption. Distinguish with errors.Is.
@@ -61,9 +77,12 @@ const (
 
 // Envelope is the frame body: a type tag plus one non-nil payload field.
 // Agent and Seq, when set, make requests idempotent: the controller caches
-// the reply per (agent, seq) and replays it verbatim when a reconnecting
-// client retries a request whose response was lost, instead of re-running
-// side effects like the optimizer.
+// the reply per (agent, seq) together with the request it answered, and
+// replays it verbatim when a reconnecting client retries that same request
+// after its response was lost, instead of re-running side effects like the
+// optimizer. The same (agent, seq) carrying a different request is not a
+// retry but a restarted agent counting from 1 again; it is served afresh and
+// the agent's cached replies are discarded.
 type Envelope struct {
 	Type MsgType `json:"type"`
 
@@ -122,7 +141,9 @@ type StatusResult struct {
 	StaleAgents int `json:"stale_agents,omitempty"`
 }
 
-// WriteMsg frames and writes one envelope.
+// WriteMsg frames one envelope and hands it to w in a single Write: header
+// and body travel together, so whatever happens to that write — a lost
+// segment, a netchaos fault, a peer wake-up — happens to one whole frame.
 func WriteMsg(w io.Writer, e *Envelope) error {
 	body, err := json.Marshal(e)
 	if err != nil {
@@ -131,17 +152,17 @@ func WriteMsg(w io.Writer, e *Envelope) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("ctlplane: frame of %d bytes exceeds limit", len(body))
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	frame := make([]byte, frameHeaderLen+len(body))
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(body, crcTable))
+	copy(frame[frameHeaderLen:], body)
+	_, err = w.Write(frame)
 	return err
 }
 
-// ReadMsg reads one framed envelope, verifying the body checksum.
+// ReadMsg reads one framed envelope, verifying the body checksum. A stream
+// that ends cleanly between frames yields io.EOF; one that ends anywhere
+// inside a frame yields io.ErrUnexpectedEOF.
 func ReadMsg(r io.Reader) (*Envelope, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -153,6 +174,9 @@ func ReadMsg(r io.Reader) (*Envelope, error) {
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF { // bare by io.Reader's contract; the header promised n more bytes
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	if got, want := crc32.Checksum(body, crcTable), binary.BigEndian.Uint32(hdr[4:]); got != want {

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"corropt/internal/backoff"
 	"corropt/internal/netchaos"
 	"corropt/internal/rngutil"
-	"corropt/internal/simclock"
 )
 
 func TestFramingRejectsBitFlip(t *testing.T) {
@@ -246,12 +246,104 @@ func TestReplyCacheEviction(t *testing.T) {
 	}
 }
 
+// TestRestartedAgentIsNotServedStaleReplies: a new process under the same
+// agent name numbers its requests from 1 again while the controller still
+// holds the old process's replies under those numbers. Its first request
+// must reach the engine, not be answered with what seq 1 meant last time.
+func TestRestartedAgentIsNotServedStaleReplies(t *testing.T) {
+	engine := testEngine(t)
+	ctl, err := NewController("127.0.0.1:0", engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	topo := engine.Network().Topology()
+	tor := topo.ToRs()[0]
+	l1, l2 := topo.Switch(tor).Uplinks[0], topo.Switch(tor).Uplinks[1]
+
+	life := func() *Client {
+		t.Helper()
+		cli, err := DialConfig(ctl.Addr().String(), ClientConfig{AgentID: "tor-1", Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cli
+	}
+	first := life()
+	d, err := first.Report(l1, 1e-3)
+	if err != nil || !d.Disabled {
+		t.Fatalf("first life: decision %+v, err %v; want l1 disabled", d, err)
+	}
+	first.Close()
+
+	second := life()
+	defer second.Close()
+	// At c = 0.5 with l1 down, l2 cannot be disabled as well.
+	d, err = second.Report(l2, 1e-2)
+	if err != nil {
+		t.Fatalf("second life: %v", err)
+	}
+	if d.Link != l2 || d.Disabled {
+		t.Fatalf("second life asked about link %d and was told %+v", l2, d)
+	}
+	if st, err := second.Status(); err != nil || st.ActiveCorrupting != 1 {
+		t.Fatalf("engine never saw the second life's report: status %+v, err %v", st, err)
+	}
+
+	// The old life's replies are gone as a whole, not just the one that
+	// collided: seq 2 of the first life would have been a different request.
+	ctl.mu.Lock()
+	cached := len(ctl.agents["tor-1"].replies)
+	ctl.mu.Unlock()
+	if cached != 2 {
+		t.Fatalf("cache holds %d replies after the restart, want the second life's 2", cached)
+	}
+}
+
+// TestReportRejectsDecisionAboutAnotherLink pins the client half of the same
+// defence: a decision naming a link the report did not is an error, never a
+// verdict the agent acts on.
+func TestReportRejectsDecisionAboutAnotherLink(t *testing.T) {
+	conn := &stubConn{}
+	if err := WriteMsg(&conn.served, &Envelope{Type: TypeDecision, Seq: 1, Decision: &Decision{Link: 0, Disabled: true}}); err != nil {
+		t.Fatal(err)
+	}
+	var dials int
+	cli, err := DialConfig("unused", ClientConfig{Dial: stubDialer(func() net.Conn { return conn }, &dials)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if d, err := cli.Report(5, 1e-3); err == nil {
+		t.Fatalf("report about link 5 accepted a decision about link %d", d.Link)
+	}
+}
+
+// lockedClock is a wall clock the test advances while serveConn goroutines
+// read it for socket deadlines.
+type lockedClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *lockedClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *lockedClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
 func TestSweepStale(t *testing.T) {
 	engine := testEngine(t)
-	// The epoch is anchored at real now: the controller arms socket
-	// deadlines from this clock, and the kernel evaluates them against real
-	// time — a zero epoch would make every deadline already expired.
-	vc := simclock.Virtual{Clock: simclock.New(), Epoch: time.Now()}
+	// The clock starts at real now: the controller arms socket deadlines
+	// from it, and the kernel evaluates them against real time — a zero
+	// start would make every deadline already expired.
+	vc := &lockedClock{now: time.Now()}
 	ctl, err := NewControllerClock("127.0.0.1:0", engine, vc)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +370,7 @@ func TestSweepStale(t *testing.T) {
 		t.Fatalf("premature sweep marked %v stale", names)
 	}
 
-	vc.Clock.RunUntil(2 * time.Minute)
+	vc.advance(2 * time.Minute)
 	names := ctl.SweepStale(time.Minute)
 	if !reflect.DeepEqual(names, []string{"a1", "a2"}) {
 		t.Fatalf("stale = %v, want sorted [a1 a2]", names)

@@ -1,8 +1,11 @@
 package ctlplane
 
 import (
+	"bufio"
 	"errors"
+	"io"
 	"log"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -10,6 +13,7 @@ import (
 
 	"corropt/internal/core"
 	"corropt/internal/simclock"
+	"corropt/internal/topology"
 )
 
 // maxCachedReplies bounds the per-agent idempotency cache; retries replay
@@ -28,13 +32,62 @@ const (
 	connWriteTimeout = 30 * time.Second
 )
 
+// requestKey is what a cached reply remembers of the request it answered.
+// A sequential client never reuses a sequence number for a different
+// request, so the same (agent, seq) with a different key can only come from
+// a new incarnation of the agent whose numbering restarted. (One whose
+// first requests equal its predecessor's looks like a retry and is replayed
+// up to the first difference; the wire carries no incarnation number.)
+type requestKey struct {
+	typ  MsgType
+	link topology.LinkID
+	rate uint64 // math.Float64bits of Report.Rate
+}
+
+func keyOf(msg *Envelope) requestKey {
+	k := requestKey{typ: msg.Type}
+	switch {
+	case msg.Type == TypeReport && msg.Report != nil:
+		k.link, k.rate = msg.Report.Link, math.Float64bits(msg.Report.Rate)
+	case msg.Type == TypeActivate && msg.Activate != nil:
+		k.link = msg.Activate.Link
+	}
+	return k
+}
+
+type cachedReply struct {
+	req   requestKey
+	reply *Envelope
+}
+
 // agentState tracks one reporting agent: when it was last heard from (for
 // the liveness sweep) and its recent replies keyed by sequence number (for
 // idempotent replay after a reconnect).
 type agentState struct {
 	lastSeen time.Time
-	replies  map[uint64]*Envelope
-	order    []uint64 // FIFO eviction order for replies
+	replies  map[uint64]cachedReply
+	// order is the FIFO eviction ring over the keys of replies; next is the
+	// slot the following insertion takes, which holds the oldest key once
+	// the ring is full.
+	order [maxCachedReplies]uint64
+	next  int
+}
+
+// forget empties the reply cache: the agent restarted and nothing cached for
+// its previous life may answer the new one.
+func (st *agentState) forget() {
+	clear(st.replies)
+	st.next = 0
+}
+
+// remember caches reply under seq, evicting the oldest entry when full.
+func (st *agentState) remember(seq uint64, r cachedReply) {
+	if len(st.replies) == maxCachedReplies {
+		delete(st.replies, st.order[st.next])
+	}
+	st.replies[seq] = r
+	st.order[st.next] = seq
+	st.next = (st.next + 1) % maxCachedReplies
 }
 
 // Controller serves the CorrOpt control plane over TCP. All decisions run
@@ -44,8 +97,10 @@ type agentState struct {
 //
 // The controller is hardened against the network it manages (§5–§6):
 // requests carrying an agent identity and sequence number are answered
-// idempotently (replayed requests get the cached reply, so a retried
-// Activate does not re-run the optimizer), and the liveness sweep marks
+// idempotently (the same request under the same number gets the cached
+// reply, so a retried Activate does not re-run the optimizer; a different
+// request under a cached number is a restarted agent and resets its
+// cache), and the liveness sweep marks
 // agents that have gone silent as stale so the report→disable→ticket loop
 // degrades gracefully instead of wedging on a vanished agent.
 type Controller struct {
@@ -152,13 +207,19 @@ func (c *Controller) serveConn(conn net.Conn) {
 		delete(c.conns, conn)
 		c.lnMu.Unlock()
 	}()
+	// One reader for the life of the connection: a frame's header and body
+	// come out of one read, and a second frame that arrived in the same
+	// segment is still there for the next iteration.
+	br := bufio.NewReaderSize(conn, connReaderSize)
 	for {
 		if err := conn.SetReadDeadline(c.clock.Now().Add(connIdleTimeout)); err != nil {
 			return
 		}
-		msg, err := ReadMsg(conn)
+		msg, err := ReadMsg(br)
 		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && c.Logger != nil {
+			// io.EOF is the peer hanging up between frames — how every agent
+			// leaves; a stream cut inside a frame is io.ErrUnexpectedEOF.
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) && c.Logger != nil {
 				c.Logger.Printf("ctlplane: connection %v: %v", conn.RemoteAddr(), err)
 			}
 			return
@@ -215,17 +276,21 @@ func (c *Controller) handle(msg *Envelope) *Envelope {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
+	key := keyOf(msg)
 	var st *agentState
 	if msg.Agent != "" {
 		st = c.agents[msg.Agent]
 		if st == nil {
-			st = &agentState{replies: make(map[uint64]*Envelope)}
+			st = &agentState{replies: make(map[uint64]cachedReply)}
 			c.agents[msg.Agent] = st
 		}
 		st.lastSeen = c.clock.Now()
 		if msg.Seq != 0 {
 			if cached, ok := st.replies[msg.Seq]; ok {
-				return cached // idempotent replay: do not re-run side effects
+				if cached.req == key {
+					return cached.reply // idempotent replay: do not re-run side effects
+				}
+				st.forget()
 			}
 		}
 	}
@@ -233,12 +298,7 @@ func (c *Controller) handle(msg *Envelope) *Envelope {
 	reply := c.dispatch(msg)
 	reply.Seq = msg.Seq
 	if st != nil && msg.Seq != 0 {
-		st.replies[msg.Seq] = reply
-		st.order = append(st.order, msg.Seq)
-		if len(st.order) > maxCachedReplies {
-			delete(st.replies, st.order[0])
-			st.order = st.order[1:]
-		}
+		st.remember(msg.Seq, cachedReply{req: key, reply: reply})
 	}
 	return reply
 }
