@@ -56,10 +56,13 @@ ci: build test bench-smoke lint test-race test-chaos test-scenarios cover
 ## are the packages that run one goroutine per connection or in-flight
 ## request: each connection's read buffer, the reply cache behind the
 ## controller's mutex and the clocks tests inject are what the detector
-## watches there.
+## watches there. telemetry is what the snmplite responder reads while the
+## poll loop writes each observation in place (TestConcurrentReadsDuringPoll
+## guards the Collector's lock); faults.State is the single-goroutine ground
+## truth under it.
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/topology/... ./internal/sim/... ./internal/runner/... ./internal/fleet/...
-	$(GO) test -race ./internal/ctlplane/... ./internal/snmplite/... ./internal/detector/...
+	$(GO) test -race ./internal/ctlplane/... ./internal/snmplite/... ./internal/detector/... ./internal/telemetry/... ./internal/faults/...
 	$(GO) test -race -run 'TestParallelRunnerDeterminism|TestRunMany|TestMemoTrace|TestConcurrentRunMany|TestFleetShards' ./internal/experiments
 
 ## test-chaos: the deployment-path chaos matrix (DESIGN.md §7.3) under the
@@ -78,7 +81,8 @@ test-scenarios:
 	$(GO) test -race ./internal/scenario/...
 
 ## cover: per-package coverage ratchet for the deployment path (backoff,
-## ctlplane, detector, netchaos, snmplite). Fails when any package drops
+## ctlplane, detector, netchaos, snmplite, telemetry and the faults ground
+## truth under it). Fails when any package drops
 ## below its recorded floor; `scripts/coverage.sh update` re-records them.
 cover:
 	./scripts/coverage.sh

@@ -459,10 +459,21 @@ func TestStateReset(t *testing.T) {
 	if st.Tech().Name != "reassigned" || st.TechOf(0).Name != "reassigned" {
 		t.Fatal("Reset did not reassign technology")
 	}
+	// One more dB of margin: the reset links must report the new
+	// technology's healthy rate, not the one cached for the old.
+	before := NewState(topo, testTech()).CorruptionRate(0, topology.Up)
+	want := NewState(topo, tech2).CorruptionRate(0, topology.Up)
+	if want >= before {
+		t.Fatalf("healthy rate %v with more margin, %v with less", want, before)
+	}
 	for l := 0; l < topo.NumLinks(); l++ {
-		ol := st.Optics(topology.LinkID(l))
+		id := topology.LinkID(l)
+		ol := st.Optics(id)
 		if ol.TxPower(optics.LowerSide) != 1 || ol.TxPower(optics.UpperSide) != 1 {
 			t.Fatalf("link %d optics not re-dressed for the new tech", l)
+		}
+		if up, down := st.CorruptionRate(id, topology.Up), st.CorruptionRate(id, topology.Down); up != want || down != want {
+			t.Fatalf("link %d healthy rate %v/%v after Reset, want the new tech's %v", l, up, down, want)
 		}
 	}
 	// The reset state must behave like a fresh one under new faults.

@@ -24,9 +24,13 @@ type State struct {
 	// individually (a link-scoped repair fixes the connector or
 	// transceiver of one link without touching the fault's other links).
 	suppressed map[ID]map[topology.LinkID]bool
-	// direct[dir][link] is the combined direct (non-optical) corruption
-	// rate in that direction.
-	direct [2][]float64
+	// rate[dir][link] is the corruption rate CorruptionRate reports: the
+	// optics-derived rate at the receiving side combined with the direct
+	// (non-optical) contributions of the link's active faults. A link's
+	// rate is stable between fault events (§3, Figure 2), so it is worked
+	// out where the link's condition changes — recompute and Reset own
+	// every write — and the read accessors cost an array read.
+	rate [2][]float64
 }
 
 // NewState returns a healthy State for the topology where every link uses
@@ -48,16 +52,12 @@ func NewMultiTechState(topo *topology.Topology, assign func(topology.LinkID) opt
 		active:     make([][]*Fault, n),
 		faults:     make(map[ID]*Fault),
 		suppressed: make(map[ID]map[topology.LinkID]bool),
+		rate:       [2][]float64{make([]float64, n), make([]float64, n)},
 	}
 	for i := range s.links {
-		s.techs[i] = assign(topology.LinkID(i))
-		s.links[i] = optics.NewLink(s.techs[i])
+		s.links[i] = new(optics.Link)
 	}
-	if n > 0 {
-		s.tech = s.techs[0]
-	}
-	s.direct[0] = make([]float64, n)
-	s.direct[1] = make([]float64, n)
+	s.Reset(assign)
 	return s
 }
 
@@ -68,12 +68,29 @@ func NewMultiTechState(topo *topology.Topology, assign func(topology.LinkID) opt
 // States by topology. After Reset the State is observationally identical to
 // a fresh one, which the sim scratch differential tests pin.
 func (s *State) Reset(assign func(topology.LinkID) optics.Technology) {
-	for i := range s.links {
-		s.techs[i] = assign(topology.LinkID(i))
-		s.links[i].ResetTech(s.techs[i])
+	// A healthy link's two directions share one rate, a function of its
+	// technology alone: evaluate the margin curve once per distinct
+	// technology (fabrics mix a handful), not once per link — sim.Scratch
+	// resets a State for every cell it runs.
+	type healthy struct {
+		tech optics.Technology
+		rate float64
+	}
+	memo := make([]healthy, 0, 4)
+	for i, ol := range s.links {
+		tech := assign(topology.LinkID(i))
+		s.techs[i] = tech
+		ol.ResetTech(tech)
 		s.active[i] = s.active[i][:0]
-		s.direct[0][i] = 0
-		s.direct[1][i] = 0
+		k := 0
+		for k < len(memo) && memo[k].tech != tech {
+			k++
+		}
+		if k == len(memo) {
+			memo = append(memo, healthy{tech, combineRates(ol.CorruptionRate(optics.UpperSide), 0)})
+		}
+		s.rate[topology.Up][i] = memo[k].rate
+		s.rate[topology.Down][i] = memo[k].rate
 	}
 	clear(s.faults)
 	clear(s.suppressed)
@@ -169,13 +186,13 @@ func (s *State) RepairLink(l topology.LinkID) []RootCause {
 	return causes
 }
 
-// recompute rebuilds link l's optical state and direct rates from its
+// recompute rebuilds link l's optical state and corruption rates from its
 // currently active faults.
 func (s *State) recompute(l topology.LinkID) {
 	ol := s.links[l]
 	ol.Reset()
-	s.direct[topology.Up][l] = 0
-	s.direct[topology.Down][l] = 0
+	// The combined direct (non-optical) corruption rate per direction.
+	var direct [2]float64
 	for _, f := range s.active[l] {
 		for _, e := range f.Effects {
 			if e.Link != l {
@@ -189,10 +206,13 @@ func (s *State) recompute(l topology.LinkID) {
 			if d := e.TxDecay[optics.UpperSide]; d != 0 {
 				ol.SetTxPower(optics.UpperSide, ol.TxPower(optics.UpperSide)-optics.DBm(d))
 			}
-			s.direct[topology.Up][l] = combineRates(s.direct[topology.Up][l], e.DirectRate[topology.Up])
-			s.direct[topology.Down][l] = combineRates(s.direct[topology.Down][l], e.DirectRate[topology.Down])
+			direct[topology.Up] = combineRates(direct[topology.Up], e.DirectRate[topology.Up])
+			direct[topology.Down] = combineRates(direct[topology.Down], e.DirectRate[topology.Down])
 		}
 	}
+	// Frames travelling up are received at the upper side.
+	s.rate[topology.Up][l] = combineRates(ol.CorruptionRate(optics.UpperSide), direct[topology.Up])
+	s.rate[topology.Down][l] = combineRates(ol.CorruptionRate(optics.LowerSide), direct[topology.Down])
 }
 
 // combineRates composes two independent loss processes: a packet survives
@@ -200,26 +220,22 @@ func (s *State) recompute(l topology.LinkID) {
 func combineRates(a, b float64) float64 { return 1 - (1-a)*(1-b) }
 
 // Optics returns the optical state of link l. Callers must treat it as
-// read-only; mutations belong to Apply/Clear.
+// read-only: mutations belong to Apply/Clear, and a link changed behind
+// them would leave the cached rate describing optics that no longer exist.
 func (s *State) Optics(l topology.LinkID) *optics.Link { return s.links[l] }
 
 // CorruptionRate reports the corruption loss rate for frames traveling in
 // the given direction over link l: the optics-derived rate at the receiving
 // side combined with any direct (non-optical) fault contributions.
 func (s *State) CorruptionRate(l topology.LinkID, dir topology.Direction) float64 {
-	recv := optics.UpperSide
-	if dir == topology.Down {
-		recv = optics.LowerSide
-	}
-	return combineRates(s.links[l].CorruptionRate(recv), s.direct[dir][l])
+	return s.rate[dir][l]
 }
 
 // WorstRate reports the higher of the two directions' corruption rates,
 // which is what link-disabling decisions consider given that links can only
 // be disabled as a whole.
 func (s *State) WorstRate(l topology.LinkID) float64 {
-	up := s.CorruptionRate(l, topology.Up)
-	down := s.CorruptionRate(l, topology.Down)
+	up, down := s.rate[topology.Up][l], s.rate[topology.Down][l]
 	if up > down {
 		return up
 	}
@@ -235,8 +251,7 @@ func (s *State) Corrupting(l topology.LinkID, threshold float64) bool {
 // Bidirectional reports whether link l corrupts at or above threshold in
 // both directions (the 8.2% case of Figure 5a).
 func (s *State) Bidirectional(l topology.LinkID, threshold float64) bool {
-	return s.CorruptionRate(l, topology.Up) >= threshold &&
-		s.CorruptionRate(l, topology.Down) >= threshold
+	return s.rate[topology.Up][l] >= threshold && s.rate[topology.Down][l] >= threshold
 }
 
 // CorruptingLinks returns all links corrupting at or above threshold.

@@ -8,10 +8,18 @@
 // series. Counter readings carry multiplicative measurement noise so that
 // derived corruption-rate series have a small but non-zero coefficient of
 // variation, as in Figure 2.
+//
+// The noise is log-normal with median 1 and log-standard-deviation
+// Config.NoiseSigma, and it is a pure function of (seed, link, direction,
+// time): a counter-based draw — one 64-bit mix of the four — picks one of
+// noiseQuantiles equiprobable quantiles from a table built once per
+// Collector. §3's finding is that a corrupting link's loss rate is stable,
+// so a poll of a 15,120-link fabric should cost a read per link, not a
+// logarithm, a cosine, a square root and an exponential per link and
+// direction; the table pays for those once.
 package telemetry
 
 import (
-	"hash/fnv"
 	"math"
 	"sync"
 	"time"
@@ -87,14 +95,20 @@ func (c *Config) fillDefaults() {
 type Collector struct {
 	mu       sync.RWMutex
 	cfg      Config
-	topo     *topology.Topology
 	state    *faults.State
 	traffic  *traffic.Model
 	disabled topology.DisabledFunc
 	counters []Counters
-	watched  map[topology.LinkID][]Observation
-	latest   []Observation
-	polled   []bool
+	// series holds the observations of watched links; watched[l] mirrors
+	// its key set so Poll tests a slice, not a map, for every link.
+	series  map[topology.LinkID][]Observation
+	watched []bool
+	latest  []Observation
+	// polled is set by the first Poll, which observes every link.
+	polled bool
+	// quantiles is the noise table: entry i is the (i+½)/noiseQuantiles
+	// quantile of the log-normal measurement noise.
+	quantiles []float64
 }
 
 // NewCollector builds a Collector over ground-truth sources. disabled, if
@@ -103,18 +117,23 @@ type Collector struct {
 // directions run at a fixed 50% utilization with no congestion.
 func NewCollector(state *faults.State, tm *traffic.Model, disabled topology.DisabledFunc, cfg Config) *Collector {
 	cfg.fillDefaults()
-	topo := state.Topology()
-	return &Collector{
-		cfg:      cfg,
-		topo:     topo,
-		state:    state,
-		traffic:  tm,
-		disabled: disabled,
-		counters: make([]Counters, topo.NumLinks()),
-		watched:  make(map[topology.LinkID][]Observation),
-		latest:   make([]Observation, topo.NumLinks()),
-		polled:   make([]bool, topo.NumLinks()),
+	n := state.Topology().NumLinks()
+	c := &Collector{
+		cfg:       cfg,
+		state:     state,
+		traffic:   tm,
+		disabled:  disabled,
+		counters:  make([]Counters, n),
+		series:    make(map[topology.LinkID][]Observation),
+		watched:   make([]bool, n),
+		latest:    make([]Observation, n),
+		quantiles: make([]float64, noiseQuantiles),
 	}
+	for i := range c.quantiles {
+		p := (float64(i) + 0.5) / noiseQuantiles
+		c.quantiles[i] = math.Exp(cfg.NoiseSigma * math.Sqrt2 * math.Erfinv(2*p-1))
+	}
+	return c
 }
 
 // Interval reports the polling interval.
@@ -127,9 +146,7 @@ func (c *Collector) Watch(links ...topology.LinkID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, l := range links {
-		if _, ok := c.watched[l]; !ok {
-			c.watched[l] = nil
-		}
+		c.watched[l] = true
 	}
 }
 
@@ -138,25 +155,30 @@ func (c *Collector) Poll(now time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seconds := c.cfg.Interval.Seconds()
-	for li := 0; li < c.topo.NumLinks(); li++ {
+	stream := c.noiseStream(now)
+	for li := range c.latest {
 		l := topology.LinkID(li)
-		obs := Observation{At: now}
+		// Written in place: every field is assigned on either branch.
+		obs := &c.latest[li]
 		if c.disabled != nil && c.disabled(l) {
-			obs.Disabled = true
+			*obs = Observation{At: now, Disabled: true}
 		} else {
+			obs.At = now
+			obs.Disabled = false
 			ol := c.state.Optics(l)
 			obs.TxPower[optics.LowerSide] = ol.TxPower(optics.LowerSide)
 			obs.TxPower[optics.UpperSide] = ol.TxPower(optics.UpperSide)
 			obs.RxPower[optics.LowerSide] = ol.RxPower(optics.LowerSide)
 			obs.RxPower[optics.UpperSide] = ol.RxPower(optics.UpperSide)
-			for _, d := range []topology.Direction{topology.Up, topology.Down} {
+			ctr := &c.counters[li]
+			for d := topology.Up; d <= topology.Down; d++ {
 				util := 0.5
 				congestion := 0.0
 				if c.traffic != nil {
 					util = c.traffic.Utilization(l, d, now)
 					congestion = c.traffic.LossRate(l, d, now)
 				}
-				corruption := c.state.CorruptionRate(l, d) * c.noise(l, d, now)
+				corruption := c.state.CorruptionRate(l, d) * c.noise(stream, l, d)
 				if corruption > 1 {
 					corruption = 1
 				}
@@ -164,35 +186,53 @@ func (c *Collector) Poll(now time.Duration) {
 				obs.Util[d] = util
 				obs.CorruptionRate[d] = corruption
 				obs.CongestionRate[d] = congestion
-				c.counters[l].Packets[d] += uint64(packets)
-				c.counters[l].Errors[d] += uint64(packets * corruption)
-				c.counters[l].Drops[d] += uint64(packets * congestion)
+				ctr.Packets[d] += uint64(packets)
+				ctr.Errors[d] += uint64(packets * corruption)
+				ctr.Drops[d] += uint64(packets * congestion)
 			}
 		}
-		c.latest[l] = obs
-		c.polled[l] = true
-		if series, ok := c.watched[l]; ok {
-			c.watched[l] = append(series, obs)
+		if c.watched[li] {
+			c.series[l] = append(c.series[l], *obs)
 		}
 	}
+	c.polled = true
 }
 
-// noise returns the multiplicative measurement noise for one sample,
-// deterministic in (seed, link, direction, time).
-func (c *Collector) noise(l topology.LinkID, d topology.Direction, at time.Duration) float64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range []uint64{c.cfg.Seed, uint64(l), uint64(d), uint64(at / time.Second)} {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	x := h.Sum64()
-	u1 := (float64(x>>32) + 1) / float64(1<<32+1)
-	u2 := (float64(x&0xffffffff) + 1) / float64(1<<32+1)
-	n := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return math.Exp(n * c.cfg.NoiseSigma)
+const (
+	// noiseQuantiles is the size of the noise table: 1024 float64s, 8 KiB.
+	// Quantile i sits at probability (i+½)/1024, so the tails stop at
+	// ±3.30σ — a reading is never more than exp(3.3σ) (2.3× at the default
+	// σ) off the truth — and the table's log-variance is 0.999 σ².
+	noiseBits      = 10
+	noiseQuantiles = 1 << noiseBits
+	// golden is 2⁶⁴/φ, SplitMix64's stream increment.
+	golden = 0x9e3779b97f4a7c15
+)
+
+// mix64 is SplitMix64's output function (Steele, Lea & Flood 2014): a
+// bijection on 64 bits whose outputs over consecutive multiples of golden
+// pass BigCrush, which is what keeps adjacent links, directions and ticks
+// uncorrelated.
+func mix64(x uint64) uint64 {
+	x += golden
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// noiseStream keys the draws of the poll at virtual time at. The key takes
+// the full nanosecond count: polls less than a second apart are different
+// polls.
+func (c *Collector) noiseStream(at time.Duration) uint64 {
+	return mix64(c.cfg.Seed ^ mix64(uint64(at)))
+}
+
+// noise returns the multiplicative measurement noise for one sample: the
+// quantile picked by the top bits of the stream's draw for (link,
+// direction). With noiseStream it is deterministic in (seed, link,
+// direction, time) and nothing else.
+func (c *Collector) noise(stream uint64, l topology.LinkID, d topology.Direction) float64 {
+	return c.quantiles[mix64(stream+(uint64(l)<<1|uint64(d))*golden)>>(64-noiseBits)]
 }
 
 // Latest returns the most recent observation of link l; ok is false before
@@ -200,7 +240,7 @@ func (c *Collector) noise(l topology.LinkID, d topology.Direction, at time.Durat
 func (c *Collector) Latest(l topology.LinkID) (Observation, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.latest[l], c.polled[l]
+	return c.latest[l], c.polled
 }
 
 // Series returns the recorded observations of a watched link; nil for
@@ -210,7 +250,7 @@ func (c *Collector) Latest(l topology.LinkID) (Observation, bool) {
 func (c *Collector) Series(l topology.LinkID) []Observation {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.watched[l]
+	return c.series[l]
 }
 
 // Counters returns the cumulative counters of link l.

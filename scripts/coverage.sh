@@ -7,6 +7,8 @@
 # supervisor's determinism contract (DESIGN.md §7.5) only while its shard /
 # merge / snapshot paths are, so this gate fails the build when any
 # ratcheted package's statement coverage drops below its recorded floor.
+# telemetry and faults are the counters and the ground truth every one of
+# those packages is driven from.
 #
 # Usage:
 #   scripts/coverage.sh          check against scripts/coverage_floors.txt
@@ -19,7 +21,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PACKAGES="corropt/internal/backoff corropt/internal/ctlplane corropt/internal/detector corropt/internal/fleet corropt/internal/netchaos corropt/internal/scenario corropt/internal/snmplite"
+PACKAGES="corropt/internal/backoff corropt/internal/ctlplane corropt/internal/detector corropt/internal/faults corropt/internal/fleet corropt/internal/netchaos corropt/internal/scenario corropt/internal/snmplite corropt/internal/telemetry"
 FLOORS=scripts/coverage_floors.txt
 MARGIN=2.0 # update mode records measured - MARGIN
 mode="${1:-check}"
