@@ -104,16 +104,16 @@ fuzz:
 bench:
 	./scripts/bench.sh core
 
-## bench-experiments: per-experiment wall-clock at ScaleSmall, serial
-## (Workers=1) vs parallel (Workers=NumCPU); raw text goes to
-## BENCH_experiments.txt and a parsed summary to BENCH_experiments.json.
+## bench-experiments: per-experiment steady-state wall-clock and allocs/op at
+## ScaleSmall, Workers=1; raw text goes to BENCH_experiments.txt and a parsed
+## summary to BENCH_experiments.json.
 bench-experiments:
 	./scripts/bench.sh experiments
 
 ## bench-fleet: sustained corruption-event throughput over the 30-DCN /
-## 1M-link synthetic fleet, serial (Workers=1) vs parallel (Workers=NumCPU);
-## raw text goes to BENCH_fleet.txt and a parsed summary (including the
-## events/sec metric the floors ratchet) to BENCH_fleet.json.
+## 1M-link synthetic fleet at Workers=1; raw text goes to BENCH_fleet.txt and
+## a parsed summary (including the events/sec metric the floor ratchets) to
+## BENCH_fleet.json.
 bench-fleet:
 	./scripts/bench.sh fleet
 
@@ -133,11 +133,10 @@ bench-lint:
 	./scripts/bench.sh lint
 
 ## bench-check: enforce the committed performance floors in
-## scripts/bench_floors.txt — per-driver allocs/op ceilings (always),
-## serial-vs-parallel speedup floors, and the fleet supervisor's events/sec
-## throughput + scaling floors (each speedup family gated on its own
-## reference core count). CI runs this on every push and fails — not
-## informs — whenever the runner meets the relevant ref_gomaxprocs.
+## scripts/bench_floors.txt — per-driver allocs/op ceilings, the 0 allocs/op
+## hot-path floors, the fleet supervisor's events/sec sanity floor and the
+## escape baseline, all enforced on every machine. Relative throughput is not
+## gated here: `sh bench/run.sh -compare` (paired, bounded, multi-seed) is.
 bench-check:
 	./scripts/bench_check.sh
 

@@ -335,81 +335,62 @@ func BenchmarkEngineReport(b *testing.B) {
 // experiments bench suite and ratcheted by scripts/bench_check.sh.
 var shardedExperimentIDs = []string{"fig14", "fig1516", "fig17", "fig19", "sec2", "ext8", "fleet", "ticketq"}
 
-// BenchmarkExperimentsSuite measures the wall-clock of each multi-scenario
-// experiment driver at ScaleSmall, serial (Workers=1, no pool) versus
-// parallel (Workers=0, one worker per CPU). The reports are byte-identical
-// either way — pinned by TestParallelRunnerDeterminism — so the ratio of
-// the two sub-benchmarks is the pure scheduling win of internal/runner.
-// Each driver is run once untimed first, so the sub-benchmarks measure
-// steady-state replay cost over the memoized topology and trace — the cold
-// one-time construction cost is not what repeated runs pay.
-// scripts/bench.sh experiments parses this suite into BENCH_experiments.json.
+// BenchmarkExperimentsSuite measures each multi-scenario experiment driver at
+// ScaleSmall with Workers=1 (no pool). Each driver is run once untimed first,
+// so the serial sub-benchmark measures steady-state replay cost over the
+// memoized topology and trace — the cold one-time construction cost is not
+// what repeated runs pay — and its allocs/op is exact at -benchtime=1x: the
+// ceilings in scripts/bench_floors.txt hold it. Worker-count invariance of the
+// reports is TestParallelRunnerDeterminism's; there is no parallel
+// sub-benchmark, because a single-iteration wall-clock ratio flakes on
+// unchanged code. scripts/bench.sh experiments parses this suite into
+// BENCH_experiments.json.
 func BenchmarkExperimentsSuite(b *testing.B) {
-	modes := []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // 0 = one worker per CPU
-	}
 	for _, id := range shardedExperimentIDs {
 		b.Run(id, func(b *testing.B) {
 			if _, err := experiments.Run(id, experiments.Config{Scale: experiments.ScaleSmall, Seed: 1}); err != nil {
 				b.Fatal(err)
 			}
-			for _, m := range modes {
-				b.Run(m.name, func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						rep, err := experiments.Run(id, experiments.Config{
-							Scale: experiments.ScaleSmall, Seed: 1, Workers: m.workers,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if len(rep.Rows) == 0 {
-							b.Fatalf("%s produced no rows", id)
-						}
+			b.Run("serial", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rep, err := experiments.Run(id, experiments.Config{
+						Scale: experiments.ScaleSmall, Seed: 1, Workers: 1,
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					if len(rep.Rows) == 0 {
+						b.Fatalf("%s produced no rows", id)
+					}
+				}
+			})
 		})
 	}
 }
 
 // BenchmarkExperimentsBatch measures the whole sharded suite as one RunMany
-// batch: every driver's scenarios flattened into one global work list for
-// the pool to load-balance across, versus the serial baseline. This is the
-// number the -exp all / comma-list CLI path pays, and the one that benefits
-// from cross-driver load balancing (a straggler-heavy driver no longer
-// serializes the tail of the suite).
+// batch at Workers=1: every driver's scenarios flattened into one global work
+// list. This is the path the -exp all / comma-list CLI takes.
 func BenchmarkExperimentsBatch(b *testing.B) {
 	warm := experiments.Config{Scale: experiments.ScaleSmall, Seed: 1}
 	if _, err := experiments.RunMany(shardedExperimentIDs, warm); err != nil {
 		b.Fatal(err)
 	}
-	for _, m := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reps, err := experiments.RunMany(shardedExperimentIDs, experiments.Config{
-					Scale: experiments.ScaleSmall, Seed: 1, Workers: m.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j, rep := range reps {
-					if len(rep.Rows) == 0 {
-						b.Fatalf("%s produced no rows", shardedExperimentIDs[j])
-					}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reps, err := experiments.RunMany(shardedExperimentIDs, experiments.Config{
+				Scale: experiments.ScaleSmall, Seed: 1, Workers: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for j, rep := range reps {
+				if len(rep.Rows) == 0 {
+					b.Fatalf("%s produced no rows", shardedExperimentIDs[j])
 				}
 			}
-		})
-	}
+		}
+	})
 }

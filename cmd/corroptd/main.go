@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"corropt"
+	"corropt/internal/core"
 	"corropt/internal/topology"
 )
 
@@ -72,7 +73,12 @@ func main() {
 			logger.Fatal(err)
 		}
 	}
-	engine := corropt.NewEngine(net, corropt.EngineConfig{DetectionThreshold: *threshold})
+	// The threshold is outside input: the error-returning constructor, not
+	// corropt.NewEngine, which panics on what this one rejects.
+	engine, err := core.NewPolicyEngine(net, core.PolicyCorrOpt, core.EngineConfig{DetectionThreshold: *threshold})
+	if err != nil {
+		logger.Fatal(err)
+	}
 	ctl, err := corropt.NewController(*addr, engine)
 	if err != nil {
 		logger.Fatal(err)

@@ -29,7 +29,9 @@ type GuardedStruct struct {
 // MutexHeldConfig guards core.Network. Every field is listed: Network's
 // documented contract is that all state changes go through NewNetwork /
 // SetToRConstraint / SetCorruption / RegisterPenalty / Disable / Enable /
-// LoadState(resetState) and their private helpers.
+// LoadState(resetState) and their private helpers — plus the one write an
+// Engine makes at construction, re-keying the reportable index to its
+// detection threshold (setDetectionThreshold).
 var MutexHeldConfig = []GuardedStruct{
 	{
 		Pkg:  "corropt/internal/core",
@@ -38,13 +40,14 @@ var MutexHeldConfig = []GuardedStruct{
 			"topo", "pc", "disabled", "numDisabled", "rate", "constraint",
 			"meetsNow", "numViolated",
 			"penalty", "contrib", "penaltySum", "corrupting", "penaltyOps",
+			"reportable", "threshold",
 		},
 		Writers: []string{
 			"NewNetwork", "SetToRConstraint", "Disable", "Enable",
 			"SetCorruption", "RegisterPenalty", "PenaltySum",
 			"setContrib", "penaltyOnToggle", "rebuildPenaltySum",
 			"refreshToR", "refreshToRs", "recomputeViolated", "resetState",
-			"Reset",
+			"Reset", "setDetectionThreshold",
 		},
 	},
 }

@@ -13,9 +13,9 @@ import (
 	"corropt/internal/topology"
 )
 
-// The tests in this file pin Network's corrupting index to dense reference
-// scans over every link — the loops the index replaced, kept here as the
-// reference implementation.
+// The tests in this file pin Network's corrupting and reportable indexes to
+// dense reference scans over every link — the loops the indexes replaced,
+// kept here as the reference implementation.
 
 // denseActive is the reference for AppendActiveCorrupting: every link, in
 // ascending order, that has a recorded rate at or above threshold and is
@@ -79,17 +79,23 @@ func saveState(t *testing.T, n *Network) []byte {
 	return buf.Bytes()
 }
 
-// checkCorruptingIndex holds the invariant corrupting == {l : rate[l] > 0}
-// and every reader that walks the index against its dense reference.
+// checkCorruptingIndex holds the invariants corrupting == {l : rate[l] > 0}
+// and reportable == {l : rate[l] > 0 ∧ rate[l] >= the key}, and every reader
+// that walks an index against its dense reference — at the key, where the
+// reportable index answers, and on both sides of it, where the filtered walk
+// over corrupting does.
 func checkCorruptingIndex(t *testing.T, n *Network, p PenaltyFunc, where string) {
 	t.Helper()
 	for l, r := range n.rate {
 		if got, want := n.corrupting.Has(topology.LinkID(l)), r > 0; got != want {
 			t.Fatalf("%s: link %d has rate %v but corrupting.Has = %v", where, l, r, got)
 		}
+		if got, want := n.reportable.Has(topology.LinkID(l)), r > 0 && r >= n.threshold; got != want {
+			t.Fatalf("%s: link %d has rate %v, key %v, but reportable.Has = %v", where, l, r, n.threshold, got)
+		}
 	}
 	buf := make([]topology.LinkID, 0, 8)
-	for _, th := range []float64{math.Inf(-1), -1, 0, 1e-7, 1e-4, 1} {
+	for _, th := range []float64{math.Inf(-1), -1, 0, n.threshold, 1e-7, 1e-4, 1e-3, 1} {
 		want := denseActive(n, th)
 		if got := n.AppendActiveCorrupting(buf[:0], th); !slices.Equal(got, want) {
 			t.Fatalf("%s: AppendActiveCorrupting(%v) = %v, want %v", where, th, got, want)
@@ -114,12 +120,15 @@ func checkCorruptingIndex(t *testing.T, n *Network, p PenaltyFunc, where string)
 }
 
 // TestCorruptingIndexDifferential drives seeded random sequences of every
-// operation that writes a rate, toggles a link or replaces the state
-// wholesale, and after every step holds the index and each of its readers to
-// the dense scans above.
+// operation that writes a rate, toggles a link, replaces the state wholesale
+// or re-keys the reportable index — engines built at several thresholds,
+// before and after a LoadState, each kept and used after a later one has
+// re-keyed the network under it — and after every step holds both indexes and
+// each of their readers to the dense scans above.
 func TestCorruptingIndexDifferential(t *testing.T) {
 	topo := penaltyTestTopo(t)
 	penalties := []PenaltyFunc{LinearPenalty, TCPThroughputPenalty, StepPenalty(1e-5), nil}
+	keys := []float64{0, 1e-7, 1e-5, 1e-3} // 0: DefaultDetectionThreshold
 	for seed := uint64(1); seed <= 4; seed++ {
 		rng := rngutil.New(seed).Split("corrupting-index")
 		net, err := NewNetwork(topo, 0.25)
@@ -129,12 +138,32 @@ func TestCorruptingIndexDifferential(t *testing.T) {
 		p := penalties[seed%3]
 		snap := saveState(t, net)
 		last := topology.LinkID(0)
+		engines := []*Engine{NewEngine(net, EngineConfig{})}
 		for step := 0; step < 1500; step++ {
 			l := topology.LinkID(rng.Intn(topo.NumLinks()))
-			op := rng.Intn(40)
+			op := rng.Intn(46)
 			switch {
+			case op >= 43:
+				e := NewEngine(net, EngineConfig{DetectionThreshold: keys[rng.Intn(len(keys))]})
+				if net.threshold != e.Threshold() {
+					t.Fatalf("seed %d step %d: engine at %v left the network keyed to %v", seed, step, e.Threshold(), net.threshold)
+				}
+				engines = append(engines, e)
+			case op >= 40:
+				// Whichever engine reports, its own threshold decides; the
+				// network may be keyed to another by now.
+				e := engines[rng.Intn(len(engines))]
+				rate := math.Pow(10, rng.Range(-9, -2))
+				if d := e.ReportCorruption(l, rate); (d.Outcome == OutcomeBelowThreshold) != (rate < e.Threshold()) {
+					t.Fatalf("seed %d step %d: report at %v against threshold %v came back %+v", seed, step, rate, e.Threshold(), d)
+				}
+				last = l
 			case op < 10:
-				net.SetCorruption(l, math.Pow(10, rng.Range(-9, -2))) // both sides of 1e-7
+				rate := math.Pow(10, rng.Range(-9, -2)) // both sides of every key
+				if rng.Intn(4) == 0 {
+					rate = []float64{1e-7, 1e-6, 1e-5, 1e-3}[rng.Intn(4)] // exactly at one
+				}
+				net.SetCorruption(l, rate)
 				last = l
 			case op < 14:
 				net.SetCorruption(l, 0)
@@ -161,8 +190,9 @@ func TestCorruptingIndexDifferential(t *testing.T) {
 				if err := net.Reset(0.25); err != nil {
 					t.Fatal(err)
 				}
-				if net.corrupting.Len() != 0 {
-					t.Fatalf("seed %d step %d: Reset left %d links in the index", seed, step, net.corrupting.Len())
+				if net.corrupting.Len() != 0 || net.reportable.Len() != 0 || net.threshold != DefaultDetectionThreshold {
+					t.Fatalf("seed %d step %d: Reset left %d corrupting and %d reportable links, key %v", seed, step,
+						net.corrupting.Len(), net.reportable.Len(), net.threshold)
 				}
 			}
 			checkCorruptingIndex(t, net, p, fmt.Sprintf("seed %d step %d", seed, step))
@@ -280,21 +310,41 @@ func TestActiveCorruptingNeedsARate(t *testing.T) {
 
 // BenchmarkActiveCorrupting measures the two readers of the active
 // corrupting set — AppendActiveCorrupting into a retained buffer and
-// NumActiveCorrupting — on the paper's medium DCN with ~100 corrupting and
-// ~30 disabled links, and is the 0 allocs/op floor of both //lint:hotpath
-// roots.
+// NumActiveCorrupting — on the paper's medium DCN, and is the 0 allocs/op
+// floor of both //lint:hotpath roots on both walks: general reads at a
+// threshold the network is not keyed to (~100 corrupting and ~30 disabled
+// links, filtered by rate), keyed reads at the detection threshold with the
+// shape of a running simulation (~1,400 recorded rates between the lossy
+// floor and 1e-6, 15 links above it).
 func BenchmarkActiveCorrupting(b *testing.B) {
-	net := mediumNetwork(b)
-	topo := net.Topology()
-	rng := rngutil.New(5).Split("bench")
-	for i := 0; i < 100; i++ {
-		l := topology.LinkID(rng.Intn(topo.NumLinks()))
-		net.SetCorruption(l, math.Pow(10, rng.Range(-8, -2)))
-		if i%3 == 0 {
-			net.Disable(l)
+	b.Run("general", func(b *testing.B) {
+		net := mediumNetwork(b)
+		rng := rngutil.New(5).Split("bench")
+		for i := 0; i < 100; i++ {
+			l := topology.LinkID(rng.Intn(net.Topology().NumLinks()))
+			net.SetCorruption(l, math.Pow(10, rng.Range(-8, -2)))
+			if i%3 == 0 {
+				net.Disable(l)
+			}
 		}
-	}
-	const threshold = 1e-7
+		benchActiveCorrupting(b, net, 1e-7)
+	})
+	b.Run("keyed", func(b *testing.B) {
+		net := mediumNetwork(b)
+		rng := rngutil.New(5).Split("bench")
+		for i := 0; i < 1415; i++ {
+			l := topology.LinkID(rng.Intn(net.Topology().NumLinks()))
+			if i < 1400 {
+				net.SetCorruption(l, math.Pow(10, rng.Range(-8, -6.001)))
+			} else {
+				net.SetCorruption(l, math.Pow(10, rng.Range(-6, -2)))
+			}
+		}
+		benchActiveCorrupting(b, net, DefaultDetectionThreshold)
+	})
+}
+
+func benchActiveCorrupting(b *testing.B, net *Network, threshold float64) {
 	buf := net.AppendActiveCorrupting(nil, threshold) // warm the retained buffer
 	if len(buf) == 0 || len(buf) != net.NumActiveCorrupting(threshold) {
 		b.Fatalf("%d active corrupting links collected, %d counted", len(buf), net.NumActiveCorrupting(threshold))
@@ -306,7 +356,7 @@ func BenchmarkActiveCorrupting(b *testing.B) {
 		buf = net.AppendActiveCorrupting(buf[:0], threshold)
 		sink += len(buf) + net.NumActiveCorrupting(threshold)
 	}
-	b.ReportMetric(float64(topo.NumLinks()), "links")
+	b.ReportMetric(float64(net.corrupting.Len()), "corrupting")
 	b.ReportMetric(float64(len(buf)), "active")
 	_ = sink
 }

@@ -122,8 +122,8 @@ type Engine struct {
 
 // EngineConfig parameterizes an Engine.
 type EngineConfig struct {
-	// DetectionThreshold is the corruption rate that triggers mitigation;
-	// default DefaultDetectionThreshold.
+	// DetectionThreshold is the corruption rate that triggers mitigation, in
+	// (0, 1]; zero means DefaultDetectionThreshold.
 	DetectionThreshold float64
 	// Penalty is the impact function; default LinearPenalty.
 	Penalty PenaltyFunc
@@ -131,18 +131,29 @@ type EngineConfig struct {
 	Optimizer OptimizerConfig
 }
 
-// NewEngine returns the full CorrOpt Engine (PolicyCorrOpt) over net.
+// NewEngine returns the full CorrOpt Engine (PolicyCorrOpt) over net. It
+// panics on a configuration NewPolicyEngine rejects; callers whose
+// configuration comes from outside the program use NewPolicyEngine.
 func NewEngine(net *Network, cfg EngineConfig) *Engine {
-	e, _ := NewPolicyEngine(net, PolicyCorrOpt, cfg) // only the other policies can fail
+	e, err := NewPolicyEngine(net, PolicyCorrOpt, cfg)
+	if err != nil {
+		panic(err)
+	}
 	return e
 }
 
-// NewPolicyEngine returns an Engine over net running the given policy. The
+// NewPolicyEngine returns an Engine over net running the given policy, and
+// keys net's reportable index to the engine's detection threshold. The
 // switch-local baseline guarantees the strictest ToR constraint net carries
 // at construction.
 func NewPolicyEngine(net *Network, policy PolicyKind, cfg EngineConfig) (*Engine, error) {
 	if cfg.DetectionThreshold == 0 {
 		cfg.DetectionThreshold = DefaultDetectionThreshold
+	}
+	// Written so that NaN fails too: against a threshold no rate compares
+	// below, even a clean link's zero-rate report would reach the check.
+	if !(cfg.DetectionThreshold > 0 && cfg.DetectionThreshold <= 1) {
+		return nil, fmt.Errorf("core: detection threshold %v out of (0,1]", cfg.DetectionThreshold)
 	}
 	if cfg.Penalty == nil {
 		cfg.Penalty = LinearPenalty
@@ -170,6 +181,7 @@ func NewPolicyEngine(net *Network, policy PolicyKind, cfg EngineConfig) (*Engine
 	default:
 		return nil, fmt.Errorf("core: unknown policy %v", policy)
 	}
+	net.setDetectionThreshold(e.threshold)
 	return e, nil
 }
 

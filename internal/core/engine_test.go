@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -75,6 +76,57 @@ func TestEngineDefaultThreshold(t *testing.T) {
 	}
 	if e.Network() != net {
 		t.Fatal("Network accessor broken")
+	}
+}
+
+// TestEngineRejectsInvalidThreshold is the regression test for thresholds no
+// rate compares below: with -1 or NaN, ReportCorruption(l, 0) — the report an
+// agent sends when a link reads clean — fell through to the check and
+// disabled a healthy link. Every policy's constructor refuses them, NewEngine
+// panics rather than hand back a nil engine, and under every accepted
+// threshold a zero-rate report changes nothing.
+func TestEngineRejectsInvalidThreshold(t *testing.T) {
+	topo := smallClos(t)
+	for _, tc := range []struct {
+		threshold, want float64 // want 0: rejected
+	}{
+		{-1, 0}, {math.NaN(), 0}, {math.Inf(1), 0}, {1.5, 0},
+		{0, DefaultDetectionThreshold}, {1e-6, 1e-6}, {1, 1},
+	} {
+		cfg := EngineConfig{DetectionThreshold: tc.threshold}
+		for _, policy := range []PolicyKind{PolicyNone, PolicySwitchLocal, PolicyFastOnly, PolicyCorrOpt} {
+			net, _ := NewNetwork(topo, 0.5)
+			e, err := NewPolicyEngine(net, policy, cfg)
+			if tc.want == 0 {
+				if err == nil {
+					t.Errorf("threshold %v, %v: accepted", tc.threshold, policy)
+				}
+				if e != nil {
+					t.Errorf("threshold %v, %v: an engine came back with the error", tc.threshold, policy)
+				}
+			} else if err != nil || e.Threshold() != tc.want {
+				t.Fatalf("threshold %v, %v: engine threshold %v, err %v; want %v", tc.threshold, policy, e.Threshold(), err, tc.want)
+			}
+			if e == nil {
+				continue
+			}
+			l := topo.Switch(topo.ToRs()[0]).Uplinks[0]
+			if d := e.ReportCorruption(l, 0); d.Outcome != OutcomeBelowThreshold || d.Disabled || net.NumDisabled() != 0 {
+				t.Errorf("threshold %v, %v: zero-rate report came back %+v with %d links disabled",
+					tc.threshold, policy, d, net.NumDisabled())
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != (tc.want == 0) {
+					t.Errorf("threshold %v: NewEngine recovered %v", tc.threshold, r)
+				}
+			}()
+			net, _ := NewNetwork(topo, 0.5)
+			if NewEngine(net, cfg) == nil {
+				t.Errorf("threshold %v: NewEngine returned nil", tc.threshold)
+			}
+		}()
 	}
 }
 

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"corropt/internal/topology"
 )
@@ -25,7 +26,8 @@ import (
 // full recounts, and the per-ToR constraint status (meets/violates) is
 // maintained alongside. Capacity metrics over the *current* state —
 // ViolatedToRs(nil), Feasible(nil), WorstToRFraction, MeanToRFraction —
-// are therefore O(|ToRs|) reads, not O(|V|+|E|) sweeps.
+// are therefore O(|ToRs|) reads, not O(|V|+|E|) sweeps, and a probe from a
+// state where every ToR meets (violatedUnder) tests only the ToRs it touched.
 //
 // Network is not safe for concurrent use.
 type Network struct {
@@ -49,6 +51,15 @@ type Network struct {
 	// its callers, SaveState, LoadState, the exact penalty rebuild) walks
 	// this set word by word instead of scanning rate.
 	corrupting *topology.LinkSet
+	// reportable indexes the corrupting links at or above the detection
+	// threshold the network is keyed to: the invariant reportable ==
+	// {l : rate[l] > 0 ∧ rate[l] >= threshold} is kept by SetCorruption and
+	// Reset, and by setDetectionThreshold when an Engine re-keys the network.
+	// Most recorded rates sit between the 1e-8 lossy floor and the 1e-6
+	// operators act on (§2), so Network.active at the keyed threshold walks
+	// this set with no rate test instead of filtering corrupting.
+	reportable *topology.LinkSet
+	threshold  float64
 	// constraint is the per-ToR minimum fraction of valley-free spine
 	// paths that must remain available, indexed by SwitchID (non-ToR
 	// entries unused).
@@ -99,6 +110,8 @@ func NewNetwork(topo *topology.Topology, c float64) (*Network, error) {
 		disabled:   pc.IncDisabled(),
 		rate:       make([]float64, topo.NumLinks()),
 		corrupting: topology.NewLinkSet(topo.NumLinks()),
+		reportable: topology.NewLinkSet(topo.NumLinks()),
+		threshold:  DefaultDetectionThreshold,
 		constraint: make([]float64, topo.NumSwitches()),
 		meetsNow:   make([]bool, topo.NumSwitches()),
 	}
@@ -125,6 +138,8 @@ func (n *Network) Reset(c float64) error {
 	n.numDisabled = 0
 	clear(n.rate)
 	n.corrupting.Clear()
+	n.reportable.Clear()
+	n.threshold = DefaultDetectionThreshold
 	clear(n.constraint)
 	for _, tor := range n.topo.ToRs() {
 		n.constraint[tor] = c
@@ -215,7 +230,30 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 	} else {
 		n.corrupting.Remove(l)
 	}
+	if rate > 0 && rate >= n.threshold {
+		n.reportable.Add(l)
+	} else {
+		n.reportable.Remove(l)
+	}
 	n.penaltyOnToggle(l, n.disabled.Has(l))
+}
+
+// setDetectionThreshold keys the reportable index to threshold, rebuilding it
+// from the corrupting index when the key changes. An Engine calls it at
+// construction: rates may already be recorded by then (a state loaded before
+// the engine exists, a pooled network re-used at another threshold).
+func (n *Network) setDetectionThreshold(threshold float64) {
+	if threshold == n.threshold {
+		return
+	}
+	n.threshold = threshold
+	n.reportable.Clear()
+	it := n.corrupting.Iter(nil)
+	for l := it.Next(); l != topology.NoLink; l = it.Next() {
+		if n.rate[l] >= threshold {
+			n.reportable.Add(l)
+		}
+	}
 }
 
 // RegisterPenalty installs p as the network's impact function and switches
@@ -323,7 +361,8 @@ func (n *Network) rebuildPenaltySum() {
 func (n *Network) CorruptionRate(l topology.LinkID) float64 { return n.rate[l] }
 
 // activeIter walks the active corrupting links at one threshold in ascending
-// link order; see Network.active.
+// link order; see Network.active. A nil rate means links already holds only
+// links at or above the threshold.
 type activeIter struct {
 	links     topology.LinkIter
 	rate      []float64
@@ -340,8 +379,13 @@ type activeIter struct {
 //
 // which walks corrupting &^ disabled in ascending link order — the order,
 // and so the float-addition order, of a scan over every link — at a cost of
-// O(#links/64 + #corrupting), not O(#links).
+// O(#links/64 + #corrupting), not O(#links). At the threshold the network is
+// keyed to it walks reportable &^ disabled instead: the same links in the
+// same order, without visiting the sub-threshold ones.
 func (n *Network) active(threshold float64) activeIter {
+	if threshold == n.threshold {
+		return activeIter{links: n.reportable.Iter(n.disabled)}
+	}
 	return activeIter{links: n.corrupting.Iter(n.disabled), rate: n.rate, threshold: threshold}
 }
 
@@ -349,7 +393,7 @@ func (n *Network) active(threshold float64) activeIter {
 func (it *activeIter) next() topology.LinkID {
 	for {
 		l := it.links.Next()
-		if l == topology.NoLink || it.rate[l] >= it.threshold {
+		if l == topology.NoLink || it.rate == nil || it.rate[l] >= it.threshold {
 			return l
 		}
 	}
@@ -499,32 +543,54 @@ func (n *Network) ViolatedToRs(extra map[topology.LinkID]bool) []topology.Switch
 	return out
 }
 
-// violatedUnder returns the ToRs violated when, in addition to the current
-// disabled set, every link in extra is disabled — evaluated by incremental
-// Apply probes (one downstream-cone delta per link) instead of a full
-// topology sweep, and fully reverted before returning. A nil tors scans every
-// ToR; a non-nil tors restricts the scan to those switches, which is exact
-// when every link in extra has all its downstream ToRs in tors (the segment
-// boundary invariant). applied and out are optional scratch buffers
-// (overwritten from length zero); the result slices alias them, so each
-// caller must own its buffers and must not retain the result past its next
-// call.
+// violatedUnder returns, in ascending order, the ToRs violated when, in
+// addition to the current disabled set, every link in extra is disabled —
+// evaluated by incremental Apply probes (one downstream-cone delta per link)
+// instead of a full topology sweep, and fully reverted before returning.
+//
+// While every ToR meets its constraint (numViolated == 0) only the ToRs whose
+// counts an Apply changed are tested, as each Apply reports them: counts only
+// fall under Apply, so a ToR that met and never changed still meets, one
+// found violated stays violated, and one violated at the end was last tested
+// at its final count. Otherwise — links forced down unchecked, a constraint
+// raised, a loaded state — every ToR is tested after the last Apply: a nil
+// tors scans them all, a non-nil tors restricts the scan to those switches,
+// which is exact when every link in extra has all its downstream ToRs in tors
+// (the segment boundary invariant, under which the changed ToRs lie in tors
+// too). applied and out are optional scratch buffers (overwritten from length
+// zero); the result slices alias them, so each caller must own its buffers
+// and must not retain the result past its next call.
 func (n *Network) violatedUnder(tors []topology.SwitchID, extra, applied []topology.LinkID, out []topology.SwitchID) ([]topology.SwitchID, []topology.LinkID) {
-	applied = applied[:0]
+	applied, out = applied[:0], out[:0]
+	counts, total := n.pc.IncCounts(), n.pc.Total() // live: Apply updates counts in place
+	changedOnly := n.numViolated == 0
 	for _, l := range extra {
-		if !n.disabled.Has(l) {
-			n.pc.Apply(l)
-			applied = append(applied, l)
+		if n.disabled.Has(l) {
+			continue
+		}
+		changed := n.pc.Apply(l)
+		applied = append(applied, l)
+		if changedOnly {
+			for _, tor := range changed {
+				if !n.meets(tor, counts, total) {
+					out = append(out, tor)
+				}
+			}
 		}
 	}
-	counts, total := n.pc.IncCounts(), n.pc.Total()
-	out = out[:0]
-	if tors == nil {
-		tors = n.topo.ToRs()
-	}
-	for _, tor := range tors {
-		if !n.meets(tor, counts, total) {
-			out = append(out, tor)
+	if changedOnly {
+		// One entry per Apply that left the ToR violated, in probe order:
+		// restore the full scan's.
+		slices.Sort(out)
+		out = slices.Compact(out)
+	} else {
+		if tors == nil {
+			tors = n.topo.ToRs()
+		}
+		for _, tor := range tors {
+			if !n.meets(tor, counts, total) {
+				out = append(out, tor)
+			}
 		}
 	}
 	for _, l := range applied {

@@ -147,7 +147,7 @@ func TestPenaltySumRequiresRegistration(t *testing.T) {
 
 // mediumNetwork builds a healthy Network at c = 0.75 over the paper's
 // O(15K)-link medium DCN (15,120 links).
-func mediumNetwork(b *testing.B) *Network {
+func mediumNetwork(b testing.TB) *Network {
 	b.Helper()
 	topo, err := topology.NewClos(topology.ClosConfig{
 		Pods: 45, ToRsPerPod: 40, AggsPerPod: 6,

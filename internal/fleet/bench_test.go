@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -78,47 +77,39 @@ func BenchmarkFleetRoute(b *testing.B) {
 }
 
 // BenchmarkFleetThroughput measures sustained corruption-event throughput
-// over the 1M-link fleet, serial (Workers=1) vs parallel (Workers=NumCPU),
-// both at the default one-shard-per-segment packing. The events/sec metric
-// feeds the bench_floors.txt ratchet via scripts/bench_check.sh.
+// over the 1M-link fleet at Workers=1 and the default one-shard-per-segment
+// packing. The events/sec metric feeds the bench_floors.txt ratchet via
+// scripts/bench_check.sh.
 func BenchmarkFleetThroughput(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", runtime.NumCPU()},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			dcns, evs := benchFleetOnce()
-			sup, err := New(dcns, Config{Workers: bc.workers})
-			if err != nil {
-				b.Fatalf("New: %v", err)
-			}
-			links := 0
-			for _, d := range dcns {
-				links += d.Topo.NumLinks()
-			}
-			if links < 1_000_000 {
-				b.Fatalf("fleet has %d links, want >= 1M", links)
-			}
-			const batch = 20_000
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(evs); lo += batch {
-					hi := min(lo+batch, len(evs))
-					if err := sup.Ingest(evs[lo:hi]); err != nil {
-						b.Fatalf("Ingest: %v", err)
-					}
-					if err := sup.Flush(); err != nil {
-						b.Fatalf("Flush: %v", err)
-					}
+	b.Run("serial", func(b *testing.B) {
+		dcns, evs := benchFleetOnce()
+		sup, err := New(dcns, Config{Workers: 1})
+		if err != nil {
+			b.Fatalf("New: %v", err)
+		}
+		links := 0
+		for _, d := range dcns {
+			links += d.Topo.NumLinks()
+		}
+		if links < 1_000_000 {
+			b.Fatalf("fleet has %d links, want >= 1M", links)
+		}
+		const batch = 20_000
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < len(evs); lo += batch {
+				hi := min(lo+batch, len(evs))
+				if err := sup.Ingest(evs[lo:hi]); err != nil {
+					b.Fatalf("Ingest: %v", err)
+				}
+				if err := sup.Flush(); err != nil {
+					b.Fatalf("Flush: %v", err)
 				}
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(links), "links")
-			b.ReportMetric(float64(len(dcns)), "dcns")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N*len(evs))/b.Elapsed().Seconds(), "events/sec")
+		b.ReportMetric(float64(links), "links")
+		b.ReportMetric(float64(len(dcns)), "dcns")
+	})
 }

@@ -231,6 +231,11 @@ func TestFleetRouteErrors(t *testing.T) {
 	if _, err := New([]DCN{{Name: "x"}}, Config{}); err == nil {
 		t.Errorf("New with nil topology accepted, want error")
 	}
+	for _, th := range []float64{-1, math.NaN(), 1.5} {
+		if _, err := New(dcns, Config{Threshold: th}); err == nil {
+			t.Errorf("New with detection threshold %v accepted, want error", th)
+		}
+	}
 }
 
 // TestFleetShardPacking checks the packing layer directly: shards never

@@ -90,15 +90,19 @@ func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error)
 	if err != nil {
 		return nil, err
 	}
+	eng, err := core.NewPolicyEngine(net, core.PolicyCorrOpt, core.EngineConfig{
+		DetectionThreshold: cfg.Threshold,
+		Penalty:            cfg.Penalty,
+		Optimizer:          cfg.Optimizer,
+	})
+	if err != nil {
+		return nil, err
+	}
 	sh := &shard{
-		dcn: dcn,
-		sub: bs.sub,
-		net: net,
-		eng: core.NewEngine(net, core.EngineConfig{
-			DetectionThreshold: cfg.Threshold,
-			Penalty:            cfg.Penalty,
-			Optimizer:          cfg.Optimizer,
-		}),
+		dcn:   dcn,
+		sub:   bs.sub,
+		net:   net,
+		eng:   eng,
 		segOf: make([]int32, bs.sub.Topo.NumLinks()),
 		segs:  make([]segState, len(bs.segs)),
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -199,6 +200,51 @@ func TestCollateralOverlappingRepairs(t *testing.T) {
 	last := res.Samples[len(res.Samples)-1]
 	if last.Disabled != 0 {
 		t.Fatalf("links still down at the end: %d", last.Disabled)
+	}
+}
+
+// TestRepairCollateralFromViolatedStates: at c = 0.9 every collateral disable
+// leaves a four-uplink ToR below its constraint, unchecked, so activations
+// re-optimize from states where some ToR is already violated — the
+// optimizer's first probe then scans every ToR instead of the ones it
+// changed. The run must visit such states, match between pooled and fresh
+// construction, and never add a violation of its own: with the siblings still
+// held at the horizon released, every ToR meets its constraint again.
+func TestRepairCollateralFromViolatedStates(t *testing.T) {
+	topo := simTopo(t)
+	horizon := 21 * 24 * time.Hour
+	trace := genTrace(t, topo, 0.004, horizon, 11)
+	cfg := Config{Policy: PolicyCorrOpt, Seed: 6, Capacity: 0.9, RepairCollateral: true}
+	run := func(sc *Scratch) (*Sim, *Result) {
+		s, err := NewWithScratch(topo, simTech(), cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(trace, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, res
+	}
+	s, want := run(nil)
+	if _, got := run(NewScratch()); !reflect.DeepEqual(got, want) {
+		t.Fatal("scratch result differs from fresh reference")
+	}
+	violated := 0
+	for _, smp := range want.Samples {
+		if smp.WorstToRFraction < cfg.Capacity {
+			violated++
+		}
+	}
+	if violated == 0 || want.LinksDisabled == 0 {
+		t.Fatalf("%d samples below the constraint, %d links disabled: the run never re-optimized from a violated state",
+			violated, want.LinksDisabled)
+	}
+	for sib := range s.collateral {
+		s.Network().Enable(sib)
+	}
+	if !s.Network().Feasible(nil) {
+		t.Fatalf("with every held sibling released, ToRs %v are still violated", s.Network().ViolatedToRs(nil))
 	}
 }
 

@@ -72,16 +72,57 @@ func TestScratchMatchesFresh(t *testing.T) {
 				t.Fatalf("pass %d config %d (%v): scratch result differs from fresh reference",
 					pass, i, cfg.Policy)
 			}
-			checkActiveCorrupting(t, pooled.Network())
+			checkActiveCorrupting(t, pooled.Network(), 0)
 		}
 	}
 }
 
-// checkActiveCorrupting holds the pooled Network's corrupting index — reset,
-// then rewritten by a whole run — to a scan over every link, first as the
-// run left it and again with every link enabled, so that the disabled
-// corrupting links are read through the index too.
-func checkActiveCorrupting(t *testing.T, net *core.Network) {
+// TestScratchRekeysThreshold runs one pooled Scratch at detection threshold
+// 1e-6, then 1e-4, then 1e-6 again: each run's engine re-keys the pooled
+// Network's reportable index, and each run must match fresh construction.
+func TestScratchRekeysThreshold(t *testing.T) {
+	topo := simTopo(t)
+	horizon := 21 * 24 * time.Hour
+	trace := genTrace(t, topo, 0.004, horizon, 11)
+	sc := NewScratch()
+	var prev *Result
+	for _, threshold := range []float64{1e-6, 1e-4, 1e-6} {
+		cfg := Config{Policy: PolicyCorrOpt, Seed: 10, DetectionThreshold: threshold}
+		fresh, err := New(topo, simTech(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run(trace, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := NewWithScratch(topo, simTech(), cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pooled.Run(trace, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("threshold %v: scratch result differs from fresh reference", threshold)
+		}
+		if prev != nil && reflect.DeepEqual(prev, want) {
+			t.Fatalf("threshold %v: same result as the previous threshold; the trace cannot tell them apart", threshold)
+		}
+		prev = want
+		for _, th := range []float64{threshold, 1e-6, 1e-4, 1e-7} {
+			checkActiveCorrupting(t, pooled.Network(), th)
+		}
+	}
+}
+
+// checkActiveCorrupting holds the pooled Network's corrupting and reportable
+// indexes — reset, then rewritten by a whole run — to a scan over every link
+// at the given threshold, first as the run left it and again with every link
+// enabled, so that the disabled corrupting links are read through the
+// indexes too.
+func checkActiveCorrupting(t *testing.T, net *core.Network, threshold float64) {
 	t.Helper()
 	for _, enableAll := range []bool{false, true} {
 		var want []topology.LinkID
@@ -89,15 +130,15 @@ func checkActiveCorrupting(t *testing.T, net *core.Network) {
 			if enableAll {
 				net.Enable(l)
 			}
-			if net.CorruptionRate(l) > 0 && !net.Disabled(l) {
+			if r := net.CorruptionRate(l); r > 0 && r >= threshold && !net.Disabled(l) {
 				want = append(want, l)
 			}
 		}
-		if got := net.ActiveCorrupting(0); !slices.Equal(got, want) {
-			t.Fatalf("ActiveCorrupting(0) = %v, a scan of every link finds %v (all enabled: %v)", got, want, enableAll)
+		if got := net.ActiveCorrupting(threshold); !slices.Equal(got, want) {
+			t.Fatalf("ActiveCorrupting(%v) = %v, a scan of every link finds %v (all enabled: %v)", threshold, got, want, enableAll)
 		}
-		if got := net.NumActiveCorrupting(0); got != len(want) {
-			t.Fatalf("NumActiveCorrupting(0) = %d, a scan of every link finds %d", got, len(want))
+		if got := net.NumActiveCorrupting(threshold); got != len(want) {
+			t.Fatalf("NumActiveCorrupting(%v) = %d, a scan of every link finds %d", threshold, got, len(want))
 		}
 	}
 }

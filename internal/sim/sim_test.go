@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -285,6 +286,19 @@ func TestTraceMustBeSorted(t *testing.T) {
 	// absolute time), so this must NOT fail...
 	if _, err := s.Run(bad, 20*time.Hour); err != nil {
 		t.Fatalf("unsorted trace rejected: %v", err)
+	}
+}
+
+// TestNewRejectsInvalidThreshold: the engine's threshold check reaches the
+// caller through both construction paths.
+func TestNewRejectsInvalidThreshold(t *testing.T) {
+	topo := simTopo(t)
+	for _, th := range []float64{-1, math.NaN(), 1.5} {
+		for _, sc := range []*Scratch{nil, NewScratch()} {
+			if _, err := NewWithScratch(topo, simTech(), Config{Policy: PolicyCorrOpt, DetectionThreshold: th}, sc); err == nil {
+				t.Errorf("detection threshold %v accepted (scratch: %v), want error", th, sc != nil)
+			}
+		}
 	}
 }
 

@@ -157,21 +157,23 @@ func (s *LinkSet) Iter(except *LinkSet) LinkIter {
 	return it
 }
 
-// Next returns the next link, or NoLink once the walk is over.
+// Next returns the next link, or NoLink once the walk is over. The sets it
+// walks are sparse, so the scan for the next non-empty word keeps its state
+// in locals and reads except only where s has a link.
 func (it *LinkIter) Next() LinkID {
-	for it.w == 0 {
-		it.wi++
-		if it.wi >= len(it.words) {
+	w, wi := it.w, it.wi
+	for w == 0 {
+		wi++
+		if wi >= len(it.words) {
+			it.wi = len(it.words)
 			return NoLink
 		}
-		it.w = it.words[it.wi]
-		if it.wi < len(it.skip) {
-			it.w &^= it.skip[it.wi]
+		if w = it.words[wi]; w != 0 && wi < len(it.skip) {
+			w &^= it.skip[wi]
 		}
 	}
-	l := LinkID(it.wi<<6 | bits.TrailingZeros64(it.w))
-	it.w &= it.w - 1
-	return l
+	it.wi, it.w = wi, w&(w-1)
+	return LinkID(wi<<6 | bits.TrailingZeros64(w))
 }
 
 // Func adapts the set to the DisabledFunc interface for callers that still

@@ -5,16 +5,15 @@
 # Usage:
 #   scripts/bench.sh              # core suite (default)
 #   scripts/bench.sh core         # fast checker / optimizer / path counting
-#   scripts/bench.sh experiments  # experiment drivers, serial vs parallel
+#   scripts/bench.sh experiments  # experiment drivers, steady state at Workers=1
 #   scripts/bench.sh fleet        # fleet supervisor events/sec, 1M-link fleet
 #   scripts/bench.sh lint         # corropt-lint wall-time (load + analyze)
 #
 # The core suite writes BENCH_core.{txt,json}; the experiments suite runs
 # BenchmarkExperimentsSuite (each multi-scenario driver at ScaleSmall with
-# Workers=1 and Workers=NumCPU) and writes BENCH_experiments.{txt,json}; the
-# fleet suite runs BenchmarkFleetThroughput (sustained corruption-event
-# throughput over the 30-DCN / 1M-link synthetic fleet, serial vs parallel
-# shard drains, events/sec as a custom metric) and writes
+# Workers=1) and writes BENCH_experiments.{txt,json}; the fleet suite runs
+# BenchmarkFleetThroughput (sustained corruption-event throughput over the
+# 30-DCN / 1M-link synthetic fleet, events/sec as a custom metric) and writes
 # BENCH_fleet.{txt,json}; the lint suite runs BenchmarkLintRepo /
 # BenchmarkLintLoad in internal/analysis and writes BENCH_lint.{txt,json}.
 #
@@ -106,10 +105,8 @@ fi
 # shellcheck disable=SC2086
 go test -run '^$' -bench "$PATTERN" -benchmem -count="$COUNT" $PKG | tee "$TXT"
 
-# Machine metadata: GOMAXPROCS (the effective worker count of the parallel
-# sub-benchmarks), the CPU model from go test's own `cpu:` line, and the
-# toolchain version. bench_check.sh uses gomaxprocs to decide whether the
-# committed speedup floors apply to this machine.
+# Machine metadata: GOMAXPROCS, the CPU model from go test's own `cpu:` line,
+# and the toolchain version.
 GOMAXPROCS=${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)}
 GOVERSION=$(go env GOVERSION)
 CPU=$(awk -F': ' '/^cpu:/ { sub(/^cpu: */, ""); print; exit }' "$TXT")
