@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-smoke lint lint-fast vet ci test-race test-chaos test-scenarios cover fuzz bench bench-experiments bench-fleet bench-hotpath bench-lint bench-check bench-profile clean
+.PHONY: all build test bench-smoke lint lint-fast vet ci test-race test-chaos test-scenarios cover fuzz
 
 all: build test
 
@@ -40,8 +40,9 @@ LINT_DIFF_REF ?= HEAD
 lint-fast:
 	$(GO) run ./cmd/corropt-lint -diff $(LINT_DIFF_REF) ./...
 
-## ci: everything the CI workflow runs, in the same order.
-ci: build test bench-smoke lint test-race test-chaos test-scenarios cover
+## ci: everything the CI workflow runs, in the same order (its race job
+## adds `go test -race ./internal/analysis/...`, which has no target here).
+ci: build test bench-smoke lint cover test-race test-chaos test-scenarios fuzz
 
 ## test-race: the mitigation engine, the simulator and the parallel scenario
 ## runner under the race detector — the pool shares topologies and fault
@@ -97,57 +98,3 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFaultyRequest -fuzztime 10s ./internal/snmplite
 	$(GO) test -run '^$$' -fuzz FuzzFaultyResponse -fuzztime 10s ./internal/snmplite
 	$(GO) test -run '^$$' -fuzz FuzzScenarioParse -fuzztime 10s ./internal/scenario
-
-## bench: core mitigation-engine benchmarks (fast checker, optimizer,
-## path counting), 5 repetitions with allocation stats; raw text goes to
-## BENCH_core.txt and a parsed summary to BENCH_core.json.
-bench:
-	./scripts/bench.sh core
-
-## bench-experiments: per-experiment steady-state wall-clock and allocs/op at
-## ScaleSmall, Workers=1; raw text goes to BENCH_experiments.txt and a parsed
-## summary to BENCH_experiments.json.
-bench-experiments:
-	./scripts/bench.sh experiments
-
-## bench-fleet: sustained corruption-event throughput over the 30-DCN /
-## 1M-link synthetic fleet at Workers=1; raw text goes to BENCH_fleet.txt and
-## a parsed summary (including the events/sec metric the floor ratchets) to
-## BENCH_fleet.json.
-bench-fleet:
-	./scripts/bench.sh fleet
-
-## bench-hotpath: the hot-path proof benches — one isolated benchmark per
-## `//lint:hotpath` root with a hotpath floor in scripts/bench_floors.txt
-## (fast checker, engine report, incremental path counting, penalty fold,
-## active-corrupting readers, sim settle, fleet Route), exact single-replay
-## allocation counts; raw text goes to BENCH_hotpath.txt and a parsed summary
-## to BENCH_hotpath.json.
-bench-hotpath:
-	./scripts/bench.sh hotpath
-
-## bench-lint: corropt-lint wall-time — analyzer fan-out (BenchmarkLintRepo)
-## and package load/type-check startup (BenchmarkLintLoad); raw text goes to
-## BENCH_lint.txt and a parsed summary to BENCH_lint.json.
-bench-lint:
-	./scripts/bench.sh lint
-
-## bench-check: enforce the committed performance floors in
-## scripts/bench_floors.txt — per-driver allocs/op ceilings, the 0 allocs/op
-## hot-path floors, the fleet supervisor's events/sec sanity floor and the
-## escape baseline, all enforced on every machine. Relative throughput is not
-## gated here: `sh bench/run.sh -compare` (paired, bounded, multi-seed) is.
-bench-check:
-	./scripts/bench_check.sh
-
-## bench-profile: one profiled steady-state pass over the experiment suite;
-## writes BENCH_cpu.pprof and BENCH_mem.pprof (plus the corropt.test binary
-## needed to read them: `go tool pprof corropt.test BENCH_mem.pprof`).
-bench-profile:
-	$(GO) test -run '^$$' -bench 'ExperimentsSuite' -benchtime=3x \
-		-cpuprofile BENCH_cpu.pprof -memprofile BENCH_mem.pprof .
-
-clean:
-	rm -f BENCH_core.txt BENCH_core.json BENCH_experiments.txt BENCH_experiments.json BENCH_lint.txt BENCH_lint.json
-	rm -f BENCH_fleet.txt BENCH_fleet.json BENCH_hotpath.txt BENCH_hotpath.json
-	rm -f BENCH_cpu.pprof BENCH_mem.pprof corropt.test

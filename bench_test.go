@@ -9,7 +9,6 @@ package corropt
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"time"
 
@@ -19,73 +18,24 @@ import (
 	"corropt/internal/topology"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Run(id, experiments.Config{Scale: experiments.ScaleSmall, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
+// BenchmarkExperiment regenerates every registered experiment end to end,
+// one sub-benchmark per id that `corropt-experiments -list` prints.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.List() {
+		id := e[0]
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := experiments.Run(id, experiments.Config{Scale: experiments.ScaleSmall, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Rows) == 0 {
+					b.Fatalf("%s produced no rows", id)
+				}
+			}
+		})
 	}
 }
-
-// §2 — extent of packet corruption.
-func BenchmarkFig1CorruptionExtent(b *testing.B) { benchExperiment(b, "fig1") }
-func BenchmarkSec2MitigationValue(b *testing.B)  { benchExperiment(b, "sec2") }
-func BenchmarkTable1LossBuckets(b *testing.B)    { benchExperiment(b, "tab1") }
-
-// §3 — corruption characteristics.
-func BenchmarkFig2LossRateStability(b *testing.B)      { benchExperiment(b, "fig2") }
-func BenchmarkFig3UtilizationCorrelation(b *testing.B) { benchExperiment(b, "fig3") }
-func BenchmarkFig4SpatialLocality(b *testing.B)        { benchExperiment(b, "fig4") }
-func BenchmarkFig5Asymmetry(b *testing.B)              { benchExperiment(b, "fig5") }
-
-// §4 — root causes.
-func BenchmarkTable2RootCauses(b *testing.B)       { benchExperiment(b, "tab2") }
-func BenchmarkFig7912PowerSignatures(b *testing.B) { benchExperiment(b, "fig7912") }
-
-// §5 — mitigation design examples.
-func BenchmarkFig10SwitchLocalExample(b *testing.B) { benchExperiment(b, "fig10") }
-func BenchmarkFig11Pruning(b *testing.B)            { benchExperiment(b, "fig11") }
-
-// §6 — implementation workflow.
-func BenchmarkFig13ControllerWorkflow(b *testing.B) { benchExperiment(b, "fig13") }
-
-// §7 — evaluation.
-func BenchmarkFig14PenaltyTimeSeries(b *testing.B)    { benchExperiment(b, "fig14") }
-func BenchmarkFig1516WorstToRPaths(b *testing.B)      { benchExperiment(b, "fig1516") }
-func BenchmarkFig17PenaltyVsConstraint(b *testing.B)  { benchExperiment(b, "fig17") }
-func BenchmarkFig18OptimizerGain(b *testing.B)        { benchExperiment(b, "fig18") }
-func BenchmarkFig19RepairAccuracyImpact(b *testing.B) { benchExperiment(b, "fig19") }
-func BenchmarkSec72RepairAccuracy(b *testing.B)       { benchExperiment(b, "sec72") }
-func BenchmarkSec73CombinedImpact(b *testing.B)       { benchExperiment(b, "sec73") }
-
-// Appendix A.
-func BenchmarkTheorem51Gadget(b *testing.B) { benchExperiment(b, "thm51") }
-
-// §8 extensions.
-func BenchmarkExt8Extensions(b *testing.B) { benchExperiment(b, "ext8") }
-
-// §5.1 motivation.
-func BenchmarkHotspotMotivation(b *testing.B) { benchExperiment(b, "hotspot") }
-
-// §5.1 heterogeneous ToR requirements.
-func BenchmarkHeteroConstraints(b *testing.B) { benchExperiment(b, "hetero") }
-
-// Frame-level validation of the corruption model.
-func BenchmarkFramesValidation(b *testing.B) { benchExperiment(b, "frames") }
-
-// §5.2 ticket-queue economics.
-func BenchmarkTicketQueueing(b *testing.B) { benchExperiment(b, "ticketq") }
-
-// §5.1 tier-depth generalization.
-func BenchmarkTierDepthGap(b *testing.B) { benchExperiment(b, "tiers") }
-
-// §7.2 fleet deployment scale.
-func BenchmarkFleetDeployment(b *testing.B) { benchExperiment(b, "fleet") }
 
 // largeNetwork builds the O(35K)-link evaluation topology with a
 // population of corrupting links for the performance benchmarks.
@@ -293,104 +243,4 @@ func BenchmarkAblationPenaltyFunction(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkEngineReport measures one corruption report through the engine
-// (record + check + disable) and is the 0 allocs/op floor of the
-// //lint:hotpath root Engine.ReportCorruption: each link is reported below
-// the threshold, then above it twice, so the loop visits all four outcomes
-// (below threshold, disabled, already disabled, blocked).
-func BenchmarkEngineReport(b *testing.B) {
-	net, corrupting := largeNetwork(b, 0.75, 200)
-	// Every uplink of one ToR: capacity lets only some of them go, so the
-	// rest are blocked.
-	topo := net.Topology()
-	corrupting = append(corrupting, topo.Switch(topo.ToRs()[0]).Uplinks...)
-	engine := NewEngine(net, EngineConfig{})
-	cycle := 3 * len(corrupting)
-	var seen [4]int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rate := 1e-4
-		if i%3 == 0 {
-			rate = 5e-7
-		}
-		seen[engine.ReportCorruption(corrupting[i/3%len(corrupting)], rate).Outcome]++
-		if (i+1)%cycle == 0 {
-			b.StopTimer()
-			for _, c := range corrupting {
-				net.Enable(c)
-			}
-			b.StartTimer()
-		}
-	}
-	b.StopTimer()
-	if b.N >= cycle && slices.Contains(seen[:], 0) {
-		b.Fatalf("an outcome was never reached in %d reports: %v", b.N, seen)
-	}
-}
-
-// shardedExperimentIDs are the scenario-sharded drivers measured by the
-// experiments bench suite and ratcheted by scripts/bench_check.sh.
-var shardedExperimentIDs = []string{"fig14", "fig1516", "fig17", "fig19", "sec2", "ext8", "fleet", "ticketq"}
-
-// BenchmarkExperimentsSuite measures each multi-scenario experiment driver at
-// ScaleSmall with Workers=1 (no pool). Each driver is run once untimed first,
-// so the serial sub-benchmark measures steady-state replay cost over the
-// memoized topology and trace — the cold one-time construction cost is not
-// what repeated runs pay — and its allocs/op is exact at -benchtime=1x: the
-// ceilings in scripts/bench_floors.txt hold it. Worker-count invariance of the
-// reports is TestParallelRunnerDeterminism's; there is no parallel
-// sub-benchmark, because a single-iteration wall-clock ratio flakes on
-// unchanged code. scripts/bench.sh experiments parses this suite into
-// BENCH_experiments.json.
-func BenchmarkExperimentsSuite(b *testing.B) {
-	for _, id := range shardedExperimentIDs {
-		b.Run(id, func(b *testing.B) {
-			if _, err := experiments.Run(id, experiments.Config{Scale: experiments.ScaleSmall, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-			b.Run("serial", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rep, err := experiments.Run(id, experiments.Config{
-						Scale: experiments.ScaleSmall, Seed: 1, Workers: 1,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(rep.Rows) == 0 {
-						b.Fatalf("%s produced no rows", id)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkExperimentsBatch measures the whole sharded suite as one RunMany
-// batch at Workers=1: every driver's scenarios flattened into one global work
-// list. This is the path the -exp all / comma-list CLI takes.
-func BenchmarkExperimentsBatch(b *testing.B) {
-	warm := experiments.Config{Scale: experiments.ScaleSmall, Seed: 1}
-	if _, err := experiments.RunMany(shardedExperimentIDs, warm); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			reps, err := experiments.RunMany(shardedExperimentIDs, experiments.Config{
-				Scale: experiments.ScaleSmall, Seed: 1, Workers: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j, rep := range reps {
-				if len(rep.Rows) == 0 {
-					b.Fatalf("%s produced no rows", shardedExperimentIDs[j])
-				}
-			}
-		}
-	})
 }

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	corropt-lint [-list] [-json] [-baseline file] [-workers n] [-why] [-diff ref] [-gcdiag file] [packages]
+//	corropt-lint [-list] [-json] [-workers n] [-why] [-diff ref] [-gcdiag file] [packages]
 //
 // Packages default to ./... relative to the current directory. All packages
 // are loaded up front and summarized into one module-wide flow world (lock
@@ -38,7 +38,7 @@
 // -json emits an object: "stats" summarizes the flow world's call graph
 // (packages, functions, func_lits, call_edges, hotpath_roots), and
 // "findings" holds the findings ({file, line, col, analyzer, message,
-// suppressed, baselined}), including suppressed ones so the `//lint:allow`
+// suppressed}), including suppressed ones so the `//lint:allow`
 // exception inventory stays visible to tooling; text output prints only the
 // live findings.
 //
@@ -46,18 +46,11 @@
 // to its findings onto indented continuation lines, one hop per line, so
 // long cross-package chains stay readable in terminals.
 //
-// -baseline ratchets: the file holds one `file: analyzer: message` line per
-// accepted legacy finding (line numbers are deliberately absent so
-// unrelated edits do not invalidate entries). Baselined findings are
-// reported as warnings but do not fail the gate; anything not in the file
-// does. An empty or absent baseline makes every finding fatal.
-//
-// Exit status is 1 when any finding survives suppression and the baseline,
-// 2 on operational errors.
+// Exit status is 1 when any finding survives suppression, 2 on operational
+// errors.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -99,33 +92,6 @@ type jsonFinding struct {
 	Analyzer   string `json:"analyzer"`
 	Message    string `json:"message"`
 	Suppressed bool   `json:"suppressed"`
-	Baselined  bool   `json:"baselined"`
-}
-
-// baselineKey is the line-number-free identity of a finding used by the
-// -baseline ratchet.
-func baselineKey(f jsonFinding) string {
-	return f.File + ": " + f.Analyzer + ": " + f.Message
-}
-
-// readBaseline loads the accepted-finding set; comment (#) and blank lines
-// are skipped.
-func readBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	set := make(map[string]bool)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		set[line] = true
-	}
-	return set, sc.Err()
 }
 
 // git runs one git subcommand and returns its trimmed stdout.
@@ -197,13 +163,12 @@ func affectedPackages(pkgs []*analysis.Package, changedDirs map[string]bool) map
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit an object with call-graph stats and all findings (including suppressed ones)")
-	baselinePath := flag.String("baseline", "", "ratchet `file` of accepted findings (file: analyzer: message per line)")
 	workers := flag.Int("workers", 0, "analyzer worker pool size (<=0: one per CPU); output is identical for any value")
 	why := flag.Bool("why", false, "expand hotalloc call chains onto indented lines")
 	diffRef := flag.String("diff", "", "lint only packages transitively affected by the git diff against `ref`")
 	gcdiagPath := flag.String("gcdiag", "", "write the compiler optimization-diagnostics report (gcdiag JSON) to `file`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: corropt-lint [-list] [-json] [-baseline file] [-workers n] [-why] [-diff ref] [-gcdiag file] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: corropt-lint [-list] [-json] [-workers n] [-why] [-diff ref] [-gcdiag file] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the determinism & safety analyzer suite; see DESIGN.md §8.\n")
 		flag.PrintDefaults()
 	}
@@ -220,14 +185,6 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "corropt-lint: %v\n", err)
 		os.Exit(2)
-	}
-
-	var baseline map[string]bool
-	if *baselinePath != "" {
-		var err error
-		if baseline, err = readBaseline(*baselinePath); err != nil {
-			fail(err)
-		}
 	}
 
 	patterns := flag.Args()
@@ -286,14 +243,12 @@ func main() {
 					name = rel
 				}
 			}
-			jf := jsonFinding{
+			out = append(out, jsonFinding{
 				File: name, Line: pos.Line, Col: pos.Column,
 				Analyzer: f.Analyzer, Message: f.Message,
 				Suppressed: f.Suppressed,
-			}
-			jf.Baselined = !jf.Suppressed && baseline[baselineKey(jf)]
-			out = append(out, jf)
-			if !jf.Suppressed && !jf.Baselined {
+			})
+			if !f.Suppressed {
 				live++
 			}
 		}
@@ -314,16 +269,12 @@ func main() {
 			if f.Suppressed {
 				continue
 			}
-			suffix := ""
-			if f.Baselined {
-				suffix = " (baselined)"
-			}
 			msg := f.Message
 			var chain []string
 			if *why {
 				msg, chain = splitChain(msg)
 			}
-			fmt.Printf("%s:%d:%d: %s: %s%s\n", f.File, f.Line, f.Col, f.Analyzer, msg, suffix)
+			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, msg)
 			for i, hop := range chain {
 				if i == 0 {
 					fmt.Printf("\tchain: %s\n", hop)

@@ -1,10 +1,9 @@
 // Driver-level tests: build the corropt-lint binary once and run it against
-// throwaway modules, pinning the -json object shape, the -baseline
-// write/check cycle, -why chain expansion, exit codes on dirty vs clean
-// trees, and the -diff affected-package restriction. These complement the
-// internal/analysis selfcheck tests by exercising the process boundary —
-// flag parsing, exit statuses, and output formatting — exactly as `make
-// lint` and the pre-commit hook consume them.
+// throwaway modules, pinning the -json object shape, -why chain expansion,
+// exit codes on dirty vs clean trees, and the -diff affected-package
+// restriction. These complement the internal/analysis selfcheck tests by
+// exercising the process boundary — flag parsing, exit statuses, and output
+// formatting — exactly as `make lint` and the pre-commit hook consume them.
 package main
 
 import (
@@ -125,7 +124,6 @@ type wireReport struct {
 		Analyzer   string `json:"analyzer"`
 		Message    string `json:"message"`
 		Suppressed bool   `json:"suppressed"`
-		Baselined  bool   `json:"baselined"`
 	} `json:"findings"`
 }
 
@@ -162,8 +160,8 @@ func TestExitCodeAndJSONShapeDirtyTree(t *testing.T) {
 		if f.File != filepath.Join("a", "a.go") || f.Line == 0 || f.Col == 0 {
 			t.Errorf("finding position = %s:%d:%d, want a/a.go with nonzero line/col", f.File, f.Line, f.Col)
 		}
-		if f.Suppressed || f.Baselined {
-			t.Errorf("finding flags = suppressed:%v baselined:%v, want both false", f.Suppressed, f.Baselined)
+		if f.Suppressed {
+			t.Errorf("finding is suppressed, want live")
 		}
 		if !strings.Contains(f.Message, "(chain: Hot -> mk)") {
 			t.Errorf("message %q missing the (chain: Hot -> mk) suffix", f.Message)
@@ -185,54 +183,6 @@ func TestWhyExpandsChains(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "\tchain: Hot\n") || !strings.Contains(stdout, "\t    -> mk\n") {
 		t.Errorf("-why output missing the indented Hot -> mk hop lines:\n%s", stdout)
-	}
-}
-
-func TestBaselineCycle(t *testing.T) {
-	dir := dirtyModule(t)
-
-	// Capture the dirty findings, write every live one into a baseline
-	// file in the ratchet's `file: analyzer: message` form...
-	stdout, _, code := runLint(t, dir, "-json", "./...")
-	if code != 1 {
-		t.Fatalf("dirty tree: exit %d, want 1", code)
-	}
-	var report wireReport
-	if err := json.Unmarshal([]byte(stdout), &report); err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, f := range report.Findings {
-		if !f.Suppressed {
-			lines = append(lines, f.File+": "+f.Analyzer+": "+f.Message)
-		}
-	}
-	if len(lines) == 0 {
-		t.Fatal("no live findings to baseline")
-	}
-	baseline := filepath.Join(dir, "lint_baseline.txt")
-	content := "# accepted legacy findings\n\n" + strings.Join(lines, "\n") + "\n"
-	if err := os.WriteFile(baseline, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// ...then the same tree must pass, with the findings still reported as
-	// warnings tagged (baselined).
-	stdout, stderr, code := runLint(t, dir, "-baseline", baseline, "./...")
-	if code != 0 {
-		t.Fatalf("baselined tree: exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "(baselined)") {
-		t.Fatalf("baselined findings not reported as warnings:\n%s", stdout)
-	}
-
-	// A fresh violation not covered by the baseline stays fatal.
-	writeTree(t, dir, map[string]string{
-		"b/b.go": "package b\n\nimport \"time\"\n\n// Now leaks wall-clock time.\n//\n//lint:hotpath fresh violation\nfunc Now() time.Time {\n\treturn mk()\n}\n\nfunc mk() time.Time {\n\tp := new(time.Time)\n\treturn *p\n}\n",
-	})
-	_, _, code = runLint(t, dir, "-baseline", baseline, "./...")
-	if code != 1 {
-		t.Fatalf("fresh violation under old baseline: exit %d, want 1", code)
 	}
 }
 

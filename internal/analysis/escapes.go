@@ -19,9 +19,8 @@ package analysis
 // Escape diagnostics on lines hotalloc already sanctions (a site-level
 // `//lint:allow hotalloc` — reject paths, warmup growth) are acknowledged
 // allocations, not cross-check failures, and are skipped; a root-level
-// `//lint:allow escapes` accepts a whole root. The committed zero baseline
-// lives in scripts/escape_baseline.txt, regenerated by the selfcheck test
-// and enforced by bench_check.sh and CI.
+// `//lint:allow escapes` accepts a whole root. There is no baseline of
+// accepted findings: any live one fails `make lint` and TestRepoIsLintClean.
 //
 // The analyzer only invokes the compiler when the package under analysis
 // declares at least one hotpath root; the canonical instance caches one

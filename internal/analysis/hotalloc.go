@@ -33,9 +33,10 @@ import (
 // closures and value composite literals are stack-allocated in practice,
 // and the analysis has no escape information — see flow/alloc.go for the
 // exact operation catalogue and its documented caveats. Annotated roots are
-// additionally tied to 0 allocs/op benchmark floors in
-// scripts/bench_floors.txt (see the hotpath floor family), so the static
-// proof and the measured ratchet cannot drift apart.
+// additionally held at 0 allocations per steady-state pass by the
+// hotpathFloors table test beside them (TestHotpathFloors in topology, core,
+// sim and fleet), and TestHotpathFloorsCoverRoots requires roots == rows, so
+// the static proof and the measurement cannot drift apart.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "proves //lint:hotpath annotated functions transitively " +

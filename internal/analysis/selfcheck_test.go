@@ -2,12 +2,18 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"corropt/internal/analysis/flow"
 	"corropt/internal/runner"
 )
 
@@ -307,75 +313,111 @@ func Mutate(o *Owner) {
 	check("aliasescape", "aliases internal state returned by Owner.View")
 }
 
-// TestHotpathFloorsCoverRoots pins the static proof to the measured ratchet:
-// every //lint:hotpath annotated declaration in the module must have a
-// `hotpath <root> <benchmark>` 0-allocs/op floor — one line per benchmark
-// that measures it — or one explicit `hotpath_exempt <root> <reason>` in
-// scripts/bench_floors.txt, never both, and every floor entry must name a
-// root that still exists. Either direction drifting
-// means the hotalloc proof and the benchmark evidence no longer cover the
-// same set of functions.
-func TestHotpathFloorsCoverRoots(t *testing.T) {
-	pkgs := loadRepo(t, "./...")
-	world := BuildWorld(pkgs)
+// hotpathFloorDrift compares the world's //lint:hotpath roots with the rows
+// of the `hotpathFloors` tables in pkgs' _test.go files — read with
+// go/parser: a row's `roots` strings name the roots it holds, an `exempt`
+// key marks a row that carries a reason instead of a measurement — and
+// returns one message per disagreement.
+func hotpathFloorDrift(t *testing.T, pkgs []*Package, world *flow.World) []string {
+	t.Helper()
 	roots := make(map[string]bool)
 	for _, fs := range world.HotpathRoots() {
 		roots[fs.Pkg+"."+fs.Name] = true
 	}
-	if len(roots) == 0 {
+	var drift []string
+	measured, exempt := make(map[string]bool), make(map[string]bool)
+	for _, pkg := range pkgs {
+		files, err := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			file, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatalf("parse %s: %v", name, err)
+			}
+			for _, row := range floorRows(file) {
+				if row["roots"] == nil {
+					drift = append(drift, fmt.Sprintf("%s: a hotpathFloors row names no root", name))
+					continue
+				}
+				into := measured
+				if row["exempt"] != nil {
+					into = exempt
+				}
+				ast.Inspect(row["roots"], func(n ast.Node) bool {
+					if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						unquoted, _ := strconv.Unquote(lit.Value)
+						root := pkg.Path + "." + unquoted
+						into[root] = true
+						if !roots[root] {
+							drift = append(drift, fmt.Sprintf("%s: a hotpathFloors row names %s, which is not a //lint:hotpath root in the module", name, root))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for root := range roots {
+		switch {
+		case !measured[root] && !exempt[root]:
+			drift = append(drift, fmt.Sprintf("//lint:hotpath root %s has no row in its package's hotpathFloors table", root))
+		case measured[root] && exempt[root]:
+			drift = append(drift, fmt.Sprintf("//lint:hotpath root %s has both a measured and an exempt hotpathFloors row", root))
+		}
+	}
+	sort.Strings(drift)
+	return drift
+}
+
+// floorRows returns, keyed by field name, the rows of file's
+// `var hotpathFloors = []hotpathFloor{{roots: …, …}, …}` table, if it has one.
+func floorRows(file *ast.File) []map[string]ast.Expr {
+	var rows []map[string]ast.Expr
+	ast.Inspect(file, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "hotpathFloors" || len(vs.Values) != 1 {
+			return true
+		}
+		table, _ := vs.Values[0].(*ast.CompositeLit)
+		if table == nil {
+			return false
+		}
+		for _, elt := range table.Elts {
+			row := make(map[string]ast.Expr)
+			if lit, ok := elt.(*ast.CompositeLit); ok {
+				for _, field := range lit.Elts {
+					if kv, ok := field.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							row[key.Name] = kv.Value
+						}
+					}
+				}
+			}
+			rows = append(rows, row)
+		}
+		return false
+	})
+	return rows
+}
+
+// TestHotpathFloorsCoverRoots pins the static proof to the measured floors:
+// every //lint:hotpath annotated declaration in the module must be named by
+// a row of its package's hotpathFloors table — the rows TestHotpathFloors
+// holds at 0 allocations per steady-state pass, or one that carries the
+// reason it is exempt, never both — and every row must name a root that
+// still exists. Either direction drifting means the hotalloc proof and the
+// measurement no longer cover the same set of functions.
+// TestSeededHotpathViolationsAreCaught seeds both directions.
+func TestHotpathFloorsCoverRoots(t *testing.T) {
+	pkgs := loadRepo(t, "./...")
+	world := BuildWorld(pkgs)
+	if len(world.HotpathRoots()) == 0 {
 		t.Fatal("no //lint:hotpath roots found in the module; the annotations or the flow summary went missing")
 	}
-
-	data, err := os.ReadFile("../../scripts/bench_floors.txt")
-	if err != nil {
-		t.Fatalf("read bench_floors.txt: %v", err)
-	}
-	floors := make(map[string]string) // root -> "hotpath" | "hotpath_exempt"
-	benched := make(map[string]bool)  // "root benchmark" pairs seen
-	for i, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		switch fields[0] {
-		case "hotpath":
-			if len(fields) != 3 {
-				t.Errorf("bench_floors.txt:%d: hotpath wants exactly <root> <benchmark>: %q", i+1, line)
-				continue
-			}
-		case "hotpath_exempt":
-			if len(fields) < 3 {
-				t.Errorf("bench_floors.txt:%d: hotpath_exempt wants <root> <reason...>: %q", i+1, line)
-				continue
-			}
-		default:
-			continue
-		}
-		root := fields[1]
-		if fields[0] == "hotpath" {
-			pair := root + " " + fields[2]
-			another := floors[root] == "hotpath" && !benched[pair]
-			benched[pair] = true
-			if another {
-				continue // one more benchmark for a root that has a floor
-			}
-		}
-		if prev, dup := floors[root]; dup {
-			t.Errorf("bench_floors.txt:%d: %s already has a %s entry", i+1, root, prev)
-			continue
-		}
-		floors[root] = fields[0]
-	}
-
-	for root := range roots {
-		if _, ok := floors[root]; !ok {
-			t.Errorf("//lint:hotpath root %s has no hotpath (or hotpath_exempt) entry in scripts/bench_floors.txt", root)
-		}
-	}
-	for root, kind := range floors {
-		if !roots[root] {
-			t.Errorf("bench_floors.txt %s entry names %s, which is not a //lint:hotpath root in the module", kind, root)
-		}
+	for _, d := range hotpathFloorDrift(t, pkgs, world) {
+		t.Error(d)
 	}
 }
 
@@ -384,7 +426,9 @@ func TestHotpathFloorsCoverRoots(t *testing.T) {
 // package (two hops down, so the chain machinery is exercised) and a
 // deliberate map-ordered float sum in a fleet-shaped package are planted in
 // a throwaway module and must each fail the gate through the exact
-// Load + BuildWorld + RunW pipeline the lint driver uses.
+// Load + BuildWorld + RunW pipeline the lint driver uses. The sim package's
+// floor table holds one of its two roots and names one that does not exist:
+// TestHotpathFloorsCoverRoots's check must report exactly those two drifts.
 func TestSeededHotpathViolationsAreCaught(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, src string) {
@@ -412,6 +456,13 @@ func (s *Sim) Settle(p float64) {
 func (s *Sim) record(p float64) {
 	s.samples = append(s.samples, p)
 }
+
+//lint:hotpath has a floor row
+func (s *Sim) Held() {}
+`)
+	write("sim/sim_test.go", `package sim
+
+var hotpathFloors = []struct{ roots []string }{{roots: []string{"(*Sim).Held", "(*Sim).Gone"}}}
 `)
 	write("fleet/fleet.go", `package fleet
 
@@ -452,6 +503,13 @@ func Sum(shards map[int]float64) float64 {
 	check("hotalloc", "hot path (*Sim).Settle is not allocation-free: append may grow its backing array")
 	check("hotalloc", "(chain: (*Sim).Settle -> (*Sim).record)")
 	check("floatorder", "folds map values in iteration order")
+
+	drift := strings.Join(hotpathFloorDrift(t, pkgs, world), "\n")
+	if strings.Count(drift, "\n") != 1 ||
+		!strings.Contains(drift, "root demo/sim.(*Sim).Settle has no row") ||
+		!strings.Contains(drift, "names demo/sim.(*Sim).Gone, which is not a //lint:hotpath root") {
+		t.Errorf("want exactly the Settle (no row) and Gone (no root) floor drifts, got:\n%s", drift)
+	}
 }
 
 // TestSeededDeploymentViolationsAreCaught is the liveness-suite negative

@@ -307,56 +307,3 @@ func TestActiveCorruptingNeedsARate(t *testing.T) {
 	n.SetCorruption(3, 1e-3)
 	checkCorruptingIndex(t, n, LinearPenalty, "first record after Reset")
 }
-
-// BenchmarkActiveCorrupting measures the two readers of the active
-// corrupting set — AppendActiveCorrupting into a retained buffer and
-// NumActiveCorrupting — on the paper's medium DCN, and is the 0 allocs/op
-// floor of both //lint:hotpath roots on both walks: general reads at a
-// threshold the network is not keyed to (~100 corrupting and ~30 disabled
-// links, filtered by rate), keyed reads at the detection threshold with the
-// shape of a running simulation (~1,400 recorded rates between the lossy
-// floor and 1e-6, 15 links above it).
-func BenchmarkActiveCorrupting(b *testing.B) {
-	b.Run("general", func(b *testing.B) {
-		net := mediumNetwork(b)
-		rng := rngutil.New(5).Split("bench")
-		for i := 0; i < 100; i++ {
-			l := topology.LinkID(rng.Intn(net.Topology().NumLinks()))
-			net.SetCorruption(l, math.Pow(10, rng.Range(-8, -2)))
-			if i%3 == 0 {
-				net.Disable(l)
-			}
-		}
-		benchActiveCorrupting(b, net, 1e-7)
-	})
-	b.Run("keyed", func(b *testing.B) {
-		net := mediumNetwork(b)
-		rng := rngutil.New(5).Split("bench")
-		for i := 0; i < 1415; i++ {
-			l := topology.LinkID(rng.Intn(net.Topology().NumLinks()))
-			if i < 1400 {
-				net.SetCorruption(l, math.Pow(10, rng.Range(-8, -6.001)))
-			} else {
-				net.SetCorruption(l, math.Pow(10, rng.Range(-6, -2)))
-			}
-		}
-		benchActiveCorrupting(b, net, DefaultDetectionThreshold)
-	})
-}
-
-func benchActiveCorrupting(b *testing.B, net *Network, threshold float64) {
-	buf := net.AppendActiveCorrupting(nil, threshold) // warm the retained buffer
-	if len(buf) == 0 || len(buf) != net.NumActiveCorrupting(threshold) {
-		b.Fatalf("%d active corrupting links collected, %d counted", len(buf), net.NumActiveCorrupting(threshold))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		buf = net.AppendActiveCorrupting(buf[:0], threshold)
-		sink += len(buf) + net.NumActiveCorrupting(threshold)
-	}
-	b.ReportMetric(float64(net.corrupting.Len()), "corrupting")
-	b.ReportMetric(float64(len(buf)), "active")
-	_ = sink
-}

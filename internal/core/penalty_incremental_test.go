@@ -162,33 +162,3 @@ func mediumNetwork(b testing.TB) *Network {
 	}
 	return net
 }
-
-// BenchmarkPenaltySum measures the O(1) incremental read against the full
-// TotalPenalty rescan it replaces on the event path.
-func BenchmarkPenaltySum(b *testing.B) {
-	net := mediumNetwork(b)
-	topo := net.Topology()
-	net.RegisterPenalty(LinearPenalty)
-	rng := rngutil.New(3).Split("bench")
-	for i := 0; i < 200; i++ {
-		net.SetCorruption(topology.LinkID(rng.Intn(topo.NumLinks())), math.Pow(10, rng.Range(-6, -2)))
-	}
-	b.Run("incremental", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			net.SetCorruption(topology.LinkID(i%topo.NumLinks()), 1e-4)
-			sink += net.PenaltySum()
-		}
-		_ = sink
-	})
-	b.Run("rescan", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			net.SetCorruption(topology.LinkID(i%topo.NumLinks()), 1e-4)
-			sink += net.TotalPenalty(LinearPenalty)
-		}
-		_ = sink
-	})
-}

@@ -46,6 +46,46 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 	}
 }
 
+// TestDriverAllocCeilings holds each scenario-sharded driver's steady-state
+// allocations per replay at ScaleSmall, Workers=1 under a ceiling.
+// testing.AllocsPerRun replays the driver once unmeasured first, so the
+// measured replay runs over the memoized topology and trace — one-time
+// construction is not what repeated runs pay — and with runs == 1 the count
+// is not averaged. Allocation counts are a property of the code, not the
+// machine; the ceilings carry ~25-35% headroom over the readings beside them
+// for small legitimate growth (ticketq read 162,526 before scratch pooling).
+func TestDriverAllocCeilings(t *testing.T) {
+	for _, c := range []struct {
+		id      string
+		ceiling float64
+	}{
+		{"fig14", 3200},    // 2,389
+		{"fig1516", 4200},  // 3,174
+		{"fig17", 4200},    // 3,100
+		{"fig19", 5200},    // 3,861
+		{"sec2", 17000},    // 13,240
+		{"ext8", 5200},     // 3,831
+		{"fleet", 26000},   // 20,015
+		{"ticketq", 30000}, // 23,435
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(1, func() {
+				rep, err := Run(c.id, Config{Scale: ScaleSmall, Seed: 1, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rep.Rows) == 0 {
+					t.Fatalf("%s produced no rows", c.id)
+				}
+			})
+			t.Logf("%v allocs per replay, ceiling %v", allocs, c.ceiling)
+			if allocs > c.ceiling {
+				t.Errorf("allocs per replay exceed the ceiling")
+			}
+		})
+	}
+}
+
 // renderTSV renders an already-built report to its canonical TSV bytes.
 func renderTSV(t *testing.T, rep *Report) []byte {
 	t.Helper()

@@ -247,7 +247,7 @@ func dcnShardTarget(budget, units, totalUnits int) int {
 // in nondecreasing At order; the assigned sequence number is what keeps
 // decision merging byte-identical across shard and worker counts.
 //
-//lint:hotpath per-event fleet ingress (BenchmarkFleetRoute floor)
+//lint:hotpath per-event fleet ingress
 func (s *Supervisor) Route(ev Event) error {
 	if ev.DCN < 0 || ev.DCN >= len(s.dcns) {
 		//lint:allow hotalloc error construction on the reject path only

@@ -6,20 +6,7 @@ import (
 
 	"corropt/internal/faults"
 	"corropt/internal/rngutil"
-	"corropt/internal/topology"
 )
-
-// benchTopo builds the ScaleSmall evaluation fabric (256 links).
-func benchTopo(b *testing.B) *topology.Topology {
-	b.Helper()
-	topo, err := topology.NewClos(topology.ClosConfig{
-		Pods: 4, ToRsPerPod: 8, AggsPerPod: 4, Spines: 16, SpineUplinksPerAgg: 8, BreakoutSize: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return topo
-}
 
 // BenchmarkSimEventLoop measures the trace-driven event loop end to end and
 // reports ns/event. With incremental penalty accounting, settle/accrue are
@@ -27,7 +14,7 @@ func benchTopo(b *testing.B) *topology.Topology {
 // per-event speedup the parallel experiment runner multiplies across
 // scenarios.
 func BenchmarkSimEventLoop(b *testing.B) {
-	topo := benchTopo(b)
+	topo := simTopo(b)
 	horizon := 60 * 24 * time.Hour
 	inj, err := faults.NewInjector(topo, simTech(),
 		faults.InjectorConfig{FaultsPerLinkPerDay: 0.01},
@@ -58,24 +45,5 @@ func BenchmarkSimEventLoop(b *testing.B) {
 	b.StopTimer()
 	if events > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-	}
-}
-
-// BenchmarkSimSettle isolates the per-event settle cost (the paths the
-// incremental penalty accounting made O(1)).
-func BenchmarkSimSettle(b *testing.B) {
-	topo := benchTopo(b)
-	s, err := New(topo, simTech(), Config{Policy: PolicyCorrOpt, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Populate some corruption so the sum is non-trivial.
-	for l := 0; l < topo.NumLinks(); l += 7 {
-		s.net.SetCorruption(topology.LinkID(l), 1e-4)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.settle()
 	}
 }

@@ -368,7 +368,7 @@ func (s *Sim) accrue(now time.Duration) {
 // maintains the penalty sum incrementally (no per-event rescan of the
 // corrupting-link set).
 //
-//lint:hotpath runs after every event mutation (BenchmarkSimSettle floor)
+//lint:hotpath runs after every event mutation
 func (s *Sim) settle() {
 	s.lastPenalty = s.net.PenaltySum()
 }

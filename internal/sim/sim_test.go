@@ -12,7 +12,8 @@ import (
 	"corropt/internal/topology"
 )
 
-func simTopo(t *testing.T) *topology.Topology {
+// simTopo builds the ScaleSmall evaluation fabric (256 links).
+func simTopo(t testing.TB) *topology.Topology {
 	t.Helper()
 	topo, err := topology.NewClos(topology.ClosConfig{
 		Pods: 4, ToRsPerPod: 8, AggsPerPod: 4, Spines: 16, SpineUplinksPerAgg: 8, BreakoutSize: 4,
