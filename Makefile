@@ -89,11 +89,13 @@ cover:
 	./scripts/coverage.sh
 
 ## fuzz: short smoke runs of the differential fuzzers that pin the
-## incremental path-counting engine to the full-sweep reference, and of the
-## protocol and scenario-parser fuzzers.
+## incremental path-counting engine to the full-sweep reference and the
+## optimizer's switch-reach pruning and segmentation to the link-cone
+## reference, and of the protocol and scenario-parser fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz FuzzFastCheckDifferential -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzOptimizerDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFaultyFrame -fuzztime 10s ./internal/ctlplane
 	$(GO) test -run '^$$' -fuzz FuzzFaultyRequest -fuzztime 10s ./internal/snmplite
 	$(GO) test -run '^$$' -fuzz FuzzFaultyResponse -fuzztime 10s ./internal/snmplite

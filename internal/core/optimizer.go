@@ -63,9 +63,8 @@ type OptimizeStats struct {
 	Segments int
 	// LargestSegment is the size of the biggest contested group.
 	LargestSegment int
-	// FeasibilityChecks counts feasibility evaluations (incremental
-	// Apply/check probes; the legacy full path-count sweeps are gone from
-	// this path).
+	// FeasibilityChecks counts feasibility evaluations: incremental
+	// Apply/check probes.
 	FeasibilityChecks int
 	// RejectCacheHits counts subsets rejected by the cache without a
 	// feasibility probe.
@@ -94,19 +93,41 @@ type Optimizer struct {
 	cfg     OptimizerConfig
 
 	// Per-Run scratch, reused across invocations: an Optimizer lives for a
-	// whole simulation and Run fires on every repair event, so these
-	// buffers amortize what used to be per-Run allocations. None of them
-	// escape Run — the returned disabled list is always freshly allocated.
-	activeBuf    []topology.LinkID
-	appliedBuf   []topology.LinkID
-	violatedBuf  []topology.SwitchID
-	contestedBuf []topology.LinkID
-	safeBuf      []topology.LinkID
-	torUpBuf     []*topology.LinkSet
-	upstreamBuf  *topology.LinkSet
-	affectedBuf  [][]topology.SwitchID
-	parentBuf    []int
-	walker       topology.UpstreamWalker
+	// whole simulation or fleet shard and Run fires on every repair event,
+	// so a steady-state Run allocates only the disabled list it returns and
+	// no scratch escapes it. The first probe's buffers are inline; the rest
+	// sits behind rc, allocated by the first Run that finds a violated ToR,
+	// so the fleet's many shard optimizers that never find one carry a
+	// single word for it.
+	activeBuf   []topology.LinkID
+	appliedBuf  []topology.LinkID
+	violatedBuf []topology.SwitchID
+	rc          *recheckScratch
+}
+
+// recheckScratch is the scratch of a Run that finds violated ToRs: pruning,
+// segmentation and the exact search.
+type recheckScratch struct {
+	walker topology.UpstreamWalker
+	// hit[j] reports whether active[j] is upstream of some violated ToR.
+	// parent is a union-find forest over active indices, joining links
+	// upstream of a common violated ToR; each root is its component's
+	// smallest index. owner[i] is the first active index upstream of
+	// violated[i], or -1.
+	hit    []bool
+	parent []int
+	owner  []int
+	// seg[j] is active[j]'s segment, or -1 once pruning disabled it; size
+	// counts each segment's links, then its ToRs. The segments' links and
+	// ToRs are windows of the flat links and tors buffers.
+	seg   []int
+	size  []int
+	segs  []segment
+	links []topology.LinkID
+	tors  []topology.SwitchID
+
+	solver   segSolver
+	disabled []topology.LinkID
 }
 
 // NewOptimizer returns an Optimizer over net minimizing the given penalty.
@@ -168,55 +189,87 @@ func (o *Optimizer) RunScoped(threshold float64, scope *topology.LinkSet, tors [
 		return append([]topology.LinkID(nil), active...), st
 	}
 
-	// Per-endangered-ToR upstream cones as bitsets: torUp[i] holds every
-	// link that can carry violated[i]'s traffic. Their union drives the
-	// pruning step, and the per-ToR sets drive segmentation (l affects
-	// tor ⟺ l ∈ upstream(tor) ⟺ tor ∈ downstream(l)) without the
-	// map-based downstream walks of the old implementation.
-	topo := o.net.Topology()
-	for len(o.torUpBuf) < len(violated) {
-		o.torUpBuf = append(o.torUpBuf, &topology.LinkSet{})
+	// Which active links can carry which endangered ToR's traffic? Pruning
+	// disables the links that carry none, segmentation groups the rest by
+	// the ToRs they share.
+	if o.rc == nil {
+		o.rc = &recheckScratch{}
 	}
-	torUp := o.torUpBuf[:len(violated)]
-	if o.upstreamBuf == nil {
-		o.upstreamBuf = &topology.LinkSet{}
-	}
-	upstream := o.upstreamBuf
-	upstream.Reset(topo.NumLinks())
-	for i, tor := range violated {
-		torUp[i].Reset(topo.NumLinks())
-		o.walker.FromToR(topo, tor, torUp[i])
-		upstream.Union(torUp[i])
-	}
-
-	safe, contested := o.safeBuf[:0], o.contestedBuf[:0]
-	if o.cfg.DisablePruning {
-		contested = append(contested, active...)
-	} else {
-		for _, l := range active {
-			if upstream.Has(l) {
-				contested = append(contested, l)
-			} else {
-				safe = append(safe, l)
+	rc := o.rc
+	rc.reach(o.net.Topology(), active, violated)
+	disabled := rc.disabled[:0]
+	if !o.cfg.DisablePruning {
+		// Links upstream of no endangered ToR cannot violate anything:
+		// disable immediately.
+		for j, l := range active {
+			if !rc.hit[j] {
+				o.net.Disable(l)
+				disabled = append(disabled, l)
 			}
 		}
-		// Links not upstream of any endangered ToR cannot violate
-		// anything: disable immediately.
-		for _, l := range safe {
+		st.SafelyDisabled = len(disabled)
+	}
+	for _, seg := range o.segments(active, violated, &st) {
+		n := len(disabled)
+		disabled = o.solveSegment(disabled, seg, &st)
+		for _, l := range disabled[n:] {
 			o.net.Disable(l)
 		}
-		st.SafelyDisabled = len(safe)
 	}
-	o.safeBuf, o.contestedBuf = safe, contested
+	rc.disabled = disabled
+	if len(disabled) == 0 {
+		return nil, st
+	}
+	return slices.Clone(disabled), st
+}
 
-	disabled := append([]topology.LinkID(nil), safe...)
-	for _, seg := range o.segments(contested, violated, torUp, &st) {
-		for _, l := range o.solveSegment(seg, &st) {
-			o.net.Disable(l)
-			disabled = append(disabled, l)
-		}
+// reach decides, for every (violated ToR, active link) pair, whether the
+// link is upstream of the ToR — whether the ToR's climb reaches the link's
+// lower endpoint (see topology.UpstreamWalker) — filling hit, parent and
+// owner. One stage-bounded walk per violated ToR: no active link's lower
+// endpoint sits above top, so no walk climbs past it.
+func (rc *recheckScratch) reach(topo *topology.Topology, active []topology.LinkID, violated []topology.SwitchID) {
+	top := topology.Stage(0)
+	for _, l := range active {
+		top = max(top, topo.Switch(topo.Link(l).Lower).Stage)
 	}
-	return disabled, st
+	rc.hit = slices.Grow(rc.hit[:0], len(active))[:len(active)]
+	clear(rc.hit)
+	rc.parent = slices.Grow(rc.parent[:0], len(active))[:len(active)]
+	for j := range rc.parent {
+		rc.parent[j] = j
+	}
+	rc.owner = slices.Grow(rc.owner[:0], len(violated))[:len(violated)]
+	for i, tor := range violated {
+		rc.walker.FromToR(topo, tor, top)
+		owner := -1
+		for j, l := range active {
+			if !rc.walker.Reaches(topo.Link(l).Lower) {
+				continue
+			}
+			rc.hit[j] = true
+			if owner < 0 {
+				owner = j
+			} else {
+				rc.union(owner, j)
+			}
+		}
+		rc.owner[i] = owner
+	}
+}
+
+func (rc *recheckScratch) find(x int) int {
+	for rc.parent[x] != x {
+		rc.parent[x] = rc.parent[rc.parent[x]]
+		x = rc.parent[x]
+	}
+	return x
+}
+
+// union joins a's and b's components under the smaller of their roots.
+func (rc *recheckScratch) union(a, b int) {
+	a, b = rc.find(a), rc.find(b)
+	rc.parent[max(a, b)] = min(a, b)
 }
 
 // segment is one independent group of contested links and the endangered
@@ -226,112 +279,81 @@ type segment struct {
 	tors  []topology.SwitchID
 }
 
-// segments groups contested links such that two links sharing an endangered
-// downstream ToR land in the same group; groups can then be optimized
-// independently (§8's topology segmentation). torUp[i] must be the upstream
-// link cone of violated[i].
-func (o *Optimizer) segments(contested []topology.LinkID, violated []topology.SwitchID, torUp []*topology.LinkSet, st *OptimizeStats) []segment {
-	if len(contested) == 0 {
-		return nil
-	}
-	// affected and parent live in optimizer-owned scratch: segments runs
-	// once per optimizer invocation, and only the per-group link/ToR
-	// slices escape into the returned segments.
-	affected := o.affectedBuf
-	if cap(affected) < len(contested) {
-		affected = make([][]topology.SwitchID, len(contested))
-	} else {
-		affected = affected[:len(contested)]
-	}
-	o.affectedBuf = affected
-	for i, l := range contested {
-		affected[i] = affected[i][:0]
-		for j, tor := range violated {
-			if torUp[j].Has(l) {
-				affected[i] = append(affected[i], tor)
-			}
+// segments groups the contested links — those upstream of some violated
+// ToR, or every active link without pruning — such that two links upstream
+// of one violated ToR land in the same group; groups can then be optimized
+// independently (§8's topology segmentation). rc.reach must have run over
+// active and violated. Each segment's links and ToRs are ascending, and the
+// segments are ordered by first link. The result aliases rc's buffers.
+func (o *Optimizer) segments(active []topology.LinkID, violated []topology.SwitchID, st *OptimizeStats) []segment {
+	rc := o.rc
+	// Component roots are smallest indices, so walking active in order
+	// meets each root before the rest of its component and numbers the
+	// segments by first link.
+	rc.seg = slices.Grow(rc.seg[:0], len(active))[:len(active)]
+	size := rc.size[:0]
+	for j := range active {
+		switch {
+		case !rc.hit[j] && !o.cfg.DisablePruning:
+			rc.seg[j] = -1
+			continue
+		case o.cfg.DisableSegmentation:
+			rc.seg[j] = 0
+		case rc.find(j) == j:
+			rc.seg[j] = len(size)
+		default:
+			rc.seg[j] = rc.seg[rc.find(j)]
 		}
-	}
-	parent := o.parentBuf
-	if cap(parent) < len(contested) {
-		parent = make([]int, len(contested))
-	} else {
-		parent = parent[:len(contested)]
-	}
-	o.parentBuf = parent
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+		if rc.seg[j] == len(size) {
+			size = append(size, 0)
 		}
-		return x
+		size[rc.seg[j]]++
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	if o.cfg.DisableSegmentation {
-		for i := 1; i < len(contested); i++ {
-			union(0, i)
-		}
-	} else {
-		torOwner := make(map[topology.SwitchID]int)
-		for i := range contested {
-			for _, tor := range affected[i] {
-				if prev, ok := torOwner[tor]; ok {
-					union(prev, i)
-				} else {
-					torOwner[tor] = i
-				}
-			}
+	segs := slices.Grow(rc.segs[:0], len(size))[:len(size)]
+	rc.links = slices.Grow(rc.links[:0], len(active))[:len(active)]
+	n := 0
+	for s, k := range size {
+		segs[s].links = rc.links[n : n : n+k]
+		n += k
+		st.LargestSegment = max(st.LargestSegment, k)
+	}
+	for j, l := range active {
+		if s := rc.seg[j]; s >= 0 {
+			segs[s].links = append(segs[s].links, l)
 		}
 	}
 
-	groups := make(map[int]*segment)
-	for i, l := range contested {
-		root := find(i)
-		g, ok := groups[root]
-		if !ok {
-			g = &segment{}
-			groups[root] = g
-		}
-		g.links = append(g.links, l)
-		g.tors = append(g.tors, affected[i]...)
-	}
-	out := make([]segment, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, *g)
-	}
-	// Deterministic order for reproducibility (and to keep the map-order
-	// collection above inside maprange's collect-then-sort idiom).
-	slices.SortFunc(out, func(a, b segment) int { return cmp.Compare(a.links[0], b.links[0]) })
-	for i := range out {
-		out[i].tors = dedupToRs(out[i].tors)
-		if len(out[i].links) > st.LargestSegment {
-			st.LargestSegment = len(out[i].links)
+	// A violated ToR belongs to the segment of the links upstream of it,
+	// which is its owner's; walking violated in order keeps each segment's
+	// ToRs ascending.
+	clear(size)
+	for _, j := range rc.owner {
+		if j >= 0 {
+			size[rc.seg[j]]++
 		}
 	}
-	st.Segments = len(out)
-	return out
-}
-
-func dedupToRs(tors []topology.SwitchID) []topology.SwitchID {
-	slices.Sort(tors)
-	out := tors[:0]
-	for i, t := range tors {
-		if i == 0 || t != tors[i-1] {
-			out = append(out, t)
+	rc.tors = slices.Grow(rc.tors[:0], len(violated))[:len(violated)]
+	n = 0
+	for s, k := range size {
+		segs[s].tors = rc.tors[n : n : n+k]
+		n += k
+	}
+	for i, j := range rc.owner {
+		if j >= 0 {
+			s := rc.seg[j]
+			segs[s].tors = append(segs[s].tors, violated[i])
 		}
 	}
-	return out
+	rc.size, rc.segs = size, segs
+	st.Segments = len(segs)
+	return segs
 }
 
 // solveSegment picks the subset of seg.links to disable that maximizes the
-// disabled penalty while keeping seg.tors feasible. It probes on the
-// network's own path counter and restores its state before returning.
-func (o *Optimizer) solveSegment(seg segment, st *OptimizeStats) []topology.LinkID {
+// disabled penalty while keeping seg.tors feasible, and appends it to
+// disabled. It probes on the network's own path counter and restores its
+// state before returning.
+func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *OptimizeStats) []topology.LinkID {
 	pc := o.net.PathCounter()
 	// The incremental probes below only check ToRs whose counts change,
 	// which is exact while the running state stays feasible for seg.tors.
@@ -339,12 +361,13 @@ func (o *Optimizer) solveSegment(seg segment, st *OptimizeStats) []topology.Link
 	// candidate subset is infeasible too (disabling links never adds
 	// paths), so the result is empty — same answer the full recount gives.
 	if !o.net.meetsAll(seg.tors, pc.IncCounts(), pc.Total()) {
-		return nil
+		return disabled
 	}
 
 	// Highest-penalty links first: better bounds, and the greedy fallback
 	// then prefers the worst offenders.
-	links := append([]topology.LinkID(nil), seg.links...)
+	s := &o.rc.solver
+	links := append(s.links[:0], seg.links...)
 	slices.SortFunc(links, func(a, b topology.LinkID) int {
 		pa, pb := o.penalty(o.net.CorruptionRate(a)), o.penalty(o.net.CorruptionRate(b))
 		if pa != pb {
@@ -352,25 +375,28 @@ func (o *Optimizer) solveSegment(seg segment, st *OptimizeStats) []topology.Link
 		}
 		return cmp.Compare(a, b)
 	})
+	s.links = links
 
 	if len(links) > o.cfg.MaxExactLinks {
 		st.GreedyFallbacks++
-		return o.greedy(links, pc, st)
+		return o.greedy(disabled, links, pc, st)
 	}
 
-	s := &segSolver{
+	*s = segSolver{
 		net:      o.net,
 		pc:       pc,
 		links:    links,
-		pen:      make([]float64, len(links)),
-		suffix:   make([]float64, len(links)+1),
+		pen:      slices.Grow(s.pen[:0], len(links))[:len(links)],
+		suffix:   slices.Grow(s.suffix[:0], len(links)+1)[:len(links)+1],
 		useCache: !o.cfg.DisableRejectCache,
+		cache:    s.cache[:0],
 		cacheCap: o.cfg.MaxRejectCacheEntries,
 		budget:   o.cfg.MaxFeasibilityChecks,
 	}
 	for i, l := range links {
 		s.pen[i] = o.penalty(o.net.CorruptionRate(l))
 	}
+	s.suffix[len(links)] = 0
 	for i := len(links) - 1; i >= 0; i-- {
 		s.suffix[i] = s.suffix[i+1] + s.pen[i]
 	}
@@ -381,24 +407,23 @@ func (o *Optimizer) solveSegment(seg segment, st *OptimizeStats) []topology.Link
 	if s.budget <= 0 {
 		st.BudgetExhausted++
 	}
-	var chosen []topology.LinkID
 	for i, l := range links {
 		if s.bestMask&(1<<uint(i)) != 0 {
-			chosen = append(chosen, l)
+			disabled = append(disabled, l)
 		}
 	}
-	return chosen
+	return disabled
 }
 
 // greedy disables links one at a time, worst first, keeping each only if
-// every ToR whose path count changes stays feasible. The result is maximal
-// but not necessarily optimal; it is the fallback for segments beyond exact
-// reach. The caller guarantees the starting state is feasible for the
-// segment's ToRs, which makes the changed-ToRs check exact. pc's state is
-// restored before returning.
-func (o *Optimizer) greedy(links []topology.LinkID, pc *topology.PathCounter, st *OptimizeStats) []topology.LinkID {
+// every ToR whose path count changes stays feasible, and appends the kept
+// ones to disabled. The result is maximal but not necessarily optimal; it is
+// the fallback for segments beyond exact reach. The caller guarantees the
+// starting state is feasible for the segment's ToRs, which makes the
+// changed-ToRs check exact. pc's state is restored before returning.
+func (o *Optimizer) greedy(disabled, links []topology.LinkID, pc *topology.PathCounter, st *OptimizeStats) []topology.LinkID {
 	counts, total := pc.IncCounts(), pc.Total()
-	var chosen []topology.LinkID
+	n := len(disabled)
 	for _, l := range links {
 		st.FeasibilityChecks++
 		ok := true
@@ -409,17 +434,17 @@ func (o *Optimizer) greedy(links []topology.LinkID, pc *topology.PathCounter, st
 			}
 		}
 		if ok {
-			chosen = append(chosen, l)
+			disabled = append(disabled, l)
 		} else {
 			pc.Revert(l)
 		}
 	}
 	// Restore the counter to the network's state; Run applies the chosen
 	// links through Network.Disable.
-	for _, l := range chosen {
+	for _, l := range disabled[n:] {
 		pc.Revert(l)
 	}
-	return chosen
+	return disabled
 }
 
 // segSolver is the branch-and-bound exact search over one segment. Subsets

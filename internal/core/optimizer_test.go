@@ -278,3 +278,88 @@ func TestSegmentationSplitsIndependentGroups(t *testing.T) {
 		t.Fatal("constraints violated")
 	}
 }
+
+// activationState builds the engine state an activation re-check meets in a
+// running simulation, on the paper's medium DCN at c = 0.75: six ToRs in six
+// pods have every uplink corrupting, and the fast checker has taken down the
+// worst uplink of each — all their capacity allows — so every re-check finds
+// six violated ToRs in six segments. It returns the engine and those ToRs.
+func activationState(tb testing.TB) (*Engine, []topology.SwitchID) {
+	tb.Helper()
+	net := mediumNetwork(tb)
+	topo := net.Topology()
+	e := NewEngine(net, EngineConfig{})
+	var hot []topology.SwitchID
+	for pod := 0; pod < 6; pod++ {
+		tor := topo.ToRs()[pod*40]
+		hot = append(hot, tor)
+		ups := topo.Switch(tor).Uplinks
+		for k := len(ups) - 1; k >= 0; k-- {
+			e.ReportCorruption(ups[k], 1e-4*float64(1+k))
+		}
+	}
+	return e, hot
+}
+
+// disabledUplink returns one of tor's disabled uplinks.
+func disabledUplink(tb testing.TB, net *Network, tor topology.SwitchID) topology.LinkID {
+	for _, l := range net.Topology().Switch(tor).Uplinks {
+		if net.Disabled(l) {
+			return l
+		}
+	}
+	tb.Fatalf("ToR %d has no disabled uplink", tor)
+	return topology.NoLink
+}
+
+// TestActivationRecheckAllocs holds the activation re-check's allocations
+// exact on a warmed state: a re-check that disables nothing allocates
+// nothing, and one that disables links allocates only the list it returns.
+func TestActivationRecheckAllocs(t *testing.T) {
+	e, hot := activationState(t)
+	net := e.Network()
+	topo := net.Topology()
+	if _, st := e.Reoptimize(); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
+		t.Fatalf("re-check finds %d violated ToRs in %d segments, want ≥ 5 in ≥ 3", len(e.opt.violatedBuf), st.Segments)
+	}
+	// An enabled clean agg uplink in a pod with no corruption.
+	clean := topo.Switch(topo.Link(topo.Switch(topo.ToRs()[len(topo.ToRs())-1]).Uplinks[0]).Upper).Uplinks[0]
+	nothing := func() {
+		for range hot {
+			if got := e.Activate(clean, Scope{}); got != nil {
+				t.Fatalf("activating a clean link disabled %v", got)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(1, nothing); n != 0 {
+		t.Errorf("a re-check that disables nothing: %v allocs, want 0", n)
+	}
+	// Re-enabling a ToR's disabled corrupting uplink makes room for exactly
+	// one of its corrupting uplinks again.
+	some := func() {
+		for _, tor := range hot {
+			if got := e.Activate(disabledUplink(t, net, tor), Scope{}); len(got) != 1 {
+				t.Fatalf("re-check at ToR %d disabled %v, want one link", tor, got)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(1, some); n != float64(len(hot)) {
+		t.Errorf("%d re-checks that disable a link: %v allocs, want %d (the returned lists)", len(hot), n, len(hot))
+	}
+}
+
+// BenchmarkOptimizerActivation times one Engine.Activate of a repaired
+// corrupting uplink — the enable plus the optimizer's pruning, segmentation
+// and exact search over six violated ToRs — on the medium DCN.
+func BenchmarkOptimizerActivation(b *testing.B) {
+	e, hot := activationState(b)
+	net := e.Network()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tor := hot[i%len(hot)]
+		if len(e.Activate(disabledUplink(b, net, tor), Scope{})) != 1 {
+			b.Fatal("re-check did not disable one link")
+		}
+	}
+}

@@ -62,11 +62,11 @@ func TestDriverAllocCeilings(t *testing.T) {
 		{"fig14", 3200},    // 2,389
 		{"fig1516", 4200},  // 3,174
 		{"fig17", 4200},    // 3,100
-		{"fig19", 5200},    // 3,861
-		{"sec2", 17000},    // 13,240
-		{"ext8", 5200},     // 3,831
+		{"fig19", 3900},    // 2,963
+		{"sec2", 11000},    // 8,531
+		{"ext8", 4200},     // 3,174
 		{"fleet", 26000},   // 20,015
-		{"ticketq", 30000}, // 23,435
+		{"ticketq", 17000}, // 13,147
 	} {
 		t.Run(c.id, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(1, func() {

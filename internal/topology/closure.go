@@ -40,44 +40,60 @@ func (t *Topology) torsBelow(s SwitchID) []SwitchID {
 	return tors
 }
 
-// UpstreamWalker recomputes upstream link cones repeatedly without
-// re-allocating traversal state; the zero value is ready to use. The
-// optimizer holds one per instance and walks a cone per endangered ToR on
-// every run, so the visited array and stack amortize across the whole
-// simulation. Not safe for concurrent use.
+// UpstreamWalker answers "is link l upstream of ToR tor?" — whether l lies
+// on some valley-free path from tor to the spine, so that disabling l can
+// change tor's path count — by walking switches, not links. Every link joins
+// adjacent stages (Builder.AddLink rejects any other), and a ToR's upstream
+// links are exactly the uplinks of the switches it reaches by climbing, so
+//
+//	l is upstream of tor  ⟺  l's lower endpoint is reached from tor.
+//
+// A caller that only asks about links whose lower endpoints sit at or below
+// some stage top can stop the climb there: a switch above top leads only to
+// higher ones. The optimizer's pruning and segmentation ask this of each
+// (endangered ToR, corrupting link) pair on every activation, with top the
+// highest stage among the corrupting links' lower endpoints, so a walk marks
+// a handful of switches where the full cone holds hundreds of links.
+//
+// The zero value is ready to use; the marks and the list of marked switches
+// amortize across walks, and each walk unmarks only what the previous one
+// marked. Not safe for concurrent use.
 type UpstreamWalker struct {
-	seen  []bool
-	stack []SwitchID
+	seen   []bool
+	marked []SwitchID
 }
 
-// FromToR adds to set every link on some valley-free path from tor to the
-// spine. Disabling a link outside that cone cannot change tor's path count,
-// which is what justifies the optimizer's pruning step: a corrupting link
-// upstream of no at-risk ToR can be disabled unconditionally. set must be
-// sized for t (NewLinkSet(t.NumLinks())) and is not cleared first, so
-// callers can union several cones into one set.
-func (w *UpstreamWalker) FromToR(t *Topology, tor SwitchID, set *LinkSet) {
-	if cap(w.seen) < len(t.switches) {
+// FromToR marks every switch reachable upward from tor without climbing past
+// stage top, replacing the previous walk's marks; Reaches then answers for
+// switches at stages up to top. Switches at stage top are marked but not
+// expanded.
+func (w *UpstreamWalker) FromToR(t *Topology, tor SwitchID, top Stage) {
+	if len(w.seen) < len(t.switches) {
 		w.seen = make([]bool, len(t.switches))
+	} else {
+		for _, s := range w.marked {
+			w.seen[s] = false
+		}
 	}
-	seen := w.seen[:len(t.switches)]
-	clear(seen)
-	stack := append(w.stack[:0], tor)
-	seen[tor] = true
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ul := range t.Switch(cur).Uplinks {
-			set.Add(ul)
-			nxt := t.Link(ul).Upper
-			if !seen[nxt] {
-				seen[nxt] = true
-				stack = append(stack, nxt)
+	w.marked = append(w.marked[:0], tor)
+	w.seen[tor] = true
+	for i := 0; i < len(w.marked); i++ {
+		sw := &t.switches[w.marked[i]]
+		if sw.Stage >= top {
+			continue
+		}
+		for _, ul := range sw.Uplinks {
+			if up := t.links[ul].Upper; !w.seen[up] {
+				w.seen[up] = true
+				w.marked = append(w.marked, up)
 			}
 		}
 	}
-	w.seen, w.stack = seen, stack[:0]
 }
+
+// Reaches reports whether the last FromToR walk marked s: for a switch at or
+// below that walk's top stage, whether s is reachable upward from its ToR.
+func (w *UpstreamWalker) Reaches(s SwitchID) bool { return w.seen[s] }
 
 // SwitchesWithLinks returns the distinct switches touched by the given
 // links (either endpoint). The locality analysis of Figure 4 is a ratio of

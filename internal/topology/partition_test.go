@@ -77,26 +77,28 @@ func TestPartitionClosPods(t *testing.T) {
 // TestPartitionConeClosed verifies the boundary invariant directly: every
 // ToR's upstream cone is contained in its segment's link set.
 func TestPartitionConeClosed(t *testing.T) {
+	fat, err := NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, topo := range map[string]*Topology{
 		"clos":      testClos(t),
+		"fattree":   fat,
 		"multitier": testMultiTierPartition(t),
 	} {
 		segs := topo.Partition()
 		var w UpstreamWalker
-		cone := NewLinkSet(topo.NumLinks())
 		for si, seg := range segs {
 			inSeg := NewLinkSet(topo.NumLinks())
 			for _, l := range seg.Links {
 				inSeg.Add(l)
 			}
 			for _, tor := range seg.ToRs {
-				cone.Clear()
-				w.FromToR(topo, tor, cone)
-				cone.Each(func(l LinkID) {
+				for _, l := range upstreamCone(&w, topo, tor) {
 					if !inSeg.Has(l) {
 						t.Errorf("%s: segment %d: ToR %d cone link %d outside segment", name, si, tor, l)
 					}
-				})
+				}
 			}
 		}
 	}

@@ -159,14 +159,51 @@ func TestDownstreamToRs(t *testing.T) {
 	}
 }
 
-// upstreamCone is what UpstreamWalker.FromToR adds to an empty set for one
-// ToR, in ascending link order.
+// upstreamCone lists, in ascending link order, the links an unbounded
+// UpstreamWalker walk from tor puts upstream of it: those whose lower
+// endpoint the walk reaches.
 func upstreamCone(w *UpstreamWalker, topo *Topology, tor SwitchID) []LinkID {
-	set := NewLinkSet(topo.NumLinks())
-	w.FromToR(topo, tor, set)
+	w.FromToR(topo, tor, Stage(topo.Stages()-1))
 	var links []LinkID
-	set.Each(func(l LinkID) { links = append(links, l) })
+	topo.Links(func(l *Link) {
+		if w.Reaches(l.Lower) {
+			links = append(links, l.ID)
+		}
+	})
 	return links
+}
+
+// TestUpstreamWalkerMatchesPaths pins the switch-reach test against path
+// counting: a link is upstream of a ToR exactly when disabling it alone
+// lowers that ToR's valley-free path count, on every fabric shape and with
+// the climb bounded at every stage that can hold a lower endpoint.
+func TestUpstreamWalkerMatchesPaths(t *testing.T) {
+	fat, err := NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, topo := range map[string]*Topology{
+		"clos":      testClos(t),
+		"fattree":   fat,
+		"multitier": testMultiTierPartition(t),
+	} {
+		pc := NewPathCounter(topo)
+		total := pc.Total()
+		var w UpstreamWalker
+		for l := range topo.NumLinks() {
+			lower := topo.Link(LinkID(l)).Lower
+			counts := pc.Count(func(x LinkID) bool { return x == LinkID(l) })
+			for top := topo.Switch(lower).Stage; int(top) < topo.Stages(); top++ {
+				for _, tor := range topo.ToRs() {
+					w.FromToR(topo, tor, top)
+					if want := counts[tor] < total[tor]; w.Reaches(lower) != want {
+						t.Fatalf("%s: link %d, ToR %d, top %d: reaches %v, path count drops %v",
+							name, l, tor, top, w.Reaches(lower), want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestUpstreamLinks(t *testing.T) {
