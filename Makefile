@@ -77,9 +77,10 @@ test-chaos:
 ## race detector — every profile in scenarios/ replayed at Workers=1 and
 ## Workers=8 against its committed golden transcript, the fig14 DSL file
 ## pinned against the hard-coded experiments driver, and the malformed
-## corpus pinned to position-bearing errors.
+## corpus pinned to position-bearing errors; plus the decoder held to its
+## reference and the corropt-sim binary's validate/run exit statuses.
 test-scenarios:
-	$(GO) test -race ./internal/scenario/...
+	$(GO) test -race ./internal/scenario/... ./cmd/corropt-sim/...
 
 ## cover: per-package coverage ratchet for the deployment path (backoff,
 ## ctlplane, detector, netchaos, snmplite, telemetry and the faults ground

@@ -20,9 +20,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"corropt"
+	"corropt/internal/core"
 	"corropt/internal/trace"
 )
 
@@ -40,7 +42,7 @@ func main() {
 	}
 
 	var (
-		policyName = flag.String("policy", "corropt", "none | switch-local | fast-only | corropt")
+		policyName = flag.String("policy", "corropt", strings.Join(core.PolicyNames(), " | "))
 		capacity   = flag.Float64("capacity", 0.75, "per-ToR capacity constraint c in [0,1]")
 		days       = flag.Int("days", 90, "simulated horizon in days")
 		pods       = flag.Int("pods", 8, "pods in the simulated Clos (≈80 links per pod)")
@@ -53,17 +55,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var policy corropt.PolicyKind
-	switch *policyName {
-	case "none":
-		policy = corropt.PolicyNone
-	case "switch-local":
-		policy = corropt.PolicySwitchLocal
-	case "fast-only":
-		policy = corropt.PolicyFastOnly
-	case "corropt":
-		policy = corropt.PolicyCorrOpt
-	default:
+	policy, ok := core.PolicyByName(*policyName)
+	if !ok {
 		fatalf("unknown policy %q", *policyName)
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"corropt/internal/topology"
 )
@@ -37,9 +38,12 @@ const (
 	// PolicyCorrOpt is the full system: fast checker on arrival, global
 	// optimizer on activation.
 	PolicyCorrOpt
+
+	numPolicies
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. Its names are the only spelling of each
+// policy: PolicyNames and PolicyByName are built from them.
 func (p PolicyKind) String() string {
 	switch p {
 	case PolicyNone:
@@ -53,6 +57,22 @@ func (p PolicyKind) String() string {
 	default:
 		return fmt.Sprintf("PolicyKind(%d)", int(p))
 	}
+}
+
+// PolicyNames lists every policy's String, indexed by PolicyKind.
+func PolicyNames() []string {
+	names := make([]string, numPolicies)
+	for p := range names {
+		names[p] = PolicyKind(p).String()
+	}
+	return names
+}
+
+// PolicyByName is the inverse of PolicyKind.String: ok is false for a name
+// no policy has.
+func PolicyByName(name string) (p PolicyKind, ok bool) {
+	i := slices.Index(PolicyNames(), name)
+	return PolicyKind(i), i >= 0
 }
 
 // Outcome classifies what the engine did with a corruption report.

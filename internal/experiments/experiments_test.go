@@ -12,7 +12,7 @@ func TestListCoversAllRegistered(t *testing.T) {
 	list := List()
 	want := []string{"fig1", "tab1", "fig2", "fig3", "fig4", "fig5", "tab2",
 		"fig7912", "fig10", "fig11", "fig13", "fig14", "fig1516", "fig17",
-		"fig18", "fig19", "sec72", "sec73", "thm51", "ext8", "hotspot", "hetero", "frames", "ticketq", "perf", "tiers", "fleet", "sec2"}
+		"fig18", "fig19", "sec72", "sec73", "thm51", "ext8", "hotspot", "hetero", "frames", "ticketq", "tiers", "fleet", "sec2"}
 	got := make(map[string]bool)
 	for _, e := range list {
 		got[e[0]] = true

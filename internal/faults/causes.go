@@ -5,7 +5,10 @@
 // via shared-component failures).
 package faults
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RootCause enumerates the five corruption root causes of Table 2.
 type RootCause int
@@ -40,7 +43,8 @@ const (
 // NumCauses is the number of distinct root causes.
 const NumCauses = int(numCauses)
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. Its names are the only spelling of each
+// cause: CauseNames and CauseByName are built from them.
 func (c RootCause) String() string {
 	switch c {
 	case ConnectorContamination:
@@ -56,6 +60,22 @@ func (c RootCause) String() string {
 	default:
 		return fmt.Sprintf("RootCause(%d)", int(c))
 	}
+}
+
+// CauseNames lists every root cause's String, indexed by RootCause.
+func CauseNames() []string {
+	names := make([]string, numCauses)
+	for c := range names {
+		names[c] = RootCause(c).String()
+	}
+	return names
+}
+
+// CauseByName is the inverse of RootCause.String: ok is false for a name no
+// cause has.
+func CauseByName(name string) (c RootCause, ok bool) {
+	i := slices.Index(CauseNames(), name)
+	return RootCause(i), i >= 0
 }
 
 // RepairAction enumerates the concrete repairs Algorithm 1 can recommend.

@@ -65,6 +65,12 @@ func TestRepairsCoverAllCauses(t *testing.T) {
 		if c.String() == "" {
 			t.Fatalf("cause %d has no name", c)
 		}
+		if back, ok := CauseByName(c.String()); !ok || back != c {
+			t.Fatalf("CauseByName(%q) = %v, %v; want %v", c.String(), back, ok, c)
+		}
+	}
+	if _, ok := CauseByName("RootCause(5)"); ok {
+		t.Fatal("CauseByName accepted a name no cause has")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/faults"
 	"corropt/internal/rngutil"
 	"corropt/internal/sim"
@@ -142,18 +143,11 @@ func runConfig(s *Scenario, r *Run) (sim.Config, error) {
 		SampleInterval:     s.SampleInterval,
 		Seed:               r.Seed,
 	}
-	switch r.Policy {
-	case "none":
-		cfg.Policy = sim.PolicyNone
-	case "switch-local":
-		cfg.Policy = sim.PolicySwitchLocal
-	case "fast-only":
-		cfg.Policy = sim.PolicyFastOnly
-	case "corropt":
-		cfg.Policy = sim.PolicyCorrOpt
-	default:
+	policy, ok := core.PolicyByName(r.Policy)
+	if !ok {
 		return cfg, fmt.Errorf("scenario %q: run %q: unknown policy %q", s.Name, r.Name, r.Policy)
 	}
+	cfg.Policy = policy
 	switch r.RepairMode {
 	case "fixed":
 		cfg.Repair = sim.RepairFixedAccuracy
@@ -215,8 +209,12 @@ func expandEvents(s *Scenario, topo *topology.Topology) ([]*faults.Fault, []sim.
 			if err != nil {
 				return nil, nil, err
 			}
+			cause, ok := faults.CauseByName(ev.Cause)
+			if !ok {
+				return nil, nil, fmt.Errorf("scenario %q: events[%d]: unknown cause %q", s.Name, i, ev.Cause)
+			}
 			addFault(&faults.Fault{
-				Cause:   causeFromName(ev.Cause),
+				Cause:   cause,
 				Start:   ev.At,
 				Effects: []faults.LinkEffect{{Link: l, DirectRate: directRate(ev.Direction, ev.Rate)}},
 			}, ev.Label)
@@ -308,17 +306,4 @@ func expandEvents(s *Scenario, topo *topology.Topology) ([]*faults.Fault, []sim.
 		}
 	}
 	return trace, clears, nil
-}
-
-func causeFromName(name string) faults.RootCause {
-	switch name {
-	case "connector-contamination":
-		return faults.ConnectorContamination
-	case "damaged-fiber":
-		return faults.DamagedFiber
-	case "decaying-transmitter":
-		return faults.DecayingTransmitter
-	default:
-		return faults.BadTransceiver
-	}
 }

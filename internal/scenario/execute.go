@@ -81,72 +81,69 @@ func Execute(c *Compiled, opt Options) (*Outcome, error) {
 	return o, nil
 }
 
-// runMetric extracts one per-run metric from a result.
-func runMetric(name string, res *sim.Result) float64 {
-	switch name {
-	case "integrated_penalty":
-		return res.IntegratedPenalty
-	case "corruption_reports":
-		return float64(res.CorruptionReports)
-	case "tickets_opened":
-		return float64(res.TicketsOpened)
-	case "links_disabled":
-		return float64(res.LinksDisabled)
-	case "undisabled_events":
-		return float64(res.UndisabledEvents)
-	case "dampened_holds":
-		return float64(res.DampenedHolds)
-	case "first_attempt_success_rate":
-		return res.FirstAttemptSuccessRate
-	case "mean_attempts":
-		return res.MeanAttempts
-	case "min_worst_tor_fraction":
-		minFrac := math.Inf(1)
-		for i := range res.Samples {
-			minFrac = math.Min(minFrac, res.Samples[i].WorstToRFraction)
-		}
-		return minFrac
-	case "mean_tor_fraction":
-		sum := 0.0
-		for i := range res.Samples {
-			sum += res.Samples[i].MeanToRFraction
-		}
-		return sum / float64(len(res.Samples))
-	case "final_disabled":
-		return float64(res.Samples[len(res.Samples)-1].Disabled)
-	case "final_active_corrupting":
-		return float64(res.Samples[len(res.Samples)-1].ActiveCorrupting)
-	case "max_disabled":
-		maxD := 0
-		for i := range res.Samples {
-			maxD = max(maxD, res.Samples[i].Disabled)
-		}
-		return float64(maxD)
-	case "max_active_corrupting":
-		maxA := 0
-		for i := range res.Samples {
-			maxA = max(maxA, res.Samples[i].ActiveCorrupting)
-		}
-		return float64(maxA)
-	case "samples":
-		return float64(len(res.Samples))
-	default:
-		return math.NaN()
-	}
+// metric is one assertion metric: its value on a run's result, or, for a
+// ratio, of(numerator run) / of(denominator run).
+type metric struct {
+	of    func(*sim.Result) float64
+	ratio bool
 }
 
-func evalAssertion(a *Assertion, byName map[string]*sim.Result) AssertionResult {
-	var value float64
-	var subject string
-	if RatioMetrics[a.Metric] {
-		num, den := byName[a.Runs[0]], byName[a.Runs[1]]
-		var n, d float64
-		switch a.Metric {
-		case "penalty_ratio":
-			n, d = num.IntegratedPenalty, den.IntegratedPenalty
-		case "tickets_ratio":
-			n, d = float64(num.TicketsOpened), float64(den.TicketsOpened)
+// metrics names every assertion metric; DESIGN.md §7.6 describes them.
+var metrics = map[string]metric{
+	"integrated_penalty":         {of: integratedPenalty},
+	"corruption_reports":         {of: func(r *sim.Result) float64 { return float64(r.CorruptionReports) }},
+	"tickets_opened":             {of: ticketsOpened},
+	"links_disabled":             {of: func(r *sim.Result) float64 { return float64(r.LinksDisabled) }},
+	"undisabled_events":          {of: func(r *sim.Result) float64 { return float64(r.UndisabledEvents) }},
+	"dampened_holds":             {of: func(r *sim.Result) float64 { return float64(r.DampenedHolds) }},
+	"first_attempt_success_rate": {of: func(r *sim.Result) float64 { return r.FirstAttemptSuccessRate }},
+	"mean_attempts":              {of: func(r *sim.Result) float64 { return r.MeanAttempts }},
+	"min_worst_tor_fraction": {of: func(r *sim.Result) float64 {
+		minFrac := math.Inf(1)
+		for i := range r.Samples {
+			minFrac = math.Min(minFrac, r.Samples[i].WorstToRFraction)
 		}
+		return minFrac
+	}},
+	"mean_tor_fraction": {of: func(r *sim.Result) float64 {
+		sum := 0.0
+		for i := range r.Samples {
+			sum += r.Samples[i].MeanToRFraction
+		}
+		return sum / float64(len(r.Samples))
+	}},
+	"final_disabled":          {of: func(r *sim.Result) float64 { return float64(r.Samples[len(r.Samples)-1].Disabled) }},
+	"final_active_corrupting": {of: func(r *sim.Result) float64 { return float64(r.Samples[len(r.Samples)-1].ActiveCorrupting) }},
+	"max_disabled": {of: func(r *sim.Result) float64 {
+		maxD := 0
+		for i := range r.Samples {
+			maxD = max(maxD, r.Samples[i].Disabled)
+		}
+		return float64(maxD)
+	}},
+	"max_active_corrupting": {of: func(r *sim.Result) float64 {
+		maxA := 0
+		for i := range r.Samples {
+			maxA = max(maxA, r.Samples[i].ActiveCorrupting)
+		}
+		return float64(maxA)
+	}},
+	"samples":       {of: func(r *sim.Result) float64 { return float64(len(r.Samples)) }},
+	"penalty_ratio": {of: integratedPenalty, ratio: true},
+	"tickets_ratio": {of: ticketsOpened, ratio: true},
+}
+
+func integratedPenalty(r *sim.Result) float64 { return r.IntegratedPenalty }
+func ticketsOpened(r *sim.Result) float64     { return float64(r.TicketsOpened) }
+
+// evalAssertion reads a's metric off the named runs' results; a metric
+// Parse would have rejected reads NaN, which fails every bound.
+func evalAssertion(a *Assertion, byName map[string]*sim.Result) AssertionResult {
+	m, known := metrics[a.Metric]
+	value, subject := math.NaN(), fmt.Sprintf("%s[%s]", a.Metric, a.Run)
+	switch {
+	case m.ratio:
+		n, d := m.of(byName[a.Runs[0]]), m.of(byName[a.Runs[1]])
 		switch {
 		case d != 0:
 			value = n / d
@@ -156,9 +153,8 @@ func evalAssertion(a *Assertion, byName map[string]*sim.Result) AssertionResult 
 			value = math.Inf(1)
 		}
 		subject = fmt.Sprintf("%s[%s/%s]", a.Metric, a.Runs[0], a.Runs[1])
-	} else {
-		value = runMetric(a.Metric, byName[a.Run])
-		subject = fmt.Sprintf("%s[%s]", a.Metric, a.Run)
+	case known:
+		value = m.of(byName[a.Run])
 	}
 	var desc string
 	switch {
@@ -229,10 +225,10 @@ func (o *Outcome) Transcript() string {
 			res.FirstAttemptSuccessRate, res.MeanAttempts)
 		fmt.Fprintf(&b, "  integrated_penalty=%.6g\n", res.IntegratedPenalty)
 		fmt.Fprintf(&b, "  min_worst_tor_fraction=%.6g mean_tor_fraction=%.6g\n",
-			runMetric("min_worst_tor_fraction", res), runMetric("mean_tor_fraction", res))
+			metrics["min_worst_tor_fraction"].of(res), metrics["mean_tor_fraction"].of(res))
 		fmt.Fprintf(&b, "  final_disabled=%d final_active_corrupting=%d max_disabled=%d max_active_corrupting=%d\n",
-			int(runMetric("final_disabled", res)), int(runMetric("final_active_corrupting", res)),
-			int(runMetric("max_disabled", res)), int(runMetric("max_active_corrupting", res)))
+			int(metrics["final_disabled"].of(res)), int(metrics["final_active_corrupting"].of(res)),
+			int(metrics["max_disabled"].of(res)), int(metrics["max_active_corrupting"].of(res)))
 		fmt.Fprintf(&b, "  samples=%d series_hash=%016x\n", len(res.Samples), seriesHash(res))
 	}
 	for _, ar := range o.Assertions {

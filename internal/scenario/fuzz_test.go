@@ -11,9 +11,14 @@ import (
 
 // FuzzScenarioParse drives the strict parser with arbitrary bytes. The
 // contract under fuzzing: never a panic; parsing is a function of the bytes
-// alone (a second parse is deeply equal to the first); and every rejection
-// is a *Error pointing inside the input — a 1-based line that exists and a
-// byte column no further than one past that line's end.
+// alone (a second parse is deeply equal to the first); Parse agrees with
+// the reference decoder (decode_reference_test.go) but for rejecting a
+// schedule that overflows time.Duration; every rejection is a *Error
+// pointing inside the input — a 1-based line that exists and a byte column
+// no further than one past that line's end; and a document that parses and
+// compiles schedules nothing before t=0. The seeds include every committed
+// scenario and every malformed file, the two overflowing schedules among
+// them.
 func FuzzScenarioParse(f *testing.F) {
 	for _, dir := range []string{filepath.Join("..", "..", "scenarios"), filepath.Join("testdata", "bad")} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
@@ -40,7 +45,12 @@ func FuzzScenarioParse(f *testing.F) {
 		if !reflect.DeepEqual(s, s2) || !reflect.DeepEqual(err, err2) {
 			t.Fatalf("two parses differ\ninput: %q\nfirst:  %+v, %v\nsecond: %+v, %v", data, s, err, s2, err2)
 		}
+		rs, rerr := refParse(data, "fuzz")
+		if msg := agree(s, err, rs, rerr); msg != "" {
+			t.Fatalf("Parse and the reference decoder differ: %s\ninput: %q", msg, data)
+		}
 		if err == nil {
+			checkSchedule(t, s, data)
 			return
 		}
 		var perr *Error
@@ -52,4 +62,43 @@ func FuzzScenarioParse(f *testing.F) {
 			t.Fatalf("error position %d:%d lies outside the input: %v\ninput: %q", perr.Line, perr.Col, err, data)
 		}
 	})
+}
+
+// checkSchedule compiles s, when that stays small, and requires every
+// fault to start and every clear to land at or after t=0.
+func checkSchedule(t *testing.T, s *Scenario, data []byte) {
+	if !cheapToCompile(s) {
+		return
+	}
+	c, err := Compile(s)
+	if err != nil {
+		return
+	}
+	for _, f := range c.Trace {
+		if f.Start < 0 {
+			t.Fatalf("fault %d starts at %v, before t=0\ninput: %q", f.ID, f.Start, data)
+		}
+	}
+	for _, cl := range c.Clears {
+		if cl.At < 0 {
+			t.Fatalf("clear of fault %d at %v, before t=0\ninput: %q", cl.Fault, cl.At, data)
+		}
+	}
+}
+
+// cheapToCompile reports whether Compile of s builds at most a few thousand
+// links and a chaos trace of at most a few thousand faults: a fuzzed
+// document can ask for far more than a fuzzer's memory and time.
+func cheapToCompile(s *Scenario) bool {
+	t := s.Topology
+	for _, n := range []int{t.Pods, t.ToRsPerPod, t.AggsPerPod, t.Spines, t.SpineUplinksPerAgg, t.K} {
+		if n > 64 {
+			return false
+		}
+	}
+	links := t.Pods*(t.ToRsPerPod*t.AggsPerPod+t.AggsPerPod*t.SpineUplinksPerAgg) + t.K*t.K*t.K/2
+	if links > 4096 {
+		return false
+	}
+	return s.Chaos == nil || s.Chaos.FaultsPerLinkPerDay*float64(links)*s.Horizon.Hours()/24 <= 5000
 }

@@ -111,8 +111,8 @@ type Event struct {
 	Rate float64
 	// Direction is "up", "down", or "both"; default "up".
 	Direction string
-	// Cause is the root-cause name for corrupt events; default
-	// "bad-transceiver".
+	// Cause is the root-cause name (faults.RootCause.String) for corrupt
+	// events; default faults.BadTransceiver's.
 	Cause string
 	// Target is the label a repair event clears.
 	Target string
@@ -133,7 +133,7 @@ type Event struct {
 type Run struct {
 	// Name identifies the run ([a-z0-9_]+, unique within the scenario).
 	Name string
-	// Policy is "none", "switch-local", "fast-only", or "corropt".
+	// Policy names a core.PolicyKind by its String.
 	Policy string
 	// Capacity is the per-ToR constraint c; default 0.75.
 	Capacity float64
@@ -179,7 +179,7 @@ type Dampening struct {
 // metrics name one run; ratio metrics name two (numerator, denominator).
 // At least one bound must be present.
 type Assertion struct {
-	// Metric names the quantity; see RunMetrics and RatioMetrics.
+	// Metric names the quantity; DESIGN.md §7.6 lists the metrics.
 	Metric string
 	// Run is the subject of a per-run metric.
 	Run string
@@ -187,32 +187,6 @@ type Assertion struct {
 	Runs [2]string
 	// Min and Max bound the value (inclusive); nil = unbounded.
 	Min, Max *float64
-}
-
-// RunMetrics enumerates the per-run assertion metrics: how each name maps
-// onto the sim result is documented in DESIGN.md §7.6.
-var RunMetrics = map[string]bool{
-	"integrated_penalty":         true,
-	"corruption_reports":         true,
-	"tickets_opened":             true,
-	"links_disabled":             true,
-	"undisabled_events":          true,
-	"dampened_holds":             true,
-	"first_attempt_success_rate": true,
-	"mean_attempts":              true,
-	"min_worst_tor_fraction":     true,
-	"mean_tor_fraction":          true,
-	"final_disabled":             true,
-	"final_active_corrupting":    true,
-	"max_disabled":               true,
-	"max_active_corrupting":      true,
-	"samples":                    true,
-}
-
-// RatioMetrics enumerates the cross-run ratio metrics.
-var RatioMetrics = map[string]bool{
-	"penalty_ratio": true,
-	"tickets_ratio": true,
 }
 
 // DefaultTech is the transceiver technology scenarios simulate with. It

@@ -361,10 +361,20 @@ func TestFailedRepairAddsAttempts(t *testing.T) {
 }
 
 func TestPolicyKindString(t *testing.T) {
-	for _, p := range []PolicyKind{PolicyNone, PolicySwitchLocal, PolicyFastOnly, PolicyCorrOpt} {
+	kinds := []PolicyKind{PolicyNone, PolicySwitchLocal, PolicyFastOnly, PolicyCorrOpt}
+	for _, p := range kinds {
 		if p.String() == "" {
 			t.Fatalf("policy %d has no name", int(p))
 		}
+		if back, ok := core.PolicyByName(p.String()); !ok || back != p {
+			t.Fatalf("PolicyByName(%q) = %v, %v; want %v", p.String(), back, ok, p)
+		}
+	}
+	if n := len(core.PolicyNames()); n != len(kinds) {
+		t.Fatalf("PolicyNames lists %d policies, want %d", n, len(kinds))
+	}
+	if _, ok := core.PolicyByName("PolicyKind(4)"); ok {
+		t.Fatal("PolicyByName accepted a name no policy has")
 	}
 }
 

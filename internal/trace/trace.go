@@ -33,14 +33,6 @@ type wireFault struct {
 	Effects    []wireEffect `json:"effects"`
 }
 
-var causeNames = map[string]faults.RootCause{
-	faults.ConnectorContamination.String(): faults.ConnectorContamination,
-	faults.DamagedFiber.String():           faults.DamagedFiber,
-	faults.DecayingTransmitter.String():    faults.DecayingTransmitter,
-	faults.BadTransceiver.String():         faults.BadTransceiver,
-	faults.SharedComponent.String():        faults.SharedComponent,
-}
-
 // Write serializes the trace, one fault per line.
 func Write(w io.Writer, trace []*faults.Fault) error {
 	bw := bufio.NewWriter(w)
@@ -84,7 +76,7 @@ func Read(r io.Reader) ([]*faults.Fault, error) {
 		if err := json.Unmarshal(line, &wf); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
-		cause, ok := causeNames[wf.Cause]
+		cause, ok := faults.CauseByName(wf.Cause)
 		if !ok {
 			return nil, fmt.Errorf("trace: line %d: unknown cause %q", lineNo, wf.Cause)
 		}
