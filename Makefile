@@ -90,13 +90,17 @@ cover:
 	./scripts/coverage.sh
 
 ## fuzz: short smoke runs of the differential fuzzers that pin the
-## incremental path-counting engine to the full-sweep reference and the
+## incremental path-counting engine to the full-sweep reference, the
 ## optimizer's switch-reach pruning and segmentation to the link-cone
-## reference, and of the protocol and scenario-parser fuzzers.
+## reference, and Network's cached ToR fractions (and the sum of a run of
+## 1.0 terms inside them) to the in-order loop, and of the protocol and
+## scenario-parser fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz FuzzFastCheckDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzOptimizerDifferential -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzToRFractionsDifferential -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzAddOnes -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFaultyFrame -fuzztime 10s ./internal/ctlplane
 	$(GO) test -run '^$$' -fuzz FuzzFaultyRequest -fuzztime 10s ./internal/snmplite
 	$(GO) test -run '^$$' -fuzz FuzzFaultyResponse -fuzztime 10s ./internal/snmplite

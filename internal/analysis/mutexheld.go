@@ -31,7 +31,9 @@ type GuardedStruct struct {
 // SetToRConstraint / SetCorruption / RegisterPenalty / Disable / Enable /
 // LoadState(resetState) and their private helpers — plus the one write an
 // Engine makes at construction, re-keying the reportable index to its
-// detection threshold (setDetectionThreshold).
+// detection threshold (setDetectionThreshold). Two readers write caches:
+// PenaltySum re-sums its contributions, and ToRFractions builds and resumes
+// its per-ToR fraction cache.
 var MutexHeldConfig = []GuardedStruct{
 	{
 		Pkg:  "corropt/internal/core",
@@ -40,14 +42,17 @@ var MutexHeldConfig = []GuardedStruct{
 			"topo", "pc", "disabled", "numDisabled", "rate", "constraint",
 			"meetsNow", "numViolated",
 			"penalty", "contrib", "penaltySum", "corrupting", "penaltyOps",
-			"reportable", "threshold",
+			"reportable", "threshold", "live",
+			"torPos", "torFrac", "torNotOne", "torSum", "torMin", "torDirty",
 		},
 		Writers: []string{
 			"NewNetwork", "SetToRConstraint", "Disable", "Enable",
 			"SetCorruption", "RegisterPenalty", "PenaltySum",
 			"setContrib", "penaltyOnToggle", "rebuildPenaltySum",
 			"refreshToR", "refreshToRs", "recomputeViolated", "resetState",
-			"Reset", "setDetectionThreshold",
+			"Reset", "setDetectionThreshold", "setLive", "rebuildLive",
+			"ToRFractions", "buildToRFractions", "fillToRFractions",
+			"setToRFraction", "sumToRFractions",
 		},
 	},
 }

@@ -79,11 +79,11 @@ func saveState(t *testing.T, n *Network) []byte {
 	return buf.Bytes()
 }
 
-// checkCorruptingIndex holds the invariants corrupting == {l : rate[l] > 0}
-// and reportable == {l : rate[l] > 0 ∧ rate[l] >= the key}, and every reader
-// that walks an index against its dense reference — at the key, where the
-// reportable index answers, and on both sides of it, where the filtered walk
-// over corrupting does.
+// checkCorruptingIndex holds the invariants corrupting == {l : rate[l] > 0},
+// reportable == {l : rate[l] > 0 ∧ rate[l] >= the key} and live ==
+// reportable &^ disabled in ascending order, and every reader of the indexes
+// against its dense reference — at the key, where the live list answers, and
+// on both sides of it, where the filtered walk over corrupting does.
 func checkCorruptingIndex(t *testing.T, n *Network, p PenaltyFunc, where string) {
 	t.Helper()
 	for l, r := range n.rate {
@@ -93,6 +93,15 @@ func checkCorruptingIndex(t *testing.T, n *Network, p PenaltyFunc, where string)
 		if got, want := n.reportable.Has(topology.LinkID(l)), r > 0 && r >= n.threshold; got != want {
 			t.Fatalf("%s: link %d has rate %v, key %v, but reportable.Has = %v", where, l, r, n.threshold, got)
 		}
+	}
+	var live []topology.LinkID
+	for l := range n.rate {
+		if n.reportable.Has(topology.LinkID(l)) && !n.disabled.Has(topology.LinkID(l)) {
+			live = append(live, topology.LinkID(l))
+		}
+	}
+	if !slices.Equal(n.live, live) {
+		t.Fatalf("%s: live list %v, want reportable &^ disabled = %v", where, n.live, live)
 	}
 	buf := make([]topology.LinkID, 0, 8)
 	for _, th := range []float64{math.Inf(-1), -1, 0, n.threshold, 1e-7, 1e-4, 1e-3, 1} {

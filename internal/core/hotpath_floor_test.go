@@ -145,9 +145,9 @@ var hotpathFloors = []hotpathFloor{{
 		return activeCorruptingPass(tb, net, 1e-7)
 	},
 }, {
-	// The same two readers on the reportable index, at the detection
-	// threshold the network is keyed to, with the shape of a running
-	// simulation: ~1,400 recorded rates below 1e-6 and 15 links above it.
+	// The same two readers on the live list, at the detection threshold the
+	// network is keyed to, with the shape of a running simulation: ~1,400
+	// recorded rates below 1e-6 and 15 links above it.
 	name:  "active_corrupting/keyed",
 	roots: []string{"(*Network).AppendActiveCorrupting", "(*Network).NumActiveCorrupting"},
 	setup: func(tb testing.TB) func() {
@@ -162,6 +162,26 @@ var hotpathFloors = []hotpathFloor{{
 			}
 		}
 		return activeCorruptingPass(tb, net, DefaultDetectionThreshold)
+	},
+}, {
+	// The sampler's capacity read on the paper's medium DCN: each of 40
+	// links spread over the fabric is disabled, the fractions read, and the
+	// link enabled again, so every read resumes from a different ToR. The
+	// warm-up pass builds the cache: ToRFractions' `once per Network` site.
+	name:  "tor_fractions",
+	roots: []string{"(*Network).ToRFractions"},
+	setup: func(tb testing.TB) func() {
+		net := mediumNetwork(tb)
+		step := net.Topology().NumLinks() / 40
+		return func() {
+			for l := 0; l < net.Topology().NumLinks(); l += step {
+				net.Disable(topology.LinkID(l))
+				if worst, mean := net.ToRFractions(); worst >= 1 || mean >= 1 {
+					tb.Fatalf("link %d down, fractions (%v, %v) still 1", l, worst, mean)
+				}
+				net.Enable(topology.LinkID(l))
+			}
+		}
 	},
 }}
 

@@ -113,8 +113,8 @@ func TestNetworkIncrementalConsistency(t *testing.T) {
 			if got := net.WorstToRFraction(); got != worst {
 				t.Fatalf("seed %d step %d: WorstToRFraction = %v, want %v", seed, step, got, worst)
 			}
-			if got := net.MeanToRFraction(); math.Abs(got-sum/float64(len(topo.ToRs()))) > 1e-12 {
-				t.Fatalf("seed %d step %d: MeanToRFraction = %v, want %v", seed, step, got, sum/float64(len(topo.ToRs())))
+			if got, want := net.MeanToRFraction(), sum/float64(len(topo.ToRs())); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d step %d: MeanToRFraction = %v, want %v", seed, step, got, want)
 			}
 			if got := len(net.ViolatedToRs(nil)); got != violated {
 				t.Fatalf("seed %d step %d: ViolatedToRs = %d, recompute = %d", seed, step, got, violated)

@@ -11,6 +11,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"corropt/internal/topology"
@@ -25,9 +27,10 @@ import (
 // deltas through the toggled link's downstream cone instead of triggering
 // full recounts, and the per-ToR constraint status (meets/violates) is
 // maintained alongside. Capacity metrics over the *current* state —
-// ViolatedToRs(nil), Feasible(nil), WorstToRFraction, MeanToRFraction —
-// are therefore O(|ToRs|) reads, not O(|V|+|E|) sweeps, and a probe from a
-// state where every ToR meets (violatedUnder) tests only the ToRs it touched.
+// ViolatedToRs(nil) and Feasible(nil) — are therefore at most O(|ToRs|)
+// reads, not O(|V|+|E|) sweeps; ToRFractions re-sums only from the lowest
+// ToR changed since its last read; and a probe from a state where every ToR
+// meets (violatedUnder) tests only the ToRs it touched.
 //
 // Network is not safe for concurrent use.
 type Network struct {
@@ -56,10 +59,16 @@ type Network struct {
 	// {l : rate[l] > 0 ∧ rate[l] >= threshold} is kept by SetCorruption and
 	// Reset, and by setDetectionThreshold when an Engine re-keys the network.
 	// Most recorded rates sit between the 1e-8 lossy floor and the 1e-6
-	// operators act on (§2), so Network.active at the keyed threshold walks
-	// this set with no rate test instead of filtering corrupting.
+	// operators act on (§2).
 	reportable *topology.LinkSet
 	threshold  float64
+	// live lists reportable &^ disabled in ascending link order: the active
+	// corrupting set at the keyed threshold, which every simulator sample,
+	// optimizer run and baseline sweep reads. SetCorruption, Disable, Enable,
+	// setDetectionThreshold, Reset and resetState keep it, so those reads are
+	// a length or a copy of a few dozen links, not a walk of every word of
+	// the reportable set.
+	live []topology.LinkID
 	// constraint is the per-ToR minimum fraction of valley-free spine
 	// paths that must remain available, indexed by SwitchID (non-ToR
 	// entries unused).
@@ -69,6 +78,25 @@ type Network struct {
 	// ToRs that do not.
 	meetsNow    []bool
 	numViolated int
+
+	// ToRFractions' cache, indexed by position in topo.ToRs(). The first
+	// read builds it (fleet shards never read it, so they never pay for it);
+	// after that refreshToR and recomputeViolated store each changed ToR's
+	// fraction and lower torDirty to the lowest changed position, and a read
+	// re-sums only from the checkpoint at or below torDirty.
+	//   - torPos maps a ToR's SwitchID to its position; nil until built.
+	//   - torFrac holds count/total per position, 0 for a ToR with no paths.
+	//   - torNotOne has bit p set iff torFrac[p] != 1.0: about half the
+	//     ToRs of a running simulation sit at exactly 1.0, and a run of
+	//     them is summed without visiting each (addOnes).
+	//   - torSum[k] and torMin[k] are the in-order running sum and minimum
+	//     of torFrac[:64k]; the last entry holds the whole list's.
+	torPos    []int32
+	torFrac   []float64
+	torNotOne []uint64
+	torSum    []float64
+	torMin    []float64
+	torDirty  int
 
 	// Incremental penalty accounting (§5.1's objective Σ (1-d_l)·I(f_l)),
 	// active once RegisterPenalty installs an impact function. penalty is
@@ -139,6 +167,7 @@ func (n *Network) Reset(c float64) error {
 	clear(n.rate)
 	n.corrupting.Clear()
 	n.reportable.Clear()
+	n.live = n.live[:0]
 	n.threshold = DefaultDetectionThreshold
 	clear(n.constraint)
 	for _, tor := range n.topo.ToRs() {
@@ -183,6 +212,9 @@ func (n *Network) Disable(l topology.LinkID) {
 	}
 	n.numDisabled++
 	n.penaltyOnToggle(l, true)
+	if n.reportable.Has(l) {
+		n.setLive(l, false)
+	}
 	n.refreshToRs(n.pc.Apply(l))
 }
 
@@ -193,6 +225,9 @@ func (n *Network) Enable(l topology.LinkID) {
 	}
 	n.numDisabled--
 	n.penaltyOnToggle(l, false)
+	if n.reportable.Has(l) {
+		n.setLive(l, true)
+	}
 	n.refreshToRs(n.pc.Revert(l))
 }
 
@@ -230,10 +265,15 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 	} else {
 		n.corrupting.Remove(l)
 	}
-	if rate > 0 && rate >= n.threshold {
-		n.reportable.Add(l)
-	} else {
-		n.reportable.Remove(l)
+	if reportable := rate > 0 && rate >= n.threshold; reportable != n.reportable.Has(l) {
+		if reportable {
+			n.reportable.Add(l)
+		} else {
+			n.reportable.Remove(l)
+		}
+		if !n.disabled.Has(l) {
+			n.setLive(l, reportable)
+		}
 	}
 	n.penaltyOnToggle(l, n.disabled.Has(l))
 }
@@ -253,6 +293,47 @@ func (n *Network) setDetectionThreshold(threshold float64) {
 		if n.rate[l] >= threshold {
 			n.reportable.Add(l)
 		}
+	}
+	n.rebuildLive()
+}
+
+// setLive adds link l to the live list (on) or removes it, keeping the list
+// sorted. The search and the shift are written out rather than left to
+// slices.BinarySearch/Insert/Delete: hotalloc cannot see inside those, and
+// every report reaches here.
+func (n *Network) setLive(l topology.LinkID, on bool) {
+	live := n.live
+	lo, hi := 0, len(live)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if live[m] < l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(live) && live[lo] == l {
+		if !on {
+			copy(live[lo:], live[lo+1:])
+			n.live = live[:len(live)-1]
+		}
+		return
+	}
+	if on {
+		//lint:allow hotalloc one slot of growth in the retained live list, steady capacity after warmup
+		live = append(live, 0)
+		copy(live[lo+1:], live[lo:])
+		live[lo] = l
+		n.live = live
+	}
+}
+
+// rebuildLive refills the live list from the reportable and disabled sets.
+func (n *Network) rebuildLive() {
+	n.live = n.live[:0]
+	it := n.reportable.Iter(n.disabled)
+	for l := it.Next(); l != topology.NoLink; l = it.Next() {
+		n.live = append(n.live, l)
 	}
 }
 
@@ -361,8 +442,7 @@ func (n *Network) rebuildPenaltySum() {
 func (n *Network) CorruptionRate(l topology.LinkID) float64 { return n.rate[l] }
 
 // activeIter walks the active corrupting links at one threshold in ascending
-// link order; see Network.active. A nil rate means links already holds only
-// links at or above the threshold.
+// link order; see Network.active.
 type activeIter struct {
 	links     topology.LinkIter
 	rate      []float64
@@ -372,20 +452,16 @@ type activeIter struct {
 // active returns an iterator over the active corrupting links at threshold:
 // a link is active corrupting when it has a recorded rate (rate > 0), that
 // rate is at or above threshold, and the link is enabled. Healthy links are
-// never active, whatever the threshold. Every reader of that set loops
+// never active, whatever the threshold. Every reader of that set at another
+// threshold than the keyed one (which the live list answers) loops
 //
 //	it := n.active(threshold)
 //	for l := it.next(); l != topology.NoLink; l = it.next() { … }
 //
 // which walks corrupting &^ disabled in ascending link order — the order,
 // and so the float-addition order, of a scan over every link — at a cost of
-// O(#links/64 + #corrupting), not O(#links). At the threshold the network is
-// keyed to it walks reportable &^ disabled instead: the same links in the
-// same order, without visiting the sub-threshold ones.
+// O(#links/64 + #corrupting), not O(#links).
 func (n *Network) active(threshold float64) activeIter {
-	if threshold == n.threshold {
-		return activeIter{links: n.reportable.Iter(n.disabled)}
-	}
 	return activeIter{links: n.corrupting.Iter(n.disabled), rate: n.rate, threshold: threshold}
 }
 
@@ -393,7 +469,7 @@ func (n *Network) active(threshold float64) activeIter {
 func (it *activeIter) next() topology.LinkID {
 	for {
 		l := it.links.Next()
-		if l == topology.NoLink || it.rate == nil || it.rate[l] >= it.threshold {
+		if l == topology.NoLink || it.rate[l] >= it.threshold {
 			return l
 		}
 	}
@@ -411,10 +487,15 @@ func (n *Network) ActiveCorrupting(threshold float64) []topology.LinkID {
 // AppendActiveCorrupting appends the active corrupting links at threshold
 // (rate > 0, rate >= threshold, enabled; ascending) to dst and returns the
 // extended slice. Callers on hot paths pass a retained buffer (dst[:0]) to
-// avoid re-allocating the set on every optimizer run.
+// avoid re-allocating the set on every optimizer run. At the keyed threshold
+// it copies the live list.
 //
 //lint:hotpath every optimizer run and baseline sweep starts by collecting this set
 func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float64) []topology.LinkID {
+	if threshold == n.threshold {
+		//lint:allow hotalloc append into the caller's retained buffer, steady capacity after warmup
+		return append(dst, n.live...)
+	}
 	it := n.active(threshold)
 	for l := it.next(); l != topology.NoLink; l = it.next() {
 		//lint:allow hotalloc append into the caller's retained buffer, steady capacity after warmup
@@ -426,10 +507,13 @@ func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float6
 // NumActiveCorrupting counts the active corrupting links at threshold
 // (rate > 0, rate >= threshold, enabled) without materializing the set. The
 // simulator's sample path and the control-plane status endpoint only need
-// the count.
+// the count, which at the keyed threshold is the live list's length.
 //
 //lint:hotpath every simulator sample and control-plane status read
 func (n *Network) NumActiveCorrupting(threshold float64) int {
+	if threshold == n.threshold {
+		return len(n.live)
+	}
 	count := 0
 	it := n.active(threshold)
 	for l := it.next(); l != topology.NoLink; l = it.next() {
@@ -460,9 +544,11 @@ func (n *Network) meets(tor topology.SwitchID, counts, total []int64) bool {
 }
 
 // refreshToR re-evaluates one ToR's constraint status against the
-// incremental counts, maintaining numViolated.
+// incremental counts, maintaining numViolated, and, once ToRFractions has
+// built its cache, stores the ToR's fraction there.
 func (n *Network) refreshToR(tor topology.SwitchID) {
-	now := n.meets(tor, n.pc.IncCounts(), n.pc.Total())
+	counts, total := n.pc.IncCounts(), n.pc.Total()
+	now := n.meets(tor, counts, total)
 	if now != n.meetsNow[tor] {
 		n.meetsNow[tor] = now
 		if now {
@@ -470,6 +556,9 @@ func (n *Network) refreshToR(tor topology.SwitchID) {
 		} else {
 			n.numViolated++
 		}
+	}
+	if n.torPos != nil {
+		n.setToRFraction(int(n.torPos[tor]), torFraction(counts[tor], total[tor]))
 	}
 }
 
@@ -492,6 +581,9 @@ func (n *Network) recomputeViolated() {
 			n.numViolated++
 		}
 	}
+	if n.torPos != nil {
+		n.fillToRFractions()
+	}
 }
 
 // resetState replaces the disabled set wholesale (used by LoadState): one
@@ -503,6 +595,7 @@ func (n *Network) resetState(disabled []topology.LinkID) {
 	}
 	n.pc.ResetIncremental(set)
 	n.numDisabled = n.disabled.Len()
+	n.rebuildLive()
 	n.recomputeViolated()
 	if n.penalty != nil {
 		// The disabled set changed wholesale: refresh every corrupting
@@ -628,40 +721,155 @@ func (n *Network) composite(extra map[topology.LinkID]bool) topology.DisabledFun
 }
 
 // ToRFractions reports the minimum and the average per-ToR available-path
-// fraction in the current state in one O(|ToRs|) pass over the incremental
-// counts — one division per ToR for callers, like the simulator's sampler,
-// that want both.
+// fraction in the current state, for callers, like the simulator's sampler,
+// that want both. The result is bit-identical to one in-order pass
+//
+//	worst, sum := 1.0, 0.0
+//	for _, tor := range topo.ToRs() { f := count/total (0 without paths); sum += f; if f < worst { worst = f } }
+//
+// but the per-ToR fractions are cached as Disable and Enable change them,
+// and a read resumes that pass from the checkpoint at or below the lowest
+// ToR changed since the last read, adding each run of fractions equal to 1.0
+// in one step per power of two it crosses (addOnes). The first read builds
+// the cache: O(|ToRs|) once per Network.
+//
+//lint:hotpath every simulator sample and control-plane status read
 func (n *Network) ToRFractions() (worst, mean float64) {
+	nt := len(n.topo.ToRs())
+	if nt == 0 {
+		return 1.0, 0
+	}
+	if n.torPos == nil {
+		//lint:allow hotalloc builds the fraction cache once per Network, on its first read
+		n.buildToRFractions()
+	}
+	sum, worst := n.sumToRFractions()
+	return worst, sum / float64(nt)
+}
+
+// torFraction is a ToR's available-path fraction: count/total, or 0 for a
+// ToR with no paths to the spine at all.
+func torFraction(count, total int64) float64 {
+	if total > 0 {
+		return float64(count) / float64(total)
+	}
+	return 0
+}
+
+// buildToRFractions allocates ToRFractions' cache and fills it.
+func (n *Network) buildToRFractions() {
 	tors := n.topo.ToRs()
-	worst = 1.0
-	if len(tors) == 0 {
-		return worst, 0
+	blocks := (len(tors) + 63) / 64
+	n.torPos = make([]int32, n.topo.NumSwitches())
+	for p, tor := range tors {
+		n.torPos[tor] = int32(p)
 	}
+	n.torFrac = make([]float64, len(tors))
+	n.torNotOne = make([]uint64, blocks)
+	n.torSum = make([]float64, blocks+1)
+	n.torMin = make([]float64, blocks+1)
+	n.torMin[0] = 1.0
+	n.fillToRFractions()
+}
+
+// fillToRFractions recomputes every cached fraction from the incremental
+// counts; the next read re-sums from the first ToR.
+func (n *Network) fillToRFractions() {
 	counts, total := n.pc.IncCounts(), n.pc.Total()
-	sum := 0.0
-	for _, tor := range tors {
-		var f float64
-		if total[tor] > 0 {
-			f = float64(counts[tor]) / float64(total[tor])
-			sum += f
-		}
-		if f < worst {
-			worst = f
+	clear(n.torNotOne)
+	for p, tor := range n.topo.ToRs() {
+		f := torFraction(counts[tor], total[tor])
+		n.torFrac[p] = f
+		if f != 1.0 {
+			n.torNotOne[p>>6] |= 1 << (uint(p) & 63)
 		}
 	}
-	return worst, sum / float64(len(tors))
+	n.torDirty = 0
+}
+
+// setToRFraction stores the fraction of the ToR at position p.
+func (n *Network) setToRFraction(p int, f float64) {
+	if n.torFrac[p] == f {
+		return
+	}
+	n.torFrac[p] = f
+	if f != 1.0 {
+		n.torNotOne[p>>6] |= 1 << (uint(p) & 63)
+	} else {
+		n.torNotOne[p>>6] &^= 1 << (uint(p) & 63)
+	}
+	n.torDirty = min(n.torDirty, p)
+}
+
+// sumToRFractions resumes the in-order pass over the cached fractions at the
+// checkpoint of torDirty's block, re-recording each later checkpoint, and
+// returns the running sum and minimum of the whole list.
+func (n *Network) sumToRFractions() (sum, worst float64) {
+	blocks := len(n.torNotOne)
+	if n.torDirty == len(n.torFrac) {
+		return n.torSum[blocks], n.torMin[blocks]
+	}
+	k := n.torDirty >> 6
+	sum, worst = n.torSum[k], n.torMin[k]
+	for ; k < blocks; k++ {
+		n.torSum[k], n.torMin[k] = sum, worst
+		next, end := k<<6, min(k<<6+64, len(n.torFrac))
+		for w := n.torNotOne[k]; w != 0; w &= w - 1 {
+			p := k<<6 + bits.TrailingZeros64(w)
+			if p > next {
+				sum = addOnes(sum, p-next)
+			}
+			f := n.torFrac[p]
+			sum += f
+			if f < worst { // not min(): with its NaN and signed-zero handling this loop ran 2.7× slower on amd64
+				worst = f
+			}
+			next = p + 1
+		}
+		if end > next {
+			sum = addOnes(sum, end-next)
+		}
+	}
+	n.torSum[blocks], n.torMin[blocks] = sum, worst
+	n.torDirty = len(n.torFrac)
+	return sum, worst
+}
+
+// addOnes returns s after k sequential s += 1 — the in-order sum over a run
+// of k fractions equal to 1.0 — bit for bit, in one addition per power of
+// two the sum crosses. For 1 <= s < 2^53, s and every integer are multiples
+// of the unit in the last place of s's binade [b/2, b), so s + j is exact
+// while it stays below b and equals j single additions; only the addition
+// that reaches b rounds, and it is done as the loop does it. Outside that
+// range the loop is run as written.
+func addOnes(s float64, k int) float64 {
+	for k > 0 {
+		if !(s >= 1 && s < 1<<53) {
+			s++
+			k--
+			continue
+		}
+		b := math.Float64frombits((math.Float64bits(s)>>52 + 1) << 52) // next power of two above s
+		j := int(math.Ceil(b-s)) - 1                                   // b-s is exact (Sterbenz)
+		if k <= j {
+			return s + float64(k)
+		}
+		s += float64(j)
+		s++
+		k -= j + 1
+	}
+	return s
 }
 
 // WorstToRFraction reports the minimum per-ToR available-path fraction in
-// the current state (Figures 15 and 16). O(|ToRs|): reads the incremental
-// counts directly.
+// the current state (Figures 15 and 16); see ToRFractions.
 func (n *Network) WorstToRFraction() float64 {
 	worst, _ := n.ToRFractions()
 	return worst
 }
 
 // MeanToRFraction reports the average per-ToR available-path fraction in
-// the current state (§7.3's capacity-cost metric). O(|ToRs|).
+// the current state (§7.3's capacity-cost metric); see ToRFractions.
 func (n *Network) MeanToRFraction() float64 {
 	_, mean := n.ToRFractions()
 	return mean

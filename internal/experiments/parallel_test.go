@@ -59,14 +59,14 @@ func TestDriverAllocCeilings(t *testing.T) {
 		id      string
 		ceiling float64
 	}{
-		{"fig14", 3200},    // 2,389
-		{"fig1516", 4200},  // 3,174
-		{"fig17", 4200},    // 3,100
-		{"fig19", 3900},    // 2,963
-		{"sec2", 11000},    // 8,531
-		{"ext8", 4200},     // 3,174
-		{"fleet", 26000},   // 20,015
-		{"ticketq", 17000}, // 13,147
+		{"fig14", 3000},    // 2,237
+		{"fig1516", 3800},  // 2,867
+		{"fig17", 3300},    // 2,483
+		{"fig19", 3400},    // 2,605
+		{"sec2", 8300},     // 6,358
+		{"ext8", 3900},     // 2,963
+		{"fleet", 26000},   // 19,835
+		{"ticketq", 14000}, // 10,912
 	} {
 		t.Run(c.id, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(1, func() {

@@ -47,14 +47,22 @@ func (d *DampeningConfig) validate() error {
 }
 
 // RunEvents replays the fault trace plus externally scheduled fault clears
-// until horizon and returns the result. Clears are scheduled before the
-// trace, so a clear and a fault arriving at the same instant resolve
-// clear-first — the replace semantics degradation ramps rely on. Like Run,
-// RunEvents is one-shot; Run(trace, horizon) is RunEvents(trace, nil,
-// horizon).
+// until horizon and returns the result. Both lists must be sorted by time
+// and start at or after t=0; the first event out of order is an error, and
+// nothing runs. A clear and a fault at the same instant resolve clear-first
+// — the replace semantics degradation ramps rely on — and both fire before
+// anything the run itself scheduled for that instant (repair completions,
+// delayed detections, the sampler). Like Run, RunEvents is one-shot;
+// Run(trace, horizon) is RunEvents(trace, nil, horizon).
+//
+// The two lists are not copied into the event queue: they are streamed, as
+// two cursors merged with the clock's own events (simclock.RunBefore).
 func (s *Sim) RunEvents(trace []*faults.Fault, clears []Clear, horizon time.Duration) (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("sim: Run called twice on the same Sim; Sim is one-shot — build a new Sim to replay")
+	}
+	if err := checkSorted(trace, clears); err != nil {
+		return nil, err
 	}
 	s.ran = true
 	// Size the output series up front: one sample per interval plus the t=0
@@ -62,32 +70,51 @@ func (s *Sim) RunEvents(trace []*faults.Fault, clears []Clear, horizon time.Dura
 	// append-growth reallocations on every scenario.
 	s.result.Samples = make([]Sample, 0, horizon/s.cfg.SampleInterval+2)
 	s.result.PenaltyPerDay = make([]float64, 0, horizon/(24*time.Hour)+1)
-	for _, c := range clears {
-		if c.At >= horizon {
-			continue
-		}
-		id := c.Fault
-		if _, err := s.clock.At(c.At, func(now time.Duration) { s.onClear(id, now) }); err != nil {
-			return nil, fmt.Errorf("sim: clear before t=0: %w", err)
-		}
-	}
-	for _, f := range trace {
-		f := f
-		if f.Start >= horizon {
-			break
-		}
-		if _, err := s.clock.At(f.Start, func(now time.Duration) { s.onFault(f, now) }); err != nil {
-			return nil, fmt.Errorf("sim: trace not sorted: %w", err)
-		}
-	}
 	s.clock.Every(s.cfg.SampleInterval, s.sample)
 	s.sample(0)
+	for {
+		haveClear := len(clears) > 0 && clears[0].At < horizon
+		haveFault := len(trace) > 0 && trace[0].Start < horizon
+		if haveClear && (!haveFault || clears[0].At <= trace[0].Start) {
+			s.clock.RunBefore(clears[0].At)
+			s.onClear(clears[0].Fault, clears[0].At)
+			clears = clears[1:]
+		} else if haveFault {
+			s.clock.RunBefore(trace[0].Start)
+			s.onFault(trace[0], trace[0].Start)
+			trace = trace[1:]
+		} else {
+			break
+		}
+	}
 	s.clock.RunUntil(horizon)
 	// Close the penalty integral at the horizon.
 	s.accrue(horizon)
 	s.result.FirstAttemptSuccessRate = s.queue.FirstAttemptSuccessRate()
 	s.result.MeanAttempts = s.queue.MeanAttempts()
 	return &s.result, nil
+}
+
+// checkSorted requires the trace sorted by Start and the clears by At, with
+// no time before t=0, and names the first event that breaks either rule.
+func checkSorted(trace []*faults.Fault, clears []Clear) error {
+	for i, f := range trace {
+		if f.Start < 0 {
+			return fmt.Errorf("sim: trace fault %d starts at %v, before t=0", i, f.Start)
+		}
+		if i > 0 && f.Start < trace[i-1].Start {
+			return fmt.Errorf("sim: trace not sorted: fault %d starts at %v, before fault %d at %v", i, f.Start, i-1, trace[i-1].Start)
+		}
+	}
+	for i, c := range clears {
+		if c.At < 0 {
+			return fmt.Errorf("sim: clear %d at %v, before t=0", i, c.At)
+		}
+		if i > 0 && c.At < clears[i-1].At {
+			return fmt.Errorf("sim: clears not sorted: clear %d at %v, before clear %d at %v", i, c.At, i-1, clears[i-1].At)
+		}
+	}
+	return nil
 }
 
 // onClear removes a still-active fault from ground truth without touching

@@ -86,6 +86,120 @@ func TestRunEventsClearBeforeFaultAtSameInstant(t *testing.T) {
 	}
 }
 
+// heapRunEvents is the event loop RunEvents replaced, kept as the ordering
+// reference: every clear, then every fault, is scheduled into the clock's
+// heap as its own item before the sampler, so events at one instant fire in
+// scheduling order — clears, faults in slice order, then whatever the run
+// itself scheduled.
+func heapRunEvents(s *Sim, trace []*faults.Fault, clears []Clear, horizon time.Duration) *Result {
+	s.ran = true
+	s.result.Samples = make([]Sample, 0, horizon/s.cfg.SampleInterval+2)
+	s.result.PenaltyPerDay = make([]float64, 0, horizon/(24*time.Hour)+1)
+	for _, c := range clears {
+		if c.At < horizon {
+			id := c.Fault
+			s.clock.At(c.At, func(now time.Duration) { s.onClear(id, now) })
+		}
+	}
+	for _, f := range trace {
+		if f.Start < horizon {
+			s.clock.At(f.Start, func(now time.Duration) { s.onFault(f, now) })
+		}
+	}
+	s.clock.Every(s.cfg.SampleInterval, s.sample)
+	s.sample(0)
+	s.clock.RunUntil(horizon)
+	s.accrue(horizon)
+	s.result.FirstAttemptSuccessRate = s.queue.FirstAttemptSuccessRate()
+	s.result.MeanAttempts = s.queue.MeanAttempts()
+	return &s.result
+}
+
+// TestRunEventsSharedInstant: a clear, a fault, a repair completion and a
+// sample at one instant fire in that order, as they did when every trace
+// event sat in the clock's heap. Fault A (0 h) disables link 0 until its
+// repair at 2 h; fault B (1 h) holds link 1 at 6e-7, under the 1e-6
+// detection threshold. At 2 h B clears, then fault C puts link 1 at 6e-7
+// again and links 2 and 3 at 1e-3, then A's repair re-enables link 0, then
+// the sample reads links 2 and 3 down. Had C come before the clear, link 1
+// would have read B's and C's rates together, over the threshold, and been
+// reported and disabled; had the sample come earlier, it would have seen
+// link 0 down. The same order holds on an hour-aligned random trace with
+// clears and a detection delay, where the whole result must equal the heap
+// loop's.
+func TestRunEventsSharedInstant(t *testing.T) {
+	topo := simTopo(t)
+	uplink := func(i int) topology.LinkID { return topo.Switch(topo.ToRs()[i]).Uplinks[0] }
+	cfg := Config{Policy: PolicyCorrOpt, FixedAccuracy: 1.0, ServiceTime: 2 * time.Hour, Seed: 1}
+	a := directFault(1, uplink(0), 0, 1e-3)
+	b := directFault(2, uplink(1), time.Hour, 6e-7)
+	c := directFault(3, uplink(1), 2*time.Hour, 6e-7)
+	for _, i := range []int{2, 3} {
+		c.Effects = append(c.Effects, faults.LinkEffect{Link: uplink(i), DirectRate: [2]float64{1e-3, 0}})
+	}
+	trace, clears := []*faults.Fault{a, b, c}, []Clear{{At: 2 * time.Hour, Fault: 2}}
+	horizon := 3 * time.Hour
+
+	s, err := New(topo, simTech(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.RunEvents(trace, clears, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CorruptionReports != 3 {
+		t.Fatalf("%d reports, want 3: link 0 at 0h, links 2 and 3 at 2h", res.CorruptionReports)
+	}
+	if got := res.Samples[2]; got.At != 2*time.Hour || got.Disabled != 2 || s.Network().Disabled(uplink(0)) {
+		t.Fatalf("sample at %v shows %d links disabled, want links 2 and 3 at 2h", got.At, got.Disabled)
+	}
+	ref, err := New(topo, simTech(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := heapRunEvents(ref, trace, clears, horizon); !reflect.DeepEqual(res, want) {
+		t.Fatalf("streamed run %+v, heap loop %+v", res, want)
+	}
+
+	// Hour-aligned faults land on sample instants and on each other's 48 h
+	// repair completions; every third fault clears four hours in.
+	horizon = 14 * 24 * time.Hour
+	trace = nil
+	clears = nil
+	for i, f := range genTrace(t, topo, 0.01, horizon, 8) {
+		g := *f
+		g.Start = g.Start.Truncate(time.Hour)
+		trace = append(trace, &g)
+		if i%3 == 0 {
+			clears = append(clears, Clear{At: g.Start + 4*time.Hour, Fault: g.ID})
+		}
+	}
+	for _, cfg := range []Config{
+		{Policy: PolicyCorrOpt, Seed: 3},
+		{Policy: PolicyFastOnly, DetectionDelay: time.Hour, RepairCollateral: true, Seed: 4},
+	} {
+		s, err := New(topo, simTech(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunEvents(trace, clears, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := New(topo, simTech(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := heapRunEvents(ref, trace, clears, horizon); !reflect.DeepEqual(res, want) {
+			t.Fatalf("%v: streamed run differs from the heap loop", cfg.Policy)
+		}
+		if res.CorruptionReports == 0 {
+			t.Fatalf("%v: no reports", cfg.Policy)
+		}
+	}
+}
+
 func TestRunEventsUnknownClearIsNoOp(t *testing.T) {
 	topo := simTopo(t)
 	horizon := 14 * 24 * time.Hour

@@ -273,20 +273,41 @@ func TestFastOnlyBetween(t *testing.T) {
 	}
 }
 
+// TestTraceMustBeSorted: the trace and the clears are streamed in slice
+// order, so an event out of order, or before t=0, is an error naming it and
+// nothing runs. An unsorted trace once ran silently short instead: the fault
+// at 1 h behind one past the horizon was never applied, and the run returned
+// no error, no report and no penalty.
 func TestTraceMustBeSorted(t *testing.T) {
 	topo := simTopo(t)
-	s, err := New(topo, simTech(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []*faults.Fault{
-		{ID: 1, Start: 10 * time.Hour, Cause: faults.BadTransceiver, Effects: []faults.LinkEffect{{Link: 0, DirectRate: [2]float64{0.01, 0}}}},
-		{ID: 2, Start: 5 * time.Hour, Cause: faults.BadTransceiver, Effects: []faults.LinkEffect{{Link: 1, DirectRate: [2]float64{0.01, 0}}}},
-	}
-	// Unsorted traces are fine for scheduling (events are placed by
-	// absolute time), so this must NOT fail...
-	if _, err := s.Run(bad, 20*time.Hour); err != nil {
-		t.Fatalf("unsorted trace rejected: %v", err)
+	late := directFault(1, 0, 100*time.Hour, 0.01)
+	early := directFault(2, 1, time.Hour, 0.01)
+	horizon := 50 * time.Hour
+	for _, c := range []struct {
+		trace  []*faults.Fault
+		clears []Clear
+		want   string
+	}{
+		{[]*faults.Fault{late, early}, nil, "sim: trace not sorted: fault 1 starts at 1h0m0s, before fault 0 at 100h0m0s"},
+		{[]*faults.Fault{directFault(3, 0, -time.Hour, 0.01)}, nil, "sim: trace fault 0 starts at -1h0m0s, before t=0"},
+		{nil, []Clear{{At: 2 * time.Hour, Fault: 2}, {At: time.Hour, Fault: 1}}, "sim: clears not sorted: clear 1 at 1h0m0s, before clear 0 at 2h0m0s"},
+		{nil, []Clear{{At: -time.Second, Fault: 2}}, "sim: clear 0 at -1s, before t=0"},
+	} {
+		s, err := New(topo, simTech(), Config{Policy: PolicyCorrOpt, DetectionDelay: 30 * time.Minute, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunEvents(c.trace, c.clears, horizon); err == nil || err.Error() != c.want {
+			t.Errorf("RunEvents error %v, want %q", err, c.want)
+		}
+		// Nothing ran, so the Sim is still unused.
+		res, err := s.Run([]*faults.Fault{early, late}, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CorruptionReports != 1 || res.IntegratedPenalty <= 0 {
+			t.Fatalf("sorted trace: %d reports, penalty %v; want 1 report and a penalty", res.CorruptionReports, res.IntegratedPenalty)
+		}
 	}
 }
 

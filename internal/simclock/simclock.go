@@ -185,7 +185,17 @@ func (c *Clock) Step() bool {
 
 // RunUntil processes events in order until the queue is empty or the next
 // event would fire after deadline, then advances the clock to deadline.
-func (c *Clock) RunUntil(deadline time.Duration) {
+func (c *Clock) RunUntil(deadline time.Duration) { c.run(deadline, true) }
+
+// RunBefore processes, in order, every event that fires strictly before t,
+// then advances the clock to t. Events at t itself stay queued, so a caller
+// streaming its own sorted events can merge them in: RunBefore(e.At), then
+// run e, and e fires ahead of everything the queue holds for that instant.
+func (c *Clock) RunBefore(t time.Duration) { c.run(t, false) }
+
+// run processes events up to limit (inclusive or not), then advances the
+// clock to limit.
+func (c *Clock) run(limit time.Duration, inclusive bool) {
 	for c.q.Len() > 0 {
 		// Peek: find the earliest live event.
 		it := c.q[0]
@@ -193,13 +203,13 @@ func (c *Clock) RunUntil(deadline time.Duration) {
 			heap.Pop(&c.q)
 			continue
 		}
-		if it.at > deadline {
+		if it.at > limit || (it.at == limit && !inclusive) {
 			break
 		}
 		c.Step()
 	}
-	if c.now < deadline {
-		c.now = deadline
+	if c.now < limit {
+		c.now = limit
 	}
 }
 

@@ -35,6 +35,36 @@ func TestFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
+// TestRunBefore: events strictly before t run, the clock lands on t, and
+// events at t wait, so work done at t by the caller comes first.
+func TestRunBefore(t *testing.T) {
+	c := New()
+	var order []string
+	c.After(time.Second, func(time.Duration) { order = append(order, "1s") })
+	c.After(2*time.Second, func(time.Duration) { order = append(order, "2s") })
+	c.After(3*time.Second, func(time.Duration) { order = append(order, "3s") })
+	c.RunBefore(2 * time.Second)
+	if c.Now() != 2*time.Second || len(order) != 1 || order[0] != "1s" {
+		t.Fatalf("after RunBefore(2s): clock %v, fired %v; want 2s, [1s]", c.Now(), order)
+	}
+	order = append(order, "caller")
+	c.After(0, func(time.Duration) { order = append(order, "scheduled at 2s") })
+	c.RunBefore(2 * time.Second) // nothing is strictly before 2s now
+	c.RunUntil(2 * time.Second)
+	want := []string{"1s", "caller", "2s", "scheduled at 2s"}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+	if c.Pending() != 1 {
+		t.Fatalf("%d events pending, want the one at 3s", c.Pending())
+	}
+}
+
 func TestSchedulingInPast(t *testing.T) {
 	c := New()
 	c.After(time.Second, func(time.Duration) {})

@@ -8,7 +8,7 @@ package tickets
 import (
 	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"corropt/internal/faults"
@@ -102,6 +102,8 @@ type Queue struct {
 	// free holds recycled tickets, refilled from history by Reset so a
 	// reused queue's Open path allocates nothing in steady state.
 	free []*Ticket
+	// keys is MeanAttempts' sort buffer, kept across calls and Resets.
+	keys []uint64
 }
 
 type busyHeap []time.Duration
@@ -250,29 +252,38 @@ func (q *Queue) FirstAttemptSuccessRate() float64 {
 	return float64(succeeded) / float64(first)
 }
 
-// MeanAttempts reports the average number of attempts per repaired link.
+// MeanAttempts reports the average number of attempts per repaired link: over
+// the links with at least one successful ticket, the mean of the highest
+// attempt number any of the link's tickets reached. It sorts one packed
+// (link, attempt, succeeded) key per resolved ticket in a buffer the queue
+// keeps, so a reused queue answers without allocating.
 func (q *Queue) MeanAttempts() float64 {
-	perLink := make(map[topology.LinkID]int)
-	success := make(map[topology.LinkID]bool)
+	keys := q.keys[:0]
 	for _, t := range q.history {
-		if t.Attempt > perLink[t.Link] {
-			perLink[t.Link] = t.Attempt
-		}
+		k := uint64(uint32(t.Link))<<32 | uint64(uint32(t.Attempt))<<1
 		if t.Succeeded {
-			success[t.Link] = true
+			k |= 1
 		}
+		keys = append(keys, k)
 	}
-	if len(success) == 0 {
+	q.keys = keys
+	slices.Sort(keys)
+	sum, links := 0, 0
+	succeeded := false
+	for i, k := range keys {
+		succeeded = succeeded || k&1 == 1
+		if i+1 < len(keys) && keys[i+1]>>32 == k>>32 {
+			continue
+		}
+		// k is the link's last key, so it carries the highest attempt.
+		if succeeded {
+			sum += int(uint32(k) >> 1)
+			links++
+		}
+		succeeded = false
+	}
+	if links == 0 {
 		return 0
 	}
-	sum := 0
-	links := make([]topology.LinkID, 0, len(success))
-	for l := range success {
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	for _, l := range links {
-		sum += perLink[l]
-	}
-	return float64(sum) / float64(len(links))
+	return float64(sum) / float64(links)
 }

@@ -160,6 +160,50 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
+// mapMeanAttempts is the map-based MeanAttempts the sort replaced, kept as
+// its reference: per link with a successful ticket, the highest attempt.
+func mapMeanAttempts(q *Queue) float64 {
+	perLink := make(map[topology.LinkID]int)
+	success := make(map[topology.LinkID]bool)
+	for _, t := range q.History() {
+		perLink[t.Link] = max(perLink[t.Link], t.Attempt)
+		if t.Succeeded {
+			success[t.Link] = true
+		}
+	}
+	if len(success) == 0 {
+		return 0
+	}
+	sum := 0
+	for l := range success {
+		sum += perLink[l]
+	}
+	return float64(sum) / float64(len(success))
+}
+
+// TestMeanAttemptsMatchesMapReference replays random open/resolve sequences
+// — several episodes per link, some ending unrepaired — across Resets of one
+// queue and requires MeanAttempts to equal the map reference exactly.
+func TestMeanAttemptsMatchesMapReference(t *testing.T) {
+	q := NewQueue(QueueConfig{Quiet: true})
+	rng := rngutil.New(7)
+	for run := 0; run < 20; run++ {
+		q.Reset(QueueConfig{Quiet: true})
+		now := time.Duration(0)
+		for i := 0; i < 300; i++ {
+			l := topology.LinkID(rng.Intn(40) * 1000003 % (1 << 30))
+			tk, done := q.Open(l, faults.ActionUnknown, now)
+			now = done
+			if err := q.Resolve(tk, done, faults.ActionUnknown, rng.Bool(0.4)); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := q.MeanAttempts(), mapMeanAttempts(q); got != want {
+				t.Fatalf("run %d ticket %d: MeanAttempts = %v, map reference %v", run, i, got, want)
+			}
+		}
+	}
+}
+
 func TestMeanAttemptsEmpty(t *testing.T) {
 	q := NewQueue(QueueConfig{})
 	if q.MeanAttempts() != 0 || q.FirstAttemptSuccessRate() != 0 {
