@@ -22,15 +22,15 @@ vet:
 
 ## lint: the full static-analysis gate — go vet, the repository's own
 ## corropt-lint analyzer suite (nodeterminism, maprange, errwrap, mutexheld,
-## lockorder, gorolife, aliasescape, stalecache, hotalloc, floatorder,
-## ctxdeadline, reslife, escapes; see DESIGN.md §8), and staticcheck when
+## lockorder, gorolife, aliasescape, ctxdeadline, reslife, escapes; see
+## DESIGN.md §8), and staticcheck when
 ## the binary is installed. Exits non-zero on any finding;
 ## `//lint:allow <analyzer> <reason>` suppresses a finding on its own or
 ## the following line and the reason is mandatory.
 lint:
 	./scripts/lint.sh
 
-## lint-fast: the 13-analyzer suite restricted to packages transitively
+## lint-fast: the 10-analyzer suite restricted to packages transitively
 ## affected by the git diff against LINT_DIFF_REF (default HEAD) — the
 ## whole module is still loaded and flow-summarized, but analyzer passes
 ## (including the escapes analyzer's compiler run) only cover the affected

@@ -1,24 +1,23 @@
 // Command corropt-lint is the multichecker driver for the repository's
 // determinism & safety analyzer suite (internal/analysis): nodeterminism,
-// maprange, errwrap, mutexheld, the flow-powered lockorder, gorolife,
-// aliasescape, and stalecache, the call-graph proof analyzers hotalloc and
-// floatorder, the deployment liveness & lifecycle analyzers ctxdeadline and
-// reslife, and the compiler cross-validation analyzer escapes (backed by
-// internal/analysis/gcdiag). It is the custom third leg of `make lint` next
-// to `go vet` and staticcheck, and the permanent CI gate on the determinism
-// contract behind the §7 experiment reports.
+// maprange, errwrap, mutexheld, the flow-powered lockorder, gorolife, and
+// aliasescape, the deployment liveness & lifecycle analyzers ctxdeadline and
+// reslife, and escapes, which holds the `//lint:hotpath` roots to the
+// compiler's verdicts (backed by internal/analysis/gcdiag). It is the custom
+// third leg of `make lint` next to `go vet` and staticcheck, and the
+// permanent CI gate on the determinism contract behind the §7 experiment
+// reports.
 //
 // Usage:
 //
-//	corropt-lint [-list] [-json] [-workers n] [-why] [-diff ref] [-gcdiag file] [packages]
+//	corropt-lint [-list] [-json] [-diff ref] [-gcdiag file] [packages]
 //
 // Packages default to ./... relative to the current directory. All packages
 // are loaded up front and summarized into one module-wide flow world (lock
-// graph, goroutine join facts, alias-returning accessors, allocation and
-// float-accumulation effects over the static call graph), then the
-// analyzers run per package on a bounded worker pool (internal/runner) and
-// the findings are merged in deterministic package/position order — output
-// is byte-identical for any -workers value.
+// graph, goroutine join facts, alias-returning accessors, deadline facts,
+// call sites), then the analyzers run per package on a worker pool
+// (internal/runner, one worker per CPU) and the findings are merged in
+// deterministic package/position order.
 //
 // -diff ref restricts the analysis to packages transitively affected by the
 // git diff against ref: the packages whose directories hold changed .go
@@ -41,10 +40,6 @@
 // suppressed}), including suppressed ones so the `//lint:allow`
 // exception inventory stays visible to tooling; text output prints only the
 // live findings.
-//
-// -why expands the `(chain: root -> ... -> callee)` suffix hotalloc attaches
-// to its findings onto indented continuation lines, one hop per line, so
-// long cross-package chains stay readable in terminals.
 //
 // Exit status is 1 when any finding survives suppression, 2 on operational
 // errors.
@@ -70,18 +65,6 @@ import (
 type jsonReport struct {
 	Stats    flow.WorldStats `json:"stats"`
 	Findings []jsonFinding   `json:"findings"`
-}
-
-// splitChain splits the "(chain: a -> b)" suffix hotalloc appends off a
-// message, returning the bare message and the hop list (nil when the
-// message carries no chain).
-func splitChain(msg string) (string, []string) {
-	i := strings.LastIndex(msg, " (chain: ")
-	if i < 0 || !strings.HasSuffix(msg, ")") {
-		return msg, nil
-	}
-	inner := msg[i+len(" (chain: ") : len(msg)-1]
-	return msg[:i], strings.Split(inner, " -> ")
 }
 
 // jsonFinding is the -json wire form of one finding.
@@ -163,12 +146,10 @@ func affectedPackages(pkgs []*analysis.Package, changedDirs map[string]bool) map
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit an object with call-graph stats and all findings (including suppressed ones)")
-	workers := flag.Int("workers", 0, "analyzer worker pool size (<=0: one per CPU); output is identical for any value")
-	why := flag.Bool("why", false, "expand hotalloc call chains onto indented lines")
 	diffRef := flag.String("diff", "", "lint only packages transitively affected by the git diff against `ref`")
 	gcdiagPath := flag.String("gcdiag", "", "write the compiler optimization-diagnostics report (gcdiag JSON) to `file`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: corropt-lint [-list] [-json] [-workers n] [-why] [-diff ref] [-gcdiag file] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: corropt-lint [-list] [-json] [-diff ref] [-gcdiag file] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Runs the determinism & safety analyzer suite; see DESIGN.md §8.\n")
 		flag.PrintDefaults()
 	}
@@ -225,7 +206,7 @@ func main() {
 	// Per-package analyzer runs fan out on the pool; runner.Map returns the
 	// results in package index order, so the merged output is deterministic
 	// for any worker count.
-	perPkg, err := runner.Map(*workers, len(lintPkgs), func(i int) ([]analysis.Finding, error) {
+	perPkg, err := runner.Map(0, len(lintPkgs), func(i int) ([]analysis.Finding, error) {
 		return analysis.RunDetailed(lintPkgs[i], analyzers, world)
 	})
 	if err != nil {
@@ -266,21 +247,8 @@ func main() {
 		}
 	} else {
 		for _, f := range out {
-			if f.Suppressed {
-				continue
-			}
-			msg := f.Message
-			var chain []string
-			if *why {
-				msg, chain = splitChain(msg)
-			}
-			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, msg)
-			for i, hop := range chain {
-				if i == 0 {
-					fmt.Printf("\tchain: %s\n", hop)
-				} else {
-					fmt.Printf("\t    -> %s\n", hop)
-				}
+			if !f.Suppressed {
+				fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 // Driver-level tests: build the corropt-lint binary once and run it against
-// throwaway modules, pinning the -json object shape, -why chain expansion,
-// exit codes on dirty vs clean trees, and the -diff affected-package
-// restriction. These complement the internal/analysis selfcheck tests by
+// throwaway modules, pinning the -json object shape, exit codes on dirty vs
+// clean trees, and the -diff affected-package restriction. These complement the internal/analysis selfcheck tests by
 // exercising the process boundary — flag parsing, exit statuses, and output
 // formatting — exactly as `make lint` and the pre-commit hook consume them.
 package main
@@ -80,10 +79,10 @@ func cleanModule(t *testing.T) string {
 	return dir
 }
 
-// dirtyModule seeds a hotalloc violation one hop down a //lint:hotpath
-// root — annotation-driven, so it fires in any module regardless of the
-// per-repository analyzer configs — which also carries a (chain: ...)
-// suffix for the -why test.
+// dirtyModule seeds a float fold in map iteration order — maprange's fold
+// rule applies in every package, so it fires in any module regardless of
+// the per-repository analyzer configs — next to a clean //lint:hotpath
+// root for the -json stats.
 func dirtyModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -94,14 +93,15 @@ func dirtyModule(t *testing.T) string {
 // Hot is the per-event path.
 //
 //lint:hotpath per-event replay cost
-func Hot(xs []int) []int {
-	return mk(xs)
-}
+func Hot(x int) int { return x + 1 }
 
-func mk(xs []int) []int {
-	out := make([]int, len(xs))
-	copy(out, xs)
-	return out
+// Sum folds float terms in map order.
+func Sum(m map[string]float64) float64 {
+	total := 0.0
+	for _, v := range m {
+		total += v
+	}
+	return total
 }
 `,
 	})
@@ -153,7 +153,7 @@ func TestExitCodeAndJSONShapeDirtyTree(t *testing.T) {
 	}
 	found := false
 	for _, f := range report.Findings {
-		if f.Analyzer != "hotalloc" {
+		if f.Analyzer != "maprange" {
 			continue
 		}
 		found = true
@@ -163,26 +163,12 @@ func TestExitCodeAndJSONShapeDirtyTree(t *testing.T) {
 		if f.Suppressed {
 			t.Errorf("finding is suppressed, want live")
 		}
-		if !strings.Contains(f.Message, "(chain: Hot -> mk)") {
-			t.Errorf("message %q missing the (chain: Hot -> mk) suffix", f.Message)
+		if !strings.Contains(f.Message, "folds map values in iteration order") {
+			t.Errorf("message %q does not name the map-order fold", f.Message)
 		}
 	}
 	if !found {
-		t.Fatalf("no hotalloc finding in -json output:\n%s", stdout)
-	}
-}
-
-func TestWhyExpandsChains(t *testing.T) {
-	dir := dirtyModule(t)
-	stdout, _, code := runLint(t, dir, "-why", "./...")
-	if code != 1 {
-		t.Fatalf("dirty tree: exit %d, want 1\n%s", code, stdout)
-	}
-	if strings.Contains(stdout, "(chain:") {
-		t.Errorf("-why left an inline chain suffix in:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "\tchain: Hot\n") || !strings.Contains(stdout, "\t    -> mk\n") {
-		t.Errorf("-why output missing the indented Hot -> mk hop lines:\n%s", stdout)
+		t.Fatalf("no maprange finding in -json output:\n%s", stdout)
 	}
 }
 
@@ -206,7 +192,7 @@ func TestDiffRestrictsPackages(t *testing.T) {
 	git("add", ".")
 	git("commit", "-q", "-m", "seed")
 
-	// Touch only the clean package: the committed hotalloc violation in a/
+	// Touch only the clean package: the committed maprange violation in a/
 	// is outside the affected closure, so the diff-restricted run passes
 	// while the full run still fails.
 	writeTree(t, dir, map[string]string{

@@ -19,7 +19,7 @@ type AliasTarget struct {
 }
 
 // linkSetMutators are topology.LinkSet's in-place mutation methods, shared
-// with stalecache.
+// with mutexheld.
 var linkSetMutators = []string{"Add", "Remove", "Clear", "Reset", "CopyFrom", "Union"}
 
 // AliasEscapeConfig covers the repository's shared bitset. The optimizer's
@@ -81,36 +81,50 @@ func runAliasEscape(pass *Pass, config []AliasTarget) {
 	}
 }
 
-// aliasSource chases id's reaching definitions through local copies and
-// returns the alias-returning accessor that produced the value, nil when no
-// reaching definition is a proven alias. Clone-style calls (not
-// alias-returning) and composite literals terminate a chain cleanly.
-func aliasSource(pass *Pass, w *flow.World, du *flow.DefUse, id *ast.Ident) *types.Func {
+// reachingSource chases id's reaching definitions through local copies
+// (v := w, whose right-hand ident is itself a recorded use with its own
+// reaching definitions) and returns the first non-zero result of match on
+// a defining expression — the alias chase mutexheld and aliasescape share.
+func reachingSource[T comparable](du *flow.DefUse, id *ast.Ident, match func(ast.Expr) T) T {
+	var zero T
 	seen := make(map[*ast.Ident]bool)
-	var chase func(id *ast.Ident) *types.Func
-	chase = func(id *ast.Ident) *types.Func {
+	var chase func(id *ast.Ident) T
+	chase = func(id *ast.Ident) T {
 		if seen[id] {
-			return nil
+			return zero
 		}
 		seen[id] = true
 		exprs, _ := du.Reaching(id)
 		for _, e := range exprs {
-			switch e := ast.Unparen(e).(type) {
-			case *ast.CallExpr:
-				if fn := flow.StaticCallee(pass.TypesInfo, e); fn != nil && w.ReturnsAlias(fn) {
-					return fn
-				}
-			case *ast.Ident:
-				// Local copy: v := w. The RHS ident is itself a recorded
-				// use with its own reaching definitions.
-				if fn := chase(e); fn != nil {
-					return fn
-				}
+			e = ast.Unparen(e)
+			r := zero
+			if next, ok := e.(*ast.Ident); ok {
+				r = chase(next)
+			} else {
+				r = match(e)
+			}
+			if r != zero {
+				return r
+			}
+		}
+		return zero
+	}
+	return chase(id)
+}
+
+// aliasSource returns the alias-returning accessor that produced id's
+// value, nil when no reaching definition is a proven alias. Clone-style
+// calls (not alias-returning) and composite literals terminate a chain
+// cleanly.
+func aliasSource(pass *Pass, w *flow.World, du *flow.DefUse, id *ast.Ident) *types.Func {
+	return reachingSource(du, id, func(e ast.Expr) *types.Func {
+		if call, ok := e.(*ast.CallExpr); ok {
+			if fn := flow.StaticCallee(pass.TypesInfo, call); fn != nil && w.ReturnsAlias(fn) {
+				return fn
 			}
 		}
 		return nil
-	}
-	return chase(id)
+	})
 }
 
 func checkAliasMutations(pass *Pass, w *flow.World, du *flow.DefUse, body *ast.BlockStmt, mutators map[string]map[string]bool) {

@@ -15,10 +15,12 @@
 // DESIGN.md §7 (byte-identical experiment reports for any worker count) and
 // the core.Network mutation discipline of §6–§7: see NoDeterminism,
 // MapRange, ErrWrap, and MutexHeld, and DESIGN.md §8 for the rationale of
-// each. The flow-powered half (LockOrder, GoroLife, AliasEscape, StaleCache)
-// layers a CFG + reaching-definitions engine and cross-package function
-// summaries (internal/analysis/flow) on the same loader; see DESIGN.md §8
-// "Flow analyses".
+// each. The flow-powered analyzers (LockOrder, GoroLife, AliasEscape,
+// CtxDeadline, ResLife, and MutexHeld's alias rule) layer a CFG +
+// reaching-definitions engine and cross-package function summaries
+// (internal/analysis/flow) on the same loader; Escapes holds the
+// `//lint:hotpath` roots to the compiler's own escape and bounds-check
+// verdicts (internal/analysis/gcdiag). See DESIGN.md §8 "Flow analyses".
 package analysis
 
 import (
@@ -102,14 +104,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 
 // All returns the canonical analyzer suite run by cmd/corropt-lint and
 // `make lint`: nodeterminism, maprange, errwrap, and mutexheld over their
-// repository-wide default configurations, plus the flow-powered lockorder,
-// gorolife, aliasescape, stalecache, and the call-graph proof analyzers
-// hotalloc and floatorder.
+// repository-wide default configurations, the flow-powered lockorder,
+// gorolife, aliasescape, ctxdeadline, and reslife, and the
+// compiler-backed escapes.
 func All() []*Analyzer {
 	return []*Analyzer{
 		NoDeterminism, MapRange, ErrWrap, MutexHeld,
-		LockOrder, GoroLife, AliasEscape, StaleCache,
-		HotAlloc, FloatOrder, CtxDeadline, ResLife,
+		LockOrder, GoroLife, AliasEscape, CtxDeadline, ResLife,
 		Escapes,
 	}
 }

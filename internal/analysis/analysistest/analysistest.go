@@ -31,16 +31,6 @@ import (
 // `// want` expectations in its sources.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	RunAll(t, testdata, []*analysis.Analyzer{a}, pkgPaths...)
-}
-
-// RunAll is Run with several analyzers sharing one load and one world —
-// for goldens whose `//lint:allow` annotations name a second analyzer (the
-// allow machinery reports annotations naming analyzers outside the running
-// set), and for pinning cross-analyzer interplay like escapes honoring
-// hotalloc's site sanctions.
-func RunAll(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
 	fset := token.NewFileSet()
 	loaded := make(map[string]*analysis.Package)
 	checked := make(map[string]*types.Package)
@@ -167,7 +157,7 @@ func RunAll(t *testing.T, testdata string, analyzers []*analysis.Analyzer, pkgPa
 
 	for _, path := range pkgPaths {
 		pkg := loaded[path]
-		diags, err := analysis.RunW(pkg, analyzers, world)
+		diags, err := analysis.RunW(pkg, []*analysis.Analyzer{a}, world)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,11 +23,27 @@ func TestNoDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", a, "nodet", "nodet_wall", "nodet_off")
 }
 
-// TestMapRange pins the maprange analyzer: map-order leaks are flagged,
-// collect-then-sort / commutative reductions / annotated loops are not.
+// mapRangeGolden is the maprange analyzer the goldens run: mapr is in its
+// config, floatord is not.
+func mapRangeGolden() *analysis.Analyzer {
+	return analysis.NewMapRange(map[string]bool{"mapr": true})
+}
+
+// TestMapRange pins maprange inside its configured packages: map-order
+// leaks (float folds included, reported once at the loop) are flagged,
+// collect-then-sort / integer reductions / annotated loops are not.
 func TestMapRange(t *testing.T) {
-	a := analysis.NewMapRange(map[string]bool{"mapr": true})
-	analysistest.Run(t, "testdata", a, "mapr")
+	analysistest.Run(t, "testdata", mapRangeGolden(), "mapr")
+}
+
+// TestFloatOrder pins maprange's fold rule in a package outside its
+// config: += / -= / x = x + y folds of float accumulators over map
+// iteration or channel arrival order are flagged (including struct-field
+// accumulators and direct receives), while sorted-key sweeps, integer
+// folds, unsorted collection, loop-local accumulators, and annotated folds
+// stay silent.
+func TestFloatOrder(t *testing.T) {
+	analysistest.Run(t, "testdata", mapRangeGolden(), "floatord")
 }
 
 // TestErrWrap pins the errwrap analyzer: %w enforcement plus dropped-error
@@ -40,15 +56,16 @@ func TestErrWrap(t *testing.T) {
 	analysistest.Run(t, "testdata", a, "errw", "wraponly")
 }
 
-// TestMutexHeld pins the mutexheld analyzer: guarded.Net's fields may only
-// be written by the sanctioned writers, closures inherit their enclosing
-// writer's sanction, same-named methods on other types stay exempt, and
-// cross-package writes to exported guarded fields are flagged.
+// TestMutexHeld pins the mutexheld analyzer's direct writes: guarded.Net's
+// fields may only be written — or mutated by a LinkSet method — by the
+// sanctioned writers, closures inherit their enclosing writer's sanction,
+// same-named methods on other types stay exempt, and cross-package writes
+// to exported guarded fields are flagged.
 func TestMutexHeld(t *testing.T) {
 	a := analysis.NewMutexHeld([]analysis.GuardedStruct{{
 		Pkg:     "guarded",
 		Type:    "Net",
-		Fields:  []string{"sum", "items", "count", "Pub"},
+		Fields:  []string{"sum", "items", "count", "set", "Pub"},
 		Writers: []string{"New", "Add", "Apply"},
 	}})
 	analysistest.Run(t, "testdata", a, "guarded", "guardedx")
@@ -87,38 +104,19 @@ func TestAliasEscape(t *testing.T) {
 	analysistest.Run(t, "testdata", a, "aliasprov", "aliasmut")
 }
 
-// TestStaleCache pins the stalecache analyzer: element writes and LinkSet
-// mutator calls that reach guarded Netw state through local aliases are
-// flagged outside the sanctioned writers, while writers themselves, scalar
-// copies, fresh slices, and read-only aliases stay silent.
+// TestStaleCache pins the mutexheld analyzer's alias rule: element,
+// pointer-target, and LinkSet mutator writes that reach guarded Netw state
+// through local aliases are flagged outside the sanctioned writers, while
+// writers themselves, scalar copies, fresh slices, and read-only aliases
+// stay silent.
 func TestStaleCache(t *testing.T) {
-	a := analysis.NewStaleCache([]analysis.GuardedStruct{{
+	a := analysis.NewMutexHeld([]analysis.GuardedStruct{{
 		Pkg:     "stale",
 		Type:    "Netw",
 		Fields:  []string{"contrib", "disabled", "sum", "count"},
 		Writers: []string{"New", "Disable"},
 	}})
 	analysistest.Run(t, "testdata", a, "stale")
-}
-
-// TestHotAlloc pins the hotalloc analyzer against single-package and
-// cross-package goldens: direct allocations, multi-hop and shortest-path
-// chains, chains through inline func literals, dynamic-call and
-// external-callee unprovability, map writes and goroutine spawns — all
-// reported at the root declaration — plus the two sanction shapes
-// (lint:allow at the allocation site, including across packages, and at the
-// root) and the math / sync/atomic allowlist.
-func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.HotAlloc, "hotal", "hotalroot", "hotaldep")
-}
-
-// TestFloatOrder pins the floatorder analyzer: += / -= / x = x + y folds of
-// float accumulators over map iteration or channel arrival order are
-// flagged (including struct-field accumulators and direct receives), while
-// sorted-key sweeps, integer folds, loop-local accumulators, and annotated
-// folds stay silent.
-func TestFloatOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.FloatOrder, "floatord")
 }
 
 // TestCtxDeadline pins the ctxdeadline analyzer over a golden deployment
@@ -145,34 +143,37 @@ func TestResLife(t *testing.T) {
 // TestEscapes pins the escapes analyzer's attribution logic against a fake
 // compiler collector that synthesizes diagnostics from gc:escapes /
 // gc:bounds markers in the golden sources: escapes anywhere in the root's
-// transitive chain (with the chain in the message), bounds checks only in
-// the root's own loops, hotalloc-sanctioned lines skipped, non-hotpath
+// transitive chain, across packages too (with the shortest chain in the
+// message), bounds checks only in the root's own loops, sanctioned lines
+// skipped and sanctioned calls not descended (in the root's package or the
+// callee's), go statements not descended, root-level allows, non-hotpath
 // functions ignored.
 func TestEscapes(t *testing.T) {
-	// HotAlloc rides along so the golden's `//lint:allow hotalloc` site
-	// sanction is a known annotation — and to pin that hotalloc itself stays
-	// silent on escp: &local is deliberately outside its catalogue, which is
-	// exactly the gap the escapes cross-check closes.
-	analysistest.RunAll(t, "testdata",
-		[]*analysis.Analyzer{analysis.NewEscapes(markerCollector(t)), analysis.HotAlloc}, "escp")
+	analysistest.Run(t, "testdata", analysis.NewEscapes(markerCollector(t)), "escp")
+}
+
+// TestHotAlloc pins that hot paths are held allocation-free by compiler
+// verdicts rather than allocation syntax: a stack-kept make is no finding,
+// interface boxing is reported once despite its empty-message twin, and
+// escapes behind method calls and call cycles carry the shortest chain,
+// once per root that reaches them.
+func TestHotAlloc(t *testing.T) {
+	analysistest.Run(t, "testdata", analysis.NewEscapes(markerCollector(t)), "escalloc")
 }
 
 // markerCollector builds a gcdiag report from gc:escapes / gc:bounds line
-// markers in the golden package's sources, keyed by the same relative paths
-// the analysistest loader hands the fileset.
+// markers in the golden sources beside dir's package (so escp's dependency
+// escpdep is covered), keyed by the same relative paths the analysistest
+// loader hands the fileset.
 func markerCollector(t *testing.T) analysis.Collector {
 	return func(dir string) (*gcdiag.Report, error) {
 		t.Helper()
 		report := &gcdiag.Report{ByFile: map[string][]gcdiag.Diag{}}
-		entries, err := os.ReadDir(dir)
+		paths, err := filepath.Glob(filepath.Join(filepath.Dir(dir), "*", "*.go"))
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			path := filepath.Join(dir, e.Name())
+		for _, path := range paths {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				return nil, err
@@ -183,6 +184,13 @@ func markerCollector(t *testing.T) analysis.Collector {
 					report.ByFile[path] = append(report.ByFile[path], gcdiag.Diag{
 						File: path, Line: i + 1, Code: "escapes", Message: "value escapes to heap",
 					})
+				case strings.Contains(line, "// gc:boxes"):
+					// Interface boxing: the compiler's "escape" code, emitted
+					// with an empty-message twin.
+					report.ByFile[path] = append(report.ByFile[path],
+						gcdiag.Diag{File: path, Line: i + 1, Code: "escape", Message: "x escapes to heap"},
+						gcdiag.Diag{File: path, Line: i + 1, Code: "escape"},
+					)
 				case strings.Contains(line, "// gc:bounds"):
 					report.ByFile[path] = append(report.ByFile[path], gcdiag.Diag{
 						File: path, Line: i + 1, Code: "isInBounds", Message: "Found IsInBounds",

@@ -1,6 +1,6 @@
 // Package flow is the intraprocedural dataflow engine underneath the
 // repository's flow-sensitive analyzers (lockorder, gorolife, aliasescape,
-// stalecache — see internal/analysis and DESIGN.md §8). It provides three
+// mutexheld — see internal/analysis and DESIGN.md §8). It provides three
 // layers, all built on the standard library's go/ast + go/types:
 //
 //  1. a control-flow graph over function bodies (NewCFG),

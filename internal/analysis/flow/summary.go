@@ -122,19 +122,18 @@ type FuncFacts struct {
 	Lits []*FuncFacts
 
 	// Hotpath is set when the declaration's doc comment carries
-	// `//lint:hotpath`: the hotalloc analyzer must prove the function
-	// transitively allocation-free.
+	// `//lint:hotpath`: the escapes analyzer holds the function's call
+	// chain to the compiler's verdicts.
 	Hotpath bool
-	// Allocs are the potentially heap-allocating operations in this body
-	// (see alloc.go for the operation catalogue and sanction semantics).
-	Allocs []AllocSite
 	// CallSites are the static calls with positions, one entry per call
 	// expression (unlike Calls, not deduplicated), excluding calls inside
-	// nested literals.
+	// nested literals and the calls of go statements (see hotpath.go).
 	CallSites []CallSite
-	// FloatAccums are the order-sensitive floating-point reductions in this
-	// body (map-iteration or channel-arrival folds).
-	FloatAccums []FloatAccum
+	// Allowed is the set of lines of the declaring file that a
+	// `//lint:allow escapes <reason>` annotation sanctions, shared by every
+	// summary of the file: the escapes walk skips compiler diagnostics on
+	// them and does not descend through calls made on them.
+	Allowed map[int]bool
 
 	// End is the position just past the body's closing brace; with Pos it
 	// spans the declaration so the escapes analyzer can attribute
@@ -188,8 +187,8 @@ type funcSummarizer struct {
 	pkgPath string
 	fset    *token.FileSet
 	info    *types.Info
-	// allowLines is the hotalloc-sanctioned line set of the file currently
-	// being summarized (see hotallocAllowLines); nested literals summarized
+	// allowLines is the escapes-sanctioned line set of the file currently
+	// being summarized (see escapesAllowLines); nested literals summarized
 	// during the file's walk share it.
 	allowLines map[int]bool
 }
@@ -197,7 +196,7 @@ type funcSummarizer struct {
 // summarizeFile returns the facts of every function declaration in f, each
 // with its nested literals attached.
 func (s *funcSummarizer) summarizeFile(f *ast.File) []*FuncFacts {
-	s.allowLines = hotallocAllowLines(s.fset, f)
+	s.allowLines = escapesAllowLines(s.fset, f)
 	var out []*FuncFacts
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -227,11 +226,12 @@ func displayName(fn *types.Func) string {
 // summarizeBody computes the facts of one function body.
 func (s *funcSummarizer) summarizeBody(fn *types.Func, name string, pos token.Pos, fnType *ast.FuncType, recv *ast.FieldList, body *ast.BlockStmt) *FuncFacts {
 	facts := &FuncFacts{
-		Pkg:  s.pkgPath,
-		Fn:   fn,
-		Name: name,
-		Pos:  pos,
-		End:  body.End(),
+		Pkg:     s.pkgPath,
+		Fn:      fn,
+		Name:    name,
+		Pos:     pos,
+		End:     body.End(),
+		Allowed: s.allowLines,
 	}
 
 	cfg := NewCFG(body)
@@ -285,12 +285,7 @@ func (s *funcSummarizer) summarizeBody(fn *types.Func, name string, pos token.Po
 	// lock set, call set.
 	s.lexicalFacts(body, facts, fnType, recv)
 	facts.Loops = loopSpans(body)
-
-	// Allocation-effect and float-accumulation facts for the hotalloc and
-	// floatorder analyzers (alloc.go); like lexicalFacts these exclude
-	// nested literals, which carry their own facts.
-	s.allocFacts(body, facts)
-	s.floatAccumFacts(body, facts)
+	s.callSites(body, facts)
 
 	return facts
 }

@@ -36,11 +36,6 @@ type World struct {
 	edges      map[lockEdge]*EdgeWitness
 	cycles     []LockCycle
 	reacquires []Reacquire
-	// mayAllocF / floatAccF are the allocation-effect and float-accumulation
-	// closures, keyed by summary (declared functions and literals alike) so
-	// chains through closures resolve; see Finalize.
-	mayAllocF map[*FuncFacts]bool
-	floatAccF map[*FuncFacts]bool
 	// deadlineCallers counts, per declared function, the in-module static
 	// call sites and how many of those run with a deadline already armed;
 	// exposesF is the undeadlined-exposure closure ctxdeadline consults
@@ -68,7 +63,7 @@ type WorldStats struct {
 	// CallEdges counts the deduplicated static call edges between summaries.
 	CallEdges int `json:"call_edges"`
 	// HotpathRoots counts the `//lint:hotpath` annotated declarations the
-	// hotalloc analyzer proves allocation-free.
+	// escapes analyzer holds to the compiler's verdicts.
 	HotpathRoots int `json:"hotpath_roots"`
 	// NetOps counts the blocking network operations the deadline
 	// must-analysis classified (guarded or not) across all summaries.
@@ -282,68 +277,6 @@ func (w *World) Finalize() {
 	sort.Slice(w.reacquires, func(i, j int) bool { return w.reacquires[i].Pos < w.reacquires[j].Pos })
 
 	w.cycles = w.findCycles()
-
-	// Allocation-effect and float-accumulation closures, keyed by summary so
-	// nested literals participate. A summary "may allocate" when its body has
-	// an unsanctioned alloc site, makes an unsanctioned call to a callee
-	// outside the module that is not provably allocation-free, or reaches
-	// either transitively through in-module calls or nested literals. The
-	// hotalloc walk uses the closure to prune allocation-free subtrees;
-	// floatorder's closure mirrors the shape for order-sensitive float folds.
-	// Spawned literals are excluded: their bodies run off the spawner's path
-	// (the go statement itself is already an alloc site).
-	w.mayAllocF = make(map[*FuncFacts]bool, len(funcs))
-	w.floatAccF = make(map[*FuncFacts]bool, len(funcs))
-	for _, fs := range funcs {
-		direct := false
-		for _, a := range fs.Allocs {
-			if !a.Sanctioned {
-				direct = true
-				break
-			}
-		}
-		for _, cs := range fs.CallSites {
-			if direct {
-				break
-			}
-			if cs.Sanctioned {
-				continue
-			}
-			if _, in := w.byFunc[cs.Callee]; !in && !NonAllocCallee(cs.Callee) {
-				direct = true
-			}
-		}
-		w.mayAllocF[fs] = direct
-		w.floatAccF[fs] = len(fs.FloatAccums) > 0
-	}
-	changed = true
-	for changed {
-		changed = false
-		for _, fs := range funcs {
-			may, acc := w.mayAllocF[fs], w.floatAccF[fs]
-			for _, cs := range fs.CallSites {
-				if cs.Sanctioned {
-					continue
-				}
-				if cf, ok := w.byFunc[cs.Callee]; ok {
-					may = may || w.mayAllocF[cf]
-					acc = acc || w.floatAccF[cf]
-				}
-			}
-			for _, lit := range fs.Lits {
-				may = may || w.mayAllocF[lit]
-				acc = acc || w.floatAccF[lit]
-			}
-			if may != w.mayAllocF[fs] {
-				w.mayAllocF[fs] = may
-				changed = true
-			}
-			if acc != w.floatAccF[fs] {
-				w.floatAccF[fs] = acc
-				changed = true
-			}
-		}
-	}
 
 	// Deadline-exposure closure for ctxdeadline (deadline.go). Caller-guard
 	// counts first: per declared function, how many in-module static call
@@ -593,15 +526,6 @@ func (w *World) DeadlineCallers(fn *types.Func) (total, guarded int) {
 // cancellation signal. Every remaining call site of such a function must arm
 // a deadline before the call. Computed at Finalize.
 func (w *World) ExposesUndeadlined(fs *FuncFacts) bool { return fs != nil && w.exposesF[fs] }
-
-// MayAlloc reports whether a summary — declared function or literal — may
-// allocate, directly or transitively through unsanctioned in-module calls
-// and nested literals. Computed at Finalize.
-func (w *World) MayAlloc(fs *FuncFacts) bool { return fs != nil && w.mayAllocF[fs] }
-
-// MayFloatAccum reports whether a summary transitively contains an
-// order-sensitive floating-point reduction. Computed at Finalize.
-func (w *World) MayFloatAccum(fs *FuncFacts) bool { return fs != nil && w.floatAccF[fs] }
 
 // Stats returns the finalized call-graph statistics.
 func (w *World) Stats() WorldStats { return w.stats }

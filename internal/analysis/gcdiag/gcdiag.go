@@ -2,13 +2,11 @@
 // (`go build -gcflags=-json=0,<dir>`) over a module and parses the LSP-style
 // JSON stream it emits per package: heap escapes, bounds checks, inlining
 // decisions, nil-check eliminations. The escapes analyzer
-// (internal/analysis) cross-checks these against the hotalloc analyzer's
-// static allocation-freedom proofs: the static analysis reasons over the
-// source-level allocation catalogue, the compiler reports what actually
-// survived escape analysis and bounds-check elimination — a missed inline or
-// an escaping local turns a "proved 0 allocs" hot path into a real heap path
-// that only the benchmark ratchet would catch, late and without a source
-// position. Running both closes that gap at lint time.
+// (internal/analysis) holds every `//lint:hotpath` root's call chain to
+// these verdicts: the compiler reports what actually survived escape
+// analysis and bounds-check elimination, so a missed inline or an escaping
+// local on a hot path fails at lint time with a source position, not only
+// in the measured floors.
 //
 // Mechanics: the -json=0,<dir> flag writes one <dir>/<pkg path>/<pkg>.json
 // file per compiled package, a stream of JSON objects. Header objects carry

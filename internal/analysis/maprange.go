@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -9,8 +10,8 @@ import (
 // ordered output. Experiment reports are compared byte-for-byte across
 // worker counts (DESIGN.md §7.2), so any `range` over a map inside these
 // packages must either follow the collect-then-sort idiom, be an
-// order-independent reduction (a single commutative accumulation), or carry
-// a lint:allow annotation explaining why ordering cannot escape.
+// order-independent reduction (integer accumulation, map insertion), or
+// carry a lint:allow annotation explaining why ordering cannot escape.
 var MapRangeConfig = map[string]bool{
 	"corropt/internal/experiments": true,
 	"corropt/internal/sim":         true,
@@ -18,18 +19,29 @@ var MapRangeConfig = map[string]bool{
 	"corropt/internal/trace":       true,
 }
 
-// NewMapRange returns the maprange analyzer scoped to the given packages.
+// NewMapRange returns the maprange analyzer, which enforces two rules:
+//
+//   - in every package, a floating-point fold (+=, -=, or x = x ± y) whose
+//     terms arrive in map-iteration or channel-arrival order, into an
+//     accumulator that outlives the loop, plus any fold of a channel
+//     receive: float addition is not associative, so the result's last bits
+//     depend on the run, which the byte-identical report and snapshot
+//     contracts (DESIGN.md §7.5; TestRunManyMatchesRun,
+//     TestFleetMatchesSerial) cannot tolerate anywhere;
+//   - in the packages config lists, every other way map order can reach
+//     ordered output (see mapRangeSafe).
+//
+// A loop the second rule flags is one finding, at the range statement; the
+// folds inside it are not reported again.
 func NewMapRange(config map[string]bool) *Analyzer {
 	a := &Analyzer{
 		Name: "maprange",
-		Doc: "flags map iteration whose order can reach report output unless " +
-			"results are evidently sorted afterwards (DESIGN.md §8)",
+		Doc: "flags float folds in map or channel order anywhere, and map " +
+			"iteration whose order can reach report output unless results are " +
+			"evidently sorted afterwards (DESIGN.md §7.5, §8)",
 	}
 	a.Run = func(pass *Pass) error {
-		if !config[pass.Path] {
-			return nil
-		}
-		runMapRange(pass)
+		runMapRange(pass, config[pass.Path])
 		return nil
 	}
 	return a
@@ -38,40 +50,158 @@ func NewMapRange(config map[string]bool) *Analyzer {
 // MapRange is the canonical maprange analyzer over MapRangeConfig.
 var MapRange = NewMapRange(MapRangeConfig)
 
-func runMapRange(pass *Pass) {
+func runMapRange(pass *Pass, ordered bool) {
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var list []ast.Stmt
-			switch n := n.(type) {
-			case *ast.BlockStmt:
-				list = n.List
-			case *ast.CaseClause:
-				list = n.Body
-			case *ast.CommClause:
-				list = n.Body
-			default:
+		flagged := make(map[*ast.RangeStmt]bool)
+		if ordered {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var list []ast.Stmt
+				switch n := n.(type) {
+				case *ast.BlockStmt:
+					list = n.List
+				case *ast.CaseClause:
+					list = n.Body
+				case *ast.CommClause:
+					list = n.Body
+				default:
+					return true
+				}
+				for i, stmt := range list {
+					rs, ok := stmt.(*ast.RangeStmt)
+					if !ok {
+						continue
+					}
+					t := pass.TypesInfo.TypeOf(rs.X)
+					if t == nil {
+						continue
+					}
+					if _, ok := t.Underlying().(*types.Map); !ok {
+						continue
+					}
+					if mapRangeSafe(pass, rs, list[i+1:]) {
+						continue
+					}
+					flagged[rs] = true
+					pass.Reportf(rs.Pos(), "map iteration order may reach ordered output: collect keys and sort, or annotate with lint:allow if ordering cannot escape")
+				}
 				return true
-			}
-			for i, stmt := range list {
-				rs, ok := stmt.(*ast.RangeStmt)
-				if !ok {
-					continue
-				}
-				t := pass.TypesInfo.TypeOf(rs.X)
-				if t == nil {
-					continue
-				}
-				if _, ok := t.Underlying().(*types.Map); !ok {
-					continue
-				}
-				if mapRangeSafe(pass, rs, list[i+1:]) {
-					continue
-				}
-				pass.Reportf(rs.Pos(), "map iteration order may reach ordered output: collect keys and sort, or annotate with lint:allow if ordering cannot escape")
-			}
-			return true
-		})
+			})
+		}
+		checkFloatFolds(pass, f, flagged)
 	}
+}
+
+// checkFloatFolds reports every float fold in f whose terms arrive in map or
+// channel order, outside the loops already flagged whole. A function
+// literal's body starts with no enclosing loop, so the callback-iteration
+// idiom over deterministic containers stays clean.
+func checkFloatFolds(pass *Pass, f *ast.File, flagged map[*ast.RangeStmt]bool) {
+	var walk func(n ast.Node, loop *ast.RangeStmt, order string) bool
+	walk = func(n ast.Node, loop *ast.RangeStmt, order string) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			ast.Inspect(n.Body, func(m ast.Node) bool { return walk(m, nil, "") })
+			return false
+
+		case *ast.RangeStmt:
+			if flagged[n] {
+				return false
+			}
+			inner, innerOrder := loop, order
+			if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+				switch t.Underlying().(type) {
+				case *types.Map:
+					inner, innerOrder = n, "map values in iteration order"
+				case *types.Chan:
+					inner, innerOrder = n, "channel-received values in arrival order"
+				}
+			}
+			ast.Inspect(n.X, func(m ast.Node) bool { return walk(m, loop, order) })
+			ast.Inspect(n.Body, func(m ast.Node) bool { return walk(m, inner, innerOrder) })
+			return false
+
+		case *ast.AssignStmt:
+			if what := floatFold(pass.TypesInfo, n, loop, order); what != "" {
+				pass.Reportf(n.Pos(),
+					"order-sensitive floating-point accumulation folds %s: float addition is not associative, so the result depends on run order; iterate sorted keys or merge in a fixed order (DESIGN.md §7.5)",
+					what)
+			}
+		}
+		return true
+	}
+	ast.Inspect(f, func(n ast.Node) bool { return walk(n, nil, "") })
+}
+
+// floatFold returns the order a float accumulation folds its terms in, ""
+// when n is no order-sensitive fold: a fold of a channel receive anywhere,
+// or any fold inside a map or channel range (loop, folding in order) into
+// an accumulator declared outside it.
+func floatFold(info *types.Info, n *ast.AssignStmt, loop *ast.RangeStmt, order string) string {
+	if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+		return ""
+	}
+	lhs := ast.Unparen(n.Lhs[0])
+	if !isFloat(info.TypeOf(lhs)) {
+		return ""
+	}
+	switch n.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN:
+	case token.ASSIGN:
+		// x = x + y / x = x - y with x an identifier.
+		id, _ := lhs.(*ast.Ident)
+		bin, _ := ast.Unparen(n.Rhs[0]).(*ast.BinaryExpr)
+		if id == nil || bin == nil || (bin.Op != token.ADD && bin.Op != token.SUB) {
+			return ""
+		}
+		if x, ok := ast.Unparen(bin.X).(*ast.Ident); !ok || info.Uses[x] == nil || info.Uses[x] != info.Uses[id] {
+			return ""
+		}
+	default:
+		return ""
+	}
+	recv := false
+	ast.Inspect(n.Rhs[0], func(m ast.Node) bool {
+		if u, ok := m.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+			recv = true
+		}
+		return !recv
+	})
+	switch {
+	case recv:
+		return "channel-received values in arrival order"
+	case loop != nil && declaredOutside(info, lhs, loop):
+		return order
+	}
+	return ""
+}
+
+// declaredOutside reports whether the accumulator expression's root variable
+// is declared outside the loop's span — i.e. the fold survives the loop, so
+// term order reaches the result. Fields and index targets count as outside.
+func declaredOutside(info *types.Info, e ast.Expr, loop *ast.RangeStmt) bool {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			return true // field or qualified var: outlives the loop body
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			v, ok := info.Uses[x].(*types.Var)
+			return ok && (v.Pos() < loop.Pos() || v.Pos() > loop.End())
+		default:
+			return false
+		}
+	}
+}
+
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 // mapRangeSafe reports whether the map-range statement is one of the two
@@ -80,9 +210,9 @@ func runMapRange(pass *Pass) {
 //  1. collect-then-sort: the body only appends to / indexes into collector
 //     variables, and every appended-to slice is passed to a sort.* or
 //     slices.Sort* call in a later statement of the same block;
-//  2. commutative reduction: every body statement is an x += e, x -= e,
-//     x++, x--, or map/set insertion — accumulations whose result is
-//     independent of visit order.
+//  2. commutative reduction: every body statement is an integer x += e,
+//     x -= e, x |= e, …, x++, x--, or map/set insertion — accumulations
+//     whose result is independent of visit order.
 func mapRangeSafe(pass *Pass, rs *ast.RangeStmt, rest []ast.Stmt) bool {
 	collectors := make(map[types.Object]bool)
 	safeBody := true
@@ -163,13 +293,10 @@ func stmtsAreCollectOrReduce(pass *Pass, stmts []ast.Stmt, collectors map[types.
 // assignIsCollectOrReduce classifies one assignment inside a map-range body.
 // Collect shapes record the collector object.
 func assignIsCollectOrReduce(pass *Pass, s *ast.AssignStmt, collectors map[types.Object]bool) bool {
-	// x += e / x -= e / x |= e / x &= e on numeric operands: commutative
-	// accumulations. String += is explicitly NOT exempt — concatenation in
-	// map order is exactly the bug this analyzer exists to catch. (Float +=
-	// is order-sensitive in the last bits; this analyzer accepts numeric +=
-	// wholesale and the floatorder analyzer owns the float gap: it flags
-	// exactly the surviving-accumulator float folds over map iteration that
-	// this acceptance would otherwise let through — DESIGN.md §7.5, §8.)
+	// x += e / x -= e / x |= e / x &= e / x ^= e on integer operands:
+	// commutative accumulations. String += is NOT exempt — concatenation in
+	// map order is exactly the bug this rule exists to catch — and neither
+	// is float or complex +=, which is order-sensitive in the last bits.
 	switch s.Tok.String() {
 	case "+=", "-=", "|=", "&=", "^=":
 		if len(s.Lhs) != 1 {
@@ -180,7 +307,7 @@ func assignIsCollectOrReduce(pass *Pass, s *ast.AssignStmt, collectors map[types
 			return false
 		}
 		basic, ok := t.Underlying().(*types.Basic)
-		return ok && basic.Info()&types.IsNumeric != 0
+		return ok && basic.Info()&types.IsInteger != 0
 	}
 	if s.Tok.String() != "=" && s.Tok.String() != ":=" {
 		return false

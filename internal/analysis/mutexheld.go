@@ -1,8 +1,13 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
+
+	"corropt/internal/analysis/flow"
 )
 
 // GuardedStruct declares a struct whose listed fields may only be written
@@ -19,7 +24,9 @@ type GuardedStruct struct {
 	// Type is the struct's type name.
 	Type string
 	// Fields lists the guarded field names. Writes cover plain assignment,
-	// op-assignment, ++/--, and element writes through the field (x.f[i] = v).
+	// op-assignment, ++/--, element writes through the field (x.f[i] = v),
+	// LinkSet mutator calls on it (x.f.Add(l)), and the same writes through
+	// a local that aliases the field (c := x.f; c[i] = v).
 	Fields []string
 	// Writers are the names of the functions (methods of the struct or
 	// package-level functions in Pkg) sanctioned to write the fields.
@@ -58,11 +65,21 @@ var MutexHeldConfig = []GuardedStruct{
 }
 
 // NewMutexHeld returns the mutexheld analyzer for the given guarded structs.
+//
+// Outside the sanctioned writers it flags every write that reaches guarded
+// state: a write to a guarded field, a LinkSet mutator called on one, and
+// the same writes through a local whose reaching definitions (per the flow
+// def-use engine) alias a guarded field — `d := n.contrib; d[l] = x` lands
+// in the same backing array and desynchronizes the incremental caches just
+// as surely. A local aliases a field when it copies a reference-typed one
+// (slice, map, pointer) or takes a field's address; aliases of unknown
+// origin (parameters, multi-value assignments) are not flagged.
 func NewMutexHeld(config []GuardedStruct) *Analyzer {
 	a := &Analyzer{
 		Name: "mutexheld",
-		Doc: "restricts writes to guarded struct state to the sanctioned " +
-			"mutation methods (DESIGN.md §8)",
+		Doc: "restricts writes to guarded struct state — direct, by LinkSet " +
+			"mutator, or through a local alias — to the sanctioned mutation " +
+			"methods (DESIGN.md §8)",
 	}
 	a.Run = func(pass *Pass) error {
 		for i := range config {
@@ -85,45 +102,6 @@ func runMutexHeld(pass *Pass, g *GuardedStruct) {
 	for _, w := range g.Writers {
 		writers[w] = true
 	}
-
-	// guardedWrite reports whether expr is a write target rooted at a
-	// guarded field selector (x.f, x.f[i], *x.f, ...).
-	guardedWrite := func(expr ast.Expr) (ast.Expr, bool) {
-		for {
-			switch e := expr.(type) {
-			case *ast.IndexExpr:
-				expr = e.X
-			case *ast.StarExpr:
-				expr = e.X
-			case *ast.ParenExpr:
-				expr = e.X
-			case *ast.SelectorExpr:
-				selObj := pass.TypesInfo.Selections[e]
-				if selObj == nil || selObj.Kind() != types.FieldVal {
-					return nil, false
-				}
-				field, ok := selObj.Obj().(*types.Var)
-				if !ok || field.Pkg() == nil {
-					return nil, false
-				}
-				if field.Pkg().Path() != g.Pkg || !fields[field.Name()] {
-					return nil, false
-				}
-				recv := selObj.Recv()
-				if p, ok := recv.(*types.Pointer); ok {
-					recv = p.Elem()
-				}
-				named, ok := recv.(*types.Named)
-				if !ok || named.Obj().Name() != g.Type {
-					return nil, false
-				}
-				return e, true
-			default:
-				return nil, false
-			}
-		}
-	}
-
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -135,23 +113,121 @@ func runMutexHeld(pass *Pass, g *GuardedStruct) {
 			if writers[fd.Name.Name] && writerBelongsTo(pass, fd, g) {
 				continue
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if sel, ok := guardedWrite(lhs); ok {
-							pass.Reportf(sel.Pos(), "write to guarded field %s.%s outside its sanctioned mutation methods (%s)", g.Type, sel.(*ast.SelectorExpr).Sel.Name, fd.Name.Name)
-						}
-					}
-				case *ast.IncDecStmt:
-					if sel, ok := guardedWrite(n.X); ok {
-						pass.Reportf(sel.Pos(), "write to guarded field %s.%s outside its sanctioned mutation methods (%s)", g.Type, sel.(*ast.SelectorExpr).Sel.Name, fd.Name.Name)
-					}
-				}
-				return true
-			})
+			checkGuardedWrites(pass, g, fields, fd)
 		}
 	}
+}
+
+// checkGuardedWrites reports every write in fd that reaches a guarded field.
+// The def-use chains are built on the first write through a local, so a
+// function that writes through none pays nothing for them.
+func checkGuardedWrites(pass *Pass, g *GuardedStruct, fields map[string]bool, fd *ast.FuncDecl) {
+	var du *flow.DefUse
+	// reach resolves a write target (an assignment's left side, an inc/dec
+	// operand, a mutator's receiver) to the guarded field it lands in and,
+	// for a write through a local — an element, pointer target, or mutator
+	// receiver — the local it goes through.
+	var reach func(e ast.Expr, through bool) (string, *ast.Ident)
+	reach = func(e ast.Expr, through bool) (string, *ast.Ident) {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			return reach(x.X, through)
+		case *ast.IndexExpr:
+			return reach(x.X, true)
+		case *ast.StarExpr:
+			return reach(x.X, true)
+		case *ast.SelectorExpr:
+			if f := guardedField(pass, g, fields, x); f != nil {
+				return f.Name(), nil
+			}
+		case *ast.Ident:
+			if !through {
+				return "", nil
+			}
+			if du == nil {
+				du = flow.BuildDefUse(flow.NewCFG(fd.Body), pass.TypesInfo, fd.Type, fd.Recv)
+			}
+			return guardedAlias(pass, g, fields, du, x), x
+		}
+		return "", nil
+	}
+	report := func(n ast.Node, what string, target ast.Expr, through bool) {
+		field, alias := reach(target, through)
+		if field == "" {
+			return
+		}
+		if alias != nil {
+			what += fmt.Sprintf(" through %q", alias.Name)
+		}
+		pass.Reportf(n.Pos(), "%s to guarded field %s.%s outside its sanctioned mutation methods (%s)",
+			what, g.Type, field, fd.Name.Name)
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				report(lhs, "write", lhs, false)
+			}
+		case *ast.IncDecStmt:
+			report(n.X, "write", n.X, false)
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok || !slices.Contains(linkSetMutators, sel.Sel.Name) {
+				return true
+			}
+			if named, ok := deref(pass.TypesInfo.TypeOf(sel.X)).(*types.Named); ok && named.Obj().Name() == "LinkSet" {
+				report(n, sel.Sel.Name+"() call", sel.X, true)
+			}
+		}
+		return true
+	})
+}
+
+// guardedField returns the guarded field sel selects on the guarded struct,
+// nil for any other selector.
+func guardedField(pass *Pass, g *GuardedStruct, fields map[string]bool, sel *ast.SelectorExpr) *types.Var {
+	selObj := pass.TypesInfo.Selections[sel]
+	if selObj == nil || selObj.Kind() != types.FieldVal {
+		return nil
+	}
+	field, ok := selObj.Obj().(*types.Var)
+	if !ok || field.Pkg() == nil || field.Pkg().Path() != g.Pkg || !fields[field.Name()] {
+		return nil
+	}
+	named, ok := deref(selObj.Recv()).(*types.Named)
+	if !ok || named.Obj().Name() != g.Type {
+		return nil
+	}
+	return field
+}
+
+// guardedAlias chases id's reaching definitions for a guarded field the
+// local aliases — a copy of a reference-typed field (slice, map, or
+// pointer: its copies share the struct's backing storage) or any field's
+// address — and returns the field name, "" when none provably does.
+func guardedAlias(pass *Pass, g *GuardedStruct, fields map[string]bool, du *flow.DefUse, id *ast.Ident) string {
+	return reachingSource(du, id, func(e ast.Expr) string {
+		addr := false
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e, addr = ast.Unparen(u.X), true
+		}
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
+		f := guardedField(pass, g, fields, sel)
+		if f == nil {
+			return ""
+		}
+		switch f.Type().Underlying().(type) {
+		case *types.Slice, *types.Map, *types.Pointer:
+			addr = true
+		}
+		if !addr {
+			return ""
+		}
+		return f.Name()
+	})
 }
 
 // writerBelongsTo reports whether the sanctioned-by-name function fd is
@@ -169,9 +245,6 @@ func writerBelongsTo(pass *Pass, fd *ast.FuncDecl, g *GuardedStruct) bool {
 	if t == nil {
 		return false
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+	named, ok := deref(t).(*types.Named)
 	return ok && named.Obj().Name() == g.Type
 }

@@ -315,8 +315,7 @@ func Mutate(o *Owner) {
 
 // hotpathFloorDrift compares the world's //lint:hotpath roots with the rows
 // of the `hotpathFloors` tables in pkgs' _test.go files — read with
-// go/parser: a row's `roots` strings name the roots it holds, an `exempt`
-// key marks a row that carries a reason instead of a measurement — and
+// go/parser: a row's `roots` strings name the roots it measures — and
 // returns one message per disagreement.
 func hotpathFloorDrift(t *testing.T, pkgs []*Package, world *flow.World) []string {
 	t.Helper()
@@ -325,7 +324,7 @@ func hotpathFloorDrift(t *testing.T, pkgs []*Package, world *flow.World) []strin
 		roots[fs.Pkg+"."+fs.Name] = true
 	}
 	var drift []string
-	measured, exempt := make(map[string]bool), make(map[string]bool)
+	measured := make(map[string]bool)
 	for _, pkg := range pkgs {
 		files, err := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
 		if err != nil {
@@ -341,15 +340,11 @@ func hotpathFloorDrift(t *testing.T, pkgs []*Package, world *flow.World) []strin
 					drift = append(drift, fmt.Sprintf("%s: a hotpathFloors row names no root", name))
 					continue
 				}
-				into := measured
-				if row["exempt"] != nil {
-					into = exempt
-				}
 				ast.Inspect(row["roots"], func(n ast.Node) bool {
 					if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 						unquoted, _ := strconv.Unquote(lit.Value)
 						root := pkg.Path + "." + unquoted
-						into[root] = true
+						measured[root] = true
 						if !roots[root] {
 							drift = append(drift, fmt.Sprintf("%s: a hotpathFloors row names %s, which is not a //lint:hotpath root in the module", name, root))
 						}
@@ -360,11 +355,8 @@ func hotpathFloorDrift(t *testing.T, pkgs []*Package, world *flow.World) []strin
 		}
 	}
 	for root := range roots {
-		switch {
-		case !measured[root] && !exempt[root]:
+		if !measured[root] {
 			drift = append(drift, fmt.Sprintf("//lint:hotpath root %s has no row in its package's hotpathFloors table", root))
-		case measured[root] && exempt[root]:
-			drift = append(drift, fmt.Sprintf("//lint:hotpath root %s has both a measured and an exempt hotpathFloors row", root))
 		}
 	}
 	sort.Strings(drift)
@@ -402,13 +394,12 @@ func floorRows(file *ast.File) []map[string]ast.Expr {
 	return rows
 }
 
-// TestHotpathFloorsCoverRoots pins the static proof to the measured floors:
+// TestHotpathFloorsCoverRoots pins the annotations to the measured floors:
 // every //lint:hotpath annotated declaration in the module must be named by
 // a row of its package's hotpathFloors table — the rows TestHotpathFloors
-// holds at 0 allocations per steady-state pass, or one that carries the
-// reason it is exempt, never both — and every row must name a root that
-// still exists. Either direction drifting means the hotalloc proof and the
-// measurement no longer cover the same set of functions.
+// holds at 0 allocations per steady-state pass — and every row must name a
+// root that still exists. Either direction drifting means the escapes
+// analyzer and the measurement no longer cover the same set of functions.
 // TestSeededHotpathViolationsAreCaught seeds both directions.
 func TestHotpathFloorsCoverRoots(t *testing.T) {
 	pkgs := loadRepo(t, "./...")
@@ -421,14 +412,15 @@ func TestHotpathFloorsCoverRoots(t *testing.T) {
 	}
 }
 
-// TestSeededHotpathViolationsAreCaught is the call-graph-suite negative
-// control: a deliberate allocation on a //lint:hotpath path in a sim-shaped
-// package (two hops down, so the chain machinery is exercised) and a
-// deliberate map-ordered float sum in a fleet-shaped package are planted in
-// a throwaway module and must each fail the gate through the exact
-// Load + BuildWorld + RunW pipeline the lint driver uses. The sim package's
-// floor table holds one of its two roots and names one that does not exist:
-// TestHotpathFloorsCoverRoots's check must report exactly those two drifts.
+// TestSeededHotpathViolationsAreCaught is the floor-drift and fold-order
+// negative control: in a throwaway module, a sim-shaped package's floor
+// table holds one of its two //lint:hotpath roots and names one that does
+// not exist, so TestHotpathFloorsCoverRoots's check must report exactly
+// those two drifts; and a fleet-shaped package — outside MapRangeConfig —
+// folds float penalties in map iteration order, which maprange must report
+// through the exact Load + BuildWorld + RunW pipeline the lint driver uses.
+// (The seeded hot-path escape lives in
+// TestSeededDeploymentViolationsAreCaught, beside its one compiler run.)
 func TestSeededHotpathViolationsAreCaught(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, src string) {
@@ -444,18 +436,10 @@ func TestSeededHotpathViolationsAreCaught(t *testing.T) {
 	write("go.mod", "module demo\n\ngo 1.22\n")
 	write("sim/sim.go", `package sim
 
-type Sim struct{ samples []float64 }
+type Sim struct{ last float64 }
 
-// Settle deliberately allocates two hops down a hot path.
-//
-//lint:hotpath per-event settle
-func (s *Sim) Settle(p float64) {
-	s.record(p)
-}
-
-func (s *Sim) record(p float64) {
-	s.samples = append(s.samples, p)
-}
+//lint:hotpath has no floor row
+func (s *Sim) Settle(p float64) { s.last = p }
 
 //lint:hotpath has a floor row
 func (s *Sim) Held() {}
@@ -481,28 +465,19 @@ func Sum(shards map[int]float64) float64 {
 		t.Fatalf("Load(demo): %v", err)
 	}
 	world := BuildWorld(pkgs)
-	byAnalyzer := make(map[string][]string)
+	var msgs []string
 	for _, pkg := range pkgs {
-		diags, err := RunW(pkg, All(), world)
+		diags, err := RunW(pkg, []*Analyzer{MapRange}, world)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", pkg.Path, err)
 		}
 		for _, d := range diags {
-			byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], pkg.Path+": "+d.Message)
+			msgs = append(msgs, pkg.Path+": "+d.Message)
 		}
 	}
-	check := func(analyzer, substr string) {
-		t.Helper()
-		for _, msg := range byAnalyzer[analyzer] {
-			if strings.Contains(msg, substr) {
-				return
-			}
-		}
-		t.Errorf("seeded %s violation not caught: no finding containing %q in %v", analyzer, substr, byAnalyzer[analyzer])
+	if len(msgs) != 1 || !strings.Contains(msgs[0], "demo/fleet: order-sensitive floating-point accumulation folds map values in iteration order") {
+		t.Errorf("want exactly the seeded maprange fold in demo/fleet, got %v", msgs)
 	}
-	check("hotalloc", "hot path (*Sim).Settle is not allocation-free: append may grow its backing array")
-	check("hotalloc", "(chain: (*Sim).Settle -> (*Sim).record)")
-	check("floatorder", "folds map values in iteration order")
 
 	drift := strings.Join(hotpathFloorDrift(t, pkgs, world), "\n")
 	if strings.Count(drift, "\n") != 1 ||
@@ -514,13 +489,15 @@ func Sum(shards map[int]float64) float64 {
 
 // TestSeededDeploymentViolationsAreCaught is the liveness-suite negative
 // control: a deadline-less blocking read, a ticker leaked on an error path,
-// a forced heap escape plus bounds check on a //lint:hotpath root, and a
-// write to core.Network's reportable index and its threshold key from an
-// unsanctioned method are planted in a throwaway module — named corropt, so
-// the production DeploymentPackages gate and MutexHeldConfig themselves are
-// what fire — and must each fail the gate through the exact Load +
-// BuildWorld + RunW pipeline the lint driver uses. The escapes control runs the real compiler harness over the temp
-// module, pinning the gcdiag plumbing end to end.
+// a forced heap escape plus bounds check on a //lint:hotpath root, a heap
+// escape two hops below another root, writes to core.Network's reportable
+// index and its threshold key from an unsanctioned method, and LinkSet
+// mutator calls on its guarded indexes from another are planted in a
+// throwaway module — named corropt, so the production DeploymentPackages
+// gate and MutexHeldConfig themselves are what fire — and must each fail
+// the gate through the exact Load + BuildWorld + RunW pipeline the lint
+// driver uses. The escapes controls share one run of the real compiler
+// harness over the temp module, pinning the gcdiag plumbing end to end.
 func TestSeededDeploymentViolationsAreCaught(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, src string) {
@@ -581,19 +558,40 @@ func Hot(xs []int, i int) int {
 	}
 	return s
 }
+
+// Settle deliberately escapes two hops below a hot path.
+//
+//lint:hotpath two-hop escape negative control
+func Settle(p int) {
+	record(p)
+}
+
+func record(p int) { stash(p) }
+
+func stash(p int) {
+	v := p
+	sink = &v
+}
 `)
 
 	write("internal/core/index.go", `package core
 
+type LinkSet struct{ words []uint64 }
+
+func (s *LinkSet) Add(l int) { s.words[l>>6] |= 1 << (uint(l) & 63) }
+func (s *LinkSet) Clear()    { clear(s.words) }
+
 type Network struct {
-	reportable []uint64
+	reportable LinkSet
+	corrupting LinkSet
 	threshold  float64
 }
 
-// SetCorruption is a sanctioned writer of both fields.
+// SetCorruption is a sanctioned writer of all three fields.
 func (n *Network) SetCorruption(l int, rate float64) {
+	n.corrupting.Add(l)
 	if rate >= n.threshold {
-		n.reportable[l>>6] |= 1 << (uint(l) & 63)
+		n.reportable.Add(l)
 	}
 }
 
@@ -601,7 +599,14 @@ func (n *Network) SetCorruption(l int, rate float64) {
 // sanctioned writers.
 func (n *Network) Rekey(t float64) {
 	n.threshold = t
-	n.reportable = nil
+	n.reportable = LinkSet{}
+}
+
+// dropIndex deliberately mutates both indexes in place outside the
+// sanctioned writers.
+func (n *Network) dropIndex() {
+	n.reportable.Clear()
+	n.corrupting.Add(0)
 }
 `)
 
@@ -633,10 +638,14 @@ func (n *Network) Rekey(t float64) {
 	check("reslife", "time.Ticker t acquired here may leak")
 	check("escapes", "hot path Hot has a compiler-reported heap escape in Hot: x escapes to heap")
 	check("escapes", "hot path Hot has a compiler-reported bounds check in its inner loop")
+	check("escapes", "hot path Settle has a compiler-reported heap escape in stash")
+	check("escapes", "(chain: Settle -> record -> stash)")
 	check("mutexheld", "write to guarded field Network.threshold outside its sanctioned mutation methods (Rekey)")
 	check("mutexheld", "write to guarded field Network.reportable outside its sanctioned mutation methods (Rekey)")
-	if n := len(byAnalyzer["mutexheld"]); n != 2 {
-		t.Errorf("want the 2 seeded mutexheld findings only, got %d: %v", n, byAnalyzer["mutexheld"])
+	check("mutexheld", "Clear() call to guarded field Network.reportable outside its sanctioned mutation methods (dropIndex)")
+	check("mutexheld", "Add() call to guarded field Network.corrupting outside its sanctioned mutation methods (dropIndex)")
+	if n := len(byAnalyzer["mutexheld"]); n != 4 {
+		t.Errorf("want the 4 seeded mutexheld findings only, got %d: %v", n, byAnalyzer["mutexheld"])
 	}
 }
 

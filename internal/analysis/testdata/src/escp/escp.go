@@ -1,11 +1,14 @@
 // Package escp is the escapes golden package, driven by a fake compiler
-// collector: the test scans these sources for `gc:escapes` / `gc:bounds`
-// markers and synthesizes the corresponding gcdiag report, so the golden
-// pins the analyzer's attribution logic (transitive chain walk for escapes,
-// own-loops-only for bounds checks, hotalloc-sanction skipping) without
-// depending on a particular compiler version's escape-analysis verdicts.
-// Findings anchor at the root declaration, like hotalloc.
+// collector: the test scans the golden sources for `gc:escapes` /
+// `gc:bounds` markers and synthesizes the corresponding gcdiag report, so
+// the golden pins the analyzer's attribution logic (breadth-first chain
+// walk for escapes, across packages too, own-loops-only for bounds checks,
+// site and root sanctions) without depending on a particular compiler
+// version's escape-analysis verdicts. Findings anchor at the root
+// declaration.
 package escp
+
+import "escpdep"
 
 var sink *int
 
@@ -29,6 +32,58 @@ func midEsc() { leafEsc() }
 func leafEsc() {
 	y := 1
 	sink = &y // gc:escapes
+}
+
+// diamondRoot reaches leafEsc both through midEsc and directly; the walk is
+// breadth-first, so the finding carries the shortest chain.
+//
+//lint:hotpath
+func diamondRoot() { // want `in leafEsc: value escapes to heap at escp\.go:\d+ \(chain: diamondRoot -> leafEsc\)$`
+	midEsc()
+	leafEsc()
+}
+
+// crossRoot reaches an escape in another package.
+//
+//lint:hotpath
+func crossRoot(n int) []int { // want `hot path crossRoot has a compiler-reported heap escape in Grow: value escapes to heap at escpdep\.go:\d+ \(chain: crossRoot -> Grow\)`
+	return escpdep.Grow(n)
+}
+
+// crossSanctionedRoot calls into another package whose escape carries a
+// site-level allow: the sanction is read when that package is summarized,
+// so it holds for a root here too.
+//
+//lint:hotpath
+func crossSanctionedRoot(x int) {
+	escpdep.Reserve(x)
+}
+
+// callSanctionedRoot reaches leafEsc only through a call on a sanctioned
+// line: the walk does not descend through it.
+//
+//lint:hotpath
+func callSanctionedRoot() {
+	//lint:allow escapes rare path, held by the floor instead
+	leafEsc()
+}
+
+// goRoot spawns leafEsc: the spawned body runs off the hot path, so the walk
+// does not descend into it.
+//
+//lint:hotpath
+func goRoot() {
+	go leafEsc()
+}
+
+// acceptedRoot carries a root-level allow: every finding for this root
+// lands on its declaration line, so one annotation accepts them all.
+//
+//lint:hotpath
+//lint:allow escapes accepted startup-path debt
+func acceptedRoot() *int {
+	w := 3
+	return &w // gc:escapes
 }
 
 // loopRoot has a bounds check inside its own loop.
@@ -66,12 +121,12 @@ func straightRoot(xs []int) int {
 	return xs[0] // gc:bounds
 }
 
-// sanctionedRoot's escape sits on a line hotalloc already sanctions: an
-// acknowledged allocation, not a cross-check failure.
+// sanctionedRoot's escape sits on a sanctioned line: an acknowledged
+// allocation, not a finding.
 //
 //lint:hotpath
 func sanctionedRoot() []int {
-	//lint:allow hotalloc warmup growth, amortized away
+	//lint:allow escapes warmup growth, held by the floor
 	buf := make([]int, 8) // gc:escapes
 	return buf
 }

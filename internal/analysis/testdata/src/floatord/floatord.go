@@ -1,8 +1,8 @@
-// Package floatord is the floatorder golden package: += / -= (and
-// x = x ± y) folds of floating-point accumulators over map iteration or
-// channel arrival order are flagged; sorted-key sweeps, integer folds,
-// per-key accumulators that die inside the loop, and annotated folds are
-// not.
+// Package floatord is the golden for maprange's fold rule in a package
+// outside its config: += / -= (and x = x ± y) folds of floating-point
+// accumulators over map iteration or channel arrival order are flagged;
+// sorted-key sweeps, integer folds, unsorted key collection, per-key
+// accumulators that die inside the loop, and annotated folds are not.
 package floatord
 
 import "sort"
@@ -67,14 +67,23 @@ func sortedSum(m map[string]float64) float64 {
 	return total
 }
 
-// intSum folds integers: addition is associative there, and maprange
-// already owns the integer-determinism story.
+// intSum folds integers: addition is associative there.
 func intSum(m map[string]int) int {
 	total := 0
 	for _, v := range m {
 		total += v
 	}
 	return total
+}
+
+// unsortedKeys leaks map order into a slice, which only the packages in
+// maprange's config are held to.
+func unsortedKeys(m map[string]float64) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 // perKey folds into an accumulator that is declared inside the map loop and
@@ -95,7 +104,7 @@ func perKey(m map[string][]float64) map[string]float64 {
 func allowedSum(m map[int]float64) float64 {
 	s := 0.0
 	for _, v := range m {
-		//lint:allow floatorder tolerance-checked aggregate, drift accepted
+		//lint:allow maprange tolerance-checked aggregate, drift accepted
 		s += v
 	}
 	return s

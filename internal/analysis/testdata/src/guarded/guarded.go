@@ -3,19 +3,32 @@
 // test.
 package guarded
 
+// LinkSet mirrors the repository's bitset shape.
+type LinkSet struct{ bits []uint64 }
+
+// Add inserts l.
+func (s *LinkSet) Add(l int) { s.bits[l>>6] |= 1 << (uint(l) & 63) }
+
+// Clear empties the set.
+func (s *LinkSet) Clear() { clear(s.bits) }
+
+// Has reports whether l is in the set.
+func (s *LinkSet) Has(l int) bool { return s.bits[l>>6]&(1<<(uint(l)&63)) != 0 }
+
 // Net mimics core.Network: cached aggregate state that must only change
 // through methods that update every piece together.
 type Net struct {
 	sum   float64
 	items []int
 	count int
+	set   LinkSet
 	// Pub is exported so cross-package writes can be exercised (guardedx).
 	Pub int
 }
 
 // New is a sanctioned constructor.
 func New() *Net {
-	n := &Net{}
+	n := &Net{set: LinkSet{bits: make([]uint64, 1)}}
 	n.count = 0
 	return n
 }
@@ -25,6 +38,14 @@ func (n *Net) Add(v int) {
 	n.items = append(n.items, v)
 	n.count++
 	n.sum += float64(v)
+	n.set.Add(v)
+}
+
+// dropSet is NOT sanctioned: a LinkSet mutator called on a guarded field
+// is a write, while a read-only method is not.
+func (n *Net) dropSet() bool {
+	n.set.Clear() // want `Clear\(\) call to guarded field Net\.set outside its sanctioned mutation methods \(dropSet\)`
+	return n.set.Has(0)
 }
 
 // Apply is sanctioned; its closure inherits the sanction.

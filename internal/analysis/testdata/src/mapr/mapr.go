@@ -1,6 +1,6 @@
 // Package mapr is the maprange golden package: map iteration that can leak
 // runtime map order into output is flagged; the collect-then-sort idiom,
-// commutative numeric reductions, and annotated loops are not.
+// integer reductions, and annotated loops are not.
 package mapr
 
 import (
@@ -53,10 +53,21 @@ func collectThenSortSlice(m map[string]int) []int {
 	return vals
 }
 
-// sumReduce is a commutative numeric reduction.
+// sumReduce is a commutative integer reduction.
 func sumReduce(m map[string]int) int {
 	total := 0
 	for _, v := range m {
+		total += v
+	}
+	return total
+}
+
+// floatReduce folds floats in map order: float addition is not
+// associative, so this is no commutative reduction — one finding, at the
+// loop, not a second at the fold.
+func floatReduce(m map[string]float64) float64 {
+	total := 0.0
+	for _, v := range m { // want `map iteration order`
 		total += v
 	}
 	return total

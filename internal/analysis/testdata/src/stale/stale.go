@@ -1,7 +1,7 @@
-// Package stale is the stalecache golden: writes that reach guarded Netw
-// state through local aliases are flagged outside the sanctioned writers —
-// the dataflow hole that plain mutexheld (which only sees syntactic
-// n.field writes) cannot close.
+// Package stale is the golden for mutexheld's alias rule: writes that reach
+// guarded Netw state through local aliases are flagged outside the
+// sanctioned writers — they are not syntactic n.field writes, but they land
+// in the same backing storage.
 package stale
 
 // LinkSet mirrors the repository's bitset shape.
@@ -46,20 +46,26 @@ func (n *Netw) Sum() float64 { return n.sum }
 // badElem desynchronizes contrib from sum through a local alias.
 func badElem(n *Netw) {
 	c := n.contrib
-	c[0] = 1 // want "element write through \"c\" reaches guarded field Netw.contrib"
+	c[0] = 1 // want "write through \"c\" to guarded field Netw.contrib"
 }
 
 // badSet mutates the guarded disabled set through an alias.
 func badSet(n *Netw) {
 	d := n.disabled
-	d.Add(1) // want "Add\\(\\) through \"d\" reaches guarded field Netw.disabled"
+	d.Add(1) // want "Add\\(\\) call through \"d\" to guarded field Netw.disabled"
 }
 
 // badChain launders the alias through a second local.
 func badChain(n *Netw) {
 	c := n.contrib
 	d := c
-	d[2] = 3 // want "element write through \"d\" reaches guarded field Netw.contrib"
+	d[2] = 3 // want "write through \"d\" to guarded field Netw.contrib"
+}
+
+// badAddr writes a scalar field through its address.
+func badAddr(n *Netw) {
+	p := &n.sum
+	*p = 0 // want "write through \"p\" to guarded field Netw.sum"
 }
 
 // valueCopies copy scalars: no aliasing, no finding.
@@ -88,5 +94,5 @@ func reads(n *Netw) float64 {
 // allowedAlias documents a sanctioned out-of-band write.
 func allowedAlias(n *Netw) {
 	c := n.contrib
-	c[1] = 0 //lint:allow stalecache test fixture resets contrib before reload
+	c[1] = 0 //lint:allow mutexheld test fixture resets contrib before reload
 }

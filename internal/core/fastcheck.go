@@ -57,7 +57,7 @@ func (fc *FastChecker) CanDisable(l topology.LinkID) bool {
 		// down or constraints tightened). Match the full-check semantics,
 		// which refuses when any downstream ToR of l is infeasible even if
 		// l does not change its count.
-		//lint:allow hotalloc DownstreamToRs allocates on the rare already-violated path only
+		//lint:allow escapes DownstreamToRs allocates on the rare already-violated path only
 		for _, tor := range n.topo.DownstreamToRs(l) {
 			if !n.meets(tor, counts, total) {
 				ok = false

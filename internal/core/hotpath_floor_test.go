@@ -48,7 +48,7 @@ func largeCorruptingNetwork(tb testing.TB) (*Network, []topology.LinkID) {
 
 // activeCorruptingPass collects the active corrupting set at threshold into
 // a retained buffer — grown by the warm-up pass: AppendActiveCorrupting's
-// `lint:allow hotalloc` site — and requires the count to agree.
+// appends — and requires the count to agree.
 func activeCorruptingPass(tb testing.TB, net *Network, threshold float64) func() {
 	var buf []topology.LinkID
 	return func() {
@@ -61,9 +61,9 @@ func activeCorruptingPass(tb testing.TB, net *Network, threshold float64) func()
 
 var hotpathFloors = []hotpathFloor{{
 	// One fast-check decision per corrupting link on the large DCN: the
-	// per-event decision §5.1 budgets 100–300 ms for. The warm-up pass covers
-	// PathCounter.propagate's `steady capacity after warmup` sites; no ToR is
-	// in violation, so the DownstreamToRs site is not on the path.
+	// per-event decision §5.1 budgets 100–300 ms for. The warm-up pass grows
+	// PathCounter.propagate's scratch buffers; no ToR is in violation, so the
+	// `lint:allow escapes` DownstreamToRs site is not on the path.
 	name:  "fast_checker",
 	roots: []string{"(*FastChecker).CanDisable"},
 	setup: func(tb testing.TB) func() {
@@ -167,7 +167,7 @@ var hotpathFloors = []hotpathFloor{{
 	// The sampler's capacity read on the paper's medium DCN: each of 40
 	// links spread over the fabric is disabled, the fractions read, and the
 	// link enabled again, so every read resumes from a different ToR. The
-	// warm-up pass builds the cache: ToRFractions' `once per Network` site.
+	// warm-up pass builds the cache: ToRFractions' `lint:allow escapes` site.
 	name:  "tor_fractions",
 	roots: []string{"(*Network).ToRFractions"},
 	setup: func(tb testing.TB) func() {

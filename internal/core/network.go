@@ -320,7 +320,6 @@ func (n *Network) setLive(l topology.LinkID, on bool) {
 		return
 	}
 	if on {
-		//lint:allow hotalloc one slot of growth in the retained live list, steady capacity after warmup
 		live = append(live, 0)
 		copy(live[lo+1:], live[lo:])
 		live[lo] = l
@@ -417,7 +416,6 @@ func (n *Network) penaltyOnToggle(l topology.LinkID, nowDisabled bool) {
 	}
 	var c float64
 	if r := n.rate[l]; r > 0 && !nowDisabled {
-		//lint:allow hotalloc registered PenaltyFunc values are pure arithmetic; a dynamic call is unprovable statically
 		c = n.penalty(r)
 	}
 	n.setContrib(l, c)
@@ -493,12 +491,10 @@ func (n *Network) ActiveCorrupting(threshold float64) []topology.LinkID {
 //lint:hotpath every optimizer run and baseline sweep starts by collecting this set
 func (n *Network) AppendActiveCorrupting(dst []topology.LinkID, threshold float64) []topology.LinkID {
 	if threshold == n.threshold {
-		//lint:allow hotalloc append into the caller's retained buffer, steady capacity after warmup
 		return append(dst, n.live...)
 	}
 	it := n.active(threshold)
 	for l := it.next(); l != topology.NoLink; l = it.next() {
-		//lint:allow hotalloc append into the caller's retained buffer, steady capacity after warmup
 		dst = append(dst, l)
 	}
 	return dst
@@ -740,7 +736,7 @@ func (n *Network) ToRFractions() (worst, mean float64) {
 		return 1.0, 0
 	}
 	if n.torPos == nil {
-		//lint:allow hotalloc builds the fraction cache once per Network, on its first read
+		//lint:allow escapes builds the fraction cache once per Network, on its first read
 		n.buildToRFractions()
 	}
 	sum, worst := n.sumToRFractions()

@@ -250,23 +250,22 @@ func dcnShardTarget(budget, units, totalUnits int) int {
 //lint:hotpath per-event fleet ingress
 func (s *Supervisor) Route(ev Event) error {
 	if ev.DCN < 0 || ev.DCN >= len(s.dcns) {
-		//lint:allow hotalloc error construction on the reject path only
+		//lint:allow escapes error construction on the reject path only
 		return fmt.Errorf("fleet: event for unknown DCN %d", ev.DCN)
 	}
 	if ev.Link < 0 || int(ev.Link) >= s.dcns[ev.DCN].Topo.NumLinks() {
-		//lint:allow hotalloc error construction on the reject path only
+		//lint:allow escapes error construction on the reject path only
 		return fmt.Errorf("fleet: event for unknown link %d in DCN %s", ev.Link, s.dcns[ev.DCN].Name)
 	}
 	if ev.Kind != Corruption && ev.Kind != Repair {
-		//lint:allow hotalloc error construction on the reject path only
+		//lint:allow escapes error construction on the reject path only
 		return fmt.Errorf("fleet: unknown event kind %d", ev.Kind)
 	}
 	if !(ev.Rate >= 0 && ev.Rate <= 1) { // written so that NaN is rejected too
-		//lint:allow hotalloc error construction on the reject path only
+		//lint:allow escapes error construction on the reject path only
 		return fmt.Errorf("fleet: corruption rate %g out of [0,1]", ev.Rate)
 	}
 	sh := s.shards[s.shardOf[ev.DCN][ev.Link]]
-	//lint:allow hotalloc append into per-shard pending buffer, steady capacity after warmup
 	sh.pending = append(sh.pending, shardEvent{
 		seq:  s.nextSeq,
 		at:   ev.At,

@@ -22,8 +22,9 @@ var hotpathFloors = []hotpathFloor{{
 	// large Clos (1,036,800 links; the paper's 15 DCNs hold ~350K). Flush
 	// allocates, so it cannot sit between AllocsPerRun's two calls of the
 	// pass: setup ingests the stream twice before its one Flush, which leaves
-	// every shard's pending queue — the `lint:allow hotalloc … per-shard
-	// pending buffer` site in Route — with room for both.
+	// every shard's pending queue — Route's append — with room for both. The
+	// reject paths' error construction carries `lint:allow escapes` and is
+	// not on this path.
 	name:  "route",
 	roots: []string{"(*Supervisor).Route"},
 	setup: func(tb testing.TB) func() {

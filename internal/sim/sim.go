@@ -353,7 +353,6 @@ func (s *Sim) accrue(now time.Duration) {
 		} else {
 			// Cold: first interval of a new simulated day.
 			for uint(len(ppd)) <= d {
-				//lint:allow hotalloc grows once per simulated day, not per event
 				ppd = append(ppd, 0)
 			}
 			ppd[d] += s.lastPenalty * (end - at).Seconds()
@@ -604,7 +603,6 @@ func (s *Sim) sample(now time.Duration) {
 	p := s.net.PenaltySum()
 	s.lastPenalty = p
 	worst, mean := s.net.ToRFractions()
-	//lint:allow hotalloc Samples is the output series; one append per sample interval
 	s.result.Samples = append(s.result.Samples, Sample{
 		At:               now,
 		Penalty:          p,

@@ -3,12 +3,13 @@ package topology
 import "testing"
 
 // hotpathFloor is one row of the package's measured 0-allocation floors:
-// the //lint:hotpath roots it holds (display names, as hotalloc prints
-// them) and the pass that exercises them. The hotalloc analyzer proves the
-// same roots allocation-free statically; internal/analysis's
+// the //lint:hotpath roots it holds (display names, as the escapes analyzer
+// prints them) and the pass that exercises them. The escapes analyzer holds
+// the same roots' call chains to the compiler's escape verdicts, which
+// cannot see append growth; the floor measures it. internal/analysis's
 // TestHotpathFloorsCoverRoots reads the roots out of this table with
 // go/parser and requires annotated roots == rows in both directions, so the
-// proof and the measurement cannot drift apart.
+// two cannot drift apart.
 type hotpathFloor struct {
 	name  string
 	roots []string
@@ -19,9 +20,9 @@ type hotpathFloor struct {
 var hotpathFloors = []hotpathFloor{{
 	// One Apply+Revert delta pair — the unit of work of the fast checker's
 	// probe and the optimizer DFS's branch step — per uplink of one ToR on
-	// the paper's large DCN (34,560 links). The warm-up pass covers
-	// propagate's three `lint:allow hotalloc … steady capacity after warmup`
-	// sites: the per-stage dirty buckets and the changedToRs scratch.
+	// the paper's large DCN (34,560 links). The warm-up pass grows
+	// propagate's scratch to steady capacity: the per-stage dirty buckets and
+	// the changedToRs list.
 	name:  "apply_revert",
 	roots: []string{"(*PathCounter).Apply", "(*PathCounter).Revert"},
 	setup: func(tb testing.TB) func() {

@@ -119,7 +119,6 @@ func (pc *PathCounter) propagate(start SwitchID, d0 int64) []SwitchID {
 	}
 	pc.dirty[start] = e
 	pc.delta[start] = d0
-	//lint:allow hotalloc appends into per-stage scratch buffers that reach steady capacity after warmup
 	pc.dirtyStage[startStage] = append(pc.dirtyStage[startStage][:0], start)
 	for st := startStage; st >= 0; st-- {
 		bucket := pc.dirtyStage[st]
@@ -131,7 +130,6 @@ func (pc *PathCounter) propagate(start SwitchID, d0 int64) []SwitchID {
 			}
 			pc.inc[u] += d
 			if st == 0 {
-				//lint:allow hotalloc append into reused changedToRs scratch, steady capacity after warmup
 				pc.changedToRs = append(pc.changedToRs, u)
 				continue
 			}
@@ -143,7 +141,6 @@ func (pc *PathCounter) propagate(start SwitchID, d0 int64) []SwitchID {
 				if pc.dirty[v] != e {
 					pc.dirty[v] = e
 					pc.delta[v] = 0
-					//lint:allow hotalloc append into reused per-stage scratch, steady capacity after warmup
 					pc.dirtyStage[st-1] = append(pc.dirtyStage[st-1], v)
 				}
 				pc.delta[v] += d

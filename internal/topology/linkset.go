@@ -54,7 +54,6 @@ func (s *LinkSet) Has(l LinkID) bool {
 func (s *LinkSet) Add(l LinkID) {
 	w := int(uint(l) >> 6)
 	for w >= len(s.words) {
-		//lint:allow hotalloc growth only when adding past constructed capacity; hot paths stay within it
 		s.words = append(s.words, 0)
 	}
 	s.words[w] |= 1 << (uint(l) & 63)

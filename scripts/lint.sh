@@ -5,9 +5,8 @@
 #   1. go vet            — the stock toolchain checks.
 #   2. corropt-lint      — this repository's own analyzer suite
 #                          (nodeterminism, maprange, errwrap, mutexheld,
-#                          lockorder, gorolife, aliasescape, stalecache,
-#                          hotalloc, floatorder, ctxdeadline, reslife,
-#                          escapes; DESIGN.md §8). Self-contained on the
+#                          lockorder, gorolife, aliasescape, ctxdeadline,
+#                          reslife, escapes; DESIGN.md §8). Self-contained on the
 #                          standard library — the escapes analyzer shells
 #                          out to the pinned go toolchain for its
 #                          optimization-diagnostics pass — so it runs
