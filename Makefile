@@ -21,8 +21,8 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the full static-analysis gate — go vet, the repository's own
-## corropt-lint analyzer suite (nodeterminism, maprange, errwrap, mutexheld,
-## lockorder, gorolife, aliasescape, ctxdeadline, reslife, escapes; see
+## corropt-lint analyzer suite (the 8 analyzers nodeterminism, maprange,
+## errwrap, lockorder, gorolife, ctxdeadline, reslife, escapes; see
 ## DESIGN.md §8), and staticcheck when
 ## the binary is installed. Exits non-zero on any finding;
 ## `//lint:allow <analyzer> <reason>` suppresses a finding on its own or
@@ -30,7 +30,7 @@ vet:
 lint:
 	./scripts/lint.sh
 
-## lint-fast: the 10-analyzer suite restricted to packages transitively
+## lint-fast: the 8-analyzer suite restricted to packages transitively
 ## affected by the git diff against LINT_DIFF_REF (default HEAD) — the
 ## whole module is still loaded and flow-summarized, but analyzer passes
 ## (including the escapes analyzer's compiler run) only cover the affected

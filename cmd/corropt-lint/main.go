@@ -1,9 +1,9 @@
 // Command corropt-lint is the multichecker driver for the repository's
-// determinism & safety analyzer suite (internal/analysis): nodeterminism,
-// maprange, errwrap, mutexheld, the flow-powered lockorder, gorolife, and
-// aliasescape, the deployment liveness & lifecycle analyzers ctxdeadline and
-// reslife, and escapes, which holds the `//lint:hotpath` roots to the
-// compiler's verdicts (backed by internal/analysis/gcdiag). It is the custom
+// determinism & safety analyzer suite (internal/analysis), eight analyzers:
+// nodeterminism, maprange, errwrap, the flow-powered lockorder and gorolife,
+// the deployment liveness & lifecycle analyzers ctxdeadline and reslife, and
+// escapes, which holds the `//lint:hotpath` roots to the compiler's verdicts
+// (backed by internal/analysis/gcdiag). It is the custom
 // third leg of `make lint` next to `go vet` and staticcheck, and the
 // permanent CI gate on the determinism contract behind the §7 experiment
 // reports.
@@ -14,8 +14,7 @@
 //
 // Packages default to ./... relative to the current directory. All packages
 // are loaded up front and summarized into one module-wide flow world (lock
-// graph, goroutine join facts, alias-returning accessors, deadline facts,
-// call sites), then the analyzers run per package on a worker pool
+// graph, goroutine join facts, deadline facts, call sites), then the analyzers run per package on a worker pool
 // (internal/runner, one worker per CPU) and the findings are merged in
 // deterministic package/position order.
 //

@@ -12,15 +12,15 @@
 // environment as `go test`.
 //
 // The analyzer half enforces the determinism contract established in
-// DESIGN.md §7 (byte-identical experiment reports for any worker count) and
-// the core.Network mutation discipline of §6–§7: see NoDeterminism,
-// MapRange, ErrWrap, and MutexHeld, and DESIGN.md §8 for the rationale of
-// each. The flow-powered analyzers (LockOrder, GoroLife, AliasEscape,
-// CtxDeadline, ResLife, and MutexHeld's alias rule) layer a CFG +
-// reaching-definitions engine and cross-package function summaries
-// (internal/analysis/flow) on the same loader; Escapes holds the
-// `//lint:hotpath` roots to the compiler's own escape and bounds-check
-// verdicts (internal/analysis/gcdiag). See DESIGN.md §8 "Flow analyses".
+// DESIGN.md §7 (byte-identical experiment reports for any worker count):
+// see NoDeterminism, MapRange, and ErrWrap, and DESIGN.md §8 for the
+// rationale of each. (core.Network's cache discipline is held by Go's
+// package privacy instead: internal/core/netstate.) The flow-powered
+// analyzers (LockOrder, GoroLife, CtxDeadline, ResLife) layer a CFG and
+// cross-package function summaries (internal/analysis/flow) on the same
+// loader; Escapes holds the `//lint:hotpath` roots to the compiler's own
+// escape and bounds-check verdicts (internal/analysis/gcdiag). See
+// DESIGN.md §8 "Flow analyses".
 package analysis
 
 import (
@@ -58,7 +58,7 @@ type Pass struct {
 	// from it to the module root before invoking the compiler harness.
 	Dir string
 	// World holds the module-wide flow summaries (lock graph, goroutine
-	// join facts, alias-returning functions) shared by every package's
+	// join facts, hot-path call sites) shared by every package's
 	// passes. It may be nil for single-package runs; analyzers that need it
 	// go through world(), which lazily builds a single-package world.
 	World *flow.World
@@ -103,14 +103,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // All returns the canonical analyzer suite run by cmd/corropt-lint and
-// `make lint`: nodeterminism, maprange, errwrap, and mutexheld over their
+// `make lint`: nodeterminism, maprange, and errwrap over their
 // repository-wide default configurations, the flow-powered lockorder,
-// gorolife, aliasescape, ctxdeadline, and reslife, and the
-// compiler-backed escapes.
+// gorolife, ctxdeadline, and reslife, and the compiler-backed escapes.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoDeterminism, MapRange, ErrWrap, MutexHeld,
-		LockOrder, GoroLife, AliasEscape, CtxDeadline, ResLife,
+		NoDeterminism, MapRange, ErrWrap,
+		LockOrder, GoroLife, CtxDeadline, ResLife,
 		Escapes,
 	}
 }

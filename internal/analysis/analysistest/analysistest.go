@@ -137,7 +137,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 
 	// Type-check everything first, then build one flow world spanning all
 	// golden packages (and their local deps) so cross-package facts —
-	// lock-order edges, join bits, alias-returning accessors — resolve the
+	// lock-order edges, join bits, hot-path call chains — resolve the
 	// same way cmd/corropt-lint resolves them over the module.
 	for _, path := range pkgPaths {
 		if _, err := typeCheck(path); err != nil {

@@ -56,21 +56,6 @@ func TestErrWrap(t *testing.T) {
 	analysistest.Run(t, "testdata", a, "errw", "wraponly")
 }
 
-// TestMutexHeld pins the mutexheld analyzer's direct writes: guarded.Net's
-// fields may only be written — or mutated by a LinkSet method — by the
-// sanctioned writers, closures inherit their enclosing writer's sanction,
-// same-named methods on other types stay exempt, and cross-package writes
-// to exported guarded fields are flagged.
-func TestMutexHeld(t *testing.T) {
-	a := analysis.NewMutexHeld([]analysis.GuardedStruct{{
-		Pkg:     "guarded",
-		Type:    "Net",
-		Fields:  []string{"sum", "items", "count", "set", "Pub"},
-		Writers: []string{"New", "Add", "Apply"},
-	}})
-	analysistest.Run(t, "testdata", a, "guarded", "guardedx")
-}
-
 // TestLockOrder pins the lockorder analyzer: opposite-order acquisition
 // cycles (reported once at the earliest witness), direct and call-mediated
 // reacquisition, and channel/WaitGroup/IO blocking under a held lock —
@@ -88,35 +73,6 @@ func TestLockOrder(t *testing.T) {
 // values are flagged.
 func TestGoroLife(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.GoroLife, "goro")
-}
-
-// TestAliasEscape pins the aliasescape analyzer across a provider/consumer
-// package pair: mutator calls and element writes on values aliasing
-// aliasprov.Owner's internals are flagged, Clone (whole-expression,
-// reassignment, but not one-sided conditional) breaks the chain, copies are
-// chased, and parameters of unknown origin stay silent.
-func TestAliasEscape(t *testing.T) {
-	a := analysis.NewAliasEscape([]analysis.AliasTarget{{
-		Pkg:      "aliasprov",
-		Type:     "Set",
-		Mutators: []string{"Add", "Remove", "Clear"},
-	}})
-	analysistest.Run(t, "testdata", a, "aliasprov", "aliasmut")
-}
-
-// TestStaleCache pins the mutexheld analyzer's alias rule: element,
-// pointer-target, and LinkSet mutator writes that reach guarded Netw state
-// through local aliases are flagged outside the sanctioned writers, while
-// writers themselves, scalar copies, fresh slices, and read-only aliases
-// stay silent.
-func TestStaleCache(t *testing.T) {
-	a := analysis.NewMutexHeld([]analysis.GuardedStruct{{
-		Pkg:     "stale",
-		Type:    "Netw",
-		Fields:  []string{"contrib", "disabled", "sum", "count"},
-		Writers: []string{"New", "Disable"},
-	}})
-	analysistest.Run(t, "testdata", a, "stale")
 }
 
 // TestCtxDeadline pins the ctxdeadline analyzer over a golden deployment

@@ -1,16 +1,16 @@
 // Package flow is the intraprocedural dataflow engine underneath the
-// repository's flow-sensitive analyzers (lockorder, gorolife, aliasescape,
-// mutexheld — see internal/analysis and DESIGN.md §8). It provides three
-// layers, all built on the standard library's go/ast + go/types:
+// repository's flow-sensitive analyzers (lockorder, gorolife, ctxdeadline,
+// reslife, and escapes' call-chain walk — see internal/analysis and
+// DESIGN.md §8). It provides two layers, both built on the standard
+// library's go/ast + go/types:
 //
-//  1. a control-flow graph over function bodies (NewCFG),
-//  2. reaching-definitions / def-use chains over the CFG (BuildDefUse), and
-//  3. a World of per-function summaries (locks acquired and the order they
-//     nest, goroutines spawned, channels joined, receiver internals escaping
-//     through return values) propagated across the module call graph
-//     (AddPackage + Finalize).
+//  1. a control-flow graph over function bodies (NewCFG), and
+//  2. a World of per-function summaries (locks acquired and the order they
+//     nest, goroutines spawned, channels joined, deadlines armed, static
+//     call sites) propagated across the module call graph (AddPackage +
+//     Finalize).
 //
-// The engine is deliberately intraprocedural at the aliasing level and
+// The engine is deliberately intraprocedural within a body and
 // summary-based at the call-graph level: each function body is analyzed once,
 // and cross-function facts (transitive lock sets, may-block, join/cancel
 // signals) are closed over static call edges in Finalize. Dynamic dispatch is

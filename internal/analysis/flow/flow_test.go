@@ -92,102 +92,6 @@ func loops(n int) int {
 	}
 }
 
-// reachingFor finds the identifier with the given name at a use site inside
-// fn and returns its reaching RHS expressions rendered as strings.
-func reachingFor(t *testing.T, fset *token.FileSet, fd *ast.FuncDecl, info *types.Info, du *DefUse, name string, afterLine int) ([]string, bool) {
-	t.Helper()
-	var got []string
-	var unknown bool
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok || id.Name != name {
-			return true
-		}
-		if fset.Position(id.Pos()).Line != afterLine {
-			return true
-		}
-		exprs, unk := du.Reaching(id)
-		found = true
-		unknown = unk
-		for _, e := range exprs {
-			var sb strings.Builder
-			start := fset.Position(e.Pos())
-			end := fset.Position(e.End())
-			_ = start
-			_ = end
-			switch e := e.(type) {
-			case *ast.CallExpr:
-				if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
-					sb.WriteString(sel.Sel.Name + "()")
-				} else if id, ok := e.Fun.(*ast.Ident); ok {
-					sb.WriteString(id.Name + "()")
-				} else {
-					sb.WriteString("call")
-				}
-			case *ast.Ident:
-				sb.WriteString(e.Name)
-			default:
-				sb.WriteString("expr")
-			}
-			got = append(got, sb.String())
-		}
-		return false
-	})
-	if !found {
-		t.Fatalf("no use of %q on line %d", name, afterLine)
-	}
-	return got, unknown
-}
-
-func TestDefUseCloneBreaksChain(t *testing.T) {
-	src := `package x
-
-type set struct{ bits []uint64 }
-
-func (s *set) Clone() *set { return &set{bits: append([]uint64(nil), s.bits...)} }
-func (s *set) Add(i int)   { s.bits[i/64] |= 1 << (i % 64) }
-
-type owner struct{ s *set }
-
-func (o *owner) View() *set { return o.s }
-
-func use(o *owner, cond bool) {
-	v := o.View()
-	if cond {
-		v = v.Clone()
-	}
-	v.Add(1)
-	w := o.View()
-	w = w.Clone()
-	w.Add(2)
-}
-`
-	fset, f, _, info := parseAndCheck(t, src)
-	fd := funcBody(t, f, "use")
-	cfg := NewCFG(fd.Body)
-	du := BuildDefUse(cfg, info, fd.Type, fd.Recv)
-
-	// v.Add(1) on line 17: both the raw View() def and the Clone() def reach.
-	got, unknown := reachingFor(t, fset, fd, info, du, "v", 17)
-	if unknown {
-		t.Errorf("v at line 17: unexpected unknown def")
-	}
-	joined := strings.Join(got, ",")
-	if !strings.Contains(joined, "View()") || !strings.Contains(joined, "Clone()") {
-		t.Errorf("v at line 17: want both View() and Clone() reaching, got %v", got)
-	}
-
-	// w.Add(2) on line 20: only the Clone() def reaches (strong kill).
-	got, unknown = reachingFor(t, fset, fd, info, du, "w", 20)
-	if unknown {
-		t.Errorf("w at line 20: unexpected unknown def")
-	}
-	if len(got) != 1 || got[0] != "Clone()" {
-		t.Errorf("w at line 20: want exactly [Clone()], got %v", got)
-	}
-}
-
 func TestWorldLockFacts(t *testing.T) {
 	src := `package x
 
@@ -247,7 +151,7 @@ func reacquire() {
 	}
 }
 
-func TestWorldJoinAndAliasFacts(t *testing.T) {
+func TestWorldJoinFacts(t *testing.T) {
 	src := `package x
 
 import "sync"
@@ -255,7 +159,6 @@ import "sync"
 type srv struct {
 	wg   sync.WaitGroup
 	done chan struct{}
-	data []int
 }
 
 func (s *srv) loopDone() {
@@ -266,14 +169,6 @@ func (s *srv) loopDone() {
 
 func (s *srv) loopWG() {
 	defer s.wg.Done()
-}
-
-func (s *srv) Data() []int { return s.data }
-
-func (s *srv) Fresh() []int {
-	out := make([]int, len(s.data))
-	copy(out, s.data)
-	return out
 }
 
 func leak() {
@@ -305,12 +200,6 @@ func leak() {
 	}
 	if bits, _ := w.JoinFacts(find("leak")); bits.Joined() || bits.Cancellable() {
 		t.Errorf("leak: want neither joined nor cancellable, got %b", bits)
-	}
-	if !w.ReturnsAlias(find("Data")) {
-		t.Errorf("Data: want ReturnsAlias")
-	}
-	if w.ReturnsAlias(find("Fresh")) {
-		t.Errorf("Fresh: must not be alias-returning (copies)")
 	}
 }
 

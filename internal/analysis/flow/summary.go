@@ -111,10 +111,6 @@ type FuncFacts struct {
 	DirectBlocking bool
 	// Join records the body's goroutine-lifecycle signals.
 	Join JoinBits
-	// ReturnsAlias is set when some return statement returns a pointer,
-	// slice, or map rooted in the receiver's (or a parameter's) internal
-	// state — the escape that aliasescape tracks at call sites.
-	ReturnsAlias bool
 	// GoSpawns are the `go` statements in this body.
 	GoSpawns []GoSpawn
 	// Lits are the facts of nested function literals (other than those
@@ -208,7 +204,7 @@ func (s *funcSummarizer) summarizeFile(f *ast.File) []*FuncFacts {
 		if fn != nil {
 			name = displayName(fn)
 		}
-		facts := s.summarizeBody(fn, name, fd.Pos(), fd.Type, fd.Recv, fd.Body)
+		facts := s.summarizeBody(fn, name, fd.Pos(), fd.Body)
 		facts.Hotpath = hasHotpathDoc(fd.Doc)
 		out = append(out, facts)
 	}
@@ -224,7 +220,7 @@ func displayName(fn *types.Func) string {
 }
 
 // summarizeBody computes the facts of one function body.
-func (s *funcSummarizer) summarizeBody(fn *types.Func, name string, pos token.Pos, fnType *ast.FuncType, recv *ast.FieldList, body *ast.BlockStmt) *FuncFacts {
+func (s *funcSummarizer) summarizeBody(fn *types.Func, name string, pos token.Pos, body *ast.BlockStmt) *FuncFacts {
 	facts := &FuncFacts{
 		Pkg:     s.pkgPath,
 		Fn:      fn,
@@ -281,9 +277,9 @@ func (s *funcSummarizer) summarizeBody(fn *types.Func, name string, pos token.Po
 	// network ops and call sites run with a Set*Deadline armed on all paths.
 	s.deadlineFacts(cfg, facts)
 
-	// Lexical facts that do not need flow: join bits, alias returns, direct
-	// lock set, call set.
-	s.lexicalFacts(body, facts, fnType, recv)
+	// Lexical facts that do not need flow: join bits, direct lock set, call
+	// set.
+	s.lexicalFacts(body, facts)
 	facts.Loops = loopSpans(body)
 	s.callSites(body, facts)
 
@@ -317,7 +313,7 @@ func (s *funcSummarizer) walkNode(n ast.Node, held map[LockKey]bool, facts *Func
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			if record {
-				lit := s.summarizeBody(nil, "func literal", n.Pos(), n.Type, nil, n.Body)
+				lit := s.summarizeBody(nil, "func literal", n.Pos(), n.Body)
 				facts.Lits = append(facts.Lits, lit)
 			}
 			return false
@@ -327,7 +323,7 @@ func (s *funcSummarizer) walkNode(n ast.Node, held map[LockKey]bool, facts *Func
 				spawn := GoSpawn{Pos: n.Pos()}
 				switch fun := ast.Unparen(n.Call.Fun).(type) {
 				case *ast.FuncLit:
-					spawn.Lit = s.summarizeBody(nil, "func literal", fun.Pos(), fun.Type, nil, fun.Body)
+					spawn.Lit = s.summarizeBody(nil, "func literal", fun.Pos(), fun.Body)
 				default:
 					spawn.Callee = s.staticCallee(n.Call)
 				}
@@ -561,9 +557,9 @@ func isWaitGroupMethod(fn *types.Func) bool {
 }
 
 // lexicalFacts fills the flow-insensitive parts of facts: join bits, direct
-// lock and call sets, blocking-call presence, and alias-returning results.
-// Nested function literals are excluded — each carries its own facts.
-func (s *funcSummarizer) lexicalFacts(body *ast.BlockStmt, facts *FuncFacts, fnType *ast.FuncType, recv *ast.FieldList) {
+// lock and call sets, and blocking-call presence. Nested function literals
+// are excluded — each carries its own facts.
+func (s *funcSummarizer) lexicalFacts(body *ast.BlockStmt, facts *FuncFacts) {
 	lockSeen := make(map[LockKey]bool)
 	callSeen := make(map[*types.Func]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -618,80 +614,8 @@ func (s *funcSummarizer) lexicalFacts(body *ast.BlockStmt, facts *FuncFacts, fnT
 					facts.DirectLocks = append(facts.DirectLocks, key)
 				}
 			}
-		case *ast.ReturnStmt:
-			if s.returnsAlias(n, fnType, recv) {
-				facts.ReturnsAlias = true
-			}
 		}
 		return true
 	})
 	sort.Slice(facts.DirectLocks, func(i, j int) bool { return facts.DirectLocks[i] < facts.DirectLocks[j] })
-}
-
-// returnsAlias reports whether ret returns a pointer, slice, or map rooted in
-// the receiver's or a parameter's internal state: `return x.f`, `return
-// &x.f`, `return x.f[i]`, for x the receiver or a pointer parameter.
-func (s *funcSummarizer) returnsAlias(ret *ast.ReturnStmt, fnType *ast.FuncType, recv *ast.FieldList) bool {
-	roots := make(map[*types.Var]bool)
-	addRoots := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v, ok := s.info.Defs[name].(*types.Var); ok {
-					roots[v] = true
-				}
-			}
-		}
-	}
-	addRoots(recv)
-	if fnType != nil {
-		addRoots(fnType.Params)
-	}
-	for _, res := range ret.Results {
-		t := s.info.TypeOf(res)
-		if t == nil {
-			continue
-		}
-		switch t.Underlying().(type) {
-		case *types.Pointer, *types.Slice, *types.Map:
-		default:
-			continue
-		}
-		if exprRootedInField(res, s.info, roots) {
-			return true
-		}
-	}
-	return false
-}
-
-// exprRootedInField reports whether e is a selector/index/address chain that
-// reaches a struct field through one of the given root variables.
-func exprRootedInField(e ast.Expr, info *types.Info, roots map[*types.Var]bool) bool {
-	sawField := false
-	for {
-		e = ast.Unparen(e)
-		switch x := e.(type) {
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return false
-			}
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-				sawField = true
-			}
-			e = x.X
-		case *ast.Ident:
-			v, ok := info.Uses[x].(*types.Var)
-			return ok && roots[v] && sawField
-		default:
-			return false
-		}
-	}
 }

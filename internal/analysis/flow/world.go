@@ -11,8 +11,8 @@ import (
 // World accumulates per-function summaries across packages and, once
 // Finalize is called, exposes the module-wide facts the flow analyzers
 // consult: transitive lock sets, the global lock-order graph and its cycles,
-// may-block classification, goroutine join/cancel closure, and
-// alias-returning functions.
+// may-block classification, goroutine join/cancel closure, and the
+// //lint:hotpath roots with their call sites.
 //
 // Usage: AddPackage for every loaded package (dependency order not required;
 // facts are keyed by *types.Func identity, which loaders share across
@@ -547,16 +547,6 @@ func (w *World) HotpathRoots() []*FuncFacts {
 		}
 	}
 	return roots
-}
-
-// ReturnsAlias reports whether fn returns a pointer, slice, or map rooted in
-// its receiver's or parameters' internal state.
-func (w *World) ReturnsAlias(fn *types.Func) bool {
-	if fn == nil {
-		return false
-	}
-	fs, ok := w.byFunc[fn]
-	return ok && fs.ReturnsAlias
 }
 
 func sameKeySet(a, b map[LockKey]bool) bool {

@@ -13,10 +13,11 @@ import (
 // order-independent reduction (integer accumulation, map insertion), or
 // carry a lint:allow annotation explaining why ordering cannot escape.
 var MapRangeConfig = map[string]bool{
-	"corropt/internal/experiments": true,
-	"corropt/internal/sim":         true,
-	"corropt/internal/core":        true,
-	"corropt/internal/trace":       true,
+	"corropt/internal/experiments":   true,
+	"corropt/internal/sim":           true,
+	"corropt/internal/core":          true,
+	"corropt/internal/core/netstate": true,
+	"corropt/internal/trace":         true,
 }
 
 // NewMapRange returns the maprange analyzer, which enforces two rules:

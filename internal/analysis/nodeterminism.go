@@ -48,18 +48,19 @@ const (
 // from sim-replayable harnesses, so they must take time through an
 // injectable simclock.WallClock instead of calling time.Now directly.
 var DeterminismConfig = map[string]Rules{
-	"corropt/internal/sim":         RulesAll,
-	"corropt/internal/experiments": RulesAll,
-	"corropt/internal/fleet":       RulesAll,
-	"corropt/internal/core":        RulesAll,
-	"corropt/internal/topology":    RulesAll,
-	"corropt/internal/runner":      RulesAll,
-	"corropt/internal/trace":       RulesAll,
-	"corropt/internal/rngutil":     RulesAll,
-	"corropt/internal/simclock":    RulesAll,
-	"corropt/internal/scenario":    RulesAll,
-	"corropt/internal/backoff":     RulesAll,
-	"corropt/internal/netchaos":    RulesAll,
+	"corropt/internal/sim":           RulesAll,
+	"corropt/internal/experiments":   RulesAll,
+	"corropt/internal/fleet":         RulesAll,
+	"corropt/internal/core":          RulesAll,
+	"corropt/internal/core/netstate": RulesAll,
+	"corropt/internal/topology":      RulesAll,
+	"corropt/internal/runner":        RulesAll,
+	"corropt/internal/trace":         RulesAll,
+	"corropt/internal/rngutil":       RulesAll,
+	"corropt/internal/simclock":      RulesAll,
+	"corropt/internal/scenario":      RulesAll,
+	"corropt/internal/backoff":       RulesAll,
+	"corropt/internal/netchaos":      RulesAll,
 
 	"corropt/internal/snmplite": ForbidWallClock,
 	"corropt/internal/ctlplane": ForbidWallClock,

@@ -13,17 +13,26 @@ import (
 	"corropt/internal/topology"
 )
 
-// The tests in this file pin Network's corrupting and reportable indexes to
-// dense reference scans over every link — the loops the indexes replaced,
-// kept here as the reference implementation.
+// The tests in this file pin Network's link index (the corrupting set and
+// the live list) to dense reference scans over every link — the loops the
+// index replaced, kept here as the reference implementation.
+
+// rates returns every link's recorded rate, in link order.
+func rates(n *Network) []float64 {
+	out := make([]float64, n.topo.NumLinks())
+	for l := range out {
+		out[l] = n.CorruptionRate(topology.LinkID(l))
+	}
+	return out
+}
 
 // denseActive is the reference for AppendActiveCorrupting: every link, in
 // ascending order, that has a recorded rate at or above threshold and is
 // enabled.
 func denseActive(n *Network, threshold float64) []topology.LinkID {
 	var out []topology.LinkID
-	for l, r := range n.rate {
-		if r > 0 && r >= threshold && !n.disabled.Has(topology.LinkID(l)) {
+	for l, r := range rates(n) {
+		if r > 0 && r >= threshold && !n.Disabled(topology.LinkID(l)) {
 			out = append(out, topology.LinkID(l))
 		}
 	}
@@ -34,8 +43,8 @@ func denseActive(n *Network, threshold float64) []topology.LinkID {
 // the same (ascending link) order.
 func denseTotalPenalty(n *Network, p PenaltyFunc) float64 {
 	sum := 0.0
-	for l, r := range n.rate {
-		if r > 0 && !n.disabled.Has(topology.LinkID(l)) {
+	for l, r := range rates(n) {
+		if r > 0 && !n.Disabled(topology.LinkID(l)) {
 			sum += p(r)
 		}
 	}
@@ -50,8 +59,8 @@ func denseSaveState(t *testing.T, n *Network) []byte {
 		Corruption:  make(map[topology.LinkID]float64),
 		Constraints: make(map[string]float64),
 	}
-	for l, r := range n.rate {
-		if n.disabled.Has(topology.LinkID(l)) {
+	for l, r := range rates(n) {
+		if n.Disabled(topology.LinkID(l)) {
 			sf.Disabled = append(sf.Disabled, topology.LinkID(l))
 		}
 		if r > 0 {
@@ -59,7 +68,7 @@ func denseSaveState(t *testing.T, n *Network) []byte {
 		}
 	}
 	for _, tor := range n.topo.ToRs() {
-		sf.Constraints[n.topo.Switch(tor).Name] = n.constraint[tor]
+		sf.Constraints[n.topo.Switch(tor).Name] = n.Constraint(tor)
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -79,32 +88,40 @@ func saveState(t *testing.T, n *Network) []byte {
 	return buf.Bytes()
 }
 
-// checkCorruptingIndex holds the invariants corrupting == {l : rate[l] > 0},
-// reportable == {l : rate[l] > 0 ∧ rate[l] >= the key} and live ==
-// reportable &^ disabled in ascending order, and every reader of the indexes
-// against its dense reference — at the key, where the live list answers, and
-// on both sides of it, where the filtered walk over corrupting does.
+// corruptingSet collects the link index's corrupting set.
+func corruptingSet(n *Network) *topology.LinkSet {
+	set := topology.NewLinkSet(n.topo.NumLinks())
+	it := n.links.Corrupting()
+	for l := it.Next(); l != topology.NoLink; l = it.Next() {
+		set.Add(l)
+	}
+	return set
+}
+
+// checkCorruptingIndex holds the invariants corrupting == {l : rate[l] > 0}
+// and live == {l : rate[l] > 0 ∧ rate[l] >= the key} &^ disabled in
+// ascending order, and every reader of the index against its dense
+// reference — at the key, where the live list answers, and on both sides of
+// it, where the filtered walk over corrupting does.
 func checkCorruptingIndex(t *testing.T, n *Network, p PenaltyFunc, where string) {
 	t.Helper()
-	for l, r := range n.rate {
-		if got, want := n.corrupting.Has(topology.LinkID(l)), r > 0; got != want {
+	corrupting, threshold := corruptingSet(n), n.links.Threshold()
+	for l, r := range rates(n) {
+		if got, want := corrupting.Has(topology.LinkID(l)), r > 0; got != want {
 			t.Fatalf("%s: link %d has rate %v but corrupting.Has = %v", where, l, r, got)
-		}
-		if got, want := n.reportable.Has(topology.LinkID(l)), r > 0 && r >= n.threshold; got != want {
-			t.Fatalf("%s: link %d has rate %v, key %v, but reportable.Has = %v", where, l, r, n.threshold, got)
 		}
 	}
 	var live []topology.LinkID
-	for l := range n.rate {
-		if n.reportable.Has(topology.LinkID(l)) && !n.disabled.Has(topology.LinkID(l)) {
+	for l, r := range rates(n) {
+		if r > 0 && r >= threshold && !n.Disabled(topology.LinkID(l)) {
 			live = append(live, topology.LinkID(l))
 		}
 	}
-	if !slices.Equal(n.live, live) {
-		t.Fatalf("%s: live list %v, want reportable &^ disabled = %v", where, n.live, live)
+	if got := n.links.AppendLive(nil); !slices.Equal(got, live) {
+		t.Fatalf("%s: live list %v, want the enabled links at or above %v = %v", where, got, threshold, live)
 	}
 	buf := make([]topology.LinkID, 0, 8)
-	for _, th := range []float64{math.Inf(-1), -1, 0, n.threshold, 1e-7, 1e-4, 1e-3, 1} {
+	for _, th := range []float64{math.Inf(-1), -1, 0, threshold, 1e-7, 1e-4, 1e-3, 1} {
 		want := denseActive(n, th)
 		if got := n.AppendActiveCorrupting(buf[:0], th); !slices.Equal(got, want) {
 			t.Fatalf("%s: AppendActiveCorrupting(%v) = %v, want %v", where, th, got, want)
@@ -118,8 +135,8 @@ func checkCorruptingIndex(t *testing.T, n *Network, p PenaltyFunc, where string)
 			got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 	if n.PenaltyRegistered() {
-		n.rebuildPenaltySum()
-		if got, want := n.PenaltySum(), denseTotalPenalty(n, n.penalty); math.Float64bits(got) != math.Float64bits(want) {
+		n.pen.Rebuild(&n.links)
+		if got, want := n.PenaltySum(), denseTotalPenalty(n, n.pen.Func()); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: rebuilt PenaltySum = %v, want %v", where, got, want)
 		}
 	}
@@ -154,8 +171,8 @@ func TestCorruptingIndexDifferential(t *testing.T) {
 			switch {
 			case op >= 43:
 				e := NewEngine(net, EngineConfig{DetectionThreshold: keys[rng.Intn(len(keys))]})
-				if net.threshold != e.Threshold() {
-					t.Fatalf("seed %d step %d: engine at %v left the network keyed to %v", seed, step, e.Threshold(), net.threshold)
+				if net.links.Threshold() != e.Threshold() {
+					t.Fatalf("seed %d step %d: engine at %v left the network keyed to %v", seed, step, e.Threshold(), net.links.Threshold())
 				}
 				engines = append(engines, e)
 			case op >= 40:
@@ -199,9 +216,9 @@ func TestCorruptingIndexDifferential(t *testing.T) {
 				if err := net.Reset(0.25); err != nil {
 					t.Fatal(err)
 				}
-				if net.corrupting.Len() != 0 || net.reportable.Len() != 0 || net.threshold != DefaultDetectionThreshold {
-					t.Fatalf("seed %d step %d: Reset left %d corrupting and %d reportable links, key %v", seed, step,
-						net.corrupting.Len(), net.reportable.Len(), net.threshold)
+				if corruptingSet(net).Len() != 0 || net.links.Threshold() != DefaultDetectionThreshold {
+					t.Fatalf("seed %d step %d: Reset left %d corrupting links, key %v", seed, step,
+						corruptingSet(net).Len(), net.links.Threshold())
 				}
 			}
 			checkCorruptingIndex(t, net, p, fmt.Sprintf("seed %d step %d", seed, step))
@@ -309,7 +326,7 @@ func TestActiveCorruptingNeedsARate(t *testing.T) {
 	if err := n.Reset(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if n.corrupting.Len() != 0 || n.NumActiveCorrupting(0) != 0 {
+	if corruptingSet(n).Len() != 0 || n.NumActiveCorrupting(0) != 0 {
 		t.Fatal("Reset left links in the corrupting index")
 	}
 	checkCorruptingIndex(t, n, LinearPenalty, "after Reset")

@@ -201,7 +201,7 @@ func NewPolicyEngine(net *Network, policy PolicyKind, cfg EngineConfig) (*Engine
 	default:
 		return nil, fmt.Errorf("core: unknown policy %v", policy)
 	}
-	net.setDetectionThreshold(e.threshold)
+	net.links.Key(e.threshold, net.pc.IncDisabled())
 	return e, nil
 }
 

@@ -35,7 +35,7 @@ func (fc *FastChecker) CanDisable(l topology.LinkID) bool {
 	if n.Disabled(l) {
 		return true
 	}
-	pc := n.PathCounter()
+	pc := n.pc
 	// Probe: apply the single-link delta, inspect, revert. Only ToRs
 	// downstream of l can lose paths — the paper's "check the downstream of
 	// l" refinement — and the propagation visits exactly those whose counts
@@ -43,11 +43,11 @@ func (fc *FastChecker) CanDisable(l topology.LinkID) bool {
 	changed := pc.Apply(l)
 	counts, total := pc.IncCounts(), pc.Total()
 	ok := true
-	if n.numViolated == 0 {
+	if n.tors.NumViolated() == 0 {
 		// Every ToR meets its constraint right now, so ToRs whose counts
 		// did not change still do; checking the changed set is exact.
 		for _, tor := range changed {
-			if !n.meets(tor, counts, total) {
+			if !n.tors.Meets(tor, counts, total) {
 				ok = false
 				break
 			}
@@ -59,7 +59,7 @@ func (fc *FastChecker) CanDisable(l topology.LinkID) bool {
 		// l does not change its count.
 		//lint:allow escapes DownstreamToRs allocates on the rare already-violated path only
 		for _, tor := range n.topo.DownstreamToRs(l) {
-			if !n.meets(tor, counts, total) {
+			if !n.tors.Meets(tor, counts, total) {
 				ok = false
 				break
 			}
@@ -98,7 +98,7 @@ type checker interface {
 // disableIf disables l when the checker allowed it and it is not already
 // down, and reports whether it did.
 func (n *Network) disableIf(l topology.LinkID, allowed bool) bool {
-	if !allowed || n.disabled.Has(l) {
+	if !allowed || n.Disabled(l) {
 		return false
 	}
 	n.Disable(l)
@@ -112,7 +112,7 @@ func (n *Network) disableIf(l topology.LinkID, allowed bool) bool {
 func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []topology.LinkID {
 	active := n.ActiveCorrupting(threshold)
 	slices.SortFunc(active, func(a, b topology.LinkID) int {
-		return cmp.Or(cmp.Compare(n.rate[b], n.rate[a]), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(n.links.Rate(b), n.links.Rate(a)), cmp.Compare(a, b))
 	})
 	var disabled []topology.LinkID
 	for _, l := range active {

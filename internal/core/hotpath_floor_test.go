@@ -104,12 +104,12 @@ var hotpathFloors = []hotpathFloor{{
 		}
 	},
 }, {
-	// The incremental penalty trio on the paper's medium DCN: every link's
+	// Incremental penalty accounting on the paper's medium DCN: every link's
 	// rate is moved (alternating between two values, so each pass folds a
-	// real delta through penaltyOnToggle and setContrib) and the amortised
-	// sum is read after each move, rebuild epochs included.
+	// real delta through netstate's Penalty.Update) and the amortised sum is
+	// read after each move, rebuild epochs included.
 	name:  "penalty_sum",
-	roots: []string{"(*Network).PenaltySum", "(*Network).setContrib", "(*Network).penaltyOnToggle"},
+	roots: []string{"(*Network).PenaltySum"},
 	setup: func(tb testing.TB) func() {
 		net := mediumNetwork(tb)
 		net.RegisterPenalty(LinearPenalty)

@@ -28,7 +28,7 @@ func referenceCanDisable(net *Network, l topology.LinkID) bool {
 	counts := pc.Count(func(x topology.LinkID) bool { return net.Disabled(x) || x == l })
 	total := pc.Total()
 	for _, tor := range topo.DownstreamToRs(l) {
-		if !net.meets(tor, counts, total) {
+		if !net.tors.Meets(tor, counts, total) {
 			return false
 		}
 	}
@@ -106,7 +106,7 @@ func TestNetworkIncrementalConsistency(t *testing.T) {
 					worst = f
 				}
 				sum += f
-				if !net.meets(tor, counts, total) {
+				if !net.tors.Meets(tor, counts, total) {
 					violated++
 				}
 			}

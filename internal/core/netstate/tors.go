@@ -1,0 +1,280 @@
+package netstate
+
+import (
+	"math"
+	"math/bits"
+
+	"corropt/internal/topology"
+)
+
+// constraintSlack absorbs float64 rounding when comparing exact integer
+// path-count ratios against fractional constraints.
+const constraintSlack = 1e-9
+
+// ToRs keeps, per ToR, the capacity constraint, whether the path counter's
+// incremental counts meet it, and — once Fractions is first read — the
+// cached available-path fraction. Refresh and Recompute update both halves
+// for each changed ToR.
+type ToRs struct {
+	// tors is the fabric's ToRs in topology order.
+	tors []topology.SwitchID
+	// constraint is the per-ToR minimum fraction of valley-free spine paths
+	// that must remain available, indexed by SwitchID (non-ToR entries
+	// unused).
+	constraint []float64
+	// meetsNow caches, per ToR SwitchID, whether the ToR meets its
+	// constraint under the incremental counts; numViolated counts the ToRs
+	// that do not.
+	meetsNow    []bool
+	numViolated int
+
+	// The fraction cache, indexed by position in tors. The first read
+	// builds it (fleet shards never read it, so they never pay for it);
+	// after that each changed ToR's fraction is stored and dirty lowered to
+	// the lowest changed position, and a read re-sums only from the
+	// checkpoint at or below dirty.
+	//   - pos maps a ToR's SwitchID to its position; nil until built.
+	//   - frac holds count/total per position, 0 for a ToR with no paths.
+	//   - notOne has bit p set iff frac[p] != 1.0: about half the ToRs of a
+	//     running simulation sit at exactly 1.0, and a run of them is summed
+	//     without visiting each (AddOnes).
+	//   - sum[k] and low[k] are the in-order running sum and minimum of
+	//     frac[:64k]; the last entry holds the whole list's.
+	pos    []int32
+	frac   []float64
+	notOne []uint64
+	sum    []float64
+	low    []float64
+	dirty  int
+}
+
+// NewToRs returns the status of topo's ToRs, each constrained to c, under
+// pc's incremental counts.
+func NewToRs(topo *topology.Topology, c float64, pc *topology.PathCounter) ToRs {
+	s := ToRs{
+		tors:       topo.ToRs(),
+		constraint: make([]float64, topo.NumSwitches()),
+		meetsNow:   make([]bool, topo.NumSwitches()),
+	}
+	s.Reset(c, pc)
+	return s
+}
+
+// Reset constrains every ToR to c and rebuilds the status from pc.
+func (s *ToRs) Reset(c float64, pc *topology.PathCounter) {
+	clear(s.constraint)
+	for _, tor := range s.tors {
+		s.constraint[tor] = c
+	}
+	s.Recompute(pc)
+}
+
+// Constraint reports the capacity constraint of a ToR.
+func (s *ToRs) Constraint(tor topology.SwitchID) float64 { return s.constraint[tor] }
+
+// SetConstraint sets one ToR's constraint and re-evaluates it.
+func (s *ToRs) SetConstraint(tor topology.SwitchID, c float64, pc *topology.PathCounter) {
+	s.constraint[tor] = c
+	s.refresh(tor, pc.IncCounts(), pc.Total())
+}
+
+// Met reports whether ToR tor meets its constraint under the incremental
+// counts.
+func (s *ToRs) Met(tor topology.SwitchID) bool { return s.meetsNow[tor] }
+
+// NumViolated counts the ToRs that do not meet their constraints.
+func (s *ToRs) NumViolated() int { return s.numViolated }
+
+// panicToRRange is pre-converted at package scope: a literal panic("...")
+// performs a string-to-interface conversion whose operand the compiler
+// heap-allocates at every call site, and Meets inlines into the CanDisable
+// hot loop.
+var panicToRRange any = "netstate: Meets: ToR index out of range"
+
+// Meets reports whether ToR tor meets its constraint given per-ToR counts
+// and totals. The single up-front range guard replaces the three implicit
+// bounds checks the indexed reads would otherwise each carry inside
+// CanDisable's probe loop (the escapes analyzer holds hot-path inner loops
+// to zero compiler-inserted bounds checks); out-of-range ToRs still panic.
+func (s *ToRs) Meets(tor topology.SwitchID, counts, total []int64) bool {
+	i := int(tor)
+	if i < 0 || i >= len(counts) || i >= len(total) || i >= len(s.constraint) {
+		panic(panicToRRange)
+	}
+	if total[i] == 0 {
+		return s.constraint[i] <= 0
+	}
+	frac := float64(counts[i]) / float64(total[i])
+	return frac+constraintSlack >= s.constraint[i]
+}
+
+// refresh re-evaluates one ToR against counts, maintaining numViolated and,
+// once built, the fraction cache.
+func (s *ToRs) refresh(tor topology.SwitchID, counts, total []int64) {
+	now := s.Meets(tor, counts, total)
+	if now != s.meetsNow[tor] {
+		s.meetsNow[tor] = now
+		if now {
+			s.numViolated--
+		} else {
+			s.numViolated++
+		}
+	}
+	if s.pos != nil {
+		s.setFraction(int(s.pos[tor]), Fraction(counts[tor], total[tor]))
+	}
+}
+
+// Refresh re-evaluates the given ToRs (typically the changed set of an
+// incremental toggle) against pc.
+func (s *ToRs) Refresh(changed []topology.SwitchID, pc *topology.PathCounter) {
+	counts, total := pc.IncCounts(), pc.Total()
+	for _, tor := range changed {
+		s.refresh(tor, counts, total)
+	}
+}
+
+// Recompute rebuilds every ToR's status from pc.
+func (s *ToRs) Recompute(pc *topology.PathCounter) {
+	s.numViolated = 0
+	counts, total := pc.IncCounts(), pc.Total()
+	for _, tor := range s.tors {
+		ok := s.Meets(tor, counts, total)
+		s.meetsNow[tor] = ok
+		if !ok {
+			s.numViolated++
+		}
+	}
+	if s.pos != nil {
+		s.fill(pc)
+	}
+}
+
+// Fraction is a ToR's available-path fraction: count/total, or 0 for a ToR
+// with no paths to the spine at all.
+func Fraction(count, total int64) float64 {
+	if total > 0 {
+		return float64(count) / float64(total)
+	}
+	return 0
+}
+
+// Fractions reports the minimum and the average per-ToR available-path
+// fraction under pc's incremental counts, bit-identical to one in-order
+// pass over the ToRs; see core.Network.ToRFractions. The first read builds
+// the cache: O(|ToRs|) once.
+func (s *ToRs) Fractions(pc *topology.PathCounter) (worst, mean float64) {
+	if len(s.tors) == 0 {
+		return 1.0, 0
+	}
+	if s.pos == nil {
+		//lint:allow escapes builds the fraction cache once per Network, on its first read
+		s.build(pc)
+	}
+	sum, worst := s.sumFractions()
+	return worst, sum / float64(len(s.tors))
+}
+
+// build allocates the fraction cache and fills it.
+func (s *ToRs) build(pc *topology.PathCounter) {
+	blocks := (len(s.tors) + 63) / 64
+	s.pos = make([]int32, len(s.constraint))
+	for p, tor := range s.tors {
+		s.pos[tor] = int32(p)
+	}
+	s.frac = make([]float64, len(s.tors))
+	s.notOne = make([]uint64, blocks)
+	s.sum = make([]float64, blocks+1)
+	s.low = make([]float64, blocks+1)
+	s.low[0] = 1.0
+	s.fill(pc)
+}
+
+// fill recomputes every cached fraction from pc's incremental counts; the
+// next read re-sums from the first ToR.
+func (s *ToRs) fill(pc *topology.PathCounter) {
+	counts, total := pc.IncCounts(), pc.Total()
+	clear(s.notOne)
+	for p, tor := range s.tors {
+		f := Fraction(counts[tor], total[tor])
+		s.frac[p] = f
+		if f != 1.0 {
+			s.notOne[p>>6] |= 1 << (uint(p) & 63)
+		}
+	}
+	s.dirty = 0
+}
+
+// setFraction stores the fraction of the ToR at position p.
+func (s *ToRs) setFraction(p int, f float64) {
+	if s.frac[p] == f {
+		return
+	}
+	s.frac[p] = f
+	if f != 1.0 {
+		s.notOne[p>>6] |= 1 << (uint(p) & 63)
+	} else {
+		s.notOne[p>>6] &^= 1 << (uint(p) & 63)
+	}
+	s.dirty = min(s.dirty, p)
+}
+
+// sumFractions resumes the in-order pass over the cached fractions at the
+// checkpoint of dirty's block, re-recording each later checkpoint, and
+// returns the running sum and minimum of the whole list.
+func (s *ToRs) sumFractions() (sum, worst float64) {
+	blocks := len(s.notOne)
+	if s.dirty == len(s.frac) {
+		return s.sum[blocks], s.low[blocks]
+	}
+	k := s.dirty >> 6
+	sum, worst = s.sum[k], s.low[k]
+	for ; k < blocks; k++ {
+		s.sum[k], s.low[k] = sum, worst
+		next, end := k<<6, min(k<<6+64, len(s.frac))
+		for w := s.notOne[k]; w != 0; w &= w - 1 {
+			p := k<<6 + bits.TrailingZeros64(w)
+			if p > next {
+				sum = AddOnes(sum, p-next)
+			}
+			f := s.frac[p]
+			sum += f
+			if f < worst { // not min(): with its NaN and signed-zero handling this loop ran 2.7× slower on amd64
+				worst = f
+			}
+			next = p + 1
+		}
+		if end > next {
+			sum = AddOnes(sum, end-next)
+		}
+	}
+	s.sum[blocks], s.low[blocks] = sum, worst
+	s.dirty = len(s.frac)
+	return sum, worst
+}
+
+// AddOnes returns s after k sequential s += 1 — the in-order sum over a run
+// of k fractions equal to 1.0 — bit for bit, in one addition per power of
+// two the sum crosses. For 1 <= s < 2^53, s and every integer are multiples
+// of the unit in the last place of s's binade [b/2, b), so s + j is exact
+// while it stays below b and equals j single additions; only the addition
+// that reaches b rounds, and it is done as the loop does it. Outside that
+// range the loop is run as written.
+func AddOnes(s float64, k int) float64 {
+	for k > 0 {
+		if !(s >= 1 && s < 1<<53) {
+			s++
+			k--
+			continue
+		}
+		b := math.Float64frombits((math.Float64bits(s)>>52 + 1) << 52) // next power of two above s
+		j := int(math.Ceil(b-s)) - 1                                   // b-s is exact (Sterbenz)
+		if k <= j {
+			return s + float64(k)
+		}
+		s += float64(j)
+		s++
+		k -= j + 1
+	}
+	return s
+}

@@ -354,7 +354,7 @@ func (o *Optimizer) segments(active []topology.LinkID, violated []topology.Switc
 // disabled. It probes on the network's own path counter and restores its
 // state before returning.
 func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *OptimizeStats) []topology.LinkID {
-	pc := o.net.PathCounter()
+	pc := o.net.pc
 	// The incremental probes below only check ToRs whose counts change,
 	// which is exact while the running state stays feasible for seg.tors.
 	// If some segment ToR is infeasible before anything is disabled, every
@@ -428,7 +428,7 @@ func (o *Optimizer) greedy(disabled, links []topology.LinkID, pc *topology.PathC
 		st.FeasibilityChecks++
 		ok := true
 		for _, tor := range pc.Apply(l) {
-			if !o.net.meets(tor, counts, total) {
+			if !o.net.tors.Meets(tor, counts, total) {
 				ok = false
 				break
 			}
@@ -526,7 +526,7 @@ func (s *segSolver) feasible(cand uint64, l topology.LinkID) bool {
 	counts, total := s.pc.IncCounts(), s.pc.Total()
 	ok := true
 	for _, tor := range s.pc.Apply(l) {
-		if !s.net.meets(tor, counts, total) {
+		if !s.net.tors.Meets(tor, counts, total) {
 			ok = false
 			break
 		}

@@ -159,7 +159,7 @@ func referenceSegments(cfg OptimizerConfig, contested []topology.LinkID, violate
 }
 
 func referenceSolveSegment(net *Network, penalty PenaltyFunc, cfg OptimizerConfig, seg segment, st *OptimizeStats) []topology.LinkID {
-	pc := net.PathCounter()
+	pc := net.pc
 	if !net.meetsAll(seg.tors, pc.IncCounts(), pc.Total()) {
 		return nil
 	}
@@ -302,7 +302,7 @@ func sameOptimizerState(tb testing.TB, what string, got, want *Network) {
 			tb.Fatalf("%s: link %d disabled %v, reference %v", what, l, got.Disabled(topology.LinkID(l)), want.Disabled(topology.LinkID(l)))
 		}
 	}
-	if !slices.Equal(got.PathCounter().IncCounts(), want.PathCounter().IncCounts()) {
+	if !slices.Equal(got.pc.IncCounts(), want.pc.IncCounts()) {
 		tb.Fatalf("%s: path counts differ from the reference's", what)
 	}
 	if got.NumDisabled() != want.NumDisabled() || !slices.Equal(got.ViolatedToRs(nil), want.ViolatedToRs(nil)) {
@@ -395,7 +395,7 @@ func TestRunScopedMatchesConeReference(t *testing.T) {
 						op.apply(t, got)
 						op.apply(t, want)
 					}
-					if got.numViolated > 0 {
+					if got.tors.NumViolated() > 0 {
 						preViolated++
 					}
 					top := topology.Stage(-1)

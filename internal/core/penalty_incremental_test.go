@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"corropt/internal/core/netstate"
 	"corropt/internal/rngutil"
 	"corropt/internal/topology"
 )
@@ -91,7 +92,7 @@ func TestPenaltyIncrementalDifferential(t *testing.T) {
 			// Force an exact rebuild epoch and require bitwise equality.
 			// Only updates that change a contribution count toward the
 			// epoch, so drive an enabled link until the budget is spent.
-			for done := 0; done < penaltyRebuildEvery+1; {
+			for done := 0; done < netstate.RebuildEvery+1; {
 				l := topology.LinkID(done % topo.NumLinks())
 				if net.Disabled(l) {
 					net.Enable(l)

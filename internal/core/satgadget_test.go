@@ -136,7 +136,7 @@ func TestGadgetNeverDisconnects(t *testing.T) {
 		}
 		g.MaxDisabled(OptimizerConfig{})
 		// Every ToR must keep at least one path.
-		counts := g.Net.PathCounter().Count(g.Net.DisabledFunc())
+		counts := g.Net.pc.Count(g.Net.DisabledFunc())
 		for _, tor := range g.Net.Topology().ToRs() {
 			if counts[tor] < 1 {
 				t.Fatalf("instance %d: ToR %s disconnected", i, g.Net.Topology().Switch(tor).Name)

@@ -56,16 +56,15 @@ func (n *Network) SaveState(w io.Writer) error {
 		Corruption:  make(map[topology.LinkID]float64),
 		Constraints: make(map[string]float64),
 	}
-	down := n.disabled.Iter(nil)
-	for l := down.Next(); l != topology.NoLink; l = down.Next() {
+	n.DisabledLinks().Each(func(l topology.LinkID) {
 		sf.Disabled = append(sf.Disabled, l)
-	}
-	corrupting := n.corrupting.Iter(nil)
+	})
+	corrupting := n.links.Corrupting()
 	for l := corrupting.Next(); l != topology.NoLink; l = corrupting.Next() {
-		sf.Corruption[l] = n.rate[l]
+		sf.Corruption[l] = n.links.Rate(l)
 	}
 	for _, tor := range n.topo.ToRs() {
-		sf.Constraints[n.topo.Switch(tor).Name] = n.constraint[tor]
+		sf.Constraints[n.topo.Switch(tor).Name] = n.tors.Constraint(tor)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -84,13 +83,12 @@ func (n *Network) LoadState(r io.Reader) error {
 		return fmt.Errorf("core: state fingerprint %x does not match this topology (%x)",
 			sf.Fingerprint, fingerprint(n.topo))
 	}
-	// Clear corruption records through SetCorruption, not by writing rate
-	// directly: the corrupting index and, with a registered penalty
-	// function, the incremental contribution cache must stay in sync with
-	// the rates (mutexheld pins this — direct n.rate writes here once left
-	// PenaltySum stale after a load). Clearing l removes it from the set
-	// being walked, which the iterator allows for a link already returned.
-	corrupting := n.corrupting.Iter(nil)
+	// Clear corruption records through SetCorruption, which keeps the link
+	// index and, with a registered penalty function, the incremental
+	// contribution cache in sync with the rates. Clearing l removes it from
+	// the set being walked, which the iterator allows for a link already
+	// returned.
+	corrupting := n.links.Corrupting()
 	for l := corrupting.Next(); l != topology.NoLink; l = corrupting.Next() {
 		n.SetCorruption(l, 0)
 	}

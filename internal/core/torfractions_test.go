@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"corropt/internal/core/netstate"
 	"corropt/internal/topology"
 )
 
@@ -116,9 +117,10 @@ func FuzzToRFractionsDifferential(f *testing.F) {
 	})
 }
 
-// FuzzAddOnes holds addOnes to the loop it replaces, k sequential s += 1,
-// bit for bit: across powers of two, below 1, past 2^53 where the unit in
-// the last place exceeds 1, and on non-finite sums.
+// FuzzAddOnes holds netstate.AddOnes, which sums ToRFractions' runs of
+// 1.0, to the loop it replaces, k sequential s += 1, bit for bit: across
+// powers of two, below 1, past 2^53 where the unit in the last place
+// exceeds 1, and on non-finite sums.
 func FuzzAddOnes(f *testing.F) {
 	for _, s := range []float64{0, 0.3, 0.75, 1, 1.5, 3, 3.5, 63.99, 1023.7, 1 << 52, 1<<53 - 3, 1 << 53, 1<<54 + 2, -5.5, math.Inf(1), math.NaN()} {
 		f.Add(s, uint16(200))
@@ -130,8 +132,8 @@ func FuzzAddOnes(f *testing.F) {
 		for i := 0; i < int(k); i++ {
 			want++
 		}
-		if got := addOnes(s, int(k)); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("addOnes(%v, %d) = %v (%#x), loop gives %v (%#x)", s, k, got, math.Float64bits(got), want, math.Float64bits(want))
+		if got := netstate.AddOnes(s, int(k)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AddOnes(%v, %d) = %v (%#x), loop gives %v (%#x)", s, k, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	})
 }

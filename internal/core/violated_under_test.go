@@ -16,15 +16,24 @@ func violatedUnderScan(n *Network, ref *topology.PathCounter, tors []topology.Sw
 	for _, l := range extra {
 		also.Add(l)
 	}
-	counts := ref.Count(func(l topology.LinkID) bool { return n.disabled.Has(l) || also.Has(l) })
+	counts := ref.Count(func(l topology.LinkID) bool { return n.Disabled(l) || also.Has(l) })
 	if tors == nil {
 		tors = n.topo.ToRs()
 	}
 	var out []topology.SwitchID
 	for _, tor := range tors {
-		if !n.meets(tor, counts, ref.Total()) {
+		if !n.tors.Meets(tor, counts, ref.Total()) {
 			out = append(out, tor)
 		}
+	}
+	return out
+}
+
+// metStatus lists whether each ToR meets its constraint, in topology order.
+func metStatus(n *Network) []bool {
+	var out []bool
+	for _, tor := range n.topo.ToRs() {
+		out = append(out, n.ToRMeets(tor))
 	}
 	return out
 }
@@ -95,7 +104,7 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 					}
 				}
 			}
-			if net.numViolated == 0 {
+			if net.tors.NumViolated() == 0 {
 				feasible++
 			} else {
 				violated[trial%3]++
@@ -120,7 +129,7 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 					extra = append(extra, extra[rng.Intn(len(extra))])
 				}
 			}
-			down := net.disabled.Iter(nil)
+			down := net.DisabledLinks().Iter(topology.LinkSetView{})
 			for l, i := down.Next(), 0; l != topology.NoLink && i < 3; l, i = down.Next(), i+1 {
 				if pool == nil || slices.Contains(pool, l) {
 					extra = append(extra, l)
@@ -128,8 +137,9 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 			}
 
 			counts := slices.Clone(net.pc.IncCounts())
-			disabled := net.disabled.Clone()
-			meetsNow, numViolated := slices.Clone(net.meetsNow), net.numViolated
+			disabled := topology.NewLinkSet(topo.NumLinks())
+			net.DisabledLinks().Each(disabled.Add)
+			meetsNow, numViolated := metStatus(net), net.tors.NumViolated()
 
 			want := violatedUnderScan(net, ref, tors, extra)
 			var got []topology.SwitchID
@@ -150,14 +160,14 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 			if !slices.Equal(net.pc.IncCounts(), counts) {
 				t.Fatalf("trial %d: path counts differ after the probe", trial)
 			}
-			if got, want := net.disabled.Len(), disabled.Len(); got != want || net.numDisabled != want {
-				t.Fatalf("trial %d: %d links down after the probe (numDisabled %d), %d before", trial, got, net.numDisabled, want)
+			if got, want := net.DisabledLinks().Len(), disabled.Len(); got != want || net.NumDisabled() != want {
+				t.Fatalf("trial %d: %d links down after the probe (numDisabled %d), %d before", trial, got, net.NumDisabled(), want)
 			}
-			it := net.disabled.Iter(disabled)
+			it := net.DisabledLinks().Iter(disabled.View())
 			if l := it.Next(); l != topology.NoLink {
 				t.Fatalf("trial %d: link %d left down by the probe", trial, l)
 			}
-			if net.numViolated != numViolated || !slices.Equal(net.meetsNow, meetsNow) {
+			if net.tors.NumViolated() != numViolated || !slices.Equal(metStatus(net), meetsNow) {
 				t.Fatalf("trial %d: constraint status changed under the probe", trial)
 			}
 		}

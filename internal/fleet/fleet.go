@@ -367,23 +367,20 @@ func (s *Supervisor) Disabled(dcn int) []topology.LinkID {
 
 // Headroom aggregates capacity-constraint headroom across the fleet: the
 // minimum and mean surviving-path fraction over every ToR, and the number of
-// ToRs currently violating their constraint.
+// ToRs currently violating their constraint. Each ToR's fraction and status
+// are its shard Network's, by core's rule.
 func (s *Supervisor) Headroom() (minFrac, meanFrac float64, violated int) {
 	minFrac = 1.0
 	sum := 0.0
 	for _, sh := range s.shards {
-		counts, total := sh.net.PathCounter().IncCounts(), sh.net.PathCounter().Total()
 		for i := range sh.segs {
 			for _, tor := range sh.segs[i].tors {
-				frac := 1.0
-				if total[tor] > 0 {
-					frac = float64(counts[tor]) / float64(total[tor])
-				}
+				frac := sh.net.ToRFraction(tor)
 				if frac < minFrac {
 					minFrac = frac
 				}
 				sum += frac
-				if frac+constraintSlack < s.cfg.Capacity {
+				if !sh.net.ToRMeets(tor) {
 					violated++
 				}
 			}
@@ -394,9 +391,6 @@ func (s *Supervisor) Headroom() (minFrac, meanFrac float64, violated int) {
 	}
 	return minFrac, meanFrac, violated
 }
-
-// constraintSlack mirrors core's float tolerance on the capacity constraint.
-const constraintSlack = 1e-9
 
 // DCNStat is one DCN's slice of a Snapshot.
 type DCNStat struct {

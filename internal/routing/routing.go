@@ -211,8 +211,8 @@ func (r *Router) Route(demands []Demand, disabled topology.DisabledFunc) (*Loads
 	// Sweep destinations in ascending id order, not map order: Routed,
 	// Unroutable, and PerLink accumulate across destinations, and float
 	// addition is not associative — a map-order sweep would leave
-	// run-dependent last bits in the loads (the floatorder analyzer's
-	// contract, DESIGN.md §7.5).
+	// run-dependent last bits in the loads (the fold rule maprange holds in
+	// every package, DESIGN.md §7.5).
 	dsts := make([]topology.SwitchID, 0, len(byDst))
 	for dst := range byDst {
 		dsts = append(dsts, dst)

@@ -30,6 +30,7 @@ func (pc *PathCounter) ResetIncremental(disabled *LinkSet) {
 			pc.incDisabled.words = append(pc.incDisabled.words, 0)
 		}
 	}
+	pc.numIncDisabled = pc.incDisabled.Len()
 	t := pc.t
 	top := Stage(t.Stages() - 1)
 	for _, id := range pc.order {
@@ -54,10 +55,13 @@ func (pc *PathCounter) ResetIncremental(disabled *LinkSet) {
 // place. Callers must not modify it.
 func (pc *PathCounter) IncCounts() []int64 { return pc.inc }
 
-// IncDisabled returns the incremental engine's disabled set. The set is
-// live and owned by the counter; callers must mutate it only through
-// Apply/Revert/ResetIncremental.
-func (pc *PathCounter) IncDisabled() *LinkSet { return &pc.incDisabled }
+// IncDisabled returns a read-only view of the incremental engine's disabled
+// set; only Apply, Revert and ResetIncremental change it.
+func (pc *PathCounter) IncDisabled() LinkSetView { return pc.incDisabled.View() }
+
+// NumIncDisabled reports how many links the incremental disabled set holds,
+// in O(1).
+func (pc *PathCounter) NumIncDisabled() int { return pc.numIncDisabled }
 
 // ChangedToRs returns the ToRs whose counts were changed by the most recent
 // Apply or Revert, in discovery order. The slice is scratch, invalidated by
@@ -75,6 +79,7 @@ func (pc *PathCounter) Apply(l LinkID) []SwitchID {
 		return nil
 	}
 	pc.incDisabled.Add(l)
+	pc.numIncDisabled++
 	lk := pc.t.Link(l)
 	return pc.propagate(lk.Lower, -pc.inc[lk.Upper])
 }
@@ -91,6 +96,7 @@ func (pc *PathCounter) Revert(l LinkID) []SwitchID {
 		return nil
 	}
 	pc.incDisabled.Remove(l)
+	pc.numIncDisabled--
 	lk := pc.t.Link(l)
 	// l's upper endpoint is unaffected by l itself, so its current count is
 	// exactly the number of paths the re-enabled link contributes to lower.

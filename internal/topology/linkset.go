@@ -142,16 +142,16 @@ type LinkIter struct {
 }
 
 // Iter returns an iterator over the links that are in s and not in except; a
-// nil except excludes nothing. The whole walk costs O(words + links
+// zero except excludes nothing. The whole walk costs O(words + links
 // returned). The iterator reads each word once, on reaching it, so removing
 // a link it has already returned does not disturb the walk.
-func (s *LinkSet) Iter(except *LinkSet) LinkIter {
+func (s *LinkSet) Iter(except LinkSetView) LinkIter {
 	it := LinkIter{wi: -1}
 	if s != nil {
 		it.words = s.words
 	}
-	if except != nil {
-		it.skip = except.words
+	if except.s != nil {
+		it.skip = except.s.words
 	}
 	return it
 }
@@ -180,3 +180,26 @@ func (it *LinkIter) Next() LinkID {
 func (s *LinkSet) Func() DisabledFunc {
 	return func(l LinkID) bool { return s.Has(l) }
 }
+
+// LinkSetView is a read-only view of a LinkSet another object owns: it
+// answers the set's reads, and there is no way to reach the set through it
+// to mutate it. The zero value views the empty set.
+type LinkSetView struct{ s *LinkSet }
+
+// View returns a read-only view of s.
+func (s *LinkSet) View() LinkSetView { return LinkSetView{s} }
+
+// Has reports whether l is in the viewed set.
+func (v LinkSetView) Has(l LinkID) bool { return v.s.Has(l) }
+
+// Len reports the number of links in the viewed set.
+func (v LinkSetView) Len() int { return v.s.Len() }
+
+// Iter returns an iterator over the viewed set's links not in except.
+func (v LinkSetView) Iter(except LinkSetView) LinkIter { return v.s.Iter(except) }
+
+// Each calls fn for every link of the viewed set in increasing id order.
+func (v LinkSetView) Each(fn func(LinkID)) { v.s.Each(fn) }
+
+// Func adapts the viewed set to the DisabledFunc interface.
+func (v LinkSetView) Func() DisabledFunc { return v.s.Func() }

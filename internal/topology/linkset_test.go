@@ -105,7 +105,7 @@ func TestLinkSetIter(t *testing.T) {
 	}
 	walk := func(s, except *LinkSet) []LinkID {
 		var got []LinkID
-		it := s.Iter(except)
+		it := s.Iter(except.View())
 		for l := it.Next(); l != NoLink; l = it.Next() {
 			got = append(got, l)
 			s.Remove(l) // a returned link may go
@@ -129,7 +129,7 @@ func TestLinkSetIter(t *testing.T) {
 		t.Errorf("walk of s except s: got %v", got)
 	}
 	var ns *LinkSet
-	if it := ns.Iter(s); it.Next() != NoLink {
+	if it := ns.Iter(s.View()); it.Next() != NoLink {
 		t.Error("a nil set has a link")
 	}
 }

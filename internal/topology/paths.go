@@ -35,14 +35,16 @@ type PathCounter struct {
 	total  []int64 // per switch, paths with all links active (lazily built)
 
 	// Incremental state (incremental.go): exact counts under incDisabled,
-	// maintained by Apply/Revert delta propagation.
-	inc         []int64
-	incDisabled LinkSet
-	delta       []int64
-	dirty       []uint32
-	dirtyEpoch  uint32
-	dirtyStage  [][]SwitchID
-	changedToRs []SwitchID
+	// maintained by Apply/Revert delta propagation; numIncDisabled counts
+	// incDisabled's links, kept where its bits flip.
+	inc            []int64
+	incDisabled    LinkSet
+	numIncDisabled int
+	delta          []int64
+	dirty          []uint32
+	dirtyEpoch     uint32
+	dirtyStage     [][]SwitchID
+	changedToRs    []SwitchID
 }
 
 // NewPathCounter returns a PathCounter for t. The counter starts in

@@ -4,8 +4,8 @@
 # Three layers, strictest first:
 #   1. go vet            — the stock toolchain checks.
 #   2. corropt-lint      — this repository's own analyzer suite
-#                          (nodeterminism, maprange, errwrap, mutexheld,
-#                          lockorder, gorolife, aliasescape, ctxdeadline,
+#                          (the 8 analyzers nodeterminism, maprange,
+#                          errwrap, lockorder, gorolife, ctxdeadline,
 #                          reslife, escapes; DESIGN.md §8). Self-contained on the
 #                          standard library — the escapes analyzer shells
 #                          out to the pinned go toolchain for its
