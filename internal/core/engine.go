@@ -18,6 +18,17 @@ const DefaultDetectionThreshold = 1e-6
 // bucket boundary is the same floor.
 const LossyFloor = 1e-8
 
+// CheckRate returns nil for a corruption rate, a number in [0,1], and an
+// error naming the value for anything else: NaN, a negative or a rate above
+// 1. Every ingress of reports — the control plane and the fleet — checks
+// with it before a rate reaches an Engine.
+func CheckRate(rate float64) error {
+	if rate >= 0 && rate <= 1 { // written so that NaN fails too
+		return nil
+	}
+	return fmt.Errorf("corruption rate %v out of [0,1]", rate)
+}
+
 // PolicyKind selects the link-disabling strategy: which check a corruption
 // report runs and what re-checks the remaining corrupting links when a link
 // is activated.
@@ -218,11 +229,11 @@ func (e *Engine) TotalPenalty() float64 { return e.net.TotalPenalty(e.penalty) }
 // ReportCorruption handles a new corruption report for link l at the given
 // worst-direction rate: it records the rate and, if the rate is at or above
 // the detection threshold, runs the policy's check and disables the link
-// when it passes. The whole decision is incremental — an Apply/Revert
-// probe over l's downstream cone plus, on success, one Apply to commit —
-// so a report costs microseconds even on the largest topologies, and the
-// engine can absorb report storms (e.g. a breakout cable taking 8 links
-// down at once) without re-sweeping the data center per link.
+// when it passes. The whole decision is incremental — one probe walk over
+// l's downstream cone, plus on success a write-back of what it found — so a
+// report costs microseconds even on the largest topologies, and the engine
+// can absorb report storms (e.g. a breakout cable taking 8 links down at
+// once) without re-sweeping the data center per link.
 //
 //lint:hotpath every report of the simulator, the fleet shards and the control plane
 func (e *Engine) ReportCorruption(l topology.LinkID, rate float64) Decision {
@@ -233,7 +244,7 @@ func (e *Engine) ReportCorruption(l topology.LinkID, rate float64) Decision {
 		d.Outcome = OutcomeBelowThreshold
 	case e.net.Disabled(l):
 		d.Outcome, d.Disabled = OutcomeAlreadyDisabled, true
-	case e.net.disableIf(l, e.CanDisable(l)):
+	case e.DisableIfSafe(l):
 		d.Outcome, d.Disabled = OutcomeDisabled, true
 	default:
 		d.Outcome = OutcomeBlocked
@@ -241,17 +252,18 @@ func (e *Engine) ReportCorruption(l topology.LinkID, rate float64) Decision {
 	return d
 }
 
-// CanDisable is the policy's check: whether link l may be taken down right
-// now. The dispatch is a switch over concrete checkers, not an interface
-// call, so the report path stays provably allocation-free.
-func (e *Engine) CanDisable(l topology.LinkID) bool {
+// DisableIfSafe runs the policy's check on link l and disables it when the
+// check passes, reporting whether it did. The dispatch is a switch over
+// concrete checkers, not an interface call, so the report path stays
+// provably allocation-free.
+func (e *Engine) DisableIfSafe(l topology.LinkID) bool {
 	switch e.policy {
 	case PolicyNone:
 		return false
 	case PolicySwitchLocal:
-		return e.local.CanDisable(l)
+		return e.local.DisableIfSafe(l)
 	default:
-		return e.fast.CanDisable(l)
+		return e.fast.DisableIfSafe(l)
 	}
 }
 

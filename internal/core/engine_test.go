@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"corropt/internal/rngutil"
@@ -127,6 +129,27 @@ func TestEngineRejectsInvalidThreshold(t *testing.T) {
 				t.Errorf("threshold %v: NewEngine returned nil", tc.threshold)
 			}
 		}()
+	}
+}
+
+// TestCheckRate is the one table for what a report may carry as a rate: the
+// control plane and the fleet ingress both validate with CheckRate.
+func TestCheckRate(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		ok   bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+		{math.Copysign(0, -1), true}, {-1e-300, false}, {0, true}, {1, true},
+		{math.Nextafter(1, 2), false},
+	} {
+		err := CheckRate(tc.rate)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckRate(%v) = %v, want ok=%v", tc.rate, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprint(tc.rate)) {
+			t.Errorf("CheckRate(%v) = %q, does not name the rate", tc.rate, err)
+		}
 	}
 }
 

@@ -12,12 +12,13 @@ import (
 // than a switch-local rule — whether it can be disabled without violating
 // any ToR's capacity constraint.
 //
-// The check is incremental: disabling the candidate link is probed with an
-// Apply/Revert delta pair on the network's path counter, touching only the
-// link's downstream cone (one pod or less on a Clos topology) instead of
-// re-sweeping the whole data center. The paper reports 100–300 ms per
-// decision for its full-recount Python prototype on a 35K-link data center;
-// the incremental engine answers in microseconds with zero allocations.
+// The check is incremental: disabling the candidate link is probed on the
+// network's path counter, one walk over the link's downstream cone (one pod
+// or less on a Clos topology) instead of a re-sweep of the whole data
+// center, and a disable commits that probe rather than walking again. The
+// paper reports 100–300 ms per decision for its full-recount Python
+// prototype on a 35K-link data center; the incremental engine answers in
+// microseconds with zero allocations.
 type FastChecker struct {
 	net *Network
 }
@@ -35,44 +36,31 @@ func (fc *FastChecker) CanDisable(l topology.LinkID) bool {
 	if n.Disabled(l) {
 		return true
 	}
-	pc := n.pc
-	// Probe: apply the single-link delta, inspect, revert. Only ToRs
-	// downstream of l can lose paths — the paper's "check the downstream of
-	// l" refinement — and the propagation visits exactly those whose counts
-	// actually change.
-	changed := pc.Apply(l)
-	counts, total := pc.IncCounts(), pc.Total()
-	ok := true
+	// Probe: only ToRs downstream of l can lose paths — the paper's "check
+	// the downstream of l" refinement — and the walk visits exactly those
+	// whose counts would change. The probe stays pending for DisableIfSafe.
+	changed := n.pc.Probe(l)
 	if n.tors.NumViolated() == 0 {
 		// Every ToR meets its constraint right now, so ToRs whose counts
-		// did not change still do; checking the changed set is exact.
-		for _, tor := range changed {
-			if !n.tors.Meets(tor, counts, total) {
-				ok = false
-				break
-			}
-		}
-	} else {
-		// Rare path: some ToR is already in violation (links were forced
-		// down or constraints tightened). Match the full-check semantics,
-		// which refuses when any downstream ToR of l is infeasible even if
-		// l does not change its count.
-		//lint:allow escapes DownstreamToRs allocates on the rare already-violated path only
-		for _, tor := range n.topo.DownstreamToRs(l) {
-			if !n.tors.Meets(tor, counts, total) {
-				ok = false
-				break
-			}
-		}
+		// would not change still do; checking the changed set is exact.
+		return n.tors.ProbeMeets(changed, n.pc)
 	}
-	pc.Revert(l)
-	return ok
+	// Rare path: some ToR is already in violation (links were forced down
+	// or constraints tightened). Match the full-check semantics, which
+	// refuses when any downstream ToR of l is infeasible even if l does not
+	// change its count.
+	//lint:allow escapes DownstreamToRs allocates on the rare already-violated path only
+	return n.tors.ProbeMeets(n.topo.DownstreamToRs(l), n.pc)
 }
 
 // DisableIfSafe disables l if the capacity constraints allow it and reports
-// whether it did.
+// whether it did. The disable commits CanDisable's probe.
 func (fc *FastChecker) DisableIfSafe(l topology.LinkID) bool {
-	return fc.net.disableIf(l, fc.CanDisable(l))
+	if fc.net.Disabled(l) || !fc.CanDisable(l) {
+		return false
+	}
+	fc.net.commitProbe(l)
+	return true
 }
 
 // Sweep runs the fast check over every active corrupting link at or above
@@ -89,26 +77,15 @@ func (fc *FastChecker) Sweep(threshold float64) []topology.LinkID {
 
 // checker is a link-disabling rule: the fast checker's global path counts,
 // the switch-local baseline's per-switch uplink fraction, or an Engine's
-// policy choosing between them. All answer in O(1) for a link that is
-// already down, so callers may evaluate the rule before looking.
+// policy choosing between them.
 type checker interface {
-	CanDisable(topology.LinkID) bool
+	DisableIfSafe(topology.LinkID) bool
 }
 
-// disableIf disables l when the checker allowed it and it is not already
-// down, and reports whether it did.
-func (n *Network) disableIf(l topology.LinkID, allowed bool) bool {
-	if !allowed || n.Disabled(l) {
-		return false
-	}
-	n.Disable(l)
-	return true
-}
-
-// sweep applies c to every active corrupting link at or above threshold
+// sweep offers c every active corrupting link at or above threshold
 // (within scope, when non-nil), worst first with ties broken by LinkID so
-// the order — and therefore the disabled set — is deterministic, disabling
-// those that pass. It returns the links it disabled.
+// the order — and therefore the disabled set — is deterministic. It returns
+// the links c disabled.
 func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []topology.LinkID {
 	active := n.ActiveCorrupting(threshold)
 	slices.SortFunc(active, func(a, b topology.LinkID) int {
@@ -116,7 +93,7 @@ func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []
 	})
 	var disabled []topology.LinkID
 	for _, l := range active {
-		if (scope == nil || scope.Has(l)) && n.disableIf(l, c.CanDisable(l)) {
+		if (scope == nil || scope.Has(l)) && c.DisableIfSafe(l) {
 			disabled = append(disabled, l)
 		}
 	}

@@ -14,7 +14,7 @@ const constraintSlack = 1e-9
 // ToRs keeps, per ToR, the capacity constraint, whether the path counter's
 // incremental counts meet it, and — once Fractions is first read — the
 // cached available-path fraction. Refresh and Recompute update both halves
-// for each changed ToR.
+// for each changed ToR; RefreshFractions only the second.
 type ToRs struct {
 	// tors is the fabric's ToRs in topology order.
 	tors []topology.SwitchID
@@ -87,25 +87,45 @@ func (s *ToRs) NumViolated() int { return s.numViolated }
 
 // panicToRRange is pre-converted at package scope: a literal panic("...")
 // performs a string-to-interface conversion whose operand the compiler
-// heap-allocates at every call site, and Meets inlines into the CanDisable
-// hot loop.
+// heap-allocates at every call site, and Meets and ProbeMeets run on the
+// fast check's decision path.
 var panicToRRange any = "netstate: Meets: ToR index out of range"
 
 // Meets reports whether ToR tor meets its constraint given per-ToR counts
-// and totals. The single up-front range guard replaces the three implicit
-// bounds checks the indexed reads would otherwise each carry inside
-// CanDisable's probe loop (the escapes analyzer holds hot-path inner loops
-// to zero compiler-inserted bounds checks); out-of-range ToRs still panic.
+// and totals. The up-front range guards replace the implicit bounds checks
+// the indexed reads would otherwise each carry inside the decision loops;
+// out-of-range ToRs still panic.
 func (s *ToRs) Meets(tor topology.SwitchID, counts, total []int64) bool {
 	i := int(tor)
-	if i < 0 || i >= len(counts) || i >= len(total) || i >= len(s.constraint) {
+	if i < 0 || i >= len(counts) {
+		panic(panicToRRange)
+	}
+	return s.meetsCount(tor, counts[i], total)
+}
+
+// meetsCount reports whether ToR tor meets its constraint with count paths.
+func (s *ToRs) meetsCount(tor topology.SwitchID, count int64, total []int64) bool {
+	i := int(tor)
+	if i < 0 || i >= len(total) || i >= len(s.constraint) {
 		panic(panicToRRange)
 	}
 	if total[i] == 0 {
 		return s.constraint[i] <= 0
 	}
-	frac := float64(counts[i]) / float64(total[i])
+	frac := float64(count) / float64(total[i])
 	return frac+constraintSlack >= s.constraint[i]
+}
+
+// ProbeMeets reports whether every ToR in tors would meet its constraint at
+// the counts pc's pending probe would leave (topology.PathCounter.Probed).
+func (s *ToRs) ProbeMeets(tors []topology.SwitchID, pc *topology.PathCounter) bool {
+	total := pc.Total()
+	for _, tor := range tors {
+		if !s.meetsCount(tor, pc.Probed(tor), total) {
+			return false
+		}
+	}
+	return true
 }
 
 // refresh re-evaluates one ToR against counts, maintaining numViolated and,
@@ -131,6 +151,19 @@ func (s *ToRs) Refresh(changed []topology.SwitchID, pc *topology.PathCounter) {
 	counts, total := pc.IncCounts(), pc.Total()
 	for _, tor := range changed {
 		s.refresh(tor, counts, total)
+	}
+}
+
+// RefreshFractions is Refresh for a toggle that cannot have changed any
+// ToR's met status: it stores the changed ToRs' fractions, and only once the
+// fraction cache is built.
+func (s *ToRs) RefreshFractions(changed []topology.SwitchID, pc *topology.PathCounter) {
+	if s.pos == nil {
+		return
+	}
+	counts, total := pc.IncCounts(), pc.Total()
+	for _, tor := range changed {
+		s.setFraction(int(s.pos[tor]), Fraction(counts[tor], total[tor]))
 	}
 }
 

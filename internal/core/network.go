@@ -32,8 +32,8 @@ import (
 // meets (violatedUnder) tests only the ToRs it touched.
 //
 // The derived state lives in three netstate owners, each of which only its
-// own methods can write: Disable, Enable, SetCorruption, resetState and
-// Reset call them in order.
+// own methods can write: Disable, Enable, commitProbe, SetCorruption,
+// resetState and Reset call them in order.
 //
 // Network is not safe for concurrent use.
 type Network struct {
@@ -115,7 +115,28 @@ func (n *Network) Enable(l topology.LinkID) {
 	}
 	n.pen.Update(l, n.links.Rate(l), false)
 	n.links.Toggle(l, false)
-	n.tors.Refresh(n.pc.Revert(l), n.pc)
+	n.settle(n.pc.Revert(l))
+}
+
+// commitProbe disables link l through the path counter's pending probe of l,
+// which found every ToR it changes meeting its constraint: the probe's walk
+// is not run again.
+func (n *Network) commitProbe(l topology.LinkID) {
+	n.pen.Update(l, n.links.Rate(l), true)
+	n.links.Toggle(l, true)
+	n.settle(n.pc.Commit())
+}
+
+// settle re-evaluates the ToRs changed by a safe toggle: an Enable, whose
+// counts only rose, or a disable whose probe tested every ToR it changes and
+// found each meeting. Taken while no ToR is violated, such a toggle leaves
+// every ToR's status as it was, so only the fractions are stored.
+func (n *Network) settle(changed []topology.SwitchID) {
+	if n.tors.NumViolated() == 0 {
+		n.tors.RefreshFractions(changed, n.pc)
+		return
+	}
+	n.tors.Refresh(changed, n.pc)
 }
 
 // Disabled reports whether link l is administratively down.

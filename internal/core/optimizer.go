@@ -64,7 +64,7 @@ type OptimizeStats struct {
 	// LargestSegment is the size of the biggest contested group.
 	LargestSegment int
 	// FeasibilityChecks counts feasibility evaluations: incremental
-	// Apply/check probes.
+	// probes.
 	FeasibilityChecks int
 	// RejectCacheHits counts subsets rejected by the cache without a
 	// feasibility probe.
@@ -84,9 +84,10 @@ type OptimizeStats struct {
 // active corrupting links to disable — the exact solution to the
 // NP-complete problem of Theorem 5.1 — using topology pruning, topology
 // segmentation, and a reject cache to make practical instances fast. Every
-// feasibility probe inside a segment is an incremental Apply/Revert delta
-// on a path counter rather than a full topology sweep, so the per-probe
-// cost scales with the toggled link's downstream cone.
+// feasibility test inside a segment is one incremental probe walk on the
+// path counter rather than a full topology sweep, so its cost scales with
+// the candidate link's downstream cone; a reject costs that walk alone, an
+// accept a write-back of what it found.
 type Optimizer struct {
 	net     *Network
 	penalty PenaltyFunc
@@ -210,11 +211,7 @@ func (o *Optimizer) RunScoped(threshold float64, scope *topology.LinkSet, tors [
 		st.SafelyDisabled = len(disabled)
 	}
 	for _, seg := range o.segments(active, violated, &st) {
-		n := len(disabled)
 		disabled = o.solveSegment(disabled, seg, &st)
-		for _, l := range disabled[n:] {
-			o.net.Disable(l)
-		}
 	}
 	rc.disabled = disabled
 	if len(disabled) == 0 {
@@ -350,9 +347,9 @@ func (o *Optimizer) segments(active []topology.LinkID, violated []topology.Switc
 }
 
 // solveSegment picks the subset of seg.links to disable that maximizes the
-// disabled penalty while keeping seg.tors feasible, and appends it to
-// disabled. It probes on the network's own path counter and restores its
-// state before returning.
+// disabled penalty while keeping seg.tors feasible, disables it on the
+// network and appends it to disabled. It probes on the network's own path
+// counter.
 func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *OptimizeStats) []topology.LinkID {
 	pc := o.net.pc
 	// The incremental probes below only check ToRs whose counts change,
@@ -379,7 +376,7 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 
 	if len(links) > o.cfg.MaxExactLinks {
 		st.GreedyFallbacks++
-		return o.greedy(disabled, links, pc, st)
+		return o.greedy(disabled, links, st)
 	}
 
 	*s = segSolver{
@@ -409,40 +406,26 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 	}
 	for i, l := range links {
 		if s.bestMask&(1<<uint(i)) != 0 {
+			o.net.Disable(l)
 			disabled = append(disabled, l)
 		}
 	}
 	return disabled
 }
 
-// greedy disables links one at a time, worst first, keeping each only if
-// every ToR whose path count changes stays feasible, and appends the kept
-// ones to disabled. The result is maximal but not necessarily optimal; it is
-// the fallback for segments beyond exact reach. The caller guarantees the
-// starting state is feasible for the segment's ToRs, which makes the
-// changed-ToRs check exact. pc's state is restored before returning.
-func (o *Optimizer) greedy(disabled, links []topology.LinkID, pc *topology.PathCounter, st *OptimizeStats) []topology.LinkID {
-	counts, total := pc.IncCounts(), pc.Total()
-	n := len(disabled)
+// greedy disables links one at a time, worst first, each only if every ToR
+// whose path count it changes stays feasible, and appends them to disabled.
+// The result is maximal but not necessarily optimal; it is the fallback for
+// segments beyond exact reach. The caller guarantees the starting state is
+// feasible for the segment's ToRs, which makes the changed-ToRs check exact.
+func (o *Optimizer) greedy(disabled, links []topology.LinkID, st *OptimizeStats) []topology.LinkID {
+	pc := o.net.pc
 	for _, l := range links {
 		st.FeasibilityChecks++
-		ok := true
-		for _, tor := range pc.Apply(l) {
-			if !o.net.tors.Meets(tor, counts, total) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if o.net.tors.ProbeMeets(pc.Probe(l), pc) {
+			o.net.commitProbe(l)
 			disabled = append(disabled, l)
-		} else {
-			pc.Revert(l)
 		}
-	}
-	// Restore the counter to the network's state; Run applies the chosen
-	// links through Network.Disable.
-	for _, l := range disabled[n:] {
-		pc.Revert(l)
 	}
 	return disabled
 }
@@ -452,9 +435,10 @@ func (o *Optimizer) greedy(disabled, links []topology.LinkID, pc *topology.PathC
 // monotonicity of the capacity constraint (disabling more links never adds
 // paths) makes infeasible-subset pruning and the reject cache sound.
 //
-// Feasibility is evaluated incrementally: trying a link is one Apply delta,
-// abandoning it one Revert, and only the ToRs whose counts changed are
-// re-checked (exact because the search only stands on feasible states).
+// Feasibility is evaluated incrementally: trying a link is one probe walk,
+// which a reject leaves at that and an accept commits; backing out of an
+// accepted branch is one Revert. Only the ToRs whose counts change are
+// checked (exact because the search only stands on feasible states).
 type segSolver struct {
 	net    *Network
 	pc     *topology.PathCounter
@@ -493,7 +477,7 @@ func (s *segSolver) dfs(i int, mask uint64, got float64) {
 	if got+s.suffix[i] <= s.best {
 		return
 	}
-	// Branch 1: disable links[i]. feasible leaves the link applied on
+	// Branch 1: disable links[i]. feasible leaves the link committed on
 	// success; revert after exploring the branch.
 	cand := mask | 1<<uint(i)
 	if s.feasible(cand, s.links[i]) {
@@ -506,8 +490,8 @@ func (s *segSolver) dfs(i int, mask uint64, got float64) {
 
 // feasible tests whether the current subset plus link l keeps the segment's
 // ToRs within their constraints, consulting the reject cache first. On
-// success the link remains applied on the counter; on failure the counter
-// is restored.
+// success the probe is committed, so the link stays disabled on the
+// counter; on failure the counter is left as it was.
 func (s *segSolver) feasible(cand uint64, l topology.LinkID) bool {
 	if s.useCache {
 		candPop := bits.OnesCount64(cand)
@@ -523,21 +507,14 @@ func (s *segSolver) feasible(cand uint64, l topology.LinkID) bool {
 	}
 	s.checks++
 	s.budget--
-	counts, total := s.pc.IncCounts(), s.pc.Total()
-	ok := true
-	for _, tor := range s.pc.Apply(l) {
-		if !s.net.tors.Meets(tor, counts, total) {
-			ok = false
-			break
-		}
-	}
-	if !ok {
-		s.pc.Revert(l)
+	if !s.net.tors.ProbeMeets(s.pc.Probe(l), s.pc) {
 		if s.useCache {
 			s.cacheInsert(cand)
 		}
+		return false
 	}
-	return ok
+	s.pc.Commit()
+	return true
 }
 
 // cacheInsert records an infeasible subset, keeping the cache ordered by

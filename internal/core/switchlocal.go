@@ -72,7 +72,11 @@ func (s *SwitchLocal) CanDisable(l topology.LinkID) bool {
 // DisableIfSafe disables l if the switch-local rule allows it and reports
 // whether it did.
 func (s *SwitchLocal) DisableIfSafe(l topology.LinkID) bool {
-	return s.net.disableIf(l, s.CanDisable(l))
+	if s.net.Disabled(l) || !s.CanDisable(l) {
+		return false
+	}
+	s.net.Disable(l)
+	return true
 }
 
 // Sweep applies the switch-local check to every active corrupting link at

@@ -51,15 +51,23 @@ func torFractionTopos(tb testing.TB) []*topology.Topology {
 	return []*topology.Topology{clos, tiers}
 }
 
-// FuzzToRFractionsDifferential runs random Disable, Enable, SetToRConstraint,
-// Reset and LoadState steps, reading ToRFractions only when the input says so
-// (so changes pile up between reads, or a read finds nothing changed), and
-// holds every read to the in-order reference bit for bit. The first read of
-// the input builds the cache, so some steps run before it exists.
+// FuzzToRFractionsDifferential runs random Disable, Enable, fast-checked
+// DisableIfSafe, SetToRConstraint, Reset and LoadState steps, reading
+// ToRFractions only when the input says so (so changes pile up between
+// reads, or a read finds nothing changed), and holds every read to the
+// in-order reference bit for bit. The first read of the input builds the
+// cache, so some steps run before it exists. After every step each ToR's
+// met status — which Enable and a probe-checked disable keep without
+// re-testing while no ToR is violated — must equal a fresh test against a
+// full count.
 func FuzzToRFractionsDifferential(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 5, 0, 0, 3, 5, 0, 1, 1, 5, 0})
 	f.Add(uint8(1), []byte{0, 7, 0, 9, 0, 200, 4, 0, 5, 0, 1, 7, 6, 0, 5, 0, 3, 0, 5, 0})
 	f.Add(uint8(0), []byte{2, 4, 0, 10, 5, 0, 7, 0, 5, 0, 0, 99, 2, 130, 5, 0})
+	f.Add(uint8(1), []byte{8, 0, 5, 0, 8, 1, 8, 2, 8, 3, 5, 0, 2, 1, 8, 9, 3, 4, 8, 4, 5, 0})
+	// A raised constraint violates a ToR, then a Disable and the Enable that
+	// lifts it back: that Enable must re-test the ToRs it changes.
+	f.Add(uint8(1), []byte{3, 18, 1, 8, 2, 8})
 	topos := torFractionTopos(f)
 	f.Fuzz(func(t *testing.T, which uint8, ops []byte) {
 		if len(ops) > 256 {
@@ -71,6 +79,7 @@ func FuzzToRFractionsDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		tors := topo.ToRs()
+		fc := NewFastChecker(n)
 		var snap []byte
 		check := func(step int) {
 			worst, mean := n.ToRFractions()
@@ -84,7 +93,7 @@ func FuzzToRFractionsDifferential(f *testing.F) {
 			// step moves one ToR's fraction somewhere in the list.
 			arg := int(ops[i+1])
 			l := topology.LinkID((arg * 7) % topo.NumLinks())
-			switch ops[i] % 8 {
+			switch ops[i] % 9 {
 			case 0, 1:
 				n.Disable(l)
 			case 2:
@@ -111,6 +120,22 @@ func FuzzToRFractionsDifferential(f *testing.F) {
 				if err := n.Reset(float64(arg%5) / 4); err != nil {
 					t.Fatal(err)
 				}
+			case 8:
+				fc.DisableIfSafe(l)
+			}
+			counts, total := n.pc.Count(n.DisabledFunc()), n.pc.Total()
+			violated := 0
+			for _, tor := range tors {
+				want := n.tors.Meets(tor, counts, total)
+				if n.ToRMeets(tor) != want {
+					t.Fatalf("step %d: ToR %d met = %v, a full count says %v", i/2, tor, n.ToRMeets(tor), want)
+				}
+				if !want {
+					violated++
+				}
+			}
+			if n.tors.NumViolated() != violated {
+				t.Fatalf("step %d: %d ToRs violated, a full count says %d", i/2, n.tors.NumViolated(), violated)
 			}
 		}
 		check(len(ops) / 2)

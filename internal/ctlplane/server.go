@@ -315,8 +315,8 @@ func (c *Controller) dispatch(msg *Envelope) *Envelope {
 		if int(r.Link) < 0 || int(r.Link) >= net.Topology().NumLinks() {
 			return errEnvelope("unknown link")
 		}
-		if !(r.Rate >= 0 && r.Rate <= 1) { // written so that NaN is rejected too
-			return errEnvelope("corruption rate out of [0,1]")
+		if err := core.CheckRate(r.Rate); err != nil {
+			return errEnvelope(err.Error())
 		}
 		d := c.engine.ReportCorruption(r.Link, r.Rate)
 		return &Envelope{Type: TypeDecision, Decision: &Decision{

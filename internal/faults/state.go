@@ -122,7 +122,9 @@ func (s *State) Apply(f *Fault) {
 }
 
 // Clear removes a fault (it has been repaired), restoring the affected
-// links unless other faults still hold them down.
+// links unless other faults still hold them down. Only links whose active
+// list still held the fault are recomputed: a link's state is a function of
+// that list alone, and SuppressLinkEffect has already recomputed the rest.
 func (s *State) Clear(id ID) {
 	f, ok := s.faults[id]
 	if !ok {
@@ -135,10 +137,10 @@ func (s *State) Clear(id ID) {
 		for i, af := range lst {
 			if af.ID == id {
 				s.active[e.Link] = append(lst[:i], lst[i+1:]...)
+				s.recompute(e.Link)
 				break
 			}
 		}
-		s.recompute(e.Link)
 	}
 }
 

@@ -261,9 +261,10 @@ func (s *Supervisor) Route(ev Event) error {
 		//lint:allow escapes error construction on the reject path only
 		return fmt.Errorf("fleet: unknown event kind %d", ev.Kind)
 	}
-	if !(ev.Rate >= 0 && ev.Rate <= 1) { // written so that NaN is rejected too
+	//lint:allow escapes CheckRate, inlined here, builds its error on the reject path only
+	if err := core.CheckRate(ev.Rate); err != nil {
 		//lint:allow escapes error construction on the reject path only
-		return fmt.Errorf("fleet: corruption rate %g out of [0,1]", ev.Rate)
+		return fmt.Errorf("fleet: %w", err)
 	}
 	sh := s.shards[s.shardOf[ev.DCN][ev.Link]]
 	sh.pending = append(sh.pending, shardEvent{

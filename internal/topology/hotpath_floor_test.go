@@ -43,6 +43,38 @@ var hotpathFloors = []hotpathFloor{{
 			}
 		}
 	},
+}, {
+	// The fast checker's and the optimizer's unit of work on the same DCN:
+	// a probe of every uplink of one aggregation switch (each cone is the
+	// pod's 56 ToRs), the even ones dropped by the next probe and the odd
+	// ones committed, then the committed ones reverted for the next pass.
+	name:  "probe_commit",
+	roots: []string{"(*PathCounter).Probe", "(*PathCounter).Commit"},
+	setup: func(tb testing.TB) func() {
+		topo, err := NewClos(ClosConfig{
+			Pods: 72, ToRsPerPod: 56, AggsPerPod: 6,
+			Spines: 144, SpineUplinksPerAgg: 24, BreakoutSize: 4,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pc := NewPathCounter(topo)
+		agg := topo.Link(topo.Switch(topo.ToRs()[0]).Uplinks[0]).Upper
+		links := topo.Switch(agg).Uplinks
+		return func() {
+			for i, l := range links {
+				if len(pc.Probe(l)) == 0 {
+					tb.Fatalf("probing uplink %d changed no ToR", l)
+				}
+				if i%2 == 1 && len(pc.Commit()) == 0 {
+					tb.Fatalf("committing uplink %d changed no ToR", l)
+				}
+			}
+			for i := 1; i < len(links); i += 2 {
+				pc.Revert(links[i])
+			}
+		}
+	},
 }}
 
 // TestHotpathFloors requires 0 allocations over one steady-state pass of each

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -165,6 +166,100 @@ func FuzzIncrementalCounts(f *testing.F) {
 					t.Fatalf("seed %d: count[%d] = %d, full = %d", seed, id, got, want[id])
 				}
 			}
+		}
+	})
+}
+
+// FuzzProbeCommit drives a counter through random Probe, Commit, Apply,
+// Revert and ResetIncremental steps, and a twin through the same toggles by
+// Apply and Revert alone. A probe must leave the counts and the disabled set
+// as they were, report exactly the ToRs Apply changes and read every
+// switch's count as Apply leaves it; Commit must equal Apply; any other step
+// but a full Count drops the pending probe, after which Commit panics.
+func FuzzProbeCommit(f *testing.F) {
+	f.Add(int64(1), []byte{0, 3, 1, 3, 0, 5, 2, 0, 1, 0})
+	f.Add(int64(9), []byte{0, 1, 3, 2, 1, 0, 0, 1, 4, 0, 1, 0})
+	f.Add(int64(77), []byte{0, 0xff, 1, 0, 1, 0, 0, 0x80, 5, 0, 1, 0, 2, 0x80})
+	f.Add(int64(-103), []byte("0007")) // two probes in a row: the first must leave no delta behind
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 256 {
+			ops = ops[:256]
+		}
+		topo := randomTopology(t, seed)
+		pc, ref := NewPathCounter(topo), NewPathCounter(topo)
+		pending := NoLink
+		commitPanics := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			pc.Commit()
+			return false
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			l := LinkID(int(ops[i+1]) % topo.NumLinks())
+			op := ops[i] % 6
+			if op <= 4 && op != 1 {
+				pending = NoLink // every step but a Commit or a read drops the probe
+			}
+			switch op {
+			case 0: // Probe
+				before := slices.Clone(pc.IncCounts())
+				was := pc.IncDisabled().Has(l)
+				changed := slices.Clone(pc.Probe(l))
+				if !slices.Equal(pc.IncCounts(), before) || pc.IncDisabled().Has(l) != was || pc.NumIncDisabled() != ref.NumIncDisabled() {
+					t.Fatalf("step %d: Probe(%d) changed the counter's state", i/2, l)
+				}
+				if was {
+					if changed != nil {
+						t.Fatalf("step %d: Probe of disabled link %d returned %v", i/2, l, changed)
+					}
+					break
+				}
+				want := slices.Clone(ref.Apply(l))
+				if !slices.Equal(changed, want) {
+					t.Fatalf("step %d: Probe(%d) changed %v, Apply %v", i/2, l, changed, want)
+				}
+				for s, c := range ref.IncCounts() {
+					if got := pc.Probed(SwitchID(s)); got != c {
+						t.Fatalf("step %d: Probe(%d) reads switch %d at %d, Apply leaves %d", i/2, l, s, got, c)
+					}
+				}
+				ref.Revert(l)
+				pending = l
+			case 1: // Commit
+				if pending == NoLink {
+					if !commitPanics() {
+						t.Fatalf("step %d: Commit with no probe pending did not panic", i/2)
+					}
+					break
+				}
+				got := slices.Clone(pc.Commit())
+				if want := ref.Apply(pending); !slices.Equal(got, want) {
+					t.Fatalf("step %d: Commit of %d changed %v, Apply %v", i/2, pending, got, want)
+				}
+				pending = NoLink
+			case 2, 3: // a toggle by Apply or Revert
+				if pc.IncDisabled().Has(l) {
+					pc.Revert(l)
+					ref.Revert(l)
+				} else {
+					pc.Apply(l)
+					ref.Apply(l)
+				}
+			case 4:
+				set := NewLinkSet(topo.NumLinks())
+				ref.IncDisabled().Each(set.Add)
+				pc.ResetIncremental(set)
+				ref.ResetIncremental(set)
+			case 5: // a full count, which leaves a pending probe pending
+				pc.Count(pc.IncDisabled().Func())
+			}
+			if pending == NoLink && op != 1 && !commitPanics() {
+				t.Fatalf("step %d: Commit after op %d did not panic", i/2, op)
+			}
+			if !slices.Equal(pc.IncCounts(), ref.IncCounts()) || pc.NumIncDisabled() != ref.NumIncDisabled() {
+				t.Fatalf("step %d: counts %v (%d disabled), Apply/Revert twin %v (%d)",
+					i/2, pc.IncCounts(), pc.NumIncDisabled(), ref.IncCounts(), ref.NumIncDisabled())
+			}
+			checkIncrementalState(t, pc, "after step")
 		}
 	})
 }

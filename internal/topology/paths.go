@@ -21,7 +21,8 @@ type DisabledFunc func(LinkID) bool
 // Beyond the full O(|V|+|E|) sweep of Count — the reference every
 // differential test compares against — Apply/Revert maintain counts
 // incrementally under single-link toggles by propagating exact deltas
-// through the link's downstream cone (see incremental.go); that is the
+// through the link's downstream cone, and Probe/Commit split Apply into its
+// walk and its write-back (see incremental.go); that is the
 // engine production runs (the paper's §5.1 "check only the downstream of l"
 // refinement taken to its conclusion).
 //
@@ -45,6 +46,9 @@ type PathCounter struct {
 	dirtyEpoch     uint32
 	dirtyStage     [][]SwitchID
 	changedToRs    []SwitchID
+	// probed is the link of the pending Probe, NoLink when none is pending;
+	// the probe's deltas sit in delta, its switches in dirtyStage.
+	probed LinkID
 }
 
 // NewPathCounter returns a PathCounter for t. The counter starts in
@@ -59,6 +63,7 @@ func NewPathCounter(t *Topology) *PathCounter {
 		delta:      make([]int64, n),
 		dirty:      make([]uint32, n),
 		dirtyStage: make([][]SwitchID, t.Stages()),
+		probed:     NoLink,
 	}
 	pc.incDisabled.Reset(t.NumLinks())
 	// Evaluation order: stages top-down, so every switch is processed after
