@@ -94,8 +94,8 @@ cover:
 ## probe-then-commit split to Apply/Revert, the
 ## optimizer's switch-reach pruning and segmentation to the link-cone
 ## reference, and Network's cached ToR fractions (and the sum of a run of
-## 1.0 terms inside them) to the in-order loop, and of the protocol and
-## scenario-parser fuzzers.
+## 1.0 terms inside them) to the in-order loop; of the repair loop's ticket
+## and hold invariants; and of the protocol and scenario-parser fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz FuzzProbeCommit -fuzztime 10s ./internal/topology
@@ -103,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizerDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzToRFractionsDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAddOnes -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRepairLoop -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzFaultyFrame -fuzztime 10s ./internal/ctlplane
 	$(GO) test -run '^$$' -fuzz FuzzFaultyRequest -fuzztime 10s ./internal/snmplite
 	$(GO) test -run '^$$' -fuzz FuzzFaultyResponse -fuzztime 10s ./internal/snmplite

@@ -68,18 +68,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "corropt-experiments: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers, Shards: *shards}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "corropt-experiments: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	write := (*experiments.Report).WriteTSV
+	switch *format {
+	case "tsv":
+	case "json":
+		write = (*experiments.Report).WriteJSON
+	default:
+		fmt.Fprintf(os.Stderr, "corropt-experiments: unknown format %q\n", *format)
+		os.Exit(2)
 	}
+	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers, Shards: *shards}
 
 	var ids []string
 	if *exp == "all" {
@@ -93,6 +91,23 @@ func main() {
 			}
 		}
 	}
+	if err := experiments.CheckIDs(ids); err != nil {
+		fmt.Fprintf(os.Stderr, "corropt-experiments: %v\n", err)
+		os.Exit(1)
+	}
+
+	// Every flag is checked before -o is created, so a typo cannot truncate
+	// an existing report.
+	w := os.Stdout
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "corropt-experiments: %v\n", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		w = f
+	}
 
 	start := time.Now()
 	reps, err := experiments.RunMany(ids, cfg)
@@ -101,18 +116,8 @@ func main() {
 		os.Exit(1)
 	}
 	for _, rep := range reps {
-		var werr error
-		switch *format {
-		case "tsv":
-			werr = rep.WriteTSV(w)
-		case "json":
-			werr = rep.WriteJSON(w)
-		default:
-			fmt.Fprintf(os.Stderr, "corropt-experiments: unknown format %q\n", *format)
-			os.Exit(2)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "corropt-experiments: write: %v\n", werr)
+		if err := write(rep, w); err != nil {
+			fmt.Fprintf(os.Stderr, "corropt-experiments: write: %v\n", err)
 			os.Exit(1)
 		}
 	}

@@ -135,12 +135,12 @@ type Scope struct {
 	ToRs  []topology.SwitchID
 }
 
-// Engine is the workflow of Figure 13, the only implementation of it in the
-// repository: switches report corruption; the policy's check decides
+// Engine is the decision half of Figure 13, the only implementation of it in
+// the repository: switches report corruption; the policy's check decides
 // immediately whether the link can be disabled; when repaired links come
-// back, the remaining active corrupting links are reconsidered. The
-// simulator, the fleet shards and the control plane all drive this type and
-// keep only their own bookkeeping.
+// back, the remaining active corrupting links are reconsidered. The control
+// plane drives it directly; the simulator and the fleet shards drive it
+// through RepairLoop.
 type Engine struct {
 	net       *Network
 	policy    PolicyKind

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/sim"
 	"corropt/internal/stats"
 )
@@ -43,13 +44,12 @@ func ext8(cfg Config) (*plan, error) {
 	for i, v := range variants {
 		scenarios[i] = simScenario{run: func(sc *sim.Scratch) (*sim.Result, error) {
 			s, err := sim.NewWithScratch(topo, DefaultTech(), sim.Config{
-				Policy:           sim.PolicyCorrOpt,
-				Capacity:         0.75,
-				FixedAccuracy:    0.5, // frequent repair failures make the cycle visible
-				DetectionDelay:   15 * time.Minute,
-				DrainMode:        v.drain,
-				RepairCollateral: v.collateral,
-				Seed:             cfg.Seed,
+				Policy:         sim.PolicyCorrOpt,
+				Capacity:       0.75,
+				FixedAccuracy:  0.5, // frequent repair failures make the cycle visible
+				DetectionDelay: 15 * time.Minute,
+				RepairConfig:   core.RepairConfig{DrainMode: v.drain, RepairCollateral: v.collateral},
+				Seed:           cfg.Seed,
 			}, sc)
 			if err != nil {
 				return nil, err

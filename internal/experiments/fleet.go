@@ -50,14 +50,14 @@ func fleetStudy(cfg Config) (*plan, error) {
 			Trace:   m.trace,
 			Horizon: m.horizon,
 			Sim: sim.Config{
-				Policy:            sim.PolicyCorrOpt,
-				Capacity:          0.5,
-				Repair:            sim.RepairRecommendation,
-				IgnoreProb:        0.3,
-				NoOpticsFraction:  0.25,
-				UseDeployedEngine: true,
-				TechAssign:        fleetAssign(techs, i),
-				Seed:              m.simSeed,
+				Policy:           sim.PolicyCorrOpt,
+				Capacity:         0.5,
+				Repair:           sim.RepairRecommendation,
+				IgnoreProb:       0.3,
+				NoOpticsFraction: 0.25,
+				RepairConfig:     core.RepairConfig{UseDeployedEngine: true},
+				TechAssign:       fleetAssign(techs, i),
+				Seed:             m.simSeed,
 			},
 		}, nil
 	})

@@ -486,14 +486,14 @@ func sec72(cfg Config) (*Report, error) {
 	sc := sim.NewScratch()
 	run := func(ignoreProb, noOptics float64, deployed bool) (*sim.Result, error) {
 		s, err := sim.NewWithScratch(topo, DefaultTech(), sim.Config{
-			Policy:            sim.PolicyCorrOpt,
-			Capacity:          0.5,
-			Repair:            sim.RepairRecommendation,
-			IgnoreProb:        ignoreProb,
-			UseDeployedEngine: deployed,
-			NoOpticsFraction:  noOptics,
-			TechAssign:        assign,
-			Seed:              cfg.Seed,
+			Policy:           sim.PolicyCorrOpt,
+			Capacity:         0.5,
+			Repair:           sim.RepairRecommendation,
+			IgnoreProb:       ignoreProb,
+			RepairConfig:     core.RepairConfig{UseDeployedEngine: deployed},
+			NoOpticsFraction: noOptics,
+			TechAssign:       assign,
+			Seed:             cfg.Seed,
 		}, sc)
 		if err != nil {
 			return nil, err

@@ -100,6 +100,16 @@ func runScenarios(workers int, scenarios []simScenario) ([]*sim.Result, error) {
 		})
 }
 
+// CheckIDs reports the first id in ids that names no experiment.
+func CheckIDs(ids []string) error {
+	for _, id := range ids {
+		if _, ok := registry[id]; !ok {
+			return fmt.Errorf("experiments: unknown experiment %q (use List)", id)
+		}
+	}
+	return nil
+}
+
 // RunMany executes several experiments as one batch. Every sharded
 // experiment contributes its scenarios to a single global work list that
 // one worker pool load-balances across — a driver with a few long replays
@@ -109,10 +119,8 @@ func runScenarios(workers int, scenarios []simScenario) ([]*sim.Result, error) {
 // individually. Ids without a planner (serial drivers like fig18 or
 // sec72) fall back to Run after the shared pool drains.
 func RunMany(ids []string, cfg Config) ([]*Report, error) {
-	for _, id := range ids {
-		if _, ok := registry[id]; !ok {
-			return nil, fmt.Errorf("experiments: unknown experiment %q (use List)", id)
-		}
+	if err := CheckIDs(ids); err != nil {
+		return nil, err
 	}
 	type pending struct {
 		idx int

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/sim"
 	"corropt/internal/stats"
+	"corropt/internal/tickets"
 )
 
 func init() {
@@ -45,8 +47,7 @@ func ticketq(cfg Config) (*plan, error) {
 						Policy:        sim.PolicyCorrOpt,
 						Capacity:      0.75, // tight enough that queue depth costs penalty
 						FixedAccuracy: accuracy,
-						Technicians:   technicians,
-						ServiceTime:   48 * time.Hour,
+						RepairConfig:  core.RepairConfig{Staffing: tickets.Staffing{Technicians: technicians, ServiceTime: 48 * time.Hour}},
 						Seed:          cfg.Seed + uint64(rep),
 					}, sc)
 					if err != nil {

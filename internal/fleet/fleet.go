@@ -1,21 +1,16 @@
 // Package fleet shards the corruption-mitigation controller across many data
-// center networks at once. It promotes the paper's §8 topology segmentation
-// (the trick that made CorrOpt tractable on 15 production DCNs) into a
-// static sharding axis: every DCN is partitioned into cone-closed segments
-// (topology.Partition), segments are packed into shards, and each shard owns
-// a standalone sub-topology with its own core.Network, incremental path
-// counter and core.Engine. A supervisor routes corruption events to shards
-// by link ownership, fans shard drains out on internal/runner, and owns
-// every cross-segment invariant: the global ticket queue, the fleet-wide
-// penalty sum, and capacity-constraint headroom aggregation.
+// center networks. It turns the paper's §8 topology segmentation into a
+// sharding axis: every DCN is partitioned into cone-closed segments, segments
+// are packed into shards, and each shard runs its own core.Network,
+// core.Engine and core.RepairLoop over a standalone sub-topology, with
+// repairs re-checked in their own segment. A supervisor routes events to
+// shards by link ownership, drains the shards on the worker pool, and sums
+// across them: tickets, penalty and capacity headroom.
 //
-// The determinism contract matches the rest of the repository: for a fixed
-// event sequence, Snapshot output is byte-identical for any shard count and
-// any worker count. Shard-locality makes that cheap to guarantee — the
-// segment boundary invariant (a ToR's valley-free path counts depend only on
-// links in its own segment) means shard-local Apply/Revert deltas are exact,
-// and every float is summed per segment, in global segment order, no matter
-// how segments are packed into shards.
+// For a fixed event sequence, Snapshot output is byte-identical for any shard
+// count and worker count: by the segment boundary invariant a shard's path
+// counts are exact, and every float is summed per segment, in global segment
+// order, however segments are packed.
 package fleet
 
 import (
@@ -25,9 +20,7 @@ import (
 	"time"
 
 	"corropt/internal/core"
-	"corropt/internal/faults"
 	"corropt/internal/runner"
-	"corropt/internal/tickets"
 	"corropt/internal/topology"
 )
 
@@ -56,25 +49,18 @@ type Config struct {
 	// ToR→spine paths that must survive). Defaults to 0.75.
 	Capacity float64
 	// Threshold is the corruption rate at or above which a link should be
-	// disabled. Defaults to core.DefaultDetectionThreshold.
+	// disabled; zero means core.DefaultDetectionThreshold.
 	Threshold float64
 	// Penalty scores a corrupting link left enabled. Defaults to
 	// core.LinearPenalty.
 	Penalty core.PenaltyFunc
 	// Optimizer tunes the per-shard segment optimizers.
 	Optimizer core.OptimizerConfig
-	// ServiceTime and Technicians configure the global ticket queue (see
-	// tickets.QueueConfig); zero values take that package's defaults.
-	ServiceTime time.Duration
-	Technicians int
 }
 
 func (c *Config) fillDefaults() {
 	if c.Capacity == 0 {
 		c.Capacity = 0.75
-	}
-	if c.Threshold == 0 {
-		c.Threshold = core.DefaultDetectionThreshold
 	}
 	if c.Penalty == nil {
 		c.Penalty = core.LinearPenalty
@@ -104,9 +90,9 @@ type Event struct {
 	Rate float64 // worst-direction corruption rate; ignored for Repair
 }
 
-// Supervisor owns a fleet of per-segment shards and every cross-segment
-// invariant. Methods must not be called concurrently; the parallelism is
-// internal to Flush.
+// Supervisor owns a fleet of per-segment shards and aggregates across them.
+// Methods must not be called concurrently; the parallelism is internal to
+// Flush.
 type Supervisor struct {
 	cfg    Config
 	dcns   []DCN
@@ -119,14 +105,6 @@ type Supervisor struct {
 	// dcnShards[d] is the contiguous [lo, hi) range of d's shards.
 	dcnShards [][2]int
 
-	// linkBase[d] is d's offset in the fleet-global link-id space that
-	// keys the shared ticket queue.
-	linkBase []int64
-
-	queue *tickets.Queue
-	open  map[int64]*tickets.Ticket
-
-	nextSeq  uint64
 	pending  int
 	segments int
 	links    int
@@ -137,8 +115,6 @@ type Supervisor struct {
 	routedRepairs     int
 	totals            shardStats
 	perDCN            []shardStats
-
-	mergeBuf []decision
 }
 
 // New builds a Supervisor over the given DCNs. Identical *Topology values
@@ -155,14 +131,7 @@ func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 		shardOf:   make([][]int32, len(dcns)),
 		localOf:   make([][]topology.LinkID, len(dcns)),
 		dcnShards: make([][2]int, len(dcns)),
-		linkBase:  make([]int64, len(dcns)),
-		open:      make(map[int64]*tickets.Ticket),
 		perDCN:    make([]shardStats, len(dcns)),
-		queue: tickets.NewQueue(tickets.QueueConfig{
-			ServiceTime: cfg.ServiceTime,
-			Technicians: cfg.Technicians,
-			Quiet:       true,
-		}),
 	}
 	for i := range s.dcns {
 		if s.dcns[i].Topo == nil {
@@ -183,11 +152,6 @@ func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 			return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
 		}
 		totalUnits += len(p.units)
-		base := int64(0)
-		if i > 0 {
-			base = s.linkBase[i-1] + int64(s.dcns[i-1].Topo.NumLinks())
-		}
-		s.linkBase[i] = base
 		s.links += s.dcns[i].Topo.NumLinks()
 		s.tors += len(s.dcns[i].Topo.ToRs())
 		s.segments += len(p.segs)
@@ -244,8 +208,7 @@ func dcnShardTarget(budget, units, totalUnits int) int {
 }
 
 // Route validates ev and queues it on the owning shard. Events must arrive
-// in nondecreasing At order; the assigned sequence number is what keeps
-// decision merging byte-identical across shard and worker counts.
+// in nondecreasing At order.
 //
 //lint:hotpath per-event fleet ingress
 func (s *Supervisor) Route(ev Event) error {
@@ -268,13 +231,11 @@ func (s *Supervisor) Route(ev Event) error {
 	}
 	sh := s.shards[s.shardOf[ev.DCN][ev.Link]]
 	sh.pending = append(sh.pending, shardEvent{
-		seq:  s.nextSeq,
 		at:   ev.At,
 		link: s.localOf[ev.DCN][ev.Link],
 		kind: ev.Kind,
 		rate: ev.Rate,
 	})
-	s.nextSeq++
 	s.pending++
 	if ev.Kind == Corruption {
 		s.routedCorruptions++
@@ -294,52 +255,16 @@ func (s *Supervisor) Ingest(evs []Event) error {
 	return nil
 }
 
-// Flush drains every shard's pending events — fanned out over the worker
-// pool, each shard touching only its own state — then applies the merged
-// disable/enable decisions to the global ticket queue in event order.
+// Flush drains every shard's pending events through its engine and repair
+// loop, fanned out over the worker pool, each shard touching only its own
+// state.
 func (s *Supervisor) Flush() error {
 	if err := runner.ForEach(s.cfg.Workers, len(s.shards), func(i int) error {
-		s.shards[i].drain()
-		return nil
+		return s.shards[i].drain()
 	}); err != nil {
 		return err
 	}
 	s.pending = 0
-
-	// Merge shard decisions back into the global event order: seq is the
-	// routing order, ord the per-event decision order, and every event
-	// belongs to exactly one shard, so (seq, ord) is a total order that
-	// no shard packing or worker schedule can perturb.
-	merged := s.mergeBuf[:0]
-	for _, sh := range s.shards {
-		merged = append(merged, sh.decisions...)
-		sh.decisions = sh.decisions[:0]
-	}
-	slices.SortFunc(merged, func(a, b decision) int {
-		if a.seq != b.seq {
-			if a.seq < b.seq {
-				return -1
-			}
-			return 1
-		}
-		return int(a.ord) - int(b.ord)
-	})
-	for _, d := range merged {
-		fl := s.linkBase[d.dcn] + int64(d.link)
-		switch d.act {
-		case actDisable:
-			t, _ := s.queue.Open(topology.LinkID(fl), faults.ActionUnknown, d.at)
-			s.open[fl] = t
-		case actRepair:
-			if t := s.open[fl]; t != nil {
-				if err := s.queue.Resolve(t, d.at, faults.ActionUnknown, true); err != nil {
-					return fmt.Errorf("fleet: resolving ticket for fleet link %d: %w", fl, err)
-				}
-				delete(s.open, fl)
-			}
-		}
-	}
-	s.mergeBuf = merged
 
 	for _, sh := range s.shards {
 		s.perDCN[sh.dcn].add(sh.stats)
@@ -429,21 +354,24 @@ type Snapshot struct {
 // reflected; call Flush first.
 func (s *Supervisor) Snapshot() Snapshot {
 	snap := Snapshot{
-		DCNs:            len(s.dcns),
-		Links:           s.links,
-		ToRs:            s.tors,
-		Segments:        s.segments,
-		Events:          s.routedCorruptions + s.routedRepairs,
-		Corruptions:     s.routedCorruptions,
-		Repairs:         s.routedRepairs,
-		Disabled:        s.totals.disabled,
-		Blocked:         s.totals.blocked,
-		ReoptDisabled:   s.totals.reoptDisabled,
-		Cleared:         s.totals.cleared,
-		TicketsResolved: len(s.queue.History()),
-		TicketsOpened:   len(s.queue.History()) + s.queue.OpenCount(),
-		TicketsOpen:     s.queue.OpenCount(),
-		PerDCN:          make([]DCNStat, len(s.dcns)),
+		DCNs:          len(s.dcns),
+		Links:         s.links,
+		ToRs:          s.tors,
+		Segments:      s.segments,
+		Events:        s.routedCorruptions + s.routedRepairs,
+		Corruptions:   s.routedCorruptions,
+		Repairs:       s.routedRepairs,
+		Disabled:      s.totals.disabled,
+		Blocked:       s.totals.blocked,
+		ReoptDisabled: s.totals.reoptDisabled,
+		Cleared:       s.totals.cleared,
+		PerDCN:        make([]DCNStat, len(s.dcns)),
+	}
+	for _, sh := range s.shards {
+		ts := sh.loop.TicketStats()
+		snap.TicketsOpened += ts.Resolved + ts.Open
+		snap.TicketsResolved += ts.Resolved
+		snap.TicketsOpen += ts.Open
 	}
 	snap.MinFraction, snap.MeanFraction, snap.ViolatedToRs = s.Headroom()
 	for i := range s.dcns {

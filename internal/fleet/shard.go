@@ -6,28 +6,27 @@ import (
 	"time"
 
 	"corropt/internal/core"
+	"corropt/internal/faults"
 	"corropt/internal/topology"
 )
 
 // shard owns one sub-topology — a union of whole cone-closed segments of one
 // DCN — and every piece of controller state for it: the Network with its
-// incremental path counter and the core.Engine that decides over it, with
-// activations scoped to the repaired link's segment. drain runs on a worker
-// pool but touches shard-local state only; the supervisor serializes
-// everything that crosses shards.
+// incremental path counter, and the core.RepairLoop that decides and tickets
+// over it, with activations scoped to the repaired link's segment. drain
+// runs on a worker pool but touches shard-local state only.
 type shard struct {
-	dcn int
-	sub *topology.SegmentGraph
-	net *core.Network
-	eng *core.Engine
+	dcn  int
+	sub  *topology.SegmentGraph
+	net  *core.Network
+	loop *core.RepairLoop
 
 	// segOf maps a local link to its index in segs.
 	segOf []int32
 	segs  []segState
 
-	pending   []shardEvent
-	decisions []decision
-	stats     shardStats
+	pending []shardEvent
+	stats   shardStats
 }
 
 // segState is the controller state of one atomic segment within a shard.
@@ -37,35 +36,12 @@ type segState struct {
 	tors   []topology.SwitchID // local ToR ids, ascending
 }
 
-// shardEvent is a routed event in shard-local coordinates, tagged with the
-// supervisor's global sequence number.
+// shardEvent is a routed event in shard-local coordinates.
 type shardEvent struct {
-	seq  uint64
 	at   time.Duration
 	link topology.LinkID
 	kind EventKind
 	rate float64
-}
-
-// action is a controller decision that must cross the shard boundary.
-type action uint8
-
-const (
-	actDisable action = iota
-	actRepair
-)
-
-// decision is one cross-shard controller action: (seq, ord) is a total
-// order — seq is the triggering event's routing order, ord the decision's
-// index within that event — so merged decisions are identical for every
-// shard packing and worker schedule.
-type decision struct {
-	seq  uint64
-	ord  int32
-	at   time.Duration
-	dcn  int32
-	link topology.LinkID // source-DCN link id
-	act  action
 }
 
 type shardStats struct {
@@ -102,9 +78,13 @@ func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error)
 		dcn:   dcn,
 		sub:   bs.sub,
 		net:   net,
-		eng:   eng,
 		segOf: make([]int32, bs.sub.Topo.NumLinks()),
 		segs:  make([]segState, len(bs.segs)),
+	}
+	// A repair frees capacity only in its own segment, by the boundary
+	// invariant, so the loop re-checks that segment alone.
+	if sh.loop, err = core.NewRepairLoop(eng, core.RepairConfig{}, nil, sh.scope); err != nil {
+		return nil, err
 	}
 	for si, seg := range bs.segs {
 		st := &sh.segs[si]
@@ -129,21 +109,18 @@ func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error)
 	return sh, nil
 }
 
-// drain runs the shard's pending events through its engine in routed
-// order and keeps the fleet's own bookkeeping from each outcome: the event
-// tallies, and the decisions that cross the shard — ticket opens and
-// resolves — buffered for the supervisor's ordered merge.
-func (sh *shard) drain() {
+// drain runs the shard's pending events through its repair loop in routed
+// order and tallies each outcome. A repair resolves the link's ticket as a
+// success.
+func (sh *shard) drain() error {
 	for i := range sh.pending {
 		ev := &sh.pending[i]
-		ord := int32(0)
 		switch ev.kind {
 		case Corruption:
 			sh.stats.corruptions++
-			switch sh.eng.ReportCorruption(ev.link, ev.rate).Outcome {
+			switch d, _ := sh.loop.Report(ev.link, ev.rate, ev.at); d.Outcome {
 			case core.OutcomeDisabled:
 				sh.stats.disabled++
-				sh.emit(ev, &ord, ev.link, actDisable)
 			case core.OutcomeBlocked:
 				sh.stats.blocked++
 			}
@@ -156,18 +133,21 @@ func (sh *shard) drain() {
 				sh.stats.cleared++
 				continue
 			}
-			sh.emit(ev, &ord, ev.link, actRepair)
-			// The repair freed capacity: links the constraint previously
-			// blocked may be safe to take down now. Segment-scoped by the
-			// boundary invariant — no other segment's counts moved.
-			seg := &sh.segs[sh.segOf[ev.link]]
-			for _, cl := range sh.eng.Activate(ev.link, core.Scope{Links: seg.links, ToRs: seg.tors}) {
-				sh.stats.reoptDisabled++
-				sh.emit(ev, &ord, cl, actDisable)
+			step, err := sh.loop.Resolve(ev.link, ev.at, faults.ActionUnknown, true)
+			if err != nil {
+				return fmt.Errorf("fleet: DCN link %d: %w", sh.sub.Links[ev.link], err)
 			}
+			sh.stats.reoptDisabled += len(step.Opened)
 		}
 	}
 	sh.pending = sh.pending[:0]
+	return nil
+}
+
+// scope is link l's segment, the activation scope of its repair.
+func (sh *shard) scope(l topology.LinkID) core.Scope {
+	seg := &sh.segs[sh.segOf[l]]
+	return core.Scope{Links: seg.links, ToRs: seg.tors}
 }
 
 // segPenalty sums one segment's §5 penalty — corrupting links left enabled
@@ -182,18 +162,6 @@ func (sh *shard) segPenalty(seg *segState, penalty core.PenaltyFunc) float64 {
 		}
 	})
 	return sum
-}
-
-func (sh *shard) emit(ev *shardEvent, ord *int32, local topology.LinkID, act action) {
-	sh.decisions = append(sh.decisions, decision{
-		seq:  ev.seq,
-		ord:  *ord,
-		at:   ev.at,
-		dcn:  int32(sh.dcn),
-		link: sh.sub.Links[local],
-		act:  act,
-	})
-	*ord++
 }
 
 // partEntry caches one distinct topology's partition, its packable units

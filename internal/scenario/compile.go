@@ -10,6 +10,7 @@ import (
 	"corropt/internal/faults"
 	"corropt/internal/rngutil"
 	"corropt/internal/sim"
+	"corropt/internal/tickets"
 	"corropt/internal/topology"
 )
 
@@ -134,14 +135,15 @@ func runConfig(s *Scenario, r *Run) (sim.Config, error) {
 		DetectionDelay:     r.DetectionDelay,
 		FixedAccuracy:      r.Accuracy,
 		IgnoreProb:         r.IgnoreProb,
-		UseDeployedEngine:  r.DeployedEngine,
 		NoOpticsFraction:   r.NoOpticsFraction,
-		DrainMode:          r.DrainMode,
-		RepairCollateral:   r.RepairCollateral,
-		ServiceTime:        r.ServiceTime,
-		Technicians:        r.Technicians,
 		SampleInterval:     s.SampleInterval,
 		Seed:               r.Seed,
+		RepairConfig: core.RepairConfig{
+			UseDeployedEngine: r.DeployedEngine,
+			DrainMode:         r.DrainMode,
+			RepairCollateral:  r.RepairCollateral,
+			Staffing:          tickets.Staffing{ServiceTime: r.ServiceTime, Technicians: r.Technicians},
+		},
 	}
 	policy, ok := core.PolicyByName(r.Policy)
 	if !ok {
@@ -157,7 +159,7 @@ func runConfig(s *Scenario, r *Run) (sim.Config, error) {
 		return cfg, fmt.Errorf("scenario %q: run %q: unknown repair mode %q", s.Name, r.Name, r.RepairMode)
 	}
 	if r.Dampening != nil {
-		cfg.Dampening = &sim.DampeningConfig{
+		cfg.Dampening = &core.DampeningConfig{
 			Window:   r.Dampening.Window,
 			Flaps:    r.Dampening.Flaps,
 			Holddown: r.Dampening.Holddown,

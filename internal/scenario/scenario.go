@@ -168,7 +168,7 @@ type Run struct {
 	Dampening *Dampening
 }
 
-// Dampening mirrors sim.DampeningConfig in the DSL.
+// Dampening mirrors core.DampeningConfig in the DSL.
 type Dampening struct {
 	Window   time.Duration
 	Flaps    int

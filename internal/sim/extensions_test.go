@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/faults"
 	"corropt/internal/optics"
 	"corropt/internal/topology"
@@ -24,7 +25,7 @@ func TestDrainModeAvoidsReExposure(t *testing.T) {
 		s, err := New(topo, simTech(), Config{
 			Policy:        PolicyCorrOpt,
 			FixedAccuracy: 1e-12, // repairs never succeed
-			DrainMode:     drain,
+			RepairConfig:  core.RepairConfig{DrainMode: drain},
 			Seed:          3,
 		})
 		if err != nil {
@@ -78,7 +79,7 @@ func TestDrainModeKeepsRepairLoop(t *testing.T) {
 	s, err := New(topo, simTech(), Config{
 		Policy:        PolicyCorrOpt,
 		FixedAccuracy: 1e-12,
-		DrainMode:     true,
+		RepairConfig:  core.RepairConfig{DrainMode: true},
 		Seed:          4,
 	})
 	if err != nil {
@@ -120,12 +121,12 @@ func TestRepairCollateral(t *testing.T) {
 		Effects: []faults.LinkEffect{{Link: link, DirectRate: [2]float64{0.01, 0}}},
 	}}
 	s, err := New(topo, simTech(), Config{
-		Policy:           PolicyCorrOpt,
-		Capacity:         0.25, // loose so collateral disabling is allowed
-		FixedAccuracy:    1,
-		RepairCollateral: true,
-		SampleInterval:   time.Hour,
-		Seed:             5,
+		Policy:         PolicyCorrOpt,
+		Capacity:       0.25, // loose so collateral disabling is allowed
+		FixedAccuracy:  1,
+		RepairConfig:   core.RepairConfig{RepairCollateral: true},
+		SampleInterval: time.Hour,
+		Seed:           5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +178,11 @@ func TestCollateralOverlappingRepairs(t *testing.T) {
 			Effects: []faults.LinkEffect{{Link: group[1], DirectRate: [2]float64{0.01, 0}}}},
 	}
 	s, err := New(topo, simTech(), Config{
-		Policy:           PolicyCorrOpt,
-		Capacity:         0.25,
-		FixedAccuracy:    1,
-		RepairCollateral: true,
-		Seed:             6,
+		Policy:        PolicyCorrOpt,
+		Capacity:      0.25,
+		FixedAccuracy: 1,
+		RepairConfig:  core.RepairConfig{RepairCollateral: true},
+		Seed:          6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +215,7 @@ func TestRepairCollateralFromViolatedStates(t *testing.T) {
 	topo := simTopo(t)
 	horizon := 21 * 24 * time.Hour
 	trace := genTrace(t, topo, 0.004, horizon, 11)
-	cfg := Config{Policy: PolicyCorrOpt, Seed: 6, Capacity: 0.9, RepairCollateral: true}
+	cfg := Config{Policy: PolicyCorrOpt, Seed: 6, Capacity: 0.9, RepairConfig: core.RepairConfig{RepairCollateral: true}}
 	run := func(sc *Scratch) (*Sim, *Result) {
 		s, err := NewWithScratch(topo, simTech(), cfg, sc)
 		if err != nil {
@@ -240,8 +241,10 @@ func TestRepairCollateralFromViolatedStates(t *testing.T) {
 		t.Fatalf("%d samples below the constraint, %d links disabled: the run never re-optimized from a violated state",
 			violated, want.LinksDisabled)
 	}
-	for sib := range s.collateral {
-		s.Network().Enable(sib)
+	for l := range topology.LinkID(topo.NumLinks()) {
+		if s.loop.Collateral(l) {
+			s.Network().Enable(l)
+		}
 	}
 	if !s.Network().Feasible(nil) {
 		t.Fatalf("with every held sibling released, ToRs %v are still violated", s.Network().ViolatedToRs(nil))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/faults"
 	"corropt/internal/topology"
 )
@@ -19,31 +20,6 @@ import (
 type Clear struct {
 	At    time.Duration
 	Fault faults.ID
-}
-
-// DampeningConfig enables link-flap dampening, the mitigation policy for
-// flap storms ("Ghost in the Datacenter"-style churn): when monitoring
-// detects the same link corrupting Flaps times within Window, the link is
-// held administratively down for Holddown after its next successful repair
-// instead of being re-enabled immediately. A held link re-enters service at
-// holddown expiry only if it is still healthy; if it is corrupting again it
-// stays down and a fresh repair is booked — so a flapping link stops
-// generating a ticket per flap. All three fields must be positive.
-type DampeningConfig struct {
-	// Window is the sliding window over detection events.
-	Window time.Duration
-	// Flaps is the number of detections within Window that trigger a hold.
-	Flaps int
-	// Holddown is how long a repaired-but-flappy link stays disabled.
-	Holddown time.Duration
-}
-
-func (d *DampeningConfig) validate() error {
-	if d.Window <= 0 || d.Flaps <= 0 || d.Holddown <= 0 {
-		return fmt.Errorf("sim: dampening requires positive window, flaps, and holddown (got %v, %d, %v)",
-			d.Window, d.Flaps, d.Holddown)
-	}
-	return nil
 }
 
 // RunEvents replays the fault trace plus externally scheduled fault clears
@@ -88,11 +64,17 @@ func (s *Sim) RunEvents(trace []*faults.Fault, clears []Clear, horizon time.Dura
 		}
 	}
 	s.clock.RunUntil(horizon)
-	// Close the penalty integral at the horizon.
-	s.accrue(horizon)
-	s.result.FirstAttemptSuccessRate = s.queue.FirstAttemptSuccessRate()
-	s.result.MeanAttempts = s.queue.MeanAttempts()
+	s.finish(horizon)
 	return &s.result, nil
+}
+
+// finish closes the penalty integral at the horizon and reads the repair
+// statistics.
+func (s *Sim) finish(horizon time.Duration) {
+	s.accrue(horizon)
+	ts := s.loop.TicketStats()
+	s.result.FirstAttemptSuccessRate = ts.FirstAttemptSuccessRate
+	s.result.MeanAttempts = ts.MeanAttempts
 }
 
 // checkSorted requires the trace sorted by Start and the clears by At, with
@@ -135,26 +117,6 @@ func (s *Sim) onClear(id faults.ID, now time.Duration) {
 	}
 }
 
-// noteFlap records a detection event on link l for the dampening window and
-// arms (or extends) the link's holddown once the flap count trips.
-func (s *Sim) noteFlap(l topology.LinkID, now time.Duration) {
-	d := s.cfg.Dampening
-	times := s.flapAt[l]
-	keep := times[:0]
-	for _, t := range times {
-		if now-t <= d.Window {
-			keep = append(keep, t)
-		}
-	}
-	keep = append(keep, now)
-	s.flapAt[l] = keep
-	if len(keep) >= d.Flaps {
-		if until := now + d.Holddown; until > s.dampUntil[l] {
-			s.dampUntil[l] = until
-		}
-	}
-}
-
 // releaseDampened ends link l's holddown: a healthy link re-enters service
 // (letting the policy react to the activation), while a link corrupting
 // again stays down and books a fresh repair without ever re-exposing
@@ -162,12 +124,12 @@ func (s *Sim) noteFlap(l topology.LinkID, now time.Duration) {
 func (s *Sim) releaseDampened(l topology.LinkID, now time.Duration) {
 	s.accrue(now)
 	defer s.settle()
-	delete(s.dampUntil, l)
 	s.syncRate(l)
-	if s.net.CorruptionRate(l) >= s.cfg.DetectionThreshold {
+	step := s.loop.Release(l, now)
+	if step.Resolution == core.Reticketed {
 		s.result.CorruptionReports++
-		s.openTicket(l, now)
-		return
+	} else {
+		s.result.LinksDisabled += len(step.Opened)
 	}
-	s.activate(l, now)
+	s.schedule(step.Opened, now)
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/faults"
+	"corropt/internal/tickets"
 	"corropt/internal/topology"
 )
 
@@ -109,9 +111,7 @@ func heapRunEvents(s *Sim, trace []*faults.Fault, clears []Clear, horizon time.D
 	s.clock.Every(s.cfg.SampleInterval, s.sample)
 	s.sample(0)
 	s.clock.RunUntil(horizon)
-	s.accrue(horizon)
-	s.result.FirstAttemptSuccessRate = s.queue.FirstAttemptSuccessRate()
-	s.result.MeanAttempts = s.queue.MeanAttempts()
+	s.finish(horizon)
 	return &s.result
 }
 
@@ -130,7 +130,7 @@ func heapRunEvents(s *Sim, trace []*faults.Fault, clears []Clear, horizon time.D
 func TestRunEventsSharedInstant(t *testing.T) {
 	topo := simTopo(t)
 	uplink := func(i int) topology.LinkID { return topo.Switch(topo.ToRs()[i]).Uplinks[0] }
-	cfg := Config{Policy: PolicyCorrOpt, FixedAccuracy: 1.0, ServiceTime: 2 * time.Hour, Seed: 1}
+	cfg := Config{Policy: PolicyCorrOpt, FixedAccuracy: 1.0, RepairConfig: core.RepairConfig{Staffing: tickets.Staffing{ServiceTime: 2 * time.Hour}}, Seed: 1}
 	a := directFault(1, uplink(0), 0, 1e-3)
 	b := directFault(2, uplink(1), time.Hour, 6e-7)
 	c := directFault(3, uplink(1), 2*time.Hour, 6e-7)
@@ -177,7 +177,7 @@ func TestRunEventsSharedInstant(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Policy: PolicyCorrOpt, Seed: 3},
-		{Policy: PolicyFastOnly, DetectionDelay: time.Hour, RepairCollateral: true, Seed: 4},
+		{Policy: PolicyFastOnly, DetectionDelay: time.Hour, RepairConfig: core.RepairConfig{RepairCollateral: true}, Seed: 4},
 	} {
 		s, err := New(topo, simTech(), cfg)
 		if err != nil {
@@ -229,12 +229,11 @@ func TestDampeningHoldsFlappingLink(t *testing.T) {
 	l := topo.Link(0).ID
 	horizon := 5 * 24 * time.Hour
 	trace, clears := flapTrace(l, 0, 3*time.Hour, time.Hour, 10, 1e-4)
-	run := func(d *DampeningConfig) *Result {
+	run := func(d *core.DampeningConfig) *Result {
 		s, err := New(topo, simTech(), Config{
 			Policy:        PolicyCorrOpt,
 			FixedAccuracy: 1.0, // repairs always "succeed" (the flap cleared anyway)
-			ServiceTime:   2 * time.Hour,
-			Dampening:     d,
+			RepairConfig:  core.RepairConfig{Staffing: tickets.Staffing{ServiceTime: 2 * time.Hour}, Dampening: d},
 			Seed:          1,
 		})
 		if err != nil {
@@ -247,7 +246,7 @@ func TestDampeningHoldsFlappingLink(t *testing.T) {
 		return res
 	}
 	plain := run(nil)
-	damped := run(&DampeningConfig{Window: 12 * time.Hour, Flaps: 3, Holddown: 48 * time.Hour})
+	damped := run(&core.DampeningConfig{Window: 12 * time.Hour, Flaps: 3, Holddown: 48 * time.Hour})
 	if plain.DampenedHolds != 0 {
 		t.Fatalf("undamped run recorded %d holds", plain.DampenedHolds)
 	}
@@ -272,9 +271,11 @@ func TestDampeningReleaseReenablesHealthyLink(t *testing.T) {
 	s, err := New(topo, simTech(), Config{
 		Policy:        PolicyCorrOpt,
 		FixedAccuracy: 1.0,
-		ServiceTime:   2 * time.Hour,
-		Dampening:     &DampeningConfig{Window: 12 * time.Hour, Flaps: 3, Holddown: 24 * time.Hour},
-		Seed:          1,
+		RepairConfig: core.RepairConfig{
+			Staffing:  tickets.Staffing{ServiceTime: 2 * time.Hour},
+			Dampening: &core.DampeningConfig{Window: 12 * time.Hour, Flaps: 3, Holddown: 24 * time.Hour},
+		},
+		Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,14 +298,14 @@ func TestDampeningReleaseReenablesHealthyLink(t *testing.T) {
 
 func TestDampeningConfigValidation(t *testing.T) {
 	topo := simTopo(t)
-	bad := []*DampeningConfig{
+	bad := []*core.DampeningConfig{
 		{Window: 0, Flaps: 3, Holddown: time.Hour},
 		{Window: time.Hour, Flaps: 0, Holddown: time.Hour},
 		{Window: time.Hour, Flaps: 3, Holddown: 0},
 		{Window: -time.Hour, Flaps: 3, Holddown: time.Hour},
 	}
 	for _, d := range bad {
-		if _, err := New(topo, simTech(), Config{Dampening: d}); err == nil {
+		if _, err := New(topo, simTech(), Config{RepairConfig: core.RepairConfig{Dampening: d}}); err == nil {
 			t.Fatalf("config %+v accepted", *d)
 		}
 	}

@@ -5,13 +5,12 @@ import (
 	"corropt/internal/faults"
 	"corropt/internal/optics"
 	"corropt/internal/simclock"
-	"corropt/internal/tickets"
 	"corropt/internal/topology"
 )
 
 // Scratch is the per-worker reusable state behind NewWithScratch: the event
-// clock, the ticket queue (with its recycled-ticket arena), the bookkeeping
-// maps, and a small pool of per-topology Network/State pairs that are Reset
+// clock, the repair loop (with its ticket queue's recycled-ticket arena and
+// its bookkeeping maps), and a small pool of per-topology Network/State pairs that are Reset
 // between scenarios instead of reallocated. A fresh Sim costs one
 // PathCounter sweep plus O(links) allocations; a Scratch-backed Sim reuses
 // all of it, which is what drives the experiment suite's event path toward
@@ -29,17 +28,13 @@ import (
 //     sample and per-day buffers are owned by the Result, never pooled.
 type Scratch struct {
 	clock *simclock.Clock
-	queue *tickets.Queue
+	loop  *core.RepairLoop
 	// pools is a tiny LRU (most-recently-used last) of per-topology reusable
 	// state. Scenario work lists are grouped by driver, so consecutive
 	// scenarios on one worker overwhelmingly share a topology; the LRU keeps
 	// the hit path O(maxTopoPools) with deterministic slice-order eviction
 	// (no map iteration).
 	pools []*topoScratch
-
-	reseated   map[topology.LinkID]bool
-	ticketed   map[topology.LinkID]bool
-	collateral map[topology.LinkID]int
 }
 
 // topoScratch is the reusable per-topology state: the Network (owning the
@@ -58,13 +53,7 @@ const maxTopoPools = 4
 
 // NewScratch returns an empty Scratch ready to back NewWithScratch calls.
 func NewScratch() *Scratch {
-	return &Scratch{
-		clock:      simclock.New(),
-		queue:      tickets.NewQueue(tickets.QueueConfig{}),
-		reseated:   make(map[topology.LinkID]bool),
-		ticketed:   make(map[topology.LinkID]bool),
-		collateral: make(map[topology.LinkID]int),
-	}
+	return &Scratch{clock: simclock.New(), loop: new(core.RepairLoop)}
 }
 
 // pool returns reusable per-topology state for topo, reset to the

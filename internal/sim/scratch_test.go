@@ -8,6 +8,7 @@ import (
 
 	"corropt/internal/core"
 	"corropt/internal/optics"
+	"corropt/internal/tickets"
 	"corropt/internal/topology"
 )
 
@@ -25,11 +26,11 @@ func scratchConfigs() []Config {
 		{Policy: PolicyCorrOpt, Seed: 2},
 		{Policy: PolicySwitchLocal, Seed: 3, Capacity: 0.5},
 		{Policy: PolicyFastOnly, Seed: 4, DetectionDelay: 15 * time.Minute},
-		{Policy: PolicyCorrOpt, Seed: 5, Technicians: 2, Repair: RepairRecommendation, IgnoreProb: 0.3},
-		{Policy: PolicyCorrOpt, Seed: 6, DrainMode: true, RepairCollateral: true, FixedAccuracy: 0.5},
+		{Policy: PolicyCorrOpt, Seed: 5, RepairConfig: core.RepairConfig{Staffing: tickets.Staffing{Technicians: 2}}, Repair: RepairRecommendation, IgnoreProb: 0.3},
+		{Policy: PolicyCorrOpt, Seed: 6, RepairConfig: core.RepairConfig{DrainMode: true, RepairCollateral: true}, FixedAccuracy: 0.5},
 		{Policy: PolicyNone, Seed: 7},
 		{Policy: PolicyCorrOpt, Seed: 8, Capacity: 0.5, Repair: RepairRecommendation,
-			IgnoreProb: 0.3, NoOpticsFraction: 0.25, UseDeployedEngine: true, TechAssign: mixAssign},
+			IgnoreProb: 0.3, NoOpticsFraction: 0.25, RepairConfig: core.RepairConfig{UseDeployedEngine: true}, TechAssign: mixAssign},
 	}
 }
 

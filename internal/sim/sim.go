@@ -1,10 +1,11 @@
 // Package sim drives the trace-based mitigation simulations of §7: a fault
-// trace replays against a topology while a mitigation policy (switch-local,
-// fast checker only, or full CorrOpt) decides which corrupting links to
-// disable; disabled links queue for repair; repairs succeed per the chosen
-// repair model; re-enabled links trigger re-optimization. The simulator
-// samples total penalty per second, the worst ToR's available-path
-// fraction, and ticket statistics — the series behind Figures 14–19.
+// trace replays against a topology through core.RepairLoop, which decides
+// under a mitigation policy (switch-local, fast checker only, or full
+// CorrOpt) which corrupting links to disable, tickets them, and returns
+// repaired links to service. The simulator owns ground truth and time: it
+// detects, works each ticket with the chosen repair model, and samples total
+// penalty per second, the worst ToR's available-path fraction, and ticket
+// statistics — the series behind Figures 14–19.
 package sim
 
 import (
@@ -73,36 +74,19 @@ type Config struct {
 	// under RepairRecommendation (the early deployment measured ~30%,
 	// §7.2); default 0 — recommendations are followed.
 	IgnoreProb float64
-	// UseDeployedEngine swaps in the simplified deployed recommendation
-	// engine (§7.2) instead of full Algorithm 1.
-	UseDeployedEngine bool
 	// NoOpticsFraction is the fraction of links whose switches expose no
 	// optical power data, so their tickets carry no recommendation (§7.2:
 	// "we cannot get optical power information from all types of
 	// switches"). Default 0.
 	NoOpticsFraction float64
-	// DrainMode enables the §8 extension "removing traffic instead of
-	// disabling links": a mitigated link is drained (routing cost raised)
-	// rather than shut down, so monitoring keeps flowing and a repair can
-	// be verified with test traffic before the link carries real load
-	// again. A failed repair is then detected without re-exposing
-	// applications, eliminating the Figure 12 re-enable/re-corrupt cycle.
-	DrainMode bool
-	// RepairCollateral models the §8 observation that repairing one link
-	// of a breakout cable takes its (healthy) sibling links down for the
-	// duration of the repair.
-	RepairCollateral bool
 	// TechAssign optionally assigns per-link transceiver technologies
 	// (real fabrics mix 10G/40G/100G optics with different power
 	// thresholds); nil uses the technology passed to New for every link.
 	TechAssign func(topology.LinkID) optics.Technology
-	// ServiceTime is one repair attempt's duration; default 48h.
-	ServiceTime time.Duration
-	// Technicians bounds concurrent repairs; 0 = unlimited.
-	Technicians int
-	// Dampening enables link-flap dampening (see DampeningConfig); nil
-	// disables it. The pointed-to config is read, never written.
-	Dampening *DampeningConfig
+	// RepairConfig configures the repair loop: service time, technicians,
+	// the deployed recommendation engine, drain mode, breakout collateral
+	// and flap dampening.
+	core.RepairConfig
 	// SampleInterval is the penalty sampling cadence; default 1h.
 	SampleInterval time.Duration
 	// Penalty is the impact function; default core.LinearPenalty.
@@ -122,9 +106,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FixedAccuracy == 0 {
 		c.FixedAccuracy = 0.8
-	}
-	if c.ServiceTime == 0 {
-		c.ServiceTime = 48 * time.Hour
 	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = time.Hour
@@ -182,11 +163,9 @@ type Result struct {
 // Sim is one configured simulation.
 type Sim struct {
 	cfg    Config
-	topo   *topology.Topology
 	state  *faults.State
 	net    *core.Network
-	eng    *core.Engine
-	queue  *tickets.Queue
+	loop   *core.RepairLoop
 	tech   *tickets.Technician
 	clock  *simclock.Clock
 	rng    *rngutil.Source
@@ -195,23 +174,6 @@ type Sim struct {
 	// would re-register the periodic sampler and re-accrue into the shared
 	// result, silently corrupting both runs' outputs.
 	ran bool
-
-	// reseated tracks links whose transceiver was reseated since the last
-	// successful repair (Algorithm 1's history input).
-	reseated map[topology.LinkID]bool
-	// ticketed marks links with an open ticket so overlapping faults on a
-	// disabled link do not double-book repairs.
-	ticketed map[topology.LinkID]bool
-	// collateral counts, per healthy link, how many in-progress breakout
-	// repairs are holding it down (RepairCollateral mode).
-	collateral map[topology.LinkID]int
-	// flapAt and dampUntil back flap dampening (Config.Dampening): recent
-	// detection times per link, and the holddown expiry armed once the flap
-	// count trips. Allocated only when dampening is enabled; deliberately
-	// not pooled in Scratch — the maps are tiny (flapping links only) and
-	// dampening runs are the exception, not the steady state.
-	flapAt    map[topology.LinkID][]time.Duration
-	dampUntil map[topology.LinkID]time.Duration
 
 	// Exact penalty integration: lastPenalty held since lastAccrueAt; the
 	// integral advances at every penalty-changing event, not just at
@@ -230,9 +192,8 @@ func New(topo *topology.Topology, tech optics.Technology, cfg Config) (*Sim, err
 }
 
 // NewWithScratch builds a simulation like New but, with a non-nil sc,
-// borrows the Scratch's pooled internals (clock, ticket queue, bookkeeping
-// maps, per-topology Network and fault State) instead of allocating fresh
-// ones. The pooled state is reset to exactly the fresh-construction state,
+// borrows the Scratch's pooled internals (clock, repair loop, per-topology
+// Network and fault State) instead of allocating fresh ones. The pooled state is reset to exactly the fresh-construction state,
 // so a scratch-backed Sim's Run output is bit-identical to New's for the
 // same inputs. Building a new Sim from sc invalidates every Sim previously
 // built from it; see Scratch for the ownership rules.
@@ -243,9 +204,8 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 		assign = func(topology.LinkID) optics.Technology { return tech }
 	}
 	s := &Sim{
-		cfg:  cfg,
-		topo: topo,
-		rng:  rngutil.New(cfg.Seed).Split("sim"),
+		cfg: cfg,
+		rng: rngutil.New(cfg.Seed).Split("sim"),
 	}
 	if sc == nil {
 		net, err := core.NewNetwork(topo, cfg.Capacity)
@@ -254,11 +214,8 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 		}
 		s.net = net
 		s.state = faults.NewMultiTechState(topo, assign)
-		s.queue = tickets.NewQueue(tickets.QueueConfig{ServiceTime: cfg.ServiceTime, Technicians: cfg.Technicians})
 		s.clock = simclock.New()
-		s.reseated = make(map[topology.LinkID]bool)
-		s.ticketed = make(map[topology.LinkID]bool)
-		s.collateral = make(map[topology.LinkID]int)
+		s.loop = new(core.RepairLoop)
 	} else {
 		ts, err := sc.pool(topo, cfg.Capacity, assign)
 		if err != nil {
@@ -266,23 +223,9 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 		}
 		s.net = ts.net
 		s.state = ts.state
-		sc.queue.Reset(tickets.QueueConfig{ServiceTime: cfg.ServiceTime, Technicians: cfg.Technicians, Quiet: true})
-		s.queue = sc.queue
 		sc.clock.Reset()
 		s.clock = sc.clock
-		clear(sc.reseated)
-		clear(sc.ticketed)
-		clear(sc.collateral)
-		s.reseated = sc.reseated
-		s.ticketed = sc.ticketed
-		s.collateral = sc.collateral
-	}
-	if cfg.Dampening != nil {
-		if err := cfg.Dampening.validate(); err != nil {
-			return nil, err
-		}
-		s.flapAt = make(map[topology.LinkID][]time.Duration)
-		s.dampUntil = make(map[topology.LinkID]time.Duration)
+		s.loop = sc.loop
 	}
 	// Incremental penalty accounting: the network maintains Σ (1-d_l)·I(f_l)
 	// as O(1)-updatable state, so settle/sample read it instead of
@@ -297,7 +240,9 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s.eng = eng
+	if err := s.loop.Reset(eng, cfg.RepairConfig, s.diagnose, nil); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	return s, nil
 }
 
@@ -402,88 +347,41 @@ func (s *Sim) monitor(l topology.LinkID, now time.Duration) {
 	})
 }
 
-// detect reports link l's mirrored rate to the engine and books what the
-// simulator owns of the outcome: the counters, the flap window, the ticket.
+// detect reports link l's mirrored rate to the repair loop and books the
+// counters and the ticket it opened.
 func (s *Sim) detect(l topology.LinkID, now time.Duration) {
-	d := s.eng.ReportCorruption(l, s.net.CorruptionRate(l))
+	d, opened := s.loop.Report(l, s.net.CorruptionRate(l), now)
 	switch d.Outcome {
-	case core.OutcomeBelowThreshold, core.OutcomeAlreadyDisabled:
-		return
-	}
-	s.result.CorruptionReports++
-	if s.cfg.Dampening != nil {
-		s.noteFlap(l, now)
-	}
-	if d.Disabled {
+	case core.OutcomeDisabled:
+		s.result.CorruptionReports++
 		s.result.LinksDisabled++
-		s.openTicket(l, now)
-	} else {
+	case core.OutcomeBlocked:
+		s.result.CorruptionReports++
 		s.result.UndisabledEvents++
 	}
+	s.schedule(opened, now)
 }
 
-// activate returns link l to service and tickets every link the engine's
-// activation step disables in response. The recorded rate stays what
-// syncRate mirrored: a sub-threshold residual keeps accruing penalty.
-func (s *Sim) activate(l topology.LinkID, now time.Duration) {
-	for _, nl := range s.eng.Activate(l, core.Scope{}) {
-		s.result.LinksDisabled++
-		s.openTicket(nl, now)
+// schedule books each opened ticket's repair completion.
+func (s *Sim) schedule(opened []core.Opened, now time.Duration) {
+	for _, o := range opened {
+		tk := o.Ticket
+		s.result.TicketsOpened++
+		s.clock.After(o.Done-now, func(at time.Duration) { s.completeRepair(tk, at) })
 	}
 }
 
-// openTicket books a repair for the (just disabled) link l.
-func (s *Sim) openTicket(l topology.LinkID, now time.Duration) {
-	if s.ticketed[l] {
-		return
+// diagnose reads Algorithm 1's inputs for l from ground truth, under
+// RepairRecommendation and unless l's switches expose no optics.
+func (s *Sim) diagnose(l topology.LinkID, reseated bool) (core.Diagnostics, bool) {
+	if s.cfg.Repair != RepairRecommendation || s.noOptics(l) {
+		return core.Diagnostics{}, false
 	}
-	s.ticketed[l] = true
-	rec := faults.ActionUnknown
-	if s.cfg.Repair == RepairRecommendation && !s.noOptics(l) {
-		if d, ok := core.DiagnoseState(s.state, l, s.cfg.DetectionThreshold, s.reseated[l]); ok {
-			if s.cfg.UseDeployedEngine {
-				rec = core.RecommendDeployed(d)
-			} else {
-				rec = core.Recommend(d)
-			}
-		}
-	}
-	tk, done := s.queue.Open(l, rec, now)
-	s.result.TicketsOpened++
-	if s.cfg.RepairCollateral {
-		// Working on one link of a breakout cable takes its healthy
-		// siblings down for the duration of the repair (§8).
-		for _, sib := range s.topo.SameBreakout(l) {
-			if sib == l || s.net.Disabled(sib) {
-				continue
-			}
-			s.collateral[sib]++
-			s.net.Disable(sib)
-		}
-	}
-	s.clock.After(done-now, func(at time.Duration) { s.completeRepair(tk, at) })
-}
-
-// releaseCollateral re-enables healthy siblings held down by l's repair.
-func (s *Sim) releaseCollateral(l topology.LinkID) {
-	if !s.cfg.RepairCollateral {
-		return
-	}
-	for _, sib := range s.topo.SameBreakout(l) {
-		if sib == l || s.collateral[sib] == 0 {
-			continue
-		}
-		s.collateral[sib]--
-		if s.collateral[sib] == 0 {
-			delete(s.collateral, sib)
-			s.net.Enable(sib)
-		}
-	}
+	return core.DiagnoseState(s.state, l, s.cfg.DetectionThreshold, reseated)
 }
 
 // completeRepair finishes a repair attempt: decide the action and its
-// outcome, update ground truth, re-enable the link, and let the policy
-// react to the activation.
+// outcome, update ground truth, and hand the outcome to the repair loop.
 func (s *Sim) completeRepair(tk *tickets.Ticket, now time.Duration) {
 	s.accrue(now)
 	defer s.settle()
@@ -499,46 +397,24 @@ func (s *Sim) completeRepair(tk *tickets.Ticket, now time.Duration) {
 		s.applyAction(l, action)
 	}
 	s.syncRate(l)
-	success := s.net.CorruptionRate(l) < s.cfg.DetectionThreshold
-	if err := s.queue.Resolve(tk, now, action, success); err != nil {
+	step, err := s.loop.Resolve(l, now, action, s.net.CorruptionRate(l) < s.cfg.DetectionThreshold)
+	if err != nil {
 		panic(err) // tickets are owned solely by the sim; double resolution is a bug
 	}
-	delete(s.ticketed, l)
-	if success {
-		delete(s.reseated, l)
-	}
-	s.releaseCollateral(l)
-
-	if !success {
-		if s.cfg.DrainMode {
-			// §8 extension: the link was only drained, so test traffic
-			// exposes the failed repair without ever putting application
-			// traffic back on it — no corruption exposure, straight to
-			// the next attempt.
-			s.openTicket(l, now)
-			return
-		}
+	switch step.Resolution {
+	case core.Reenabled:
 		// Figure 12's loop: the link corrupts as soon as it is enabled,
 		// monitoring re-detects it (after the usual polling latency, with
 		// application traffic exposed meanwhile), and a fresh ticket adds
 		// two more days.
-		s.net.Enable(l)
 		s.monitor(l, now)
-		return
+	case core.Held:
+		s.result.DampenedHolds++
+		s.clock.After(step.Until-now, func(at time.Duration) { s.releaseDampened(l, at) })
+	case core.Enabled:
+		s.result.LinksDisabled += len(step.Opened)
 	}
-	if s.cfg.Dampening != nil {
-		if until, ok := s.dampUntil[l]; ok && until > now {
-			// Flap dampening: the link repaired healthy but crossed the flap
-			// threshold recently, so hold it down until the holddown expires
-			// instead of re-enabling into the next flap.
-			s.result.DampenedHolds++
-			s.clock.After(until-now, func(at time.Duration) { s.releaseDampened(l, at) })
-			return
-		}
-	}
-	// A real activation: the policy may now disable other corrupting
-	// links that previously had to stay up.
-	s.activate(l, now)
+	s.schedule(step.Opened, now)
 }
 
 // noOptics reports whether link l's switches expose no optical power data;
@@ -575,9 +451,6 @@ func (s *Sim) primaryCause(l topology.LinkID) faults.RootCause {
 // exactly the faults the action addresses. Replacing a shared component
 // repairs the whole fault across links; everything else is link-scoped.
 func (s *Sim) applyAction(l topology.LinkID, action faults.RepairAction) {
-	if action == faults.ActionReseatTransceiver {
-		s.reseated[l] = true
-	}
 	active := append([]*faults.Fault(nil), s.state.ActiveFaults(l)...)
 	for _, f := range active {
 		if !tickets.ActionFixesFault(action, f) {

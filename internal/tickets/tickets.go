@@ -6,9 +6,7 @@
 package tickets
 
 import (
-	"container/heap"
 	"fmt"
-	"slices"
 	"time"
 
 	"corropt/internal/faults"
@@ -68,8 +66,8 @@ func (t *Ticket) Log(format string, args ...interface{}) {
 	t.Diary = append(t.Diary, fmt.Sprintf(format, args...))
 }
 
-// QueueConfig parameterizes the repair queue.
-type QueueConfig struct {
+// Staffing is the repair crew.
+type Staffing struct {
 	// ServiceTime is how long one repair attempt takes once started;
 	// default 48h (the two-day average of §5.2).
 	ServiceTime time.Duration
@@ -77,81 +75,75 @@ type QueueConfig struct {
 	// reproduces §7.1's simulation model where every ticket resolves a
 	// fixed two days after creation.
 	Technicians int
+}
+
+// QueueConfig parameterizes the repair queue.
+type QueueConfig struct {
+	Staffing
 	// Quiet suppresses diary lines. The experiment drivers never read
 	// diaries (only the diary tests do), and each line costs a Sprintf on
 	// the hot ticket path, so pooled simulation scratch runs quiet.
 	Quiet bool
 }
 
-func (c *QueueConfig) fillDefaults() {
-	if c.ServiceTime == 0 {
-		c.ServiceTime = 48 * time.Hour
-	}
-}
-
-// Queue is the FIFO maintenance queue.
+// Queue is the FIFO maintenance queue. It keeps no resolved ticket: its
+// statistics are running tallies whose per-link state is bounded by the
+// number of links, and Resolve recycles the ticket, so a warm queue's
+// Open+Resolve allocates nothing.
 type Queue struct {
 	cfg    QueueConfig
 	nextID int64
-	// workers holds the busy-until time of each technician when bounded.
-	workers busyHeap
-	open    map[int64]*Ticket
-	history []*Ticket
-	// attempts tracks per-link repair attempts for Attempt numbering.
-	attempts map[topology.LinkID]int
-	// free holds recycled tickets, refilled from history by Reset so a
-	// reused queue's Open path allocates nothing in steady state.
-	free []*Ticket
-	// keys is MeanAttempts' sort buffer, kept across calls and Resets.
-	keys []uint64
+	// workers is a min-heap of the technicians' busy-until times.
+	workers []time.Duration
+	links   map[topology.LinkID]linkTally
+	// all is every ticket the queue has allocated; free, those not open.
+	all, free []*Ticket
+
+	open, resolved         int
+	firstTries, firstFixes int
+	// attemptSum and repairedLinks back MeanAttempts: over the links with
+	// a successful ticket, the sum of each one's highest attempt.
+	attemptSum, repairedLinks int
 }
 
-type busyHeap []time.Duration
+// linkTally is one link's state: attempts numbers its open repair episode
+// (a success ends it), maxAttempt is its highest resolved attempt, and
+// repaired whether any ticket succeeded.
+type linkTally struct {
+	attempts, maxAttempt int
+	repaired             bool
+}
 
-func (h busyHeap) Len() int            { return len(h) }
-func (h busyHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h busyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *busyHeap) Push(x interface{}) { *h = append(*h, x.(time.Duration)) }
-func (h *busyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// siftDown restores the min-heap h after h[0] grew.
+func siftDown(h []time.Duration) {
+	for i, c := 0, 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }
 
 // NewQueue returns an empty Queue.
 func NewQueue(cfg QueueConfig) *Queue {
-	cfg.fillDefaults()
-	q := &Queue{
-		cfg:      cfg,
-		open:     make(map[int64]*Ticket),
-		attempts: make(map[topology.LinkID]int),
-	}
-	for i := 0; i < cfg.Technicians; i++ {
-		q.workers = append(q.workers, 0)
-	}
+	q := &Queue{links: make(map[topology.LinkID]linkTally)}
+	q.Reset(cfg)
 	return q
 }
 
 // Reset empties the queue back to its NewQueue(cfg) state, recycling every
-// resolved ticket for reuse by subsequent Opens. Tickets handed out before
-// Reset are invalidated (their fields will be overwritten); callers must
-// drop all ticket pointers first, the discipline sim.Scratch follows
-// between scenarios.
+// ticket it has handed out. Tickets handed out before Reset are invalidated
+// (their fields will be overwritten); callers must drop all ticket pointers
+// first, the discipline sim.Scratch follows between scenarios.
 func (q *Queue) Reset(cfg QueueConfig) {
-	cfg.fillDefaults()
-	q.cfg = cfg
-	q.nextID = 0
-	// Open tickets still live in q.open (never resolved); recycle them too.
-	for _, t := range q.open {
-		q.free = append(q.free, t)
+	if cfg.ServiceTime == 0 {
+		cfg.ServiceTime = 48 * time.Hour
 	}
-	clear(q.open)
-	q.free = append(q.free, q.history...)
-	q.history = q.history[:0]
-	clear(q.attempts)
-	q.workers = q.workers[:0]
+	*q = Queue{cfg: cfg, workers: q.workers[:0], links: q.links, all: q.all, free: append(q.free[:0], q.all...)}
+	clear(q.links)
 	for i := 0; i < cfg.Technicians; i++ {
 		q.workers = append(q.workers, 0)
 	}
@@ -161,129 +153,122 @@ func (q *Queue) Reset(cfg QueueConfig) {
 func (q *Queue) newTicket() *Ticket {
 	if n := len(q.free); n > 0 {
 		t := q.free[n-1]
-		q.free[n-1] = nil
 		q.free = q.free[:n-1]
-		diary := t.Diary[:0]
-		*t = Ticket{Diary: diary}
+		*t = Ticket{Diary: t.Diary[:0]}
 		return t
 	}
-	return &Ticket{}
+	t := &Ticket{}
+	q.all = append(q.all, t)
+	return t
 }
 
 // Open creates a ticket for link l at virtual time now and returns it along
 // with the virtual time its repair attempt will complete. With unlimited
 // technicians that is now + ServiceTime; with a bounded crew the ticket
 // waits for the first free technician (FIFO).
+//
+//lint:hotpath every ticket of the simulator and the fleet shards
 func (q *Queue) Open(l topology.LinkID, rec faults.RepairAction, now time.Duration) (*Ticket, time.Duration) {
-	q.attempts[l]++
+	lt := q.links[l]
+	lt.attempts++
+	q.links[l] = lt
+	//lint:allow escapes a ticket is allocated only while the arena grows to the most ever open at once
 	t := q.newTicket()
 	t.ID = q.nextID
 	t.Link = l
 	t.Recommendation = rec
-	t.Attempt = q.attempts[l]
-	t.Status = Queued
+	t.Attempt = lt.attempts
 	t.CreatedAt = now
 	q.nextID++
 	start := now
 	if len(q.workers) > 0 {
-		free := heap.Pop(&q.workers).(time.Duration)
-		if free > start {
-			start = free
-		}
-		heap.Push(&q.workers, start+q.cfg.ServiceTime)
+		// The earliest-free technician takes the ticket.
+		start = max(start, q.workers[0])
+		q.workers[0] = start + q.cfg.ServiceTime
+		siftDown(q.workers)
 	}
 	t.StartedAt = start
 	t.Status = InRepair
 	done := start + q.cfg.ServiceTime
-	q.open[t.ID] = t
+	q.open++
 	if !q.cfg.Quiet {
-		t.Log("opened at %v, repair scheduled to finish at %v (attempt %d, recommendation %v)",
-			now, done, t.Attempt, rec)
+		//lint:allow escapes diary lines are off in Quiet mode
+		t.Log("opened at %v, repair scheduled to finish at %v (attempt %d, recommendation %v)", now, done, t.Attempt, rec)
 	}
 	return t, done
 }
 
 // Resolve marks a ticket finished at virtual time now, recording the action
-// taken and whether it succeeded.
+// taken and whether it succeeded, and recycles it for the next Open. Until
+// then a second Resolve is rejected; after, t names the new ticket, so only
+// the caller's ownership guards a stale t (core.RepairLoop's per link).
+//
+//lint:hotpath every repair completion of the simulator and the fleet shards
 func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction, succeeded bool) error {
-	if _, ok := q.open[t.ID]; !ok {
+	if t.Status != InRepair {
+		//lint:allow escapes error construction on the reject path only
 		return fmt.Errorf("tickets: ticket %d is not open", t.ID)
 	}
-	delete(q.open, t.ID)
 	t.Status = Resolved
 	t.ResolvedAt = now
 	t.ActionTaken = action
 	t.Succeeded = succeeded
 	if !q.cfg.Quiet {
+		//lint:allow escapes diary lines are off in Quiet mode
 		t.Log("resolved at %v: action %v, success %v", now, action, succeeded)
 	}
-	q.history = append(q.history, t)
+	q.open--
+	q.resolved++
+	if t.Attempt == 1 {
+		q.firstTries++
+		if succeeded {
+			q.firstFixes++
+		}
+	}
+	lt := q.links[t.Link]
+	if lt.repaired {
+		q.attemptSum -= lt.maxAttempt
+	}
+	lt.maxAttempt = max(lt.maxAttempt, t.Attempt)
 	if succeeded {
 		// The repair episode is over; a future fault on the same link
 		// starts a fresh first attempt.
-		delete(q.attempts, t.Link)
+		lt.attempts = 0
+		if !lt.repaired {
+			q.repairedLinks++
+		}
+		lt.repaired = true
 	}
+	if lt.repaired {
+		q.attemptSum += lt.maxAttempt
+	}
+	q.links[t.Link] = lt
+	q.free = append(q.free, t)
 	return nil
 }
 
 // OpenCount reports the number of unresolved tickets.
-func (q *Queue) OpenCount() int { return len(q.open) }
+func (q *Queue) OpenCount() int { return q.open }
 
-// History returns resolved tickets in resolution order. The slice is
-// shared; callers must not mutate it.
-func (q *Queue) History() []*Ticket { return q.history }
+// Resolved reports the number of resolved tickets.
+func (q *Queue) Resolved() int { return q.resolved }
 
 // FirstAttemptSuccessRate computes, over resolved tickets, the fraction of
 // links repaired on their first attempt — the §7.2 accuracy metric (50%
 // before CorrOpt, 80% when recommendations are followed).
 func (q *Queue) FirstAttemptSuccessRate() float64 {
-	first, succeeded := 0, 0
-	for _, t := range q.history {
-		if t.Attempt == 1 {
-			first++
-			if t.Succeeded {
-				succeeded++
-			}
-		}
-	}
-	if first == 0 {
+	if q.firstTries == 0 {
 		return 0
 	}
-	return float64(succeeded) / float64(first)
+	return float64(q.firstFixes) / float64(q.firstTries)
 }
 
 // MeanAttempts reports the average number of attempts per repaired link: over
 // the links with at least one successful ticket, the mean of the highest
-// attempt number any of the link's tickets reached. It sorts one packed
-// (link, attempt, succeeded) key per resolved ticket in a buffer the queue
-// keeps, so a reused queue answers without allocating.
+// attempt number any of the link's tickets reached.
 func (q *Queue) MeanAttempts() float64 {
-	keys := q.keys[:0]
-	for _, t := range q.history {
-		k := uint64(uint32(t.Link))<<32 | uint64(uint32(t.Attempt))<<1
-		if t.Succeeded {
-			k |= 1
-		}
-		keys = append(keys, k)
-	}
-	q.keys = keys
-	slices.Sort(keys)
-	sum, links := 0, 0
-	succeeded := false
-	for i, k := range keys {
-		succeeded = succeeded || k&1 == 1
-		if i+1 < len(keys) && keys[i+1]>>32 == k>>32 {
-			continue
-		}
-		// k is the link's last key, so it carries the highest attempt.
-		if succeeded {
-			sum += int(uint32(k) >> 1)
-			links++
-		}
-		succeeded = false
-	}
-	if links == 0 {
+	if q.repairedLinks == 0 {
 		return 0
 	}
-	return float64(sum) / float64(links)
+	return float64(q.attemptSum) / float64(q.repairedLinks)
 }

@@ -24,10 +24,34 @@ func TestOpenResolveUnlimited(t *testing.T) {
 	if err := q.Resolve(tk, done, faults.ActionCleanFiber, true); err != nil {
 		t.Fatal(err)
 	}
-	if q.OpenCount() != 0 || len(q.History()) != 1 {
+	if q.OpenCount() != 0 || q.Resolved() != 1 {
 		t.Fatal("resolution bookkeeping wrong")
 	}
 	if err := q.Resolve(tk, done, faults.ActionCleanFiber, true); err == nil {
+		t.Fatal("double resolve accepted")
+	}
+}
+
+// TestResolveRecycledTicket pins Resolve's contract: a resolved ticket is
+// recycled by the next Open, after which a stale pointer to it names, and
+// resolves, the reopened ticket.
+func TestResolveRecycledTicket(t *testing.T) {
+	q := NewQueue(QueueConfig{})
+	stale, d := q.Open(1, faults.ActionCleanFiber, 0)
+	if err := q.Resolve(stale, d, faults.ActionCleanFiber, true); err != nil {
+		t.Fatal(err)
+	}
+	reopened, d2 := q.Open(2, faults.ActionReplaceFiber, d)
+	if reopened != stale || stale.Link != 2 || stale.ID != 1 {
+		t.Fatalf("Open did not recycle the resolved ticket: %+v", stale)
+	}
+	if err := q.Resolve(stale, d2, faults.ActionReplaceFiber, false); err != nil {
+		t.Fatalf("stale pointer to a reopened ticket rejected: %v", err)
+	}
+	if q.OpenCount() != 0 || q.Resolved() != 2 || reopened.Status != Resolved {
+		t.Fatalf("open %d, resolved %d, status %v", q.OpenCount(), q.Resolved(), reopened.Status)
+	}
+	if err := q.Resolve(stale, d2, faults.ActionReplaceFiber, false); err == nil {
 		t.Fatal("double resolve accepted")
 	}
 }
@@ -48,7 +72,7 @@ func TestAttemptNumbering(t *testing.T) {
 }
 
 func TestBoundedTechnicians(t *testing.T) {
-	q := NewQueue(QueueConfig{Technicians: 1, ServiceTime: 48 * time.Hour})
+	q := NewQueue(QueueConfig{Staffing: Staffing{Technicians: 1, ServiceTime: 48 * time.Hour}})
 	_, d1 := q.Open(1, faults.ActionUnknown, 0)
 	_, d2 := q.Open(2, faults.ActionUnknown, 0)
 	if d1 != 48*time.Hour {
@@ -160,12 +184,20 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-// mapMeanAttempts is the map-based MeanAttempts the sort replaced, kept as
-// its reference: per link with a successful ticket, the highest attempt.
-func mapMeanAttempts(q *Queue) float64 {
+// resolvedTicket is one entry of a test's own log of resolves.
+type resolvedTicket struct {
+	Link      topology.LinkID
+	Attempt   int
+	Succeeded bool
+}
+
+// mapMeanAttempts is the map-based MeanAttempts the running tally replaced,
+// kept as its reference: per link with a successful ticket, the highest
+// attempt, over a log of every resolved ticket.
+func mapMeanAttempts(log []resolvedTicket) float64 {
 	perLink := make(map[topology.LinkID]int)
 	success := make(map[topology.LinkID]bool)
-	for _, t := range q.History() {
+	for _, t := range log {
 		perLink[t.Link] = max(perLink[t.Link], t.Attempt)
 		if t.Succeeded {
 			success[t.Link] = true
@@ -183,21 +215,25 @@ func mapMeanAttempts(q *Queue) float64 {
 
 // TestMeanAttemptsMatchesMapReference replays random open/resolve sequences
 // — several episodes per link, some ending unrepaired — across Resets of one
-// queue and requires MeanAttempts to equal the map reference exactly.
+// queue and requires MeanAttempts to equal the map reference over the test's
+// own log of resolves exactly.
 func TestMeanAttemptsMatchesMapReference(t *testing.T) {
 	q := NewQueue(QueueConfig{Quiet: true})
 	rng := rngutil.New(7)
 	for run := 0; run < 20; run++ {
 		q.Reset(QueueConfig{Quiet: true})
+		var log []resolvedTicket
 		now := time.Duration(0)
 		for i := 0; i < 300; i++ {
 			l := topology.LinkID(rng.Intn(40) * 1000003 % (1 << 30))
 			tk, done := q.Open(l, faults.ActionUnknown, now)
 			now = done
-			if err := q.Resolve(tk, done, faults.ActionUnknown, rng.Bool(0.4)); err != nil {
+			ok := rng.Bool(0.4)
+			log = append(log, resolvedTicket{Link: tk.Link, Attempt: tk.Attempt, Succeeded: ok})
+			if err := q.Resolve(tk, done, faults.ActionUnknown, ok); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := q.MeanAttempts(), mapMeanAttempts(q); got != want {
+			if got, want := q.MeanAttempts(), mapMeanAttempts(log); got != want {
 				t.Fatalf("run %d ticket %d: MeanAttempts = %v, map reference %v", run, i, got, want)
 			}
 		}
@@ -235,17 +271,17 @@ func TestTechnicianEscalatesLate(t *testing.T) {
 }
 
 // TestQueueReset pins that Reset restores a pooled queue to its NewQueue
-// state: IDs and attempt numbering restart, history empties, and the
+// state: IDs and attempt numbering restart, the tallies empty, and the
 // technician pool is rebuilt for the new config.
 func TestQueueReset(t *testing.T) {
-	q := NewQueue(QueueConfig{Technicians: 1})
+	q := NewQueue(QueueConfig{Staffing: Staffing{Technicians: 1}})
 	t1, d1 := q.Open(4, faults.ActionCleanFiber, 0)
 	q.Resolve(t1, d1, faults.ActionCleanFiber, false)
 	q.Open(4, faults.ActionCleanFiber, d1) // left open across Reset
 
-	q.Reset(QueueConfig{Technicians: 2, Quiet: true})
-	if q.OpenCount() != 0 || len(q.History()) != 0 {
-		t.Fatalf("Reset left %d open, %d resolved", q.OpenCount(), len(q.History()))
+	q.Reset(QueueConfig{Staffing: Staffing{Technicians: 2}, Quiet: true})
+	if q.OpenCount() != 0 || q.Resolved() != 0 {
+		t.Fatalf("Reset left %d open, %d resolved", q.OpenCount(), q.Resolved())
 	}
 	t2, _ := q.Open(4, faults.ActionCleanFiber, 0)
 	if t2.ID != 0 || t2.Attempt != 1 {
