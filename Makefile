@@ -48,19 +48,21 @@ ci: build test bench-smoke lint cover test-race test-chaos test-scenarios fuzz
 ## runner under the race detector — the pool shares topologies and fault
 ## traces across workers, so this is the guard on that immutability contract
 ## (core and topology start no goroutine; each worker owns its Network and
-## PathCounter). The experiments run
-## covers the scenario-sharded drivers: the global RunMany work list, the
-## memoized topology/trace cache under concurrent misses and FIFO eviction,
-## and per-worker Scratch reuse. The fleet run pins TestFleetMatchesSerial —
-## byte-identical supervisor snapshots for every shard/worker count — with
-## shard drains racing on the worker pool. ctlplane, snmplite and detector
-## are the packages that run one goroutine per connection or in-flight
-## request: each connection's read buffer, the reply cache behind the
-## controller's mutex and the clocks tests inject are what the detector
-## watches there. telemetry is what the snmplite responder reads while the
-## poll loop writes each observation in place (TestConcurrentReadsDuringPoll
-## guards the Collector's lock); faults.State is the single-goroutine ground
-## truth under it.
+## PathCounter, and shares read-only the topology's path-count order/total
+## and, in fleet, a shape's shardSet of routing and segment tables). The
+## experiments run covers the scenario-sharded drivers: the global RunMany
+## work list, the memoized topology/trace cache under concurrent misses and
+## FIFO eviction, and per-worker Scratch reuse. The fleet run pins
+## TestFleetMatchesSerial — byte-identical supervisor snapshots for every
+## shard/worker count — with shard drains racing on the worker pool, two of
+## its DCNs on one shardSet. ctlplane, snmplite and detector are the
+## packages that run one goroutine per connection or in-flight request: each
+## connection's read buffer, the reply cache behind the controller's mutex
+## and the clocks tests inject are what the detector watches there.
+## telemetry is what the snmplite responder reads while the poll loop writes
+## each observation in place (TestConcurrentReadsDuringPoll guards the
+## Collector's lock); faults.State is the single-goroutine ground truth
+## under it.
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/topology/... ./internal/sim/... ./internal/runner/... ./internal/fleet/...
 	$(GO) test -race ./internal/ctlplane/... ./internal/snmplite/... ./internal/detector/... ./internal/telemetry/... ./internal/faults/...

@@ -98,11 +98,10 @@ type Supervisor struct {
 	dcns   []DCN
 	shards []*shard
 
-	// Per-DCN routing tables: source link id → owning shard (index into
-	// shards) and the link's id inside that shard's sub-topology.
-	shardOf [][]int32
-	localOf [][]topology.LinkID
-	// dcnShards[d] is the contiguous [lo, hi) range of d's shards.
+	// sets[d] is DCN d's shape packing, which routes its links; shared by
+	// every DCN of one shape. dcnShards[d] is the contiguous [lo, hi) range
+	// of d's shards.
+	sets      []*shardSet
 	dcnShards [][2]int
 
 	pending  int
@@ -118,7 +117,7 @@ type Supervisor struct {
 }
 
 // New builds a Supervisor over the given DCNs. Identical *Topology values
-// are partitioned and materialized into sub-topologies once and shared.
+// are partitioned, packed and routed once, into one shared shardSet.
 func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 	if len(dcns) == 0 {
 		return nil, fmt.Errorf("fleet: no DCNs")
@@ -128,8 +127,7 @@ func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 	s := &Supervisor{
 		cfg:       cfg,
 		dcns:      slices.Clone(dcns),
-		shardOf:   make([][]int32, len(dcns)),
-		localOf:   make([][]topology.LinkID, len(dcns)),
+		sets:      make([]*shardSet, len(dcns)),
 		dcnShards: make([][2]int, len(dcns)),
 		perDCN:    make([]shardStats, len(dcns)),
 	}
@@ -157,33 +155,25 @@ func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 		s.segments += len(p.segs)
 	}
 
-	globalSeg := 0
 	for i := range s.dcns {
 		p, err := parts.get(s.dcns[i].Topo)
 		if err != nil {
 			return nil, err
 		}
 		target := dcnShardTarget(cfg.Shards, len(p.units), totalUnits)
-		built, err := parts.shards(s.dcns[i].Topo, target)
+		set, err := parts.shards(s.dcns[i].Topo, target)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
 		}
 		lo := len(s.shards)
-		s.shardOf[i] = make([]int32, s.dcns[i].Topo.NumLinks())
-		s.localOf[i] = make([]topology.LinkID, s.dcns[i].Topo.NumLinks())
-		for _, bs := range built {
-			sh, err := newShard(i, bs, &cfg, globalSeg)
+		for _, bs := range set.shards {
+			sh, err := newShard(i, bs, &cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
 			}
-			globalSeg += len(sh.segs)
-			idx := len(s.shards)
 			s.shards = append(s.shards, sh)
-			for local, src := range sh.sub.Links {
-				s.shardOf[i][src] = int32(idx)
-				s.localOf[i][src] = topology.LinkID(local)
-			}
 		}
+		s.sets[i] = set
 		s.dcnShards[i] = [2]int{lo, len(s.shards)}
 	}
 	return s, nil
@@ -229,10 +219,11 @@ func (s *Supervisor) Route(ev Event) error {
 		//lint:allow escapes error construction on the reject path only
 		return fmt.Errorf("fleet: %w", err)
 	}
-	sh := s.shards[s.shardOf[ev.DCN][ev.Link]]
+	set := s.sets[ev.DCN]
+	sh := s.shards[s.dcnShards[ev.DCN][0]+int(set.shardOf[ev.Link])]
 	sh.pending = append(sh.pending, shardEvent{
 		at:   ev.At,
-		link: s.localOf[ev.DCN][ev.Link],
+		link: set.localOf[ev.Link],
 		kind: ev.Kind,
 		rate: ev.Rate,
 	})

@@ -10,30 +10,26 @@ import (
 	"corropt/internal/topology"
 )
 
-// shard owns one sub-topology — a union of whole cone-closed segments of one
-// DCN — and every piece of controller state for it: the Network with its
-// incremental path counter, and the core.RepairLoop that decides and tickets
-// over it, with activations scoped to the repaired link's segment. drain
-// runs on a worker pool but touches shard-local state only.
+// shard owns the controller state of one sub-topology — a union of whole
+// cone-closed segments of one DCN: the Network with its incremental path
+// counter, and the core.RepairLoop that decides and tickets over it, with
+// activations scoped to the repaired link's segment. The sub-topology and
+// its segment tables are the shape's, shared read-only with every DCN of
+// that shape. drain runs on a worker pool but writes shard-local state only.
 type shard struct {
+	*builtShard
 	dcn  int
-	sub  *topology.SegmentGraph
 	net  *core.Network
 	loop *core.RepairLoop
-
-	// segOf maps a local link to its index in segs.
-	segOf []int32
-	segs  []segState
 
 	pending []shardEvent
 	stats   shardStats
 }
 
-// segState is the controller state of one atomic segment within a shard.
-type segState struct {
-	global int                 // fleet-wide segment index
-	links  *topology.LinkSet   // local link ids
-	tors   []topology.SwitchID // local ToR ids, ascending
+// segment is one atomic segment of a built shard, in its local ids.
+type segment struct {
+	links *topology.LinkSet
+	tors  []topology.SwitchID // ascending
 }
 
 // shardEvent is a routed event in shard-local coordinates.
@@ -59,9 +55,8 @@ func (a *shardStats) add(b shardStats) {
 	a.cleared += b.cleared
 }
 
-// newShard builds the controller state for one packed shard. segBase is the
-// fleet-wide index of the shard's first segment.
-func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error) {
+// newShard builds the controller state for one packed shard of DCN dcn.
+func newShard(dcn int, bs *builtShard, cfg *Config) (*shard, error) {
 	net, err := core.NewNetwork(bs.sub.Topo, cfg.Capacity)
 	if err != nil {
 		return nil, err
@@ -74,37 +69,11 @@ func newShard(dcn int, bs *builtShard, cfg *Config, segBase int) (*shard, error)
 	if err != nil {
 		return nil, err
 	}
-	sh := &shard{
-		dcn:   dcn,
-		sub:   bs.sub,
-		net:   net,
-		segOf: make([]int32, bs.sub.Topo.NumLinks()),
-		segs:  make([]segState, len(bs.segs)),
-	}
+	sh := &shard{builtShard: bs, dcn: dcn, net: net}
 	// A repair frees capacity only in its own segment, by the boundary
 	// invariant, so the loop re-checks that segment alone.
 	if sh.loop, err = core.NewRepairLoop(eng, core.RepairConfig{}, nil, sh.scope); err != nil {
 		return nil, err
-	}
-	for si, seg := range bs.segs {
-		st := &sh.segs[si]
-		st.global = segBase + si
-		st.links = topology.NewLinkSet(bs.sub.Topo.NumLinks())
-		for _, src := range seg.Links {
-			local, ok := slices.BinarySearch(sh.sub.Links, src)
-			if !ok {
-				return nil, fmt.Errorf("fleet: segment link %d missing from shard sub-topology", src)
-			}
-			st.links.Add(topology.LinkID(local))
-			sh.segOf[local] = int32(si)
-		}
-		for _, srcTor := range seg.ToRs {
-			local, ok := slices.BinarySearch(sh.sub.Switches, srcTor)
-			if !ok {
-				return nil, fmt.Errorf("fleet: segment ToR %d missing from shard sub-topology", srcTor)
-			}
-			st.tors = append(st.tors, topology.SwitchID(local))
-		}
 	}
 	return sh, nil
 }
@@ -154,7 +123,7 @@ func (sh *shard) scope(l topology.LinkID) core.Scope {
 // — from the network state at read time, in ascending link order. Nothing
 // is accumulated per event, so the float depends only on the segment's
 // current state, not on shard packing, worker count or flush batching.
-func (sh *shard) segPenalty(seg *segState, penalty core.PenaltyFunc) float64 {
+func (sh *shard) segPenalty(seg *segment, penalty core.PenaltyFunc) float64 {
 	sum := 0.0
 	seg.links.Each(func(l topology.LinkID) {
 		if r := sh.net.CorruptionRate(l); r > 0 && !sh.net.Disabled(l) {
@@ -166,27 +135,36 @@ func (sh *shard) segPenalty(seg *segState, penalty core.PenaltyFunc) float64 {
 
 // partEntry caches one distinct topology's partition, its packable units
 // (segments with ToR-less orphans glued to a neighbor so every unit can
-// anchor a valid sub-topology), and materialized shard sets per target
-// count.
+// anchor a valid sub-topology), and its shard sets per target count.
 type partEntry struct {
 	topo  *topology.Topology
 	segs  []topology.Segment
 	units [][]int // unit → segment indices, in global segment order
-
-	targets []int
-	builds  [][]*builtShard
+	sets  []*shardSet
 }
 
-// builtShard is one packed shard before controller state is attached: its
-// sub-topology and the source-id segments it owns, in global order.
+// shardSet is one shape packed into target shards, built once and shared
+// read-only by every DCN of that shape: the routing tables from a source
+// link to its shard (relative to the DCN's first shard) and to its id in
+// that shard's sub-topology, and the shards themselves.
+type shardSet struct {
+	target  int
+	shardOf []int32
+	localOf []topology.LinkID
+	shards  []*builtShard
+}
+
+// builtShard is the immutable half of a shard: its sub-topology, and its
+// segments in local ids with the map from each local link to its segment.
 type builtShard struct {
-	sub  *topology.SegmentGraph
-	segs []topology.Segment
+	sub   *topology.SegmentGraph
+	segOf []int32
+	segs  []segment
 }
 
-// partCache memoizes partitions and shard materializations by topology
-// pointer: fleets commonly replicate a few shapes many times, and the
-// per-shard Networks are the only state that must be per-DCN.
+// partCache memoizes partitions and shard sets by topology pointer: fleets
+// commonly replicate a few shapes many times, and the per-shard Networks
+// and repair loops are the only state that must be per-DCN.
 type partCache struct {
 	entries []*partEntry
 }
@@ -223,34 +201,74 @@ func (c *partCache) get(topo *topology.Topology) (*partEntry, error) {
 	return e, nil
 }
 
-// shards materializes (or returns the memoized) packed shard set for the
+// shards builds (or returns the memoized) shard set packing topo into the
 // given per-DCN target count.
-func (c *partCache) shards(topo *topology.Topology, target int) ([]*builtShard, error) {
+func (c *partCache) shards(topo *topology.Topology, target int) (*shardSet, error) {
 	e, err := c.get(topo)
 	if err != nil {
 		return nil, err
 	}
-	for i, t := range e.targets {
-		if t == target {
-			return e.builds[i], nil
+	for _, set := range e.sets {
+		if set.target == target {
+			return set, nil
 		}
 	}
-	bins := packUnits(e, target)
-	out := make([]*builtShard, 0, len(bins))
-	for _, bin := range bins {
+	set := &shardSet{
+		target:  target,
+		shardOf: make([]int32, topo.NumLinks()),
+		localOf: make([]topology.LinkID, topo.NumLinks()),
+	}
+	for i, bin := range packUnits(e, target) {
 		segsIn := make([]topology.Segment, len(bin))
 		for j, si := range bin {
 			segsIn[j] = e.segs[si]
 		}
-		sub, err := topo.SegmentGraph(segsIn)
+		bs, err := buildShard(topo, segsIn)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &builtShard{sub: sub, segs: segsIn})
+		for local, src := range bs.sub.Links {
+			set.shardOf[src] = int32(i)
+			set.localOf[src] = topology.LinkID(local)
+		}
+		set.shards = append(set.shards, bs)
 	}
-	e.targets = append(e.targets, target)
-	e.builds = append(e.builds, out)
-	return out, nil
+	e.sets = append(e.sets, set)
+	return set, nil
+}
+
+// buildShard materializes the sub-topology of the given segments of topo and
+// maps each segment into its local ids.
+func buildShard(topo *topology.Topology, segs []topology.Segment) (*builtShard, error) {
+	sub, err := topo.SegmentGraph(segs)
+	if err != nil {
+		return nil, err
+	}
+	bs := &builtShard{
+		sub:   sub,
+		segOf: make([]int32, sub.Topo.NumLinks()),
+		segs:  make([]segment, len(segs)),
+	}
+	for si, seg := range segs {
+		st := &bs.segs[si]
+		st.links = topology.NewLinkSet(sub.Topo.NumLinks())
+		for _, src := range seg.Links {
+			local, ok := slices.BinarySearch(sub.Links, src)
+			if !ok {
+				return nil, fmt.Errorf("fleet: segment link %d missing from shard sub-topology", src)
+			}
+			st.links.Add(topology.LinkID(local))
+			bs.segOf[local] = int32(si)
+		}
+		for _, srcTor := range seg.ToRs {
+			local, ok := slices.BinarySearch(sub.Switches, srcTor)
+			if !ok {
+				return nil, fmt.Errorf("fleet: segment ToR %d missing from shard sub-topology", srcTor)
+			}
+			st.tors = append(st.tors, topology.SwitchID(local))
+		}
+	}
+	return bs, nil
 }
 
 // packUnits chunks the units into target contiguous bins balanced by link

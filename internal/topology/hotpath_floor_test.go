@@ -21,7 +21,7 @@ var hotpathFloors = []hotpathFloor{{
 	// One Apply+Revert delta pair — the unit of work of the fast checker's
 	// probe and the optimizer DFS's branch step — per uplink of one ToR on
 	// the paper's large DCN (34,560 links). The warm-up pass grows
-	// propagate's scratch to steady capacity: the per-stage dirty buckets and
+	// propagate's scratch to steady capacity: the per-stage buckets and
 	// the changedToRs list.
 	name:  "apply_revert",
 	roots: []string{"(*PathCounter).Apply", "(*PathCounter).Revert"},

@@ -37,23 +37,7 @@ func (pc *PathCounter) ResetIncremental(disabled *LinkSet) {
 		}
 	}
 	pc.numIncDisabled = pc.incDisabled.Len()
-	t := pc.t
-	top := Stage(t.Stages() - 1)
-	for _, id := range pc.order {
-		sw := t.Switch(id)
-		if sw.Stage == top {
-			pc.inc[id] = 1
-			continue
-		}
-		var n int64
-		for _, l := range sw.Uplinks {
-			if pc.incDisabled.Has(l) {
-				continue
-			}
-			n += pc.inc[t.Link(l).Upper]
-		}
-		pc.inc[id] = n
-	}
+	pc.t.sweep(pc.inc, pc.incDisabled.Has)
 }
 
 // IncCounts returns the per-switch counts under the incremental disabled
@@ -156,26 +140,28 @@ func (pc *PathCounter) Commit() []SwitchID {
 // its count when commit is set, and zeroes the deltas: outside a pending
 // probe every delta is zero, which is what lets Probed read any switch.
 func (pc *PathCounter) drain(commit bool) {
-	for st, bucket := range pc.dirtyStage {
+	for st, bucket := range pc.buckets {
 		for _, u := range bucket {
 			if commit {
 				pc.inc[u] += pc.delta[u]
 			}
 			pc.delta[u] = 0
 		}
-		pc.dirtyStage[st] = bucket[:0]
+		pc.buckets[st] = bucket[:0]
 	}
 	pc.probed = NoLink
 }
 
 // propagate adds d0 to start's count and pushes the change down the
 // downstream cone, stage by stage. All deltas in one propagation share
-// d0's sign, so no cancellation can occur and every visited switch with a
-// non-zero delta is genuinely changed. Without commit the counts are left
-// alone and each visited switch keeps its delta in its stage bucket, as a
-// pending probe for Commit or drain; either way a probe pending on entry is
-// dropped first. The stage buckets are empty unless a probe is pending, so
-// Apply and Revert pay nothing for that.
+// d0's sign, so no cancellation can occur: a switch's delta is non-zero
+// from its first visit on, and since every delta is zero outside a pending
+// probe, a zero delta is the mark of a switch the walk has not reached yet.
+// Without commit the counts are left alone and each visited switch keeps
+// its delta in its stage bucket, as a pending probe for Commit or drain;
+// either way a probe pending on entry is dropped first. The stage buckets
+// are empty unless a probe is pending, so Apply and Revert pay nothing for
+// that.
 func (pc *PathCounter) propagate(start SwitchID, d0 int64, commit bool) []SwitchID {
 	if pc.probed != NoLink {
 		pc.drain(false)
@@ -186,25 +172,12 @@ func (pc *PathCounter) propagate(start SwitchID, d0 int64, commit bool) []Switch
 	}
 	t := pc.t
 	startStage := int(t.Switch(start).Stage)
-	pc.dirtyEpoch++
-	e := pc.dirtyEpoch
-	if e == 0 { // wrapped: invalidate stale marks
-		for i := range pc.dirty {
-			pc.dirty[i] = 0
-		}
-		pc.dirtyEpoch = 1
-		e = 1
-	}
-	pc.dirty[start] = e
 	pc.delta[start] = d0
-	pc.dirtyStage[startStage] = append(pc.dirtyStage[startStage][:0], start)
+	pc.buckets[startStage] = append(pc.buckets[startStage][:0], start)
 	for st := startStage; st >= 0; st-- {
-		bucket := pc.dirtyStage[st]
+		bucket := pc.buckets[st]
 		for _, u := range bucket {
 			d := pc.delta[u]
-			if d == 0 {
-				continue
-			}
 			if commit {
 				pc.inc[u] += d
 				pc.delta[u] = 0
@@ -218,16 +191,14 @@ func (pc *PathCounter) propagate(start SwitchID, d0 int64, commit bool) []Switch
 					continue
 				}
 				v := t.Link(dl).Lower
-				if pc.dirty[v] != e {
-					pc.dirty[v] = e
-					pc.delta[v] = 0
-					pc.dirtyStage[st-1] = append(pc.dirtyStage[st-1], v)
+				if pc.delta[v] == 0 {
+					pc.buckets[st-1] = append(pc.buckets[st-1], v)
 				}
 				pc.delta[v] += d
 			}
 		}
 		if commit {
-			pc.dirtyStage[st] = bucket[:0]
+			pc.buckets[st] = bucket[:0]
 		}
 	}
 	return pc.changedToRs

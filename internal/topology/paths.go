@@ -1,5 +1,7 @@
 package topology
 
+import "slices"
+
 // This file implements the valley-free path counting at the heart of
 // CorrOpt's fast checker (§5.1). A valley-free ToR→spine path goes strictly
 // upward through the stages, so the number of paths from switch v at stage s
@@ -26,14 +28,13 @@ type DisabledFunc func(LinkID) bool
 // engine production runs (the paper's §5.1 "check only the downstream of l"
 // refinement taken to its conclusion).
 //
-// The two engines share the topology's stage structure but use disjoint
-// result buffers, so interleaving Count and Apply/Revert is safe (though the
-// slice Count returns is invalidated by the next Count).
+// The two engines share the topology's skeleton — the evaluation order and
+// the all-links-active totals Build computes once — but use disjoint result
+// buffers, so interleaving Count and Apply/Revert is safe (though the slice
+// Count returns is invalidated by the next Count).
 type PathCounter struct {
 	t      *Topology
-	counts []int64 // per switch, paths to spine (full-sweep scratch)
-	order  []SwitchID
-	total  []int64 // per switch, paths with all links active (lazily built)
+	counts []int64 // per switch, Count's result (allocated on first Count)
 
 	// Incremental state (incremental.go): exact counts under incDisabled,
 	// maintained by Apply/Revert delta propagation; numIncDisabled counts
@@ -42,12 +43,10 @@ type PathCounter struct {
 	incDisabled    LinkSet
 	numIncDisabled int
 	delta          []int64
-	dirty          []uint32
-	dirtyEpoch     uint32
-	dirtyStage     [][]SwitchID
+	buckets        [][]SwitchID // per stage, the switches a walk reached
 	changedToRs    []SwitchID
 	// probed is the link of the pending Probe, NoLink when none is pending;
-	// the probe's deltas sit in delta, its switches in dirtyStage.
+	// the probe's deltas sit in delta, its switches in buckets.
 	probed LinkID
 }
 
@@ -55,31 +54,14 @@ type PathCounter struct {
 // incremental mode with an empty disabled set: Apply/Revert and IncCounts
 // are usable immediately.
 func NewPathCounter(t *Topology) *PathCounter {
-	n := t.NumSwitches()
 	pc := &PathCounter{
-		t:          t,
-		counts:     make([]int64, n),
-		inc:        make([]int64, n),
-		delta:      make([]int64, n),
-		dirty:      make([]uint32, n),
-		dirtyStage: make([][]SwitchID, t.Stages()),
-		probed:     NoLink,
+		t:       t,
+		inc:     slices.Clone(t.total),
+		delta:   make([]int64, t.NumSwitches()),
+		buckets: make([][]SwitchID, t.Stages()),
+		probed:  NoLink,
 	}
 	pc.incDisabled.Reset(t.NumLinks())
-	// Evaluation order: stages top-down, so every switch is processed after
-	// all switches one stage above it. Spines are seeded with one path each.
-	byStage := make([][]SwitchID, t.Stages())
-	t.Switches(func(s *Switch) {
-		byStage[s.Stage] = append(byStage[s.Stage], s.ID)
-	})
-	for st := t.Stages() - 1; st >= 0; st-- {
-		pc.order = append(pc.order, byStage[st]...)
-	}
-	// Compute the all-links-active totals eagerly: Count reuses the counts
-	// slice, so a lazy Total() computed after a Count() call would alias
-	// the caller's live result.
-	pc.total = append([]int64(nil), pc.Count(nil)...)
-	copy(pc.inc, pc.total)
 	return pc
 }
 
@@ -87,12 +69,22 @@ func NewPathCounter(t *Topology) *PathCounter {
 // returns the slice, indexed by SwitchID. The returned slice is reused by
 // subsequent calls; callers needing to keep it must copy.
 func (pc *PathCounter) Count(disabled DisabledFunc) []int64 {
-	t := pc.t
-	top := Stage(t.Stages() - 1)
-	for _, id := range pc.order {
-		sw := t.Switch(id)
+	if pc.counts == nil {
+		pc.counts = make([]int64, pc.t.NumSwitches())
+	}
+	pc.t.sweep(pc.counts, disabled)
+	return pc.counts
+}
+
+// sweep fills counts with every switch's path count, skipping the links
+// disabled reports, in one pass over t.order: spines are seeded with one
+// path each, and every other switch follows all switches one stage above it.
+func (t *Topology) sweep(counts []int64, disabled DisabledFunc) {
+	top := Stage(t.stages - 1)
+	for _, id := range t.order {
+		sw := &t.switches[id]
 		if sw.Stage == top {
-			pc.counts[id] = 1
+			counts[id] = 1
 			continue
 		}
 		var n int64
@@ -100,16 +92,16 @@ func (pc *PathCounter) Count(disabled DisabledFunc) []int64 {
 			if disabled != nil && disabled(l) {
 				continue
 			}
-			n += pc.counts[t.Link(l).Upper]
+			n += counts[t.links[l].Upper]
 		}
-		pc.counts[id] = n
+		counts[id] = n
 	}
-	return pc.counts
 }
 
-// Total returns the per-switch path counts with every link active,
-// computed once at construction. Callers must not mutate the result.
-func (pc *PathCounter) Total() []int64 { return pc.total }
+// Total returns the per-switch path counts with every link active, which
+// Build computed once and every counter over the topology shares. Callers
+// must not mutate the result.
+func (pc *PathCounter) Total() []int64 { return pc.t.total }
 
 // ToRFractions returns, for every ToR, the fraction of its valley-free
 // paths to the spine that survive the disabled links — the capacity metric

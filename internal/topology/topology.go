@@ -87,6 +87,11 @@ type Topology struct {
 	stages   int // number of stages = top stage + 1
 	tors     []SwitchID
 	spines   []SwitchID
+	// The path-count skeleton every PathCounter over t shares: the
+	// evaluation order (stages top-down) and each switch's path count with
+	// every link active.
+	order []SwitchID
+	total []int64
 }
 
 // NumSwitches reports the number of switches.
@@ -268,5 +273,15 @@ func (b *Builder) Build() (*Topology, error) {
 	}
 	sort.Slice(t.tors, func(i, j int) bool { return t.tors[i] < t.tors[j] })
 	sort.Slice(t.spines, func(i, j int) bool { return t.spines[i] < t.spines[j] })
+	t.order = make([]SwitchID, 0, len(t.switches))
+	for st := top; st >= 0; st-- {
+		for i := range t.switches {
+			if t.switches[i].Stage == st {
+				t.order = append(t.order, SwitchID(i))
+			}
+		}
+	}
+	t.total = make([]int64, len(t.switches))
+	t.sweep(t.total, nil)
 	return t, nil
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -121,6 +122,40 @@ func TestPathCountingFig10(t *testing.T) {
 	if got := frac[tor]; got != 9.0/25.0 {
 		t.Fatalf("fraction = %v, want 0.36", got)
 	}
+}
+
+// TestTopologyOwnsSkeleton holds the path-count skeleton to the topology:
+// every counter over it shares one Total() backing equal to a fresh full
+// sweep, and a new counter allocates no per-switch array beyond its inc and
+// delta counts.
+func TestTopologyOwnsSkeleton(t *testing.T) {
+	topo, err := NewClos(ClosConfig{
+		Pods: 72, ToRsPerPod: 56, AggsPerPod: 6,
+		Spines: 144, SpineUplinksPerAgg: 24, BreakoutSize: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewPathCounter(topo), NewPathCounter(topo)
+	if &a.Total()[0] != &b.Total()[0] {
+		t.Errorf("two counters over one topology hold separate Total() slices")
+	}
+	if !slices.Equal(a.Total(), b.Count(nil)) {
+		t.Errorf("Total() differs from a fresh Count(nil)")
+	}
+
+	// inc and delta are 8 bytes per switch and the disabled set one bit per
+	// link; one more per-switch array of even 4 bytes would exceed the bound.
+	n, words := topo.NumSwitches(), (topo.NumLinks()+63)/64
+	bound := uint64(20*n + 8*words)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pc := NewPathCounter(topo)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+		t.Errorf("NewPathCounter allocated %d bytes for %d switches, want < %d", got, n, bound)
+	}
+	runtime.KeepAlive(pc)
 }
 
 func TestWorstAndMeanToRFraction(t *testing.T) {
