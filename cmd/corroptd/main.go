@@ -1,7 +1,7 @@
 // Command corroptd is the CorrOpt controller daemon: it listens for
 // corruption reports and activation notifications on the control-plane TCP
-// port, answers with fast-checker decisions, and runs the optimizer on
-// every activation (the Figure 13 workflow).
+// port and steps the Figure 13 loop with each: fast-checker decisions,
+// a ticket per disabled link, and the optimizer on every activation.
 //
 // Usage:
 //
@@ -33,7 +33,7 @@ func main() {
 		threshold = flag.Float64("threshold", corropt.DefaultDetectionThreshold, "corruption detection threshold")
 		stateFile = flag.String("state", "", "persist disabled-link state to this file across restarts")
 		agentTTL  = flag.Duration("agent-timeout", 10*time.Minute,
-			"mark agents silent for this long as stale and re-optimize (0 disables the sweep)")
+			"mark agents silent for this long as stale (0 disables the sweep)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "corroptd: ", log.LstdFlags)
@@ -86,9 +86,8 @@ func main() {
 	fmt.Printf("corroptd: serving %d links (%d ToRs, %d switches) on %v, capacity %.0f%%\n",
 		topo.NumLinks(), len(topo.ToRs()), topo.NumSwitches(), ctl.Addr(), *capacity*100)
 
-	// Liveness sweep: agents that go silent are marked stale and the
-	// optimizer re-runs, so the mitigation loop degrades gracefully instead
-	// of wedging on activations that are never coming.
+	// Liveness sweep: agents that go silent are marked stale and stop
+	// counting as live in Status.
 	sweepStop := make(chan struct{})
 	var sweepWG sync.WaitGroup
 	if *agentTTL > 0 {

@@ -138,9 +138,8 @@ type Scope struct {
 // Engine is the decision half of Figure 13, the only implementation of it in
 // the repository: switches report corruption; the policy's check decides
 // immediately whether the link can be disabled; when repaired links come
-// back, the remaining active corrupting links are reconsidered. The control
-// plane drives it directly; the simulator and the fleet shards drive it
-// through RepairLoop.
+// back, the remaining active corrupting links are reconsidered. The
+// simulator, the fleet shards and the control plane drive it via RepairLoop.
 type Engine struct {
 	net       *Network
 	policy    PolicyKind
@@ -285,13 +284,6 @@ func (e *Engine) Activate(l topology.LinkID, scope Scope) []topology.LinkID {
 func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
 	e.net.SetCorruption(l, 0)
 	return e.Activate(l, Scope{})
-}
-
-// Reoptimize runs the activation step without any link state change,
-// returning the links it disabled; exposed for periodic background
-// optimization.
-func (e *Engine) Reoptimize() ([]topology.LinkID, OptimizeStats) {
-	return e.recheck(Scope{})
 }
 
 func (e *Engine) recheck(scope Scope) ([]topology.LinkID, OptimizeStats) {

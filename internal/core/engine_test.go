@@ -153,6 +153,8 @@ func TestCheckRate(t *testing.T) {
 	}
 }
 
+// TestEngineReoptimize holds the whole-topology re-check every activation
+// runs to links recorded out of band, which no report checked.
 func TestEngineReoptimize(t *testing.T) {
 	topo := smallClos(t)
 	net, _ := NewNetwork(topo, 0.25)
@@ -161,9 +163,51 @@ func TestEngineReoptimize(t *testing.T) {
 	// recorded out of band).
 	net.SetCorruption(1, 1e-3)
 	net.SetCorruption(2, 1e-3)
-	disabled, st := e.Reoptimize()
+	disabled, st := e.recheck(Scope{})
 	if len(disabled) != 2 {
-		t.Fatalf("reoptimize disabled %d, want 2 (stats %+v)", len(disabled), st)
+		t.Fatalf("re-check disabled %d, want 2 (stats %+v)", len(disabled), st)
+	}
+}
+
+// TestRecheckAfterOpsDisablesNothing holds what lets the control plane's
+// stale-agent sweep skip a re-check: after any report (the fast checker
+// disables every link it can) and any repair (the enable re-checks the whole
+// topology), a further whole-topology re-check finds nothing to disable.
+// Seeded random ops on the control-plane test fabric, under two capacities
+// and two penalties.
+func TestRecheckAfterOpsDisablesNothing(t *testing.T) {
+	topo, err := topology.NewClos(topology.ClosConfig{
+		Pods: 4, ToRsPerPod: 6, AggsPerPod: 3, Spines: 9, SpineUplinksPerAgg: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []float64{0.5, 0.75} {
+		for _, penalty := range []PenaltyFunc{LinearPenalty, TCPThroughputPenalty} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				net, err := NewNetwork(topo, capacity)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := NewEngine(net, EngineConfig{Penalty: penalty})
+				rng := rngutil.New(seed).Split("recheck-after-ops")
+				for op := 0; op < 2000; op++ {
+					l := topology.LinkID(rng.Intn(topo.NumLinks()))
+					if rng.Float64() < 0.6 {
+						e.ReportCorruption(l, math.Pow(10, rng.Range(-7, -2)))
+					} else {
+						e.LinkRepaired(l)
+					}
+					if got, _ := e.recheck(Scope{}); len(got) != 0 {
+						t.Fatalf("c=%v seed %d op %d on link %d: re-check disabled %v", capacity, seed, op, l, got)
+					}
+				}
+				if net.NumDisabled() == 0 || net.NumActiveCorrupting(e.Threshold()) == 0 {
+					t.Fatalf("c=%v seed %d: ends with %d disabled and %d blocked links", capacity, seed,
+						net.NumDisabled(), net.NumActiveCorrupting(e.Threshold()))
+				}
+			}
+		}
 	}
 }
 

@@ -104,6 +104,59 @@ var hotpathFloors = []hotpathFloor{{
 		}
 	},
 }, {
+	// One pass of the repair loop over engine_report's links: each is
+	// reported below the threshold and above it twice, which reaches all
+	// four outcomes and tickets every disable from the arena the warm-up
+	// grew; then every link is reported clean, so the activation re-checks
+	// find nothing to disable, and every ticket is resolved as a fix, which
+	// leaves the next pass where this one started.
+	name:  "loop_step",
+	roots: []string{"(*RepairLoop).Step"},
+	setup: func(tb testing.TB) func() {
+		net, corrupting := largeCorruptingNetwork(tb)
+		topo := net.Topology()
+		corrupting = append(corrupting, topo.Switch(topo.ToRs()[0]).Uplinks...)
+		loop, err := NewRepairLoop(NewEngine(net, EngineConfig{}), RepairConfig{}, nil, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var down []topology.LinkID
+		step := func(in Input) (Decision, RepairStep) {
+			d, s, err := loop.Step(in)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return d, s
+		}
+		return func() {
+			var seen [4]int
+			down = down[:0]
+			for _, l := range corrupting {
+				for _, rate := range [...]float64{5e-7, 1e-4, 1e-4} {
+					d, s := step(Input{Link: l, Kind: InputReport, Rate: rate})
+					seen[d.Outcome]++
+					for _, o := range s.Opened {
+						down = append(down, o.Ticket.Link)
+					}
+				}
+			}
+			if slices.Contains(seen[:], 0) {
+				tb.Fatalf("an outcome was never reached: %v", seen)
+			}
+			for _, l := range corrupting {
+				step(Input{Link: l, Kind: InputReport})
+			}
+			for _, l := range down {
+				if _, s := step(Input{Link: l, Kind: InputRepaired}); s.Resolution != Enabled || len(s.Opened) != 0 {
+					tb.Fatalf("repairing link %d: %+v", l, s)
+				}
+			}
+			if net.NumDisabled() != 0 {
+				tb.Fatalf("%d links still down after the pass", net.NumDisabled())
+			}
+		}
+	},
+}, {
 	// Incremental penalty accounting on the paper's medium DCN: every link's
 	// rate is moved (alternating between two values, so each pass folds a
 	// real delta through netstate's Penalty.Update) and the amortised sum is

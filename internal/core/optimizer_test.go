@@ -319,7 +319,7 @@ func TestActivationRecheckAllocs(t *testing.T) {
 	e, hot := activationState(t)
 	net := e.Network()
 	topo := net.Topology()
-	if _, st := e.Reoptimize(); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
+	if _, st := e.recheck(Scope{}); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
 		t.Fatalf("re-check finds %d violated ToRs in %d segments, want ≥ 5 in ≥ 3", len(e.opt.violatedBuf), st.Segments)
 	}
 	// An enabled clean agg uplink in a pod with no corruption.

@@ -52,7 +52,27 @@ type Opened struct {
 	Done   time.Duration
 }
 
-// Resolution is what Resolve or Release did with a link.
+// InputKind is what an Input tells a RepairLoop.
+type InputKind uint8
+
+const (
+	InputReport   InputKind = iota // monitoring measured the link's rate
+	InputRepaired                  // a repair attempt with Action ended
+	InputRelease                   // the link's flap holddown ended
+)
+
+// Input is one event of Figure 13's loop. Rate is the link's worst-direction
+// rate as its driver sees it at At, so a repair succeeded iff Rate is under
+// the detection threshold. Pointer-free: recorded inputs replay exactly.
+type Input struct {
+	At     time.Duration
+	Link   topology.LinkID
+	Kind   InputKind
+	Rate   float64
+	Action faults.RepairAction
+}
+
+// Resolution is what a repaired or release input did with a link.
 type Resolution uint8
 
 const (
@@ -63,12 +83,14 @@ const (
 	Reenabled
 	// Reticketed: still down, with a fresh ticket.
 	Reticketed
-	// Held: repaired, but dampening keeps it down; Release it at Until.
+	// Held: repaired, but dampening keeps it down; release it at Until.
 	Held
+	// Cleared: repaired while up; only its recorded rate changed.
+	Cleared
 )
 
-// RepairStep reports what one Resolve or Release call did. Opened lists the
-// tickets it opened, in order: the loop's buffer, valid until its next call.
+// RepairStep reports what one Step did. Opened lists the tickets it opened,
+// in order: the loop's buffer, valid until its next call.
 type RepairStep struct {
 	Resolution Resolution
 	Until      time.Duration
@@ -86,17 +108,16 @@ type TicketStats struct {
 // drives an Engine and owns everything from "the engine disabled a link" to
 // "the link is back in service": the ticket queue, one open ticket per
 // disabled link, the reseat history, breakout-collateral holds and flap
-// holddowns. A driver keeps ground truth and time: it reports corruption,
-// works each opened ticket until it is done, and resolves it.
+// holddowns. A driver keeps ground truth and time: it steps the loop with
+// each report, each ticket it worked until done, and each holddown's end.
 type RepairLoop struct {
 	eng      *Engine
 	net      *Network
 	cfg      RepairConfig
 	diagnose DiagnoseFunc
 	scope    func(topology.LinkID) Scope
-	queue    *tickets.Queue
+	queue    *tickets.Queue // owns each link's open ticket
 
-	open       map[topology.LinkID]*tickets.Ticket
 	reseated   map[topology.LinkID]bool // since the last successful repair
 	collateral map[topology.LinkID]int  // breakout repairs holding the link down
 	flapAt     map[topology.LinkID][]time.Duration
@@ -114,7 +135,9 @@ func NewRepairLoop(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc, scope f
 }
 
 // Reset rebuilds the loop as NewRepairLoop would, keeping its ticket arena
-// and map storage. Tickets handed out before Reset are invalidated.
+// and map storage; tickets handed out before Reset are invalidated. Every
+// link eng's network already has down (a restored state) gets a ticket at
+// time zero.
 func (r *RepairLoop) Reset(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc, scope func(topology.LinkID) Scope) error {
 	if d := cfg.Dampening; d != nil && (d.Window <= 0 || d.Flaps <= 0 || d.Holddown <= 0) {
 		return fmt.Errorf("core: dampening requires positive window, flaps, and holddown (got %v, %d, %v)",
@@ -122,55 +145,79 @@ func (r *RepairLoop) Reset(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc,
 	}
 	if r.queue == nil {
 		r.queue = tickets.NewQueue(tickets.QueueConfig{})
-		r.open, r.reseated = make(map[topology.LinkID]*tickets.Ticket), make(map[topology.LinkID]bool)
+		r.reseated = make(map[topology.LinkID]bool)
 		r.collateral, r.dampUntil = make(map[topology.LinkID]int), make(map[topology.LinkID]time.Duration)
 		r.flapAt = make(map[topology.LinkID][]time.Duration)
 	}
 	r.eng, r.net, r.cfg, r.diagnose, r.scope = eng, eng.Network(), cfg, diagnose, scope
 	r.queue.Reset(tickets.QueueConfig{Staffing: cfg.Staffing, Quiet: true})
-	clear(r.open)
 	clear(r.reseated)
 	clear(r.collateral)
 	clear(r.flapAt)
 	clear(r.dampUntil)
+	for l := range topology.LinkID(r.net.Topology().NumLinks()) {
+		if r.net.Disabled(l) && r.collateral[l] == 0 {
+			r.openTicket(l, 0)
+		}
+	}
 	return nil
 }
 
-// Report hands the engine a corruption report for link l at virtual time
-// now. An above-threshold report on an enabled link counts toward its flap
-// window; one that disables it opens its ticket, returned in opened (the
-// loop's buffer, valid until its next call).
-func (r *RepairLoop) Report(l topology.LinkID, rate float64, now time.Duration) (d Decision, opened []Opened) {
+// Step applies one input and reports what the engine decided (reports
+// only) and what the loop did. A repaired input for a link that is up is
+// Cleared; for one that is down without an open ticket, an error.
+//
+//lint:hotpath every input of the simulator, the fleet shards and the control plane
+func (r *RepairLoop) Step(in Input) (Decision, RepairStep, error) {
 	r.opened = r.opened[:0]
-	d = r.eng.ReportCorruption(l, rate)
-	switch d.Outcome {
-	case OutcomeBelowThreshold, OutcomeAlreadyDisabled:
-		return d, nil
+	l, now := in.Link, in.At
+	switch in.Kind {
+	case InputReport:
+		d := r.eng.ReportCorruption(l, in.Rate)
+		if r.cfg.Dampening != nil && (d.Outcome == OutcomeBlocked || d.Outcome == OutcomeDisabled) {
+			r.noteFlap(l, now)
+		}
+		if d.Outcome == OutcomeDisabled {
+			r.openTicket(l, now)
+		}
+		return d, RepairStep{Opened: r.opened}, nil
+	case InputRepaired:
+		if r.net.Disabled(l) {
+			step, err := r.resolve(in)
+			return Decision{}, step, err
+		}
+		r.net.SetCorruption(l, in.Rate)
+		return Decision{}, RepairStep{Resolution: Cleared}, nil
+	case InputRelease:
+		// The holddown is over: back in service unless corrupting again.
+		r.net.SetCorruption(l, in.Rate)
+		delete(r.dampUntil, l)
+		if r.net.CorruptionRate(l) >= r.eng.Threshold() {
+			r.openTicket(l, now)
+			return Decision{}, RepairStep{Resolution: Reticketed, Opened: r.opened}, nil
+		}
+		return Decision{}, r.activate(l, now), nil
 	}
-	if r.cfg.Dampening != nil {
-		r.noteFlap(l, now)
-	}
-	if d.Disabled {
-		r.openTicket(l, now)
-	}
-	return d, r.opened
+	//lint:allow escapes error construction on the reject path only
+	return Decision{}, RepairStep{}, fmt.Errorf("core: unknown input kind %d", in.Kind)
 }
 
-// Resolve closes link l's open ticket at virtual time now with the action
-// taken and whether the link came back clean, then enables it (Enabled),
-// puts a failed repair back in service (Reenabled), re-tickets it in drain
-// mode (Reticketed), or holds it for its flap holddown (Held).
-func (r *RepairLoop) Resolve(l topology.LinkID, now time.Duration, action faults.RepairAction, ok bool) (RepairStep, error) {
-	r.opened = r.opened[:0]
-	t := r.open[l]
+// resolve records in.Rate on the down link in.Link and closes its ticket, a
+// success iff the rate is under the threshold: the link is Enabled, Held
+// (dampening), Reenabled (a failure) or Reticketed (a failure, drain mode).
+func (r *RepairLoop) resolve(in Input) (RepairStep, error) {
+	l, now := in.Link, in.At
+	t := r.queue.OpenTicket(l)
 	if t == nil {
+		//lint:allow escapes error construction on the reject path only
 		return RepairStep{}, fmt.Errorf("core: link %d has no open ticket", l)
 	}
-	if err := r.queue.Resolve(t, now, action, ok); err != nil {
+	r.net.SetCorruption(l, in.Rate)
+	ok := in.Rate < r.eng.Threshold()
+	if err := r.queue.Resolve(t, now, in.Action, ok); err != nil {
 		return RepairStep{}, err
 	}
-	delete(r.open, l)
-	if !ok && (r.reseated[l] || action == faults.ActionReseatTransceiver) {
+	if !ok && (r.reseated[l] || in.Action == faults.ActionReseatTransceiver) {
 		r.reseated[l] = true
 	} else {
 		delete(r.reseated, l)
@@ -187,22 +234,7 @@ func (r *RepairLoop) Resolve(l topology.LinkID, now time.Duration, action faults
 	if until, held := r.dampUntil[l]; held && until > now {
 		return RepairStep{Resolution: Held, Until: until}, nil
 	}
-	r.activate(l, now)
-	return RepairStep{Resolution: Enabled, Opened: r.opened}, nil
-}
-
-// Release ends link l's flap holddown at virtual time now: it re-enters
-// service (Enabled) unless its recorded rate is over the detection
-// threshold, and then stays down with a fresh ticket (Reticketed).
-func (r *RepairLoop) Release(l topology.LinkID, now time.Duration) RepairStep {
-	r.opened = r.opened[:0]
-	delete(r.dampUntil, l)
-	if r.net.CorruptionRate(l) >= r.eng.Threshold() {
-		r.openTicket(l, now)
-		return RepairStep{Resolution: Reticketed, Opened: r.opened}
-	}
-	r.activate(l, now)
-	return RepairStep{Resolution: Enabled, Opened: r.opened}
+	return r.activate(l, now), nil
 }
 
 // TicketStats summarizes the loop's tickets so far.
@@ -219,20 +251,22 @@ func (r *RepairLoop) TicketStats() TicketStats {
 func (r *RepairLoop) Collateral(l topology.LinkID) bool { return r.collateral[l] > 0 }
 
 // activate returns l to service and tickets what the re-check disables.
-func (r *RepairLoop) activate(l topology.LinkID, now time.Duration) {
+func (r *RepairLoop) activate(l topology.LinkID, now time.Duration) RepairStep {
 	var scope Scope
 	if r.scope != nil {
 		scope = r.scope(l)
 	}
+	//lint:allow escapes the re-check allocates its scratch once and the list it returns only when it disables a link
 	for _, nl := range r.eng.Activate(l, scope) {
 		r.openTicket(nl, now)
 	}
+	return RepairStep{Resolution: Enabled, Opened: r.opened}
 }
 
 // openTicket books a repair for the just-disabled link l, and in collateral
 // mode takes its healthy breakout siblings down for it.
 func (r *RepairLoop) openTicket(l topology.LinkID, now time.Duration) {
-	if r.open[l] != nil {
+	if r.queue.OpenTicket(l) != nil {
 		return
 	}
 	rec := faults.ActionUnknown
@@ -246,8 +280,8 @@ func (r *RepairLoop) openTicket(l topology.LinkID, now time.Duration) {
 		}
 	}
 	t, done := r.queue.Open(l, rec, now)
-	r.open[l] = t
 	if r.cfg.RepairCollateral {
+		//lint:allow escapes breakout collateral (§8) only: SameBreakout builds its list
 		for _, sib := range r.net.Topology().SameBreakout(l) {
 			if sib == l || r.net.Disabled(sib) {
 				continue
@@ -264,6 +298,7 @@ func (r *RepairLoop) releaseCollateral(l topology.LinkID) {
 	if !r.cfg.RepairCollateral {
 		return
 	}
+	//lint:allow escapes breakout collateral (§8) only: SameBreakout builds its list
 	for _, sib := range r.net.Topology().SameBreakout(l) {
 		if sib == l || r.collateral[sib] == 0 {
 			continue

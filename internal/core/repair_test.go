@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -21,36 +22,45 @@ var repairActions = []faults.RepairAction{
 }
 
 // FuzzRepairLoop drives a RepairLoop over a small breakout Clos with random
-// reports, resolves (action × success) and hold releases, under every
-// combination of drain mode, breakout collateral and flap dampening, and
-// after every step checks the loop against the tickets its calls returned:
-// every link the engine disabled has exactly one open ticket, the queue's
-// open count is the number of such links, every disabled link is ticketed,
-// held as collateral (with a sibling under repair) or held by dampening
-// (exactly one of the three), and opened = resolved + open.
+// report, repaired and release inputs, under every combination of drain
+// mode, breakout collateral and flap dampening, and after every step checks
+// the loop against the tickets its steps returned: every link the engine
+// disabled has exactly one open ticket, the queue's open count is the number
+// of such links, every disabled link is ticketed, held as collateral (with a
+// sibling under repair) or held by dampening (exactly one of the three), and
+// opened = resolved + open. Then it replays the recorded inputs on a fresh
+// loop, which must step exactly as the first did.
 //
-// Each op is two bytes: b selects the step — b%4: report, resolve, release,
-// or let a day pass — and its rate, action and outcome; a picks the link.
+// down's bit i disables link i before the loop is built: a restored state,
+// which the loop adopts. Each op is two bytes: b selects the input — b%4:
+// report, repaired, release, or let a day pass — and its rate, action and
+// outcome; a picks the link, among the open tickets unless a ≥ 0x80.
 func FuzzRepairLoop(f *testing.F) {
 	// Breakout siblings under repair at once; fixed, failed and re-failed
 	// repairs (with a reseat), so drain mode re-tickets and collateral holds
 	// overlap.
-	f.Add([]byte{16, 0, 16, 5, 16, 9, 16, 14, 9, 0, 0x21, 0, 0x01, 0, 3, 0, 0x21, 0, 0x21, 1, 0x21, 0, 0x21, 0})
+	f.Add(uint16(0), []byte{16, 0, 16, 5, 16, 9, 16, 14, 9, 0, 0x21, 0, 0x01, 0, 3, 0, 0x21, 0, 0x21, 1, 0x21, 0, 0x21, 0})
 	// Two detections of one link inside the dampening window, then a fixed
 	// repair: the link is held, and released clean; then the same with a
 	// release that finds the link corrupting again.
-	f.Add([]byte{16, 4, 0x01, 0, 16, 4, 0x21, 0, 2, 0, 16, 6, 0x01, 0, 16, 6, 0x21, 0, 18, 0, 0x21, 0})
+	f.Add(uint16(0), []byte{16, 4, 0x01, 0, 16, 4, 0x21, 0, 2, 0, 16, 6, 0x01, 0, 16, 6, 0x21, 0, 18, 0, 0x21, 0})
 	// A report storm: every link over the threshold, then repairs freeing
 	// capacity for the links the constraint blocked.
-	f.Add([]byte{16, 0, 16, 1, 16, 2, 16, 3, 16, 4, 16, 5, 16, 6, 16, 7, 16, 8, 16, 9, 16, 10, 16, 11,
+	f.Add(uint16(0), []byte{16, 0, 16, 1, 16, 2, 16, 3, 16, 4, 16, 5, 16, 6, 16, 7, 16, 8, 16, 9, 16, 10, 16, 11,
 		0x21, 0, 0x21, 0, 0x25, 0, 0x21, 0, 0x21, 0})
+	// A restored state — a ToR uplink and two breakout links down, their
+	// siblings up — adopted: reports on them, repaired inputs for an up link
+	// (cleared) and for collateral holds (rejected), then the adopted
+	// tickets resolved, fixed and failed.
+	f.Add(uint16(1<<0|1<<4|1<<10), []byte{16, 0, 16, 5, 0x21, 0x85, 0x21, 0x95, 0x01, 0x83,
+		0x21, 0, 0x01, 0, 3, 0, 0x21, 0, 0x21, 0, 0x21, 0})
 	topo, err := topology.NewClos(topology.ClosConfig{
 		Pods: 2, ToRsPerPod: 2, AggsPerPod: 2, Spines: 4, SpineUplinksPerAgg: 4, BreakoutSize: 2,
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, ops []byte) {
+	f.Fuzz(func(t *testing.T, down uint16, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]
 		}
@@ -59,15 +69,46 @@ func FuzzRepairLoop(f *testing.F) {
 			if mask&4 != 0 {
 				cfg.Dampening = &DampeningConfig{Window: 12 * time.Hour, Flaps: 2, Holddown: 24 * time.Hour}
 			}
-			runRepairLoop(t, topo, cfg, ops)
+			inputs, steps := runRepairLoop(t, topo, cfg, down, ops)
+			loop := newFuzzLoop(t, topo, cfg, down)
+			for i, in := range inputs {
+				if got := stepOf(loop.Step(in)); !reflect.DeepEqual(got, steps[i]) {
+					t.Fatalf("cfg %+v: input %d %+v replays as %+v, first run %+v", cfg, i, in, got, steps[i])
+				}
+			}
 		}
 	})
 }
 
-func runRepairLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, ops []byte) {
+// stepResult is what one Step returned, with the opened tickets reduced to
+// their links and done times, so two loops' steps compare by value.
+type stepResult struct {
+	Outcome    Outcome
+	Resolution Resolution
+	Until      time.Duration
+	Opened     [][2]int64
+	Failed     bool
+}
+
+func stepOf(d Decision, step RepairStep, err error) stepResult {
+	r := stepResult{Outcome: d.Outcome, Resolution: step.Resolution, Until: step.Until, Failed: err != nil}
+	for _, o := range step.Opened {
+		r.Opened = append(r.Opened, [2]int64{int64(o.Ticket.Link), int64(o.Done)})
+	}
+	return r
+}
+
+// newFuzzLoop builds FuzzRepairLoop's loop under cfg over a network with
+// down's links disabled.
+func newFuzzLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, down uint16) *RepairLoop {
 	net, err := NewNetwork(topo, 0.5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for l := range topology.LinkID(min(16, topo.NumLinks())) {
+		if down&(1<<l) != 0 {
+			net.Disable(l)
+		}
 	}
 	eng := NewEngine(net, EngineConfig{})
 	diagnose := func(l topology.LinkID, reseated bool) (Diagnostics, bool) {
@@ -77,7 +118,15 @@ func runRepairLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, ops 
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := make(map[topology.LinkID]*tickets.Ticket) // from the calls' returns
+	return loop
+}
+
+// runRepairLoop runs ops on a fresh loop, checking it after every step, and
+// returns the inputs it stepped and what each step returned.
+func runRepairLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, down uint16, ops []byte) ([]Input, []stepResult) {
+	loop := newFuzzLoop(t, topo, cfg, down)
+	net := loop.net
+	open := make(map[topology.LinkID]*tickets.Ticket) // from the steps' returns
 	held := make(map[topology.LinkID]time.Duration)
 	opened, resolved := 0, 0
 	now := time.Duration(0)
@@ -94,28 +143,63 @@ func runRepairLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, ops 
 			opened++
 		}
 	}
+	// Reset adopted every restored down link that is not a collateral hold.
+	for l := range topology.LinkID(topo.NumLinks()) {
+		if net.Disabled(l) && !loop.Collateral(l) {
+			if open[l] = loop.queue.OpenTicket(l); open[l] == nil {
+				t.Fatalf("cfg %+v: restored down link %d has no ticket", cfg, l)
+			}
+			opened++
+		}
+	}
+	checkRepairLoop(t, cfg, -1, loop, open, held, opened, resolved)
+	var inputs []Input
+	var steps []stepResult
+	do := func(in Input) (Decision, RepairStep, error) {
+		d, step, err := loop.Step(in)
+		inputs, steps = append(inputs, in), append(steps, stepOf(d, step, err))
+		return d, step, err
+	}
 	for i := 0; i+1 < len(ops); i += 2 {
 		b, a := ops[i], int(ops[i+1])
 		now += time.Hour
 		switch b % 4 {
 		case 0:
 			l := topology.LinkID(a % topo.NumLinks())
-			d, os := loop.Report(l, repairRates[int(b/4)%len(repairRates)], now)
-			if d.Outcome == OutcomeDisabled && (len(os) != 1 || os[0].Ticket.Link != l) {
-				t.Fatalf("cfg %+v step %d: report disabled link %d and opened %d tickets", cfg, i, l, len(os))
+			d, step, err := do(Input{At: now, Link: l, Kind: InputReport, Rate: repairRates[int(b/4)%len(repairRates)]})
+			if err != nil || d.Outcome == OutcomeDisabled && (len(step.Opened) != 1 || step.Opened[0].Ticket.Link != l) {
+				t.Fatalf("cfg %+v step %d: report disabled link %d and opened %d tickets (%v)", cfg, i, l, len(step.Opened), err)
 			}
-			book(i, os)
+			book(i, step.Opened)
 		case 1:
-			if len(open) == 0 {
+			var l topology.LinkID
+			switch {
+			case a >= 0x80:
+				l = topology.LinkID(a % topo.NumLinks())
+			case len(open) == 0:
 				continue
+			default:
+				l = sortedLinks(open)[a%len(open)]
 			}
-			l := sortedLinks(open)[a%len(open)]
 			ok := b&0x20 != 0
+			rate := 1e-4 // a failed repair leaves the link corrupting
 			if ok {
-				net.SetCorruption(l, 0) // a repaired link comes back clean
+				rate = 0
 			}
-			step, err := loop.Resolve(l, now, repairActions[int(b/4)%len(repairActions)], ok)
-			if err != nil {
+			wasDown := net.Disabled(l)
+			_, step, err := do(Input{At: now, Link: l, Kind: InputRepaired, Rate: rate, Action: repairActions[int(b/4)%len(repairActions)]})
+			switch {
+			case open[l] == nil && !wasDown:
+				if err != nil || step.Resolution != Cleared || len(step.Opened) != 0 || net.Disabled(l) || net.CorruptionRate(l) != rate {
+					t.Fatalf("cfg %+v step %d: repaired up link %d: %+v, %v", cfg, i, l, step, err)
+				}
+				continue
+			case open[l] == nil:
+				if err == nil || !net.Disabled(l) {
+					t.Fatalf("cfg %+v step %d: repaired unticketed down link %d: %+v, %v", cfg, i, l, step, err)
+				}
+				continue
+			case err != nil:
 				t.Fatalf("cfg %+v step %d: %v", cfg, i, err)
 			}
 			delete(open, l)
@@ -134,6 +218,8 @@ func runRepairLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, ops 
 				if ok || !cfg.DrainMode {
 					t.Fatalf("cfg %+v step %d: link %d re-ticketed after ok=%v", cfg, i, l, ok)
 				}
+			case Cleared:
+				t.Fatalf("cfg %+v step %d: ticketed link %d cleared", cfg, i, l)
 			}
 			book(i, step.Opened)
 		case 2:
@@ -143,13 +229,21 @@ func runRepairLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, ops 
 			l := sortedLinks(held)[a%len(held)]
 			now = max(now, held[l])
 			delete(held, l)
-			net.SetCorruption(l, repairRates[int(b/4)%len(repairRates)])
-			book(i, loop.Release(l, now).Opened)
+			_, step, err := do(Input{At: now, Link: l, Kind: InputRelease, Rate: repairRates[int(b/4)%len(repairRates)]})
+			if err != nil {
+				t.Fatalf("cfg %+v step %d: %v", cfg, i, err)
+			}
+			book(i, step.Opened)
 		case 3:
 			now += 24 * time.Hour
 		}
 		checkRepairLoop(t, cfg, i, loop, open, held, opened, resolved)
 	}
+	if _, _, err := loop.Step(Input{At: now, Kind: InputRelease + 1}); err == nil {
+		t.Fatalf("cfg %+v: an input of unknown kind was accepted", cfg)
+	}
+	checkRepairLoop(t, cfg, len(ops), loop, open, held, opened, resolved)
+	return inputs, steps
 }
 
 // sortedLinks returns m's links in ascending order.
@@ -168,12 +262,12 @@ func checkRepairLoop(t *testing.T, cfg RepairConfig, step int, loop *RepairLoop,
 	open map[topology.LinkID]*tickets.Ticket, held map[topology.LinkID]time.Duration, opened, resolved int) {
 	t.Helper()
 	for l, tk := range open {
-		if tk.Link != l || tk.Status != tickets.InRepair || loop.open[l] != tk {
+		if tk.Link != l || tk.Status != tickets.InRepair || loop.queue.OpenTicket(l) != tk {
 			t.Fatalf("cfg %+v step %d: link %d's ticket %+v is not the loop's open ticket", cfg, step, l, tk)
 		}
 	}
-	if n := loop.queue.OpenCount(); n != len(open) || len(loop.open) != len(open) {
-		t.Fatalf("cfg %+v step %d: queue has %d open tickets, loop %d, calls returned %d", cfg, step, n, len(loop.open), len(open))
+	if n := loop.queue.OpenCount(); n != len(open) {
+		t.Fatalf("cfg %+v step %d: queue has %d open tickets, calls returned %d", cfg, step, n, len(open))
 	}
 	net := loop.net
 	for l := range topology.LinkID(net.Topology().NumLinks()) {
@@ -184,7 +278,7 @@ func checkRepairLoop(t *testing.T, cfg RepairConfig, step int, loop *RepairLoop,
 				holds++
 			}
 		}
-		if net.Disabled(l) && holds != 1 || !net.Disabled(l) && holds != 0 {
+		if net.Disabled(l) && holds != 1 || !net.Disabled(l) && holds != 0 || (loop.queue.OpenTicket(l) != nil) != (open[l] != nil) {
 			t.Fatalf("cfg %+v step %d: link %d disabled=%v, ticketed=%v, collateral=%v, held=%v",
 				cfg, step, l, net.Disabled(l), open[l] != nil, loop.Collateral(l), isHeld)
 		}

@@ -90,24 +90,23 @@ func (st *agentState) remember(seq uint64, r cachedReply) {
 	st.next = (st.next + 1) % maxCachedReplies
 }
 
-// Controller serves the CorrOpt control plane over TCP. All decisions run
-// against one core.Engine guarded by a mutex: corruption events are rare
-// (per §3, a handful of links per data center per day), so a single
-// serialized decision path is both simple and far faster than needed.
+// Controller serves the CorrOpt control plane over TCP. Every request steps
+// one core.RepairLoop, guarded by a mutex: corruption events are rare (per
+// §3, a handful of links per data center per day), so one serialized loop is
+// both simple and far faster than needed.
 //
 // The controller is hardened against the network it manages (§5–§6):
 // requests carrying an agent identity and sequence number are answered
 // idempotently (the same request under the same number gets the cached
 // reply, so a retried Activate does not re-run the optimizer; a different
 // request under a cached number is a restarted agent and resets its
-// cache), and the liveness sweep marks
-// agents that have gone silent as stale so the report→disable→ticket loop
-// degrades gracefully instead of wedging on a vanished agent.
+// cache), and the liveness sweep marks silent agents stale.
 type Controller struct {
 	engine *core.Engine
+	loop   *core.RepairLoop
 	clock  simclock.WallClock
 
-	mu         sync.Mutex // guards engine, agents, staleTotal
+	mu         sync.Mutex // guards engine, loop, agents, staleTotal
 	agents     map[string]*agentState
 	staleTotal int
 
@@ -144,8 +143,13 @@ func ServeListener(ln net.Listener, engine *core.Engine, clock simclock.WallCloc
 	if clock == nil {
 		clock = simclock.Real{}
 	}
+	loop, err := core.NewRepairLoop(engine, core.RepairConfig{}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	c := &Controller{
 		engine: engine,
+		loop:   loop,
 		clock:  clock,
 		agents: make(map[string]*agentState),
 		ln:     ln,
@@ -238,11 +242,7 @@ func (c *Controller) serveConn(conn net.Conn) {
 }
 
 // SweepStale removes agents not heard from within maxSilence and returns
-// their names in sorted order. When any agent went stale the engine is
-// re-optimized: a silent agent's pending activations are never coming, so
-// the sweep keeps the mitigation loop making progress (the optimizer can
-// still disable further links as repairs elsewhere create headroom)
-// instead of wedging on the missing report→disable→ticket turn.
+// their names in sorted order.
 func (c *Controller) SweepStale(maxSilence time.Duration) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -258,9 +258,6 @@ func (c *Controller) SweepStale(maxSilence time.Duration) []string {
 		delete(c.agents, name)
 	}
 	c.staleTotal += len(stale)
-	if len(stale) > 0 {
-		_, _ = c.engine.Reoptimize()
-	}
 	return stale
 }
 
@@ -303,38 +300,22 @@ func (c *Controller) handle(msg *Envelope) *Envelope {
 	return reply
 }
 
-// dispatch runs one decoded request against the engine; c.mu is held.
+// dispatch decodes a Report or an Activate — a repair that left the link
+// clean; monitoring re-reports it if not — into one repair-loop input at the
+// clock's Unix nanoseconds, or answers a Status; c.mu is held.
 func (c *Controller) dispatch(msg *Envelope) *Envelope {
 	net := c.engine.Network()
-	switch msg.Type {
-	case TypeReport:
-		if msg.Report == nil {
-			return errEnvelope("report message without report body")
-		}
-		r := msg.Report
-		if int(r.Link) < 0 || int(r.Link) >= net.Topology().NumLinks() {
-			return errEnvelope("unknown link")
-		}
-		if err := core.CheckRate(r.Rate); err != nil {
-			return errEnvelope(err.Error())
-		}
-		d := c.engine.ReportCorruption(r.Link, r.Rate)
-		return &Envelope{Type: TypeDecision, Decision: &Decision{
-			Link:     d.Link,
-			Disabled: d.Disabled,
-			Reason:   d.Reason(),
-		}}
-	case TypeActivate:
-		if msg.Activate == nil {
-			return errEnvelope("activate message without body")
-		}
-		a := msg.Activate
-		if int(a.Link) < 0 || int(a.Link) >= net.Topology().NumLinks() {
-			return errEnvelope("unknown link")
-		}
-		disabled := c.engine.LinkRepaired(a.Link)
-		return &Envelope{Type: TypeActivateResult, ActivateResult: &ActivateResult{Disabled: disabled}}
-	case TypeStatus:
+	var in core.Input
+	switch {
+	case msg.Type == TypeReport && msg.Report != nil:
+		in = core.Input{Link: msg.Report.Link, Kind: core.InputReport, Rate: msg.Report.Rate}
+	case msg.Type == TypeReport:
+		return errEnvelope("report message without report body")
+	case msg.Type == TypeActivate && msg.Activate != nil:
+		in = core.Input{Link: msg.Activate.Link, Kind: core.InputRepaired}
+	case msg.Type == TypeActivate:
+		return errEnvelope("activate message without body")
+	case msg.Type == TypeStatus:
 		return &Envelope{Type: TypeStatusResult, Status: &StatusResult{
 			Links:            net.Topology().NumLinks(),
 			Disabled:         net.NumDisabled(),
@@ -347,6 +328,25 @@ func (c *Controller) dispatch(msg *Envelope) *Envelope {
 	default:
 		return errEnvelope("unknown message type " + string(msg.Type))
 	}
+	if int(in.Link) < 0 || int(in.Link) >= net.Topology().NumLinks() {
+		return errEnvelope("unknown link")
+	}
+	if err := core.CheckRate(in.Rate); err != nil {
+		return errEnvelope(err.Error())
+	}
+	in.At = time.Duration(c.clock.Now().UnixNano())
+	d, step, err := c.loop.Step(in)
+	switch {
+	case err != nil:
+		return errEnvelope(err.Error())
+	case in.Kind == core.InputReport:
+		return &Envelope{Type: TypeDecision, Decision: &Decision{Link: d.Link, Disabled: d.Disabled, Reason: d.Reason()}}
+	}
+	var disabled []topology.LinkID // not the loop's buffer: a cached reply outlives it
+	for _, o := range step.Opened {
+		disabled = append(disabled, o.Ticket.Link)
+	}
+	return &Envelope{Type: TypeActivateResult, ActivateResult: &ActivateResult{Disabled: disabled}}
 }
 
 func errEnvelope(msg string) *Envelope {

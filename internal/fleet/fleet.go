@@ -67,17 +67,17 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// EventKind discriminates fleet input events.
-type EventKind uint8
+// EventKind is core's input kind; a fleet routes two of them.
+type EventKind = core.InputKind
 
 const (
 	// Corruption reports a link's current worst-direction corruption
 	// rate (a rate of zero clears a previous report).
-	Corruption EventKind = iota
-	// Repair reports that a link's fault was physically fixed: its
-	// corruption clears, and if the controller had disabled it, it is
-	// re-enabled and the freed capacity is re-optimized.
-	Repair
+	Corruption = core.InputReport
+	// Repair reports a finished repair and the rate it left: a link the
+	// controller had disabled returns to service, and a fixed one (rate
+	// under the threshold) has its freed capacity re-optimized.
+	Repair = core.InputRepaired
 )
 
 // Event is one fleet input: a corruption report or a completed repair on one
@@ -87,7 +87,7 @@ type Event struct {
 	DCN  int
 	Link topology.LinkID // in the DCN's own link-id space
 	Kind EventKind
-	Rate float64 // worst-direction corruption rate; ignored for Repair
+	Rate float64 // worst-direction corruption rate; zero for a fixed link
 }
 
 // Supervisor owns a fleet of per-segment shards and aggregates across them.
@@ -110,10 +110,8 @@ type Supervisor struct {
 	tors     int
 
 	// Cumulative event tallies, merged from shards at Flush.
-	routedCorruptions int
-	routedRepairs     int
-	totals            shardStats
-	perDCN            []shardStats
+	totals shardStats
+	perDCN []shardStats
 }
 
 // New builds a Supervisor over the given DCNs. Identical *Topology values
@@ -221,18 +219,8 @@ func (s *Supervisor) Route(ev Event) error {
 	}
 	set := s.sets[ev.DCN]
 	sh := s.shards[s.dcnShards[ev.DCN][0]+int(set.shardOf[ev.Link])]
-	sh.pending = append(sh.pending, shardEvent{
-		at:   ev.At,
-		link: set.localOf[ev.Link],
-		kind: ev.Kind,
-		rate: ev.Rate,
-	})
+	sh.pending = append(sh.pending, core.Input{At: ev.At, Link: set.localOf[ev.Link], Kind: ev.Kind, Rate: ev.Rate})
 	s.pending++
-	if ev.Kind == Corruption {
-		s.routedCorruptions++
-	} else {
-		s.routedRepairs++
-	}
 	return nil
 }
 
@@ -349,9 +337,9 @@ func (s *Supervisor) Snapshot() Snapshot {
 		Links:         s.links,
 		ToRs:          s.tors,
 		Segments:      s.segments,
-		Events:        s.routedCorruptions + s.routedRepairs,
-		Corruptions:   s.routedCorruptions,
-		Repairs:       s.routedRepairs,
+		Events:        s.totals.corruptions + s.totals.repairs,
+		Corruptions:   s.totals.corruptions,
+		Repairs:       s.totals.repairs,
 		Disabled:      s.totals.disabled,
 		Blocked:       s.totals.blocked,
 		ReoptDisabled: s.totals.reoptDisabled,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"corropt/internal/core"
 	"corropt/internal/rngutil"
 	"corropt/internal/topology"
 )
@@ -214,6 +215,7 @@ func TestFleetRouteErrors(t *testing.T) {
 		{DCN: 0, Link: -1, Kind: Corruption, Rate: 1e-5},
 		{DCN: 0, Link: topology.LinkID(dcns[0].Topo.NumLinks()), Kind: Corruption, Rate: 1e-5},
 		{DCN: 0, Link: 0, Kind: EventKind(9), Rate: 1e-5},
+		{DCN: 0, Link: 0, Kind: core.InputRelease}, // core's, but no fleet event
 		{DCN: 0, Link: 0, Kind: Corruption, Rate: -1},
 		{DCN: 0, Link: 0, Kind: Corruption, Rate: 2},
 		{DCN: 0, Link: 0, Kind: Corruption, Rate: math.NaN()},

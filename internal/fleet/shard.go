@@ -3,10 +3,8 @@ package fleet
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"corropt/internal/core"
-	"corropt/internal/faults"
 	"corropt/internal/topology"
 )
 
@@ -22,7 +20,7 @@ type shard struct {
 	net  *core.Network
 	loop *core.RepairLoop
 
-	pending []shardEvent
+	pending []core.Input // in shard-local link ids
 	stats   shardStats
 }
 
@@ -30,14 +28,6 @@ type shard struct {
 type segment struct {
 	links *topology.LinkSet
 	tors  []topology.SwitchID // ascending
-}
-
-// shardEvent is a routed event in shard-local coordinates.
-type shardEvent struct {
-	at   time.Duration
-	link topology.LinkID
-	kind EventKind
-	rate float64
 }
 
 type shardStats struct {
@@ -78,35 +68,28 @@ func newShard(dcn int, bs *builtShard, cfg *Config) (*shard, error) {
 	return sh, nil
 }
 
-// drain runs the shard's pending events through its repair loop in routed
-// order and tallies each outcome. A repair resolves the link's ticket as a
-// success.
+// drain steps the shard's repair loop through its pending inputs in routed
+// order and tallies each outcome.
 func (sh *shard) drain() error {
-	for i := range sh.pending {
-		ev := &sh.pending[i]
-		switch ev.kind {
-		case Corruption:
+	for _, in := range sh.pending {
+		d, step, err := sh.loop.Step(in)
+		if err != nil {
+			return fmt.Errorf("fleet: DCN link %d: %w", sh.sub.Links[in.Link], err)
+		}
+		if in.Kind == Corruption {
 			sh.stats.corruptions++
-			switch d, _ := sh.loop.Report(ev.link, ev.rate, ev.at); d.Outcome {
+			switch d.Outcome {
 			case core.OutcomeDisabled:
 				sh.stats.disabled++
 			case core.OutcomeBlocked:
 				sh.stats.blocked++
 			}
-		case Repair:
-			sh.stats.repairs++
-			sh.net.SetCorruption(ev.link, 0)
-			if !sh.net.Disabled(ev.link) {
-				// The controller never took the link down; the repair
-				// just clears its corruption.
-				sh.stats.cleared++
-				continue
-			}
-			step, err := sh.loop.Resolve(ev.link, ev.at, faults.ActionUnknown, true)
-			if err != nil {
-				return fmt.Errorf("fleet: DCN link %d: %w", sh.sub.Links[ev.link], err)
-			}
-			sh.stats.reoptDisabled += len(step.Opened)
+			continue
+		}
+		sh.stats.repairs++
+		sh.stats.reoptDisabled += len(step.Opened)
+		if step.Resolution == core.Cleared {
+			sh.stats.cleared++
 		}
 	}
 	sh.pending = sh.pending[:0]

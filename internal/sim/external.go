@@ -125,7 +125,7 @@ func (s *Sim) releaseDampened(l topology.LinkID, now time.Duration) {
 	s.accrue(now)
 	defer s.settle()
 	s.syncRate(l)
-	step := s.loop.Release(l, now)
+	_, step, _ := s.loop.Step(core.Input{At: now, Link: l, Kind: core.InputRelease, Rate: s.net.CorruptionRate(l)}) // a release cannot fail
 	if step.Resolution == core.Reticketed {
 		s.result.CorruptionReports++
 	} else {

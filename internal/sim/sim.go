@@ -350,7 +350,7 @@ func (s *Sim) monitor(l topology.LinkID, now time.Duration) {
 // detect reports link l's mirrored rate to the repair loop and books the
 // counters and the ticket it opened.
 func (s *Sim) detect(l topology.LinkID, now time.Duration) {
-	d, opened := s.loop.Report(l, s.net.CorruptionRate(l), now)
+	d, step, _ := s.loop.Step(core.Input{At: now, Link: l, Kind: core.InputReport, Rate: s.net.CorruptionRate(l)}) // a report cannot fail
 	switch d.Outcome {
 	case core.OutcomeDisabled:
 		s.result.CorruptionReports++
@@ -359,7 +359,7 @@ func (s *Sim) detect(l topology.LinkID, now time.Duration) {
 		s.result.CorruptionReports++
 		s.result.UndisabledEvents++
 	}
-	s.schedule(opened, now)
+	s.schedule(step.Opened, now)
 }
 
 // schedule books each opened ticket's repair completion.
@@ -397,7 +397,7 @@ func (s *Sim) completeRepair(tk *tickets.Ticket, now time.Duration) {
 		s.applyAction(l, action)
 	}
 	s.syncRate(l)
-	step, err := s.loop.Resolve(l, now, action, s.net.CorruptionRate(l) < s.cfg.DetectionThreshold)
+	_, step, err := s.loop.Step(core.Input{At: now, Link: l, Kind: core.InputRepaired, Rate: s.net.CorruptionRate(l), Action: action})
 	if err != nil {
 		panic(err) // tickets are owned solely by the sim; double resolution is a bug
 	}

@@ -43,6 +43,7 @@ func (s Status) String() string {
 type Ticket struct {
 	ID   int64
 	Link topology.LinkID
+	slot int32 // index in the queue's arena
 	// Recommendation is the engine's suggested repair; ActionUnknown when
 	// no recommendation could be generated.
 	Recommendation faults.RepairAction
@@ -107,11 +108,13 @@ type Queue struct {
 }
 
 // linkTally is one link's state: attempts numbers its open repair episode
-// (a success ends it), maxAttempt is its highest resolved attempt, and
-// repaired whether any ticket succeeded.
+// (a success ends it), maxAttempt is its highest resolved attempt, open is
+// 1 + the arena slot of its open ticket (0: none), and repaired whether any
+// ticket succeeded. The fields are 32-bit: a queue keeps one tally per link
+// it ever ticketed, and no link reaches 2³¹ tries.
 type linkTally struct {
-	attempts, maxAttempt int
-	repaired             bool
+	attempts, maxAttempt, open int32
+	repaired                   bool
 }
 
 // siftDown restores the min-heap h after h[0] grew.
@@ -154,10 +157,10 @@ func (q *Queue) newTicket() *Ticket {
 	if n := len(q.free); n > 0 {
 		t := q.free[n-1]
 		q.free = q.free[:n-1]
-		*t = Ticket{Diary: t.Diary[:0]}
+		*t = Ticket{slot: t.slot, Diary: t.Diary[:0]}
 		return t
 	}
-	t := &Ticket{}
+	t := &Ticket{slot: int32(len(q.all))}
 	q.all = append(q.all, t)
 	return t
 }
@@ -169,15 +172,16 @@ func (q *Queue) newTicket() *Ticket {
 //
 //lint:hotpath every ticket of the simulator and the fleet shards
 func (q *Queue) Open(l topology.LinkID, rec faults.RepairAction, now time.Duration) (*Ticket, time.Duration) {
-	lt := q.links[l]
-	lt.attempts++
-	q.links[l] = lt
 	//lint:allow escapes a ticket is allocated only while the arena grows to the most ever open at once
 	t := q.newTicket()
+	lt := q.links[l]
+	lt.attempts++
+	lt.open = t.slot + 1
+	q.links[l] = lt
 	t.ID = q.nextID
 	t.Link = l
 	t.Recommendation = rec
-	t.Attempt = lt.attempts
+	t.Attempt = int(lt.attempts)
 	t.CreatedAt = now
 	q.nextID++
 	start := now
@@ -226,10 +230,13 @@ func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction
 		}
 	}
 	lt := q.links[t.Link]
-	if lt.repaired {
-		q.attemptSum -= lt.maxAttempt
+	if lt.open == t.slot+1 {
+		lt.open = 0
 	}
-	lt.maxAttempt = max(lt.maxAttempt, t.Attempt)
+	if lt.repaired {
+		q.attemptSum -= int(lt.maxAttempt)
+	}
+	lt.maxAttempt = max(lt.maxAttempt, int32(t.Attempt))
 	if succeeded {
 		// The repair episode is over; a future fault on the same link
 		// starts a fresh first attempt.
@@ -240,10 +247,19 @@ func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction
 		lt.repaired = true
 	}
 	if lt.repaired {
-		q.attemptSum += lt.maxAttempt
+		q.attemptSum += int(lt.maxAttempt)
 	}
 	q.links[t.Link] = lt
 	q.free = append(q.free, t)
+	return nil
+}
+
+// OpenTicket returns the ticket Open last gave link l while it is unresolved,
+// and nil otherwise.
+func (q *Queue) OpenTicket(l topology.LinkID) *Ticket {
+	if i := q.links[l].open; i > 0 {
+		return q.all[i-1]
+	}
 	return nil
 }
 
