@@ -79,6 +79,11 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
+	// Catch SIGTERM before anything can see the listener: a signal that
+	// arrived between the banner and Notify would kill the daemon without
+	// saving its state.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ctl, err := corropt.NewController(*addr, engine)
 	if err != nil {
 		logger.Fatal(err)
@@ -109,8 +114,6 @@ func main() {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	logger.Println("shutting down")
 	close(sweepStop)

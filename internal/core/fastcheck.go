@@ -88,14 +88,33 @@ type checker interface {
 // the links c disabled.
 func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []topology.LinkID {
 	active := n.ActiveCorrupting(threshold)
-	slices.SortFunc(active, func(a, b topology.LinkID) int {
-		return cmp.Or(cmp.Compare(n.links.Rate(b), n.links.Rate(a)), cmp.Compare(a, b))
-	})
-	var disabled []topology.LinkID
+	order := make([]rankedLink, 0, len(active))
 	for _, l := range active {
-		if (scope == nil || scope.Has(l)) && c.DisableIfSafe(l) {
-			disabled = append(disabled, l)
+		if scope == nil || scope.Has(l) {
+			order = append(order, rankedLink{l, n.links.Rate(l)})
+		}
+	}
+	sortRanked(order)
+	var disabled []topology.LinkID
+	for _, r := range order {
+		if c.DisableIfSafe(r.link) {
+			disabled = append(disabled, r.link)
 		}
 	}
 	return disabled
+}
+
+// rankedLink is a link with the key a worst-first order sorts it by: its
+// rate in a sweep, its penalty in the optimizer's exact search.
+type rankedLink struct {
+	link topology.LinkID
+	key  float64
+}
+
+// sortRanked sorts links by descending key, ties by ascending LinkID. The
+// keys are worked out once before the sort, not in every comparison.
+func sortRanked(links []rankedLink) {
+	slices.SortFunc(links, func(a, b rankedLink) int {
+		return cmp.Or(cmp.Compare(b.key, a.key), cmp.Compare(a.link, b.link))
+	})
 }

@@ -9,13 +9,13 @@ import "corropt/internal/topology"
 const RebuildEvery = 1024
 
 // Penalty accumulates §5.1's objective Σ (1-d_l)·I(f_l) once Register
-// installs an impact function: contrib[l] caches link l's current
-// contribution (I(rate[l]) when the link is enabled and corrupting, else 0)
-// and sum is Σ contrib, maintained in O(1) per rate change or toggle.
+// installs an impact function: contribs caches each link's current
+// contribution (I(rate) when the link is enabled and corrupting, else 0),
+// and sum is Σ contribs, maintained in O(1) per rate change or toggle.
 type Penalty struct {
-	fn      func(rate float64) float64
-	contrib []float64
-	sum     float64
+	fn       func(rate float64) float64
+	contribs sparse
+	sum      float64
 	// ops counts updates folded into sum since the last exact rebuild.
 	ops int
 }
@@ -25,24 +25,16 @@ func (p *Penalty) Func() func(rate float64) float64 { return p.fn }
 
 // Register installs fn as the impact function and computes the sum from
 // scratch over links' active corrupting set; a nil fn turns accounting off.
-// The contribution buffer is kept across registrations, so a pooled
-// network's per-scenario Register allocates nothing.
+// The contribution table is kept across registrations, so a pooled
+// network's per-scenario Register allocates nothing once it has grown.
 func (p *Penalty) Register(fn func(rate float64) float64, links *Links, disabled topology.LinkSetView) {
 	p.fn = fn
 	if fn == nil {
 		p.sum, p.ops = 0, 0
 		return
 	}
-	if len(p.contrib) == len(links.rate) {
-		clear(p.contrib)
-	} else {
-		p.contrib = make([]float64, len(links.rate))
-	}
-	it := links.Active(0, disabled)
-	for l := it.Next(); l != topology.NoLink; l = it.Next() {
-		p.contrib[l] = fn(links.rate[l])
-	}
-	p.Rebuild(links)
+	p.contribs.reset()
+	p.Refresh(links, disabled)
 }
 
 // Update folds link l's contribution at rate, enabled or not, into the sum.
@@ -58,9 +50,8 @@ func (p *Penalty) Update(l topology.LinkID, rate float64, disabled bool) {
 	if rate > 0 && !disabled {
 		c = p.fn(rate)
 	}
-	if old := p.contrib[l]; old != c {
+	if old := p.contribs.set(l, c); old != c {
 		p.sum += c - old
-		p.contrib[l] = c
 		p.ops++
 	}
 }
@@ -97,9 +88,9 @@ func (p *Penalty) Refresh(links *Links, disabled topology.LinkSetView) {
 	for l := it.Next(); l != topology.NoLink; l = it.Next() {
 		var c float64
 		if !disabled.Has(l) {
-			c = p.fn(links.rate[l])
+			c = p.fn(links.rates.get(l))
 		}
-		p.contrib[l] = c
+		p.contribs.set(l, c)
 	}
 	p.Rebuild(links)
 }
@@ -111,7 +102,7 @@ func (p *Penalty) Rebuild(links *Links) {
 	sum := 0.0
 	it := links.Corrupting()
 	for l := it.Next(); l != topology.NoLink; l = it.Next() {
-		sum += p.contrib[l]
+		sum += p.contribs.get(l)
 	}
 	p.sum, p.ops = sum, 0
 }

@@ -418,7 +418,7 @@ func (n *Network) TotalPenalty(p PenaltyFunc) float64 {
 	sum := 0.0
 	it := n.active(0)
 	for l := it.Next(); l != topology.NoLink; l = it.Next() {
-		sum += p(n.links.Rate(l))
+		sum += p(it.Rate())
 	}
 	return sum
 }

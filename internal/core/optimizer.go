@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -364,15 +363,17 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 	// Highest-penalty links first: better bounds, and the greedy fallback
 	// then prefers the worst offenders.
 	s := &o.rc.solver
-	links := append(s.links[:0], seg.links...)
-	slices.SortFunc(links, func(a, b topology.LinkID) int {
-		pa, pb := o.penalty(o.net.CorruptionRate(a)), o.penalty(o.net.CorruptionRate(b))
-		if pa != pb {
-			return cmp.Compare(pb, pa)
-		}
-		return cmp.Compare(a, b)
-	})
-	s.links = links
+	ranked := s.ranked[:0]
+	for _, l := range seg.links {
+		ranked = append(ranked, rankedLink{l, o.penalty(o.net.CorruptionRate(l))})
+	}
+	sortRanked(ranked)
+	links, pen := s.links[:0], s.pen[:0]
+	for _, r := range ranked {
+		links = append(links, r.link)
+		pen = append(pen, r.key)
+	}
+	s.links, s.pen, s.ranked = links, pen, ranked
 
 	if len(links) > o.cfg.MaxExactLinks {
 		st.GreedyFallbacks++
@@ -383,15 +384,13 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 		net:      o.net,
 		pc:       pc,
 		links:    links,
-		pen:      slices.Grow(s.pen[:0], len(links))[:len(links)],
+		pen:      pen,
+		ranked:   ranked,
 		suffix:   slices.Grow(s.suffix[:0], len(links)+1)[:len(links)+1],
 		useCache: !o.cfg.DisableRejectCache,
 		cache:    s.cache[:0],
 		cacheCap: o.cfg.MaxRejectCacheEntries,
 		budget:   o.cfg.MaxFeasibilityChecks,
-	}
-	for i, l := range links {
-		s.pen[i] = o.penalty(o.net.CorruptionRate(l))
 	}
 	s.suffix[len(links)] = 0
 	for i := len(links) - 1; i >= 0; i-- {
@@ -443,8 +442,9 @@ type segSolver struct {
 	net    *Network
 	pc     *topology.PathCounter
 	links  []topology.LinkID
-	pen    []float64
+	pen    []float64 // pen[i] is links[i]'s penalty
 	suffix []float64
+	ranked []rankedLink // scratch for sorting links by penalty
 
 	useCache bool
 	// cache holds infeasible subset masks ordered by ascending popcount,

@@ -51,11 +51,14 @@ func TestCacheWritesDoNotCompile(t *testing.T) {
 	}
 	// Outside its package an unexported field is undefined; the compiler
 	// says "cannot refer to unexported field" unless an exported method
-	// differs from it only in case, and then points at the method.
+	// differs from it only in case, and then points at the method, just as
+	// it does for a name that does not exist. So each case names a field
+	// with no such method: the refusal then shows the field is there.
 	for _, tc := range []struct{ name, body, want string }{
 		// The write LoadState once made, leaving PenaltySum stale.
-		{"rate write", "n.links.rate[0] = 1", "n.links.rate undefined"},
-		{"index mutation", "n.links.corrupting.Add(0)", "n.links.corrupting undefined"},
+		{"rate write", "n.links.rates.set(0, 1)", "cannot refer to unexported field rates"},
+		{"index mutation", "n.links.rates.slots = nil", "cannot refer to unexported field rates"},
+		{"contribution write", "n.pen.contribs.set(0, 0)", "cannot refer to unexported field contribs"},
 		{"fraction cache write", "n.tors.frac[0] = 0.5", "cannot refer to unexported field frac"},
 		{"disabled set mutation", "n.DisabledLinks().Add(0)", "has no field or method Add"},
 	} {

@@ -1,6 +1,9 @@
 package faults
 
 import (
+	"math"
+	"slices"
+
 	"corropt/internal/optics"
 	"corropt/internal/topology"
 )
@@ -9,28 +12,78 @@ import (
 // topology as faults are applied and repaired. It is the ground truth the
 // telemetry layer reads and the mitigation algorithms react to.
 //
+// Corruption strikes a small minority of links (§2–3), so State keeps per
+// link only two small indexes. kind[l] picks link l's technology from kinds,
+// a handful of entries each holding the healthy optics and rate every
+// fault-free link of that technology shares. slot[l] is noSlot while link l
+// has no active fault; otherwise it picks the link's own optics, fault list
+// and rates from slots, a pool that recompute takes from and returns to.
+//
 // State is not safe for concurrent use; simulations drive it from a single
 // event loop.
 type State struct {
-	topo *topology.Topology
-	// tech is the first link's technology, kept for the common
-	// single-technology case; techs holds the per-link assignment.
-	tech   optics.Technology
-	techs  []optics.Technology
-	links  []*optics.Link
-	active [][]*Fault // per link, faults touching it
+	topo  *topology.Topology
+	kinds []kind
+	kind  []uint16
+	slot  []int32
+	slots []faulty
+	// free lists the slots no link holds, for the next link a fault
+	// strikes to reuse.
+	free   []int32
 	faults map[ID]*Fault
 	// suppressed[id] marks links whose effects of fault id were repaired
 	// individually (a link-scoped repair fixes the connector or
 	// transceiver of one link without touching the fault's other links).
 	suppressed map[ID]map[topology.LinkID]bool
-	// rate[dir][link] is the corruption rate CorruptionRate reports: the
+}
+
+// noSlot marks a link with no active fault in State.slot.
+const noSlot = -1
+
+// kind is one transceiver technology of the fabric and the state every
+// healthy link of it shares.
+type kind struct {
+	tech    optics.Technology
+	healthy optics.Link
+	// margin is a healthy receiver's optical margin, the same at both
+	// sides, and optical the rate CorruptionRateFromMargin maps it to:
+	// recompute takes optical for any side whose margin equals margin
+	// instead of evaluating the curve again.
+	margin  optics.DB
+	optical float64
+	// rate is a healthy link's corruption rate in either direction.
+	rate float64
+}
+
+func newKind(tech optics.Technology) kind {
+	k := kind{tech: tech}
+	k.healthy.ResetTech(tech)
+	k.margin = k.healthy.Margin(optics.UpperSide)
+	k.optical = optics.CorruptionRateFromMargin(k.margin)
+	k.rate = combineRates(k.optical, 0)
+	return k
+}
+
+// opticalRate is CorruptionRateFromMargin(m), read from the kind when m is
+// the healthy margin: the same input, so the same bits.
+func (k *kind) opticalRate(m optics.DB) float64 {
+	if m == k.margin {
+		return k.optical
+	}
+	return optics.CorruptionRateFromMargin(m)
+}
+
+// faulty is the state of one link with active faults.
+type faulty struct {
+	optics optics.Link
+	active []*Fault // the faults touching the link, in Apply order
+	// rate[dir] is the corruption rate CorruptionRate reports: the
 	// optics-derived rate at the receiving side combined with the direct
 	// (non-optical) contributions of the link's active faults. A link's
-	// rate is stable between fault events (§3, Figure 2), so it is worked
-	// out where the link's condition changes — recompute and Reset own
-	// every write — and the read accessors cost an array read.
-	rate [2][]float64
+	// rate is stable between fault events (§3, Figure 2), so recompute
+	// works it out where the link's condition changes and the read
+	// accessors cost an array read.
+	rate [2]float64
 }
 
 // NewState returns a healthy State for the topology where every link uses
@@ -42,71 +95,69 @@ func NewState(topo *topology.Topology, tech optics.Technology) *State {
 // NewMultiTechState returns a healthy State where each link's transceiver
 // technology is chosen by assign — real fabrics mix 10G/40G/100G optics
 // with different power thresholds, which is why Algorithm 1 keys
-// PowerThreshRx and PowerThreshTx per technology (§5.2).
+// PowerThreshRx and PowerThreshTx per technology (§5.2). It panics if
+// assign returns more than 65,536 distinct technologies.
 func NewMultiTechState(topo *topology.Topology, assign func(topology.LinkID) optics.Technology) *State {
 	n := topo.NumLinks()
 	s := &State{
 		topo:       topo,
-		techs:      make([]optics.Technology, n),
-		links:      make([]*optics.Link, n),
-		active:     make([][]*Fault, n),
+		kind:       make([]uint16, n),
+		slot:       make([]int32, n),
 		faults:     make(map[ID]*Fault),
 		suppressed: make(map[ID]map[topology.LinkID]bool),
-		rate:       [2][]float64{make([]float64, n), make([]float64, n)},
-	}
-	for i := range s.links {
-		s.links[i] = new(optics.Link)
 	}
 	s.Reset(assign)
 	return s
 }
 
 // Reset restores s to the healthy state NewMultiTechState(s.Topology(),
-// assign) would construct, reusing every allocation: link objects are
-// re-dressed in place, per-link fault lists are truncated, and the fault
-// maps are cleared. The topology cannot change — scratch pools key reusable
-// States by topology. After Reset the State is observationally identical to
-// a fresh one, which the sim scratch differential tests pin.
+// assign) would construct, reusing every allocation: every slot returns to
+// the pool with its fault list truncated, and the fault maps are cleared.
+// The topology cannot change — scratch pools key reusable States by
+// topology. After Reset the State is observationally identical to a fresh
+// one, which the sim scratch differential tests pin.
 func (s *State) Reset(assign func(topology.LinkID) optics.Technology) {
-	// A healthy link's two directions share one rate, a function of its
-	// technology alone: evaluate the margin curve once per distinct
-	// technology (fabrics mix a handful), not once per link — sim.Scratch
-	// resets a State for every cell it runs.
-	type healthy struct {
-		tech optics.Technology
-		rate float64
-	}
-	memo := make([]healthy, 0, 4)
-	for i, ol := range s.links {
+	s.kinds = s.kinds[:0]
+	for i := range s.kind {
 		tech := assign(topology.LinkID(i))
-		s.techs[i] = tech
-		ol.ResetTech(tech)
-		s.active[i] = s.active[i][:0]
 		k := 0
-		for k < len(memo) && memo[k].tech != tech {
+		for k < len(s.kinds) && s.kinds[k].tech != tech {
 			k++
 		}
-		if k == len(memo) {
-			memo = append(memo, healthy{tech, combineRates(ol.CorruptionRate(optics.UpperSide), 0)})
+		if k == len(s.kinds) {
+			if k > math.MaxUint16 {
+				panic("faults: more than 65536 distinct technologies")
+			}
+			s.kinds = append(s.kinds, newKind(tech))
 		}
-		s.rate[topology.Up][i] = memo[k].rate
-		s.rate[topology.Down][i] = memo[k].rate
+		s.kind[i] = uint16(k)
+		s.slot[i] = noSlot
+	}
+	s.free = s.free[:0]
+	for i := len(s.slots) - 1; i >= 0; i-- {
+		fl := &s.slots[i]
+		clear(fl.active)
+		fl.active = fl.active[:0]
+		s.free = append(s.free, int32(i))
 	}
 	clear(s.faults)
 	clear(s.suppressed)
-	if len(s.links) > 0 {
-		s.tech = s.techs[0]
-	}
 }
 
 // TechOf reports the transceiver technology of link l.
-func (s *State) TechOf(l topology.LinkID) optics.Technology { return s.techs[l] }
+func (s *State) TechOf(l topology.LinkID) optics.Technology { return s.kinds[s.kind[l]].tech }
 
 // Topology returns the underlying topology.
 func (s *State) Topology() *topology.Topology { return s.topo }
 
-// Tech returns the transceiver technology in use.
-func (s *State) Tech() optics.Technology { return s.tech }
+// Tech returns the first link's transceiver technology: the one in use in
+// the common single-technology case.
+func (s *State) Tech() optics.Technology {
+	if len(s.kind) == 0 {
+		return optics.Technology{}
+	}
+	return s.TechOf(0)
+}
 
 // Apply activates a fault, updating the optical state and corruption rates
 // of every affected link.
@@ -116,9 +167,44 @@ func (s *State) Apply(f *Fault) {
 	}
 	s.faults[f.ID] = f
 	for _, e := range f.Effects {
-		s.active[e.Link] = append(s.active[e.Link], f)
+		fl := s.take(e.Link)
+		fl.active = append(fl.active, f)
 		s.recompute(e.Link)
 	}
+}
+
+// take returns link l's slot, taking one from the pool when the link has
+// none. The pointer is valid until the next take.
+func (s *State) take(l topology.LinkID) *faulty {
+	i := s.slot[l]
+	if i == noSlot {
+		if n := len(s.free); n > 0 {
+			i, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			i = int32(len(s.slots))
+			s.slots = append(s.slots, faulty{})
+		}
+		s.slot[l] = i
+		s.slots[i].optics.ResetTech(s.kinds[s.kind[l]].tech)
+	}
+	return &s.slots[i]
+}
+
+// drop removes fault id from link l's active list, reporting whether the
+// list held it. The caller recomputes the link.
+func (s *State) drop(l topology.LinkID, id ID) bool {
+	i := s.slot[l]
+	if i == noSlot {
+		return false
+	}
+	fl := &s.slots[i]
+	for j, af := range fl.active {
+		if af.ID == id {
+			fl.active = slices.Delete(fl.active, j, j+1)
+			return true
+		}
+	}
+	return false
 }
 
 // Clear removes a fault (it has been repaired), restoring the affected
@@ -133,13 +219,8 @@ func (s *State) Clear(id ID) {
 	delete(s.faults, id)
 	delete(s.suppressed, id)
 	for _, e := range f.Effects {
-		lst := s.active[e.Link]
-		for i, af := range lst {
-			if af.ID == id {
-				s.active[e.Link] = append(lst[:i], lst[i+1:]...)
-				s.recompute(e.Link)
-				break
-			}
+		if s.drop(e.Link, id) {
+			s.recompute(e.Link)
 		}
 	}
 }
@@ -163,14 +244,9 @@ func (s *State) SuppressLinkEffect(id ID, l topology.LinkID) {
 		return
 	}
 	m[l] = true
-	lst := s.active[l]
-	for i, af := range lst {
-		if af.ID == id {
-			s.active[l] = append(lst[:i], lst[i+1:]...)
-			break
-		}
+	if s.drop(l, id) {
+		s.recompute(l)
 	}
-	s.recompute(l)
 	if len(m) == len(f.Effects) {
 		s.Clear(id)
 	}
@@ -180,8 +256,8 @@ func (s *State) SuppressLinkEffect(id ID, l topology.LinkID) {
 // successful link repair) and returns the root causes that were addressed.
 func (s *State) RepairLink(l topology.LinkID) []RootCause {
 	var causes []RootCause
-	for len(s.active[l]) > 0 {
-		f := s.active[l][0]
+	for s.slot[l] != noSlot {
+		f := s.slots[s.slot[l]].active[0]
 		causes = append(causes, f.Cause)
 		s.SuppressLinkEffect(f.ID, l)
 	}
@@ -189,13 +265,24 @@ func (s *State) RepairLink(l topology.LinkID) []RootCause {
 }
 
 // recompute rebuilds link l's optical state and corruption rates from its
-// currently active faults.
+// currently active faults, returning its slot to the pool when none is
+// left.
 func (s *State) recompute(l topology.LinkID) {
-	ol := s.links[l]
+	i := s.slot[l]
+	if i == noSlot {
+		return
+	}
+	fl := &s.slots[i]
+	if len(fl.active) == 0 {
+		s.slot[l] = noSlot
+		s.free = append(s.free, i)
+		return
+	}
+	ol := &fl.optics
 	ol.Reset()
 	// The combined direct (non-optical) corruption rate per direction.
 	var direct [2]float64
-	for _, f := range s.active[l] {
+	for _, f := range fl.active {
 		for _, e := range f.Effects {
 			if e.Link != l {
 				continue
@@ -213,31 +300,53 @@ func (s *State) recompute(l topology.LinkID) {
 		}
 	}
 	// Frames travelling up are received at the upper side.
-	s.rate[topology.Up][l] = combineRates(ol.CorruptionRate(optics.UpperSide), direct[topology.Up])
-	s.rate[topology.Down][l] = combineRates(ol.CorruptionRate(optics.LowerSide), direct[topology.Down])
+	k := &s.kinds[s.kind[l]]
+	fl.rate[topology.Up] = combineRates(k.opticalRate(ol.Margin(optics.UpperSide)), direct[topology.Up])
+	fl.rate[topology.Down] = combineRates(k.opticalRate(ol.Margin(optics.LowerSide)), direct[topology.Down])
 }
 
 // combineRates composes two independent loss processes: a packet survives
 // only if it survives both.
 func combineRates(a, b float64) float64 { return 1 - (1-a)*(1-b) }
 
-// Optics returns the optical state of link l. Callers must treat it as
-// read-only: mutations belong to Apply/Clear, and a link changed behind
-// them would leave the cached rate describing optics that no longer exist.
-func (s *State) Optics(l topology.LinkID) *optics.Link { return s.links[l] }
+// Optics returns the optical state of link l. The pointer is read-only and
+// valid until the next mutation of s (Apply, Clear, SuppressLinkEffect,
+// RepairLink, Reset): every healthy link of a technology shares one Link,
+// and a faulty link's Link is a pooled slot that a later mutation may hand
+// to another link. A write through it would also leave the cached rate
+// describing optics that no longer exist.
+func (s *State) Optics(l topology.LinkID) *optics.Link {
+	if i := s.slot[l]; i != noSlot {
+		return &s.slots[i].optics
+	}
+	return &s.kinds[s.kind[l]].healthy
+}
+
+// rates returns link l's corruption rates, indexed by direction.
+func (s *State) rates(l topology.LinkID) (up, down float64) {
+	if i := s.slot[l]; i != noSlot {
+		r := &s.slots[i].rate
+		return r[topology.Up], r[topology.Down]
+	}
+	r := s.kinds[s.kind[l]].rate
+	return r, r
+}
 
 // CorruptionRate reports the corruption loss rate for frames traveling in
 // the given direction over link l: the optics-derived rate at the receiving
 // side combined with any direct (non-optical) fault contributions.
 func (s *State) CorruptionRate(l topology.LinkID, dir topology.Direction) float64 {
-	return s.rate[dir][l]
+	if i := s.slot[l]; i != noSlot {
+		return s.slots[i].rate[dir]
+	}
+	return s.kinds[s.kind[l]].rate
 }
 
 // WorstRate reports the higher of the two directions' corruption rates,
 // which is what link-disabling decisions consider given that links can only
 // be disabled as a whole.
 func (s *State) WorstRate(l topology.LinkID) float64 {
-	up, down := s.rate[topology.Up][l], s.rate[topology.Down][l]
+	up, down := s.rates(l)
 	if up > down {
 		return up
 	}
@@ -253,7 +362,8 @@ func (s *State) Corrupting(l topology.LinkID, threshold float64) bool {
 // Bidirectional reports whether link l corrupts at or above threshold in
 // both directions (the 8.2% case of Figure 5a).
 func (s *State) Bidirectional(l topology.LinkID, threshold float64) bool {
-	return s.rate[topology.Up][l] >= threshold && s.rate[topology.Down][l] >= threshold
+	up, down := s.rates(l)
+	return up >= threshold && down >= threshold
 }
 
 // CorruptingLinks returns all links corrupting at or above threshold.
@@ -267,8 +377,14 @@ func (s *State) CorruptingLinks(threshold float64) []topology.LinkID {
 	return out
 }
 
-// ActiveFaults returns the faults currently affecting link l.
-func (s *State) ActiveFaults(l topology.LinkID) []*Fault { return s.active[l] }
+// ActiveFaults returns the faults currently affecting link l. The slice is
+// read-only and valid until the next mutation of s.
+func (s *State) ActiveFaults(l topology.LinkID) []*Fault {
+	if i := s.slot[l]; i != noSlot {
+		return s.slots[i].active
+	}
+	return nil
+}
 
 // Fault returns an active fault by id.
 func (s *State) Fault(id ID) (*Fault, bool) {
