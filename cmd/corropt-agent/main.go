@@ -69,8 +69,12 @@ func main() {
 	}
 
 	// Telemetry + snmplite agent, polled by the detector over real UDP —
-	// the same path an external monitoring system would use.
-	collector := telemetry.NewCollector(state, nil, nil, telemetry.Config{Seed: *seed})
+	// the same path an external monitoring system would use. down mirrors
+	// the links the controller has disabled, as its decisions and
+	// activation replies say: a disabled link carries no traffic, so its
+	// monitoring stops (§8).
+	down := topology.NewLinkSet(topo.NumLinks())
+	collector := telemetry.NewCollector(state, nil, down.Func(), telemetry.Config{Seed: *seed})
 	collector.Poll(0)
 	snmpSrv, err := snmplite.NewServer(*snmpAddr, snmplite.CollectorProvider(collector, topo.NumLinks()))
 	if err != nil {
@@ -157,6 +161,7 @@ func main() {
 			}
 			if d.Disabled {
 				fmt.Printf("  [detector] link %-5d rate %.2e -> DISABLED, repair queued\n", ev.Link, ev.Rate)
+				down.Add(ev.Link)
 				queueRepair(ev.Link)
 			} else {
 				fmt.Printf("  [detector] link %-5d rate %.2e -> kept active (%s)\n", ev.Link, ev.Rate, d.Reason)
@@ -176,8 +181,10 @@ func main() {
 			if err != nil {
 				fatalf("activate: %v", err)
 			}
+			down.Remove(p.link)
 			fmt.Printf("  [repair]   link %-5d back up; optimizer disabled %d more\n", p.link, len(newly))
 			for _, nl := range newly {
+				down.Add(nl)
 				queueRepair(nl)
 			}
 		}

@@ -239,6 +239,22 @@ func TestBatchAndPerLinkSweepsAgree(t *testing.T) {
 	}
 }
 
+// refusingProvider answers through inner unless the datagram names a link
+// refuse picks, which fails it the way an unknown link does.
+type refusingProvider struct {
+	inner  snmplite.Provider
+	refuse func(link uint32) bool
+}
+
+func (p refusingProvider) Answer(dst []snmplite.Value, queries []snmplite.Query) ([]snmplite.Value, error) {
+	for _, q := range queries {
+		if p.refuse(q.Link) {
+			return dst, &snmplite.QueryError{Query: q, Err: errors.New("unknown link")}
+		}
+	}
+	return p.inner.Answer(dst, queries)
+}
+
 // TestBatchRefusedLinkChangesNothing: the server refuses one link in the
 // middle of a datagram. The sweep fails naming that link, the links before
 // it keep their baselines, and the next sweep raises their events once.
@@ -246,12 +262,7 @@ func TestBatchRefusedLinkChangesNothing(t *testing.T) {
 	const refused = 30
 	var refusing atomic.Bool
 	r := newSNMPRig(t, rigConfig{provider: func(inner snmplite.Provider) snmplite.Provider {
-		return snmplite.ProviderFunc(func(link uint32, c snmplite.CounterID) (uint64, error) {
-			if link == refused && refusing.Load() {
-				return 0, errors.New("unknown link")
-			}
-			return inner.Counter(link, c)
-		})
+		return refusingProvider{inner: inner, refuse: func(link uint32) bool { return link == refused && refusing.Load() }}
 	}})
 	d, err := New(SNMPSourceClient(r.cli), firstLinks(44), Config{})
 	if err != nil {

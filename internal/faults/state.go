@@ -322,6 +322,17 @@ func (s *State) Optics(l topology.LinkID) *optics.Link {
 	return &s.kinds[s.kind[l]].healthy
 }
 
+// Healthy returns the optics and corruption rate (either direction) that
+// every fault-free link of l's technology shares: what l reads whenever
+// ActiveFaults(l) is empty, whatever has struck it since. The pointer is
+// read-only. Healthy reads only what Reset writes, so unlike the rest of
+// State it may run concurrently with Apply, Clear, SuppressLinkEffect and
+// RepairLink.
+func (s *State) Healthy(l topology.LinkID) (healthy *optics.Link, rate float64) {
+	k := &s.kinds[s.kind[l]]
+	return &k.healthy, k.rate
+}
+
 // rates returns link l's corruption rates, indexed by direction.
 func (s *State) rates(l topology.LinkID) (up, down float64) {
 	if i := s.slot[l]; i != noSlot {

@@ -315,3 +315,38 @@ func FuzzStateDifferential(f *testing.F) {
 		}
 	})
 }
+
+// TestHealthy: Healthy reports the optics and rate of a link's
+// technology's healthy links, whatever strikes the link.
+func TestHealthy(t *testing.T) {
+	topo := testTopo(t)
+	other := optics.Technology{Name: "other", NominalTx: 1, TxThreshold: -3, RxThreshold: -11.5, PathLoss: 3}
+	techOf := func(l topology.LinkID) optics.Technology {
+		if l%2 == 1 {
+			return other
+		}
+		return testTech()
+	}
+	s := NewMultiTechState(topo, techOf)
+	check := func(l topology.LinkID) {
+		t.Helper()
+		ol, rate := s.Healthy(l)
+		fresh := optics.NewLink(techOf(l))
+		if *ol != *fresh {
+			t.Fatalf("link %d: healthy optics %+v, want %+v", l, *ol, *fresh)
+		}
+		if want := combineRates(fresh.CorruptionRate(optics.UpperSide), 0); rate != want {
+			t.Fatalf("link %d: healthy rate %v, want %v", l, rate, want)
+		}
+	}
+	for _, l := range []topology.LinkID{0, 1} {
+		check(l)
+		if ol, rate := s.Healthy(l); ol != s.Optics(l) || s.CorruptionRate(l, topology.Up) != rate || s.CorruptionRate(l, topology.Down) != rate {
+			t.Fatalf("link %d: a fault-free link does not read its technology's healthy state", l)
+		}
+		s.Apply(&Fault{ID: ID(l + 1), Cause: ConnectorContamination,
+			Effects: []LinkEffect{{Link: l, ExtraLossFrom: [2]optics.DB{optics.LowerSide: 12}}}})
+		check(l)
+		s.Clear(ID(l + 1))
+	}
+}

@@ -240,46 +240,64 @@ func (c *Client) PollLink(l topology.LinkID) (LinkReading, error) {
 	return r, nil
 }
 
+// Reasons a CollectorProvider refuses a query.
+var (
+	errUnknownLink    = errors.New("unknown link")
+	errUnknownCounter = errors.New("unknown counter")
+	errNoObservation  = errors.New("no observation yet")
+)
+
 // CollectorProvider adapts a telemetry.Collector into an snmplite Provider,
-// exposing the most recent poll's counters and power levels.
+// exposing the most recent poll's counters and power levels. It answers
+// links below numLinks that the collector polls, reads a datagram under one
+// read lock, and reads each link's counters once however many of them the
+// datagram names.
 func CollectorProvider(c *telemetry.Collector, numLinks int) Provider {
-	return ProviderFunc(func(link uint32, counter CounterID) (uint64, error) {
-		if int(link) >= numLinks {
-			return 0, fmt.Errorf("unknown link")
+	return &collectorProvider{c: c, numLinks: min(numLinks, c.NumLinks())}
+}
+
+type collectorProvider struct {
+	c        *telemetry.Collector
+	numLinks int
+}
+
+// Answer implements Provider.
+func (p *collectorProvider) Answer(dst []Value, queries []Query) (values []Value, err error) {
+	p.c.Read(func(r telemetry.Reader) { values, err = p.answer(r, dst, queries) })
+	return values, err
+}
+
+func (p *collectorProvider) answer(r telemetry.Reader, dst []Value, queries []Query) ([]Value, error) {
+	// The counters of link ctrLink, by CounterID: a datagram names each
+	// link's counters together.
+	ctrLink := -1
+	var ctr [CounterDropsDown + 1]uint64
+	for _, q := range queries {
+		if int64(q.Link) >= int64(p.numLinks) {
+			return dst, &QueryError{Query: q, Err: errUnknownLink}
 		}
-		if counter >= NumCounters {
-			return 0, fmt.Errorf("unknown counter")
+		l := topology.LinkID(q.Link)
+		var v uint64
+		switch {
+		case q.Counter <= CounterDropsDown:
+			if ctrLink != int(l) {
+				c := r.Counters(l)
+				ctr = [...]uint64{c.Packets[0], c.Packets[1], c.Errors[0], c.Errors[1], c.Drops[0], c.Drops[1]}
+				ctrLink = int(l)
+			}
+			v = ctr[q.Counter]
+		case q.Counter < NumCounters:
+			// Only a power level needs the latest observation.
+			obs, ok := r.Latest(l)
+			if !ok {
+				return dst, &QueryError{Query: q, Err: errNoObservation}
+			}
+			power := [...]float64{float64(obs.TxPower[0]), float64(obs.TxPower[1]), float64(obs.RxPower[0]), float64(obs.RxPower[1])}
+			v = EncodePower(power[q.Counter-CounterTxPowerLower])
+		default:
+			return dst, &QueryError{Query: q, Err: errUnknownCounter}
 		}
-		l := topology.LinkID(link)
-		switch counter {
-		case CounterPacketsUp:
-			return c.Counters(l).Packets[0], nil
-		case CounterPacketsDown:
-			return c.Counters(l).Packets[1], nil
-		case CounterErrorsUp:
-			return c.Counters(l).Errors[0], nil
-		case CounterErrorsDown:
-			return c.Counters(l).Errors[1], nil
-		case CounterDropsUp:
-			return c.Counters(l).Drops[0], nil
-		case CounterDropsDown:
-			return c.Counters(l).Drops[1], nil
-		}
-		// What is left is a power level, and only those need the latest
-		// observation: a second lock and a ~150-byte copy.
-		obs, ok := c.Latest(l)
-		if !ok {
-			return 0, fmt.Errorf("no observation yet")
-		}
-		switch counter {
-		case CounterTxPowerLower:
-			return EncodePower(float64(obs.TxPower[0])), nil
-		case CounterTxPowerUpper:
-			return EncodePower(float64(obs.TxPower[1])), nil
-		case CounterRxPowerLower:
-			return EncodePower(float64(obs.RxPower[0])), nil
-		default: // CounterRxPowerUpper
-			return EncodePower(float64(obs.RxPower[1])), nil
-		}
-	})
+		dst = append(dst, Value{Query: q, Value: v})
+	}
+	return dst, nil
 }

@@ -10,20 +10,44 @@ import (
 	"corropt/internal/simclock"
 )
 
-// Provider answers counter queries; implementations adapt telemetry
-// sources. Unknown links or counters should return an error, which the
-// server converts into a protocol error reply.
+// Provider answers the queries of one datagram; implementations adapt
+// telemetry sources. Answer appends one Value per query to dst, in order,
+// and returns the extended slice. An unknown link or counter fails the
+// whole datagram with a *QueryError naming it, which the server converts
+// into a protocol error reply.
 type Provider interface {
-	Counter(link uint32, counter CounterID) (uint64, error)
+	Answer(dst []Value, queries []Query) ([]Value, error)
 }
 
-// ProviderFunc adapts a function to the Provider interface.
+// ProviderFunc adapts a function answering one query to the Provider
+// interface.
 type ProviderFunc func(link uint32, counter CounterID) (uint64, error)
 
-// Counter implements Provider.
-func (f ProviderFunc) Counter(link uint32, counter CounterID) (uint64, error) {
-	return f(link, counter)
+// Answer implements Provider, one call per query.
+func (f ProviderFunc) Answer(dst []Value, queries []Query) ([]Value, error) {
+	for _, q := range queries {
+		v, err := f(q.Link, q.Counter)
+		if err != nil {
+			return dst, &QueryError{Query: q, Err: err}
+		}
+		dst = append(dst, Value{Query: q, Value: v})
+	}
+	return dst, nil
 }
+
+// QueryError is a Provider's refusal of one query.
+type QueryError struct {
+	Query
+	Err error
+}
+
+// Error implements the error interface.
+func (e *QueryError) Error() string {
+	return fmt.Sprintf("link %d counter %v: %v", e.Link, e.Counter, e.Err)
+}
+
+// Unwrap returns the reason the query was refused.
+func (e *QueryError) Unwrap() error { return e.Err }
 
 // serveDeadlineTick is the read-deadline interval of the serve loop. The
 // loop never blocks longer than one tick: even a packet socket whose Close
@@ -154,15 +178,11 @@ func (s *Server) handle(pkt []byte) []byte {
 		return EncodeError(reqID, 1, err.Error())
 	}
 	s.queries = queries
-	values := s.values[:0]
-	for _, q := range queries {
-		v, err := s.provider.Counter(q.Link, q.Counter)
-		if err != nil {
-			return EncodeError(reqID, 2, fmt.Sprintf("link %d counter %v: %v", q.Link, q.Counter, err))
-		}
-		values = append(values, Value{Query: q, Value: v})
-	}
+	values, err := s.provider.Answer(s.values[:0], queries)
 	s.values = values
+	if err != nil {
+		return EncodeError(reqID, 2, err.Error())
+	}
 	reply, err := appendResponse(s.reply[:0], reqID, values)
 	if err != nil {
 		return EncodeError(reqID, 3, err.Error())

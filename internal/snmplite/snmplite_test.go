@@ -2,6 +2,7 @@ package snmplite
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -244,25 +245,142 @@ func TestCollectorProviderBeforeFirstPoll(t *testing.T) {
 	p := CollectorProvider(col, topo.NumLinks())
 
 	for c := CounterPacketsUp; c <= CounterDropsDown; c++ {
-		if v, err := p.Counter(0, c); err != nil || v != 0 {
+		if v, err := answerOne(p, 0, c); err != nil || v != 0 {
 			t.Errorf("%v before the first poll = %d, %v; want 0", c, v, err)
 		}
 	}
 	for c := CounterTxPowerLower; c < NumCounters; c++ {
-		if _, err := p.Counter(0, c); err == nil || err.Error() != "no observation yet" {
+		if _, err := answerOne(p, 0, c); !errors.Is(err, errNoObservation) {
 			t.Errorf("%v before the first poll: %v; want no observation yet", c, err)
 		}
 	}
-	if _, err := p.Counter(0, NumCounters); err == nil || err.Error() != "unknown counter" {
+	if _, err := answerOne(p, 0, NumCounters); !errors.Is(err, errUnknownCounter) {
 		t.Errorf("counter %d: %v; want unknown counter", NumCounters, err)
 	}
 
 	col.Poll(0)
 	want := []float64{0, 0, -3, -3}
 	for c := CounterTxPowerLower; c < NumCounters; c++ {
-		if v, err := p.Counter(0, c); err != nil || DecodePower(v) != want[c-CounterTxPowerLower] {
+		if v, err := answerOne(p, 0, c); err != nil || DecodePower(v) != want[c-CounterTxPowerLower] {
 			t.Errorf("%v = %v, %v; want %v dBm", c, DecodePower(v), err, want[c-CounterTxPowerLower])
 		}
+	}
+}
+
+// answerOne asks p for one counter.
+func answerOne(p Provider, link uint32, c CounterID) (uint64, error) {
+	v, err := p.Answer(nil, []Query{{Link: link, Counter: c}})
+	if err != nil {
+		return 0, err
+	}
+	return v[0].Value, nil
+}
+
+// pollCollector returns a collector over a small Clos, polled twice, with
+// link 1 corrupting, link 2 contaminated and link 3 disabled: walked,
+// quiet and off links side by side.
+func pollCollector(t *testing.T) (*topology.Topology, *telemetry.Collector) {
+	t.Helper()
+	topo, err := topology.NewClos(topology.ClosConfig{
+		Pods: 1, ToRsPerPod: 2, AggsPerPod: 2, Spines: 2, SpineUplinksPerAgg: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tech := optics.Technology{Name: "t", NominalTx: 0, TxThreshold: -4, RxThreshold: -10, PathLoss: 3}
+	st := faults.NewState(topo, tech)
+	st.Apply(&faults.Fault{ID: 1, Cause: faults.BadTransceiver,
+		Effects: []faults.LinkEffect{{Link: 1, DirectRate: [2]float64{0.01, 0.001}}}})
+	st.Apply(&faults.Fault{ID: 2, Cause: faults.ConnectorContamination,
+		Effects: []faults.LinkEffect{{Link: 2, ExtraLossFrom: [2]optics.DB{optics.LowerSide: 11}}}})
+	down := topology.NewLinkSet(topo.NumLinks())
+	down.Add(3)
+	col := telemetry.NewCollector(st, nil, down.Func(), telemetry.Config{Seed: 4})
+	col.Poll(0)
+	col.Poll(telemetry.DefaultInterval)
+	return topo, col
+}
+
+// TestCollectorProviderAnswersDatagram: one datagram naming every counter
+// of several links, some of them twice and not side by side, reads what
+// the collector's own per-link reads say.
+func TestCollectorProviderAnswersDatagram(t *testing.T) {
+	topo, col := pollCollector(t)
+	var queries []Query
+	for _, l := range []uint32{0, 1, 2, 3, 1, 0} {
+		for c := CounterID(0); c < NumCounters; c++ {
+			queries = append(queries, Query{Link: l, Counter: c})
+		}
+	}
+	values, err := CollectorProvider(col, topo.NumLinks()).Answer(nil, queries)
+	if err != nil || len(values) != len(queries) {
+		t.Fatalf("answered %d of %d queries: %v", len(values), len(queries), err)
+	}
+	for i, v := range values {
+		l := topology.LinkID(v.Link)
+		ctr := col.Counters(l)
+		obs, _ := col.Latest(l)
+		want := [NumCounters]uint64{
+			ctr.Packets[0], ctr.Packets[1], ctr.Errors[0], ctr.Errors[1], ctr.Drops[0], ctr.Drops[1],
+			EncodePower(float64(obs.TxPower[0])), EncodePower(float64(obs.TxPower[1])),
+			EncodePower(float64(obs.RxPower[0])), EncodePower(float64(obs.RxPower[1])),
+		}
+		if v.Query != queries[i] || v.Value != want[v.Counter] {
+			t.Errorf("value %d = %+v, want %+v = %d", i, v, queries[i], want[v.Counter])
+		}
+	}
+	if ctr := col.Counters(1); ctr.Errors[0] == 0 || ctr.Packets[0] == 0 {
+		t.Fatalf("corrupting link counts %+v", ctr)
+	}
+}
+
+// TestCollectorProviderBoundsByCollector: a numLinks beyond the collector's
+// own link count does not let a query index past the collector; the link
+// in the gap gets an error reply and the server keeps answering.
+func TestCollectorProviderBoundsByCollector(t *testing.T) {
+	topo, col := pollCollector(t)
+	n := topo.NumLinks()
+	srv, err := NewServer("127.0.0.1:0", CollectorProvider(col, n+10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr().String(), time.Second, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	var remote *RemoteError
+	if _, err := cli.Get([]Query{{Link: uint32(n + 3), Counter: CounterPacketsUp}}); !errors.As(err, &remote) ||
+		remote.Msg != fmt.Sprintf("link %d counter packets-up: unknown link", n+3) {
+		t.Fatalf("link %d of a %d-link collector: %v; want an unknown link error reply", n+3, n, err)
+	}
+	if v, err := cli.Get([]Query{{Link: uint32(n - 1), Counter: CounterPacketsUp}}); err != nil || v[0].Value != col.Counters(topology.LinkID(n - 1)).Packets[0] {
+		t.Fatalf("last link after the refusal: %v, %v", v, err)
+	}
+}
+
+// TestServerHandleCollectorDatagramDoesNotAllocate: a warm server answers
+// the detector's 88-entry datagram (22 links × 4 counters) from a
+// collector without allocating.
+func TestServerHandleCollectorDatagramDoesNotAllocate(t *testing.T) {
+	topo, col := pollCollector(t)
+	s := &Server{provider: CollectorProvider(col, topo.NumLinks())}
+	queries := make([]Query, 0, 88)
+	for i := 0; len(queries) < 88; i++ {
+		for _, c := range []CounterID{CounterPacketsUp, CounterPacketsDown, CounterErrorsUp, CounterErrorsDown} {
+			queries = append(queries, Query{Link: uint32(i % topo.NumLinks()), Counter: c})
+		}
+	}
+	pkt, err := EncodeRequest(9, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, values, err := DecodeResponse(s.handle(pkt)); err != nil || len(values) != 88 {
+		t.Fatalf("reply of %d values, %v", len(values), err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.handle(pkt) }); allocs != 0 {
+		t.Errorf("a warm handle of a collector datagram allocates %v times, want 0", allocs)
 	}
 }
 

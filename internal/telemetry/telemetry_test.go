@@ -208,6 +208,40 @@ func TestConcurrentReadsDuringPoll(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadsDuringFaults: the deployment's poll loop applies and
+// repairs faults between polls while the snmplite responder reads every
+// link, power levels included. Deriving a quiet link's reading must not
+// read the fault state that loop writes; run under -race.
+func TestConcurrentReadsDuringFaults(t *testing.T) {
+	topo, st, _ := setup(t)
+	c := NewCollector(st, nil, nil, Config{})
+	c.Poll(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			c.Read(func(r Reader) {
+				for l := 0; l < topo.NumLinks(); l++ {
+					r.Counters(topology.LinkID(l))
+					r.Latest(topology.LinkID(l))
+				}
+			})
+		}
+	}()
+	for i := 1; i <= 50; i++ {
+		f := &faults.Fault{
+			ID:      faults.ID(i),
+			Cause:   faults.BadTransceiver,
+			Effects: []faults.LinkEffect{{Link: topology.LinkID(i % topo.NumLinks()), DirectRate: [2]float64{1e-3, 0}}},
+		}
+		st.Apply(f)
+		c.Poll(time.Duration(2*i-1) * DefaultInterval)
+		st.Clear(f.ID)
+		c.Poll(time.Duration(2*i) * DefaultInterval)
+	}
+	<-done
+}
+
 // TestNoiseDiffersWithinASecond pins that polls are keyed by their full
 // virtual time: two polls half a second apart are independent samples, not
 // one sample read twice.
@@ -332,9 +366,32 @@ func TestPollDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPollWithoutTrafficDoesNotAllocate is TestPollDoesNotAllocate on the
+// path fig13_journey runs: no traffic model, a faulted link that is walked,
+// a disabled link and quiet links everywhere else.
+func TestPollWithoutTrafficDoesNotAllocate(t *testing.T) {
+	topo, st, _ := setup(t)
+	st.Apply(&faults.Fault{
+		ID:      1,
+		Cause:   faults.BadTransceiver,
+		Effects: []faults.LinkEffect{{Link: 0, DirectRate: [2]float64{0.01, 0}}},
+	})
+	down := topology.NewLinkSet(topo.NumLinks())
+	down.Add(3)
+	c := NewCollector(st, nil, down.Func(), Config{})
+	now := time.Duration(0)
+	if n := testing.AllocsPerRun(20, func() {
+		c.Poll(now)
+		now += DefaultInterval
+	}); n != 0 {
+		t.Fatalf("Poll without a traffic model allocates %v times", n)
+	}
+}
+
 // BenchmarkCollectorPoll is the layer's own number: one poll of the
 // benchmark's DCN (bench/workload.go: 15,120 links) with no traffic model,
-// as fig13_journey runs it.
+// as fig13_journey runs it. "healthy" has no fault and no disabled link;
+// "steady" is fig13's steady state, 32 faulted and 128 disabled links.
 func BenchmarkCollectorPoll(b *testing.B) {
 	topo, err := topology.NewClos(topology.ClosConfig{
 		Pods: 45, ToRsPerPod: 40, AggsPerPod: 6, Spines: 96, SpineUplinksPerAgg: 16, BreakoutSize: 4,
@@ -343,10 +400,29 @@ func BenchmarkCollectorPoll(b *testing.B) {
 		b.Fatal(err)
 	}
 	tech := optics.Technology{Name: "t", NominalTx: 0, TxThreshold: -4, RxThreshold: -10, PathLoss: 3}
-	c := NewCollector(faults.NewState(topo, tech), nil, nil, Config{Seed: 1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Poll(time.Duration(i) * DefaultInterval)
+	for _, bc := range []struct {
+		name              string
+		faulted, disabled int
+	}{{"healthy", 0, 0}, {"steady", 32, 128}} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := faults.NewState(topo, tech)
+			n := topo.NumLinks()
+			for i := 0; i < bc.faulted; i++ {
+				e := faults.LinkEffect{Link: topology.LinkID(i * n / bc.faulted)}
+				e.ExtraLossFrom[optics.LowerSide] = 10
+				st.Apply(&faults.Fault{ID: faults.ID(i + 1), Cause: faults.ConnectorContamination, Effects: []faults.LinkEffect{e}})
+			}
+			down := topology.NewLinkSet(n)
+			for i := 0; i < bc.disabled; i++ {
+				down.Add(topology.LinkID(i*n/bc.disabled + 7))
+			}
+			c := NewCollector(st, nil, down.Func(), Config{Seed: 1})
+			c.Poll(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Poll(time.Duration(i+1) * DefaultInterval)
+			}
+		})
 	}
 }
