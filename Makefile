@@ -49,13 +49,15 @@ ci: build test bench-smoke lint cover test-race test-chaos test-scenarios fuzz
 ## traces across workers, so this is the guard on that immutability contract
 ## (core and topology start no goroutine; each worker owns its Network and
 ## PathCounter, and shares read-only the topology's path-count order/total
-## and, in fleet, a shape's shardSet of routing and segment tables). The
-## experiments run covers the scenario-sharded drivers: the global RunMany
-## work list, the memoized topology/trace cache under concurrent misses and
-## FIFO eviction, and per-worker Scratch reuse. The fleet run pins
-## TestFleetMatchesSerial — byte-identical supervisor snapshots for every
-## shard/worker count — with shard drains racing on the worker pool, two of
-## its DCNs on one shardSet. ctlplane, snmplite and detector are the
+## and, in fleet, a shape's shardSet of routing and segment tables). The sim
+## run covers sim.RunAll, the one pooled replay path (experiments and
+## scenario.Execute both call it), at workers 1 and 4 in
+## TestScratchMatchesFresh. The experiments run covers every replaying
+## driver: the global RunMany replay list, the memoized topology/trace cache
+## under concurrent misses and FIFO eviction, and per-worker Scratch reuse.
+## The fleet run pins TestFleetMatchesSerial — byte-identical supervisor
+## snapshots for every shard/worker count — with shard drains racing on the
+## worker pool, two of its DCNs on one shardSet. ctlplane, snmplite and detector are the
 ## packages that run one goroutine per connection or in-flight request: each
 ## connection's read buffer, the reply cache behind the controller's mutex
 ## and the clocks tests inject are what the detector watches there.

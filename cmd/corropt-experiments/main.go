@@ -7,13 +7,13 @@
 //	corropt-experiments -exp all -scale small
 //	corropt-experiments -exp fig17,fig19,ticketq -scale large -workers 16
 //
-// Multi-scenario experiments (policy sweeps, the fleet study, the staffing
-// grid) replay their scenarios on a bounded worker pool; -workers bounds the
-// concurrency (default: one worker per CPU). When -exp names several
-// experiments (a comma list, or 'all'), their scenarios are flattened into
-// one global work list so the pool load-balances across experiments instead
-// of draining them one at a time. The fleet experiment additionally takes
-// -shards, the fleet supervisor's shard-packing target. Reports are
+// Experiments that replay fault traces (policy sweeps, the fleet study, the
+// staffing grid) hand their replays to one worker pool shared by the whole
+// batch; -workers bounds its concurrency (default: one worker per CPU). When
+// -exp names several experiments (a comma list, or 'all'), their replays
+// form one global work list so the pool load-balances across experiments
+// instead of draining them one at a time. The fleet experiment additionally
+// takes -shards, the fleet supervisor's shard-packing target. Reports are
 // byte-identical for any -workers or -shards value and any batching — the
 // flags only change wall-clock time.
 //
@@ -36,7 +36,7 @@ func main() {
 		exp     = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		scale   = flag.String("scale", "small", "dcn scale: small, medium, large")
 		seed    = flag.Uint64("seed", 1, "random seed (equal seeds reproduce identical reports)")
-		workers = flag.Int("workers", 0, "concurrent scenario replays per experiment (0 = one per CPU); any value produces byte-identical reports")
+		workers = flag.Int("workers", 0, "concurrent trace replays, one pool shared by every experiment of the batch (0 = one per CPU); any value produces byte-identical reports")
 		shards  = flag.Int("shards", 0, "fleet supervisor shard-packing target (0 = one shard per topology segment); any value produces byte-identical reports")
 		out     = flag.String("o", "", "output file (default stdout)")
 		format  = flag.String("format", "tsv", "output format: tsv or json")
@@ -50,7 +50,19 @@ func main() {
 		}
 		return
 	}
-	if *exp == "" {
+	var ids []string
+	if *exp == "all" {
+		for _, e := range experiments.List() {
+			ids = append(ids, e[0])
+		}
+	} else {
+		for _, id := range strings.Split(*exp, ",") {
+			if id = strings.TrimSpace(id); id != "" {
+				ids = append(ids, id)
+			}
+		}
+	}
+	if len(ids) == 0 {
 		fmt.Fprintln(os.Stderr, "corropt-experiments: -exp is required (or -list)")
 		flag.Usage()
 		os.Exit(2)
@@ -78,19 +90,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers, Shards: *shards}
-
-	var ids []string
-	if *exp == "all" {
-		for _, e := range experiments.List() {
-			ids = append(ids, e[0])
-		}
-	} else {
-		for _, id := range strings.Split(*exp, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				ids = append(ids, id)
-			}
-		}
-	}
 	if err := experiments.CheckIDs(ids); err != nil {
 		fmt.Fprintf(os.Stderr, "corropt-experiments: %v\n", err)
 		os.Exit(1)

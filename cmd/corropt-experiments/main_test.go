@@ -48,8 +48,9 @@ func runExp(t *testing.T, dir string, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestBadFlagsKeepOutputFile: a bad -exp, -format or -scale exits non-zero
-// before -o is created, so an existing report survives byte for byte.
+// TestBadFlagsKeepOutputFile: a bad or empty -exp, -format or -scale exits
+// non-zero before -o is created, so an existing report survives byte for
+// byte.
 func TestBadFlagsKeepOutputFile(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -60,6 +61,7 @@ func TestBadFlagsKeepOutputFile(t *testing.T) {
 		{"one unknown id in a list", []string{"-exp", "tab1,nosuch"}, 1},
 		{"unknown format", []string{"-exp", "tab1", "-format", "xml"}, 2},
 		{"unknown scale", []string{"-exp", "tab1", "-scale", "huge"}, 2},
+		{"empty id list", []string{"-exp", " , "}, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -15,16 +15,17 @@ import (
 // drivers: evaluation topologies and the fault traces generated over them.
 // Both are read-only during simulation (DESIGN.md §7.4) — a Sim never
 // mutates its Topology or the *faults.Fault records it replays — so one
-// cached copy can feed any number of concurrent scenarios. Memoization is
+// cached copy can feed any number of concurrent replays. Memoization is
 // what makes repeated driver runs (benchmarks, RunMany over overlapping
 // scales, back-to-back CLI invocations in one process) pay for topology
 // construction and trace generation once instead of per run.
 //
 // Keys are strings of the full derivation recipe (builder, seed, scale or
 // index), so a cache hit is byte-identical to a rebuild by construction.
-// Entries carry a sync.Once: concurrent workers missing on distinct keys
-// build in parallel, while workers racing on the same key block on the one
-// build instead of duplicating it. Eviction is FIFO over an insertion-order
+// Entries carry a sync.Once: concurrent callers (RunMany batches on
+// separate goroutines) missing on distinct keys build in parallel, while
+// callers racing on the same key block on the one build instead of
+// duplicating it. Eviction is FIFO over an insertion-order
 // slice — deterministic, no map iteration.
 
 // traceEntry is one memoized (topology, trace) pair plus the scalars
@@ -91,9 +92,9 @@ func cachedDCN(scale Scale) (*topology.Topology, error) {
 }
 
 // cachedEvalTrace memoizes the standard evaluation workload of §7.1: the
-// scale's DCN plus the fault trace seeded by (seed, name). This backs
-// evalTrace, so every driver that shares a (seed, name, scale) triple also
-// shares one topology and one trace.
+// scale's DCN plus the fault trace seeded by (seed, name). Every driver
+// that shares a (seed, name, scale) triple also shares one topology and one
+// trace.
 func cachedEvalTrace(seed uint64, name string, scale Scale) (*traceEntry, error) {
 	key := fmt.Sprintf("eval/%d/%s/%s", seed, scale, name)
 	return memoTrace(key, func(e *traceEntry) {
@@ -103,7 +104,7 @@ func cachedEvalTrace(seed uint64, name string, scale Scale) (*traceEntry, error)
 			return
 		}
 		horizon := evalHorizon(scale)
-		inj, err := faults.NewInjector(topo, DefaultTech(),
+		inj, err := faults.NewInjector(topo, optics.EvalTech(),
 			faults.InjectorConfig{FaultsPerLinkPerDay: FaultRate(scale)},
 			rngutil.New(seed).Split(name))
 		if err != nil {
@@ -130,7 +131,7 @@ func cachedSec2Trace(seed uint64, scale Scale) (*traceEntry, error) {
 			return
 		}
 		horizon := evalHorizon(scale)
-		inj, err := faults.NewInjector(topo, DefaultTech(),
+		inj, err := faults.NewInjector(topo, optics.EvalTech(),
 			faults.InjectorConfig{FaultsPerLinkPerDay: 2 * FaultRate(scale)},
 			rngutil.New(seed).Split("sec2"))
 		if err != nil {

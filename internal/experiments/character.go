@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"corropt/internal/faults"
+	"corropt/internal/optics"
 	"corropt/internal/rngutil"
 	"corropt/internal/stats"
 	"corropt/internal/telemetry"
@@ -14,10 +15,10 @@ import (
 )
 
 func init() {
-	register("fig2", "stability of corruption vs congestion loss rate (example link + CV CDF)", fig2)
-	register("fig3", "correlation of loss rate with utilization (scatter + Pearson CDF)", fig3)
-	register("fig4", "spatial locality of corrupting vs congested links", fig4)
-	register("fig5", "asymmetry: bidirectional corruption vs congestion", fig5)
+	register("fig2", "stability of corruption vs congestion loss rate (example link + CV CDF)", analytic(fig2))
+	register("fig3", "correlation of loss rate with utilization (scatter + Pearson CDF)", analytic(fig3))
+	register("fig4", "spatial locality of corrupting vs congested links", analytic(fig4))
+	register("fig5", "asymmetry: bidirectional corruption vs congestion", analytic(fig5))
 }
 
 // charSetup builds the shared measurement scenario of §3: a DCN with a
@@ -47,8 +48,8 @@ func newCharScenario(cfg Config, name string) (*charScenario, error) {
 		return nil, err
 	}
 	rng := rngutil.New(cfg.Seed).Split(name)
-	st := faults.NewState(topo, DefaultTech())
-	inj, err := faults.NewInjector(topo, DefaultTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 0.004}, rng.Split("faults"))
+	st := faults.NewState(topo, optics.EvalTech())
+	inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 0.004}, rng.Split("faults"))
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 
-	"corropt/internal/optics"
 	"corropt/internal/topology"
 )
 
@@ -55,10 +54,10 @@ type Config struct {
 	// Seed roots all randomness; equal seeds reproduce byte-identical
 	// reports.
 	Seed uint64
-	// Workers bounds how many independent scenarios (policy × constraint ×
-	// DCN cells, fleet members, staffing-grid cells) run concurrently; 0
-	// means one per CPU. Every scenario draws from its own rngutil
-	// substream and results are collected in index order, so reports are
+	// Workers bounds how many independent replays (policy × constraint ×
+	// DCN cells, fleet members, staffing-grid cells) of the whole batch run
+	// concurrently; 0 means one per CPU. Every replay draws from its own
+	// rngutil substream and results are collected in index order, so reports are
 	// byte-identical for any Workers value — the knob only changes
 	// wall-clock time.
 	Workers int
@@ -130,31 +129,32 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// Func runs one experiment.
+// Func is an analytic driver: it computes its report without handing any
+// replay to the pool, and registers through analytic.
 type Func func(Config) (*Report, error)
 
-// registry maps experiment ids to their drivers; populated by init
+// registry maps experiment ids to their plan builders; populated by init
 // functions next to each driver.
-var registry = map[string]Func{}
+var registry = map[string]func(Config) (*plan, error){}
 
 // descriptions holds one-line summaries for listings.
 var descriptions = map[string]string{}
 
-func register(id, description string, fn Func) {
+func register(id, description string, build func(Config) (*plan, error)) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
-	registry[id] = fn
+	registry[id] = build
 	descriptions[id] = description
 }
 
-// Run executes the experiment with the given id.
+// Run executes the experiment with the given id: RunMany of one id.
 func Run(id string, cfg Config) (*Report, error) {
-	fn, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (use List)", id)
+	reps, err := RunMany([]string{id}, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return fn(cfg)
+	return reps[0], nil
 }
 
 // List returns all experiment ids in sorted order with descriptions.
@@ -169,11 +169,6 @@ func List() [][2]string {
 		out[i] = [2]string{id, descriptions[id]}
 	}
 	return out
-}
-
-// DefaultTech is the transceiver technology used across experiments.
-func DefaultTech() optics.Technology {
-	return optics.Technology{Name: "40G-LR4", NominalTx: 0, TxThreshold: -4, RxThreshold: -10, PathLoss: 3}
 }
 
 // DCN builds the evaluation topology for the scale. Shapes keep a ToR

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	registerSharded("ext8", "§8 future extensions: drain-instead-of-disable and repair collateral", ext8)
+	register("ext8", "§8 future extensions: drain-instead-of-disable and repair collateral", ext8)
 }
 
 // ext8 quantifies the two §8 extensions this implementation includes:
@@ -25,7 +25,7 @@ func init() {
 //     one link of a breakout cable takes its healthy siblings down for the
 //     service window, costing capacity that the basic model ignores.
 func ext8(cfg Config) (*plan, error) {
-	topo, trace, horizon, err := evalTrace(cfg, "ext8", cfg.Scale)
+	e, err := cachedEvalTrace(cfg.Seed, "ext8", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -40,22 +40,16 @@ func ext8(cfg Config) (*plan, error) {
 		{"repair collateral modeled", false, true},
 		{"drain + collateral", true, true},
 	}
-	scenarios := make([]simScenario, len(variants))
+	replays := make([]sim.Replay, len(variants))
 	for i, v := range variants {
-		scenarios[i] = simScenario{run: func(sc *sim.Scratch) (*sim.Result, error) {
-			s, err := sim.NewWithScratch(topo, DefaultTech(), sim.Config{
-				Policy:         sim.PolicyCorrOpt,
-				Capacity:       0.75,
-				FixedAccuracy:  0.5, // frequent repair failures make the cycle visible
-				DetectionDelay: 15 * time.Minute,
-				RepairConfig:   core.RepairConfig{DrainMode: v.drain, RepairCollateral: v.collateral},
-				Seed:           cfg.Seed,
-			}, sc)
-			if err != nil {
-				return nil, err
-			}
-			return s.Run(trace, horizon)
-		}}
+		replays[i] = e.replay(sim.Config{
+			Policy:         sim.PolicyCorrOpt,
+			Capacity:       0.75,
+			FixedAccuracy:  0.5, // frequent repair failures make the cycle visible
+			DetectionDelay: 15 * time.Minute,
+			RepairConfig:   core.RepairConfig{DrainMode: v.drain, RepairCollateral: v.collateral},
+			Seed:           cfg.Seed,
+		})
 	}
 	finish := func(results []*sim.Result) (*Report, error) {
 		r := &Report{
@@ -85,5 +79,5 @@ func ext8(cfg Config) (*plan, error) {
 		r.AddNote("collateral repair lowers the mean ToR path fraction by taking healthy breakout siblings down during service windows")
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"corropt/internal/faults"
+	"corropt/internal/optics"
 	"corropt/internal/rngutil"
 	"corropt/internal/sim"
 	"corropt/internal/stats"
@@ -15,8 +16,8 @@ import (
 )
 
 func init() {
-	register("fig1", "packets lost per day to corruption vs congestion across 15 DCNs", fig1)
-	register("tab1", "distribution of links with corruption/congestion across loss buckets", tab1)
+	register("fig1", "packets lost per day to corruption vs congestion across 15 DCNs", analytic(fig1))
+	register("tab1", "distribution of links with corruption/congestion across loss buckets", analytic(tab1))
 }
 
 // closWithPods builds a Clos with the standard pod shape and the given pod
@@ -63,7 +64,7 @@ func fig1(cfg Config) (*Report, error) {
 		// every new corrupting link burns application traffic for up to
 		// one SNMP poll before the controller reacts, which is the
 		// dominant corruption-loss channel §2 measures.
-		inj, err := faults.NewInjector(topo, DefaultTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 4 * FaultRate(cfg.Scale)}, rng.Split("faults"))
+		inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 4 * FaultRate(cfg.Scale)}, rng.Split("faults"))
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +85,7 @@ func fig1(cfg Config) (*Report, error) {
 			}
 			return f * backoff
 		}
-		s, err := sim.New(topo, DefaultTech(), sim.Config{
+		s, err := sim.New(topo, optics.EvalTech(), sim.Config{
 			Policy:         sim.PolicySwitchLocal,
 			Capacity:       0.75,
 			FixedAccuracy:  0.5,
@@ -160,11 +161,11 @@ func tab1(cfg Config) (*Report, error) {
 
 	// Corruption: mean worst-direction rate per link over the week, from
 	// the ground-truth fault process (time-weighted by fault activity).
-	inj, err := faults.NewInjector(topo, DefaultTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 20 * FaultRate(cfg.Scale)}, rng.Split("faults"))
+	inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 20 * FaultRate(cfg.Scale)}, rng.Split("faults"))
 	if err != nil {
 		return nil, err
 	}
-	st := faults.NewState(topo, DefaultTech())
+	st := faults.NewState(topo, optics.EvalTech())
 	// Apply every fault of the week; rates are stable (§3), so each
 	// link's mean rate over the week is rate × activeFraction. Faults are
 	// not repaired within the observation week (repairs average 2 days

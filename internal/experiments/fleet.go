@@ -14,7 +14,7 @@ import (
 )
 
 func init() {
-	registerSharded("fleet", "§7.2 deployment scale: the recommendation engine across 70 DCNs of different sizes", fleetStudy)
+	register("fleet", "§7.2 deployment scale: the recommendation engine across 70 DCNs of different sizes", fleetStudy)
 }
 
 // fleetStudy reproduces the deployment dimension of §7.2: the recommendation
@@ -25,47 +25,35 @@ func init() {
 // without optical data) and report the per-DCN distribution of repair
 // accuracy and ticket volume.
 //
-// The driver is a consumer of internal/fleet: the per-DCN simulations run on
-// a fleet.Study (one member per DCN, each built from its per-index rngutil
-// substream, fanned out with per-worker Scratch reuse), and the report
-// closes with a fleet.Supervisor replay of the same fault traces as a
-// corruption-event stream — the sharded controller path. Results are
-// collected in DCN order and the supervisor snapshot is shard- and
-// worker-count invariant, so reports stay byte-identical for any Workers or
-// Shards value.
+// The plan holds one replay per DCN, each built from its per-index rngutil
+// substream (TechAssign covers every link, so the replay's Tech is unused),
+// and the report closes with a fleet.Supervisor replay of the same fault
+// traces as a corruption-event stream — the sharded controller path.
+// Results are collected in DCN order and the supervisor snapshot is shard-
+// and worker-count invariant, so reports stay byte-identical for any
+// Workers or Shards value.
 func fleetStudy(cfg Config) (*plan, error) {
 	nDCNs := 70
 	if cfg.Scale == ScaleSmall {
 		nDCNs = 12
 	}
 	techs := optics.DefaultTechnologies()
-	study := fleet.NewStudy(nDCNs, func(i int) (*fleet.Member, error) {
+	replays := make([]sim.Replay, nDCNs)
+	for i := range replays {
 		m, err := cachedFleetMember(cfg.Seed, i)
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.Member{
-			Topo:    m.topo,
-			Tech:    techs[0],
-			Trace:   m.trace,
-			Horizon: m.horizon,
-			Sim: sim.Config{
-				Policy:           sim.PolicyCorrOpt,
-				Capacity:         0.5,
-				Repair:           sim.RepairRecommendation,
-				IgnoreProb:       0.3,
-				NoOpticsFraction: 0.25,
-				RepairConfig:     core.RepairConfig{UseDeployedEngine: true},
-				TechAssign:       fleetAssign(techs, i),
-				Seed:             m.simSeed,
-			},
-		}, nil
-	})
-	scenarios := make([]simScenario, study.Len())
-	for i := range scenarios {
-		scenarios[i] = simScenario{run: func(sc *sim.Scratch) (*sim.Result, error) {
-			return study.RunMember(i, sc)
-		}}
+		replays[i] = m.replay(sim.Config{
+			Policy:           sim.PolicyCorrOpt,
+			Capacity:         0.5,
+			Repair:           sim.RepairRecommendation,
+			IgnoreProb:       0.3,
+			NoOpticsFraction: 0.25,
+			RepairConfig:     core.RepairConfig{UseDeployedEngine: true},
+			TechAssign:       fleetAssign(techs, i),
+			Seed:             m.simSeed,
+		})
 	}
 	finish := func(results []*sim.Result) (*Report, error) {
 		r := &Report{
@@ -107,7 +95,7 @@ func fleetStudy(cfg Config) (*plan, error) {
 		r.AddNote("%s", note)
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }
 
 // fleetRepairAfter is the replay's fixed fault-to-repair latency, matching

@@ -9,7 +9,7 @@ import (
 )
 
 func init() {
-	register("frames", "frame-level validation: optical margin → BER → CRC failures → observed loss rate", frames)
+	register("frames", "frame-level validation: optical margin → BER → CRC failures → observed loss rate", analytic(frames))
 }
 
 // frames validates the corruption model bit for bit: §1 defines corruption

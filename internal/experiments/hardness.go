@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	register("thm51", "NP-hardness gadget: optimizer vs 3-SAT oracle (Appendix A)", thm51)
+	register("thm51", "NP-hardness gadget: optimizer vs 3-SAT oracle (Appendix A)", analytic(thm51))
 }
 
 // thm51 exercises the Appendix A reduction behind Theorem 5.1: for random

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("hetero", "§5.1: per-ToR capacity requirements cripple switch-local checking but not CorrOpt", hetero)
+	register("hetero", "§5.1: per-ToR capacity requirements cripple switch-local checking but not CorrOpt", analytic(hetero))
 }
 
 // hetero reproduces §5.1's second limitation of switch-local checking: "if

@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("hotspot", "§5.1 motivation: blind disabling creates hotspots; capacity constraints prevent them", hotspot)
+	register("hotspot", "§5.1 motivation: blind disabling creates hotspots; capacity constraints prevent them", analytic(hotspot))
 }
 
 // hotspot quantifies the premise of CorrOpt's capacity constraints: "in the

@@ -14,13 +14,13 @@ import (
 )
 
 func init() {
-	register("fig10", "switch-local vs optimal disabling on the five-uplink example", fig10)
-	register("fig11", "topology pruning example", fig11)
-	registerSharded("fig14", "total penalty per second over time: switch-local vs CorrOpt (c=75%)", fig14)
-	registerSharded("fig1516", "worst ToR's available-path fraction at c=75% and c=50%", fig1516)
-	registerSharded("fig17", "integrated penalty ratio CorrOpt/switch-local across capacity constraints", fig17)
+	register("fig10", "switch-local vs optimal disabling on the five-uplink example", analytic(fig10))
+	register("fig11", "topology pruning example", analytic(fig11))
+	register("fig14", "total penalty per second over time: switch-local vs CorrOpt (c=75%)", fig14)
+	register("fig1516", "worst ToR's available-path fraction at c=75% and c=50%", fig1516)
+	register("fig17", "integrated penalty ratio CorrOpt/switch-local across capacity constraints", fig17)
 	register("fig18", "optimizer gain over fast checker alone", fig18)
-	registerSharded("fig19", "impact of repair accuracy (80% vs 50%) on penalty", fig19)
+	register("fig19", "impact of repair accuracy (80% vs 50%) on penalty", fig19)
 	register("sec72", "repair recommendation accuracy: legacy vs deployed vs followed", sec72)
 	register("sec73", "combined impact: losses and capacity cost vs current practice", sec73)
 }
@@ -31,33 +31,6 @@ func evalHorizon(scale Scale) time.Duration {
 		return 30 * 24 * time.Hour
 	}
 	return 90 * 24 * time.Hour
-}
-
-// runPolicy traces one policy over the standard evaluation workload,
-// reusing the worker's Scratch when one is supplied (nil means fresh
-// allocation — the serial drivers pass a local Scratch of their own).
-func runPolicy(sc *sim.Scratch, topo *topology.Topology, trace []*faults.Fault, horizon time.Duration,
-	policy sim.PolicyKind, capacity, accuracy float64, seed uint64) (*sim.Result, error) {
-	s, err := sim.NewWithScratch(topo, DefaultTech(), sim.Config{
-		Policy:        policy,
-		Capacity:      capacity,
-		FixedAccuracy: accuracy,
-		Seed:          seed,
-	}, sc)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(trace, horizon)
-}
-
-// evalTrace returns the shared fault trace for one scale, memoized by
-// (seed, name, scale) so repeated runs in one process build it once.
-func evalTrace(cfg Config, name string, scale Scale) (*topology.Topology, []*faults.Fault, time.Duration, error) {
-	e, err := cachedEvalTrace(cfg.Seed, name, scale)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return e.topo, e.trace, e.horizon, nil
 }
 
 // fig10 reproduces Figure 10 exactly: ToR T with five uplinks to
@@ -195,12 +168,12 @@ func fig14(cfg Config) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One scenario per DCN × policy; scenarios of the same DCN share its
+	// One replay per DCN × policy; replays of the same DCN share its
 	// immutable topology and trace.
-	var scenarios []simScenario
+	var replays []sim.Replay
 	for _, d := range dcns {
 		for _, p := range []sim.PolicyKind{sim.PolicySwitchLocal, sim.PolicyCorrOpt} {
-			scenarios = append(scenarios, policyScenario(d.topo, d.trace, d.horizon, p, 0.75, 0.8, cfg.Seed))
+			replays = append(replays, d.policyReplay(p, 0.75, 0.8, cfg.Seed))
 		}
 	}
 	finish := func(results []*sim.Result) (*Report, error) {
@@ -226,7 +199,7 @@ func fig14(cfg Config) (*plan, error) {
 		r.AddNote("paper: switch-local is flat and orders of magnitude above CorrOpt")
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }
 
 // evalScales picks the DCN sizes to sweep: the paper uses its medium and
@@ -248,13 +221,13 @@ func fig1516(cfg Config) (*plan, error) {
 		return nil, err
 	}
 	capacities := []float64{0.75, 0.50}
-	// DCN × capacity × policy scenarios, all independent: fan the whole
+	// DCN × capacity × policy replays, all independent: fan the whole
 	// grid out and reassemble in order.
-	var scenarios []simScenario
+	var replays []sim.Replay
 	for _, d := range dcns {
 		for _, c := range capacities {
 			for _, p := range []sim.PolicyKind{sim.PolicySwitchLocal, sim.PolicyCorrOpt} {
-				scenarios = append(scenarios, policyScenario(d.topo, d.trace, d.horizon, p, c, 0.8, cfg.Seed))
+				replays = append(replays, d.policyReplay(p, c, 0.8, cfg.Seed))
 			}
 		}
 	}
@@ -294,7 +267,7 @@ func fig1516(cfg Config) (*plan, error) {
 		}
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }
 
 // fig17 reproduces Figure 17: the integrated penalty of CorrOpt divided by
@@ -309,11 +282,11 @@ func fig17(cfg Config) (*plan, error) {
 	capacities := []float64{0.25, 0.50, 0.60, 0.75}
 	// The full capacity sweep — DCN × constraint × policy — is the classic
 	// embarrassingly-parallel replay grid; fan it out and reassemble.
-	var scenarios []simScenario
+	var replays []sim.Replay
 	for _, d := range dcns {
 		for _, c := range capacities {
 			for _, p := range []sim.PolicyKind{sim.PolicySwitchLocal, sim.PolicyCorrOpt} {
-				scenarios = append(scenarios, policyScenario(d.topo, d.trace, d.horizon, p, c, 0.8, cfg.Seed))
+				replays = append(replays, d.policyReplay(p, c, 0.8, cfg.Seed))
 			}
 		}
 	}
@@ -339,37 +312,38 @@ func fig17(cfg Config) (*plan, error) {
 		r.AddNote("paper: ratio ≈ 1 at c=25%%; drops to ~0 on the medium DCN at 50%%; 1e-3 to 1e-6 at 75%%")
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }
 
 // fig18 reproduces Figure 18: how much the optimizer adds on top of the
 // fast checker — hourly penalty ratio over a month and its CDF. Most of the
 // time the fast checker alone is already optimal; occasionally the
 // optimizer cuts the penalty by an order of magnitude or more.
-func fig18(cfg Config) (*Report, error) {
-	r := &Report{
-		ID:     "fig18",
-		Title:  "Optimizer gain over fast checker alone",
-		Header: []string{"series", "x", "y"},
-	}
+func fig18(cfg Config) (*plan, error) {
 	scale := cfg.Scale
 	if scale != ScaleSmall {
 		scale = ScaleLarge // the paper isolates this on its large DCN
 	}
-	topo, trace, horizon, err := evalTrace(cfg, "fig18", scale)
+	e, err := cachedEvalTrace(cfg.Seed, "fig18", scale)
 	if err != nil {
 		return nil, err
 	}
-	// Serial driver: both replays share one local Scratch (the second Run
-	// reuses the first's event queue and per-topology state).
-	sc := sim.NewScratch()
-	co, err := runPolicy(sc, topo, trace, horizon, sim.PolicyCorrOpt, 0.75, 0.8, cfg.Seed)
-	if err != nil {
-		return nil, err
+	replays := []sim.Replay{
+		e.policyReplay(sim.PolicyCorrOpt, 0.75, 0.8, cfg.Seed),
+		e.policyReplay(sim.PolicyFastOnly, 0.75, 0.8, cfg.Seed),
 	}
-	fo, err := runPolicy(sc, topo, trace, horizon, sim.PolicyFastOnly, 0.75, 0.8, cfg.Seed)
-	if err != nil {
-		return nil, err
+	return &plan{replays: replays, finish: func(results []*sim.Result) (*Report, error) {
+		return fig18Report(results[0], results[1]), nil
+	}}, nil
+}
+
+// fig18Report compares the full optimizer's replay co with the fast
+// checker's fo.
+func fig18Report(co, fo *sim.Result) *Report {
+	r := &Report{
+		ID:     "fig18",
+		Title:  "Optimizer gain over fast checker alone",
+		Header: []string{"series", "x", "y"},
 	}
 	var ratios []float64
 	n := len(co.Samples)
@@ -409,7 +383,7 @@ func fig18(cfg Config) (*Report, error) {
 	r.AddNote("parity share %.0f%% (paper ~90%%); ≥10x gain share %.0f%% (paper ~7%%)",
 		100*float64(atParity)/float64(len(ratios)), 100*float64(bigGain)/float64(len(ratios)))
 	r.AddNote("on a symmetric Clos with uniform ToR thresholds, the fast checker's greedy sweep (worst link first, exact path counts) is provably near-optimal, so parity dominates; the optimizer's episodic gains in the paper come from asymmetric failure structures — reproduced here by fig10 (greedy-unfriendly example) and thm51 (worst case)")
-	return r, nil
+	return r
 }
 
 // fig19 reproduces Figure 19: CorrOpt's repair recommendations also lower
@@ -423,11 +397,11 @@ func fig19(cfg Config) (*plan, error) {
 	}
 	capacities := []float64{0.25, 0.50, 0.75}
 	accuracies := []float64{0.8, 0.5}
-	var scenarios []simScenario
+	var replays []sim.Replay
 	for _, d := range dcns {
 		for _, c := range capacities {
 			for _, a := range accuracies {
-				scenarios = append(scenarios, policyScenario(d.topo, d.trace, d.horizon, sim.PolicyCorrOpt, c, a, cfg.Seed))
+				replays = append(replays, d.policyReplay(sim.PolicyCorrOpt, c, a, cfg.Seed))
 			}
 		}
 	}
@@ -451,23 +425,15 @@ func fig19(cfg Config) (*plan, error) {
 		r.AddNote("paper: ~30%% lower corruption losses at c=75%% from recommendations alone")
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }
 
 // sec72 reproduces §7.2's deployment analysis: first-attempt repair success
 // under the legacy manual process, under the deployed engine with ~30% of
 // recommendations ignored, and when recommendations are followed.
-func sec72(cfg Config) (*Report, error) {
-	r := &Report{
-		ID:     "sec72",
-		Title:  "Repair accuracy: before CorrOpt, deployed (30% ignored), recommendations followed",
-		Header: []string{"setting", "first_attempt_success", "mean_attempts", "paper"},
-	}
+func sec72(cfg Config) (*plan, error) {
 	scale := cfg.Scale
-	topo, horizon, err := func() (*topology.Topology, time.Duration, error) {
-		t, _, h, err := evalTrace(cfg, "sec72-topo", scale)
-		return t, h, err
-	}()
+	e, err := cachedEvalTrace(cfg.Seed, "sec72-topo", scale)
 	if err != nil {
 		return nil, err
 	}
@@ -475,95 +441,93 @@ func sec72(cfg Config) (*Report, error) {
 	// exactly what the deployed engine's single global threshold lacks.
 	techs := optics.DefaultTechnologies()
 	assign := func(l topology.LinkID) optics.Technology { return techs[int(l)%len(techs)] }
-	inj, err := faults.NewMultiTechInjector(topo, assign,
+	inj, err := faults.NewMultiTechInjector(e.topo, assign,
 		faults.InjectorConfig{FaultsPerLinkPerDay: FaultRate(scale)},
 		rngutil.New(cfg.Seed).Split("sec72"))
 	if err != nil {
 		return nil, err
 	}
-	trace := inj.Generate(horizon)
-	// Serial driver: the three settings replay through one local Scratch.
-	sc := sim.NewScratch()
-	run := func(ignoreProb, noOptics float64, deployed bool) (*sim.Result, error) {
-		s, err := sim.NewWithScratch(topo, DefaultTech(), sim.Config{
-			Policy:           sim.PolicyCorrOpt,
-			Capacity:         0.5,
-			Repair:           sim.RepairRecommendation,
-			IgnoreProb:       ignoreProb,
-			RepairConfig:     core.RepairConfig{UseDeployedEngine: deployed},
-			NoOpticsFraction: noOptics,
-			TechAssign:       assign,
-			Seed:             cfg.Seed,
-		}, sc)
-		if err != nil {
-			return nil, err
+	trace := inj.Generate(e.horizon)
+	replay := func(ignoreProb, noOptics float64, deployed bool) sim.Replay {
+		return sim.Replay{Topo: e.topo, Tech: optics.EvalTech(), Trace: trace, Horizon: e.horizon,
+			Config: sim.Config{
+				Policy:           sim.PolicyCorrOpt,
+				Capacity:         0.5,
+				Repair:           sim.RepairRecommendation,
+				IgnoreProb:       ignoreProb,
+				RepairConfig:     core.RepairConfig{UseDeployedEngine: deployed},
+				NoOpticsFraction: noOptics,
+				TechAssign:       assign,
+				Seed:             cfg.Seed,
+			}}
+	}
+	replays := []sim.Replay{
+		// Recommendations always ignored = the manual process.
+		replay(1.0, 0, false),
+		// The early deployment: simplified engine, 30% of recommendations
+		// ignored, and a quarter of switch types exposing no optical data.
+		replay(0.3, 0.25, true),
+		// Full Algorithm 1, always followed, optics everywhere.
+		replay(0.0, 0, false),
+	}
+	finish := func(results []*sim.Result) (*Report, error) {
+		r := &Report{
+			ID:     "sec72",
+			Title:  "Repair accuracy: before CorrOpt, deployed (30% ignored), recommendations followed",
+			Header: []string{"setting", "first_attempt_success", "mean_attempts", "paper"},
 		}
-		return s.Run(trace, horizon)
+		legacy, deployed, followed := results[0], results[1], results[2]
+		r.AddRow("legacy manual process", fmt.Sprintf("%.0f%%", 100*legacy.FirstAttemptSuccessRate), fmtF(legacy.MeanAttempts), "50%")
+		r.AddRow("deployed engine, 30% ignored", fmt.Sprintf("%.0f%%", 100*deployed.FirstAttemptSuccessRate), fmtF(deployed.MeanAttempts), "58%")
+		r.AddRow("recommendations followed", fmt.Sprintf("%.0f%%", 100*followed.FirstAttemptSuccessRate), fmtF(followed.MeanAttempts), "80%")
+		r.AddNote("paper: success rose from 50%% to 58%% overall (80%% when followed); technicians ignored 30%% of recommendations in the early deployment")
+		return r, nil
 	}
-	// Recommendations always ignored = the manual process.
-	legacy, err := run(1.0, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	// The early deployment: simplified engine, 30% of recommendations
-	// ignored, and a quarter of switch types exposing no optical data.
-	deployed, err := run(0.3, 0.25, true)
-	if err != nil {
-		return nil, err
-	}
-	// Full Algorithm 1, always followed, optics everywhere.
-	followed, err := run(0.0, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	r.AddRow("legacy manual process", fmt.Sprintf("%.0f%%", 100*legacy.FirstAttemptSuccessRate), fmtF(legacy.MeanAttempts), "50%")
-	r.AddRow("deployed engine, 30% ignored", fmt.Sprintf("%.0f%%", 100*deployed.FirstAttemptSuccessRate), fmtF(deployed.MeanAttempts), "58%")
-	r.AddRow("recommendations followed", fmt.Sprintf("%.0f%%", 100*followed.FirstAttemptSuccessRate), fmtF(followed.MeanAttempts), "80%")
-	r.AddNote("paper: success rose from 50%% to 58%% overall (80%% when followed); technicians ignored 30%% of recommendations in the early deployment")
-	return r, nil
+	return &plan{replays: replays, finish: finish}, nil
 }
 
 // sec73 reproduces §7.3: the combined impact of CorrOpt (link disabling +
 // repair recommendations) against current practice (switch-local + 50%
 // accuracy), plus the capacity cost: the mean per-ToR available-path
 // fraction drops by at most ~0.2%.
-func sec73(cfg Config) (*Report, error) {
-	r := &Report{
-		ID:     "sec73",
-		Title:  "Combined impact vs current practice (c=75%)",
-		Header: []string{"dcn", "quantity", "current_practice", "corropt", "paper"},
+func sec73(cfg Config) (*plan, error) {
+	scales := evalScales(cfg.Scale)
+	var replays []sim.Replay
+	for _, scale := range scales {
+		e, err := cachedEvalTrace(cfg.Seed, "sec73-"+scale.String(), scale)
+		if err != nil {
+			return nil, err
+		}
+		replays = append(replays,
+			e.policyReplay(sim.PolicySwitchLocal, 0.75, 0.5, cfg.Seed),
+			e.policyReplay(sim.PolicyCorrOpt, 0.75, 0.8, cfg.Seed))
 	}
-	// Serial driver: every scale's pair of replays shares one local Scratch.
-	sc := sim.NewScratch()
-	for _, scale := range evalScales(cfg.Scale) {
-		topo, trace, horizon, err := evalTrace(cfg, "sec73-"+scale.String(), scale)
-		if err != nil {
-			return nil, err
+	finish := func(results []*sim.Result) (*Report, error) {
+		r := &Report{
+			ID:     "sec73",
+			Title:  "Combined impact vs current practice (c=75%)",
+			Header: []string{"dcn", "quantity", "current_practice", "corropt", "paper"},
 		}
-		current, err := runPolicy(sc, topo, trace, horizon, sim.PolicySwitchLocal, 0.75, 0.5, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		corropt, err := runPolicy(sc, topo, trace, horizon, sim.PolicyCorrOpt, 0.75, 0.8, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		ratio := 0.0
-		if current.IntegratedPenalty > 0 {
-			ratio = corropt.IntegratedPenalty / current.IntegratedPenalty
-		}
-		meanFrac := func(res *sim.Result) float64 {
-			var xs []float64
-			for _, s := range res.Samples {
-				xs = append(xs, s.MeanToRFraction)
+		for i, scale := range scales {
+			current, corropt := results[2*i], results[2*i+1]
+			ratio := 0.0
+			if current.IntegratedPenalty > 0 {
+				ratio = corropt.IntegratedPenalty / current.IntegratedPenalty
 			}
-			return stats.Mean(xs)
+			meanFrac := func(res *sim.Result) float64 {
+				var xs []float64
+				for _, s := range res.Samples {
+					xs = append(xs, s.MeanToRFraction)
+				}
+				return stats.Mean(xs)
+			}
+			mc, mo := meanFrac(current), meanFrac(corropt)
+			r.AddRow(scale.String(), "integrated penalty", fmtF(current.IntegratedPenalty), fmtF(corropt.IntegratedPenalty), "3-6 orders of magnitude lower")
+			r.AddRow(scale.String(), "penalty ratio", "1", fmtF(ratio), "1e-3 .. 1e-6")
+			r.AddRow(scale.String(), "mean ToR path fraction", fmtF(mc), fmtF(mo), "reduced by at most 0.2%")
+			r.AddNote("%s: capacity cost %.3f%% (paper ≤ 0.2%%)", scale, 100*(mc-mo))
 		}
-		mc, mo := meanFrac(current), meanFrac(corropt)
-		r.AddRow(scale.String(), "integrated penalty", fmtF(current.IntegratedPenalty), fmtF(corropt.IntegratedPenalty), "3-6 orders of magnitude lower")
-		r.AddRow(scale.String(), "penalty ratio", "1", fmtF(ratio), "1e-3 .. 1e-6")
-		r.AddRow(scale.String(), "mean ToR path fraction", fmtF(mc), fmtF(mo), "reduced by at most 0.2%")
-		r.AddNote("%s: capacity cost %.3f%% (paper ≤ 0.2%%)", scale, 100*(mc-mo))
+		return r, nil
 	}
-	return r, nil
+	return &plan{replays: replays, finish: finish}, nil
 }

@@ -2,66 +2,45 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"corropt/internal/faults"
-	"corropt/internal/runner"
+	"corropt/internal/optics"
 	"corropt/internal/sim"
-	"corropt/internal/topology"
 )
 
-// simScenario is one independent trace replay: the unit of fan-out of the
-// paper's evaluation (§7). run executes the replay on a worker, building
-// its Sim from the worker-owned Scratch so event-queue items, tickets, and
-// per-topology Network/State pairs are recycled across scenarios instead of
-// reallocated. Scenarios may share topologies and fault traces — both are
-// immutable during simulation — so concurrent replays of the same trace
-// under different policies, constraints, or accuracies are safe. Every
-// scenario seeds its own rngutil substream, so results are byte-identical
-// for any worker count and any scenario-to-worker assignment.
-type simScenario struct {
-	run func(sc *sim.Scratch) (*sim.Result, error)
-}
-
-// plan is a sharded experiment decomposed into its scenario list plus a
-// finish step that assembles the collected results (in scenario order) into
-// the Report. Splitting drivers this way lets RunMany flatten many
-// experiments into one global work list for the pool to load-balance over.
+// plan is one experiment decomposed into the independent trace replays it
+// needs plus a finish step that assembles their results (in replay order)
+// into the Report. An analytic driver is a plan with no replays whose
+// finish does all its work. Splitting drivers this way lets RunMany hand
+// every experiment's replays to sim.RunAll as one list for the pool to
+// load-balance over.
 type plan struct {
-	scenarios []simScenario
-	finish    func(results []*sim.Result) (*Report, error)
+	replays []sim.Replay
+	finish  func(results []*sim.Result) (*Report, error)
 }
 
-// planner builds an experiment's plan for one configuration.
-type planner func(cfg Config) (*plan, error)
+// analytic turns a driver that replays nothing on the pool into a plan
+// builder: its plan has no replays and its finish runs the driver.
+func analytic(fn Func) func(Config) (*plan, error) {
+	return func(cfg Config) (*plan, error) {
+		return &plan{finish: func([]*sim.Result) (*Report, error) { return fn(cfg) }}, nil
+	}
+}
 
-// planners holds the sharded drivers by id; a subset of registry.
-var planners = map[string]planner{}
+// replay replays e's trace over the evaluation technology under cfg.
+func (e *traceEntry) replay(cfg sim.Config) sim.Replay {
+	return sim.Replay{Topo: e.topo, Tech: optics.EvalTech(), Config: cfg, Trace: e.trace, Horizon: e.horizon}
+}
 
-// registerSharded registers a scenario-sharded experiment: Run(id) executes
-// its plan on a private pool, and RunMany can flatten it into a global
-// scenario list with other sharded experiments.
-func registerSharded(id, description string, p planner) {
-	planners[id] = p
-	register(id, description, func(cfg Config) (*Report, error) {
-		pl, err := p(cfg)
-		if err != nil {
-			return nil, err
-		}
-		results, err := runScenarios(cfg.Workers, pl.scenarios)
-		if err != nil {
-			return nil, err
-		}
-		return pl.finish(results)
-	})
+// policyReplay is the common replay shape: one policy over e's trace
+// through the standard evaluation Config.
+func (e *traceEntry) policyReplay(policy sim.PolicyKind, capacity, accuracy float64, seed uint64) sim.Replay {
+	return e.replay(sim.Config{Policy: policy, Capacity: capacity, FixedAccuracy: accuracy, Seed: seed})
 }
 
 // evalDCN is one evaluation fabric with its shared fault trace.
 type evalDCN struct {
-	scale   Scale
-	topo    *topology.Topology
-	trace   []*faults.Fault
-	horizon time.Duration
+	scale Scale
+	*traceEntry
 }
 
 // evalDCNs builds the standard evaluation DCNs for the configured scale.
@@ -71,33 +50,13 @@ func evalDCNs(cfg Config, name string) ([]evalDCN, error) {
 	scales := evalScales(cfg.Scale)
 	out := make([]evalDCN, len(scales))
 	for i, scale := range scales {
-		topo, trace, horizon, err := evalTrace(cfg, name+"-"+scale.String(), scale)
+		e, err := cachedEvalTrace(cfg.Seed, name+"-"+scale.String(), scale)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = evalDCN{scale, topo, trace, horizon}
+		out[i] = evalDCN{scale, e}
 	}
 	return out, nil
-}
-
-// policyScenario is the common scenario shape: one policy replay of a
-// shared trace through the standard evaluation Config.
-func policyScenario(topo *topology.Topology, trace []*faults.Fault, horizon time.Duration,
-	policy sim.PolicyKind, capacity, accuracy float64, seed uint64) simScenario {
-	return simScenario{run: func(sc *sim.Scratch) (*sim.Result, error) {
-		return runPolicy(sc, topo, trace, horizon, policy, capacity, accuracy, seed)
-	}}
-}
-
-// runScenarios replays every scenario on the bounded worker pool and
-// returns the results in scenario order. Each worker owns one sim.Scratch
-// for its lifetime (runner.MapScratch's contract), satisfying Scratch's
-// one-Sim-at-a-time ownership rule.
-func runScenarios(workers int, scenarios []simScenario) ([]*sim.Result, error) {
-	return runner.MapScratch(workers, len(scenarios), sim.NewScratch,
-		func(i int, sc *sim.Scratch) (*sim.Result, error) {
-			return scenarios[i].run(sc)
-		})
 }
 
 // CheckIDs reports the first id in ids that names no experiment.
@@ -110,58 +69,37 @@ func CheckIDs(ids []string) error {
 	return nil
 }
 
-// RunMany executes several experiments as one batch. Every sharded
-// experiment contributes its scenarios to a single global work list that
-// one worker pool load-balances across — a driver with a few long replays
-// no longer serializes the suite behind its stragglers while other
-// drivers' scenarios wait. Results are sliced back to each plan's finish
-// step in order, so the reports are byte-identical to running each id
-// individually. Ids without a planner (serial drivers like fig18 or
-// sec72) fall back to Run after the shared pool drains.
+// RunMany executes several experiments as one batch. It builds every plan,
+// replays all of their replays in one sim.RunAll call — a driver with a few
+// long replays no longer serializes the suite behind its stragglers while
+// other drivers' replays wait — and then finishes each plan in id order on
+// its slice of the results, so the reports are byte-identical to running
+// each id individually.
 func RunMany(ids []string, cfg Config) ([]*Report, error) {
 	if err := CheckIDs(ids); err != nil {
 		return nil, err
 	}
-	type pending struct {
-		idx int
-		pl  *plan
-		lo  int
-	}
-	var pends []pending
-	var global []simScenario
-	reports := make([]*Report, len(ids))
-	for idx, id := range ids {
-		p, ok := planners[id]
-		if !ok {
-			continue
-		}
-		pl, err := p(cfg)
+	plans := make([]*plan, len(ids))
+	var replays []sim.Replay
+	for i, id := range ids {
+		pl, err := registry[id](cfg)
 		if err != nil {
 			return nil, err
 		}
-		pends = append(pends, pending{idx: idx, pl: pl, lo: len(global)})
-		global = append(global, pl.scenarios...)
+		plans[i] = pl
+		replays = append(replays, pl.replays...)
 	}
-	results, err := runScenarios(cfg.Workers, global)
+	results, err := sim.RunAll(cfg.Workers, replays)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range pends {
-		rep, err := p.pl.finish(results[p.lo : p.lo+len(p.pl.scenarios)])
-		if err != nil {
+	reports := make([]*Report, len(ids))
+	for i, pl := range plans {
+		n := len(pl.replays)
+		if reports[i], err = pl.finish(results[:n:n]); err != nil {
 			return nil, err
 		}
-		reports[p.idx] = rep
-	}
-	for idx, id := range ids {
-		if reports[idx] != nil {
-			continue
-		}
-		rep, err := Run(id, cfg)
-		if err != nil {
-			return nil, err
-		}
-		reports[idx] = rep
+		results = results[n:]
 	}
 	return reports, nil
 }

@@ -19,8 +19,26 @@ func renderReport(t *testing.T, id string, cfg Config) []byte {
 	return buf.Bytes()
 }
 
+// replayIDs lists, from the registry, every experiment whose ScaleSmall
+// plan hands at least one replay to the pool, so a new replaying driver
+// falls under the determinism gates without being named in them.
+func replayIDs(t *testing.T) []string {
+	t.Helper()
+	var ids []string
+	for _, e := range List() {
+		pl, err := registry[e[0]](Config{Scale: ScaleSmall, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", e[0], err)
+		}
+		if len(pl.replays) > 0 {
+			ids = append(ids, e[0])
+		}
+	}
+	return ids
+}
+
 // TestParallelRunnerDeterminism pins the runner's determinism contract at
-// the experiment level: every parallelized driver must produce
+// the experiment level: every driver that replays on the pool must produce
 // byte-identical reports for Workers=1 (fully serial, no pool) and
 // Workers=8, given the same seed. This is what allows -workers to be a pure
 // wall-clock knob.
@@ -32,7 +50,7 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-scenario replay grid; skipped in -short mode")
 	}
-	for _, id := range []string{"fig14", "fig1516", "fig17", "fig19", "sec2", "ext8", "fleet", "ticketq"} {
+	for _, id := range replayIDs(t) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -46,7 +64,7 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 	}
 }
 
-// TestDriverAllocCeilings holds each scenario-sharded driver's steady-state
+// TestDriverAllocCeilings holds each replaying driver's steady-state
 // allocations per replay at ScaleSmall, Workers=1 under a ceiling.
 // testing.AllocsPerRun replays the driver once unmeasured first, so the
 // measured replay runs over the memoized topology and trace — one-time
@@ -68,6 +86,9 @@ func TestDriverAllocCeilings(t *testing.T) {
 		{"ext8", 3900},     // 2,889
 		{"fleet", 26000},   // 19,136
 		{"ticketq", 14000}, // 8,686
+		{"fig18", 2100},    // 1,529
+		{"sec72", 3300},    // 2,410
+		{"sec73", 1800},    // 1,283
 	} {
 		t.Run(c.id, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(1, func() {
@@ -97,17 +118,16 @@ func renderTSV(t *testing.T, rep *Report) []byte {
 	return buf.Bytes()
 }
 
-// TestRunManyMatchesRun pins the batch contract: flattening many
-// experiments into one global scenario list (RunMany) must produce reports
-// byte-identical to running each id on its own pool, for any worker count.
-// The id list mixes every sharded driver with serial drivers (fig18,
-// sec72) to cover the fallback path and the slicing of the global result
-// list back to each plan.
+// TestRunManyMatchesRun pins the batch contract: concatenating many
+// experiments' replays into one sim.RunAll list (RunMany) must produce
+// reports byte-identical to running each id on its own, for any worker
+// count. The id list is every replaying driver, which covers the slicing
+// of the global result list back to each plan.
 func TestRunManyMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-experiment replay batch; skipped in -short mode")
 	}
-	ids := []string{"fig14", "fig1516", "fig17", "fig19", "sec2", "ext8", "fleet", "ticketq", "fig18", "sec72"}
+	ids := replayIDs(t)
 	cfg := Config{Scale: ScaleSmall, Seed: 1, Workers: 8}
 	batch, err := RunMany(ids, cfg)
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 )
 
 func init() {
-	register("tab2", "root causes, symptom signatures, and recommendation accuracy", tab2)
-	register("fig7912", "optical power and corruption time series per root cause, incl. the failed-repair loop", fig7912)
+	register("tab2", "root causes, symptom signatures, and recommendation accuracy", analytic(tab2))
+	register("fig7912", "optical power and corruption time series per root cause, incl. the failed-repair loop", analytic(fig7912))
 }
 
 // tab2 reproduces Table 2: for each root cause, the most likely optical
@@ -31,8 +31,8 @@ func tab2(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	rng := rngutil.New(cfg.Seed).Split("tab2")
-	st := faults.NewState(topo, DefaultTech())
-	inj, err := faults.NewInjector(topo, DefaultTech(), faults.InjectorConfig{}, rng.Split("faults"))
+	st := faults.NewState(topo, optics.EvalTech())
+	inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{}, rng.Split("faults"))
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,7 @@ func fig7912(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tech := DefaultTech()
+	tech := optics.EvalTech()
 
 	record := func(scenario string, st *faults.State, l topology.LinkID, day int) {
 		ol := st.Optics(l)

@@ -5,7 +5,7 @@ import (
 )
 
 func init() {
-	registerSharded("sec2", "§2: without automatic link disabling, corruption losses would be ~2 orders of magnitude higher", sec2)
+	register("sec2", "§2: without automatic link disabling, corruption losses would be ~2 orders of magnitude higher", sec2)
 }
 
 // sec2 reproduces the estimate at the end of §2: the production
@@ -24,9 +24,9 @@ func sec2(cfg Config) (*plan, error) {
 	// fan them out and normalize against the do-nothing baseline once all
 	// are in.
 	policies := []sim.PolicyKind{sim.PolicyNone, sim.PolicySwitchLocal, sim.PolicyCorrOpt}
-	scenarios := make([]simScenario, len(policies))
+	replays := make([]sim.Replay, len(policies))
 	for i, p := range policies {
-		scenarios[i] = policyScenario(e.topo, e.trace, e.horizon, p, 0.75, 0.5, cfg.Seed)
+		replays[i] = e.policyReplay(p, 0.75, 0.5, cfg.Seed)
 	}
 	finish := func(results []*sim.Result) (*Report, error) {
 		r := &Report{
@@ -46,5 +46,5 @@ func sec2(cfg Config) (*plan, error) {
 		r.AddNote("paper §2: 'we estimate that without it, corruption-induced losses would be two orders of magnitude higher' — the switch-local row should sit around 1e-2 of the do-nothing row")
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }

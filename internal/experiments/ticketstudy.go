@@ -11,7 +11,7 @@ import (
 )
 
 func init() {
-	registerSharded("ticketq", "§5.2 ticket economics: repair latency vs technician staffing", ticketq)
+	register("ticketq", "§5.2 ticket economics: repair latency vs technician staffing", ticketq)
 }
 
 // ticketq reproduces the operational picture of §5.2: tickets wait in a
@@ -27,34 +27,29 @@ func ticketq(cfg Config) (*plan, error) {
 	staffing := []int{1, 2, 4, 0}
 	accuracies := []float64{0.5, 0.8}
 	// Flatten the whole staffing grid — (technicians × accuracy) cells ×
-	// reps — into one scenario list. All cells of one rep share a memoized
+	// reps — into one replay list. All cells of one rep share a memoized
 	// trace (deterministic in rep and seed, so identical across cells and
 	// worker counts) and the per-cell averages accumulate in rep order
 	// after collection.
-	var scenarios []simScenario
+	traces := make([]*traceEntry, reps)
+	for rep := range traces {
+		e, err := cachedEvalTrace(cfg.Seed+uint64(rep), fmt.Sprintf("ticketq-%d", rep), cfg.Scale)
+		if err != nil {
+			return nil, err
+		}
+		traces[rep] = e
+	}
+	var replays []sim.Replay
 	for _, technicians := range staffing {
 		for _, accuracy := range accuracies {
-			for rep := 0; rep < reps; rep++ {
-				technicians, accuracy, rep := technicians, accuracy, rep
-				scenarios = append(scenarios, simScenario{run: func(sc *sim.Scratch) (*sim.Result, error) {
-					topo, trace, horizon, err := evalTrace(
-						Config{Scale: cfg.Scale, Seed: cfg.Seed + uint64(rep)},
-						fmt.Sprintf("ticketq-%d", rep), cfg.Scale)
-					if err != nil {
-						return nil, err
-					}
-					s, err := sim.NewWithScratch(topo, DefaultTech(), sim.Config{
-						Policy:        sim.PolicyCorrOpt,
-						Capacity:      0.75, // tight enough that queue depth costs penalty
-						FixedAccuracy: accuracy,
-						RepairConfig:  core.RepairConfig{Staffing: tickets.Staffing{Technicians: technicians, ServiceTime: 48 * time.Hour}},
-						Seed:          cfg.Seed + uint64(rep),
-					}, sc)
-					if err != nil {
-						return nil, err
-					}
-					return s.Run(trace, horizon)
-				}})
+			for rep, e := range traces {
+				replays = append(replays, e.replay(sim.Config{
+					Policy:        sim.PolicyCorrOpt,
+					Capacity:      0.75, // tight enough that queue depth costs penalty
+					FixedAccuracy: accuracy,
+					RepairConfig:  core.RepairConfig{Staffing: tickets.Staffing{Technicians: technicians, ServiceTime: 48 * time.Hour}},
+					Seed:          cfg.Seed + uint64(rep),
+				}))
 			}
 		}
 	}
@@ -95,5 +90,5 @@ func ticketq(cfg Config) (*plan, error) {
 		r.AddNote("the 80%% accuracy column needs fewer repeat visits (mean attempts ≈ 1.2 vs ≈ 2.0), which is §7.2's point: accuracy is also a staffing multiplier")
 		return r, nil
 	}
-	return &plan{scenarios: scenarios, finish: finish}, nil
+	return &plan{replays: replays, finish: finish}, nil
 }

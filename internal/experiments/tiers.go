@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("tiers", "§5.1: the switch-local gap widens with more tiers (sc = c^(1/r))", tiers)
+	register("tiers", "§5.1: the switch-local gap widens with more tiers (sc = c^(1/r))", analytic(tiers))
 }
 
 // tiers reproduces §5.1's generalization: "with r tiers above the

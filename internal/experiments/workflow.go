@@ -10,7 +10,7 @@ import (
 )
 
 func init() {
-	register("fig13", "controller workflow over the TCP control plane", fig13)
+	register("fig13", "controller workflow over the TCP control plane", analytic(fig13))
 }
 
 // fig13 drives the system-component workflow of Figure 13 end to end over

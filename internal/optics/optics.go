@@ -45,6 +45,13 @@ func DefaultTechnologies() []Technology {
 	}
 }
 
+// EvalTech is the 40G-LR4 profile the evaluation simulates with: every
+// experiment driver and every declarative scenario replays its traces over
+// it. Its thresholds are rounder than DefaultTechnologies' 40G-LR4 entry.
+func EvalTech() Technology {
+	return Technology{Name: "40G-LR4", NominalTx: 0, TxThreshold: -4, RxThreshold: -10, PathLoss: 3}
+}
+
 // Side selects one end of a bidirectional link.
 type Side int
 

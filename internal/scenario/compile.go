@@ -8,6 +8,7 @@ import (
 
 	"corropt/internal/core"
 	"corropt/internal/faults"
+	"corropt/internal/optics"
 	"corropt/internal/rngutil"
 	"corropt/internal/sim"
 	"corropt/internal/tickets"
@@ -51,7 +52,7 @@ func Compile(s *Scenario) (*Compiled, error) {
 	c := &Compiled{Scenario: s, Topo: topo}
 
 	if s.Chaos != nil {
-		inj, err := faults.NewInjector(topo, DefaultTech(), faults.InjectorConfig{
+		inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{
 			FaultsPerLinkPerDay: s.Chaos.FaultsPerLinkPerDay,
 			MaxRate:             s.Chaos.MaxRate,
 			SharedMinLinks:      s.Chaos.SharedMinLinks,

@@ -39,9 +39,6 @@ func TestFig14ScenarioMatchesDriver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-	if got, want := DefaultTech(), experiments.DefaultTech(); got != want {
-		t.Fatalf("scenario.DefaultTech() = %+v, experiments.DefaultTech() = %+v", got, want)
-	}
 	if len(out.Results) != 2 || c.Runs[0].Name != "switch_local" || c.Runs[1].Name != "corropt" {
 		t.Fatalf("unexpected run set in fig14_small.json")
 	}

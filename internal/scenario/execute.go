@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -9,7 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"corropt/internal/runner"
+	"corropt/internal/optics"
 	"corropt/internal/sim"
 )
 
@@ -41,7 +42,7 @@ type Outcome struct {
 }
 
 // Execute replays every run of the compiled scenario against the shared
-// trace on a pooled worker pool and evaluates the assertions. Results land
+// trace through sim.RunAll and evaluates the assertions. Results land
 // in run-declaration order regardless of worker scheduling, and each run's
 // randomness comes only from its own seed's substreams, so the outcome —
 // and the transcript derived from it — is deterministic for any Workers.
@@ -50,19 +51,16 @@ func Execute(c *Compiled, opt Options) (*Outcome, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	horizon := c.Scenario.Horizon
-	results, err := runner.MapScratch(workers, len(c.Runs), sim.NewScratch,
-		func(i int, sc *sim.Scratch) (*sim.Result, error) {
-			s, err := sim.NewWithScratch(c.Topo, DefaultTech(), c.Runs[i].Config, sc)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: run %q: %w", c.Scenario.Name, c.Runs[i].Name, err)
-			}
-			res, err := s.RunEvents(c.Trace, c.Clears, horizon)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: run %q: %w", c.Scenario.Name, c.Runs[i].Name, err)
-			}
-			return res, nil
-		})
+	replays := make([]sim.Replay, len(c.Runs))
+	for i, r := range c.Runs {
+		replays[i] = sim.Replay{Topo: c.Topo, Tech: optics.EvalTech(), Config: r.Config,
+			Trace: c.Trace, Clears: c.Clears, Horizon: c.Scenario.Horizon}
+	}
+	results, err := sim.RunAll(workers, replays)
+	var re *sim.ReplayError
+	if errors.As(err, &re) {
+		return nil, fmt.Errorf("scenario %q: run %q: %w", c.Scenario.Name, c.Runs[re.Index].Name, re.Err)
+	}
 	if err != nil {
 		return nil, err
 	}

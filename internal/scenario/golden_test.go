@@ -94,6 +94,30 @@ func TestScenarioGoldens(t *testing.T) {
 	}
 }
 
+// TestExecuteErrorNamesRun: a run the simulator rejects fails Execute
+// with an error naming the scenario and that run, at any worker count.
+func TestExecuteErrorNamesRun(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join(scenarioDir, "fig14_small.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Parse(data, "fig14_small.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Runs[1].Config.DetectionThreshold = -1
+	for _, workers := range []int{1, 2} {
+		_, err := Execute(c, Options{Workers: workers})
+		if err == nil || !strings.HasPrefix(err.Error(), `scenario "fig14_small": run "corropt": sim: `) {
+			t.Errorf("workers %d: error %v, want it to name scenario fig14_small and run corropt", workers, err)
+		}
+	}
+}
+
 func diffLines(want, got []byte) string {
 	wl := strings.Split(string(want), "\n")
 	gl := strings.Split(string(got), "\n")

@@ -4,22 +4,18 @@
 // more mitigation-policy runs, and declarative assertions over the runs'
 // results. Scenarios compile onto the existing sim + faults + core stack —
 // the compiler produces a shared fault trace plus per-run sim.Configs, the
-// executor replays every run on the pooled sim.Scratch worker pool — and
+// executor hands one sim.Replay per run to sim.RunAll — and
 // each committed scenario under scenarios/ doubles as a golden-transcript
 // regression test pinning the whole simulator surface byte-for-byte.
 //
 // Determinism: all randomness flows from the scenario's seed through
 // rngutil substreams (the chaos stream for the injector, "sim" per run for
-// repair outcomes), runs execute on runner.MapScratch with results
-// collected in declaration order, and the transcript is assembled from
+// repair outcomes), sim.RunAll returns the runs' results in declaration
+// order, and the transcript is assembled from
 // those ordered results — so output is byte-identical for any worker count.
 package scenario
 
-import (
-	"time"
-
-	"corropt/internal/optics"
-)
+import "time"
 
 // Version is the scenario format version this package reads and writes.
 const Version = 1
@@ -187,11 +183,4 @@ type Assertion struct {
 	Runs [2]string
 	// Min and Max bound the value (inclusive); nil = unbounded.
 	Min, Max *float64
-}
-
-// DefaultTech is the transceiver technology scenarios simulate with. It
-// matches experiments.DefaultTech() — the differential test pins the two
-// together — without making the compiler depend on the experiment drivers.
-func DefaultTech() optics.Technology {
-	return optics.Technology{Name: "40G-LR4", NominalTx: 0, TxThreshold: -4, RxThreshold: -10, PathLoss: 3}
 }

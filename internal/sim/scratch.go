@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"time"
+
 	"corropt/internal/core"
 	"corropt/internal/faults"
 	"corropt/internal/optics"
+	"corropt/internal/runner"
 	"corropt/internal/simclock"
 	"corropt/internal/topology"
 )
@@ -20,8 +24,9 @@ import (
 //
 //   - A Scratch serves one Sim at a time: NewWithScratch(.., sc) invalidates
 //     every Sim previously built from sc, so a scenario's Run must finish
-//     before the worker starts the next scenario. runner.MapScratch's
-//     one-scratch-per-worker discipline guarantees this.
+//     before the worker starts the next scenario. RunAll, the one pooled
+//     replay path, gives each worker its own Scratch and runs its replays
+//     one after another.
 //   - A Scratch is not safe for concurrent use; never share one across
 //     goroutines.
 //   - Results returned by Run stay valid after the Scratch moves on — the
@@ -85,4 +90,53 @@ func (sc *Scratch) pool(topo *topology.Topology, capacity float64,
 	}
 	sc.pools = append(sc.pools, ts)
 	return ts, nil
+}
+
+// Replay is one independent trace replay: the unit of fan-out of the
+// paper's evaluation (§7). Replays may share topologies and traces — a Sim
+// never mutates either — so one list can replay the same trace under many
+// policies, constraints or repair models. Topo, Tech and Config are
+// NewWithScratch's arguments; Trace, Clears and Horizon are RunEvents'.
+type Replay struct {
+	Topo    *topology.Topology
+	Tech    optics.Technology
+	Config  Config
+	Trace   []*faults.Fault
+	Clears  []Clear
+	Horizon time.Duration
+}
+
+// ReplayError is RunAll's error: replay Index failed with Err.
+type ReplayError struct {
+	Index int
+	Err   error
+}
+
+func (e *ReplayError) Error() string { return fmt.Sprintf("sim: replay %d: %v", e.Index, e.Err) }
+
+func (e *ReplayError) Unwrap() error { return e.Err }
+
+// RunAll replays every Replay on a pool of workers (runner.Workers sizes
+// it) and returns the results in list order. Each worker owns one Scratch
+// and runs its replays one at a time, which is Scratch's ownership rule;
+// since a Scratch-backed run is bit-identical to a fresh one, the results
+// are the same for any worker count. The error is the first failing
+// replay's, in list order.
+func RunAll(workers int, rs []Replay) ([]*Result, error) {
+	return runner.MapScratch(workers, len(rs), NewScratch, func(i int, sc *Scratch) (*Result, error) {
+		res, err := rs[i].run(sc)
+		if err != nil {
+			return nil, &ReplayError{Index: i, Err: err}
+		}
+		return res, nil
+	})
+}
+
+// run replays r on a Sim built from sc.
+func (r *Replay) run(sc *Scratch) (*Result, error) {
+	s, err := NewWithScratch(r.Topo, r.Tech, r.Config, sc)
+	if err != nil {
+		return nil, err
+	}
+	return s.RunEvents(r.Trace, r.Clears, r.Horizon)
 }

@@ -37,7 +37,9 @@ func scratchConfigs() []Config {
 // TestScratchMatchesFresh is the sim-level differential test: replaying a
 // sequence of scenarios through one pooled Scratch must produce Results
 // deep-equal to fresh-allocation reference Sims, including when consecutive
-// scenarios alternate configs and reuse dirties every pooled structure.
+// scenarios alternate configs and reuse dirties every pooled structure. The
+// same holds through RunAll at workers 1 and 4, over a list that alternates
+// two fabrics and includes a replay with scheduled clears.
 func TestScratchMatchesFresh(t *testing.T) {
 	topo := simTopo(t)
 	horizon := 21 * 24 * time.Hour
@@ -74,6 +76,44 @@ func TestScratchMatchesFresh(t *testing.T) {
 					pass, i, cfg.Policy)
 			}
 			checkActiveCorrupting(t, pooled.Network(), 0)
+		}
+	}
+
+	other, err := topology.NewClos(topology.ClosConfig{
+		Pods: 3, ToRsPerPod: 4, AggsPerPod: 2, Spines: 4, SpineUplinksPerAgg: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherTrace := genTrace(t, other, 0.01, horizon, 12)
+	var replays []Replay
+	for _, cfg := range scratchConfigs() {
+		replays = append(replays,
+			Replay{Topo: topo, Tech: simTech(), Config: cfg, Trace: trace, Horizon: horizon},
+			Replay{Topo: other, Tech: simTech(), Config: cfg, Trace: otherTrace, Horizon: horizon})
+	}
+	flaps, clears := flapTrace(0, time.Hour, 6*time.Hour, 2*time.Hour, 20, 1e-3)
+	replays = append(replays, Replay{Topo: topo, Tech: simTech(), Config: Config{Policy: PolicyCorrOpt, Seed: 10},
+		Trace: flaps, Clears: clears, Horizon: horizon})
+	want := make([]*Result, len(replays))
+	for i, r := range replays {
+		fresh, err := New(r.Topo, r.Tech, r.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = fresh.RunEvents(r.Trace, r.Clears, r.Horizon); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := RunAll(workers, replays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range replays {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("workers %d replay %d: RunAll result differs from fresh reference", workers, i)
+			}
 		}
 	}
 }

@@ -300,6 +300,14 @@ func TestTraceMustBeSorted(t *testing.T) {
 		if _, err := s.RunEvents(c.trace, c.clears, horizon); err == nil || err.Error() != c.want {
 			t.Errorf("RunEvents error %v, want %q", err, c.want)
 		}
+		// Through RunAll the same error names the replay that failed.
+		good := Replay{Topo: topo, Tech: simTech(), Config: Config{Policy: PolicyCorrOpt, Seed: 1},
+			Trace: []*faults.Fault{early, late}, Horizon: horizon}
+		bad := good
+		bad.Trace, bad.Clears = c.trace, c.clears
+		if _, err := RunAll(2, []Replay{good, bad}); err == nil || err.Error() != "sim: replay 1: "+c.want {
+			t.Errorf("RunAll error %v, want %q", err, "sim: replay 1: "+c.want)
+		}
 		// Nothing ran, so the Sim is still unused.
 		res, err := s.Run([]*faults.Fault{early, late}, horizon)
 		if err != nil {
