@@ -97,14 +97,17 @@ cover:
 ## incremental path-counting engine to the full-sweep reference and its
 ## probe-then-commit split to Apply/Revert, the
 ## optimizer's switch-reach pruning and segmentation to the link-cone
-## reference, and Network's cached ToR fractions (and the sum of a run of
-## 1.0 terms inside them) to the in-order loop; of the repair loop's ticket
-## and hold invariants; and of the protocol and scenario-parser fuzzers.
+## reference, an activation's skipped or narrowed re-check to the re-check
+## over every active corrupting link, and Network's cached ToR fractions
+## (and the sum of a run of 1.0 terms inside them) to the in-order loop; of
+## the repair loop's ticket and hold invariants; and of the protocol and
+## scenario-parser fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz FuzzProbeCommit -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz FuzzFastCheckDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzOptimizerDifferential -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzActivationDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzToRFractionsDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAddOnes -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRepairLoop -fuzztime 10s ./internal/core

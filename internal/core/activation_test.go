@@ -1,0 +1,197 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"corropt/internal/rngutil"
+	"corropt/internal/topology"
+)
+
+// referenceSweep is the baselines' activation sweep as it was before the
+// re-check offered only the links that pass alone: every active corrupting
+// link in scope, worst first, is offered to c.
+func referenceSweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []topology.LinkID {
+	var order []rankedLink
+	for _, l := range n.ActiveCorrupting(threshold) {
+		if scope == nil || scope.Has(l) {
+			order = append(order, rankedLink{l, n.CorruptionRate(l)})
+		}
+	}
+	sortRanked(order)
+	var disabled []topology.LinkID
+	for _, r := range order {
+		if c.DisableIfSafe(r.link) {
+			disabled = append(disabled, r.link)
+		}
+	}
+	return disabled
+}
+
+// activationPolicy is one policy the activation differential runs: a
+// baseline, or CorrOpt under one optimizer ablation.
+type activationPolicy struct {
+	kind PolicyKind
+	cfg  OptimizerConfig
+}
+
+func activationPolicies() []activationPolicy {
+	ps := []activationPolicy{{kind: PolicySwitchLocal}, {kind: PolicyFastOnly}}
+	for _, cfg := range differentialConfigs {
+		ps = append(ps, activationPolicy{kind: PolicyCorrOpt, cfg: cfg})
+	}
+	return ps
+}
+
+// activationCoverage counts the re-checks a differential run reached, so a
+// generator that stops reaching the interesting cases fails loudly.
+type activationCoverage struct {
+	rechecks, skippable, disabling, fromViolated, scoped int
+}
+
+func (c *activationCoverage) add(o activationCoverage) {
+	c.rechecks += o.rechecks
+	c.skippable += o.skippable
+	c.disabling += o.disabling
+	c.fromViolated += o.fromViolated
+	c.scoped += o.scoped
+}
+
+// activationDifferential replays ops on two networks built from one seed.
+// One side runs Engine.Activate; the other enables the link and runs the
+// re-check as it was before the skip: the link-cone optimizer reference, or
+// a sweep over every active corrupting link. Each op byte reports a rate,
+// activates a link, re-enables one without a re-check (what RepairLoop does
+// with a failed repair), raises a ToR's constraint, or activates a link
+// under its Partition segment's scope. The returned lists and the network
+// states must agree after every op.
+func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops []byte) activationCoverage {
+	const threshold = 1e-7
+	got := randomCorruptionScenario(t, seed, 6)
+	want := randomCorruptionScenario(t, seed, 6)
+	topo := got.Topology()
+	if p.kind == PolicySwitchLocal {
+		// Halve the constraint, or the switch-local rule keeps every one of
+		// a switch's three uplinks and never disables anything.
+		for _, tor := range topo.ToRs() {
+			c := got.Constraint(tor) / 2
+			_ = got.SetToRConstraint(tor, c)
+			_ = want.SetToRConstraint(tor, c)
+		}
+	}
+	cfg := EngineConfig{DetectionThreshold: threshold, Optimizer: p.cfg}
+	ge, err := NewPolicyEngine(got, p.kind, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	we, _ := NewPolicyEngine(want, p.kind, cfg)
+	var segs []Scope
+	for _, seg := range topo.Partition() {
+		links := topology.NewLinkSet(topo.NumLinks())
+		for _, l := range seg.Links {
+			links.Add(l)
+		}
+		segs = append(segs, Scope{Links: links, ToRs: seg.ToRs})
+	}
+	reference := func(scope Scope) []topology.LinkID {
+		if p.kind == PolicyCorrOpt {
+			d, _ := referenceRunScoped(want, LinearPenalty, p.cfg, threshold, scope.Links, scope.ToRs)
+			return d
+		}
+		return referenceSweep(want, we, threshold, scope.Links)
+	}
+	var cov activationCoverage
+	rng := rngutil.New(seed).Split("activation")
+	for i, b := range ops {
+		l := topology.LinkID(int(b>>3) % topo.NumLinks())
+		var scope Scope
+		switch b % 5 {
+		case 0:
+			rate := math.Pow(10, rng.Range(-8, -2))
+			if gd, wd := ge.ReportCorruption(l, rate), we.ReportCorruption(l, rate); gd != wd {
+				t.Fatalf("op %d: report of link %d: %+v, reference %+v", i, l, gd, wd)
+			}
+			sameOptimizerState(t, "report", got, want)
+			continue
+		case 2:
+			got.Enable(l)
+			want.Enable(l)
+			sameOptimizerState(t, "re-enable", got, want)
+			continue
+		case 3:
+			tor := topo.ToRs()[int(b>>3)%len(topo.ToRs())]
+			c := got.Constraint(tor)
+			c += rng.Range(0, 0.3) * (1 - c)
+			if err := got.SetToRConstraint(tor, c); err != nil {
+				t.Fatal(err)
+			}
+			_ = want.SetToRConstraint(tor, c)
+			sameOptimizerState(t, "constraint", got, want)
+			continue
+		case 4:
+			scope = segs[int(b>>3)%len(segs)]
+			var in []topology.LinkID
+			scope.Links.Each(func(l topology.LinkID) { in = append(in, l) })
+			l = in[rng.Intn(len(in))]
+			cov.scoped++
+		}
+		cov.rechecks++
+		violated := got.tors.NumViolated() > 0
+		if violated {
+			cov.fromViolated++
+		}
+		gd := ge.Activate(l, scope)
+		want.Enable(l)
+		wd := reference(scope)
+		if !slices.Equal(gd, wd) {
+			t.Fatalf("op %d: %v activation of link %d (scoped %v) disabled %v, reference %v",
+				i, p.kind, l, scope.Links != nil, gd, wd)
+		}
+		switch {
+		case len(gd) > 0:
+			cov.disabling++
+		case !violated:
+			cov.skippable++
+		}
+		sameOptimizerState(t, "activation", got, want)
+	}
+	return cov
+}
+
+// TestActivationMatchesReference runs the activation differential on fixed
+// seeds under every policy, and requires the runs to have reached re-checks
+// from a feasible state that disable nothing (the skip), re-checks that
+// disable links, re-checks from a violated ToR and scoped re-checks.
+func TestActivationMatchesReference(t *testing.T) {
+	for pi, p := range activationPolicies() {
+		var total activationCoverage
+		for seed := uint64(0); seed < 12; seed++ {
+			ops := make([]byte, 48)
+			rng := rngutil.New(seed).Split("ops")
+			for i := range ops {
+				ops[i] = byte(rng.Intn(256))
+			}
+			total.add(activationDifferential(t, seed, p, ops))
+		}
+		t.Logf("policy %d (%v): %+v", pi, p.kind, total)
+		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.scoped == 0 {
+			t.Errorf("policy %d (%v): re-checks covered %+v", pi, p.kind, total)
+		}
+	}
+}
+
+// FuzzActivationDifferential fuzzes Engine.Activate against the re-check
+// without the skip (see activationDifferential) under every policy.
+func FuzzActivationDifferential(f *testing.F) {
+	f.Add(uint64(1), uint8(0), []byte{0, 9, 17, 2, 26, 33, 4, 41})
+	f.Add(uint64(3), uint8(1), []byte{0x10, 0x22, 0x31, 0x07, 0x4a, 0x5c, 0x61, 0x89})
+	f.Add(uint64(5), uint8(2), []byte{0xff, 0x10, 0x24, 0x4b, 0x64, 0x99, 0x0e, 0xa1})
+	f.Fuzz(func(t *testing.T, seed uint64, policy uint8, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		ps := activationPolicies()
+		activationDifferential(t, seed, ps[int(policy)%len(ps)], ops)
+	})
+}

@@ -148,6 +148,8 @@ type Engine struct {
 	opt       *Optimizer   // PolicyCorrOpt only
 	penalty   PenaltyFunc
 	threshold float64
+
+	scratch sweepScratch // the activation re-check's
 }
 
 // EngineConfig parameterizes an Engine.
@@ -266,12 +268,33 @@ func (e *Engine) DisableIfSafe(l topology.LinkID) bool {
 	}
 }
 
+// CanDisable reports whether the policy's check would let link l go down on
+// its own right now, without taking it down. Like DisableIfSafe it is a
+// switch over concrete checkers.
+func (e *Engine) CanDisable(l topology.LinkID) bool {
+	switch e.policy {
+	case PolicyNone:
+		return false
+	case PolicySwitchLocal:
+		return e.local.CanDisable(l)
+	default:
+		return e.fast.CanDisable(l)
+	}
+}
+
 // Activate enables link l and runs the policy's activation step — the
 // optimizer under PolicyCorrOpt, a worst-first sweep of the policy's check
 // under the baselines — over the remaining active corrupting links in
 // scope, as link activations are what create room to disable more of them.
 // It returns the newly disabled links. l's recorded corruption rate is left
 // as it is: callers that know the link came back clean use LinkRepaired.
+//
+// Disabling a link only removes paths, so nothing goes together unless
+// something goes alone: a link the policy's check refuses on its own is in
+// no set that can go. The step therefore first probes the links in scope
+// alone. The sweep offers only those that pass; the optimizer is skipped
+// when none does and every ToR meets its constraint, which is most
+// activations of a running fabric.
 func (e *Engine) Activate(l topology.LinkID, scope Scope) []topology.LinkID {
 	e.net.Enable(l)
 	disabled, _ := e.recheck(scope)
@@ -287,8 +310,26 @@ func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
 }
 
 func (e *Engine) recheck(scope Scope) ([]topology.LinkID, OptimizeStats) {
-	if e.opt != nil {
-		return e.opt.RunScoped(e.threshold, scope.Links, scope.ToRs)
+	if e.opt == nil {
+		return sweep(e.net, e, e.threshold, scope.Links, &e.scratch), OptimizeStats{}
 	}
-	return sweep(e.net, e, e.threshold, scope.Links), OptimizeStats{}
+	// With some ToR already violated the optimizer is run as it always is:
+	// the skip is argued, and measured, only from a feasible state.
+	if e.net.tors.NumViolated() == 0 && !e.anyAlone(scope.Links) {
+		return nil, OptimizeStats{}
+	}
+	return e.opt.RunScoped(e.threshold, scope.Links, scope.ToRs)
+}
+
+// anyAlone reports whether some active corrupting link in scope passes the
+// fast check on its own. It stops at the first: the optimizer, not this
+// scan, decides what goes.
+func (e *Engine) anyAlone(scope *topology.LinkSet) bool {
+	e.scratch.active = e.net.AppendActiveCorrupting(e.scratch.active[:0], e.threshold)
+	for _, l := range e.scratch.active {
+		if (scope == nil || scope.Has(l)) && e.fast.CanDisable(l) {
+			return true
+		}
+	}
+	return false
 }

@@ -68,32 +68,46 @@ func (fc *FastChecker) DisableIfSafe(l topology.LinkID) bool {
 // when capacity is scarce it protects against the worst offenders), and
 // disables those that pass. It returns the links it disabled.
 //
-// The paper notes that as long as no link was activated since the last run,
-// the network is maximal after a sweep — no further link can be disabled —
-// so Sweep only needs to run on new corrupting links or after activations.
+// Disabling a link only removes paths, so nothing goes together unless
+// something goes alone: a link the check refuses on its own is refused after
+// any further disables too. Sweep therefore offers only the links that pass
+// alone, and a state where none does is maximal — the paper's remark that
+// the network is maximal after a sweep until the next activation.
 func (fc *FastChecker) Sweep(threshold float64) []topology.LinkID {
-	return sweep(fc.net, fc, threshold, nil)
+	return sweep(fc.net, fc, threshold, nil, &sweepScratch{})
 }
 
 // checker is a link-disabling rule: the fast checker's global path counts,
 // the switch-local baseline's per-switch uplink fraction, or an Engine's
-// policy choosing between them.
+// policy choosing between them. Both rules are monotone: a link CanDisable
+// refuses stays refused while more links go down.
 type checker interface {
+	CanDisable(topology.LinkID) bool
 	DisableIfSafe(topology.LinkID) bool
 }
 
-// sweep offers c every active corrupting link at or above threshold
-// (within scope, when non-nil), worst first with ties broken by LinkID so
-// the order — and therefore the disabled set — is deterministic. It returns
-// the links c disabled.
-func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []topology.LinkID {
-	active := n.ActiveCorrupting(threshold)
-	order := make([]rankedLink, 0, len(active))
-	for _, l := range active {
-		if scope == nil || scope.Has(l) {
+// sweepScratch is a sweep's reused buffers: the active corrupting links,
+// and those of them that pass the check alone, ranked.
+type sweepScratch struct {
+	active []topology.LinkID
+	order  []rankedLink
+}
+
+// sweep offers c the active corrupting links at or above threshold (within
+// scope, when non-nil) that pass c's check on their own, worst first with
+// ties broken by LinkID so the order — and therefore the disabled set — is
+// deterministic. It returns the links c disabled: those a sweep over every
+// active corrupting link disables, as a link c refuses alone it refuses at
+// its turn too.
+func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet, b *sweepScratch) []topology.LinkID {
+	b.active = n.AppendActiveCorrupting(b.active[:0], threshold)
+	order := b.order[:0]
+	for _, l := range b.active {
+		if (scope == nil || scope.Has(l)) && c.CanDisable(l) {
 			order = append(order, rankedLink{l, n.links.Rate(l)})
 		}
 	}
+	b.order = order
 	sortRanked(order)
 	var disabled []topology.LinkID
 	for _, r := range order {

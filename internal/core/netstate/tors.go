@@ -14,33 +14,30 @@ const constraintSlack = 1e-9
 // ToRs keeps, per ToR, the capacity constraint, whether the path counter's
 // incremental counts meet it, and — once Fractions is first read — the
 // cached available-path fraction. Refresh and Recompute update both halves
-// for each changed ToR; RefreshFractions only the second.
+// for each changed ToR; RefreshFractions only the second. Every per-ToR
+// slice is indexed by the ToR's position in topo.ToRs()
+// (topology.ToRIndex), so no slot is kept for a switch above the ToRs.
 type ToRs struct {
-	// tors is the fabric's ToRs in topology order.
-	tors []topology.SwitchID
-	// constraint is the per-ToR minimum fraction of valley-free spine paths
-	// that must remain available, indexed by SwitchID (non-ToR entries
-	// unused).
+	topo *topology.Topology
+	// constraint is each ToR's minimum fraction of valley-free spine paths
+	// that must remain available.
 	constraint []float64
-	// meetsNow caches, per ToR SwitchID, whether the ToR meets its
-	// constraint under the incremental counts; numViolated counts the ToRs
-	// that do not.
+	// meetsNow caches whether each ToR meets its constraint under the
+	// incremental counts; numViolated counts the ToRs that do not.
 	meetsNow    []bool
 	numViolated int
 
-	// The fraction cache, indexed by position in tors. The first read
-	// builds it (fleet shards never read it, so they never pay for it);
-	// after that each changed ToR's fraction is stored and dirty lowered to
-	// the lowest changed position, and a read re-sums only from the
-	// checkpoint at or below dirty.
-	//   - pos maps a ToR's SwitchID to its position; nil until built.
-	//   - frac holds count/total per position, 0 for a ToR with no paths.
+	// The fraction cache. The first read builds it (fleet shards never read
+	// it, so they never pay for it); after that each changed ToR's fraction
+	// is stored and dirty lowered to the lowest changed position, and a read
+	// re-sums only from the checkpoint at or below dirty.
+	//   - frac holds count/total per position, 0 for a ToR with no paths;
+	//     nil until built.
 	//   - notOne has bit p set iff frac[p] != 1.0: about half the ToRs of a
 	//     running simulation sit at exactly 1.0, and a run of them is summed
 	//     without visiting each (AddOnes).
 	//   - sum[k] and low[k] are the in-order running sum and minimum of
 	//     frac[:64k]; the last entry holds the whole list's.
-	pos    []int32
 	frac   []float64
 	notOne []uint64
 	sum    []float64
@@ -52,9 +49,9 @@ type ToRs struct {
 // pc's incremental counts.
 func NewToRs(topo *topology.Topology, c float64, pc *topology.PathCounter) ToRs {
 	s := ToRs{
-		tors:       topo.ToRs(),
-		constraint: make([]float64, topo.NumSwitches()),
-		meetsNow:   make([]bool, topo.NumSwitches()),
+		topo:       topo,
+		constraint: make([]float64, len(topo.ToRs())),
+		meetsNow:   make([]bool, len(topo.ToRs())),
 	}
 	s.Reset(c, pc)
 	return s
@@ -62,25 +59,26 @@ func NewToRs(topo *topology.Topology, c float64, pc *topology.PathCounter) ToRs 
 
 // Reset constrains every ToR to c and rebuilds the status from pc.
 func (s *ToRs) Reset(c float64, pc *topology.PathCounter) {
-	clear(s.constraint)
-	for _, tor := range s.tors {
-		s.constraint[tor] = c
+	for p := range s.constraint {
+		s.constraint[p] = c
 	}
 	s.Recompute(pc)
 }
 
 // Constraint reports the capacity constraint of a ToR.
-func (s *ToRs) Constraint(tor topology.SwitchID) float64 { return s.constraint[tor] }
+func (s *ToRs) Constraint(tor topology.SwitchID) float64 {
+	return s.constraint[s.topo.ToRIndex(tor)]
+}
 
 // SetConstraint sets one ToR's constraint and re-evaluates it.
 func (s *ToRs) SetConstraint(tor topology.SwitchID, c float64, pc *topology.PathCounter) {
-	s.constraint[tor] = c
+	s.constraint[s.topo.ToRIndex(tor)] = c
 	s.refresh(tor, pc.IncCounts(), pc.Total())
 }
 
 // Met reports whether ToR tor meets its constraint under the incremental
 // counts.
-func (s *ToRs) Met(tor topology.SwitchID) bool { return s.meetsNow[tor] }
+func (s *ToRs) Met(tor topology.SwitchID) bool { return s.meetsNow[s.topo.ToRIndex(tor)] }
 
 // NumViolated counts the ToRs that do not meet their constraints.
 func (s *ToRs) NumViolated() int { return s.numViolated }
@@ -105,15 +103,15 @@ func (s *ToRs) Meets(tor topology.SwitchID, counts, total []int64) bool {
 
 // meetsCount reports whether ToR tor meets its constraint with count paths.
 func (s *ToRs) meetsCount(tor topology.SwitchID, count int64, total []int64) bool {
-	i := int(tor)
-	if i < 0 || i >= len(total) || i >= len(s.constraint) {
+	i, p := int(tor), s.topo.ToRIndex(tor)
+	if i < 0 || i >= len(total) || p < 0 || p >= len(s.constraint) {
 		panic(panicToRRange)
 	}
 	if total[i] == 0 {
-		return s.constraint[i] <= 0
+		return s.constraint[p] <= 0
 	}
 	frac := float64(count) / float64(total[i])
-	return frac+constraintSlack >= s.constraint[i]
+	return frac+constraintSlack >= s.constraint[p]
 }
 
 // ProbeMeets reports whether every ToR in tors would meet its constraint at
@@ -131,17 +129,17 @@ func (s *ToRs) ProbeMeets(tors []topology.SwitchID, pc *topology.PathCounter) bo
 // refresh re-evaluates one ToR against counts, maintaining numViolated and,
 // once built, the fraction cache.
 func (s *ToRs) refresh(tor topology.SwitchID, counts, total []int64) {
-	now := s.Meets(tor, counts, total)
-	if now != s.meetsNow[tor] {
-		s.meetsNow[tor] = now
+	now, p := s.Meets(tor, counts, total), s.topo.ToRIndex(tor)
+	if now != s.meetsNow[p] {
+		s.meetsNow[p] = now
 		if now {
 			s.numViolated--
 		} else {
 			s.numViolated++
 		}
 	}
-	if s.pos != nil {
-		s.setFraction(int(s.pos[tor]), Fraction(counts[tor], total[tor]))
+	if s.frac != nil {
+		s.setFraction(p, Fraction(counts[tor], total[tor]))
 	}
 }
 
@@ -158,12 +156,12 @@ func (s *ToRs) Refresh(changed []topology.SwitchID, pc *topology.PathCounter) {
 // ToR's met status: it stores the changed ToRs' fractions, and only once the
 // fraction cache is built.
 func (s *ToRs) RefreshFractions(changed []topology.SwitchID, pc *topology.PathCounter) {
-	if s.pos == nil {
+	if s.frac == nil {
 		return
 	}
 	counts, total := pc.IncCounts(), pc.Total()
 	for _, tor := range changed {
-		s.setFraction(int(s.pos[tor]), Fraction(counts[tor], total[tor]))
+		s.setFraction(s.topo.ToRIndex(tor), Fraction(counts[tor], total[tor]))
 	}
 }
 
@@ -171,14 +169,14 @@ func (s *ToRs) RefreshFractions(changed []topology.SwitchID, pc *topology.PathCo
 func (s *ToRs) Recompute(pc *topology.PathCounter) {
 	s.numViolated = 0
 	counts, total := pc.IncCounts(), pc.Total()
-	for _, tor := range s.tors {
+	for p, tor := range s.topo.ToRs() {
 		ok := s.Meets(tor, counts, total)
-		s.meetsNow[tor] = ok
+		s.meetsNow[p] = ok
 		if !ok {
 			s.numViolated++
 		}
 	}
-	if s.pos != nil {
+	if s.frac != nil {
 		s.fill(pc)
 	}
 }
@@ -197,25 +195,21 @@ func Fraction(count, total int64) float64 {
 // pass over the ToRs; see core.Network.ToRFractions. The first read builds
 // the cache: O(|ToRs|) once.
 func (s *ToRs) Fractions(pc *topology.PathCounter) (worst, mean float64) {
-	if len(s.tors) == 0 {
+	if len(s.constraint) == 0 {
 		return 1.0, 0
 	}
-	if s.pos == nil {
+	if s.frac == nil {
 		//lint:allow escapes builds the fraction cache once per Network, on its first read
 		s.build(pc)
 	}
 	sum, worst := s.sumFractions()
-	return worst, sum / float64(len(s.tors))
+	return worst, sum / float64(len(s.constraint))
 }
 
 // build allocates the fraction cache and fills it.
 func (s *ToRs) build(pc *topology.PathCounter) {
-	blocks := (len(s.tors) + 63) / 64
-	s.pos = make([]int32, len(s.constraint))
-	for p, tor := range s.tors {
-		s.pos[tor] = int32(p)
-	}
-	s.frac = make([]float64, len(s.tors))
+	blocks := (len(s.constraint) + 63) / 64
+	s.frac = make([]float64, len(s.constraint))
 	s.notOne = make([]uint64, blocks)
 	s.sum = make([]float64, blocks+1)
 	s.low = make([]float64, blocks+1)
@@ -228,7 +222,7 @@ func (s *ToRs) build(pc *topology.PathCounter) {
 func (s *ToRs) fill(pc *topology.PathCounter) {
 	counts, total := pc.IncCounts(), pc.Total()
 	clear(s.notOne)
-	for p, tor := range s.tors {
+	for p, tor := range s.topo.ToRs() {
 		f := Fraction(counts[tor], total[tor])
 		s.frac[p] = f
 		if f != 1.0 {

@@ -319,7 +319,7 @@ func TestActivationRecheckAllocs(t *testing.T) {
 	e, hot := activationState(t)
 	net := e.Network()
 	topo := net.Topology()
-	if _, st := e.recheck(Scope{}); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
+	if _, st := e.opt.RunScoped(e.threshold, nil, nil); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
 		t.Fatalf("re-check finds %d violated ToRs in %d segments, want ≥ 5 in ≥ 3", len(e.opt.violatedBuf), st.Segments)
 	}
 	// An enabled clean agg uplink in a pod with no corruption.
@@ -345,6 +345,25 @@ func TestActivationRecheckAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1, some); n != float64(len(hot)) {
 		t.Errorf("%d re-checks that disable a link: %v allocs, want %d (the returned lists)", len(hot), n, len(hot))
+	}
+}
+
+// BenchmarkActivationBlocked times one Engine.Activate that disables nothing
+// — a clean link back in service while activationState's six ToRs keep
+// their corrupting uplinks blocked — on the medium DCN. It is the common
+// activation of a running simulation: no link passes the check alone, so
+// the optimizer is not run.
+func BenchmarkActivationBlocked(b *testing.B) {
+	e, _ := activationState(b)
+	topo := e.Network().Topology()
+	// An enabled clean agg uplink in a pod with no corruption.
+	clean := topo.Switch(topo.Link(topo.Switch(topo.ToRs()[len(topo.ToRs())-1]).Uplinks[0]).Upper).Uplinks[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e.Activate(clean, Scope{}) != nil {
+			b.Fatal("activating a clean link disabled links")
+		}
 	}
 }
 

@@ -82,7 +82,9 @@ func (s *SwitchLocal) DisableIfSafe(l topology.LinkID) bool {
 // Sweep applies the switch-local check to every active corrupting link at
 // or above threshold, worst first, disabling those that pass — the re-check
 // production systems run when a link is re-enabled. It returns the links it
-// disabled.
+// disabled. A switch's down count only rises as links go, so nothing goes
+// together unless something goes alone: Sweep offers only the links that
+// pass on their own (see FastChecker.Sweep).
 func (s *SwitchLocal) Sweep(threshold float64) []topology.LinkID {
-	return sweep(s.net, s, threshold, nil)
+	return sweep(s.net, s, threshold, nil, &sweepScratch{})
 }

@@ -36,7 +36,10 @@ type Stage int
 
 // Switch is one network switch.
 type Switch struct {
-	ID    SwitchID
+	ID SwitchID
+	// tor is the switch's position in Topology.ToRs, or -1 above stage 0;
+	// it sits in the padding after ID.
+	tor   int32
 	Name  string
 	Stage Stage
 	// Pod groups switches that share a pod; -1 for spine switches.
@@ -125,6 +128,10 @@ func (t *Topology) SwitchByName(name string) (SwitchID, bool) {
 // ToRs returns the stage-0 switches. The returned slice is shared; callers
 // must not mutate it.
 func (t *Topology) ToRs() []SwitchID { return t.tors }
+
+// ToRIndex returns ToR s's position in ToRs(), or -1 when s is not a ToR.
+// Per-ToR state indexed by it holds no slot for the other switches.
+func (t *Topology) ToRIndex(s SwitchID) int { return int(t.switches[s].tor) }
 
 // Spines returns the top-stage switches. The returned slice is shared;
 // callers must not mutate it.
@@ -273,6 +280,12 @@ func (b *Builder) Build() (*Topology, error) {
 	}
 	sort.Slice(t.tors, func(i, j int) bool { return t.tors[i] < t.tors[j] })
 	sort.Slice(t.spines, func(i, j int) bool { return t.spines[i] < t.spines[j] })
+	for i := range t.switches {
+		t.switches[i].tor = -1
+	}
+	for p, tor := range t.tors {
+		t.switches[tor].tor = int32(p)
+	}
 	t.order = make([]SwitchID, 0, len(t.switches))
 	for st := top; st >= 0; st-- {
 		for i := range t.switches {
