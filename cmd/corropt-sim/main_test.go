@@ -122,10 +122,15 @@ func TestRunGoldenCatchesOneByte(t *testing.T) {
 	}
 }
 
-func TestLegacyUnknownPolicy(t *testing.T) {
-	_, stderr, code := runSim(t, ".", "-policy", "bogus")
-	if code == 0 || !strings.Contains(stderr, `unknown policy "bogus"`) {
-		t.Fatalf("-policy bogus: exit %d, stderr %q; want a non-zero exit naming the policy", code, stderr)
+// TestNoSubcommandPrintsUsage pins the binary's only two entries: flags
+// with no subcommand, or no arguments at all, print a usage naming run and
+// validate and exit 2.
+func TestNoSubcommandPrintsUsage(t *testing.T) {
+	for _, args := range [][]string{{"-policy", "corropt"}, nil} {
+		_, stderr, code := runSim(t, ".", args...)
+		if code != 2 || !strings.Contains(stderr, "corropt-sim run") || !strings.Contains(stderr, "corropt-sim validate") {
+			t.Errorf("corropt-sim %q: exit %d, stderr %q; want exit 2 and a usage naming run and validate", args, code, stderr)
+		}
 	}
 }
 

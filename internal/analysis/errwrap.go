@@ -18,8 +18,8 @@ type ErrWrapConfig struct {
 }
 
 // DefaultErrWrapConfig checks %w wrapping module-wide and dropped error
-// returns inside internal/ (library code must propagate failures; cmds and
-// examples surface them to the user at top level and are vetted by review).
+// returns inside internal/ (library code must propagate failures; cmds
+// surface them to the user at top level and are vetted by review).
 var DefaultErrWrapConfig = ErrWrapConfig{
 	WrapPrefixes:    []string{"corropt"},
 	DroppedPrefixes: []string{"corropt/internal/"},

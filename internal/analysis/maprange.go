@@ -17,7 +17,6 @@ var MapRangeConfig = map[string]bool{
 	"corropt/internal/sim":           true,
 	"corropt/internal/core":          true,
 	"corropt/internal/core/netstate": true,
-	"corropt/internal/trace":         true,
 }
 
 // NewMapRange returns the maprange analyzer, which enforces two rules:

@@ -55,7 +55,6 @@ var DeterminismConfig = map[string]Rules{
 	"corropt/internal/core/netstate": RulesAll,
 	"corropt/internal/topology":      RulesAll,
 	"corropt/internal/runner":        RulesAll,
-	"corropt/internal/trace":         RulesAll,
 	"corropt/internal/rngutil":       RulesAll,
 	"corropt/internal/simclock":      RulesAll,
 	"corropt/internal/scenario":      RulesAll,

@@ -48,6 +48,9 @@ func activationPolicies() []activationPolicy {
 // generator that stops reaching the interesting cases fails loudly.
 type activationCoverage struct {
 	rechecks, skippable, disabling, fromViolated, scoped int
+	// violatedNoneAlone counts re-checks from a violated ToR where no link
+	// in scope passes the policy's check alone.
+	violatedNoneAlone int
 }
 
 func (c *activationCoverage) add(o activationCoverage) {
@@ -56,6 +59,7 @@ func (c *activationCoverage) add(o activationCoverage) {
 	c.disabling += o.disabling
 	c.fromViolated += o.fromViolated
 	c.scoped += o.scoped
+	c.violatedNoneAlone += o.violatedNoneAlone
 }
 
 // activationDifferential replays ops on two networks built from one seed.
@@ -143,6 +147,9 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 		}
 		gd := ge.Activate(l, scope)
 		want.Enable(l)
+		if violated && !passesAlone(want, we, threshold, scope.Links) {
+			cov.violatedNoneAlone++
+		}
 		wd := reference(scope)
 		if !slices.Equal(gd, wd) {
 			t.Fatalf("op %d: %v activation of link %d (scoped %v) disabled %v, reference %v",
@@ -159,10 +166,23 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 	return cov
 }
 
+// passesAlone reports whether some active corrupting link of n in scope
+// passes e's check on its own.
+func passesAlone(n *Network, e *Engine, threshold float64, scope *topology.LinkSet) bool {
+	for _, l := range n.ActiveCorrupting(threshold) {
+		if (scope == nil || scope.Has(l)) && e.CanDisable(l) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestActivationMatchesReference runs the activation differential on fixed
 // seeds under every policy, and requires the runs to have reached re-checks
 // from a feasible state that disable nothing (the skip), re-checks that
-// disable links, re-checks from a violated ToR and scoped re-checks.
+// disable links, re-checks from a violated ToR, re-checks from a violated
+// ToR where no link passes alone (the skip from a violated state) and
+// scoped re-checks.
 func TestActivationMatchesReference(t *testing.T) {
 	for pi, p := range activationPolicies() {
 		var total activationCoverage
@@ -175,7 +195,7 @@ func TestActivationMatchesReference(t *testing.T) {
 			total.add(activationDifferential(t, seed, p, ops))
 		}
 		t.Logf("policy %d (%v): %+v", pi, p.kind, total)
-		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.scoped == 0 {
+		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.violatedNoneAlone == 0 || total.scoped == 0 {
 			t.Errorf("policy %d (%v): re-checks covered %+v", pi, p.kind, total)
 		}
 	}

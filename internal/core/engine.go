@@ -293,8 +293,7 @@ func (e *Engine) CanDisable(l topology.LinkID) bool {
 // something goes alone: a link the policy's check refuses on its own is in
 // no set that can go. The step therefore first probes the links in scope
 // alone. The sweep offers only those that pass; the optimizer is skipped
-// when none does and every ToR meets its constraint, which is most
-// activations of a running fabric.
+// when none does, which is most activations of a running fabric.
 func (e *Engine) Activate(l topology.LinkID, scope Scope) []topology.LinkID {
 	e.net.Enable(l)
 	disabled, _ := e.recheck(scope)
@@ -313,9 +312,14 @@ func (e *Engine) recheck(scope Scope) ([]topology.LinkID, OptimizeStats) {
 	if e.opt == nil {
 		return sweep(e.net, e, e.threshold, scope.Links, &e.scratch), OptimizeStats{}
 	}
-	// With some ToR already violated the optimizer is run as it always is:
-	// the skip is argued, and measured, only from a feasible state.
-	if e.net.tors.NumViolated() == 0 && !e.anyAlone(scope.Links) {
+	// The skip is exact from a violated state too. A ToR violated now stays
+	// in violatedUnder's result, so every link upstream of it shares its
+	// segment, whose meetsAll fails and whose solveSegment disables
+	// nothing. Every link the optimizer does disable is thus downstream
+	// only of ToRs that are unendangered or in a feasible segment, and by
+	// monotonicity it can go alone: the fast check's violated-state path,
+	// which checks all of DownstreamToRs(l), passes it.
+	if !e.anyAlone(scope.Links) {
 		return nil, OptimizeStats{}
 	}
 	return e.opt.RunScoped(e.threshold, scope.Links, scope.ToRs)

@@ -16,7 +16,7 @@ import (
 )
 
 func init() {
-	register("fig1", "packets lost per day to corruption vs congestion across 15 DCNs", analytic(fig1))
+	register("fig1", "packets lost per day to corruption vs congestion across 15 DCNs", fig1)
 	register("tab1", "distribution of links with corruption/congestion across loss buckets", analytic(tab1))
 }
 
@@ -35,13 +35,8 @@ func closWithPods(pods int) (*topology.Topology, error) {
 // normalized corruption loss hovers around 1 (the dashed parity line):
 // corruption loses about as many packets as congestion on switch-to-switch
 // links, even with the production mitigation running.
-func fig1(cfg Config) (*Report, error) {
-	r := &Report{
-		ID:     "fig1",
-		Title:  "Corruption vs congestion losses per day across 15 DCNs (normalized by mean congestion)",
-		Header: []string{"dcn", "links", "corruption_mean_norm", "corruption_std_norm"},
-	}
-	days := 21 // the paper's three weeks of data
+func fig1(cfg Config) (*plan, error) {
+	const days = 21 // the paper's three weeks of data
 	horizon := time.Duration(days) * 24 * time.Hour
 	maxPods := map[Scale]int{ScaleSmall: 8, ScaleMedium: 40, ScaleLarge: 110}[cfg.Scale]
 	if maxPods == 0 {
@@ -50,96 +45,102 @@ func fig1(cfg Config) (*Report, error) {
 	root := rngutil.New(cfg.Seed).Split("fig1")
 	const pps = 1e6 // packets/s at full utilization; cancels in normalization
 
-	for dcn := 0; dcn < 15; dcn++ {
-		pods := 1 + dcn*(maxPods-1)/14
-		topo, err := closWithPods(pods)
+	// Corruption losses under the production-style mitigation: switch-local
+	// disabling, 50% repair accuracy, and — crucially — a 15-minute
+	// detection latency: even with mitigation deployed, every new
+	// corrupting link burns application traffic for up to one SNMP poll
+	// before the controller reacts, which is the dominant corruption-loss
+	// channel §2 measures. One replay per DCN.
+	topos := make([]*topology.Topology, 15)
+	replays := make([]sim.Replay, len(topos))
+	for dcn := range topos {
+		topo, err := closWithPods(1 + dcn*(maxPods-1)/14)
 		if err != nil {
 			return nil, err
 		}
 		rng := root.SplitIndex("dcn", dcn)
-
-		// Corruption losses under the production-style mitigation:
-		// switch-local disabling, 50% repair accuracy, and — crucially —
-		// a 15-minute detection latency: even with mitigation deployed,
-		// every new corrupting link burns application traffic for up to
-		// one SNMP poll before the controller reacts, which is the
-		// dominant corruption-loss channel §2 measures.
 		inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 4 * FaultRate(cfg.Scale)}, rng.Split("faults"))
 		if err != nil {
 			return nil, err
 		}
-		// Packets lost = corruption rate × traffic actually on the link.
-		// Loss-sensitive transports back off on lossy links (§1: 0.01%
-		// loss halves TCP CUBIC's throughput; §3 notes senders slow down
-		// without fixing anything), so a link's carried traffic follows
-		// the 1/√loss law: full utilization up to ~1e-6 loss, collapsing
-		// beyond. Encoding that in the penalty makes PenaltyPerDay the
-		// effective corrupted-packet fraction integral.
-		lossWeighted := func(f float64) float64 {
-			if f <= 0 {
-				return 0
-			}
-			backoff := math.Sqrt(1e-6 / f)
-			if backoff > 1 {
-				backoff = 1
-			}
-			return f * backoff
-		}
-		s, err := sim.New(topo, optics.EvalTech(), sim.Config{
+		topos[dcn] = topo
+		replays[dcn] = sim.Replay{Topo: topo, Tech: optics.EvalTech(), Config: sim.Config{
 			Policy:         sim.PolicySwitchLocal,
 			Capacity:       0.75,
 			FixedAccuracy:  0.5,
 			DetectionDelay: 15 * time.Minute,
 			Penalty:        lossWeighted,
 			Seed:           rng.Split("sim").Seed(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Run(inj.Generate(horizon), horizon)
-		if err != nil {
-			return nil, err
-		}
-		corrDaily := make([]float64, days)
-		for d := 0; d < days && d < len(res.PenaltyPerDay); d++ {
-			// Penalty·seconds × mean utilization × line rate = packets.
-			corrDaily[d] = res.PenaltyPerDay[d] * 0.5 * pps
-		}
+		}, Trace: inj.Generate(horizon), Horizon: horizon}
+	}
 
-		// Congestion losses from the traffic model, hourly sampled over
-		// the prone directions only (others lose nothing).
-		tm := traffic.New(topo, traffic.Config{}, rng.Split("traffic"))
-		congDaily := make([]float64, days)
-		for _, l := range tm.CongestedLinks() {
-			for _, dir := range []topology.Direction{topology.Up, topology.Down} {
-				if !tm.Prone(l, dir) {
-					continue
-				}
-				for h := 0; h < days*24; h++ {
-					at := time.Duration(h) * time.Hour
-					loss := tm.LossRate(l, dir, at)
-					if loss == 0 {
+	finish := func(results []*sim.Result) (*Report, error) {
+		r := &Report{
+			ID:     "fig1",
+			Title:  "Corruption vs congestion losses per day across 15 DCNs (normalized by mean congestion)",
+			Header: []string{"dcn", "links", "corruption_mean_norm", "corruption_std_norm"},
+		}
+		for dcn, topo := range topos {
+			corrDaily := make([]float64, days)
+			for d := 0; d < days && d < len(results[dcn].PenaltyPerDay); d++ {
+				// Penalty·seconds × mean utilization × line rate = packets.
+				corrDaily[d] = results[dcn].PenaltyPerDay[d] * 0.5 * pps
+			}
+
+			// Congestion losses from the traffic model, hourly sampled over
+			// the prone directions only (others lose nothing).
+			tm := traffic.New(topo, traffic.Config{}, root.SplitIndex("dcn", dcn).Split("traffic"))
+			congDaily := make([]float64, days)
+			for _, l := range tm.CongestedLinks() {
+				for _, dir := range []topology.Direction{topology.Up, topology.Down} {
+					if !tm.Prone(l, dir) {
 						continue
 					}
-					congDaily[h/24] += loss * tm.Utilization(l, dir, at) * pps * 3600
+					for h := 0; h < days*24; h++ {
+						at := time.Duration(h) * time.Hour
+						loss := tm.LossRate(l, dir, at)
+						if loss == 0 {
+							continue
+						}
+						congDaily[h/24] += loss * tm.Utilization(l, dir, at) * pps * 3600
+					}
 				}
 			}
-		}
 
-		meanCong := stats.Mean(congDaily)
-		if meanCong == 0 {
-			meanCong = 1 // degenerate tiny fabric; avoid division by zero
+			meanCong := stats.Mean(congDaily)
+			if meanCong == 0 {
+				meanCong = 1 // degenerate tiny fabric; avoid division by zero
+			}
+			norm := make([]float64, days)
+			for i := range corrDaily {
+				norm[i] = corrDaily[i] / meanCong
+			}
+			r.AddRow(fmt.Sprintf("dcn-%02d", dcn+1), fmt.Sprintf("%d", topo.NumLinks()),
+				fmtF(stats.Mean(norm)), fmtF(stats.StdDev(norm)))
 		}
-		norm := make([]float64, days)
-		for i := range corrDaily {
-			norm[i] = corrDaily[i] / meanCong
-		}
-		r.AddRow(fmt.Sprintf("dcn-%02d", dcn+1), fmt.Sprintf("%d", topo.NumLinks()),
-			fmtF(stats.Mean(norm)), fmtF(stats.StdDev(norm)))
+		r.AddNote("paper: normalized corruption losses cluster around the parity line (1.0) across DCNs")
+		r.AddNote("substitution: production SNMP counters -> synthetic fault/traffic models calibrated to Table 1")
+		return r, nil
 	}
-	r.AddNote("paper: normalized corruption losses cluster around the parity line (1.0) across DCNs")
-	r.AddNote("substitution: production SNMP counters -> synthetic fault/traffic models calibrated to Table 1")
-	return r, nil
+	return &plan{replays: replays, finish: finish}, nil
+}
+
+// lossWeighted is fig1's penalty: packets lost = corruption rate × traffic
+// actually on the link. Loss-sensitive transports back off on lossy links
+// (§1: 0.01% loss halves TCP CUBIC's throughput; §3 notes senders slow down
+// without fixing anything), so a link's carried traffic follows the 1/√loss
+// law: full utilization up to ~1e-6 loss, collapsing beyond. Encoding that
+// in the penalty makes PenaltyPerDay the effective corrupted-packet
+// fraction integral.
+func lossWeighted(f float64) float64 {
+	if f <= 0 {
+		return 0
+	}
+	backoff := math.Sqrt(1e-6 / f)
+	if backoff > 1 {
+		backoff = 1
+	}
+	return f * backoff
 }
 
 // tab1 reproduces Table 1: among links experiencing corruption and links
