@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"corropt"
-	"corropt/internal/backoff"
 	"corropt/internal/ctlplane"
 	"corropt/internal/detector"
 	"corropt/internal/netchaos"
@@ -100,11 +99,11 @@ func main() {
 	}()
 
 	snmpCli, err := snmplite.DialConfig(snmpSrv.Addr().String(), snmplite.ClientConfig{
-		Timeout: time.Second,
-		Retry:   backoff.Policy{MaxAttempts: *retries + 1},
-		RNG:     rngutil.New(*seed).Split("agent-snmp-retry"),
-		Clock:   clk,
-		Dial:    snmplite.DialFunc(chaos.DatagramDialer(nil)),
+		Timeout:  time.Second,
+		Attempts: *retries + 1,
+		RNG:      rngutil.New(*seed).Split("agent-snmp-retry"),
+		Clock:    clk,
+		Dial:     chaos.DatagramDialer(nil),
 	})
 	if err != nil {
 		fatalf("snmplite dial: %v", err)
@@ -121,11 +120,11 @@ func main() {
 	}
 
 	cli, err := ctlplane.DialConfig(*controller, ctlplane.ClientConfig{
-		Clock:   clk,
-		Dial:    ctlplane.DialFunc(chaos.Dialer(nil)),
-		Retry:   backoff.Policy{MaxAttempts: *retries + 1},
-		RNG:     rngutil.New(*seed).Split("agent-ctl-retry"),
-		AgentID: *agentID,
+		Clock:    clk,
+		Dial:     chaos.Dialer(nil),
+		Attempts: *retries + 1,
+		RNG:      rngutil.New(*seed).Split("agent-ctl-retry"),
+		AgentID:  *agentID,
 	})
 	if err != nil {
 		fatalf("controller: %v", err)

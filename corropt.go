@@ -258,5 +258,5 @@ func NewController(addr string, engine *Engine) (*Controller, error) {
 
 // DialController connects an agent to a controller.
 func DialController(addr string) (*ControlClient, error) {
-	return ctlplane.Dial(addr, 0)
+	return ctlplane.DialConfig(addr, ctlplane.ClientConfig{})
 }

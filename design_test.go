@@ -1,8 +1,13 @@
 package corropt
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -57,6 +62,157 @@ func TestDesignInventoryMatchesPackages(t *testing.T) {
 	for r := range rows {
 		if !pkgs[r] {
 			t.Errorf("DESIGN.md §3 row %s names no package", r)
+		}
+	}
+}
+
+// TestBenchmarkCompiles builds the benchmark module in bench/ and its tests
+// without running any of them, so deleting something the benchmark uses
+// fails `go test ./...`, not only `make bench-smoke`. The build leaves bench/
+// as it was: -mod=readonly keeps go.mod, and the module needs no go.sum.
+func TestBenchmarkCompiles(t *testing.T) {
+	sum := filepath.Join("bench", "go.sum")
+	_, err := os.Stat(sum)
+	hadSum := err == nil
+	cmd := exec.Command("go", "test", "-mod=readonly", "-count=1", "-run", "^$", ".")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go test in bench/: %v\n%s", err, out)
+	}
+	if _, err := os.Stat(sum); err == nil && !hadSum {
+		t.Errorf("building the benchmark wrote %s", sum)
+	}
+}
+
+// docIdentifier matches a back-quoted `pkg.Name` or `pkg.Type.Member` with
+// Name exported, and an optional call suffix such as `(…)`. Metric names
+// like `core.report_ns` are lower case and do not match.
+var docIdentifier = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z]\\w*)(?:\\.([A-Za-z_]\\w*))?(?:\\([^`]*\\))?`")
+
+// TestDocsNameLiveIdentifiers resolves every back-quoted `pkg.Name` and
+// `pkg.Type.Member` in README.md, DESIGN.md and EXPERIMENTS.md against the
+// module's non-test Go source, so deleting an identifier fails here until
+// the docs stop naming it. Name may be a top-level declaration or a method
+// or struct field of any of the package's types (`sim.RunEvents` names
+// `Sim.RunEvents`); Member is a method or field of Type. pkg is a package
+// name of the module (`corropt` for the root); other spans, such as
+// `time.Now`, are not checked. bench/README.md is left out: the benchmark
+// is a separate module whose files change only together with its own runs.
+func TestDocsNameLiveIdentifiers(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{.Name}} {{.Dir}}", "./...").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	pkgs := map[string]docPackage{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		name, dir, _ := strings.Cut(line, " ")
+		if name != "main" {
+			pkgs[name] = loadDocPackage(t, dir)
+		}
+	}
+	refs := 0
+	for _, file := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docIdentifier.FindAllStringSubmatch(string(doc), -1) {
+			p, ok := pkgs[m[1]]
+			if !ok {
+				continue
+			}
+			refs++
+			if !p[m[2]][m[3]] && !(m[3] == "" && p[""][m[2]]) {
+				t.Errorf("%s names %s, which the source does not declare", file, m[0])
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("found no package-qualified identifiers in the docs: the pattern is broken")
+	}
+	t.Logf("%d references resolved", refs)
+}
+
+// docPackage maps each top-level name a package declares to its members:
+// p[name][""] is set for every declaration, p[typ][member] for each method
+// and struct field (an embedded one by its type's name) of named type typ,
+// and p[""][member] for a member of any type.
+type docPackage map[string]map[string]bool
+
+func loadDocPackage(t *testing.T, dir string) docPackage {
+	t.Helper()
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	parsed, err := parser.ParseDir(token.NewFileSet(), dir, notTest, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := docPackage{}
+	set := func(k, v string) {
+		if p[k] == nil {
+			p[k] = map[string]bool{}
+		}
+		p[k][v] = true
+	}
+	declare := func(name string) { set(name, "") }
+	member := func(typ, name string) { set(typ, name); set("", name) }
+	for _, pkg := range parsed {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						declare(d.Name.Name)
+					} else if recv := baseTypeName(d.Recv.List[0].Type); recv != "" {
+						member(recv, d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								declare(n.Name)
+							}
+						case *ast.TypeSpec:
+							declare(s.Name.Name)
+							var fields []*ast.Field
+							switch ty := s.Type.(type) {
+							case *ast.StructType:
+								fields = ty.Fields.List
+							case *ast.InterfaceType:
+								fields = ty.Methods.List
+							}
+							for _, fld := range fields {
+								for _, n := range fld.Names {
+									member(s.Name.Name, n.Name)
+								}
+								if len(fld.Names) == 0 {
+									member(s.Name.Name, baseTypeName(fld.Type))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return p
+}
+
+// baseTypeName is the type name in a receiver or embedded field: T in T,
+// *T, T[P] or pkg.T.
+func baseTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
 		}
 	}
 }

@@ -1,16 +1,16 @@
-// Package backoff implements the deployment path's shared retry policy:
-// jittered exponential backoff with bounded attempts and an optional
-// overall budget.
+// Package backoff implements the deployment path's shared retry schedule:
+// jittered exponential backoff between the attempts of one exchange.
 //
 // The paper's controller must keep making safe decisions while the very
 // network it manages drops and delays its own control traffic (§5–§6);
 // fixed-cadence retransmits synchronize across agents and hammer a
 // recovering controller, so every retrying client in this repository
-// (ctlplane reports, snmplite polls) shares this policy instead.
+// (ctlplane reports, snmplite polls) spaces its attempts with Delay. The
+// schedule is fixed; a client chooses only how many attempts to make.
 //
 // Determinism contract: jitter is drawn from an injected `rngutil`
 // substream, never from global randomness, so a retry schedule is a pure
-// function of (policy, seed, attempt index) and chaos-harness runs replay
+// function of (seed, retry index) and chaos-harness runs replay
 // byte-for-byte. The package is registered in the `nodeterminism`
 // analyzer's config (DESIGN.md §8).
 package backoff
@@ -21,98 +21,26 @@ import (
 	"corropt/internal/rngutil"
 )
 
-// Defaults applied by Normalized for zero fields.
+// The schedule: base before the first retry, doubled per further retry and
+// capped at ceiling, then scaled by a uniform draw in [1−jitter, 1+jitter].
 const (
-	DefaultBase        = 10 * time.Millisecond
-	DefaultMax         = 1 * time.Second
-	DefaultMultiplier  = 2.0
-	DefaultJitter      = 0.2
-	DefaultMaxAttempts = 4
+	base    = 10 * time.Millisecond
+	ceiling = 1 * time.Second
+	jitter  = 0.2
 )
-
-// Policy describes one retry schedule. The zero value normalizes to
-// 4 attempts spaced 10ms/20ms/40ms (±20% jitter), capped at 1s, with no
-// overall budget.
-type Policy struct {
-	// Base is the delay before the first retry. Negative means "retry
-	// immediately" (zero delay, no jitter) — the legacy fixed-cadence mode.
-	Base time.Duration
-	// Max caps the exponentially-grown delay (before jitter).
-	Max time.Duration
-	// Multiplier grows the delay per retry; values <= 1 disable growth.
-	Multiplier float64
-	// Jitter is the ± fraction applied uniformly to each delay: a delay d
-	// becomes uniform in [d·(1−Jitter), d·(1+Jitter)]. Zero normalizes to
-	// DefaultJitter; negative disables jitter. Capped at 1.
-	Jitter float64
-	// MaxAttempts is the total number of attempts including the first.
-	MaxAttempts int
-	// Budget bounds the whole exchange (all attempts plus their delays) as
-	// measured by the caller's clock; zero means unbounded.
-	Budget time.Duration
-}
-
-// Normalized returns p with defaults filled in for zero fields.
-func (p Policy) Normalized() Policy {
-	if p.Base == 0 {
-		p.Base = DefaultBase
-	}
-	if p.Max == 0 {
-		p.Max = DefaultMax
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = DefaultMultiplier
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 1
-	}
-	if p.Jitter == 0 {
-		p.Jitter = DefaultJitter
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
-	}
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = DefaultMaxAttempts
-	}
-	return p
-}
 
 // Delay returns the pause before retry number `retry` (0-based: Delay(0)
 // precedes the second attempt). rng supplies the jitter draw; a nil rng
-// disables jitter. Callers should use a Normalized policy; Delay tolerates
-// raw ones by normalizing first.
-func (p Policy) Delay(retry int, rng *rngutil.Source) time.Duration {
-	p = p.Normalized()
-	if p.Base < 0 {
-		return 0
+// disables jitter.
+func Delay(retry int, rng *rngutil.Source) time.Duration {
+	d := float64(base)
+	for i := 0; i < retry && d < float64(ceiling); i++ {
+		d *= 2
 	}
-	d := float64(p.Base)
-	for i := 0; i < retry; i++ {
-		d *= p.Multiplier
-		if d >= float64(p.Max) {
-			d = float64(p.Max)
-			break
-		}
-	}
-	if d > float64(p.Max) {
-		d = float64(p.Max)
-	}
-	if p.Jitter > 0 && rng != nil {
+	d = min(d, float64(ceiling))
+	if rng != nil {
 		// Uniform in [d(1−j), d(1+j)] from one draw.
-		d *= 1 - p.Jitter + 2*p.Jitter*rng.Float64()
-	}
-	if d < 0 {
-		d = 0
+		d *= 1 - jitter + 2*jitter*rng.Float64()
 	}
 	return time.Duration(d)
-}
-
-// Exhausted reports whether attempt (0-based) is past the policy's attempt
-// bound, i.e. no attempt with that index should be made.
-func (p Policy) Exhausted(attempt int) bool {
-	return attempt >= p.Normalized().MaxAttempts
 }

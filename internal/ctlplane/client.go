@@ -22,37 +22,28 @@ var (
 	// ErrReadTimeout marks a response that did not arrive before the
 	// read-phase deadline.
 	ErrReadTimeout = errors.New("ctlplane: read timeout")
-	// ErrRetriesExhausted marks an exchange abandoned after the retry
-	// policy's attempts (or budget) ran out; it wraps the last transport
-	// error.
+	// ErrRetriesExhausted marks an exchange abandoned after its attempts
+	// ran out; it wraps the last transport error.
 	ErrRetriesExhausted = errors.New("ctlplane: retries exhausted")
 )
 
-// DialFunc is the injectable transport hook: chaos harnesses substitute a
-// netchaos-wrapped dialer, production uses net.Dial.
-type DialFunc func(network, address string) (net.Conn, error)
-
-// ClientConfig parameterizes a hardened Client. The zero value behaves
-// like the legacy client: 5s per-phase deadlines, system clock, net.Dial,
-// single attempt, no agent identity.
+// ClientConfig parameterizes a hardened Client. The zero value is one
+// attempt with 5s per-phase deadlines, the system clock, net.Dial and no
+// agent identity.
 type ClientConfig struct {
-	// WriteTimeout and ReadTimeout are the per-phase deadlines; each phase
-	// gets its own deadline measured from its own start, so a slow write
-	// no longer eats the read budget. Zero falls back to Timeout.
-	WriteTimeout time.Duration
-	ReadTimeout  time.Duration
-	// Timeout is the legacy per-phase default when the per-phase fields
-	// are zero (default 5s).
+	// Timeout is the per-phase deadline (default 5s): the write and the
+	// read each get their own, measured from the phase's own start, so a
+	// slow write does not eat the read's time.
 	Timeout time.Duration
-	// Clock supplies deadline and budget reads; default simclock.Real.
+	// Clock supplies deadline reads; default simclock.Real.
 	Clock simclock.WallClock
 	// Dial opens (and re-opens) the controller connection; default
 	// net.Dial. Chaos tests inject a netchaos wrapper here.
-	Dial DialFunc
-	// Retry is the reconnect/retry policy for transport failures; the zero
-	// value means a single attempt (legacy behavior). Retries re-dial and
-	// re-send the same sequence number, which the controller dedupes.
-	Retry backoff.Policy
+	Dial func(network, address string) (net.Conn, error)
+	// Attempts bounds the sends of one request, the first included
+	// (default 1). Retries re-dial and re-send the same sequence number,
+	// which the controller dedupes, spaced by backoff.Delay.
+	Attempts int
 	// RNG jitters the retry schedule; default a fixed-seed substream (the
 	// schedule stays deterministic unless the caller injects entropy).
 	RNG *rngutil.Source
@@ -68,23 +59,15 @@ func (cfg ClientConfig) normalized() ClientConfig {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = cfg.Timeout
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = cfg.Timeout
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = net.Dial
 	}
-	if cfg.Retry.MaxAttempts <= 0 {
-		// Legacy default: one attempt, no reconnect dance.
-		cfg.Retry.MaxAttempts = 1
+	if cfg.Attempts <= 0 {
+		cfg.Attempts = 1
 	}
-	cfg.Retry = cfg.Retry.Normalized()
 	if cfg.RNG == nil {
 		cfg.RNG = rngutil.New(1).Split("ctlplane-retry")
 	}
@@ -108,19 +91,6 @@ type Client struct {
 	// of a reply on the next one.
 	br  *bufio.Reader
 	seq uint64
-}
-
-// Dial connects to the controller at addr with a per-phase deadline
-// (default 5s when zero), reading deadlines from the system clock. Legacy
-// single-attempt semantics; use DialConfig for the hardened client.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialConfig(addr, ClientConfig{Timeout: timeout})
-}
-
-// DialClock is Dial with an injected wall clock, for harnesses that replay
-// the control plane against virtual time.
-func DialClock(addr string, timeout time.Duration, clock simclock.WallClock) (*Client, error) {
-	return DialConfig(addr, ClientConfig{Timeout: timeout, Clock: clock})
 }
 
 // DialConfig connects a configured client; the initial dial is eager so
@@ -152,14 +122,6 @@ func (c *Client) Close() error {
 	return err
 }
 
-// dropConn discards a connection known (or suspected) broken.
-func (c *Client) dropConn() {
-	if c.conn != nil {
-		_ = c.conn.Close() // already failing; the transport error is the one reported
-		c.conn, c.br = nil, nil
-	}
-}
-
 // exchange performs one write+read attempt with per-phase deadlines.
 func (c *Client) exchange(req *Envelope) (*Envelope, error) {
 	if c.conn == nil {
@@ -169,13 +131,13 @@ func (c *Client) exchange(req *Envelope) (*Envelope, error) {
 		}
 		c.attach(conn)
 	}
-	if err := c.conn.SetWriteDeadline(c.cfg.Clock.Now().Add(c.cfg.WriteTimeout)); err != nil {
+	if err := c.conn.SetWriteDeadline(c.cfg.Clock.Now().Add(c.cfg.Timeout)); err != nil {
 		return nil, fmt.Errorf("ctlplane: set write deadline: %w", err)
 	}
 	if err := WriteMsg(c.conn, req); err != nil {
 		return nil, phaseErr("write request", ErrWriteTimeout, err)
 	}
-	if err := c.conn.SetReadDeadline(c.cfg.Clock.Now().Add(c.cfg.ReadTimeout)); err != nil {
+	if err := c.conn.SetReadDeadline(c.cfg.Clock.Now().Add(c.cfg.Timeout)); err != nil {
 		return nil, fmt.Errorf("ctlplane: set read deadline: %w", err)
 	}
 	resp, err := ReadMsg(c.br)
@@ -202,15 +164,10 @@ func (c *Client) roundTrip(req *Envelope) (*Envelope, error) {
 	c.seq++
 	req.Seq = c.seq
 	req.Agent = c.cfg.AgentID
-	p := c.cfg.Retry
-	start := c.cfg.Clock.Now()
 	var lastErr error
-	for attempt := 0; !p.Exhausted(attempt); attempt++ {
+	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			c.cfg.Sleep(p.Delay(attempt-1, c.cfg.RNG))
-		}
-		if p.Budget > 0 && c.cfg.Clock.Now().Sub(start) > p.Budget {
-			break
+			c.cfg.Sleep(backoff.Delay(attempt-1, c.cfg.RNG))
 		}
 		resp, err := c.exchange(req)
 		if err == nil {
@@ -222,10 +179,7 @@ func (c *Client) roundTrip(req *Envelope) (*Envelope, error) {
 			return resp, nil
 		}
 		lastErr = err
-		c.dropConn()
-	}
-	if lastErr == nil {
-		lastErr = errors.New("retry budget exhausted before first attempt")
+		_ = c.Close() // already failing; the transport error is the one reported
 	}
 	return nil, fmt.Errorf("%w: %w", ErrRetriesExhausted, lastErr)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"net"
 	"slices"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"corropt/internal/core"
 	"corropt/internal/rngutil"
+	"corropt/internal/simclock"
 	"corropt/internal/topology"
 )
 
@@ -27,6 +29,21 @@ func testEngine(t *testing.T) *core.Engine {
 		t.Fatal(err)
 	}
 	return core.NewEngine(net, core.EngineConfig{})
+}
+
+// serveClock starts a controller for engine on a loopback port, reading
+// liveness and deadlines from clock.
+func serveClock(t *testing.T, engine *core.Engine, clock simclock.WallClock) *Controller {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := ServeListener(ln, engine, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctl
 }
 
 func TestFraming(t *testing.T) {
@@ -70,7 +87,7 @@ func TestControllerWorkflow(t *testing.T) {
 	}
 	defer ctl.Close()
 
-	cli, err := Dial(ctl.Addr().String(), time.Second)
+	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +150,7 @@ func TestControllerRejectsUnknownLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	cli, err := Dial(ctl.Addr().String(), time.Second)
+	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +180,7 @@ func TestControllerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cli, err := Dial(ctl.Addr().String(), 2*time.Second)
+			cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: 2 * time.Second})
 			if err != nil {
 				errs <- err
 				return
@@ -195,7 +212,7 @@ func TestControllerCloseUnblocksClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(ctl.Addr().String(), 500*time.Millisecond)
+	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,7 @@ import (
 func TestIdleConnDeadlineClosesDeadPeer(t *testing.T) {
 	engine := testEngine(t)
 	vc := simclock.Virtual{Clock: simclock.New(), Epoch: time.Now().Add(-connIdleTimeout - time.Minute)}
-	ctl, err := NewControllerClock("127.0.0.1:0", engine, vc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := serveClock(t, engine, vc)
 	defer ctl.Close()
 
 	conn, err := net.Dial("tcp", ctl.Addr().String())
@@ -48,12 +45,9 @@ func TestIdleConnDeadlineClosesDeadPeer(t *testing.T) {
 	// Control: the same controller shape with a properly anchored clock
 	// serves a round trip — the deadline arms liveness, not a request budget.
 	vcLive := simclock.Virtual{Clock: simclock.New(), Epoch: time.Now()}
-	live, err := NewControllerClock("127.0.0.1:0", engine, vcLive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := serveClock(t, engine, vcLive)
 	defer live.Close()
-	cli, err := Dial(live.Addr().String(), time.Second)
+	cli, err := DialConfig(live.Addr().String(), ClientConfig{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

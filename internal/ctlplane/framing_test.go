@@ -12,7 +12,6 @@ import (
 	"testing/iotest"
 	"time"
 
-	"corropt/internal/backoff"
 	"corropt/internal/topology"
 )
 
@@ -139,7 +138,7 @@ func TestOneBytePerReadDecodesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	status := func(dial DialFunc) *StatusResult {
+	status := func(dial func(network, address string) (net.Conn, error)) *StatusResult {
 		t.Helper()
 		cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: 5 * time.Second, Dial: dial})
 		if err != nil {
@@ -213,8 +212,8 @@ func TestRedialStartsWithAnEmptyBuffer(t *testing.T) {
 				dials++
 				return conns[dials-1], nil
 			},
-			Retry: backoff.Policy{MaxAttempts: 2},
-			Sleep: func(time.Duration) {},
+			Attempts: 2,
+			Sleep:    func(time.Duration) {},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +262,7 @@ func TestFrameLargerThanReaderRoundTrips(t *testing.T) {
 		served <- WriteMsg(conn, &Envelope{Type: TypeActivateResult, Seq: req.Seq, ActivateResult: &ActivateResult{Disabled: want}})
 	}()
 
-	cli, err := Dial(ln.Addr().String(), 5*time.Second)
+	cli, err := DialConfig(ln.Addr().String(), ClientConfig{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"corropt/internal/backoff"
 	"corropt/internal/netchaos"
 	"corropt/internal/rngutil"
 )
@@ -63,7 +62,7 @@ func (s *stubConn) SetDeadline(t time.Time) error      { return nil }
 func (s *stubConn) SetReadDeadline(t time.Time) error  { return nil }
 func (s *stubConn) SetWriteDeadline(t time.Time) error { return nil }
 
-func stubDialer(mk func() net.Conn, dials *int) DialFunc {
+func stubDialer(mk func() net.Conn, dials *int) func(network, address string) (net.Conn, error) {
 	return func(network, address string) (net.Conn, error) {
 		*dials++
 		return mk(), nil
@@ -114,9 +113,9 @@ func TestReadTimeoutSentinel(t *testing.T) {
 func TestRetriesExhaustedCountsAttempts(t *testing.T) {
 	var dials int
 	cli, err := DialConfig("unused", ClientConfig{
-		Dial:  stubDialer(func() net.Conn { return &stubConn{writeErr: stubErr{}} }, &dials),
-		Retry: backoff.Policy{MaxAttempts: 3},
-		Sleep: func(time.Duration) {},
+		Dial:     stubDialer(func() net.Conn { return &stubConn{writeErr: stubErr{}} }, &dials),
+		Attempts: 3,
+		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,10 +142,10 @@ func TestClientReconnectsThroughReset(t *testing.T) {
 	// budget then runs dry, so the client's redial gets a clean path.
 	inj := netchaos.New(rngutil.New(3), nil, netchaos.Config{Reset: 1, MaxFaults: 1})
 	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{
-		Dial:    DialFunc(inj.Dialer(nil)),
-		Retry:   backoff.Policy{MaxAttempts: 4},
-		AgentID: "reconnector",
-		Sleep:   func(time.Duration) {},
+		Dial:     inj.Dialer(nil),
+		Attempts: 4,
+		AgentID:  "reconnector",
+		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,10 +343,7 @@ func TestSweepStale(t *testing.T) {
 	// from it, and the kernel evaluates them against real time — a zero
 	// start would make every deadline already expired.
 	vc := &lockedClock{now: time.Now()}
-	ctl, err := NewControllerClock("127.0.0.1:0", engine, vc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := serveClock(t, engine, vc)
 	defer ctl.Close()
 
 	topo := engine.Network().Topology()
@@ -380,7 +376,7 @@ func TestSweepStale(t *testing.T) {
 	}
 
 	// The counters surface over the protocol.
-	cli, err := Dial(ctl.Addr().String(), time.Second)
+	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +399,7 @@ func TestLegacyClientsBypassIdempotency(t *testing.T) {
 	defer ctl.Close()
 
 	// No Agent set: nothing is tracked, nothing cached.
-	cli, err := Dial(ctl.Addr().String(), time.Second)
+	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +422,7 @@ func TestReportRejectsOutOfRangeRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	cli, err := Dial(ctl.Addr().String(), time.Second)
+	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,6 @@ package ctlplane
 
 import (
 	"bufio"
-	"errors"
-	"io"
-	"log"
 	"math"
 	"net"
 	"sort"
@@ -115,25 +112,16 @@ type Controller struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
-
-	// Logger receives connection-level errors; nil silences them.
-	Logger *log.Logger
 }
 
 // NewController starts a controller for engine on addr (e.g.
 // "127.0.0.1:0"), reading liveness timestamps from the system clock.
 func NewController(addr string, engine *core.Engine) (*Controller, error) {
-	return NewControllerClock(addr, engine, simclock.Real{})
-}
-
-// NewControllerClock is NewController with an injected wall clock, for
-// harnesses that drive liveness against virtual time.
-func NewControllerClock(addr string, engine *core.Engine, clock simclock.WallClock) (*Controller, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return ServeListener(ln, engine, clock)
+	return ServeListener(ln, engine, simclock.Real{})
 }
 
 // ServeListener starts a controller on an existing listener — the
@@ -221,11 +209,6 @@ func (c *Controller) serveConn(conn net.Conn) {
 		}
 		msg, err := ReadMsg(br)
 		if err != nil {
-			// io.EOF is the peer hanging up between frames — how every agent
-			// leaves; a stream cut inside a frame is io.ErrUnexpectedEOF.
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && c.Logger != nil {
-				c.Logger.Printf("ctlplane: connection %v: %v", conn.RemoteAddr(), err)
-			}
 			return
 		}
 		reply := c.handle(msg)
@@ -233,9 +216,6 @@ func (c *Controller) serveConn(conn net.Conn) {
 			return
 		}
 		if err := WriteMsg(conn, reply); err != nil {
-			if c.Logger != nil {
-				c.Logger.Printf("ctlplane: write to %v: %v", conn.RemoteAddr(), err)
-			}
 			return
 		}
 	}

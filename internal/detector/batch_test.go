@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"corropt/internal/backoff"
 	"corropt/internal/faults"
 	"corropt/internal/netchaos"
 	"corropt/internal/optics"
@@ -35,9 +34,9 @@ type snmpRig struct {
 
 // rigConfig are the hooks; the zero value is an honest loopback path.
 type rigConfig struct {
-	provider func(snmplite.Provider) snmplite.Provider // wraps the collector's provider
-	server   func(net.PacketConn) net.PacketConn       // wraps the server's socket
-	dial     snmplite.DialFunc                         // the client's transport; default net.Dial
+	provider func(snmplite.Provider) snmplite.Provider       // wraps the collector's provider
+	server   func(net.PacketConn) net.PacketConn             // wraps the server's socket
+	dial     func(network, address string) (net.Conn, error) // the client's transport; default net.Dial
 }
 
 // countingConn counts the datagrams written through it.
@@ -76,7 +75,7 @@ func newSNMPRig(tb testing.TB, cfg rigConfig) *snmpRig {
 	if cfg.server != nil {
 		pc = cfg.server(pc)
 	}
-	srv, err := snmplite.NewServerConn(pc, provider)
+	srv, err := snmplite.NewServerConn(pc, provider, nil)
 	if err != nil {
 		_ = pc.Close() // constructor failed; nothing else owns the socket
 		tb.Fatal(err)
@@ -88,9 +87,9 @@ func newSNMPRig(tb testing.TB, cfg rigConfig) *snmpRig {
 		dial = net.Dial
 	}
 	r.cli, err = snmplite.DialConfig(srv.Addr().String(), snmplite.ClientConfig{
-		Timeout: 200 * time.Millisecond,
-		Retry:   backoff.Policy{MaxAttempts: 16},
-		Sleep:   func(time.Duration) {},
+		Timeout:  200 * time.Millisecond,
+		Attempts: 16,
+		Sleep:    func(time.Duration) {},
 		Dial: func(network, addr string) (net.Conn, error) {
 			c, err := dial(network, addr)
 			if err != nil {
@@ -404,7 +403,7 @@ func TestBatchSweepThroughChaos(t *testing.T) {
 			injServer := netchaos.New(root.Split("server"), nil, cfg)
 			got := sweep(t, rigConfig{
 				server: injServer.PacketConn,
-				dial:   snmplite.DialFunc(injClient.DatagramDialer(nil)),
+				dial:   injClient.DatagramDialer(nil),
 			})
 			if faults := injClient.Stats().Faults() + injServer.Stats().Faults(); faults == 0 {
 				t.Fatal("no fault was injected: the comparison is vacuous")

@@ -68,26 +68,23 @@ type Config struct {
 	// Threshold is the corruption rate that raises a corrupting event;
 	// default 1e-6 (the operators' alarm level, §2).
 	Threshold float64
-	// ClearFactor scales the threshold for the recovery transition
-	// (hysteresis): a link clears only when its rate falls below
-	// Threshold×ClearFactor. Default 0.1, so a link flapping around the
-	// threshold does not generate an event storm.
-	ClearFactor float64
-	// MinPackets is the minimum per-direction packet delta for a rate to
-	// be meaningful; intervals with less traffic are skipped (a drained
-	// or idle link tells us nothing). Default 1000.
-	MinPackets uint64
 }
+
+const (
+	// clearFactor scales the threshold for the recovery transition
+	// (hysteresis): a link clears only when its rate falls below
+	// Threshold×clearFactor, so a link flapping around the threshold does
+	// not generate an event storm.
+	clearFactor = 0.1
+	// minPackets is the minimum per-direction packet delta for a rate to
+	// be meaningful; intervals with less traffic are skipped (a drained or
+	// idle link tells us nothing).
+	minPackets = 1000
+)
 
 func (c *Config) fillDefaults() {
 	if c.Threshold == 0 {
 		c.Threshold = 1e-6
-	}
-	if c.ClearFactor == 0 {
-		c.ClearFactor = 0.1
-	}
-	if c.MinPackets == 0 {
-		c.MinPackets = 1000
 	}
 }
 
@@ -133,7 +130,7 @@ func (d *Detector) Poll() ([]Event, error) {
 	var events []Event
 	if d.primed {
 		for i, l := range d.links {
-			rate, ok := worstRate(d.last[i], d.cur[i], d.cfg.MinPackets)
+			rate, ok := worstRate(d.last[i], d.cur[i])
 			if !ok {
 				continue
 			}
@@ -141,7 +138,7 @@ func (d *Detector) Poll() ([]Event, error) {
 			case !d.flagged[i] && rate >= d.cfg.Threshold:
 				d.flagged[i] = true
 				events = append(events, Event{Link: l, Corrupting: true, Rate: rate})
-			case d.flagged[i] && rate < d.cfg.Threshold*d.cfg.ClearFactor:
+			case d.flagged[i] && rate < d.cfg.Threshold*clearFactor:
 				d.flagged[i] = false
 				events = append(events, Event{Link: l, Corrupting: false, Rate: rate})
 			}
@@ -185,7 +182,7 @@ func (d *Detector) Flagged(l topology.LinkID) bool {
 // worstRate derives the worst-direction loss rate from two consecutive
 // readings. Counter resets (cur < prev, e.g. a switch reboot) discard the
 // interval rather than producing a bogus huge delta.
-func worstRate(prev, cur Reading, minPackets uint64) (float64, bool) {
+func worstRate(prev, cur Reading) (float64, bool) {
 	worst := 0.0
 	any := false
 	for dir := 0; dir < 2; dir++ {

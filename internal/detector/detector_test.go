@@ -82,8 +82,14 @@ func TestDetectorTransitions(t *testing.T) {
 		t.Fatal("hysteresis lost the flag")
 	}
 
-	// True recovery.
-	src.set(1, 1e6, 0)
+	// The clear threshold is 0.1 × Threshold: 0.2 × still does not clear.
+	src.set(1, 1e6, 200) // 2e-4
+	if ev, _ = d.Poll(); len(ev) != 0 {
+		t.Fatalf("link at 0.2 × threshold cleared: %v", ev)
+	}
+
+	// True recovery: just under 0.1 × Threshold.
+	src.set(1, 1e6, 99) // 9.9e-5
 	ev, _ = d.Poll()
 	if len(ev) != 1 || ev[0].Corrupting {
 		t.Fatalf("recovery not reported: %v", ev)
@@ -115,7 +121,7 @@ func TestDetectorCounterReset(t *testing.T) {
 
 func TestDetectorLowTrafficSkipped(t *testing.T) {
 	src := &fakeSource{readings: make(map[topology.LinkID]Reading)}
-	d, err := New(src, []topology.LinkID{1}, Config{Threshold: 1e-3, MinPackets: 1000})
+	d, err := New(src, []topology.LinkID{1}, Config{Threshold: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +202,7 @@ func TestFailedSweepConsumesNothing(t *testing.T) {
 }
 
 // TestDetectorOverSNMP runs the detection pipeline over a real UDP socket:
-// ground truth → telemetry → snmplite server → SNMPSource → detector.
+// ground truth → telemetry → snmplite server → SNMPSourceClient → detector.
 func TestDetectorOverSNMP(t *testing.T) {
 	topo, err := topology.NewClos(topology.ClosConfig{
 		Pods: 1, ToRsPerPod: 2, AggsPerPod: 2, Spines: 2, SpineUplinksPerAgg: 1,
@@ -212,11 +218,12 @@ func TestDetectorOverSNMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	src, closeSrc, err := SNMPSource(srv.Addr().String(), time.Second, 2)
+	cli, err := snmplite.DialConfig(srv.Addr().String(), snmplite.ClientConfig{Timeout: time.Second, Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeSrc()
+	defer cli.Close()
+	src := SNMPSourceClient(cli)
 
 	var links []topology.LinkID
 	for l := 0; l < topo.NumLinks(); l++ {

@@ -2,7 +2,6 @@ package detector
 
 import (
 	"fmt"
-	"time"
 
 	"corropt/internal/snmplite"
 	"corropt/internal/telemetry"
@@ -21,22 +20,12 @@ func CollectorSource(c *telemetry.Collector) Source {
 	})
 }
 
-// SNMPSource polls counters over the snmplite wire protocol, the way the
-// production monitoring system reaches switches it does not share a
-// process with.
-func SNMPSource(addr string, timeout time.Duration, retries int) (Source, func() error, error) {
-	cli, err := snmplite.Dial(addr, timeout, retries)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SNMPSourceClient(cli), cli.Close, nil
-}
-
-// SNMPSourceClient adapts an already-dialed snmplite client — the way
-// chaos harnesses and hardened deployments inject their own transport
-// (custom dialers, backoff policies, virtual clocks) into the detector's
-// polling path. The caller keeps ownership of cli and closes it. The source
-// is a BatchSource: a sweep costs one exchange per 22 links.
+// SNMPSourceClient polls counters over the snmplite wire protocol, the way
+// the production monitoring system reaches switches it does not share a
+// process with. It adapts an already-dialed client, so callers choose its
+// transport (dialer, attempts, clock); the caller keeps ownership of cli
+// and closes it. The source is a BatchSource: a sweep costs one exchange
+// per 22 links.
 func SNMPSourceClient(cli *snmplite.Client) Source {
 	return &snmpSource{cli: cli}
 }

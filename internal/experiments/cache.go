@@ -35,16 +35,16 @@ type traceEntry struct {
 	topo    *topology.Topology
 	trace   []*faults.Fault
 	horizon time.Duration
-	// simSeed is the simulation substream seed for fleet members, whose rng
-	// draw order interleaves topology parameters and the sim seed; zero for
-	// every other entry kind.
+	// simSeed is the simulation substream seed of fleet members and
+	// Figure 1's DCNs, derived from the same substream as their trace; zero
+	// for every other entry kind.
 	simSeed uint64
 	err     error
 }
 
 // traceCacheCap bounds the cache. The full suite at one scale needs a few
 // dozen entries (one per experiment name × scale, plus one per fleet
-// member); 128 covers a multi-scale sweep without letting a long-lived
+// member and per Figure 1 DCN); 128 covers a multi-scale sweep without letting a long-lived
 // process accumulate fabrics without bound.
 const traceCacheCap = 128
 
@@ -139,6 +139,35 @@ func cachedSec2Trace(seed uint64, scale Scale) (*traceEntry, error) {
 			return
 		}
 		e.topo, e.trace, e.horizon = topo, inj.Generate(horizon), horizon
+	})
+}
+
+// cachedFig1DCN memoizes Figure 1's DCN dcn at scale: a fabric of the
+// dcn-th of 15 sizes, its fault trace under four times the scale's fault
+// rate, and its simulation seed, drawn from the DCN's substream as
+// Split("faults") then Split("sim"). The key names every input, so a cache
+// hit is byte-identical to a rebuild.
+func cachedFig1DCN(seed uint64, scale Scale, dcn int) (*traceEntry, error) {
+	key := fmt.Sprintf("fig1/%d/%s/%d", seed, scale, dcn)
+	return memoTrace(key, func(e *traceEntry) {
+		maxPods := map[Scale]int{ScaleSmall: 8, ScaleMedium: 40, ScaleLarge: 110}[scale]
+		if maxPods == 0 {
+			maxPods = 8
+		}
+		topo, err := closWithPods(1 + dcn*(maxPods-1)/14)
+		if err != nil {
+			e.err = err
+			return
+		}
+		rng := rngutil.New(seed).Split("fig1").SplitIndex("dcn", dcn)
+		inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 4 * FaultRate(scale)}, rng.Split("faults"))
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.simSeed = rng.Split("sim").Seed()
+		e.topo, e.horizon = topo, time.Duration(fig1Days)*24*time.Hour
+		e.trace = inj.Generate(e.horizon)
 	})
 }
 

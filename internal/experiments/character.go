@@ -58,7 +58,7 @@ func newCharScenario(cfg Config, name string) (*charScenario, error) {
 	for _, f := range inj.Generate(7 * 24 * time.Hour) {
 		st.Apply(f)
 	}
-	tm := traffic.New(topo, traffic.Config{}, rng.Split("traffic"))
+	tm := traffic.New(topo, rng.Split("traffic"))
 	col := telemetry.NewCollector(st, tm, nil, telemetry.Config{Seed: rng.Split("telemetry").Seed()})
 
 	s := &charScenario{topo: topo, state: st, tm: tm, col: col}

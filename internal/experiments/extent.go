@@ -36,12 +36,6 @@ func closWithPods(pods int) (*topology.Topology, error) {
 // corruption loses about as many packets as congestion on switch-to-switch
 // links, even with the production mitigation running.
 func fig1(cfg Config) (*plan, error) {
-	const days = 21 // the paper's three weeks of data
-	horizon := time.Duration(days) * 24 * time.Hour
-	maxPods := map[Scale]int{ScaleSmall: 8, ScaleMedium: 40, ScaleLarge: 110}[cfg.Scale]
-	if maxPods == 0 {
-		maxPods = 8
-	}
 	root := rngutil.New(cfg.Seed).Split("fig1")
 	const pps = 1e6 // packets/s at full utilization; cancels in normalization
 
@@ -51,27 +45,20 @@ func fig1(cfg Config) (*plan, error) {
 	// corrupting link burns application traffic for up to one SNMP poll
 	// before the controller reacts, which is the dominant corruption-loss
 	// channel §2 measures. One replay per DCN.
-	topos := make([]*topology.Topology, 15)
-	replays := make([]sim.Replay, len(topos))
-	for dcn := range topos {
-		topo, err := closWithPods(1 + dcn*(maxPods-1)/14)
+	replays := make([]sim.Replay, 15)
+	for dcn := range replays {
+		e, err := cachedFig1DCN(cfg.Seed, cfg.Scale, dcn)
 		if err != nil {
 			return nil, err
 		}
-		rng := root.SplitIndex("dcn", dcn)
-		inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 4 * FaultRate(cfg.Scale)}, rng.Split("faults"))
-		if err != nil {
-			return nil, err
-		}
-		topos[dcn] = topo
-		replays[dcn] = sim.Replay{Topo: topo, Tech: optics.EvalTech(), Config: sim.Config{
+		replays[dcn] = sim.Replay{Topo: e.topo, Tech: optics.EvalTech(), Config: sim.Config{
 			Policy:         sim.PolicySwitchLocal,
 			Capacity:       0.75,
 			FixedAccuracy:  0.5,
 			DetectionDelay: 15 * time.Minute,
 			Penalty:        lossWeighted,
-			Seed:           rng.Split("sim").Seed(),
-		}, Trace: inj.Generate(horizon), Horizon: horizon}
+			Seed:           e.simSeed,
+		}, Trace: e.trace, Horizon: e.horizon}
 	}
 
 	finish := func(results []*sim.Result) (*Report, error) {
@@ -80,23 +67,24 @@ func fig1(cfg Config) (*plan, error) {
 			Title:  "Corruption vs congestion losses per day across 15 DCNs (normalized by mean congestion)",
 			Header: []string{"dcn", "links", "corruption_mean_norm", "corruption_std_norm"},
 		}
-		for dcn, topo := range topos {
-			corrDaily := make([]float64, days)
-			for d := 0; d < days && d < len(results[dcn].PenaltyPerDay); d++ {
+		for dcn, rp := range replays {
+			topo := rp.Topo
+			corrDaily := make([]float64, fig1Days)
+			for d := 0; d < fig1Days && d < len(results[dcn].PenaltyPerDay); d++ {
 				// Penalty·seconds × mean utilization × line rate = packets.
 				corrDaily[d] = results[dcn].PenaltyPerDay[d] * 0.5 * pps
 			}
 
 			// Congestion losses from the traffic model, hourly sampled over
 			// the prone directions only (others lose nothing).
-			tm := traffic.New(topo, traffic.Config{}, root.SplitIndex("dcn", dcn).Split("traffic"))
-			congDaily := make([]float64, days)
+			tm := traffic.New(topo, root.SplitIndex("dcn", dcn).Split("traffic"))
+			congDaily := make([]float64, fig1Days)
 			for _, l := range tm.CongestedLinks() {
 				for _, dir := range []topology.Direction{topology.Up, topology.Down} {
 					if !tm.Prone(l, dir) {
 						continue
 					}
-					for h := 0; h < days*24; h++ {
+					for h := 0; h < fig1Days*24; h++ {
 						at := time.Duration(h) * time.Hour
 						loss := tm.LossRate(l, dir, at)
 						if loss == 0 {
@@ -111,7 +99,7 @@ func fig1(cfg Config) (*plan, error) {
 			if meanCong == 0 {
 				meanCong = 1 // degenerate tiny fabric; avoid division by zero
 			}
-			norm := make([]float64, days)
+			norm := make([]float64, fig1Days)
 			for i := range corrDaily {
 				norm[i] = corrDaily[i] / meanCong
 			}
@@ -124,6 +112,9 @@ func fig1(cfg Config) (*plan, error) {
 	}
 	return &plan{replays: replays, finish: finish}, nil
 }
+
+// fig1Days is Figure 1's window, the paper's three weeks of data.
+const fig1Days = 21
 
 // lossWeighted is fig1's penalty: packets lost = corruption rate × traffic
 // actually on the link. Loss-sensitive transports back off on lossy links
@@ -191,7 +182,7 @@ func tab1(cfg Config) (*Report, error) {
 
 	// Congestion: mean worst-direction loss per congested link, sampled
 	// every 15 minutes.
-	tm := traffic.New(topo, traffic.Config{}, rng.Split("traffic"))
+	tm := traffic.New(topo, rng.Split("traffic"))
 	var congRates []float64
 	for _, l := range tm.CongestedLinks() {
 		worst := 0.0

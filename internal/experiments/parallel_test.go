@@ -89,7 +89,7 @@ func TestDriverAllocCeilings(t *testing.T) {
 		{"fig18", 2100},    // 1,529
 		{"sec72", 3300},    // 2,410
 		{"sec73", 1800},    // 1,283
-		{"fig1", 65000},    // 47,729: its 15 fabrics and traces are built per run, not memoized
+		{"fig1", 38400},    // 28,280
 	} {
 		t.Run(c.id, func(t *testing.T) {
 			allocs := testing.AllocsPerRun(1, func() {

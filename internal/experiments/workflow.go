@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"corropt/internal/core"
 	"corropt/internal/ctlplane"
@@ -36,7 +35,7 @@ func fig13(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	defer ctl.Close()
-	cli, err := ctlplane.Dial(ctl.Addr().String(), 5*time.Second)
+	cli, err := ctlplane.DialConfig(ctl.Addr().String(), ctlplane.ClientConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,6 @@ type InjectorConfig struct {
 	// Mix is the root-cause distribution; zero value means
 	// DefaultCauseMix.
 	Mix CauseMix
-	// RateBucketWeights gives the probability of each Table 1 corruption
-	// bucket for a new fault's corruption rate; zero value means the
-	// corruption column of Table 1 (47.23/18.43/21.66/12.67%).
-	RateBucketWeights [4]float64
 	// MaxRate caps sampled corruption rates; the open-ended last bucket
 	// of Table 1 is sampled log-uniformly up to this value. Default 0.1
 	// (Figures 7 and 9 show ~1e-2 loss as typical severe corruption).
@@ -42,9 +38,6 @@ func (c *InjectorConfig) fillDefaults() {
 	zero := CauseMix{}
 	if c.Mix == zero {
 		c.Mix = DefaultCauseMix()
-	}
-	if c.RateBucketWeights == [4]float64{} {
-		c.RateBucketWeights = [4]float64{0.4723, 0.1843, 0.2166, 0.1267}
 	}
 	if c.MaxRate == 0 {
 		c.MaxRate = 0.1
@@ -138,13 +131,18 @@ func (inj *Injector) NewFault(start time.Duration) *Fault {
 	return f
 }
 
+// rateBucketWeights gives the probability of each Table 1 corruption bucket
+// for a new fault's corruption rate: the corruption column of Table 1
+// (47.23/18.43/21.66/12.67%).
+var rateBucketWeights = [4]float64{0.4723, 0.1843, 0.2166, 0.1267}
+
 // sampleRate draws a corruption rate from the Table 1 bucket mix.
 func (inj *Injector) sampleRate() float64 {
 	buckets := stats.Table1Buckets()
 	u := inj.rng.Float64()
 	acc := 0.0
 	idx := len(buckets) - 1
-	for i, w := range inj.cfg.RateBucketWeights {
+	for i, w := range rateBucketWeights {
 		acc += w
 		if u < acc {
 			idx = i

@@ -33,7 +33,9 @@ type DCN struct {
 	Topo *topology.Topology
 }
 
-// Config parameterizes a Supervisor.
+// Config parameterizes a Supervisor. Every shard runs the CorrOpt policy
+// at core.DefaultDetectionThreshold and scores its penalty with
+// core.LinearPenalty.
 type Config struct {
 	// Shards is the target number of shards across the whole fleet. It is
 	// approximate: shards never span DCNs and never split a segment, so
@@ -48,22 +50,11 @@ type Config struct {
 	// Capacity is the per-ToR capacity constraint c (fraction of
 	// ToR→spine paths that must survive). Defaults to 0.75.
 	Capacity float64
-	// Threshold is the corruption rate at or above which a link should be
-	// disabled; zero means core.DefaultDetectionThreshold.
-	Threshold float64
-	// Penalty scores a corrupting link left enabled. Defaults to
-	// core.LinearPenalty.
-	Penalty core.PenaltyFunc
-	// Optimizer tunes the per-shard segment optimizers.
-	Optimizer core.OptimizerConfig
 }
 
 func (c *Config) fillDefaults() {
 	if c.Capacity == 0 {
 		c.Capacity = 0.75
-	}
-	if c.Penalty == nil {
-		c.Penalty = core.LinearPenalty
 	}
 }
 
@@ -369,7 +360,7 @@ func (s *Supervisor) Snapshot() Snapshot {
 			st.Segments += len(sh.segs)
 			st.DisabledNow += sh.net.NumDisabled()
 			for j := range sh.segs {
-				st.Penalty += sh.segPenalty(&sh.segs[j], s.cfg.Penalty)
+				st.Penalty += sh.segPenalty(&sh.segs[j])
 			}
 		}
 		snap.DisabledNow += st.DisabledNow

@@ -51,11 +51,7 @@ func newShard(dcn int, bs *builtShard, cfg *Config) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.NewPolicyEngine(net, core.PolicyCorrOpt, core.EngineConfig{
-		DetectionThreshold: cfg.Threshold,
-		Penalty:            cfg.Penalty,
-		Optimizer:          cfg.Optimizer,
-	})
+	eng, err := core.NewPolicyEngine(net, core.PolicyCorrOpt, core.EngineConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -106,11 +102,11 @@ func (sh *shard) scope(l topology.LinkID) core.Scope {
 // — from the network state at read time, in ascending link order. Nothing
 // is accumulated per event, so the float depends only on the segment's
 // current state, not on shard packing, worker count or flush batching.
-func (sh *shard) segPenalty(seg *segment, penalty core.PenaltyFunc) float64 {
+func (sh *shard) segPenalty(seg *segment) float64 {
 	sum := 0.0
 	seg.links.Each(func(l topology.LinkID) {
 		if r := sh.net.CorruptionRate(l); r > 0 && !sh.net.Disabled(l) {
-			sum += penalty(r)
+			sum += core.LinearPenalty(r)
 		}
 	})
 	return sum

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"corropt/internal/backoff"
 	"corropt/internal/core"
 	"corropt/internal/ctlplane"
 	"corropt/internal/netchaos"
@@ -71,12 +70,11 @@ func runCtlScenario(injClient, injServer *netchaos.Injector) (string, error) {
 	defer ctl.Close()
 
 	agent, err := ctlplane.DialConfig(ctl.Addr().String(), ctlplane.ClientConfig{
-		WriteTimeout: 200 * time.Millisecond,
-		ReadTimeout:  200 * time.Millisecond,
-		Dial:         ctlplane.DialFunc(injClient.Dialer(nil)),
-		Retry:        backoff.Policy{MaxAttempts: retryAttempts},
-		AgentID:      "chaos-agent",
-		Sleep:        func(time.Duration) {},
+		Timeout:  200 * time.Millisecond,
+		Dial:     injClient.Dialer(nil),
+		Attempts: retryAttempts,
+		AgentID:  "chaos-agent",
+		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {
 		return "", err
@@ -119,7 +117,7 @@ func runSnmpScenario(injClient, injServer *netchaos.Injector) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv, err := snmplite.NewServerConn(injServer.PacketConn(conn), provider)
+	srv, err := snmplite.NewServerConn(injServer.PacketConn(conn), provider, nil)
 	if err != nil {
 		_ = conn.Close() // constructor failed; nothing else owns the socket
 		return "", err
@@ -127,10 +125,10 @@ func runSnmpScenario(injClient, injServer *netchaos.Injector) (string, error) {
 	defer srv.Close()
 
 	cli, err := snmplite.DialConfig(srv.Addr().String(), snmplite.ClientConfig{
-		Timeout: 200 * time.Millisecond,
-		Retry:   backoff.Policy{MaxAttempts: retryAttempts},
-		Dial:    snmplite.DialFunc(injClient.DatagramDialer(nil)),
-		Sleep:   func(time.Duration) {},
+		Timeout:  200 * time.Millisecond,
+		Attempts: retryAttempts,
+		Dial:     injClient.DatagramDialer(nil),
+		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {
 		return "", err
@@ -138,12 +136,24 @@ func runSnmpScenario(injClient, injServer *netchaos.Injector) (string, error) {
 	defer cli.Close()
 
 	var b strings.Builder
+	queries := make([]snmplite.Query, snmplite.NumCounters)
 	for link := topology.LinkID(0); link < 6; link++ {
-		r, err := cli.PollLink(link)
+		// One datagram asks for every counter of the link.
+		for ctr := range queries {
+			queries[ctr] = snmplite.Query{Link: uint32(link), Counter: snmplite.CounterID(ctr)}
+		}
+		values, err := cli.Get(queries)
 		if err != nil {
 			return "", fmt.Errorf("poll link %d: %w", link, err)
 		}
-		fmt.Fprintf(&b, "link=%d packets=%v errors=%v drops=%v\n", r.Link, r.Packets, r.Errors, r.Drops)
+		var v [snmplite.NumCounters]uint64
+		for _, x := range values {
+			v[x.Counter] = x.Value
+		}
+		fmt.Fprintf(&b, "link=%d packets=%v errors=%v drops=%v\n", link,
+			v[snmplite.CounterPacketsUp:snmplite.CounterPacketsDown+1],
+			v[snmplite.CounterErrorsUp:snmplite.CounterErrorsDown+1],
+			v[snmplite.CounterDropsUp:snmplite.CounterDropsDown+1])
 	}
 	return b.String(), nil
 }

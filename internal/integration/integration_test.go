@@ -51,7 +51,7 @@ func TestFullPipelineOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snmpSrv.Close()
-	poller, err := snmplite.Dial(snmpSrv.Addr().String(), time.Second, 2)
+	poller, err := snmplite.DialConfig(snmpSrv.Addr().String(), snmplite.ClientConfig{Timeout: time.Second, Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFullPipelineOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	agent, err := ctlplane.Dial(ctl.Addr().String(), 2*time.Second)
+	agent, err := ctlplane.DialConfig(ctl.Addr().String(), ctlplane.ClientConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,22 +86,29 @@ func TestFullPipelineOverTheWire(t *testing.T) {
 	collector.Poll(15 * time.Minute)
 
 	// 2. The poller reads the counters over UDP and computes the rate.
-	reading, err := poller.PollLink(link)
+	l := uint32(link)
+	v, err := poller.Get([]snmplite.Query{
+		{Link: l, Counter: snmplite.CounterPacketsUp},
+		{Link: l, Counter: snmplite.CounterErrorsUp},
+		{Link: l, Counter: snmplite.CounterTxPowerLower},
+		{Link: l, Counter: snmplite.CounterRxPowerUpper},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reading.Errors[0] == 0 {
+	packets, errs := v[0].Value, v[1].Value
+	if errs == 0 {
 		t.Fatal("poller saw no errors on a corrupting link")
 	}
-	rate := float64(reading.Errors[0]) / float64(reading.Packets[0])
+	rate := float64(errs) / float64(packets)
 	if rate < 1e-6 {
 		t.Fatalf("measured rate %v below detection threshold", rate)
 	}
 	// Optical symptoms round-trip through the wire encoding.
-	if reading.RxPower[1] >= float64(tech().RxThreshold) {
-		t.Fatalf("upper Rx %v should be starved", reading.RxPower[1])
+	if rx := snmplite.DecodePower(v[3].Value); rx >= float64(tech().RxThreshold) {
+		t.Fatalf("upper Rx %v should be starved", rx)
 	}
-	if reading.TxPower[0] < float64(tech().TxThreshold) {
+	if snmplite.DecodePower(v[2].Value) < float64(tech().TxThreshold) {
 		t.Fatal("contamination must not dim the transmitter")
 	}
 
@@ -182,7 +189,7 @@ func TestCapacityPressureOverTheWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	agent, err := ctlplane.Dial(ctl.Addr().String(), 2*time.Second)
+	agent, err := ctlplane.DialConfig(ctl.Addr().String(), ctlplane.ClientConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,8 +91,6 @@ type Config struct {
 	SampleInterval time.Duration
 	// Penalty is the impact function; default core.LinearPenalty.
 	Penalty core.PenaltyFunc
-	// Optimizer tunes PolicyCorrOpt's second phase.
-	Optimizer core.OptimizerConfig
 	// Seed drives repair-outcome randomness.
 	Seed uint64
 }
@@ -235,7 +233,6 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 	eng, err := core.NewPolicyEngine(s.net, cfg.Policy, core.EngineConfig{
 		DetectionThreshold: cfg.DetectionThreshold,
 		Penalty:            cfg.Penalty,
-		Optimizer:          cfg.Optimizer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)

@@ -13,31 +13,27 @@ import (
 	"corropt/internal/topology"
 )
 
-// ErrTimeout marks a poll abandoned after the retransmit policy's attempts
-// (or overall budget) ran out without a matching response. Distinguish
-// with errors.Is; it wraps nothing because UDP loss leaves no inner error.
+// ErrTimeout marks a poll abandoned after its attempts ran out without a
+// matching response. Distinguish with errors.Is; it wraps nothing because
+// UDP loss leaves no inner error.
 var ErrTimeout = errors.New("snmplite: response timeout")
 
-// DialFunc is the injectable transport hook: chaos harnesses substitute a
-// netchaos-wrapped dialer, production uses net.Dial.
-type DialFunc func(network, address string) (net.Conn, error)
-
 // ClientConfig parameterizes a Client. The zero value polls with a 500ms
-// per-attempt deadline and the shared default backoff policy (4 attempts,
-// 10ms/20ms/40ms ±20% jitter).
+// per-attempt deadline and 4 attempts spaced by backoff.Delay
+// (10ms/20ms/40ms ±20% jitter).
 type ClientConfig struct {
 	// Timeout is the per-attempt response deadline (default 500ms).
 	Timeout time.Duration
-	// Retry spaces retransmissions: MaxAttempts bounds total sends of one
-	// request, Budget bounds the whole exchange including waits.
-	Retry backoff.Policy
+	// Attempts bounds the sends of one request, the first included
+	// (default 4).
+	Attempts int
 	// RNG jitters the retransmit schedule; default a fixed-seed substream
 	// (deterministic unless the caller injects entropy).
 	RNG *rngutil.Source
-	// Clock supplies deadline and budget reads; default simclock.Real.
+	// Clock supplies deadline reads; default simclock.Real.
 	Clock simclock.WallClock
 	// Dial opens the server connection; default net.Dial.
-	Dial DialFunc
+	Dial func(network, address string) (net.Conn, error)
 	// Sleep pauses between retransmits; default time.Sleep.
 	Sleep func(time.Duration)
 }
@@ -46,7 +42,9 @@ func (cfg ClientConfig) normalized() ClientConfig {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 500 * time.Millisecond
 	}
-	cfg.Retry = cfg.Retry.Normalized()
+	if cfg.Attempts <= 0 {
+		cfg.Attempts = 4
+	}
 	if cfg.RNG == nil {
 		cfg.RNG = rngutil.New(1).Split("snmplite-retry")
 	}
@@ -63,7 +61,7 @@ func (cfg ClientConfig) normalized() ClientConfig {
 }
 
 // Client polls an snmplite server. It retransmits lost datagrams on the
-// shared jittered-backoff policy and matches responses to requests by id,
+// shared jittered-backoff schedule and matches responses to requests by id,
 // dropping stale, duplicated, or corrupted replies. A Client is safe for
 // sequential use only.
 type Client struct {
@@ -72,27 +70,6 @@ type Client struct {
 	nextID uint32
 	buf    []byte // receive buffer
 	req    []byte // the request in flight, kept for its retransmits
-}
-
-// Dial connects a client to the server at addr. timeout is the per-attempt
-// response deadline (default 500ms) and retries the number of
-// retransmissions after the first attempt (default 3). Deadlines read the
-// system clock and retransmits follow the shared backoff policy.
-func Dial(addr string, timeout time.Duration, retries int) (*Client, error) {
-	return DialClock(addr, timeout, retries, simclock.Real{})
-}
-
-// DialClock is Dial with an injected wall clock, for harnesses that replay
-// telemetry polls against virtual time.
-func DialClock(addr string, timeout time.Duration, retries int, clock simclock.WallClock) (*Client, error) {
-	if retries < 0 {
-		retries = 3
-	}
-	return DialConfig(addr, ClientConfig{
-		Timeout: timeout,
-		Retry:   backoff.Policy{MaxAttempts: retries + 1},
-		Clock:   clock,
-	})
 }
 
 // DialConfig connects a fully configured client.
@@ -132,19 +109,14 @@ func (c *Client) getOnce(dst []Value, queries []Query) ([]Value, error) {
 		return nil, err
 	}
 	c.req = pkt
-	p := c.cfg.Retry
-	start := c.cfg.Clock.Now()
 	var lastErr error
-	for attempt := 0; !p.Exhausted(attempt); attempt++ {
+	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			c.cfg.Sleep(p.Delay(attempt-1, c.cfg.RNG))
-		}
-		if p.Budget > 0 && c.cfg.Clock.Now().Sub(start) > p.Budget {
-			break
+			c.cfg.Sleep(backoff.Delay(attempt-1, c.cfg.RNG))
 		}
 		// The send gets the same per-attempt bound as the response wait: UDP
 		// writes rarely block, but a wrapped (chaos) or backpressured socket
-		// must not wedge the poll loop past its retry budget.
+		// must not wedge the poll loop past its attempts.
 		if err := c.conn.SetWriteDeadline(c.cfg.Clock.Now().Add(c.cfg.Timeout)); err != nil {
 			return nil, err
 		}
@@ -161,7 +133,7 @@ func (c *Client) getOnce(dst []Value, queries []Query) ([]Value, error) {
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() {
 					lastErr = fmt.Errorf("%w: no response %d after attempt %d/%d",
-						ErrTimeout, id, attempt+1, p.Normalized().MaxAttempts)
+						ErrTimeout, id, attempt+1, c.cfg.Attempts)
 					break // retransmit with backoff
 				}
 				return nil, fmt.Errorf("snmplite: recv: %w", err)
@@ -186,58 +158,7 @@ func (c *Client) getOnce(dst []Value, queries []Query) ([]Value, error) {
 			return values, nil
 		}
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: retry budget exhausted before first attempt", ErrTimeout)
-	}
 	return nil, lastErr
-}
-
-// LinkReading is a decoded poll of one link's counters.
-type LinkReading struct {
-	Link    topology.LinkID
-	Packets [2]uint64
-	Errors  [2]uint64
-	Drops   [2]uint64
-	TxPower [2]float64 // by optics side: 0 lower, 1 upper
-	RxPower [2]float64
-}
-
-// PollLink fetches all standard counters of one link.
-func (c *Client) PollLink(l topology.LinkID) (LinkReading, error) {
-	queries := make([]Query, 0, int(NumCounters))
-	for ctr := CounterID(0); ctr < NumCounters; ctr++ {
-		queries = append(queries, Query{Link: uint32(l), Counter: ctr})
-	}
-	values, err := c.Get(queries)
-	if err != nil {
-		return LinkReading{}, err
-	}
-	r := LinkReading{Link: l}
-	for _, v := range values {
-		switch v.Counter {
-		case CounterPacketsUp:
-			r.Packets[0] = v.Value
-		case CounterPacketsDown:
-			r.Packets[1] = v.Value
-		case CounterErrorsUp:
-			r.Errors[0] = v.Value
-		case CounterErrorsDown:
-			r.Errors[1] = v.Value
-		case CounterDropsUp:
-			r.Drops[0] = v.Value
-		case CounterDropsDown:
-			r.Drops[1] = v.Value
-		case CounterTxPowerLower:
-			r.TxPower[0] = DecodePower(v.Value)
-		case CounterTxPowerUpper:
-			r.TxPower[1] = DecodePower(v.Value)
-		case CounterRxPowerLower:
-			r.RxPower[0] = DecodePower(v.Value)
-		case CounterRxPowerUpper:
-			r.RxPower[1] = DecodePower(v.Value)
-		}
-	}
-	return r, nil
 }
 
 // Reasons a CollectorProvider refuses a query.

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"corropt/internal/backoff"
 )
 
 // TestServeSurvivesDeadlineTicks pins the serve loop's deadline-tick
@@ -29,7 +27,7 @@ func TestServeSurvivesDeadlineTicks(t *testing.T) {
 	// Idle across at least three deadline ticks.
 	time.Sleep(3*serveDeadlineTick + serveDeadlineTick/2)
 
-	cli, err := Dial(srv.Addr().String(), time.Second, 3)
+	cli, err := DialConfig(srv.Addr().String(), ClientConfig{Timeout: time.Second, Attempts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,16 +98,16 @@ func (c *opRecorderConn) SetWriteDeadline(t time.Time) error {
 // TestClientArmsWriteDeadlineBeforeSend pins the getOnce fix: every
 // datagram send must be preceded by a write-deadline arm, so a wrapped
 // (chaos) or backpressured socket cannot wedge the poll loop past its
-// retry budget inside Write. The stub's reads always time out, driving the
+// attempts inside Write. The stub's reads always time out, driving the
 // client through its full schedule; each attempt must arm write before
 // writing and read before reading.
 func TestClientArmsWriteDeadlineBeforeSend(t *testing.T) {
 	conn := &opRecorderConn{}
 	cli, err := DialConfig("unused", ClientConfig{
-		Timeout: 10 * time.Millisecond,
-		Retry:   backoff.Policy{MaxAttempts: 3},
-		Dial:    func(network, address string) (net.Conn, error) { return conn, nil },
-		Sleep:   func(time.Duration) {},
+		Timeout:  10 * time.Millisecond,
+		Attempts: 3,
+		Dial:     func(network, address string) (net.Conn, error) { return conn, nil },
+		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)

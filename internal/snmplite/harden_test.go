@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"corropt/internal/backoff"
 	"corropt/internal/netchaos"
 	"corropt/internal/rngutil"
 )
@@ -52,10 +51,10 @@ func echoProvider(link uint32, counter CounterID) (uint64, error) {
 func chaosClient(t *testing.T, addr string, inj *netchaos.Injector, attempts int) *Client {
 	t.Helper()
 	cli, err := DialConfig(addr, ClientConfig{
-		Timeout: 100 * time.Millisecond,
-		Retry:   backoff.Policy{MaxAttempts: attempts},
-		Dial:    DialFunc(inj.DatagramDialer(nil)),
-		Sleep:   func(time.Duration) {},
+		Timeout:  100 * time.Millisecond,
+		Attempts: attempts,
+		Dial:     inj.DatagramDialer(nil),
+		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +113,7 @@ func TestClientDiscardsCorruptedResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := netchaos.New(rngutil.New(11), nil, netchaos.Config{Corrupt: 1, MaxFaults: 1})
-	srv, err := NewServerConn(inj.PacketConn(conn), ProviderFunc(echoProvider))
+	srv, err := NewServerConn(inj.PacketConn(conn), ProviderFunc(echoProvider), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestResponseSurvivesDupAndReorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := netchaos.New(rngutil.New(2), nil, netchaos.Config{Dup: 0.5, Reorder: 0.5, MaxFaults: 8})
-	srv, err := NewServerConn(inj.PacketConn(conn), ProviderFunc(echoProvider))
+	srv, err := NewServerConn(inj.PacketConn(conn), ProviderFunc(echoProvider), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func NewServer(addr string, provider Provider) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snmplite: listen: %w", err)
 	}
-	s, err := NewServerConn(conn, provider)
+	s, err := NewServerConn(conn, provider, nil)
 	if err != nil {
 		_ = conn.Close() // constructor failed; nothing else owns the socket
 		return nil, err
@@ -88,15 +88,9 @@ func NewServer(addr string, provider Provider) (*Server, error) {
 
 // NewServerConn starts a server on an existing packet socket — the
 // injection point chaos harnesses use to wrap the reply path in fault
-// injection. The server owns conn and closes it on Close.
-func NewServerConn(conn net.PacketConn, provider Provider) (*Server, error) {
-	return NewServerConnClock(conn, provider, simclock.Real{})
-}
-
-// NewServerConnClock is NewServerConn with an injected wall clock, for
-// harnesses that drive the serve loop's read deadlines against virtual
-// time.
-func NewServerConnClock(conn net.PacketConn, provider Provider, clock simclock.WallClock) (*Server, error) {
+// injection. clock drives the serve loop's read deadlines; nil means the
+// system clock. The server owns conn and closes it on Close.
+func NewServerConn(conn net.PacketConn, provider Provider, clock simclock.WallClock) (*Server, error) {
 	if provider == nil {
 		return nil, errors.New("snmplite: nil provider")
 	}

@@ -129,29 +129,34 @@ func TestClientServerEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cli, err := Dial(srv.Addr().String(), time.Second, 2)
+	cli, err := DialConfig(srv.Addr().String(), ClientConfig{Timeout: time.Second, Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
 
-	r, err := cli.PollLink(0)
+	v, err := cli.Get([]Query{
+		{Link: 0, Counter: CounterPacketsUp},
+		{Link: 0, Counter: CounterErrorsUp},
+		{Link: 0, Counter: CounterRxPowerUpper},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Packets[0] == 0 {
+	packets, errs := v[0].Value, v[1].Value
+	if packets == 0 {
 		t.Fatal("no packets over the wire")
 	}
-	if r.Errors[0] == 0 {
+	if errs == 0 {
 		t.Fatal("corrupting link shows no errors")
 	}
-	frac := float64(r.Errors[0]) / float64(r.Packets[0])
+	frac := float64(errs) / float64(packets)
 	if frac < 0.005 || frac > 0.02 {
 		t.Fatalf("error fraction = %v, want ≈0.01", frac)
 	}
 	// Power readings round-trip through centi-dBm.
-	if r.RxPower[1] != -3 {
-		t.Fatalf("upper Rx = %v, want -3", r.RxPower[1])
+	if rx := DecodePower(v[2].Value); rx != -3 {
+		t.Fatalf("upper Rx = %v, want -3", rx)
 	}
 
 	// Unknown links produce a remote error.
@@ -171,7 +176,7 @@ func TestClientSplitsLargeRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr().String(), time.Second, 2)
+	cli, err := DialConfig(srv.Addr().String(), ClientConfig{Timeout: time.Second, Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +212,7 @@ func TestClientTimeout(t *testing.T) {
 	addr := srv.Addr().String()
 	srv.Close() // nothing listening anymore
 
-	cli, err := Dial(addr, 50*time.Millisecond, 1)
+	cli, err := DialConfig(addr, ClientConfig{Timeout: 50 * time.Millisecond, Attempts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +350,7 @@ func TestCollectorProviderBoundsByCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr().String(), time.Second, 2)
+	cli, err := DialConfig(srv.Addr().String(), ClientConfig{Timeout: time.Second, Attempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

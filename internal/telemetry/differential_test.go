@@ -75,7 +75,7 @@ func (c *eagerCollector) Poll(now time.Duration) {
 				if corruption > 1 {
 					corruption = 1
 				}
-				packets := util * c.cfg.LineRatePPS * seconds
+				packets := util * lineRatePPS * seconds
 				obs.Util[d] = util
 				obs.CorruptionRate[d] = corruption
 				obs.CongestionRate[d] = congestion
@@ -126,7 +126,7 @@ func runDifferential(t *testing.T, fabric int, ops []byte) (mix [walked + 1]int)
 		st = faults.NewState(topo, quietTech)
 	case fabricTraffic:
 		st = faults.NewState(topo, quietTech)
-		tm = traffic.New(topo, traffic.Config{}, rngutil.New(5).Split("traffic"))
+		tm = traffic.New(topo, rngutil.New(5).Split("traffic"))
 	case fabricMixed:
 		st = faults.NewMultiTechState(topo, func(l topology.LinkID) optics.Technology {
 			if l%2 == 1 {

@@ -70,10 +70,6 @@ type Counters struct {
 type Config struct {
 	// Interval between polls; default DefaultInterval.
 	Interval time.Duration
-	// LineRatePPS is the packet throughput of a fully utilized direction;
-	// default 1e6 packets/s (small frames at 10G would be higher; the
-	// absolute value only scales counters).
-	LineRatePPS float64
 	// NoiseSigma is the log-normal measurement noise applied to error
 	// counts; default 0.25, giving corruption-rate series a CV well under
 	// congestion's.
@@ -82,12 +78,14 @@ type Config struct {
 	Seed uint64
 }
 
+// lineRatePPS is the packet throughput of a fully utilized direction:
+// 1e6 packets/s (small frames at 10G would be higher; the absolute value
+// only scales counters).
+const lineRatePPS float64 = 1e6
+
 func (c *Config) fillDefaults() {
 	if c.Interval == 0 {
 		c.Interval = DefaultInterval
-	}
-	if c.LineRatePPS == 0 {
-		c.LineRatePPS = 1e6
 	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 0.25
@@ -178,7 +176,7 @@ func NewCollector(state *faults.State, tm *traffic.Model, disabled topology.Disa
 		p := (float64(i) + 0.5) / noiseQuantiles
 		c.quantiles[i] = math.Exp(cfg.NoiseSigma * math.Sqrt2 * math.Erfinv(2*p-1))
 	}
-	c.packets = 0.5 * cfg.LineRatePPS * cfg.Interval.Seconds()
+	c.packets = 0.5 * lineRatePPS * cfg.Interval.Seconds()
 	c.perPoll = uint64(c.packets)
 	return c
 }
@@ -313,7 +311,7 @@ func (c *Collector) observe(obs *Observation, ctr *Counters, l topology.LinkID, 
 		if corruption > 1 {
 			corruption = 1
 		}
-		packets := util * c.cfg.LineRatePPS * seconds
+		packets := util * lineRatePPS * seconds
 		obs.Util[d] = util
 		obs.CorruptionRate[d] = corruption
 		obs.CongestionRate[d] = congestion

@@ -23,7 +23,7 @@ func setup(t *testing.T) (*topology.Topology, *faults.State, *traffic.Model) {
 	}
 	tech := optics.Technology{Name: "t", NominalTx: 0, TxThreshold: -4, RxThreshold: -10, PathLoss: 3}
 	st := faults.NewState(topo, tech)
-	tm := traffic.New(topo, traffic.Config{}, rngutil.New(5).Split("traffic"))
+	tm := traffic.New(topo, rngutil.New(5).Split("traffic"))
 	return topo, st, tm
 }
 

@@ -29,42 +29,26 @@ import (
 	"corropt/internal/topology"
 )
 
-// Config parameterizes the traffic model.
-type Config struct {
-	// CongestedLinkFraction is the fraction of link-directions that are
-	// congestion-prone. Default 0.10.
-	CongestedLinkFraction float64
-	// BidirectionalProb is the probability that a congestion-prone link
-	// is prone in both directions. Default 0.727 (Figure 5b).
-	BidirectionalProb float64
-	// Knee is the utilization above which loss begins. Default 0.7.
-	Knee float64
-	// SeverityBucketWeights distributes congested links' mean loss rates
-	// over the Table 1 buckets. Default is the congestion column:
-	// 92.44/6.35/0.99/0.22%.
-	SeverityBucketWeights [4]float64
-	// NoiseSigma is the standard deviation of the multiplicative
-	// log-normal sampling noise on loss rates. Default 0.8.
-	NoiseSigma float64
-}
+// The model's parameters. They are typed float64 so that an expression
+// over them rounds at each operation, as run-time float64 arithmetic does:
+// untyped, `1 - knee` would fold exactly and shift every loss rate.
+const (
+	// congestedLinkFraction is the fraction of link-directions that are
+	// congestion-prone.
+	congestedLinkFraction float64 = 0.10
+	// bidirectionalProb is the probability that a congestion-prone link
+	// is prone in both directions (Figure 5b).
+	bidirectionalProb float64 = 0.727
+	// knee is the utilization above which loss begins.
+	knee float64 = 0.7
+	// noiseSigma is the standard deviation of the multiplicative
+	// log-normal sampling noise on loss rates.
+	noiseSigma float64 = 0.8
+)
 
-func (c *Config) fillDefaults() {
-	if c.CongestedLinkFraction == 0 {
-		c.CongestedLinkFraction = 0.10
-	}
-	if c.BidirectionalProb == 0 {
-		c.BidirectionalProb = 0.727
-	}
-	if c.Knee == 0 {
-		c.Knee = 0.7
-	}
-	if c.SeverityBucketWeights == [4]float64{} {
-		c.SeverityBucketWeights = [4]float64{0.9244, 0.0635, 0.0099, 0.0022}
-	}
-	if c.NoiseSigma == 0 {
-		c.NoiseSigma = 0.8
-	}
-}
+// severityBucketWeights distributes congested links' mean loss rates over
+// the Table 1 buckets: the congestion column, 92.44/6.35/0.99/0.22%.
+var severityBucketWeights = [4]float64{0.9244, 0.0635, 0.0099, 0.0022}
 
 // linkDirParams holds the per-direction traffic parameters of one link.
 type linkDirParams struct {
@@ -76,19 +60,16 @@ type linkDirParams struct {
 
 // Model generates utilization and congestion loss time series.
 type Model struct {
-	cfg   Config
 	topo  *topology.Topology
 	seed  uint64
 	par   [2][]linkDirParams // indexed by direction, link
-	hot   map[topology.SwitchID]bool
 	prone [2][]bool
 }
 
 // New builds a traffic model over the topology, deriving all randomness
 // from rng.
-func New(topo *topology.Topology, cfg Config, rng *rngutil.Source) *Model {
-	cfg.fillDefaults()
-	m := &Model{cfg: cfg, topo: topo, seed: rng.Seed(), hot: make(map[topology.SwitchID]bool)}
+func New(topo *topology.Topology, rng *rngutil.Source) *Model {
+	m := &Model{topo: topo, seed: rng.Seed()}
 	n := topo.NumLinks()
 	for d := 0; d < 2; d++ {
 		m.par[d] = make([]linkDirParams, n)
@@ -101,7 +82,7 @@ func New(topo *topology.Topology, cfg Config, rng *rngutil.Source) *Model {
 	// its high bidirectionality in Figure 5). We model a hotspot as a
 	// pod whose bottom-stage (ToR↔aggregation) links all become prone;
 	// a small scattered remainder is spread uniformly.
-	targetDirs := int(cfg.CongestedLinkFraction * float64(2*n))
+	targetDirs := int(congestedLinkFraction * float64(2*n))
 	assigned := 0
 	mark := func(l topology.LinkID, d topology.Direction) {
 		if !m.prone[d][l] {
@@ -112,12 +93,9 @@ func New(topo *topology.Topology, cfg Config, rng *rngutil.Source) *Model {
 	markLink := func(l topology.LinkID) {
 		d := topology.Direction(rng.Intn(2))
 		mark(l, d)
-		if rng.Bool(cfg.BidirectionalProb) {
+		if rng.Bool(bidirectionalProb) {
 			mark(l, 1-d)
 		}
-		lk := topo.Link(l)
-		m.hot[lk.Lower] = true
-		m.hot[lk.Upper] = true
 	}
 
 	// Group bottom-stage links by the pod of their lower endpoint.
@@ -159,7 +137,7 @@ func New(topo *topology.Topology, cfg Config, rng *rngutil.Source) *Model {
 			if m.prone[d][li] {
 				// Congested directions ride near the knee so the diurnal
 				// peak pushes them over it for part of the day.
-				p.baseUtil = rng.Range(cfg.Knee-0.1, cfg.Knee+0.05)
+				p.baseUtil = rng.Range(knee-0.1, knee+0.05)
 				p.amp = rng.Range(0.15, 0.3)
 				meanShape := m.meanShape(p, day)
 				if meanShape <= 0 {
@@ -168,7 +146,7 @@ func New(topo *topology.Topology, cfg Config, rng *rngutil.Source) *Model {
 				target := m.sampleSeverity(rng)
 				p.severity = target / meanShape
 			} else {
-				p.baseUtil = rng.Range(0.05, cfg.Knee-0.15)
+				p.baseUtil = rng.Range(0.05, knee-0.15)
 				p.amp = rng.Range(0.05, 0.15)
 			}
 		}
@@ -183,7 +161,7 @@ func (m *Model) sampleSeverity(rng *rngutil.Source) float64 {
 	u := rng.Float64()
 	acc := 0.0
 	idx := len(buckets) - 1
-	for i, w := range m.cfg.SeverityBucketWeights {
+	for i, w := range severityBucketWeights {
 		acc += w
 		if u < acc {
 			idx = i
@@ -212,10 +190,10 @@ func (m *Model) meanShape(p *linkDirParams, grid []float64) float64 {
 
 // shape is the loss fraction of severity at utilization u.
 func (m *Model) shape(u float64) float64 {
-	if u <= m.cfg.Knee {
+	if u <= knee {
 		return 0
 	}
-	x := (u - m.cfg.Knee) / (1 - m.cfg.Knee)
+	x := (u - knee) / (1 - knee)
 	return x * x
 }
 
@@ -278,7 +256,7 @@ func (m *Model) LossRate(l topology.LinkID, d topology.Direction, at time.Durati
 	if s == 0 {
 		return 0
 	}
-	noise := math.Exp(normal(u2, u1) * m.cfg.NoiseSigma)
+	noise := math.Exp(normal(u2, u1) * noiseSigma)
 	rate := p.severity * s * noise
 	if rate > 1 {
 		return 1
@@ -297,15 +275,6 @@ func (m *Model) CongestedLinks() []topology.LinkID {
 		if m.prone[0][l] || m.prone[1][l] {
 			out = append(out, topology.LinkID(l))
 		}
-	}
-	return out
-}
-
-// Hotspots returns the switches hosting congestion-prone links.
-func (m *Model) Hotspots() []topology.SwitchID {
-	var out []topology.SwitchID
-	for s := range m.hot {
-		out = append(out, s)
 	}
 	return out
 }

@@ -24,7 +24,7 @@ func testTopo(t *testing.T) *topology.Topology {
 func newModel(t *testing.T) (*Model, *topology.Topology) {
 	t.Helper()
 	topo := testTopo(t)
-	return New(topo, Config{}, rngutil.New(42).Split("traffic")), topo
+	return New(topo, rngutil.New(42).Split("traffic")), topo
 }
 
 func TestUtilizationBounds(t *testing.T) {
@@ -43,8 +43,8 @@ func TestUtilizationBounds(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	topo := testTopo(t)
-	a := New(topo, Config{}, rngutil.New(42).Split("traffic"))
-	b := New(topo, Config{}, rngutil.New(42).Split("traffic"))
+	a := New(topo, rngutil.New(42).Split("traffic"))
+	b := New(topo, rngutil.New(42).Split("traffic"))
 	for l := 0; l < 50; l++ {
 		at := time.Duration(l) * 13 * time.Minute
 		if a.LossRate(topology.LinkID(l), topology.Up, at) != b.LossRate(topology.LinkID(l), topology.Up, at) {
