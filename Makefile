@@ -100,7 +100,8 @@ cover:
 ## reference, an activation's skipped or narrowed re-check to the re-check
 ## over every active corrupting link, and Network's cached ToR fractions
 ## (and the sum of a run of 1.0 terms inside them) to the in-order loop; of
-## the repair loop's ticket and hold invariants; and of the protocol and
+## the repair loop's ticket and hold invariants; of the sim clock's firing
+## order against a stable sort of its schedule; and of the protocol and
 ## scenario-parser fuzzers.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s ./internal/topology
@@ -111,6 +112,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzToRFractionsDifferential -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAddOnes -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRepairLoop -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzClockOrder -fuzztime 10s ./internal/simclock
 	$(GO) test -run '^$$' -fuzz FuzzFaultyFrame -fuzztime 10s ./internal/ctlplane
 	$(GO) test -run '^$$' -fuzz FuzzFaultyRequest -fuzztime 10s ./internal/snmplite
 	$(GO) test -run '^$$' -fuzz FuzzFaultyResponse -fuzztime 10s ./internal/snmplite

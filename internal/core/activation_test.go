@@ -51,6 +51,11 @@ type activationCoverage struct {
 	// violatedNoneAlone counts re-checks from a violated ToR where no link
 	// in scope passes the policy's check alone.
 	violatedNoneAlone int
+	// settledSkip counts unscoped re-checks that skipped a settled segment
+	// holding an active corrupting link; multiSegment those whose sweep or
+	// optimizer ran over two or more unsettled segments where a link
+	// passes alone.
+	settledSkip, multiSegment int
 }
 
 func (c *activationCoverage) add(o activationCoverage) {
@@ -60,6 +65,29 @@ func (c *activationCoverage) add(o activationCoverage) {
 	c.fromViolated += o.fromViolated
 	c.scoped += o.scoped
 	c.violatedNoneAlone += o.violatedNoneAlone
+	c.settledSkip += o.settledSkip
+	c.multiSegment += o.multiSegment
+}
+
+// usesSettled reports whether p's unscoped re-check skips settled segments:
+// every policy but CorrOpt without segmentation.
+func (p activationPolicy) usesSettled() bool {
+	return p.kind != PolicyCorrOpt || !p.cfg.DisableSegmentation
+}
+
+// unsettled reports, before e activates link l, which segments its unscoped
+// re-check will probe: those whose generation moved since e last found them
+// settled, l's own included when l is down (Enable moves it).
+func unsettled(e *Engine, l topology.LinkID) []bool {
+	n := e.Network()
+	out := make([]bool, n.Topology().NumSegments())
+	for s := range out {
+		out[s] = e.settled == nil || e.settled.segs[s].settled != n.gen[s]+1
+	}
+	if n.Disabled(l) {
+		out[n.Topology().LinkSegment(l)] = true
+	}
+	return out
 }
 
 // activationDifferential replays ops on two networks built from one seed.
@@ -67,9 +95,10 @@ func (c *activationCoverage) add(o activationCoverage) {
 // re-check as it was before the skip: the link-cone optimizer reference, or
 // a sweep over every active corrupting link. Each op byte reports a rate,
 // activates a link, re-enables one without a re-check (what RepairLoop does
-// with a failed repair), raises a ToR's constraint, or activates a link
-// under its Partition segment's scope. The returned lists and the network
-// states must agree after every op.
+// with a failed repair), raises or lowers a ToR's constraint, sets a link's
+// rate without the check (RepairLoop's Cleared and release paths), or
+// activates a link under its Partition segment's scope. The returned lists
+// and the network states must agree after every op.
 func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops []byte) activationCoverage {
 	const threshold = 1e-7
 	got := randomCorruptionScenario(t, seed, 6)
@@ -110,7 +139,7 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 	for i, b := range ops {
 		l := topology.LinkID(int(b>>3) % topo.NumLinks())
 		var scope Scope
-		switch b % 5 {
+		switch b % 7 {
 		case 0:
 			rate := math.Pow(10, rng.Range(-8, -2))
 			if gd, wd := ge.ReportCorruption(l, rate), we.ReportCorruption(l, rate); gd != wd {
@@ -133,6 +162,21 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 			_ = want.SetToRConstraint(tor, c)
 			sameOptimizerState(t, "constraint", got, want)
 			continue
+		case 5:
+			tor := topo.ToRs()[int(b>>3)%len(topo.ToRs())]
+			c := got.Constraint(tor) * (1 - rng.Range(0, 0.3))
+			if err := got.SetToRConstraint(tor, c); err != nil {
+				t.Fatal(err)
+			}
+			_ = want.SetToRConstraint(tor, c)
+			sameOptimizerState(t, "lowered constraint", got, want)
+			continue
+		case 6:
+			rate := math.Pow(10, rng.Range(-8, -2))
+			got.SetCorruption(l, rate)
+			want.SetCorruption(l, rate)
+			sameOptimizerState(t, "unchecked rate", got, want)
+			continue
 		case 4:
 			scope = segs[int(b>>3)%len(segs)]
 			var in []topology.LinkID
@@ -145,10 +189,31 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 		if violated {
 			cov.fromViolated++
 		}
+		var probed []bool
+		if scope.Links == nil && p.usesSettled() {
+			probed = unsettled(ge, l)
+		}
 		gd := ge.Activate(l, scope)
 		want.Enable(l)
 		if violated && !passesAlone(want, we, threshold, scope.Links) {
 			cov.violatedNoneAlone++
+		}
+		if probed != nil {
+			skipped, passing := false, map[int]bool{}
+			for _, m := range want.ActiveCorrupting(threshold) {
+				s := topo.LinkSegment(m)
+				if !probed[s] {
+					skipped = true
+				} else if we.CanDisable(m) {
+					passing[s] = true
+				}
+			}
+			if skipped {
+				cov.settledSkip++
+			}
+			if len(passing) >= 2 {
+				cov.multiSegment++
+			}
 		}
 		wd := reference(scope)
 		if !slices.Equal(gd, wd) {
@@ -182,11 +247,13 @@ func passesAlone(n *Network, e *Engine, threshold float64, scope *topology.LinkS
 // from a feasible state that disable nothing (the skip), re-checks that
 // disable links, re-checks from a violated ToR, re-checks from a violated
 // ToR where no link passes alone (the skip from a violated state) and
-// scoped re-checks.
+// scoped re-checks; and, wherever the policy's unscoped re-check skips
+// settled segments, re-checks that skipped one and re-checks that ran over
+// two or more segments where a link passes.
 func TestActivationMatchesReference(t *testing.T) {
 	for pi, p := range activationPolicies() {
 		var total activationCoverage
-		for seed := uint64(0); seed < 12; seed++ {
+		for seed := uint64(0); seed < 24; seed++ {
 			ops := make([]byte, 48)
 			rng := rngutil.New(seed).Split("ops")
 			for i := range ops {
@@ -195,7 +262,8 @@ func TestActivationMatchesReference(t *testing.T) {
 			total.add(activationDifferential(t, seed, p, ops))
 		}
 		t.Logf("policy %d (%v): %+v", pi, p.kind, total)
-		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.violatedNoneAlone == 0 || total.scoped == 0 {
+		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.violatedNoneAlone == 0 || total.scoped == 0 ||
+			p.usesSettled() && (total.settledSkip == 0 || total.multiSegment == 0) {
 			t.Errorf("policy %d (%v): re-checks covered %+v", pi, p.kind, total)
 		}
 	}
@@ -214,4 +282,27 @@ func FuzzActivationDifferential(f *testing.F) {
 		ps := activationPolicies()
 		activationDifferential(t, seed, ps[int(policy)%len(ps)], ops)
 	})
+}
+
+// TestResetStateUnsettles: a replaced disabled set brings corrupting links
+// back up without an Enable, so it moves every segment's generation, and
+// the next unscoped re-check probes them again.
+func TestResetStateUnsettles(t *testing.T) {
+	e, hot := activationState(t, 6)
+	net := e.Network()
+	if got, _ := e.recheck(Scope{}); got != nil {
+		t.Fatalf("re-check of a blocked fabric disabled %v", got)
+	}
+	up := disabledUplink(t, net, hot[0])
+	var keep []topology.LinkID
+	net.DisabledLinks().Each(func(l topology.LinkID) {
+		if l != up {
+			keep = append(keep, l)
+		}
+	})
+	net.resetState(keep)
+	// hot[0] has all six uplinks up and corrupting again: one can go.
+	if got, _ := e.recheck(Scope{}); len(got) != 1 {
+		t.Fatalf("re-check after a loaded state disabled %v, want one of ToR %d's uplinks", got, hot[0])
+	}
 }

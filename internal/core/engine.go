@@ -150,6 +150,28 @@ type Engine struct {
 	threshold float64
 
 	scratch sweepScratch // the activation re-check's
+	// settled is the unscoped re-check's record of the segments, made by
+	// the first one: the fleet's shard engines re-check scoped and carry a
+	// single word for it. Another engine on the same network keeps its own.
+	settled *segChecks
+}
+
+// segChecks is what the unscoped re-checks know of the segments: segs[s] of
+// segment s (see Network.gen), and probed lists the segments the current
+// re-check probes.
+type segChecks struct {
+	segs   []segCheck
+	probed []int32
+}
+
+// segCheck is what an unscoped re-check knows of one segment.
+type segCheck struct {
+	// settled is 1 + the segment's generation when this engine's re-check
+	// last found no active corrupting link there passing alone; 0 if never.
+	settled uint64
+	// probed and pass mark, during one re-check, a segment in probed and
+	// one where some link passes.
+	probed, pass bool
 }
 
 // EngineConfig parameterizes an Engine.
@@ -293,7 +315,9 @@ func (e *Engine) CanDisable(l topology.LinkID) bool {
 // something goes alone: a link the policy's check refuses on its own is in
 // no set that can go. The step therefore first probes the links in scope
 // alone. The sweep offers only those that pass; the optimizer is skipped
-// when none does, which is most activations of a running fabric.
+// when none does, which is most activations of a running fabric. An
+// unscoped step probes only the segments that changed since the engine
+// last found them settled (see recheck).
 func (e *Engine) Activate(l topology.LinkID, scope Scope) []topology.LinkID {
 	e.net.Enable(l)
 	disabled, _ := e.recheck(scope)
@@ -308,21 +332,104 @@ func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
 	return e.Activate(l, Scope{})
 }
 
+// recheck runs the policy's activation step over scope.
+//
+// The optimizer's skip is exact from a violated state too. A ToR violated
+// now stays in violatedUnder's result, so every link upstream of it shares
+// its segment, whose meetsAll fails and whose solveSegment disables
+// nothing. Every link the optimizer does disable is thus downstream only of
+// ToRs that are unendangered or in a feasible segment, and by monotonicity
+// it can go alone: the fast check's violated-state path, which checks all
+// of DownstreamToRs(l), passes it.
+//
+// The same argument holds per topology segment (topology.Partition): a
+// toggle changes path counts only inside its own segment, each optimizer
+// segment, reject cache and budget lies inside one, and so does every
+// input of a link's check. A segment where no link passes alone therefore
+// contributes nothing to a whole-fabric step, and the step over the
+// segments where some link passes returns the same list. An unscoped
+// re-check uses that twice: it probes only the segments whose generation
+// (Network.gen) moved since it last found them settled, and runs the sweep
+// or the optimizer over the segments that pass. Without segmentation the
+// optimizer solves every contested link jointly, so that configuration
+// keeps the whole-fabric step.
 func (e *Engine) recheck(scope Scope) ([]topology.LinkID, OptimizeStats) {
+	if scope.Links == nil && (e.opt == nil || !e.opt.cfg.DisableSegmentation) {
+		return e.recheckUnsettled()
+	}
 	if e.opt == nil {
 		return sweep(e.net, e, e.threshold, scope.Links, &e.scratch), OptimizeStats{}
 	}
-	// The skip is exact from a violated state too. A ToR violated now stays
-	// in violatedUnder's result, so every link upstream of it shares its
-	// segment, whose meetsAll fails and whose solveSegment disables
-	// nothing. Every link the optimizer does disable is thus downstream
-	// only of ToRs that are unendangered or in a feasible segment, and by
-	// monotonicity it can go alone: the fast check's violated-state path,
-	// which checks all of DownstreamToRs(l), passes it.
 	if !e.anyAlone(scope.Links) {
 		return nil, OptimizeStats{}
 	}
 	return e.opt.RunScoped(e.threshold, scope.Links, scope.ToRs)
+}
+
+// recheckUnsettled is the unscoped re-check. It probes the active
+// corrupting links of the unsettled segments alone — all of them for a
+// sweep, up to the first pass per segment for the optimizer — marks the
+// segments where none passes settled, and hands the links of the others to
+// the sweep or the optimizer.
+func (e *Engine) recheckUnsettled() ([]topology.LinkID, OptimizeStats) {
+	topo, gen, b := e.net.topo, e.net.gen, &e.scratch
+	if e.settled == nil {
+		n := topo.NumSegments()
+		e.settled = &segChecks{segs: make([]segCheck, n), probed: make([]int32, 0, n)}
+	}
+	sc := e.settled
+	b.active = e.net.AppendActiveCorrupting(b.active[:0], e.threshold)
+	order, passing := b.order[:0], false
+	for _, l := range b.active {
+		s := topo.LinkSegment(l)
+		seg := &sc.segs[s]
+		if seg.settled == gen[s]+1 || seg.pass && e.opt != nil {
+			continue
+		}
+		if !seg.probed {
+			seg.probed = true
+			sc.probed = append(sc.probed, int32(s))
+		}
+		if e.CanDisable(l) {
+			seg.pass, passing = true, true
+			if e.opt == nil {
+				order = append(order, rankedLink{l, e.net.links.Rate(l)})
+			}
+		}
+	}
+	b.order = order
+	if e.opt == nil {
+		sc.settle(gen)
+		return disableRanked(e, order), OptimizeStats{}
+	}
+	if !passing {
+		sc.settle(gen)
+		return nil, OptimizeStats{}
+	}
+	kept := b.active[:0]
+	for _, l := range b.active {
+		if sc.segs[topo.LinkSegment(l)].pass {
+			kept = append(kept, l)
+		}
+	}
+	sc.settle(gen)
+	return e.opt.run(kept, nil)
+}
+
+// settle ends a re-check: a probed segment where no link passed is settled
+// at its current generation, and the marks are cleared. A disable bumps no
+// generation, so the result stays true while the sweep or the optimizer
+// disables links. A segment without active corrupting links is never
+// probed, and stays as it was.
+func (sc *segChecks) settle(gen []uint64) {
+	for _, s := range sc.probed {
+		seg := &sc.segs[s]
+		if !seg.pass {
+			seg.settled = gen[s] + 1
+		}
+		seg.probed, seg.pass = false, false
+	}
+	sc.probed = sc.probed[:0]
 }
 
 // anyAlone reports whether some active corrupting link in scope passes the

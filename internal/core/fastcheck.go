@@ -108,6 +108,12 @@ func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet, b 
 		}
 	}
 	b.order = order
+	return disableRanked(c, order)
+}
+
+// disableRanked offers c the links of order worst first, ties by LinkID,
+// and returns those it disabled.
+func disableRanked(c checker, order []rankedLink) []topology.LinkID {
 	sortRanked(order)
 	var disabled []topology.LinkID
 	for _, r := range order {

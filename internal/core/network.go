@@ -42,6 +42,16 @@ type Network struct {
 	links netstate.Links
 	pen   netstate.Penalty
 	tors  netstate.ToRs
+
+	// gen[s] counts the changes after which some active corrupting link of
+	// segment s (topology.LinkSegment) could pass a check alone that it
+	// failed before: an Enable, a positive rate on an up link, a ToR
+	// constraint, or a replaced disabled set. A disable only removes paths
+	// and uplinks, so it bumps nothing; nor does Reset, which clears every
+	// rate, so no segment holds an active link again before a SetCorruption
+	// bumps it. Engine.recheck skips the segments whose generation has not
+	// moved since it last found them settled.
+	gen []uint64
 }
 
 // NewNetwork returns a fully-enabled, fully-healthy Network with the same
@@ -56,6 +66,7 @@ func NewNetwork(topo *topology.Topology, c float64) (*Network, error) {
 		pc:    pc,
 		links: netstate.NewLinks(topo.NumLinks(), DefaultDetectionThreshold),
 		tors:  netstate.NewToRs(topo, c, pc),
+		gen:   make([]uint64, topo.NumSegments()),
 	}, nil
 }
 
@@ -91,6 +102,9 @@ func (n *Network) SetToRConstraint(tor topology.SwitchID, c float64) error {
 		return fmt.Errorf("core: switch %q is not a ToR", n.topo.Switch(tor).Name)
 	}
 	n.tors.SetConstraint(tor, c, n.pc)
+	if up := n.topo.Switch(tor).Uplinks; len(up) > 0 {
+		n.gen[n.topo.LinkSegment(up[0])]++
+	}
 	return nil
 }
 
@@ -116,6 +130,7 @@ func (n *Network) Enable(l topology.LinkID) {
 	n.pen.Update(l, n.links.Rate(l), false)
 	n.links.Toggle(l, false)
 	n.settle(n.pc.Revert(l))
+	n.gen[n.topo.LinkSegment(l)]++
 }
 
 // commitProbe disables link l through the path counter's pending probe of l,
@@ -162,6 +177,9 @@ func (n *Network) SetCorruption(l topology.LinkID, rate float64) {
 	disabled := n.Disabled(l)
 	if n.links.Set(l, rate, disabled) {
 		n.pen.Update(l, n.links.Rate(l), disabled)
+	}
+	if rate > 0 && !disabled {
+		n.gen[n.topo.LinkSegment(l)]++
 	}
 }
 
@@ -257,6 +275,9 @@ func (n *Network) resetState(disabled []topology.LinkID) {
 	n.links.Rebuild(n.pc.IncDisabled())
 	n.tors.Recompute(n.pc)
 	n.pen.Refresh(&n.links, n.pc.IncDisabled())
+	for s := range n.gen {
+		n.gen[s]++
+	}
 }
 
 // ViolatedToRs returns the ToRs whose capacity constraints are violated

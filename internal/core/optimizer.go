@@ -158,7 +158,6 @@ func (o *Optimizer) Run(threshold float64) ([]topology.LinkID, OptimizeStats) {
 // what Run would choose from the scoped links. A nil scope with nil tors is
 // exactly Run.
 func (o *Optimizer) RunScoped(threshold float64, scope *topology.LinkSet, tors []topology.SwitchID) ([]topology.LinkID, OptimizeStats) {
-	var st OptimizeStats
 	active := o.net.AppendActiveCorrupting(o.activeBuf[:0], threshold)
 	if scope != nil {
 		kept := active[:0]
@@ -170,7 +169,13 @@ func (o *Optimizer) RunScoped(threshold float64, scope *topology.LinkSet, tors [
 		active = kept
 	}
 	o.activeBuf = active
-	st.Active = len(active)
+	return o.run(active, tors)
+}
+
+// run is RunScoped over the given active corrupting links, which it may
+// disable but does not retain.
+func (o *Optimizer) run(active []topology.LinkID, tors []topology.SwitchID) ([]topology.LinkID, OptimizeStats) {
+	st := OptimizeStats{Active: len(active)}
 	if len(active) == 0 {
 		return nil, st
 	}

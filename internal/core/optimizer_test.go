@@ -280,17 +280,18 @@ func TestSegmentationSplitsIndependentGroups(t *testing.T) {
 }
 
 // activationState builds the engine state an activation re-check meets in a
-// running simulation, on the paper's medium DCN at c = 0.75: six ToRs in six
-// pods have every uplink corrupting, and the fast checker has taken down the
-// worst uplink of each — all their capacity allows — so every re-check finds
-// six violated ToRs in six segments. It returns the engine and those ToRs.
-func activationState(tb testing.TB) (*Engine, []topology.SwitchID) {
+// running simulation, on the paper's medium DCN at c = 0.75: one ToR in each
+// of the first pods pods has every uplink corrupting, and the fast checker
+// has taken down the worst uplink of each — all their capacity allows — so
+// every re-check finds that many violated ToRs in as many segments. It
+// returns the engine and those ToRs.
+func activationState(tb testing.TB, pods int) (*Engine, []topology.SwitchID) {
 	tb.Helper()
 	net := mediumNetwork(tb)
 	topo := net.Topology()
 	e := NewEngine(net, EngineConfig{})
 	var hot []topology.SwitchID
-	for pod := 0; pod < 6; pod++ {
+	for pod := 0; pod < pods; pod++ {
 		tor := topo.ToRs()[pod*40]
 		hot = append(hot, tor)
 		ups := topo.Switch(tor).Uplinks
@@ -316,7 +317,7 @@ func disabledUplink(tb testing.TB, net *Network, tor topology.SwitchID) topology
 // exact on a warmed state: a re-check that disables nothing allocates
 // nothing, and one that disables links allocates only the list it returns.
 func TestActivationRecheckAllocs(t *testing.T) {
-	e, hot := activationState(t)
+	e, hot := activationState(t, 6)
 	net := e.Network()
 	topo := net.Topology()
 	if _, st := e.opt.RunScoped(e.threshold, nil, nil); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
@@ -346,15 +347,58 @@ func TestActivationRecheckAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1, some); n != float64(len(hot)) {
 		t.Errorf("%d re-checks that disable a link: %v allocs, want %d (the returned lists)", len(hot), n, len(hot))
 	}
+	// From a settled fabric, a clean link of a hot pod goes down and comes
+	// back: the re-check probes that pod's blocked uplinks and no other's.
+	toggle := settledToggle(t, e, hot[0])
+	if n := testing.AllocsPerRun(10, toggle); n != 0 {
+		t.Errorf("an unscoped re-check from a settled fabric: %v allocs, want 0", n)
+	}
+	for _, l := range net.ActiveCorrupting(e.threshold) {
+		if s := topo.LinkSegment(l); e.settled.segs[s].settled != net.gen[s]+1 {
+			t.Fatalf("segment %d, with active link %d, unsettled after re-checks that disabled nothing", s, l)
+		}
+	}
+}
+
+// settledToggle settles e's fabric and returns a step that takes a clean
+// agg uplink of hot's pod down and activates it again, which must disable
+// nothing.
+func settledToggle(tb testing.TB, e *Engine, hot topology.SwitchID) func() {
+	net := e.Network()
+	topo := net.Topology()
+	clean := topo.Switch(topo.Link(topo.Switch(hot).Uplinks[0]).Upper).Uplinks[0]
+	if e.Activate(clean, Scope{}) != nil {
+		tb.Fatal("activating a clean link disabled links")
+	}
+	return func() {
+		net.Disable(clean)
+		if e.Activate(clean, Scope{}) != nil {
+			tb.Fatal("activating a clean link disabled links")
+		}
+	}
+}
+
+// BenchmarkActivationSettled times one Engine.Activate that disables nothing
+// on the medium DCN with blocked links in every pod (activationState over
+// all 45): a clean agg uplink of one pod goes down and comes back, so only
+// that pod changed since the last re-check.
+func BenchmarkActivationSettled(b *testing.B) {
+	e, hot := activationState(b, 45)
+	toggle := settledToggle(b, e, hot[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		toggle()
+	}
 }
 
 // BenchmarkActivationBlocked times one Engine.Activate that disables nothing
-// — a clean link back in service while activationState's six ToRs keep
-// their corrupting uplinks blocked — on the medium DCN. It is the common
-// activation of a running simulation: no link passes the check alone, so
-// the optimizer is not run.
+// — a clean link that is already up, while activationState's six ToRs keep
+// their corrupting uplinks blocked — on the medium DCN. Nothing changed
+// since the last re-check found every segment settled, so nothing is
+// probed; BenchmarkActivationSettled times the probe of one changed pod.
 func BenchmarkActivationBlocked(b *testing.B) {
-	e, _ := activationState(b)
+	e, _ := activationState(b, 6)
 	topo := e.Network().Topology()
 	// An enabled clean agg uplink in a pod with no corruption.
 	clean := topo.Switch(topo.Link(topo.Switch(topo.ToRs()[len(topo.ToRs())-1]).Uplinks[0]).Upper).Uplinks[0]
@@ -371,7 +415,7 @@ func BenchmarkActivationBlocked(b *testing.B) {
 // corrupting uplink — the enable plus the optimizer's pruning, segmentation
 // and exact search over six violated ToRs — on the medium DCN.
 func BenchmarkOptimizerActivation(b *testing.B) {
-	e, hot := activationState(b)
+	e, hot := activationState(b, 6)
 	net := e.Network()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -30,8 +30,9 @@ type Segment struct {
 }
 
 // Partition splits the topology's links into disjoint cone-closed segments,
-// ordered by their smallest link id. Every link appears in exactly one
-// segment and every ToR in exactly one segment (its cone's). On a Clos
+// ordered by their smallest link id: segment i holds the links whose
+// LinkSegment is i, numbered once by Build. Every link appears in exactly
+// one segment and every ToR in exactly one segment (its cone's). On a Clos
 // fabric the segments are exactly the pods: pods share spine switches but
 // never links, and the top stage does not merge components.
 func (t *Topology) Partition() []Segment {
@@ -40,67 +41,10 @@ func (t *Topology) Partition() []Segment {
 		// ToR and no links.
 		return []Segment{{ToRs: slices.Clone(t.ToRs())}}
 	}
-
-	// Union-find over links: two links share a segment iff they are
-	// incident to a common switch below the top stage. Top-stage switches
-	// are excluded — valley-free paths end there, so two pods hanging off
-	// the same spine stay separate segments.
-	parent := make([]int32, t.NumLinks())
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b LinkID) {
-		ra, rb := find(int32(a)), find(int32(b))
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-
-	top := Stage(t.Stages() - 1)
-	t.Switches(func(sw *Switch) {
-		if sw.Stage == top {
-			return
-		}
-		first := NoLink
-		for _, l := range sw.Uplinks {
-			if first == NoLink {
-				first = l
-			} else {
-				union(first, l)
-			}
-		}
-		for _, l := range sw.Downlinks {
-			if first == NoLink {
-				first = l
-			} else {
-				union(first, l)
-			}
-		}
-	})
-
-	// Number segments by ascending smallest member link, so the partition
-	// order is a pure function of the topology.
-	segOf := make([]int32, t.NumLinks())
-	for i := range segOf {
-		segOf[i] = -1
-	}
-	var segs []Segment
-	for l := 0; l < t.NumLinks(); l++ {
-		r := find(int32(l))
-		if segOf[r] < 0 {
-			segOf[r] = int32(len(segs))
-			segs = append(segs, Segment{})
-		}
-		si := segOf[r]
-		segs[si].Links = append(segs[si].Links, LinkID(l))
+	segs := make([]Segment, t.segments)
+	for i := range t.links {
+		s := &segs[t.links[i].seg]
+		s.Links = append(s.Links, LinkID(i))
 	}
 	for _, tor := range t.ToRs() {
 		up := t.Switch(tor).Uplinks
@@ -110,8 +54,8 @@ func (t *Topology) Partition() []Segment {
 			// uplinks. Kept as a guard for hand-built topologies.
 			continue
 		}
-		si := segOf[find(int32(up[0]))]
-		segs[si].ToRs = append(segs[si].ToRs, tor)
+		s := &segs[t.links[up[0]].seg]
+		s.ToRs = append(s.ToRs, tor)
 	}
 	return segs
 }

@@ -3,6 +3,7 @@ package topology
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"corropt/internal/rngutil"
 )
@@ -99,6 +100,59 @@ func TestPartitionConeClosed(t *testing.T) {
 						t.Errorf("%s: segment %d: ToR %d cone link %d outside segment", name, si, tor, l)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestLinkSegmentMatchesComponents holds Build's segment numbering to a
+// flood fill: two links share a LinkSegment iff a walk through switches
+// below the top stage joins them, and segments are numbered in order of
+// their smallest link. Link stays 24 bytes: the segment sits in padding.
+func TestLinkSegmentMatchesComponents(t *testing.T) {
+	if size := unsafe.Sizeof(Link{}); size != 24 {
+		t.Fatalf("Link is %d bytes, want 24", size)
+	}
+	topos := []*Topology{testClos(t), testMultiTierPartition(t)}
+	for seed := int64(0); seed < 20; seed++ {
+		topos = append(topos, randomTopology(t, seed))
+	}
+	for i, topo := range topos {
+		top := Stage(topo.Stages() - 1)
+		want := make([]int, topo.NumLinks())
+		for l := range want {
+			want[l] = -1
+		}
+		next := 0
+		for start := range want {
+			if want[start] >= 0 {
+				continue
+			}
+			want[start] = next
+			stack := []LinkID{LinkID(start)}
+			for len(stack) > 0 {
+				lk := topo.Link(stack[len(stack)-1])
+				stack = stack[:len(stack)-1]
+				for _, s := range []SwitchID{lk.Lower, lk.Upper} {
+					if topo.Switch(s).Stage == top {
+						continue
+					}
+					for _, m := range topo.LinksOnSwitch(s) {
+						if want[m] < 0 {
+							want[m] = next
+							stack = append(stack, m)
+						}
+					}
+				}
+			}
+			next++
+		}
+		if topo.NumSegments() != next {
+			t.Errorf("topology %d: %d segments, flood fill finds %d", i, topo.NumSegments(), next)
+		}
+		for l, w := range want {
+			if got := topo.LinkSegment(LinkID(l)); got != w {
+				t.Fatalf("topology %d: link %d in segment %d, flood fill %d", i, l, got, w)
 			}
 		}
 	}

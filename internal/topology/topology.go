@@ -58,6 +58,9 @@ type Link struct {
 	ID LinkID
 	// Lower is the endpoint at the smaller stage, Upper at Lower's stage+1.
 	Lower, Upper SwitchID
+	// seg is the link's segment (Topology.LinkSegment); it sits in the
+	// padding after Upper.
+	seg int32
 	// BreakoutGroup is a shared breakout-cable identifier: links on the
 	// same switch with equal non-negative groups share a physical cable
 	// (root cause 5 in §4 takes all of them down together). -1 if none.
@@ -90,6 +93,7 @@ type Topology struct {
 	stages   int // number of stages = top stage + 1
 	tors     []SwitchID
 	spines   []SwitchID
+	segments int // number of link segments (see Partition)
 	// The path-count skeleton every PathCounter over t shares: the
 	// evaluation order (stages top-down) and each switch's path count with
 	// every link active.
@@ -132,6 +136,15 @@ func (t *Topology) ToRs() []SwitchID { return t.tors }
 // ToRIndex returns ToR s's position in ToRs(), or -1 when s is not a ToR.
 // Per-ToR state indexed by it holds no slot for the other switches.
 func (t *Topology) ToRIndex(s SwitchID) int { return int(t.switches[s].tor) }
+
+// LinkSegment returns the index of link l's segment in Partition(): links
+// in different segments share no ToR's upstream cone, so toggling l changes
+// path counts only inside its own segment.
+func (t *Topology) LinkSegment(l LinkID) int { return int(t.links[l].seg) }
+
+// NumSegments reports how many segments the links fall into; every
+// LinkSegment is below it. A topology without links has none.
+func (t *Topology) NumSegments() int { return t.segments }
 
 // Spines returns the top-stage switches. The returned slice is shared;
 // callers must not mutate it.
@@ -296,5 +309,57 @@ func (b *Builder) Build() (*Topology, error) {
 	}
 	t.total = make([]int64, len(t.switches))
 	t.sweep(t.total, nil)
+	t.numberSegments()
 	return t, nil
+}
+
+// numberSegments sets every link's segment: two links share one iff they
+// are joined through switches below the top stage. Top-stage switches do
+// not join — valley-free paths end there, so two pods hanging off the same
+// spine stay separate segments. Segments are numbered by ascending smallest
+// member link, so the numbering is a pure function of the topology.
+func (t *Topology) numberSegments() {
+	// Union-find over links, each switch below the top joining its links
+	// to its first one; roots are the smallest member.
+	parent := make([]int32, len(t.links))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]] // path halving
+			x = parent[x]
+		}
+		return x
+	}
+	top := Stage(t.stages - 1)
+	for i := range t.switches {
+		sw := &t.switches[i]
+		if sw.Stage == top {
+			continue
+		}
+		first := int32(-1)
+		for _, ls := range [2][]LinkID{sw.Uplinks, sw.Downlinks} {
+			for _, l := range ls {
+				if first < 0 {
+					first = find(int32(l))
+					continue
+				}
+				if r := find(int32(l)); r != first {
+					parent[max(r, first)] = min(r, first)
+					first = min(r, first)
+				}
+			}
+		}
+	}
+	// A root precedes the rest of its segment, so one ascending pass
+	// numbers each root before any link points at it.
+	for i := range t.links {
+		if r := find(int32(i)); r == int32(i) {
+			t.links[i].seg = int32(t.segments)
+			t.segments++
+		} else {
+			t.links[i].seg = t.links[r].seg
+		}
+	}
 }
