@@ -12,10 +12,10 @@
 // batch; -workers bounds its concurrency (default: one worker per CPU). When
 // -exp names several experiments (a comma list, or 'all'), their replays
 // form one global work list so the pool load-balances across experiments
-// instead of draining them one at a time. The fleet experiment additionally
-// takes -shards, the fleet supervisor's shard-packing target. Reports are
-// byte-identical for any -workers or -shards value and any batching — the
-// flags only change wall-clock time.
+// instead of draining them one at a time; the fleet experiment's supervisor
+// drains its shards on a pool of the same size. Reports are byte-identical
+// for any -workers value and any batching — the flag only changes
+// wall-clock time.
 //
 // Each experiment prints a TSV report: the same rows or series the paper
 // plots, with notes comparing the measured shape against the published one.
@@ -37,7 +37,6 @@ func main() {
 		scale   = flag.String("scale", "small", "dcn scale: small, medium, large")
 		seed    = flag.Uint64("seed", 1, "random seed (equal seeds reproduce identical reports)")
 		workers = flag.Int("workers", 0, "concurrent trace replays, one pool shared by every experiment of the batch (0 = one per CPU); any value produces byte-identical reports")
-		shards  = flag.Int("shards", 0, "fleet supervisor shard-packing target (0 = one shard per topology segment); any value produces byte-identical reports")
 		out     = flag.String("o", "", "output file (default stdout)")
 		format  = flag.String("format", "tsv", "output format: tsv or json")
 		list    = flag.Bool("list", false, "list available experiments")
@@ -89,7 +88,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "corropt-experiments: unknown format %q\n", *format)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers, Shards: *shards}
+	cfg := experiments.Config{Scale: sc, Seed: *seed, Workers: *workers}
 	if err := experiments.CheckIDs(ids); err != nil {
 		fmt.Fprintf(os.Stderr, "corropt-experiments: %v\n", err)
 		os.Exit(1)

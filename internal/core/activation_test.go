@@ -11,13 +11,11 @@ import (
 
 // referenceSweep is the baselines' activation sweep as it was before the
 // re-check offered only the links that pass alone: every active corrupting
-// link in scope, worst first, is offered to c.
-func referenceSweep(n *Network, c checker, threshold float64, scope *topology.LinkSet) []topology.LinkID {
+// link, worst first, is offered to c.
+func referenceSweep(n *Network, c checker, threshold float64) []topology.LinkID {
 	var order []rankedLink
 	for _, l := range n.ActiveCorrupting(threshold) {
-		if scope == nil || scope.Has(l) {
-			order = append(order, rankedLink{l, n.CorruptionRate(l)})
-		}
+		order = append(order, rankedLink{l, n.CorruptionRate(l)})
 	}
 	sortRanked(order)
 	var disabled []topology.LinkID
@@ -47,12 +45,15 @@ func activationPolicies() []activationPolicy {
 // activationCoverage counts the re-checks a differential run reached, so a
 // generator that stops reaching the interesting cases fails loudly.
 type activationCoverage struct {
-	rechecks, skippable, disabling, fromViolated, scoped int
+	rechecks, skippable, disabling, fromViolated int
+	// shard counts activations held to an engine over the link's segment's
+	// sub-topology.
+	shard int
 	// violatedNoneAlone counts re-checks from a violated ToR where no link
-	// in scope passes the policy's check alone.
+	// passes the policy's check alone.
 	violatedNoneAlone int
-	// settledSkip counts unscoped re-checks that skipped a settled segment
-	// holding an active corrupting link; multiSegment those whose sweep or
+	// settledSkip counts re-checks that skipped a settled segment holding
+	// an active corrupting link; multiSegment those whose sweep or
 	// optimizer ran over two or more unsettled segments where a link
 	// passes alone.
 	settledSkip, multiSegment int
@@ -63,19 +64,21 @@ func (c *activationCoverage) add(o activationCoverage) {
 	c.skippable += o.skippable
 	c.disabling += o.disabling
 	c.fromViolated += o.fromViolated
-	c.scoped += o.scoped
+	c.shard += o.shard
 	c.violatedNoneAlone += o.violatedNoneAlone
 	c.settledSkip += o.settledSkip
 	c.multiSegment += o.multiSegment
 }
 
-// usesSettled reports whether p's unscoped re-check skips settled segments:
-// every policy but CorrOpt without segmentation.
-func (p activationPolicy) usesSettled() bool {
+// shardExact reports whether p's re-check decides each segment on its own,
+// as an engine over that segment's sub-topology does: every policy but
+// CorrOpt without segmentation, which solves the passing segments' links
+// jointly (a violated ToR in one segment then blocks every other's).
+func (p activationPolicy) shardExact() bool {
 	return p.kind != PolicyCorrOpt || !p.cfg.DisableSegmentation
 }
 
-// unsettled reports, before e activates link l, which segments its unscoped
+// unsettled reports, before e activates link l, which segments its
 // re-check will probe: those whose generation moved since e last found them
 // settled, l's own included when l is down (Enable moves it).
 func unsettled(e *Engine, l topology.LinkID) []bool {
@@ -97,8 +100,10 @@ func unsettled(e *Engine, l topology.LinkID) []bool {
 // activates a link, re-enables one without a re-check (what RepairLoop does
 // with a failed repair), raises or lowers a ToR's constraint, sets a link's
 // rate without the check (RepairLoop's Cleared and release paths), or
-// activates a link under its Partition segment's scope. The returned lists
-// and the network states must agree after every op.
+// activates a link and holds what it did in the link's segment to a fresh
+// engine over that segment's sub-topology loaded with the same state (see
+// shardExact). The returned lists and the network states must agree after
+// every op.
 func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops []byte) activationCoverage {
 	const threshold = 1e-7
 	got := randomCorruptionScenario(t, seed, 6)
@@ -119,26 +124,26 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 		t.Fatal(err)
 	}
 	we, _ := NewPolicyEngine(want, p.kind, cfg)
-	var segs []Scope
-	for _, seg := range topo.Partition() {
-		links := topology.NewLinkSet(topo.NumLinks())
-		for _, l := range seg.Links {
-			links.Add(l)
-		}
-		segs = append(segs, Scope{Links: links, ToRs: seg.ToRs})
+	// The constraint the switch-local rule was built for, which a shard's
+	// engine must be built under too.
+	c0 := 0.0
+	for _, tor := range topo.ToRs() {
+		c0 = max(c0, got.Constraint(tor))
 	}
-	reference := func(scope Scope) []topology.LinkID {
+	graphs := segmentGraphs(t, topo)
+	reference := func() []topology.LinkID {
 		if p.kind == PolicyCorrOpt {
-			d, _ := referenceRunScoped(want, LinearPenalty, p.cfg, threshold, scope.Links, scope.ToRs)
+			d, _ := referenceRun(want, LinearPenalty, p.cfg, threshold)
 			return d
 		}
-		return referenceSweep(want, we, threshold, scope.Links)
+		return referenceSweep(want, we, threshold)
 	}
 	var cov activationCoverage
 	rng := rngutil.New(seed).Split("activation")
 	for i, b := range ops {
 		l := topology.LinkID(int(b>>3) % topo.NumLinks())
-		var scope Scope
+		var shard *Engine // over sg, loaded before the activation
+		sg := graphs[topo.LinkSegment(l)]
 		switch b % 7 {
 		case 0:
 			rate := math.Pow(10, rng.Range(-8, -2))
@@ -178,47 +183,67 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 			sameOptimizerState(t, "unchecked rate", got, want)
 			continue
 		case 4:
-			scope = segs[int(b>>3)%len(segs)]
-			var in []topology.LinkID
-			scope.Links.Each(func(l topology.LinkID) { in = append(in, l) })
-			l = in[rng.Intn(len(in))]
-			cov.scoped++
+			if !p.shardExact() {
+				break
+			}
+			n, err := NewNetwork(sg.Topo, c0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shard, err = NewPolicyEngine(n, p.kind, cfg); err != nil {
+				t.Fatal(err)
+			}
+			loadShard(t, got, sg, n)
+			cov.shard++
 		}
 		cov.rechecks++
 		violated := got.tors.NumViolated() > 0
 		if violated {
 			cov.fromViolated++
 		}
-		var probed []bool
-		if scope.Links == nil && p.usesSettled() {
-			probed = unsettled(ge, l)
-		}
-		gd := ge.Activate(l, scope)
+		probed := unsettled(ge, l)
+		gd := ge.Activate(l)
 		want.Enable(l)
-		if violated && !passesAlone(want, we, threshold, scope.Links) {
+		if violated && !passesAlone(want, we, threshold) {
 			cov.violatedNoneAlone++
 		}
-		if probed != nil {
-			skipped, passing := false, map[int]bool{}
-			for _, m := range want.ActiveCorrupting(threshold) {
-				s := topo.LinkSegment(m)
-				if !probed[s] {
-					skipped = true
-				} else if we.CanDisable(m) {
-					passing[s] = true
-				}
-			}
-			if skipped {
-				cov.settledSkip++
-			}
-			if len(passing) >= 2 {
-				cov.multiSegment++
+		skipped, passing := false, map[int]bool{}
+		for _, m := range want.ActiveCorrupting(threshold) {
+			s := topo.LinkSegment(m)
+			if !probed[s] {
+				skipped = true
+			} else if we.CanDisable(m) {
+				passing[s] = true
 			}
 		}
-		wd := reference(scope)
+		if skipped {
+			cov.settledSkip++
+		}
+		if len(passing) >= 2 {
+			cov.multiSegment++
+		}
+		wd := reference()
 		if !slices.Equal(gd, wd) {
-			t.Fatalf("op %d: %v activation of link %d (scoped %v) disabled %v, reference %v",
-				i, p.kind, l, scope.Links != nil, gd, wd)
+			t.Fatalf("op %d: %v activation of link %d disabled %v, reference %v", i, p.kind, l, gd, wd)
+		}
+		if shard != nil {
+			sd := toSource(sg, shard.Activate(toLocal(t, sg, l)))
+			var inSeg []topology.LinkID
+			for _, m := range gd {
+				if topo.LinkSegment(m) == topo.LinkSegment(l) {
+					inSeg = append(inSeg, m)
+				}
+			}
+			if !slices.Equal(sd, inSeg) {
+				t.Fatalf("op %d: %v activation of link %d disabled %v in its segment, the segment's own engine %v",
+					i, p.kind, l, inSeg, sd)
+			}
+			for local, src := range sg.Links {
+				if shard.Network().Disabled(topology.LinkID(local)) != got.Disabled(src) {
+					t.Fatalf("op %d: link %d disabled %v, in the segment's own engine %v",
+						i, src, got.Disabled(src), !got.Disabled(src))
+				}
+			}
 		}
 		switch {
 		case len(gd) > 0:
@@ -231,11 +256,11 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 	return cov
 }
 
-// passesAlone reports whether some active corrupting link of n in scope
-// passes e's check on its own.
-func passesAlone(n *Network, e *Engine, threshold float64, scope *topology.LinkSet) bool {
+// passesAlone reports whether some active corrupting link of n passes e's
+// check on its own.
+func passesAlone(n *Network, e *Engine, threshold float64) bool {
 	for _, l := range n.ActiveCorrupting(threshold) {
-		if (scope == nil || scope.Has(l)) && e.CanDisable(l) {
+		if e.CanDisable(l) {
 			return true
 		}
 	}
@@ -246,10 +271,10 @@ func passesAlone(n *Network, e *Engine, threshold float64, scope *topology.LinkS
 // seeds under every policy, and requires the runs to have reached re-checks
 // from a feasible state that disable nothing (the skip), re-checks that
 // disable links, re-checks from a violated ToR, re-checks from a violated
-// ToR where no link passes alone (the skip from a violated state) and
-// scoped re-checks; and, wherever the policy's unscoped re-check skips
-// settled segments, re-checks that skipped one and re-checks that ran over
-// two or more segments where a link passes.
+// ToR where no link passes alone (the skip from a violated state), re-checks
+// that skipped a settled segment and re-checks that ran over two or more
+// segments where a link passes; and, wherever a segment's own engine must
+// agree, activations held to one.
 func TestActivationMatchesReference(t *testing.T) {
 	for pi, p := range activationPolicies() {
 		var total activationCoverage
@@ -262,8 +287,8 @@ func TestActivationMatchesReference(t *testing.T) {
 			total.add(activationDifferential(t, seed, p, ops))
 		}
 		t.Logf("policy %d (%v): %+v", pi, p.kind, total)
-		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.violatedNoneAlone == 0 || total.scoped == 0 ||
-			p.usesSettled() && (total.settledSkip == 0 || total.multiSegment == 0) {
+		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.violatedNoneAlone == 0 ||
+			total.settledSkip == 0 || total.multiSegment == 0 || p.shardExact() && total.shard == 0 {
 			t.Errorf("policy %d (%v): re-checks covered %+v", pi, p.kind, total)
 		}
 	}
@@ -286,11 +311,11 @@ func FuzzActivationDifferential(f *testing.F) {
 
 // TestResetStateUnsettles: a replaced disabled set brings corrupting links
 // back up without an Enable, so it moves every segment's generation, and
-// the next unscoped re-check probes them again.
+// the next re-check probes them again.
 func TestResetStateUnsettles(t *testing.T) {
 	e, hot := activationState(t, 6)
 	net := e.Network()
-	if got, _ := e.recheck(Scope{}); got != nil {
+	if got, _ := e.recheck(); got != nil {
 		t.Fatalf("re-check of a blocked fabric disabled %v", got)
 	}
 	up := disabledUplink(t, net, hot[0])
@@ -302,7 +327,7 @@ func TestResetStateUnsettles(t *testing.T) {
 	})
 	net.resetState(keep)
 	// hot[0] has all six uplinks up and corrupting again: one can go.
-	if got, _ := e.recheck(Scope{}); len(got) != 1 {
+	if got, _ := e.recheck(); len(got) != 1 {
 		t.Fatalf("re-check after a loaded state disabled %v, want one of ToR %d's uplinks", got, hot[0])
 	}
 }

@@ -127,14 +127,6 @@ func (d Decision) Reason() string {
 	}
 }
 
-// Scope restricts an activation's re-check to one cone-closed segment of
-// the topology (see Optimizer.RunScoped for the exactness preconditions).
-// The zero value is the whole topology.
-type Scope struct {
-	Links *topology.LinkSet
-	ToRs  []topology.SwitchID
-}
-
 // Engine is the decision half of Figure 13, the only implementation of it in
 // the repository: switches report corruption; the policy's check decides
 // immediately whether the link can be disabled; when repaired links come
@@ -150,21 +142,21 @@ type Engine struct {
 	threshold float64
 
 	scratch sweepScratch // the activation re-check's
-	// settled is the unscoped re-check's record of the segments, made by
-	// the first one: the fleet's shard engines re-check scoped and carry a
-	// single word for it. Another engine on the same network keeps its own.
+	// settled is the re-check's record of the segments, made by the first
+	// one, so an engine that never re-checks carries a single word for it.
+	// Another engine on the same network keeps its own.
 	settled *segChecks
 }
 
-// segChecks is what the unscoped re-checks know of the segments: segs[s] of
-// segment s (see Network.gen), and probed lists the segments the current
-// re-check probes.
+// segChecks is what the re-checks know of the segments: segs[s] of segment
+// s (see Network.gen), and probed lists the segments the current re-check
+// probes.
 type segChecks struct {
 	segs   []segCheck
 	probed []int32
 }
 
-// segCheck is what an unscoped re-check knows of one segment.
+// segCheck is what the re-check knows of one segment.
 type segCheck struct {
 	// settled is 1 + the segment's generation when this engine's re-check
 	// last found no active corrupting link there passing alone; 0 if never.
@@ -306,33 +298,37 @@ func (e *Engine) CanDisable(l topology.LinkID) bool {
 
 // Activate enables link l and runs the policy's activation step — the
 // optimizer under PolicyCorrOpt, a worst-first sweep of the policy's check
-// under the baselines — over the remaining active corrupting links in
-// scope, as link activations are what create room to disable more of them.
-// It returns the newly disabled links. l's recorded corruption rate is left
-// as it is: callers that know the link came back clean use LinkRepaired.
+// under the baselines — over the remaining active corrupting links, as link
+// activations are what create room to disable more of them. It returns the
+// newly disabled links. l's recorded corruption rate is left as it is:
+// callers that know the link came back clean use LinkRepaired.
 //
 // Disabling a link only removes paths, so nothing goes together unless
 // something goes alone: a link the policy's check refuses on its own is in
-// no set that can go. The step therefore first probes the links in scope
-// alone. The sweep offers only those that pass; the optimizer is skipped
-// when none does, which is most activations of a running fabric. An
-// unscoped step probes only the segments that changed since the engine
-// last found them settled (see recheck).
-func (e *Engine) Activate(l topology.LinkID, scope Scope) []topology.LinkID {
+// no set that can go. The step therefore first probes the links alone, and
+// only in the segments that changed since the engine last found them
+// settled (see recheck). The sweep offers only the links that pass; the
+// optimizer is skipped when none does, which is most activations of a
+// running fabric.
+func (e *Engine) Activate(l topology.LinkID) []topology.LinkID {
 	e.net.Enable(l)
-	disabled, _ := e.recheck(scope)
+	disabled, _ := e.recheck()
 	return disabled
 }
 
 // LinkRepaired handles a link coming back from repair: its corruption
 // record is cleared (a link that is still corrupting gets re-reported by
-// monitoring) and it is activated over the whole topology.
+// monitoring) and it is activated.
 func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
 	e.net.SetCorruption(l, 0)
-	return e.Activate(l, Scope{})
+	return e.Activate(l)
 }
 
-// recheck runs the policy's activation step over scope.
+// recheck runs the policy's activation step. It probes the active
+// corrupting links of the unsettled segments alone — all of them for a
+// sweep, up to the first pass per segment for the optimizer — marks the
+// segments where none passes settled, and hands the links of the others to
+// the sweep or the optimizer.
 //
 // The optimizer's skip is exact from a violated state too. A ToR violated
 // now stays in violatedUnder's result, so every link upstream of it shares
@@ -347,31 +343,11 @@ func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
 // segment, reject cache and budget lies inside one, and so does every
 // input of a link's check. A segment where no link passes alone therefore
 // contributes nothing to a whole-fabric step, and the step over the
-// segments where some link passes returns the same list. An unscoped
-// re-check uses that twice: it probes only the segments whose generation
-// (Network.gen) moved since it last found them settled, and runs the sweep
-// or the optimizer over the segments that pass. Without segmentation the
-// optimizer solves every contested link jointly, so that configuration
-// keeps the whole-fabric step.
-func (e *Engine) recheck(scope Scope) ([]topology.LinkID, OptimizeStats) {
-	if scope.Links == nil && (e.opt == nil || !e.opt.cfg.DisableSegmentation) {
-		return e.recheckUnsettled()
-	}
-	if e.opt == nil {
-		return sweep(e.net, e, e.threshold, scope.Links, &e.scratch), OptimizeStats{}
-	}
-	if !e.anyAlone(scope.Links) {
-		return nil, OptimizeStats{}
-	}
-	return e.opt.RunScoped(e.threshold, scope.Links, scope.ToRs)
-}
-
-// recheckUnsettled is the unscoped re-check. It probes the active
-// corrupting links of the unsettled segments alone — all of them for a
-// sweep, up to the first pass per segment for the optimizer — marks the
-// segments where none passes settled, and hands the links of the others to
-// the sweep or the optimizer.
-func (e *Engine) recheckUnsettled() ([]topology.LinkID, OptimizeStats) {
+// segments where some link passes returns the same list. Without
+// segmentation the optimizer solves every contested link jointly, so it is
+// handed every active corrupting link; that is the whole-fabric step too,
+// as a settled segment holds no link that passes alone.
+func (e *Engine) recheck() ([]topology.LinkID, OptimizeStats) {
 	topo, gen, b := e.net.topo, e.net.gen, &e.scratch
 	if e.settled == nil {
 		n := topo.NumSegments()
@@ -408,12 +384,12 @@ func (e *Engine) recheckUnsettled() ([]topology.LinkID, OptimizeStats) {
 	}
 	kept := b.active[:0]
 	for _, l := range b.active {
-		if sc.segs[topo.LinkSegment(l)].pass {
+		if e.opt.cfg.DisableSegmentation || sc.segs[topo.LinkSegment(l)].pass {
 			kept = append(kept, l)
 		}
 	}
 	sc.settle(gen)
-	return e.opt.run(kept, nil)
+	return e.opt.run(kept)
 }
 
 // settle ends a re-check: a probed segment where no link passed is settled
@@ -430,17 +406,4 @@ func (sc *segChecks) settle(gen []uint64) {
 		seg.probed, seg.pass = false, false
 	}
 	sc.probed = sc.probed[:0]
-}
-
-// anyAlone reports whether some active corrupting link in scope passes the
-// fast check on its own. It stops at the first: the optimizer, not this
-// scan, decides what goes.
-func (e *Engine) anyAlone(scope *topology.LinkSet) bool {
-	e.scratch.active = e.net.AppendActiveCorrupting(e.scratch.active[:0], e.threshold)
-	for _, l := range e.scratch.active {
-		if (scope == nil || scope.Has(l)) && e.fast.CanDisable(l) {
-			return true
-		}
-	}
-	return false
 }

@@ -163,7 +163,7 @@ func TestEngineReoptimize(t *testing.T) {
 	// recorded out of band).
 	net.SetCorruption(1, 1e-3)
 	net.SetCorruption(2, 1e-3)
-	disabled, st := e.recheck(Scope{})
+	disabled, st := e.recheck()
 	if len(disabled) != 2 {
 		t.Fatalf("re-check disabled %d, want 2 (stats %+v)", len(disabled), st)
 	}
@@ -198,7 +198,7 @@ func TestRecheckAfterOpsDisablesNothing(t *testing.T) {
 					} else {
 						e.LinkRepaired(l)
 					}
-					if got, _ := e.recheck(Scope{}); len(got) != 0 {
+					if got, _ := e.recheck(); len(got) != 0 {
 						t.Fatalf("c=%v seed %d op %d on link %d: re-check disabled %v", capacity, seed, op, l, got)
 					}
 				}
@@ -266,22 +266,14 @@ func TestSwitchLocalRawValidation(t *testing.T) {
 }
 
 // TestEnginePolicies drives one seeded report/repair script through the
-// engine under each policy, twice: once activating over the whole topology
-// (LinkRepaired) and once scoped to the repaired link's segment of a
-// Partitioned Clos (clear + Activate). Every decision and every activation
-// result must agree, the capacity constraint must hold throughout, and each
-// policy must reach the outcomes it can produce.
+// engine under each policy, twice: once over a whole Clos, and once as a
+// fleet shards it, over one engine per segment's sub-topology, each seeing
+// its own segment's reports and repairs. Every decision and every
+// activation result must agree, the capacity constraint must hold
+// throughout, and each policy must reach the outcomes it can produce.
 func TestEnginePolicies(t *testing.T) {
-	topo := scopedTestTopo(t)
-	segs := topo.Partition()
-	scopeOf := make([]Scope, topo.NumLinks())
-	for _, seg := range segs {
-		sc := Scope{Links: topology.NewLinkSet(topo.NumLinks()), ToRs: seg.ToRs}
-		for _, l := range seg.Links {
-			sc.Links.Add(l)
-			scopeOf[l] = sc
-		}
-	}
+	topo := shardTestTopo(t)
+	graphs := segmentGraphs(t, topo)
 
 	type op struct {
 		repair bool
@@ -313,7 +305,7 @@ func TestEnginePolicies(t *testing.T) {
 		{PolicyCorrOpt, all},
 	} {
 		t.Run(tc.policy.String(), func(t *testing.T) {
-			build := func() *Engine {
+			build := func(topo *topology.Topology) *Engine {
 				// c = 0.25: the switch-local rule then lets one of a switch's
 				// three uplinks go (sc = 0.5), so every policy has room to act.
 				net, err := NewNetwork(topo, 0.25)
@@ -326,21 +318,26 @@ func TestEnginePolicies(t *testing.T) {
 				}
 				return e
 			}
-			whole, scoped := build(), build()
+			whole := build(topo)
+			shards := make([]*Engine, len(graphs))
+			for i, sg := range graphs {
+				shards[i] = build(sg.Topo)
+			}
 			seen := map[Outcome]bool{}
 			activated := 0
 			for i, o := range script {
+				sg := graphs[topo.LinkSegment(o.link)]
+				shard, local := shards[topo.LinkSegment(o.link)], toLocal(t, sg, o.link)
 				if o.repair {
 					got := whole.LinkRepaired(o.link)
-					scoped.Network().SetCorruption(o.link, 0)
-					if sc := scoped.Activate(o.link, scopeOf[o.link]); !slices.Equal(sc, got) {
-						t.Fatalf("op %d: repair of %d: scoped activation disabled %v, whole-topology %v", i, o.link, sc, got)
+					if sc := toSource(sg, shard.LinkRepaired(local)); !slices.Equal(sc, got) {
+						t.Fatalf("op %d: repair of %d: shard activation disabled %v, whole-topology %v", i, o.link, sc, got)
 					}
 					activated += len(got)
 				} else {
-					got, sc := whole.ReportCorruption(o.link, o.rate), scoped.ReportCorruption(o.link, o.rate)
-					if got != sc || got.Reason() != sc.Reason() {
-						t.Fatalf("op %d: report %d at %g: scoped engine decided %+v, whole-topology %+v", i, o.link, o.rate, sc, got)
+					got, sc := whole.ReportCorruption(o.link, o.rate), shard.ReportCorruption(local, o.rate)
+					if got.Outcome != sc.Outcome || got.Disabled != sc.Disabled || got.Reason() != sc.Reason() {
+						t.Fatalf("op %d: report %d at %g: shard engine decided %+v, whole-topology %+v", i, o.link, o.rate, sc, got)
 					}
 					down := got.Outcome == OutcomeDisabled || got.Outcome == OutcomeAlreadyDisabled
 					if got.Disabled != down || (down && !whole.Network().Disabled(o.link)) || (got.Reason() == "") != (got.Outcome == OutcomeDisabled) {
@@ -360,8 +357,12 @@ func TestEnginePolicies(t *testing.T) {
 			if (activated > 0) != (tc.policy != PolicyNone) {
 				t.Errorf("activations disabled %d links in total", activated)
 			}
-			if whole.Network().NumDisabled() != scoped.Network().NumDisabled() {
-				t.Errorf("final state differs: %d vs %d links down", whole.Network().NumDisabled(), scoped.Network().NumDisabled())
+			down := 0
+			for _, sh := range shards {
+				down += sh.Network().NumDisabled()
+			}
+			if whole.Network().NumDisabled() != down {
+				t.Errorf("final state differs: %d vs %d links down", whole.Network().NumDisabled(), down)
 			}
 		})
 	}

@@ -74,7 +74,7 @@ func (fc *FastChecker) DisableIfSafe(l topology.LinkID) bool {
 // alone, and a state where none does is maximal — the paper's remark that
 // the network is maximal after a sweep until the next activation.
 func (fc *FastChecker) Sweep(threshold float64) []topology.LinkID {
-	return sweep(fc.net, fc, threshold, nil, &sweepScratch{})
+	return sweep(fc.net, fc, threshold, &sweepScratch{})
 }
 
 // checker is a link-disabling rule: the fast checker's global path counts,
@@ -93,17 +93,16 @@ type sweepScratch struct {
 	order  []rankedLink
 }
 
-// sweep offers c the active corrupting links at or above threshold (within
-// scope, when non-nil) that pass c's check on their own, worst first with
-// ties broken by LinkID so the order — and therefore the disabled set — is
-// deterministic. It returns the links c disabled: those a sweep over every
-// active corrupting link disables, as a link c refuses alone it refuses at
-// its turn too.
-func sweep(n *Network, c checker, threshold float64, scope *topology.LinkSet, b *sweepScratch) []topology.LinkID {
+// sweep offers c the active corrupting links at or above threshold that
+// pass c's check on their own, worst first with ties broken by LinkID so the
+// order — and therefore the disabled set — is deterministic. It returns
+// the links c disabled: those a sweep over every active corrupting link
+// disables, as a link c refuses alone it refuses at its turn too.
+func sweep(n *Network, c checker, threshold float64, b *sweepScratch) []topology.LinkID {
 	b.active = n.AppendActiveCorrupting(b.active[:0], threshold)
 	order := b.order[:0]
 	for _, l := range b.active {
-		if (scope == nil || scope.Has(l)) && c.CanDisable(l) {
+		if c.CanDisable(l) {
 			order = append(order, rankedLink{l, n.links.Rate(l)})
 		}
 	}

@@ -116,7 +116,7 @@ var hotpathFloors = []hotpathFloor{{
 		net, corrupting := largeCorruptingNetwork(tb)
 		topo := net.Topology()
 		corrupting = append(corrupting, topo.Switch(topo.ToRs()[0]).Uplinks...)
-		loop, err := NewRepairLoop(NewEngine(net, EngineConfig{}), RepairConfig{}, nil, nil)
+		loop, err := NewRepairLoop(NewEngine(net, EngineConfig{}), RepairConfig{}, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -315,14 +315,11 @@ func (n *Network) ViolatedToRs(extra map[topology.LinkID]bool) []topology.Switch
 // fall under Apply, so a ToR that met and never changed still meets, one
 // found violated stays violated, and one violated at the end was last tested
 // at its final count. Otherwise — links forced down unchecked, a constraint
-// raised, a loaded state — every ToR is tested after the last Apply: a nil
-// tors scans them all, a non-nil tors restricts the scan to those switches,
-// which is exact when every link in extra has all its downstream ToRs in tors
-// (the segment boundary invariant, under which the changed ToRs lie in tors
-// too). applied and out are optional scratch buffers (overwritten from length
+// raised, a loaded state — every ToR is tested after the last Apply.
+// applied and out are optional scratch buffers (overwritten from length
 // zero); the result slices alias them, so each caller must own its buffers
 // and must not retain the result past its next call.
-func (n *Network) violatedUnder(tors []topology.SwitchID, extra, applied []topology.LinkID, out []topology.SwitchID) ([]topology.SwitchID, []topology.LinkID) {
+func (n *Network) violatedUnder(extra, applied []topology.LinkID, out []topology.SwitchID) ([]topology.SwitchID, []topology.LinkID) {
 	applied, out = applied[:0], out[:0]
 	counts, total := n.pc.IncCounts(), n.pc.Total() // live: Apply updates counts in place
 	changedOnly := n.tors.NumViolated() == 0
@@ -346,10 +343,7 @@ func (n *Network) violatedUnder(tors []topology.SwitchID, extra, applied []topol
 		slices.Sort(out)
 		out = slices.Compact(out)
 	} else {
-		if tors == nil {
-			tors = n.topo.ToRs()
-		}
-		for _, tor := range tors {
+		for _, tor := range n.topo.ToRs() {
 			if !n.tors.Meets(tor, counts, total) {
 				out = append(out, tor)
 			}

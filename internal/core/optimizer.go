@@ -143,38 +143,13 @@ func NewOptimizer(net *Network, penalty PenaltyFunc, cfg OptimizerConfig) *Optim
 // disables the chosen subset on the network, and returns the disabled links
 // along with run statistics.
 func (o *Optimizer) Run(threshold float64) ([]topology.LinkID, OptimizeStats) {
-	return o.RunScoped(threshold, nil, nil)
+	o.activeBuf = o.net.AppendActiveCorrupting(o.activeBuf[:0], threshold)
+	return o.run(o.activeBuf)
 }
 
-// RunScoped is Run restricted to one shard segment: only active corrupting
-// links in scope are considered for disabling, and the initial feasibility
-// probe scans only tors instead of every ToR, so a run costs O(segment)
-// rather than O(topology).
-//
-// Exactness requires the segment boundary invariant from
-// topology.Partition: scope must be cone-closed (every scoped link's
-// downstream ToRs are all in tors) and every ToR outside tors must currently
-// meet its constraint. Under those preconditions the result is identical to
-// what Run would choose from the scoped links. A nil scope with nil tors is
-// exactly Run.
-func (o *Optimizer) RunScoped(threshold float64, scope *topology.LinkSet, tors []topology.SwitchID) ([]topology.LinkID, OptimizeStats) {
-	active := o.net.AppendActiveCorrupting(o.activeBuf[:0], threshold)
-	if scope != nil {
-		kept := active[:0]
-		for _, l := range active {
-			if scope.Has(l) {
-				kept = append(kept, l)
-			}
-		}
-		active = kept
-	}
-	o.activeBuf = active
-	return o.run(active, tors)
-}
-
-// run is RunScoped over the given active corrupting links, which it may
-// disable but does not retain.
-func (o *Optimizer) run(active []topology.LinkID, tors []topology.SwitchID) ([]topology.LinkID, OptimizeStats) {
+// run is Run over the given active corrupting links, which it may disable
+// but does not retain.
+func (o *Optimizer) run(active []topology.LinkID) ([]topology.LinkID, OptimizeStats) {
 	st := OptimizeStats{Active: len(active)}
 	if len(active) == 0 {
 		return nil, st
@@ -182,7 +157,7 @@ func (o *Optimizer) run(active []topology.LinkID, tors []topology.SwitchID) ([]t
 
 	// What breaks if everything goes? One incremental probe per active
 	// link, not a full sweep.
-	violated, applied := o.net.violatedUnder(tors, active, o.appliedBuf, o.violatedBuf)
+	violated, applied := o.net.violatedUnder(active, o.appliedBuf, o.violatedBuf)
 	o.violatedBuf, o.appliedBuf = violated, applied
 	if len(violated) == 0 {
 		// Everything can go. Copy out of the scratch buffer: the returned

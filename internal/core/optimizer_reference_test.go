@@ -35,21 +35,16 @@ func referenceCone(topo *topology.Topology, tor topology.SwitchID, set *topology
 	}
 }
 
-// referenceRunScoped is Optimizer.RunScoped over per-ToR upstream link cones.
-func referenceRunScoped(net *Network, penalty PenaltyFunc, cfg OptimizerConfig, threshold float64, scope *topology.LinkSet, tors []topology.SwitchID) ([]topology.LinkID, OptimizeStats) {
+// referenceRun is Optimizer.Run over per-ToR upstream link cones.
+func referenceRun(net *Network, penalty PenaltyFunc, cfg OptimizerConfig, threshold float64) ([]topology.LinkID, OptimizeStats) {
 	cfg.fillDefaults()
 	var st OptimizeStats
-	var active []topology.LinkID
-	for _, l := range net.ActiveCorrupting(threshold) {
-		if scope == nil || scope.Has(l) {
-			active = append(active, l)
-		}
-	}
+	active := net.ActiveCorrupting(threshold)
 	st.Active = len(active)
 	if len(active) == 0 {
 		return nil, st
 	}
-	violated, _ := net.violatedUnder(tors, active, nil, nil)
+	violated, _ := net.violatedUnder(active, nil, nil)
 	if len(violated) == 0 {
 		for _, l := range active {
 			net.Disable(l)
@@ -255,18 +250,17 @@ func (op stateOp) apply(tb testing.TB, n *Network) {
 	}
 }
 
-// drawOps draws one batch of state changes inside links (a shard's scope, or
-// every link), concentrated on a few hot switches so that a run finds
+// drawOps draws one batch of state changes over topo's links, concentrated on a few hot switches so that a run finds
 // contested links: most uplinks of a hot switch start corrupting, and some
 // are forced down unchecked or re-enabled. Now and then a ToR below a hot
 // switch has its constraint raised. Forced disables and raised constraints
 // leave ToRs violated before the run. Only links whose lower endpoint sits at
 // or below stage maxStage corrupt, so the optimizer's stage bound is at most
 // maxStage.
-func drawOps(rng *rngutil.Source, topo *topology.Topology, links []topology.LinkID, maxStage topology.Stage) []stateOp {
+func drawOps(rng *rngutil.Source, topo *topology.Topology, maxStage topology.Stage) []stateOp {
 	var ops []stateOp
 	for hot := 1 + rng.Intn(4); hot > 0; hot-- {
-		sw := topo.Link(links[rng.Intn(len(links))]).Lower
+		sw := topo.Link(topology.LinkID(rng.Intn(topo.NumLinks()))).Lower
 		for topo.Switch(sw).Stage > maxStage {
 			sw = topo.Link(topo.Switch(sw).Downlinks[0]).Lower
 		}
@@ -311,13 +305,11 @@ func sameOptimizerState(tb testing.TB, what string, got, want *Network) {
 	}
 }
 
-// differentialFabric is one topology the differential runs on, with the
-// scopes its runs take turns over: a nil scope is a whole-topology Run.
+// differentialFabric is one topology the differential runs on.
 type differentialFabric struct {
-	name   string
-	topo   *topology.Topology
-	c      float64
-	scopes []Scope
+	name string
+	topo *topology.Topology
+	c    float64
 }
 
 func differentialFabrics(t *testing.T) []differentialFabric {
@@ -332,44 +324,32 @@ func differentialFabrics(t *testing.T) []differentialFabric {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A fleet shard: the sub-topology of two pods, each re-checked under its
-	// own segment's scope.
-	clos := scopedTestTopo(t)
+	// The sub-topology of two pods: a fleet shard's shape, with more than
+	// one segment.
+	clos := shardTestTopo(t)
 	sg, err := clos.SegmentGraph(clos.Partition()[1:3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shard []Scope
-	for _, seg := range sg.Topo.Partition() {
-		links := topology.NewLinkSet(sg.Topo.NumLinks())
-		for _, l := range seg.Links {
-			links.Add(l)
-		}
-		shard = append(shard, Scope{Links: links, ToRs: seg.ToRs})
-	}
-	if len(shard) != 2 {
-		t.Fatalf("shard has %d segments, want 2", len(shard))
+	if n := sg.Topo.NumSegments(); n != 2 {
+		t.Fatalf("shard has %d segments, want 2", n)
 	}
 	return []differentialFabric{
-		{"medium-clos", medium, 0.75, []Scope{{}}},
-		{"fattree-8", fat, 0.5, []Scope{{}}},
-		{"multitier-5", tiers, 0.5, []Scope{{}}},
-		{"shard", sg.Topo, 0.5, shard},
+		{"medium-clos", medium, 0.75},
+		{"fattree-8", fat, 0.5},
+		{"multitier-5", tiers, 0.5},
+		{"shard", sg.Topo, 0.5},
 	}
 }
 
-// TestRunScopedMatchesConeReference runs random re-check sequences — each
+// TestRunMatchesConeReference runs random re-check sequences — each
 // optimizer reused across runs, as an Engine reuses it across activations —
 // on four fabrics under every ablation, and requires the disabled list
 // (order included), every OptimizeStats field and the resulting network
 // state to equal the link-cone reference's.
-func TestRunScopedMatchesConeReference(t *testing.T) {
+func TestRunMatchesConeReference(t *testing.T) {
 	const threshold = DefaultDetectionThreshold
 	for _, fab := range differentialFabrics(t) {
-		var all []topology.LinkID
-		for l := range fab.topo.NumLinks() {
-			all = append(all, topology.LinkID(l))
-		}
 		// What the states covered, so a generator that stops reaching the
 		// interesting cases fails here rather than passing vacuously.
 		var preViolated, multiSegment, searched, tops int
@@ -385,13 +365,7 @@ func TestRunScopedMatchesConeReference(t *testing.T) {
 				opt := NewOptimizer(got, LinearPenalty, cfg)
 				maxStage := topology.Stage(int(seed) % (fab.topo.Stages() - 1))
 				for step := 0; step < 8; step++ {
-					scope := fab.scopes[step%len(fab.scopes)]
-					links := all
-					if scope.Links != nil {
-						links = links[:0:0]
-						scope.Links.Each(func(l topology.LinkID) { links = append(links, l) })
-					}
-					for _, op := range drawOps(rng, fab.topo, links, maxStage) {
+					for _, op := range drawOps(rng, fab.topo, maxStage) {
 						op.apply(t, got)
 						op.apply(t, want)
 					}
@@ -407,8 +381,8 @@ func TestRunScopedMatchesConeReference(t *testing.T) {
 						tops++
 					}
 
-					gd, gst := opt.RunScoped(threshold, scope.Links, scope.ToRs)
-					wd, wst := referenceRunScoped(want, LinearPenalty, cfg, threshold, scope.Links, scope.ToRs)
+					gd, gst := opt.Run(threshold)
+					wd, wst := referenceRun(want, LinearPenalty, cfg, threshold)
 					if !slices.Equal(gd, wd) || gst != wst {
 						t.Fatalf("%s config %d seed %d step %d: disabled %v (%+v), reference %v (%+v)",
 							fab.name, ci, seed, step, gd, gst, wd, wst)
@@ -432,10 +406,12 @@ func TestRunScopedMatchesConeReference(t *testing.T) {
 	}
 }
 
-// FuzzOptimizerDifferential fuzzes RunScoped against the link-cone reference
-// over random operation sequences on a small Clos: each op byte sets a
-// corruption rate, forces a link down, enables one, raises a ToR constraint
-// or runs both optimizers, which must then agree exactly.
+// FuzzOptimizerDifferential fuzzes Run against the link-cone reference
+// over random operation sequences on a small two-pod Clos, or, for an odd
+// seed, on a fleet shard of it: its first pod's sub-topology, loaded with
+// the pod's state. Each op byte sets a corruption rate, forces a link down,
+// enables one, raises a ToR constraint or runs both optimizers, which must
+// then agree exactly.
 func FuzzOptimizerDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(0), []byte{0, 5, 10, 4, 15, 9, 20, 14})
 	f.Add(uint64(7), uint8(5), []byte{0xff, 0x10, 0x24, 0x4b, 0x64, 0x99})
@@ -446,6 +422,14 @@ func FuzzOptimizerDifferential(f *testing.F) {
 		cfg := differentialConfigs[int(cfgIndex)%len(differentialConfigs)]
 		got := randomCorruptionScenario(t, seed, 6)
 		want := randomCorruptionScenario(t, seed, 6)
+		if seed%2 == 1 {
+			sg := segmentGraphs(t, got.Topology())[0]
+			whole := got
+			got, _ = NewNetwork(sg.Topo, 0.5)
+			want, _ = NewNetwork(sg.Topo, 0.5)
+			loadShard(t, whole, sg, got)
+			loadShard(t, whole, sg, want)
+		}
 		topo := got.Topology()
 		opt := NewOptimizer(got, LinearPenalty, cfg)
 		rng := rngutil.New(seed).Split("ops")
@@ -460,7 +444,7 @@ func FuzzOptimizerDifferential(f *testing.F) {
 				op.v = rng.Range(0.3, 1)
 			case 4:
 				gd, gst := opt.Run(1e-7)
-				wd, wst := referenceRunScoped(want, LinearPenalty, cfg, 1e-7, nil, nil)
+				wd, wst := referenceRun(want, LinearPenalty, cfg, 1e-7)
 				if !slices.Equal(gd, wd) || gst != wst {
 					t.Fatalf("disabled %v (%+v), reference %v (%+v)", gd, gst, wd, wst)
 				}

@@ -320,14 +320,14 @@ func TestActivationRecheckAllocs(t *testing.T) {
 	e, hot := activationState(t, 6)
 	net := e.Network()
 	topo := net.Topology()
-	if _, st := e.opt.RunScoped(e.threshold, nil, nil); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
+	if _, st := e.opt.Run(e.threshold); len(e.opt.violatedBuf) < 5 || st.Segments < 3 {
 		t.Fatalf("re-check finds %d violated ToRs in %d segments, want ≥ 5 in ≥ 3", len(e.opt.violatedBuf), st.Segments)
 	}
 	// An enabled clean agg uplink in a pod with no corruption.
 	clean := topo.Switch(topo.Link(topo.Switch(topo.ToRs()[len(topo.ToRs())-1]).Uplinks[0]).Upper).Uplinks[0]
 	nothing := func() {
 		for range hot {
-			if got := e.Activate(clean, Scope{}); got != nil {
+			if got := e.Activate(clean); got != nil {
 				t.Fatalf("activating a clean link disabled %v", got)
 			}
 		}
@@ -339,7 +339,7 @@ func TestActivationRecheckAllocs(t *testing.T) {
 	// one of its corrupting uplinks again.
 	some := func() {
 		for _, tor := range hot {
-			if got := e.Activate(disabledUplink(t, net, tor), Scope{}); len(got) != 1 {
+			if got := e.Activate(disabledUplink(t, net, tor)); len(got) != 1 {
 				t.Fatalf("re-check at ToR %d disabled %v, want one link", tor, got)
 			}
 		}
@@ -351,7 +351,7 @@ func TestActivationRecheckAllocs(t *testing.T) {
 	// back: the re-check probes that pod's blocked uplinks and no other's.
 	toggle := settledToggle(t, e, hot[0])
 	if n := testing.AllocsPerRun(10, toggle); n != 0 {
-		t.Errorf("an unscoped re-check from a settled fabric: %v allocs, want 0", n)
+		t.Errorf("a re-check from a settled fabric: %v allocs, want 0", n)
 	}
 	for _, l := range net.ActiveCorrupting(e.threshold) {
 		if s := topo.LinkSegment(l); e.settled.segs[s].settled != net.gen[s]+1 {
@@ -367,12 +367,12 @@ func settledToggle(tb testing.TB, e *Engine, hot topology.SwitchID) func() {
 	net := e.Network()
 	topo := net.Topology()
 	clean := topo.Switch(topo.Link(topo.Switch(hot).Uplinks[0]).Upper).Uplinks[0]
-	if e.Activate(clean, Scope{}) != nil {
+	if e.Activate(clean) != nil {
 		tb.Fatal("activating a clean link disabled links")
 	}
 	return func() {
 		net.Disable(clean)
-		if e.Activate(clean, Scope{}) != nil {
+		if e.Activate(clean) != nil {
 			tb.Fatal("activating a clean link disabled links")
 		}
 	}
@@ -405,7 +405,7 @@ func BenchmarkActivationBlocked(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if e.Activate(clean, Scope{}) != nil {
+		if e.Activate(clean) != nil {
 			b.Fatal("activating a clean link disabled links")
 		}
 	}
@@ -421,7 +421,7 @@ func BenchmarkOptimizerActivation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tor := hot[i%len(hot)]
-		if len(e.Activate(disabledUplink(b, net, tor), Scope{})) != 1 {
+		if len(e.Activate(disabledUplink(b, net, tor))) != 1 {
 			b.Fatal("re-check did not disable one link")
 		}
 	}

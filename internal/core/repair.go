@@ -115,7 +115,6 @@ type RepairLoop struct {
 	net      *Network
 	cfg      RepairConfig
 	diagnose DiagnoseFunc
-	scope    func(topology.LinkID) Scope
 	queue    *tickets.Queue // owns each link's open ticket
 
 	reseated   map[topology.LinkID]bool // since the last successful repair
@@ -127,18 +126,17 @@ type RepairLoop struct {
 }
 
 // NewRepairLoop returns a RepairLoop over eng. diagnose feeds each ticket's
-// recommendation (nil: none); scope gives a repaired link's activation
-// scope (nil: the whole topology).
-func NewRepairLoop(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc, scope func(topology.LinkID) Scope) (*RepairLoop, error) {
+// recommendation (nil: none).
+func NewRepairLoop(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc) (*RepairLoop, error) {
 	r := new(RepairLoop)
-	return r, r.Reset(eng, cfg, diagnose, scope)
+	return r, r.Reset(eng, cfg, diagnose)
 }
 
 // Reset rebuilds the loop as NewRepairLoop would, keeping its ticket arena
 // and map storage; tickets handed out before Reset are invalidated. Every
 // link eng's network already has down (a restored state) gets a ticket at
 // time zero.
-func (r *RepairLoop) Reset(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc, scope func(topology.LinkID) Scope) error {
+func (r *RepairLoop) Reset(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc) error {
 	if d := cfg.Dampening; d != nil && (d.Window <= 0 || d.Flaps <= 0 || d.Holddown <= 0) {
 		return fmt.Errorf("core: dampening requires positive window, flaps, and holddown (got %v, %d, %v)",
 			d.Window, d.Flaps, d.Holddown)
@@ -149,7 +147,7 @@ func (r *RepairLoop) Reset(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc,
 		r.collateral, r.dampUntil = make(map[topology.LinkID]int), make(map[topology.LinkID]time.Duration)
 		r.flapAt = make(map[topology.LinkID][]time.Duration)
 	}
-	r.eng, r.net, r.cfg, r.diagnose, r.scope = eng, eng.Network(), cfg, diagnose, scope
+	r.eng, r.net, r.cfg, r.diagnose = eng, eng.Network(), cfg, diagnose
 	r.queue.Reset(tickets.QueueConfig{Staffing: cfg.Staffing, Quiet: true})
 	clear(r.reseated)
 	clear(r.collateral)
@@ -252,12 +250,8 @@ func (r *RepairLoop) Collateral(l topology.LinkID) bool { return r.collateral[l]
 
 // activate returns l to service and tickets what the re-check disables.
 func (r *RepairLoop) activate(l topology.LinkID, now time.Duration) RepairStep {
-	var scope Scope
-	if r.scope != nil {
-		scope = r.scope(l)
-	}
 	//lint:allow escapes the re-check allocates its scratch once and the list it returns only when it disables a link
-	for _, nl := range r.eng.Activate(l, scope) {
+	for _, nl := range r.eng.Activate(l) {
 		r.openTicket(nl, now)
 	}
 	return RepairStep{Resolution: Enabled, Opened: r.opened}

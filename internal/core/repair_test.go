@@ -29,9 +29,7 @@ var repairActions = []faults.RepairAction{
 // of such links, every disabled link is ticketed, held as collateral (with a
 // sibling under repair) or held by dampening (exactly one of the three), and
 // opened = resolved + open. Then it replays the recorded inputs on a fresh
-// loop, and again on one whose activations are scoped to every link and
-// every ToR (the whole-fabric re-check, without the settled-segment skip),
-// and each must step exactly as the first did.
+// loop, which must step exactly as the first did.
 //
 // down's bit i disables link i before the loop is built: a restored state,
 // which the loop adopts. Each op is two bytes: b selects the input — b%4:
@@ -62,11 +60,6 @@ func FuzzRepairLoop(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	all := topology.NewLinkSet(topo.NumLinks())
-	for l := range topology.LinkID(topo.NumLinks()) {
-		all.Add(l)
-	}
-	everything := func(topology.LinkID) Scope { return Scope{Links: all, ToRs: topo.ToRs()} }
 	f.Fuzz(func(t *testing.T, down uint16, ops []byte) {
 		if len(ops) > 128 {
 			ops = ops[:128]
@@ -77,13 +70,10 @@ func FuzzRepairLoop(f *testing.F) {
 				cfg.Dampening = &DampeningConfig{Window: 12 * time.Hour, Flaps: 2, Holddown: 24 * time.Hour}
 			}
 			inputs, steps := runRepairLoop(t, topo, cfg, down, ops)
-			for _, scope := range []func(topology.LinkID) Scope{nil, everything} {
-				loop := newFuzzLoop(t, topo, cfg, down, scope)
-				for i, in := range inputs {
-					if got := stepOf(loop.Step(in)); !reflect.DeepEqual(got, steps[i]) {
-						t.Fatalf("cfg %+v, whole-fabric scope %v: input %d %+v replays as %+v, first run %+v",
-							cfg, scope != nil, i, in, got, steps[i])
-					}
+			loop := newFuzzLoop(t, topo, cfg, down)
+			for i, in := range inputs {
+				if got := stepOf(loop.Step(in)); !reflect.DeepEqual(got, steps[i]) {
+					t.Fatalf("cfg %+v: input %d %+v replays as %+v, first run %+v", cfg, i, in, got, steps[i])
 				}
 			}
 		}
@@ -108,9 +98,9 @@ func stepOf(d Decision, step RepairStep, err error) stepResult {
 	return r
 }
 
-// newFuzzLoop builds FuzzRepairLoop's loop under cfg and scope over a
-// network with down's links disabled.
-func newFuzzLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, down uint16, scope func(topology.LinkID) Scope) *RepairLoop {
+// newFuzzLoop builds FuzzRepairLoop's loop under cfg over a network with
+// down's links disabled.
+func newFuzzLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, down uint16) *RepairLoop {
 	net, err := NewNetwork(topo, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +114,7 @@ func newFuzzLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, down u
 	diagnose := func(l topology.LinkID, reseated bool) (Diagnostics, bool) {
 		return Diagnostics{Link: l, HasOptics: l%3 != 0, NeighborCorrupting: l%7 == 0, RecentlyReseated: reseated}, l%5 != 0
 	}
-	loop, err := NewRepairLoop(eng, cfg, diagnose, scope)
+	loop, err := NewRepairLoop(eng, cfg, diagnose)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +124,7 @@ func newFuzzLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, down u
 // runRepairLoop runs ops on a fresh loop, checking it after every step, and
 // returns the inputs it stepped and what each step returned.
 func runRepairLoop(t *testing.T, topo *topology.Topology, cfg RepairConfig, down uint16, ops []byte) ([]Input, []stepResult) {
-	loop := newFuzzLoop(t, topo, cfg, down, nil)
+	loop := newFuzzLoop(t, topo, cfg, down)
 	net := loop.net
 	open := make(map[topology.LinkID]*tickets.Ticket) // from the steps' returns
 	held := make(map[topology.LinkID]time.Duration)

@@ -86,5 +86,5 @@ func (s *SwitchLocal) DisableIfSafe(l topology.LinkID) bool {
 // together unless something goes alone: Sweep offers only the links that
 // pass on their own (see FastChecker.Sweep).
 func (s *SwitchLocal) Sweep(threshold float64) []topology.LinkID {
-	return sweep(s.net, s, threshold, nil, &sweepScratch{})
+	return sweep(s.net, s, threshold, &sweepScratch{})
 }

@@ -10,18 +10,15 @@ import (
 
 // violatedUnderScan is the reference for Network.violatedUnder: a full path
 // recount under disabled ∪ extra on a counter of its own, then meets over
-// every ToR of tors (every ToR when nil), in the order given.
-func violatedUnderScan(n *Network, ref *topology.PathCounter, tors []topology.SwitchID, extra []topology.LinkID) []topology.SwitchID {
+// every ToR.
+func violatedUnderScan(n *Network, ref *topology.PathCounter, extra []topology.LinkID) []topology.SwitchID {
 	also := topology.NewLinkSet(n.topo.NumLinks())
 	for _, l := range extra {
 		also.Add(l)
 	}
 	counts := ref.Count(func(l topology.LinkID) bool { return n.Disabled(l) || also.Has(l) })
-	if tors == nil {
-		tors = n.topo.ToRs()
-	}
 	var out []topology.SwitchID
-	for _, tor := range tors {
+	for _, tor := range n.topo.ToRs() {
 		if !n.tors.Meets(tor, counts, ref.Total()) {
 			out = append(out, tor)
 		}
@@ -43,9 +40,10 @@ func metStatus(n *Network) []bool {
 // scans otherwise — to the full-scan reference on random states of the medium
 // Clos and of a two-segment shard of it: all-feasible states, states already
 // violated by unchecked disables of breakout siblings (sim's RepairCollateral)
-// or by a constraint raised above a ToR's current fraction, whole-topology
-// and segment-scoped probes as fleet issues them, and extra lists that carry
-// already-disabled and duplicate links. The probe must leave the path counter
+// or by a constraint raised above a ToR's current fraction, extra lists
+// drawn from the whole topology and from one segment (an activation's
+// re-check hands the optimizer the passing segments' links), and extra
+// lists that carry already-disabled and duplicate links. The probe must leave the path counter
 // and the constraint status exactly as it found them.
 func TestViolatedUnderMatchesFullScan(t *testing.T) {
 	medium := mediumNetwork(t).Topology()
@@ -67,7 +65,7 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 		var applied []topology.LinkID
 		var out []topology.SwitchID
 		var violated [3]int // by how the state was made
-		feasible, scoped, nonEmpty := 0, 0, 0
+		feasible, oneSegment, nonEmpty := 0, 0, 0
 		for trial := 0; trial < 120; trial++ {
 			rng := rngutil.New(uint64(trial)).Split("violated-under")
 			if err := net.Reset(0.75); err != nil {
@@ -112,11 +110,10 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 
 			// What the optimizer would ask about: corrupting links, a few of
 			// them already down, some listed twice.
-			pool, tors := []topology.LinkID(nil), []topology.SwitchID(nil)
+			var pool []topology.LinkID
 			if rng.Intn(2) == 0 {
-				seg := segs[rng.Intn(len(segs))]
-				pool, tors = seg.Links, seg.ToRs
-				scoped++
+				pool = segs[rng.Intn(len(segs))].Links
+				oneSegment++
 			}
 			var extra []topology.LinkID
 			for i, n := 0, 1+rng.Intn(40); i < n; i++ {
@@ -141,13 +138,13 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 			net.DisabledLinks().Each(disabled.Add)
 			meetsNow, numViolated := metStatus(net), net.tors.NumViolated()
 
-			want := violatedUnderScan(net, ref, tors, extra)
+			want := violatedUnderScan(net, ref, extra)
 			var got []topology.SwitchID
-			got, applied = net.violatedUnder(tors, extra, applied, out)
+			got, applied = net.violatedUnder(extra, applied, out)
 			out = got
 			if !slices.Equal(got, want) {
-				t.Fatalf("%d links, trial %d (numViolated %d, scoped %v): violatedUnder = %v, full scan %v",
-					topo.NumLinks(), trial, numViolated, tors != nil, got, want)
+				t.Fatalf("%d links, trial %d (numViolated %d, one segment %v): violatedUnder = %v, full scan %v",
+					topo.NumLinks(), trial, numViolated, pool != nil, got, want)
 			}
 			if len(want) > 0 && numViolated == 0 {
 				nonEmpty++ // the changed-ToRs path had something to find
@@ -171,9 +168,9 @@ func TestViolatedUnderMatchesFullScan(t *testing.T) {
 				t.Fatalf("trial %d: constraint status changed under the probe", trial)
 			}
 		}
-		if feasible < 30 || violated[1] < 15 || violated[2] < 15 || scoped < 30 || nonEmpty < 15 {
-			t.Fatalf("%d links: %d feasible states, %v violated (by collateral, by constraint), %d scoped probes, %d non-empty answers from feasible states: a case is under-covered",
-				topo.NumLinks(), feasible, violated[1:], scoped, nonEmpty)
+		if feasible < 30 || violated[1] < 15 || violated[2] < 15 || oneSegment < 30 || nonEmpty < 15 {
+			t.Fatalf("%d links: %d feasible states, %v violated (by collateral, by constraint), %d one-segment probes, %d non-empty answers from feasible states: a case is under-covered",
+				topo.NumLinks(), feasible, violated[1:], oneSegment, nonEmpty)
 		}
 	}
 }

@@ -131,7 +131,7 @@ func ServeListener(ln net.Listener, engine *core.Engine, clock simclock.WallCloc
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	loop, err := core.NewRepairLoop(engine, core.RepairConfig{}, nil, nil)
+	loop, err := core.NewRepairLoop(engine, core.RepairConfig{}, nil)
 	if err != nil {
 		return nil, err
 	}

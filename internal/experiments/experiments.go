@@ -61,11 +61,6 @@ type Config struct {
 	// byte-identical for any Workers value — the knob only changes
 	// wall-clock time.
 	Workers int
-	// Shards is the fleet supervisor's shard-packing target (see
-	// fleet.Config.Shards); zero means one shard per topology segment.
-	// Like Workers, it is a performance knob only: reports are
-	// byte-identical for any value.
-	Shards int
 }
 
 // Report is one regenerated table or figure.

@@ -151,7 +151,7 @@ func fleetSupervisorNote(cfg Config, nDCNs int) (string, error) {
 			return int(a.Kind) - int(b.Kind)
 		}
 	})
-	sup, err := fleet.New(dcns, fleet.Config{Shards: cfg.Shards, Workers: cfg.Workers, Capacity: 0.5})
+	sup, err := fleet.New(dcns, fleet.Config{Workers: cfg.Workers, Capacity: 0.5})
 	if err != nil {
 		return "", err
 	}

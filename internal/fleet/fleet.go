@@ -1,16 +1,15 @@
 // Package fleet shards the corruption-mitigation controller across many data
 // center networks. It turns the paper's §8 topology segmentation into a
-// sharding axis: every DCN is partitioned into cone-closed segments, segments
-// are packed into shards, and each shard runs its own core.Network,
-// core.Engine and core.RepairLoop over a standalone sub-topology, with
-// repairs re-checked in their own segment. A supervisor routes events to
-// shards by link ownership, drains the shards on the worker pool, and sums
-// across them: tickets, penalty and capacity headroom.
+// sharding axis: every DCN is partitioned into cone-closed segments, each
+// ToR-bearing segment (with any ToR-less orphan segments glued to it) is one
+// shard, and each shard runs its own core.Network, core.Engine and
+// core.RepairLoop over a standalone sub-topology. A supervisor routes events
+// to shards by link ownership, drains the shards on the worker pool, and
+// sums across them: tickets, penalty and capacity headroom.
 //
-// For a fixed event sequence, Snapshot output is byte-identical for any shard
-// count and worker count: by the segment boundary invariant a shard's path
-// counts are exact, and every float is summed per segment, in global segment
-// order, however segments are packed.
+// For a fixed event sequence, Snapshot output is byte-identical for any
+// worker count and flush batching: by the segment boundary invariant a
+// shard's path counts are exact, and every float is summed in shard order.
 package fleet
 
 import (
@@ -37,13 +36,6 @@ type DCN struct {
 // at core.DefaultDetectionThreshold and scores its penalty with
 // core.LinearPenalty.
 type Config struct {
-	// Shards is the target number of shards across the whole fleet. It is
-	// approximate: shards never span DCNs and never split a segment, so
-	// each DCN gets a proportional share of at least one. Zero or
-	// negative means one shard per segment (maximum parallelism). The
-	// shard count is a packing knob only — Snapshot output is
-	// byte-identical for every value.
-	Shards int
 	// Workers bounds the Flush fan-out; zero or negative means
 	// runtime.NumCPU. Byte-identical output for every value.
 	Workers int
@@ -81,7 +73,7 @@ type Event struct {
 	Rate float64 // worst-direction corruption rate; zero for a fixed link
 }
 
-// Supervisor owns a fleet of per-segment shards and aggregates across them.
+// Supervisor owns a fleet of per-unit shards and aggregates across them.
 // Methods must not be called concurrently; the parallelism is internal to
 // Flush.
 type Supervisor struct {
@@ -89,9 +81,9 @@ type Supervisor struct {
 	dcns   []DCN
 	shards []*shard
 
-	// sets[d] is DCN d's shape packing, which routes its links; shared by
-	// every DCN of one shape. dcnShards[d] is the contiguous [lo, hi) range
-	// of d's shards.
+	// sets[d] is DCN d's shape cut into units, which routes its links;
+	// shared by every DCN of one shape. dcnShards[d] is the contiguous
+	// [lo, hi) range of d's shards.
 	sets      []*shardSet
 	dcnShards [][2]int
 
@@ -106,7 +98,7 @@ type Supervisor struct {
 }
 
 // New builds a Supervisor over the given DCNs. Identical *Topology values
-// are partitioned, packed and routed once, into one shared shardSet.
+// are partitioned and routed once, into one shared shardSet.
 func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 	if len(dcns) == 0 {
 		return nil, fmt.Errorf("fleet: no DCNs")
@@ -121,69 +113,37 @@ func New(dcns []DCN, cfg Config) (*Supervisor, error) {
 		perDCN:    make([]shardStats, len(dcns)),
 	}
 	for i := range s.dcns {
-		if s.dcns[i].Topo == nil {
+		d := &s.dcns[i]
+		if d.Topo == nil {
 			return nil, fmt.Errorf("fleet: DCN %d has no topology", i)
 		}
-		if s.dcns[i].Name == "" {
-			s.dcns[i].Name = fmt.Sprintf("dcn%d", i)
+		if d.Name == "" {
+			d.Name = fmt.Sprintf("dcn%d", i)
 		}
-	}
-
-	// Partition every distinct topology once. A plain slice scan keeps
-	// the memo deterministic and cheap: fleets have few distinct shapes.
-	parts := newPartCache()
-	totalUnits := 0
-	for i := range s.dcns {
-		p, err := parts.get(s.dcns[i].Topo)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
-		}
-		totalUnits += len(p.units)
-		s.links += s.dcns[i].Topo.NumLinks()
-		s.tors += len(s.dcns[i].Topo.ToRs())
-		s.segments += len(p.segs)
-	}
-
-	for i := range s.dcns {
-		p, err := parts.get(s.dcns[i].Topo)
-		if err != nil {
-			return nil, err
-		}
-		target := dcnShardTarget(cfg.Shards, len(p.units), totalUnits)
-		set, err := parts.shards(s.dcns[i].Topo, target)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
+		// Cut every distinct topology once. A plain slice scan keeps the
+		// memo deterministic and cheap: fleets have few distinct shapes.
+		var set *shardSet
+		var err error
+		if j := slices.IndexFunc(s.sets[:i], func(o *shardSet) bool { return o.topo == d.Topo }); j >= 0 {
+			set = s.sets[j]
+		} else if set, err = newShardSet(d.Topo); err != nil {
+			return nil, fmt.Errorf("fleet: DCN %s: %w", d.Name, err)
 		}
 		lo := len(s.shards)
-		for _, bs := range set.shards {
-			sh, err := newShard(i, bs, &cfg)
+		for _, sub := range set.subs {
+			sh, err := newShard(i, sub, &cfg)
 			if err != nil {
-				return nil, fmt.Errorf("fleet: DCN %s: %w", s.dcns[i].Name, err)
+				return nil, fmt.Errorf("fleet: DCN %s: %w", d.Name, err)
 			}
 			s.shards = append(s.shards, sh)
 		}
 		s.sets[i] = set
 		s.dcnShards[i] = [2]int{lo, len(s.shards)}
+		s.links += d.Topo.NumLinks()
+		s.tors += len(d.Topo.ToRs())
+		s.segments += d.Topo.NumSegments()
 	}
 	return s, nil
-}
-
-// dcnShardTarget apportions the fleet-wide shard budget to one DCN with
-// units packable segment-groups out of totalUnits fleet-wide. Zero or
-// negative budget, or a budget at least the unit count, means one shard per
-// unit.
-func dcnShardTarget(budget, units, totalUnits int) int {
-	if budget <= 0 {
-		return units
-	}
-	share := budget * units / totalUnits
-	if share < 1 {
-		share = 1
-	}
-	if share > units {
-		share = units
-	}
-	return share
 }
 
 // Route validates ev and queues it on the owning shard. Events must arrive
@@ -269,16 +229,14 @@ func (s *Supervisor) Headroom() (minFrac, meanFrac float64, violated int) {
 	minFrac = 1.0
 	sum := 0.0
 	for _, sh := range s.shards {
-		for i := range sh.segs {
-			for _, tor := range sh.segs[i].tors {
-				frac := sh.net.ToRFraction(tor)
-				if frac < minFrac {
-					minFrac = frac
-				}
-				sum += frac
-				if !sh.net.ToRMeets(tor) {
-					violated++
-				}
+		for _, tor := range sh.sub.Topo.ToRs() {
+			frac := sh.net.ToRFraction(tor)
+			if frac < minFrac {
+				minFrac = frac
+			}
+			sum += frac
+			if !sh.net.ToRMeets(tor) {
+				violated++
 			}
 		}
 	}
@@ -300,8 +258,8 @@ type DCNStat struct {
 }
 
 // Snapshot is a deterministic summary of the fleet's state. It contains no
-// shard- or worker-count-dependent fields: the segment count is a property
-// of the topologies, and every float aggregates in global segment order.
+// worker-count-dependent fields: the segment count is a property of the
+// topologies, and every float aggregates in shard order.
 type Snapshot struct {
 	DCNs, Links, ToRs, Segments int
 
@@ -357,11 +315,12 @@ func (s *Supervisor) Snapshot() Snapshot {
 		st.Cleared = s.perDCN[i].cleared
 		lo, hi := s.dcnShards[i][0], s.dcnShards[i][1]
 		for _, sh := range s.shards[lo:hi] {
-			st.Segments += len(sh.segs)
+			st.Segments += sh.sub.Topo.NumSegments()
 			st.DisabledNow += sh.net.NumDisabled()
-			for j := range sh.segs {
-				st.Penalty += sh.segPenalty(&sh.segs[j])
-			}
+			// Summed from the network state at read time, so the float
+			// depends only on the shard's current state, not on worker
+			// count or flush batching.
+			st.Penalty += sh.net.TotalPenalty(core.LinearPenalty)
 		}
 		snap.DisabledNow += st.DisabledNow
 		snap.PenaltySum += st.Penalty

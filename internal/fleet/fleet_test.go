@@ -65,10 +65,10 @@ func synthesizeEvents(dcns []DCN, seed uint64, n int) []Event {
 	return evs
 }
 
-func runFleet(t testing.TB, dcns []DCN, evs []Event, shards, workers, batch int) (*Supervisor, Snapshot) {
-	sup, err := New(dcns, Config{Shards: shards, Workers: workers, Capacity: 0.5})
+func runFleet(t testing.TB, dcns []DCN, evs []Event, workers, batch int) (*Supervisor, Snapshot) {
+	sup, err := New(dcns, Config{Workers: workers, Capacity: 0.5})
 	if err != nil {
-		t.Fatalf("New(shards=%d): %v", shards, err)
+		t.Fatalf("New: %v", err)
 	}
 	for lo := 0; lo < len(evs); lo += batch {
 		hi := min(lo+batch, len(evs))
@@ -82,35 +82,133 @@ func runFleet(t testing.TB, dcns []DCN, evs []Event, shards, workers, batch int)
 	return sup, sup.Snapshot()
 }
 
-// TestFleetMatchesSerial is the headline differential: for a fixed event
-// stream, the snapshot — counters, tickets, floats, per-DCN rows — is
-// byte-identical for every shard count, worker count, and flush batching.
+// TestFleetMatchesSerial holds the supervisor's parallelism to a serial
+// drain: for a fixed event stream, the snapshot — counters, tickets, floats,
+// per-DCN rows — is byte-identical for every worker count and flush
+// batching. TestFleetMatchesWholeDCNLoop holds the shards themselves to one
+// loop per DCN.
 func TestFleetMatchesSerial(t *testing.T) {
 	dcns := testFleetTopos(t)
 	evs := synthesizeEvents(dcns, 42, 4000)
 
-	_, ref := runFleet(t, dcns, evs, 1, 1, len(evs))
+	_, ref := runFleet(t, dcns, evs, 1, len(evs))
 	if ref.Disabled == 0 || ref.Blocked == 0 || ref.ReoptDisabled == 0 || ref.Cleared == 0 {
 		t.Fatalf("stream does not exercise all decision paths: %+v", ref)
 	}
 	refStr := ref.String()
 
-	for _, tc := range []struct{ shards, workers, batch int }{
-		{0, 1, 4000},  // one shard per segment, serial drain
-		{0, 8, 512},   // max sharding, 8 workers, small batches
-		{2, 3, 4000},  // fewer shards than DCNs is clamped to one per DCN
-		{5, 2, 1000},  // mid packing
-		{1000, 4, 64}, // over-asking degrades to per-segment
+	for _, tc := range []struct{ workers, batch int }{
+		{1, 64},   // serial drain, small batches
+		{8, 512},  // 8 workers
+		{3, 4000}, // one flush
+		{2, 1000},
+		{4, 64},
 	} {
-		_, got := runFleet(t, dcns, evs, tc.shards, tc.workers, tc.batch)
+		_, got := runFleet(t, dcns, evs, tc.workers, tc.batch)
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d workers=%d batch=%d: snapshot diverged\n got: %+v\nwant: %+v",
-				tc.shards, tc.workers, tc.batch, got, ref)
+			t.Errorf("workers=%d batch=%d: snapshot diverged\n got: %+v\nwant: %+v",
+				tc.workers, tc.batch, got, ref)
 		}
 		if s := got.String(); s != refStr {
-			t.Errorf("shards=%d workers=%d batch=%d: rendering diverged\n got:\n%s\nwant:\n%s",
-				tc.shards, tc.workers, tc.batch, s, refStr)
+			t.Errorf("workers=%d batch=%d: rendering diverged\n got:\n%s\nwant:\n%s",
+				tc.workers, tc.batch, s, refStr)
 		}
+	}
+}
+
+// wholeDCNLoop steps one core.RepairLoop over topo's whole topology — the
+// loop sim and corroptd run — through evs, the events of one DCN, and
+// tallies each outcome the way the supervisor counts them.
+func wholeDCNLoop(t testing.TB, topo *topology.Topology, capacity float64, evs []Event) (*core.Network, *core.RepairLoop, DCNStat) {
+	t.Helper()
+	net, err := core.NewNetwork(topo, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewPolicyEngine(net, core.PolicyCorrOpt, core.EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, err := core.NewRepairLoop(eng, core.RepairConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st DCNStat
+	for i, ev := range evs {
+		d, step, err := loop.Step(core.Input{At: ev.At, Link: ev.Link, Kind: ev.Kind, Rate: ev.Rate})
+		if err != nil {
+			t.Fatalf("event %d %+v: %v", i, ev, err)
+		}
+		switch {
+		case ev.Kind == Repair:
+			st.Repairs++
+			st.ReoptDisabled += len(step.Opened)
+			if step.Resolution == core.Cleared {
+				st.Cleared++
+			}
+		case d.Outcome == core.OutcomeDisabled:
+			st.Corruptions++
+			st.Disabled++
+		case d.Outcome == core.OutcomeBlocked:
+			st.Corruptions++
+			st.Blocked++
+		default:
+			st.Corruptions++
+		}
+	}
+	st.DisabledNow = net.NumDisabled()
+	return net, loop, st
+}
+
+// linksOf lists a link set's members, ascending.
+func linksOf(set topology.LinkSetView) []topology.LinkID {
+	var out []topology.LinkID
+	set.Each(func(l topology.LinkID) { out = append(out, l) })
+	return out
+}
+
+// TestFleetMatchesWholeDCNLoop is the shards' differential: for each DCN of
+// a replayed stream, the links the fleet has down, its decision tallies and
+// its ticket counts equal those of one RepairLoop stepped over the DCN's
+// whole topology with the DCN's events.
+func TestFleetMatchesWholeDCNLoop(t *testing.T) {
+	dcns := testFleetTopos(t)
+	var reopt, cleared int
+	for _, seed := range []uint64{42, 7, 1, 2, 3, 4, 5} {
+		evs := synthesizeEvents(dcns, seed, 4000)
+		sup, snap := runFleet(t, dcns, evs, 4, 700)
+		for i, d := range dcns {
+			var own []Event
+			for _, ev := range evs {
+				if ev.DCN == i {
+					own = append(own, ev)
+				}
+			}
+			net, loop, want := wholeDCNLoop(t, d.Topo, 0.5, own)
+			if got := sup.Disabled(i); !slices.Equal(got, linksOf(net.DisabledLinks())) {
+				t.Errorf("seed %d DCN %s: fleet has %v down, whole-DCN loop %v", seed, d.Name, got, linksOf(net.DisabledLinks()))
+			}
+			got := snap.PerDCN[i]
+			got.Name, got.Links, got.Segments, got.ToRs, got.Penalty = "", 0, 0, 0, 0
+			if got != want {
+				t.Errorf("seed %d DCN %s: fleet tallies %+v, whole-DCN loop %+v", seed, d.Name, got, want)
+			}
+			var tickets core.TicketStats
+			for _, sh := range sup.shards[sup.dcnShards[i][0]:sup.dcnShards[i][1]] {
+				ts := sh.loop.TicketStats()
+				tickets.Resolved += ts.Resolved
+				tickets.Open += ts.Open
+			}
+			if ws := loop.TicketStats(); tickets.Resolved != ws.Resolved || tickets.Open != ws.Open {
+				t.Errorf("seed %d DCN %s: fleet tickets %d resolved, %d open; whole-DCN loop %d, %d",
+					seed, d.Name, tickets.Resolved, tickets.Open, ws.Resolved, ws.Open)
+			}
+			reopt += want.ReoptDisabled
+			cleared += want.Cleared
+		}
+	}
+	if reopt == 0 || cleared == 0 {
+		t.Fatalf("streams re-optimized %d links and cleared %d: a decision path is not exercised", reopt, cleared)
 	}
 }
 
@@ -122,7 +220,7 @@ func TestFleetMatchesSerial(t *testing.T) {
 func TestFleetInvariants(t *testing.T) {
 	dcns := testFleetTopos(t)
 	evs := synthesizeEvents(dcns, 7, 3000)
-	sup, snap := runFleet(t, dcns, evs, 0, 4, 700)
+	sup, snap := runFleet(t, dcns, evs, 4, 700)
 
 	// Shadow state from the event stream: last reported rate per link.
 	rates := make([]map[topology.LinkID]float64, len(dcns))
@@ -147,8 +245,9 @@ func TestFleetInvariants(t *testing.T) {
 		for _, l := range down {
 			isDown[l] = true
 		}
-		// Penalty: corrupting links still enabled, summed per segment in
-		// ascending link order, segments added in partition order.
+		// Penalty: corrupting links still enabled, summed per segment (a
+		// Clos shard's unit) in ascending link order, segments added in
+		// partition order.
 		dcnPenalty := 0.0
 		for _, seg := range d.Topo.Partition() {
 			links := slices.Clone(seg.Links)
@@ -235,67 +334,90 @@ func TestFleetRouteErrors(t *testing.T) {
 	}
 }
 
-// TestFleetShardPacking checks the packing layer directly: shards never
-// span DCNs, cover every link exactly once, and respect the target roughly.
+// TestFleetShardPacking checks the cut into shards: one per ToR-bearing
+// segment (a Clos has no orphans), never spanning DCNs, covering every link
+// exactly once.
 func TestFleetShardPacking(t *testing.T) {
 	dcns := testFleetTopos(t)
-	for _, shards := range []int{0, 1, 3, 5, 7, 100} {
-		sup, err := New(dcns, Config{Shards: shards})
-		if err != nil {
-			t.Fatalf("New(shards=%d): %v", shards, err)
+	sup, err := New(dcns, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if got := len(sup.shards); got != sup.segments {
+		t.Errorf("got %d shards, want one per segment (%d)", got, sup.segments)
+	}
+	for i, d := range dcns {
+		lo, hi := sup.dcnShards[i][0], sup.dcnShards[i][1]
+		covered := 0
+		for _, sh := range sup.shards[lo:hi] {
+			if sh.dcn != i {
+				t.Fatalf("shard of DCN %d inside DCN %d's range", sh.dcn, i)
+			}
+			if sh.sub.Topo.NumSegments() != 1 || len(sh.sub.Topo.ToRs()) == 0 {
+				t.Errorf("DCN %s: shard with %d segments and %d ToRs, want one segment with ToRs",
+					d.Name, sh.sub.Topo.NumSegments(), len(sh.sub.Topo.ToRs()))
+			}
+			covered += sh.sub.Topo.NumLinks()
 		}
-		if shards <= 0 || shards >= sup.segments {
-			if got := len(sup.shards); got != sup.segments {
-				t.Errorf("shards=%d: got %d shards, want one per segment (%d)", shards, got, sup.segments)
-			}
-		}
-		for i, d := range dcns {
-			lo, hi := sup.dcnShards[i][0], sup.dcnShards[i][1]
-			covered := 0
-			for _, sh := range sup.shards[lo:hi] {
-				if sh.dcn != i {
-					t.Fatalf("shards=%d: shard of DCN %d inside DCN %d's range", shards, sh.dcn, i)
-				}
-				covered += sh.sub.Topo.NumLinks()
-			}
-			if covered != d.Topo.NumLinks() {
-				t.Errorf("shards=%d DCN %s: shards cover %d links, topology has %d",
-					shards, d.Name, covered, d.Topo.NumLinks())
-			}
+		if covered != d.Topo.NumLinks() {
+			t.Errorf("DCN %s: shards cover %d links, topology has %d", d.Name, covered, d.Topo.NumLinks())
 		}
 	}
 }
 
 // TestFleetOrphanSegments glues a ToR-less segment onto a neighbor so no
-// shard is left without a ToR.
+// shard is left without a ToR, and holds the glued unit to the whole-DCN
+// loop: a repair re-checks the orphan segment too once something changed
+// there. The orphan's failed repair puts it back up, corrupting; the repair
+// of the ToR's uplink that follows must take it down again.
 func TestFleetOrphanSegments(t *testing.T) {
 	b := topology.NewBuilder()
 	tor := b.AddSwitch("tor", 0, 0)
-	agg := b.AddSwitch("agg", 1, 0)
+	agg1 := b.AddSwitch("agg1", 1, 0)
+	agg2 := b.AddSwitch("agg2", 1, 0)
 	orphan := b.AddSwitch("orphan-agg", 1, 1)
 	spine := b.AddSwitch("spine", 2, -1)
-	b.AddLink(tor, agg, -1)
-	b.AddLink(agg, spine, -1)
+	up := b.AddLink(tor, agg1, -1)
+	b.AddLink(tor, agg2, -1)
+	b.AddLink(agg1, spine, -1)
+	b.AddLink(agg2, spine, -1)
 	ol := b.AddLink(orphan, spine, -1)
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	sup, err := New([]DCN{{Name: "odd", Topo: topo}}, Config{})
+	sup, err := New([]DCN{{Name: "odd", Topo: topo}}, Config{Capacity: 0.5})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if len(sup.shards) != 1 {
 		t.Fatalf("got %d shards, want 1 (orphan glued to the ToR-bearing unit)", len(sup.shards))
 	}
-	// Corrupting the orphan link must disable it (no ToR depends on it).
-	if err := sup.Route(Event{At: time.Second, DCN: 0, Link: ol, Kind: Corruption, Rate: 1e-3}); err != nil {
-		t.Fatalf("Route: %v", err)
+	step := func(ev Event, want ...topology.LinkID) {
+		t.Helper()
+		if err := sup.Route(ev); err != nil {
+			t.Fatalf("Route: %v", err)
+		}
+		if err := sup.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if got := sup.Disabled(0); !slices.Equal(got, want) {
+			t.Fatalf("after %+v: Disabled = %v, want %v", ev, got, want)
+		}
 	}
-	if err := sup.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	evs := []Event{
+		{At: 1 * time.Second, Link: up, Kind: Corruption, Rate: 1e-3},
+		// No ToR depends on the orphan link: it goes.
+		{At: 2 * time.Second, Link: ol, Kind: Corruption, Rate: 1e-3},
+		{At: 3 * time.Second, Link: ol, Kind: Repair, Rate: 1e-3}, // failed: back up
+		{At: 4 * time.Second, Link: up, Kind: Repair},
 	}
-	if got := sup.Disabled(0); !slices.Equal(got, []topology.LinkID{ol}) {
-		t.Errorf("Disabled = %v, want [%d]", got, ol)
+	step(evs[0], up)
+	step(evs[1], up, ol)
+	step(evs[2], up)
+	step(evs[3], ol)
+	net, _, _ := wholeDCNLoop(t, topo, 0.5, evs)
+	if want := linksOf(net.DisabledLinks()); !slices.Equal(want, []topology.LinkID{ol}) {
+		t.Fatalf("whole-DCN loop ends with %v down, want [%d]", want, ol)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // TestShardSetShared holds the fleet to one copy of per-shape state: two
 // DCNs on one *Topology get the same shardSet, so their shards share the
-// segment tables, while each keeps its own Network and repair loop.
+// sub-topologies, while each keeps its own Network and repair loop.
 func TestShardSetShared(t *testing.T) {
 	dcns := testFleetTopos(t) // east and west share one *Topology
 	sup, err := New(dcns, Config{Workers: 1})
@@ -29,8 +29,8 @@ func TestShardSetShared(t *testing.T) {
 	}
 	for i := range east {
 		a, b := east[i], west[i]
-		if &a.segOf[0] != &b.segOf[0] || &a.segs[0] != &b.segs[0] {
-			t.Errorf("shard %d: east and west hold separate segment tables", i)
+		if a.sub != b.sub {
+			t.Errorf("shard %d: east and west hold separate sub-topologies", i)
 		}
 		if a.net == b.net || a.loop == b.loop {
 			t.Errorf("shard %d: east and west share per-DCN controller state", i)

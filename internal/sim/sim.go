@@ -237,7 +237,7 @@ func NewWithScratch(topo *topology.Topology, tech optics.Technology, cfg Config,
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if err := s.loop.Reset(eng, cfg.RepairConfig, s.diagnose, nil); err != nil {
+	if err := s.loop.Reset(eng, cfg.RepairConfig, s.diagnose); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	return s, nil
