@@ -5,7 +5,8 @@ package corropt
 // minutes, not hours — run cmd/corropt-experiments -scale medium|large for
 // the full-size reproductions), plus performance benchmarks for the §5.1
 // runtime claims (fast checker: 100–300 ms on the largest DCN; optimizer:
-// under a minute) and ablations of the optimizer's design choices.
+// under a minute) and ablations of the decision policy and the penalty
+// function.
 
 import (
 	"math"
@@ -132,11 +133,9 @@ func BenchmarkPathCountingIncremental(b *testing.B) {
 	}
 }
 
-// Ablation benches: the optimizer's accelerations, measured on a
-// constrained scenario where the exact search actually has work to do.
-
-// ablationScenario: a medium DCN with heavy corruption clustered so that
-// pruning, segmentation and the cache all engage.
+// ablationScenario: a small DCN with heavy corruption clustered so that
+// the optimizer's pruning, segmentation and reject cache all engage and the
+// exact search has work to do.
 func ablationScenario(b *testing.B) *Network {
 	b.Helper()
 	topo, err := experiments.DCN(experiments.ScaleSmall)
@@ -163,31 +162,16 @@ func ablationScenario(b *testing.B) *Network {
 	return net
 }
 
-func benchOptimizerConfig(b *testing.B, cfg OptimizerConfig) {
+// BenchmarkAblationBaseline times one optimizer run on ablationScenario.
+func BenchmarkAblationBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		net := ablationScenario(b)
-		opt := NewOptimizer(net, LinearPenalty, cfg)
+		opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
 		b.StartTimer()
 		_, st := opt.Run(1e-6)
 		b.ReportMetric(float64(st.FeasibilityChecks), "feas-checks")
 	}
-}
-
-func BenchmarkAblationBaseline(b *testing.B) {
-	benchOptimizerConfig(b, OptimizerConfig{})
-}
-
-func BenchmarkAblationNoRejectCache(b *testing.B) {
-	benchOptimizerConfig(b, OptimizerConfig{DisableRejectCache: true})
-}
-
-func BenchmarkAblationNoPruning(b *testing.B) {
-	benchOptimizerConfig(b, OptimizerConfig{DisablePruning: true})
-}
-
-func BenchmarkAblationNoSegmentation(b *testing.B) {
-	benchOptimizerConfig(b, OptimizerConfig{DisableSegmentation: true})
 }
 
 // BenchmarkAblationPolicies compares the three decision policies on one

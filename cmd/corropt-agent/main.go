@@ -29,11 +29,6 @@ import (
 	"corropt/internal/topology"
 )
 
-// clk is the agent's wall-clock source. It is a simclock.WallClock so a
-// sim-replayable harness can substitute virtual time; the deployed binary
-// runs on the system clock.
-var clk simclock.WallClock = simclock.Real{}
-
 func main() {
 	var (
 		controller = flag.String("controller", "127.0.0.1:7070", "corroptd control-plane address")
@@ -85,7 +80,7 @@ func main() {
 	// Optional demo fault injection: wrap both dialers (control-plane TCP
 	// and telemetry UDP) in one seeded netchaos injector so the hardened
 	// clients can be watched retrying through a corrupting deployment path.
-	chaos := netchaos.New(rngutil.New(*seed).Split("agent-chaos"), clk, netchaos.Config{
+	chaos := netchaos.New(rngutil.New(*seed).Split("agent-chaos"), simclock.Real{}, netchaos.Config{
 		Drop:      *chaosDrop,
 		Dup:       *chaosDup,
 		Corrupt:   *chaosCorrupt,
@@ -102,7 +97,6 @@ func main() {
 		Timeout:  time.Second,
 		Attempts: *retries + 1,
 		RNG:      rngutil.New(*seed).Split("agent-snmp-retry"),
-		Clock:    clk,
 		Dial:     chaos.DatagramDialer(nil),
 	})
 	if err != nil {
@@ -120,7 +114,6 @@ func main() {
 	}
 
 	cli, err := ctlplane.DialConfig(*controller, ctlplane.ClientConfig{
-		Clock:    clk,
 		Dial:     chaos.Dialer(nil),
 		Attempts: *retries + 1,
 		RNG:      rngutil.New(*seed).Split("agent-ctl-retry"),
@@ -137,7 +130,7 @@ func main() {
 	}
 	var repairs []pending
 	queueRepair := func(l corropt.LinkID) {
-		repairs = append(repairs, pending{link: l, due: clk.Now().Add(*repairGap)})
+		repairs = append(repairs, pending{link: l, due: simclock.Real{}.Now().Add(*repairGap)})
 		sort.Slice(repairs, func(a, b int) bool { return repairs[a].due.Before(repairs[b].due) })
 	}
 
@@ -171,7 +164,7 @@ func main() {
 	interval := telemetry.DefaultInterval
 	virtual := interval
 	completeDue := func() {
-		now := clk.Now()
+		now := simclock.Real{}.Now()
 		for len(repairs) > 0 && repairs[0].due.Before(now) {
 			p := repairs[0]
 			repairs = repairs[1:]
@@ -200,7 +193,7 @@ func main() {
 	}
 	// Drain outstanding repairs, letting the detector observe recoveries.
 	for len(repairs) > 0 {
-		time.Sleep(repairs[0].due.Sub(clk.Now()))
+		time.Sleep(repairs[0].due.Sub(simclock.Real{}.Now()))
 		completeDue()
 		pollAndReport(virtual)
 		virtual += interval

@@ -95,8 +95,6 @@ type (
 	// Optimizer is phase two: the exact NP-complete search with pruning,
 	// segmentation, and the reject cache.
 	Optimizer = core.Optimizer
-	// OptimizerConfig toggles the optimizer's accelerations.
-	OptimizerConfig = core.OptimizerConfig
 	// OptimizeStats describes one optimizer run.
 	OptimizeStats = core.OptimizeStats
 	// SwitchLocal is the production baseline checker CorrOpt replaces.
@@ -124,9 +122,15 @@ func NewEngine(net *Network, cfg EngineConfig) *Engine { return core.NewEngine(n
 // NewFastChecker returns phase one alone.
 func NewFastChecker(net *Network) *FastChecker { return core.NewFastChecker(net) }
 
-// NewOptimizer returns phase two alone.
-func NewOptimizer(net *Network, penalty PenaltyFunc, cfg OptimizerConfig) *Optimizer {
-	return core.NewOptimizer(net, penalty, cfg)
+// OptimizerConfig is empty: pruning, segmentation and the reject cache are
+// the algorithm, and its search limits are constants. It stays, with
+// NewOptimizer's third parameter, only because the benchmark module under
+// bench/ passes one.
+type OptimizerConfig struct{}
+
+// NewOptimizer returns phase two alone. The OptimizerConfig is ignored.
+func NewOptimizer(net *Network, penalty PenaltyFunc, _ OptimizerConfig) *Optimizer {
+	return core.NewOptimizer(net, penalty)
 }
 
 // NewSwitchLocal returns the baseline checker guaranteeing capacity c via

@@ -89,9 +89,18 @@ func TestBenchmarkCompiles(t *testing.T) {
 // like `core.report_ns` are lower case and do not match.
 var docIdentifier = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z]\\w*)(?:\\.([A-Za-z_]\\w*))?(?:\\([^`]*\\))?`")
 
+// docTestName matches a back-quoted `TestX`, `BenchmarkX` or `FuzzX`, with
+// an optional `/subtest` suffix.
+var docTestName = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z]\\w*)(?:/[^`]*)?`")
+
+// testFunc matches the declaration of a test, benchmark or fuzz target.
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+
 // TestDocsNameLiveIdentifiers resolves every back-quoted `pkg.Name` and
 // `pkg.Type.Member` in README.md, DESIGN.md and EXPERIMENTS.md against the
-// module's non-test Go source, so deleting an identifier fails here until
+// module's non-test Go source, and every back-quoted test, benchmark or
+// fuzz target name against the tree's _test.go files (bench/'s included,
+// testdata's not), so deleting an identifier or a test fails here until
 // the docs stop naming it. Name may be a top-level declaration or a method
 // or struct field of any of the package's types (`sim.RunEvents` names
 // `Sim.RunEvents`); Member is a method or field of Type. pkg is a package
@@ -110,7 +119,8 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			pkgs[name] = loadDocPackage(t, dir)
 		}
 	}
-	refs := 0
+	tests := testFuncs(t)
+	refs, testRefs := 0, 0
 	for _, file := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		doc, err := os.ReadFile(file)
 		if err != nil {
@@ -126,11 +136,50 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 				t.Errorf("%s names %s, which the source does not declare", file, m[0])
 			}
 		}
+		for _, m := range docTestName.FindAllStringSubmatch(string(doc), -1) {
+			testRefs++
+			if !tests[m[1]] {
+				t.Errorf("%s names %s, which no _test.go file declares", file, m[0])
+			}
+		}
 	}
-	if refs == 0 {
-		t.Fatal("found no package-qualified identifiers in the docs: the pattern is broken")
+	if refs == 0 || testRefs == 0 {
+		t.Fatalf("found %d package-qualified identifiers and %d test names in the docs: a pattern is broken", refs, testRefs)
 	}
-	t.Logf("%d references resolved", refs)
+	t.Logf("%d references and %d test names resolved", refs, testRefs)
+}
+
+// testFuncs returns the names of the tests, benchmarks and fuzz targets
+// declared by the _test.go files under the working directory, skipping
+// testdata and dot directories.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir():
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			names[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // docPackage maps each top-level name a package declares to its members:

@@ -136,7 +136,7 @@ func ExampleBuildGadget() {
 		Clauses: []corropt.Clause{{1, 2, 2}, {-1, 2, 2}},
 	}
 	g, _ := corropt.BuildGadget(f)
-	n := g.MaxDisabled(corropt.OptimizerConfig{})
+	n := g.MaxDisabled()
 	fmt.Println("disabled", n, "of", len(g.FaultyLinks), "faulty links; satisfiable:", n == f.NumVars)
 	// Output:
 	// disabled 2 of 4 faulty links; satisfiable: true

@@ -28,18 +28,30 @@ func referenceSweep(n *Network, c checker, threshold float64) []topology.LinkID 
 }
 
 // activationPolicy is one policy the activation differential runs: a
-// baseline, or CorrOpt under one optimizer ablation.
+// baseline, or CorrOpt under one segment cap.
 type activationPolicy struct {
-	kind PolicyKind
-	cfg  OptimizerConfig
+	kind     PolicyKind
+	maxExact int
 }
 
 func activationPolicies() []activationPolicy {
 	ps := []activationPolicy{{kind: PolicySwitchLocal}, {kind: PolicyFastOnly}}
-	for _, cfg := range differentialConfigs {
-		ps = append(ps, activationPolicy{kind: PolicyCorrOpt, cfg: cfg})
+	for _, maxExact := range differentialConfigs {
+		ps = append(ps, activationPolicy{kind: PolicyCorrOpt, maxExact: maxExact})
 	}
 	return ps
+}
+
+// engine returns p's engine over n at the given detection threshold.
+func (p activationPolicy) engine(t *testing.T, n *Network, threshold float64) *Engine {
+	e, err := NewPolicyEngine(n, p.kind, EngineConfig{DetectionThreshold: threshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.opt != nil {
+		e.opt.maxExact = p.maxExact
+	}
+	return e
 }
 
 // activationCoverage counts the re-checks a differential run reached, so a
@@ -70,14 +82,6 @@ func (c *activationCoverage) add(o activationCoverage) {
 	c.multiSegment += o.multiSegment
 }
 
-// shardExact reports whether p's re-check decides each segment on its own,
-// as an engine over that segment's sub-topology does: every policy but
-// CorrOpt without segmentation, which solves the passing segments' links
-// jointly (a violated ToR in one segment then blocks every other's).
-func (p activationPolicy) shardExact() bool {
-	return p.kind != PolicyCorrOpt || !p.cfg.DisableSegmentation
-}
-
 // unsettled reports, before e activates link l, which segments its
 // re-check will probe: those whose generation moved since e last found them
 // settled, l's own included when l is down (Enable moves it).
@@ -101,9 +105,8 @@ func unsettled(e *Engine, l topology.LinkID) []bool {
 // with a failed repair), raises or lowers a ToR's constraint, sets a link's
 // rate without the check (RepairLoop's Cleared and release paths), or
 // activates a link and holds what it did in the link's segment to a fresh
-// engine over that segment's sub-topology loaded with the same state (see
-// shardExact). The returned lists and the network states must agree after
-// every op.
+// engine over that segment's sub-topology loaded with the same state. The
+// returned lists and the network states must agree after every op.
 func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops []byte) activationCoverage {
 	const threshold = 1e-7
 	got := randomCorruptionScenario(t, seed, 6)
@@ -118,12 +121,8 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 			_ = want.SetToRConstraint(tor, c)
 		}
 	}
-	cfg := EngineConfig{DetectionThreshold: threshold, Optimizer: p.cfg}
-	ge, err := NewPolicyEngine(got, p.kind, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	we, _ := NewPolicyEngine(want, p.kind, cfg)
+	ge := p.engine(t, got, threshold)
+	we := p.engine(t, want, threshold)
 	// The constraint the switch-local rule was built for, which a shard's
 	// engine must be built under too.
 	c0 := 0.0
@@ -133,7 +132,7 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 	graphs := segmentGraphs(t, topo)
 	reference := func() []topology.LinkID {
 		if p.kind == PolicyCorrOpt {
-			d, _ := referenceRun(want, LinearPenalty, p.cfg, threshold)
+			d, _ := referenceRun(want, LinearPenalty, p.maxExact, threshold)
 			return d
 		}
 		return referenceSweep(want, we, threshold)
@@ -183,16 +182,11 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 			sameOptimizerState(t, "unchecked rate", got, want)
 			continue
 		case 4:
-			if !p.shardExact() {
-				break
-			}
 			n, err := NewNetwork(sg.Topo, c0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if shard, err = NewPolicyEngine(n, p.kind, cfg); err != nil {
-				t.Fatal(err)
-			}
+			shard = p.engine(t, n, threshold)
 			loadShard(t, got, sg, n)
 			cov.shard++
 		}
@@ -273,8 +267,8 @@ func passesAlone(n *Network, e *Engine, threshold float64) bool {
 // disable links, re-checks from a violated ToR, re-checks from a violated
 // ToR where no link passes alone (the skip from a violated state), re-checks
 // that skipped a settled segment and re-checks that ran over two or more
-// segments where a link passes; and, wherever a segment's own engine must
-// agree, activations held to one.
+// segments where a link passes; and activations held to a segment's own
+// engine.
 func TestActivationMatchesReference(t *testing.T) {
 	for pi, p := range activationPolicies() {
 		var total activationCoverage
@@ -288,7 +282,7 @@ func TestActivationMatchesReference(t *testing.T) {
 		}
 		t.Logf("policy %d (%v): %+v", pi, p.kind, total)
 		if total.skippable == 0 || total.disabling == 0 || total.fromViolated == 0 || total.violatedNoneAlone == 0 ||
-			total.settledSkip == 0 || total.multiSegment == 0 || p.shardExact() && total.shard == 0 {
+			total.settledSkip == 0 || total.multiSegment == 0 || total.shard == 0 {
 			t.Errorf("policy %d (%v): re-checks covered %+v", pi, p.kind, total)
 		}
 	}

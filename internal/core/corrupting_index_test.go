@@ -260,7 +260,7 @@ func TestActiveCorruptingNeedsARate(t *testing.T) {
 	}
 	n.Enable(1)
 	n.Enable(4)
-	disabled, _ := NewOptimizer(n, nil, OptimizerConfig{}).Run(0)
+	disabled, _ := NewOptimizer(n, nil).Run(0)
 	slices.Sort(disabled)
 	if want := []topology.LinkID{1, 4}; !slices.Equal(disabled, want) {
 		t.Fatalf("Optimizer.Run(0) disabled %v, want %v", disabled, want)

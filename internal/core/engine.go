@@ -173,8 +173,6 @@ type EngineConfig struct {
 	DetectionThreshold float64
 	// Penalty is the impact function; default LinearPenalty.
 	Penalty PenaltyFunc
-	// Optimizer tunes the second phase.
-	Optimizer OptimizerConfig
 }
 
 // NewEngine returns the full CorrOpt Engine (PolicyCorrOpt) over net. It
@@ -214,7 +212,7 @@ func NewPolicyEngine(net *Network, policy PolicyKind, cfg EngineConfig) (*Engine
 	switch policy {
 	case PolicyNone, PolicyFastOnly:
 	case PolicyCorrOpt:
-		e.opt = NewOptimizer(net, cfg.Penalty, cfg.Optimizer)
+		e.opt = NewOptimizer(net, cfg.Penalty)
 	case PolicySwitchLocal:
 		c := 0.0
 		for _, tor := range net.Topology().ToRs() {
@@ -343,10 +341,7 @@ func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
 // segment, reject cache and budget lies inside one, and so does every
 // input of a link's check. A segment where no link passes alone therefore
 // contributes nothing to a whole-fabric step, and the step over the
-// segments where some link passes returns the same list. Without
-// segmentation the optimizer solves every contested link jointly, so it is
-// handed every active corrupting link; that is the whole-fabric step too,
-// as a settled segment holds no link that passes alone.
+// segments where some link passes returns the same list.
 func (e *Engine) recheck() ([]topology.LinkID, OptimizeStats) {
 	topo, gen, b := e.net.topo, e.net.gen, &e.scratch
 	if e.settled == nil {
@@ -384,7 +379,7 @@ func (e *Engine) recheck() ([]topology.LinkID, OptimizeStats) {
 	}
 	kept := b.active[:0]
 	for _, l := range b.active {
-		if e.opt.cfg.DisableSegmentation || sc.segs[topo.LinkSegment(l)].pass {
+		if sc.segs[topo.LinkSegment(l)].pass {
 			kept = append(kept, l)
 		}
 	}

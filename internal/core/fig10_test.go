@@ -105,7 +105,7 @@ func TestFig10OptimizerFindsOptimal(t *testing.T) {
 	// Figure 10(c): the optimal solution disables 12 of the 16 corrupting
 	// links while keeping 15 of T's 25 paths (exactly 60%).
 	net, _ := fig10(t)
-	opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+	opt := NewOptimizer(net, LinearPenalty)
 	disabled, st := opt.Run(1e-6)
 	if len(disabled) != 12 {
 		t.Fatalf("optimizer disabled %d links, want 12 (stats %+v)", len(disabled), st)

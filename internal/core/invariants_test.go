@@ -84,7 +84,7 @@ func TestOptimizerNeverViolates(t *testing.T) {
 		if !net.Feasible(nil) {
 			continue // random thresholds may start violated; skip
 		}
-		opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+		opt := NewOptimizer(net, LinearPenalty)
 		opt.Run(1e-7)
 		if violated := net.ViolatedToRs(nil); len(violated) != 0 {
 			t.Fatalf("trial %d: optimizer violated %v", trial, violated)
@@ -110,7 +110,7 @@ func TestOptimizerMatchesBruteForceHeterogeneous(t *testing.T) {
 			continue
 		}
 		want := bruteForceBest(net, 1e-7, LinearPenalty)
-		opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+		opt := NewOptimizer(net, LinearPenalty)
 		disabled, st := opt.Run(1e-7)
 		got := disabledPenalty(net, disabled, LinearPenalty)
 		if math.Abs(got-want) > 1e-12 {
@@ -125,7 +125,7 @@ func TestOptimizerMatchesBruteForceHeterogeneous(t *testing.T) {
 func TestOptimizerMaximal(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		net := randomCorruptionScenario(t, uint64(trial)+1700, 12)
-		opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+		opt := NewOptimizer(net, LinearPenalty)
 		opt.Run(1e-7)
 		for _, l := range net.ActiveCorrupting(1e-7) {
 			if net.Feasible(map[topology.LinkID]bool{l: true}) {
@@ -213,7 +213,8 @@ func TestSwitchLocalImpliesGlobal(t *testing.T) {
 // still returns a feasible (if suboptimal) answer and reports the event.
 func TestOptimizerBudgetExhaustion(t *testing.T) {
 	net, _ := fig10(t)
-	opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{MaxFeasibilityChecks: 3})
+	opt := NewOptimizer(net, LinearPenalty)
+	opt.budget = 3
 	disabled, st := opt.Run(1e-6)
 	if st.BudgetExhausted == 0 {
 		t.Fatalf("budget not exhausted: %+v", st)
@@ -222,4 +223,34 @@ func TestOptimizerBudgetExhaustion(t *testing.T) {
 		t.Fatal("budget-limited optimizer violated constraints")
 	}
 	_ = disabled
+}
+
+// TestSearchLimitsHold lowers the search limits through their fields: a
+// segment's exact search stops at its feasibility budget, and a reject
+// cache at its cap evicts rather than grows.
+func TestSearchLimitsHold(t *testing.T) {
+	for budget := 1; budget <= 8; budget++ {
+		net, _ := fig10(t)
+		opt := NewOptimizer(net, LinearPenalty)
+		opt.budget = budget
+		_, st := opt.Run(1e-6)
+		if st.Segments != 1 || st.FeasibilityChecks > budget || st.BudgetExhausted != 1 {
+			t.Fatalf("budget %d: one segment searched with %d checks, exhausted %d times (stats %+v)",
+				budget, st.FeasibilityChecks, st.BudgetExhausted, st)
+		}
+	}
+	evictions := 0
+	for seed := uint64(0); seed < 8; seed++ {
+		net := randomCorruptionScenario(t, seed+7000, 16)
+		opt := NewOptimizer(net, LinearPenalty)
+		opt.cacheCap = 1
+		_, st := opt.Run(1e-7)
+		if opt.rc != nil && len(opt.rc.solver.cache) > 1 {
+			t.Fatalf("seed %d: reject cache holds %d entries, capped at 1", seed, len(opt.rc.solver.cache))
+		}
+		evictions += st.RejectCacheEvictions
+	}
+	if evictions == 0 {
+		t.Fatal("a one-entry reject cache never evicted")
+	}
 }

@@ -7,49 +7,18 @@ import (
 	"corropt/internal/topology"
 )
 
-// OptimizerConfig toggles the optimizer's acceleration techniques; all
-// default to on. The ablation benches flip them individually. A limit that
-// is zero or negative takes its default.
-type OptimizerConfig struct {
-	// DisablePruning turns off topology pruning (§5.1, Figure 11): the
-	// step that disables unconditionally every corrupting link not
-	// upstream of a capacity-endangered ToR.
-	DisablePruning bool
-	// DisableSegmentation turns off topology segmentation (§8, Figure
-	// 20): solving independent groups of contested links separately.
-	DisableSegmentation bool
-	// DisableRejectCache turns off the reject cache: memoizing infeasible
-	// link subsets so any superset is rejected without a path count.
-	DisableRejectCache bool
-	// MaxExactLinks caps the number of links in one segment solved by
-	// exact search; larger segments fall back to a greedy maximal
-	// solution. Default 24 (bitmask-bounded at 62).
-	MaxExactLinks int
-	// MaxFeasibilityChecks bounds the exact search's work per segment;
-	// when exhausted, the best subset found so far is used. Default
-	// 500000. The result is then maximal-feasible but possibly not
-	// optimal; Stats.BudgetExhausted records the event.
-	MaxFeasibilityChecks int
-	// MaxRejectCacheEntries caps the per-segment reject cache; when full,
-	// the least-general (largest) cached subset is evicted and
-	// Stats.RejectCacheEvictions incremented. Default 4096.
-	MaxRejectCacheEntries int
-}
-
-func (c *OptimizerConfig) fillDefaults() {
-	if c.MaxExactLinks <= 0 {
-		c.MaxExactLinks = 24
-	}
-	if c.MaxExactLinks > 62 {
-		c.MaxExactLinks = 62
-	}
-	if c.MaxFeasibilityChecks <= 0 {
-		c.MaxFeasibilityChecks = 500000
-	}
-	if c.MaxRejectCacheEntries <= 0 {
-		c.MaxRejectCacheEntries = 4096
-	}
-}
+// The optimizer's search limits. A segment of more than maxExactLinks
+// links falls back to a greedy maximal solution (the mask is a uint64, so
+// the cap can rise to 62). The exact search of one segment spends at most
+// maxFeasibilityChecks probes; when they run out, the best subset found so
+// far is used, maximal-feasible but possibly not optimal. Each segment's
+// reject cache holds at most maxRejectCacheEntries subsets; when full, the
+// least-general (largest) cached subset is evicted.
+const (
+	maxExactLinks         = 24
+	maxFeasibilityChecks  = 500000
+	maxRejectCacheEntries = 4096
+)
 
 // OptimizeStats describes one optimizer run.
 type OptimizeStats struct {
@@ -69,7 +38,7 @@ type OptimizeStats struct {
 	// feasibility probe.
 	RejectCacheHits int
 	// RejectCacheEvictions counts cache entries dropped (or refused
-	// admission) because a segment's cache hit MaxRejectCacheEntries.
+	// admission) because a segment's cache was full.
 	RejectCacheEvictions int
 	// GreedyFallbacks counts segments too large for exact search.
 	GreedyFallbacks int
@@ -90,7 +59,10 @@ type OptimizeStats struct {
 type Optimizer struct {
 	net     *Network
 	penalty PenaltyFunc
-	cfg     OptimizerConfig
+	// The search limits, set from their constants; in-package tests lower
+	// them to reach the greedy fallback, budget exhaustion and cache
+	// eviction on small fabrics.
+	maxExact, budget, cacheCap int
 
 	// Per-Run scratch, reused across invocations: an Optimizer lives for a
 	// whole simulation or fleet shard and Run fires on every repair event,
@@ -131,12 +103,12 @@ type recheckScratch struct {
 }
 
 // NewOptimizer returns an Optimizer over net minimizing the given penalty.
-func NewOptimizer(net *Network, penalty PenaltyFunc, cfg OptimizerConfig) *Optimizer {
-	cfg.fillDefaults()
+func NewOptimizer(net *Network, penalty PenaltyFunc) *Optimizer {
 	if penalty == nil {
 		penalty = LinearPenalty
 	}
-	return &Optimizer{net: net, penalty: penalty, cfg: cfg}
+	return &Optimizer{net: net, penalty: penalty,
+		maxExact: maxExactLinks, budget: maxFeasibilityChecks, cacheCap: maxRejectCacheEntries}
 }
 
 // Run optimizes over all active corrupting links at or above threshold,
@@ -177,18 +149,16 @@ func (o *Optimizer) run(active []topology.LinkID) ([]topology.LinkID, OptimizeSt
 	}
 	rc := o.rc
 	rc.reach(o.net.Topology(), active, violated)
+	// Links upstream of no endangered ToR cannot violate anything: disable
+	// immediately.
 	disabled := rc.disabled[:0]
-	if !o.cfg.DisablePruning {
-		// Links upstream of no endangered ToR cannot violate anything:
-		// disable immediately.
-		for j, l := range active {
-			if !rc.hit[j] {
-				o.net.Disable(l)
-				disabled = append(disabled, l)
-			}
+	for j, l := range active {
+		if !rc.hit[j] {
+			o.net.Disable(l)
+			disabled = append(disabled, l)
 		}
-		st.SafelyDisabled = len(disabled)
 	}
+	st.SafelyDisabled = len(disabled)
 	for _, seg := range o.segments(active, violated, &st) {
 		disabled = o.solveSegment(disabled, seg, &st)
 	}
@@ -256,7 +226,7 @@ type segment struct {
 }
 
 // segments groups the contested links — those upstream of some violated
-// ToR, or every active link without pruning — such that two links upstream
+// ToR — such that two links upstream
 // of one violated ToR land in the same group; groups can then be optimized
 // independently (§8's topology segmentation). rc.reach must have run over
 // active and violated. Each segment's links and ToRs are ascending, and the
@@ -270,11 +240,9 @@ func (o *Optimizer) segments(active []topology.LinkID, violated []topology.Switc
 	size := rc.size[:0]
 	for j := range active {
 		switch {
-		case !rc.hit[j] && !o.cfg.DisablePruning:
+		case !rc.hit[j]:
 			rc.seg[j] = -1
 			continue
-		case o.cfg.DisableSegmentation:
-			rc.seg[j] = 0
 		case rc.find(j) == j:
 			rc.seg[j] = len(size)
 		default:
@@ -355,7 +323,7 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 	}
 	s.links, s.pen, s.ranked = links, pen, ranked
 
-	if len(links) > o.cfg.MaxExactLinks {
+	if len(links) > o.maxExact {
 		st.GreedyFallbacks++
 		return o.greedy(disabled, links, st)
 	}
@@ -367,10 +335,9 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 		pen:      pen,
 		ranked:   ranked,
 		suffix:   slices.Grow(s.suffix[:0], len(links)+1)[:len(links)+1],
-		useCache: !o.cfg.DisableRejectCache,
 		cache:    s.cache[:0],
-		cacheCap: o.cfg.MaxRejectCacheEntries,
-		budget:   o.cfg.MaxFeasibilityChecks,
+		cacheCap: o.cacheCap,
+		budget:   o.budget,
 	}
 	s.suffix[len(links)] = 0
 	for i := len(links) - 1; i >= 0; i-- {
@@ -426,7 +393,6 @@ type segSolver struct {
 	suffix []float64
 	ranked []rankedLink // scratch for sorting links by penalty
 
-	useCache bool
 	// cache holds infeasible subset masks ordered by ascending popcount,
 	// so a membership scan can stop as soon as cached subsets are larger
 	// than the candidate (a larger set cannot be a subset of a smaller
@@ -473,24 +439,20 @@ func (s *segSolver) dfs(i int, mask uint64, got float64) {
 // success the probe is committed, so the link stays disabled on the
 // counter; on failure the counter is left as it was.
 func (s *segSolver) feasible(cand uint64, l topology.LinkID) bool {
-	if s.useCache {
-		candPop := bits.OnesCount64(cand)
-		for _, m := range s.cache {
-			if bits.OnesCount64(m) > candPop {
-				break // sorted by popcount: no later entry can be a subset
-			}
-			if cand&m == m {
-				s.cacheHits++
-				return false
-			}
+	candPop := bits.OnesCount64(cand)
+	for _, m := range s.cache {
+		if bits.OnesCount64(m) > candPop {
+			break // sorted by popcount: no later entry can be a subset
+		}
+		if cand&m == m {
+			s.cacheHits++
+			return false
 		}
 	}
 	s.checks++
 	s.budget--
 	if !s.net.tors.ProbeMeets(s.pc.Probe(l), s.pc) {
-		if s.useCache {
-			s.cacheInsert(cand)
-		}
+		s.cacheInsert(cand)
 		return false
 	}
 	s.pc.Commit()

@@ -35,9 +35,9 @@ func referenceCone(topo *topology.Topology, tor topology.SwitchID, set *topology
 	}
 }
 
-// referenceRun is Optimizer.Run over per-ToR upstream link cones.
-func referenceRun(net *Network, penalty PenaltyFunc, cfg OptimizerConfig, threshold float64) ([]topology.LinkID, OptimizeStats) {
-	cfg.fillDefaults()
+// referenceRun is Optimizer.Run over per-ToR upstream link cones, with
+// segments of more than maxExact links solved greedily.
+func referenceRun(net *Network, penalty PenaltyFunc, maxExact int, threshold float64) ([]topology.LinkID, OptimizeStats) {
 	var st OptimizeStats
 	active := net.ActiveCorrupting(threshold)
 	st.Active = len(active)
@@ -62,24 +62,20 @@ func referenceRun(net *Network, penalty PenaltyFunc, cfg OptimizerConfig, thresh
 		upstream.Union(torUp[i])
 	}
 	var safe, contested []topology.LinkID
-	if cfg.DisablePruning {
-		contested = active
-	} else {
-		for _, l := range active {
-			if upstream.Has(l) {
-				contested = append(contested, l)
-			} else {
-				safe = append(safe, l)
-			}
+	for _, l := range active {
+		if upstream.Has(l) {
+			contested = append(contested, l)
+		} else {
+			safe = append(safe, l)
 		}
-		for _, l := range safe {
-			net.Disable(l)
-		}
-		st.SafelyDisabled = len(safe)
 	}
+	for _, l := range safe {
+		net.Disable(l)
+	}
+	st.SafelyDisabled = len(safe)
 	disabled := slices.Clone(safe)
-	for _, seg := range referenceSegments(cfg, contested, violated, torUp, &st) {
-		for _, l := range referenceSolveSegment(net, penalty, cfg, seg, &st) {
+	for _, seg := range referenceSegments(contested, violated, torUp, &st) {
+		for _, l := range referenceSolveSegment(net, penalty, maxExact, seg, &st) {
 			net.Disable(l)
 			disabled = append(disabled, l)
 		}
@@ -87,7 +83,7 @@ func referenceRun(net *Network, penalty PenaltyFunc, cfg OptimizerConfig, thresh
 	return disabled, st
 }
 
-func referenceSegments(cfg OptimizerConfig, contested []topology.LinkID, violated []topology.SwitchID, torUp []*topology.LinkSet, st *OptimizeStats) []segment {
+func referenceSegments(contested []topology.LinkID, violated []topology.SwitchID, torUp []*topology.LinkSet, st *OptimizeStats) []segment {
 	if len(contested) == 0 {
 		return nil
 	}
@@ -110,19 +106,13 @@ func referenceSegments(cfg OptimizerConfig, contested []topology.LinkID, violate
 		return x
 	}
 	union := func(a, b int) { parent[find(a)] = find(b) }
-	if cfg.DisableSegmentation {
-		for i := 1; i < len(contested); i++ {
-			union(0, i)
-		}
-	} else {
-		torOwner := make(map[topology.SwitchID]int)
-		for i := range contested {
-			for _, tor := range affected[i] {
-				if prev, ok := torOwner[tor]; ok {
-					union(prev, i)
-				} else {
-					torOwner[tor] = i
-				}
+	torOwner := make(map[topology.SwitchID]int)
+	for i := range contested {
+		for _, tor := range affected[i] {
+			if prev, ok := torOwner[tor]; ok {
+				union(prev, i)
+			} else {
+				torOwner[tor] = i
 			}
 		}
 	}
@@ -153,7 +143,7 @@ func referenceSegments(cfg OptimizerConfig, contested []topology.LinkID, violate
 	return out
 }
 
-func referenceSolveSegment(net *Network, penalty PenaltyFunc, cfg OptimizerConfig, seg segment, st *OptimizeStats) []topology.LinkID {
+func referenceSolveSegment(net *Network, penalty PenaltyFunc, maxExact int, seg segment, st *OptimizeStats) []topology.LinkID {
 	pc := net.pc
 	if !net.meetsAll(seg.tors, pc.IncCounts(), pc.Total()) {
 		return nil
@@ -167,7 +157,7 @@ func referenceSolveSegment(net *Network, penalty PenaltyFunc, cfg OptimizerConfi
 		return cmp.Compare(a, b)
 	})
 	var chosen []topology.LinkID
-	if len(links) > cfg.MaxExactLinks {
+	if len(links) > maxExact {
 		st.GreedyFallbacks++
 		counts, total := pc.IncCounts(), pc.Total()
 		for _, l := range links {
@@ -189,9 +179,8 @@ func referenceSolveSegment(net *Network, penalty PenaltyFunc, cfg OptimizerConfi
 		links:    links,
 		pen:      make([]float64, len(links)),
 		suffix:   make([]float64, len(links)+1),
-		useCache: !cfg.DisableRejectCache,
-		cacheCap: cfg.MaxRejectCacheEntries,
-		budget:   cfg.MaxFeasibilityChecks,
+		cacheCap: maxRejectCacheEntries,
+		budget:   maxFeasibilityChecks,
 	}
 	for i, l := range links {
 		s.pen[i] = penalty(net.CorruptionRate(l))
@@ -214,17 +203,9 @@ func referenceSolveSegment(net *Network, penalty PenaltyFunc, cfg OptimizerConfi
 	return chosen
 }
 
-// differentialConfigs are the optimizer ablations the differential covers:
-// the defaults, each acceleration turned off alone and all together, and a
-// segment cap low enough to force the greedy fallback.
-var differentialConfigs = []OptimizerConfig{
-	{},
-	{DisablePruning: true},
-	{DisableSegmentation: true},
-	{DisableRejectCache: true},
-	{DisablePruning: true, DisableSegmentation: true, DisableRejectCache: true},
-	{MaxExactLinks: 3},
-}
+// differentialConfigs are the segment caps the differential covers: the
+// optimizer's own, and one low enough to force the greedy fallback.
+var differentialConfigs = []int{maxExactLinks, 3}
 
 // stateOp is one change to a network's state, applied identically to the
 // network under test and the reference's.
@@ -344,7 +325,7 @@ func differentialFabrics(t *testing.T) []differentialFabric {
 
 // TestRunMatchesConeReference runs random re-check sequences — each
 // optimizer reused across runs, as an Engine reuses it across activations —
-// on four fabrics under every ablation, and requires the disabled list
+// on four fabrics under both segment caps, and requires the disabled list
 // (order included), every OptimizeStats field and the resulting network
 // state to equal the link-cone reference's.
 func TestRunMatchesConeReference(t *testing.T) {
@@ -354,7 +335,7 @@ func TestRunMatchesConeReference(t *testing.T) {
 		// interesting cases fails here rather than passing vacuously.
 		var preViolated, multiSegment, searched, tops int
 		var topSeen [8]bool
-		for ci, cfg := range differentialConfigs {
+		for ci, maxExact := range differentialConfigs {
 			for seed := uint64(0); seed < 6; seed++ {
 				rng := rngutil.New(seed).Split(fab.name)
 				got, err := NewNetwork(fab.topo, fab.c)
@@ -362,7 +343,8 @@ func TestRunMatchesConeReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, _ := NewNetwork(fab.topo, fab.c)
-				opt := NewOptimizer(got, LinearPenalty, cfg)
+				opt := NewOptimizer(got, LinearPenalty)
+				opt.maxExact = maxExact
 				maxStage := topology.Stage(int(seed) % (fab.topo.Stages() - 1))
 				for step := 0; step < 8; step++ {
 					for _, op := range drawOps(rng, fab.topo, maxStage) {
@@ -382,7 +364,7 @@ func TestRunMatchesConeReference(t *testing.T) {
 					}
 
 					gd, gst := opt.Run(threshold)
-					wd, wst := referenceRun(want, LinearPenalty, cfg, threshold)
+					wd, wst := referenceRun(want, LinearPenalty, maxExact, threshold)
 					if !slices.Equal(gd, wd) || gst != wst {
 						t.Fatalf("%s config %d seed %d step %d: disabled %v (%+v), reference %v (%+v)",
 							fab.name, ci, seed, step, gd, gst, wd, wst)
@@ -419,7 +401,7 @@ func FuzzOptimizerDifferential(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		cfg := differentialConfigs[int(cfgIndex)%len(differentialConfigs)]
+		maxExact := differentialConfigs[int(cfgIndex)%len(differentialConfigs)]
 		got := randomCorruptionScenario(t, seed, 6)
 		want := randomCorruptionScenario(t, seed, 6)
 		if seed%2 == 1 {
@@ -431,7 +413,8 @@ func FuzzOptimizerDifferential(f *testing.F) {
 			loadShard(t, whole, sg, want)
 		}
 		topo := got.Topology()
-		opt := NewOptimizer(got, LinearPenalty, cfg)
+		opt := NewOptimizer(got, LinearPenalty)
+		opt.maxExact = maxExact
 		rng := rngutil.New(seed).Split("ops")
 		for _, b := range ops {
 			l := topology.LinkID(int(b>>3) % topo.NumLinks())
@@ -444,7 +427,7 @@ func FuzzOptimizerDifferential(f *testing.F) {
 				op.v = rng.Range(0.3, 1)
 			case 4:
 				gd, gst := opt.Run(1e-7)
-				wd, wst := referenceRun(want, LinearPenalty, cfg, 1e-7)
+				wd, wst := referenceRun(want, LinearPenalty, maxExact, 1e-7)
 				if !slices.Equal(gd, wd) || gst != wst {
 					t.Fatalf("disabled %v (%+v), reference %v (%+v)", gd, gst, wd, wst)
 				}

@@ -123,7 +123,7 @@ func TestShardRunsMatchRun(t *testing.T) {
 
 	src := build()
 	netFull := build()
-	full, fullStats := NewOptimizer(netFull, nil, OptimizerConfig{}).Run(threshold)
+	full, fullStats := NewOptimizer(netFull, nil).Run(threshold)
 	if fullStats.Active == 0 || len(full) == 0 {
 		t.Fatalf("reference Run disabled nothing (stats %+v)", fullStats)
 	}
@@ -139,7 +139,7 @@ func TestShardRunsMatchRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		loadShard(t, src, sg, net)
-		chosen, st := NewOptimizer(net, nil, OptimizerConfig{}).Run(threshold)
+		chosen, st := NewOptimizer(net, nil).Run(threshold)
 		sharded = append(sharded, toSource(sg, chosen)...)
 		activeTotal += st.Active
 		disabledTotal += net.NumDisabled()

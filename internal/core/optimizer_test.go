@@ -47,7 +47,7 @@ func fig11(t *testing.T) (*Network, map[string]topology.LinkID) {
 
 func TestFig11Pruning(t *testing.T) {
 	net, links := fig11(t)
-	opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+	opt := NewOptimizer(net, LinearPenalty)
 	disabled, st := opt.Run(1e-6)
 
 	// Pruning identifies J as the only endangered ToR and disables the
@@ -80,7 +80,7 @@ func TestOptimizerDisablesEverythingWhenFeasible(t *testing.T) {
 	for _, tor := range topo.ToRs() {
 		net.SetCorruption(topo.Switch(tor).Uplinks[0], 1e-4)
 	}
-	opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+	opt := NewOptimizer(net, LinearPenalty)
 	disabled, st := opt.Run(1e-6)
 	if len(disabled) != len(topo.ToRs()) {
 		t.Fatalf("disabled %d, want %d", len(disabled), len(topo.ToRs()))
@@ -97,7 +97,7 @@ func TestOptimizerDisablesEverythingWhenFeasible(t *testing.T) {
 func TestOptimizerNoCorruption(t *testing.T) {
 	topo := smallClos(t)
 	net, _ := NewNetwork(topo, 0.5)
-	opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+	opt := NewOptimizer(net, LinearPenalty)
 	disabled, st := opt.Run(1e-6)
 	if disabled != nil || st.Active != 0 {
 		t.Fatalf("optimizer invented work: %v %+v", disabled, st)
@@ -168,7 +168,7 @@ func TestOptimizerMatchesBruteForce(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		net := randomCorruptionScenario(t, seed, 10)
 		want := bruteForceBest(net, 1e-7, LinearPenalty)
-		opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+		opt := NewOptimizer(net, LinearPenalty)
 		disabled, st := opt.Run(1e-7)
 		got := disabledPenalty(net, disabled, LinearPenalty)
 		if math.Abs(got-want) > 1e-12 {
@@ -180,55 +180,41 @@ func TestOptimizerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestOptimizerExactUnderAllAblations(t *testing.T) {
-	// Pruning, segmentation and the reject cache are accelerations: they
-	// must never change the answer.
-	configs := []OptimizerConfig{
-		{DisablePruning: true},
-		{DisableSegmentation: true},
-		{DisableRejectCache: true},
-		{DisablePruning: true, DisableSegmentation: true, DisableRejectCache: true},
-	}
-	for seed := uint64(100); seed < 110; seed++ {
-		net := randomCorruptionScenario(t, seed, 8)
-		want := bruteForceBest(net, 1e-7, LinearPenalty)
-		for ci, cfg := range configs {
-			n2 := randomCorruptionScenario(t, seed, 8)
-			opt := NewOptimizer(n2, LinearPenalty, cfg)
-			disabled, _ := opt.Run(1e-7)
-			got := disabledPenalty(n2, disabled, LinearPenalty)
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("seed %d config %d: penalty %v, want %v", seed, ci, got, want)
-			}
-		}
-		_ = net
-	}
-}
-
-func TestRejectCacheReducesChecks(t *testing.T) {
-	// On a constrained instance, the reject cache should save path counts.
-	net, _ := fig10(t)
-	optNoCache := NewOptimizer(net, LinearPenalty, OptimizerConfig{DisableRejectCache: true})
-	_, stNo := optNoCache.Run(1e-6)
-
-	net2, _ := fig10(t)
-	optCache := NewOptimizer(net2, LinearPenalty, OptimizerConfig{})
-	_, stYes := optCache.Run(1e-6)
-
-	if stYes.RejectCacheHits == 0 {
-		t.Logf("no cache hits on this instance (checks with=%d without=%d)", stYes.FeasibilityChecks, stNo.FeasibilityChecks)
-	}
-	if stYes.FeasibilityChecks > stNo.FeasibilityChecks {
-		t.Fatalf("cache increased feasibility checks: %d > %d", stYes.FeasibilityChecks, stNo.FeasibilityChecks)
-	}
-}
-
 func TestGreedyFallbackOnHugeSegment(t *testing.T) {
 	net, _ := fig10(t)
-	opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{MaxExactLinks: 4})
+	opt := NewOptimizer(net, LinearPenalty)
+	opt.maxExact = 4
 	disabled, st := opt.Run(1e-6)
 	if st.GreedyFallbacks == 0 {
-		t.Fatalf("expected greedy fallback with MaxExactLinks=4 (stats %+v)", st)
+		t.Fatalf("expected greedy fallback with maxExact = 4 (stats %+v)", st)
+	}
+	if !net.Feasible(nil) {
+		t.Fatal("greedy fallback violated constraints")
+	}
+	if len(disabled) == 0 {
+		t.Fatal("greedy fallback disabled nothing")
+	}
+}
+
+// TestGreedyFallbackAtDefaultCap reaches the greedy fallback with the
+// optimizer as every program builds it: 30 corrupting agg→spine uplinks in
+// one pod of the medium DCN endanger every ToR of the pod, so they form one
+// contested segment beyond the exact search's 24 links.
+func TestGreedyFallbackAtDefaultCap(t *testing.T) {
+	net := mediumNetwork(t)
+	topo := net.Topology()
+	n := 0
+	for _, up := range topo.Switch(topo.ToRs()[0]).Uplinks {
+		for _, l := range topo.Switch(topo.Link(up).Upper).Uplinks[:5] {
+			n++
+			net.SetCorruption(l, 1e-5*float64(n))
+		}
+	}
+	opt := NewOptimizer(net, LinearPenalty)
+	disabled, st := opt.Run(1e-6)
+	t.Logf("%d disabled (stats %+v)", len(disabled), st)
+	if st.GreedyFallbacks == 0 || st.LargestSegment <= maxExactLinks {
+		t.Fatalf("expected a greedy fallback on a segment of %d links (stats %+v)", n, st)
 	}
 	if !net.Feasible(nil) {
 		t.Fatal("greedy fallback violated constraints")
@@ -265,7 +251,7 @@ func TestSegmentationSplitsIndependentGroups(t *testing.T) {
 	for _, l := range corrupt {
 		net.SetCorruption(l, 1e-3)
 	}
-	opt := NewOptimizer(net, LinearPenalty, OptimizerConfig{})
+	opt := NewOptimizer(net, LinearPenalty)
 	disabled, st := opt.Run(1e-6)
 	if st.Segments != 2 {
 		t.Fatalf("segments = %d, want 2 (stats %+v)", st.Segments, st)

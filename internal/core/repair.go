@@ -148,7 +148,7 @@ func (r *RepairLoop) Reset(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc)
 		r.flapAt = make(map[topology.LinkID][]time.Duration)
 	}
 	r.eng, r.net, r.cfg, r.diagnose = eng, eng.Network(), cfg, diagnose
-	r.queue.Reset(tickets.QueueConfig{Staffing: cfg.Staffing, Quiet: true})
+	r.queue.Reset(tickets.QueueConfig{Staffing: cfg.Staffing})
 	clear(r.reseated)
 	clear(r.collateral)
 	clear(r.flapAt)

@@ -184,8 +184,8 @@ func litName(lit Literal) string {
 // MaxDisabled runs the optimizer on the gadget and reports how many faulty
 // links it disabled. By Lemma A.1 the answer is NumVars exactly when the
 // formula is satisfiable, and strictly fewer otherwise.
-func (g *Gadget) MaxDisabled(cfg OptimizerConfig) int {
-	opt := NewOptimizer(g.Net, LinearPenalty, cfg)
+func (g *Gadget) MaxDisabled() int {
+	opt := NewOptimizer(g.Net, LinearPenalty)
 	disabled, _ := opt.Run(gadgetRate / 2)
 	return len(disabled)
 }

@@ -51,7 +51,7 @@ func TestGadgetSatisfiable(t *testing.T) {
 	if got := len(g.FaultyLinks); got != 2*f.NumVars {
 		t.Fatalf("faulty links = %d, want %d", got, 2*f.NumVars)
 	}
-	n := g.MaxDisabled(OptimizerConfig{})
+	n := g.MaxDisabled()
 	if n != f.NumVars {
 		t.Fatalf("optimizer disabled %d faulty links, want %d", n, f.NumVars)
 	}
@@ -67,7 +67,7 @@ func TestGadgetUnsatisfiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.MaxDisabled(OptimizerConfig{})
+	n := g.MaxDisabled()
 	if n >= f.NumVars {
 		t.Fatalf("optimizer disabled %d links on an unsatisfiable instance, want < %d", n, f.NumVars)
 	}
@@ -104,7 +104,7 @@ func TestGadgetMatchesSATOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := g.MaxDisabled(OptimizerConfig{})
+		n := g.MaxDisabled()
 		want := f.Satisfiable()
 		if want {
 			satSeen++
@@ -134,7 +134,7 @@ func TestGadgetNeverDisconnects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.MaxDisabled(OptimizerConfig{})
+		g.MaxDisabled()
 		// Every ToR must keep at least one path.
 		counts := g.Net.pc.Count(g.Net.DisabledFunc())
 		for _, tor := range g.Net.Topology().ToRs() {

@@ -28,15 +28,13 @@ var (
 )
 
 // ClientConfig parameterizes a hardened Client. The zero value is one
-// attempt with 5s per-phase deadlines, the system clock, net.Dial and no
-// agent identity.
+// attempt with 5s per-phase deadlines, net.Dial and no agent identity.
+// Deadlines are read from the system clock, simclock.Real.
 type ClientConfig struct {
 	// Timeout is the per-phase deadline (default 5s): the write and the
 	// read each get their own, measured from the phase's own start, so a
 	// slow write does not eat the read's time.
 	Timeout time.Duration
-	// Clock supplies deadline reads; default simclock.Real.
-	Clock simclock.WallClock
 	// Dial opens (and re-opens) the controller connection; default
 	// net.Dial. Chaos tests inject a netchaos wrapper here.
 	Dial func(network, address string) (net.Conn, error)
@@ -58,9 +56,6 @@ type ClientConfig struct {
 func (cfg ClientConfig) normalized() ClientConfig {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.Real{}
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = net.Dial
@@ -131,13 +126,13 @@ func (c *Client) exchange(req *Envelope) (*Envelope, error) {
 		}
 		c.attach(conn)
 	}
-	if err := c.conn.SetWriteDeadline(c.cfg.Clock.Now().Add(c.cfg.Timeout)); err != nil {
+	if err := c.conn.SetWriteDeadline(simclock.Real{}.Now().Add(c.cfg.Timeout)); err != nil {
 		return nil, fmt.Errorf("ctlplane: set write deadline: %w", err)
 	}
 	if err := WriteMsg(c.conn, req); err != nil {
 		return nil, phaseErr("write request", ErrWriteTimeout, err)
 	}
-	if err := c.conn.SetReadDeadline(c.cfg.Clock.Now().Add(c.cfg.Timeout)); err != nil {
+	if err := c.conn.SetReadDeadline(simclock.Real{}.Now().Add(c.cfg.Timeout)); err != nil {
 		return nil, fmt.Errorf("ctlplane: set read deadline: %w", err)
 	}
 	resp, err := ReadMsg(c.br)

@@ -47,7 +47,7 @@ func thm51(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := g.MaxDisabled(core.OptimizerConfig{})
+		n := g.MaxDisabled()
 		sat := f.Satisfiable()
 		ok := (n == vars) == sat
 		if ok {

@@ -120,7 +120,7 @@ func hetero(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := core.NewOptimizer(net, core.LinearPenalty, core.OptimizerConfig{})
+		opt := core.NewOptimizer(net, core.LinearPenalty)
 		disabled, _ := opt.Run(1e-6)
 		r.AddRow("corropt optimizer (per-ToR constraints)",
 			fmt.Sprintf("%d", len(disabled)), fmtF(net.TotalPenalty(core.LinearPenalty)), check(net))

@@ -77,7 +77,7 @@ func hotspot(cfg Config) (*Report, error) {
 			return len(corrupting)
 		}},
 		{"corropt c=75%", func(net *core.Network) int {
-			opt := core.NewOptimizer(net, core.LinearPenalty, core.OptimizerConfig{})
+			opt := core.NewOptimizer(net, core.LinearPenalty)
 			disabled, _ := opt.Run(1e-6)
 			return len(disabled)
 		}},

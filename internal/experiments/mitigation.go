@@ -97,7 +97,7 @@ func fig10(Config) (*Report, error) {
 			return len(sl.Sweep(1e-6))
 		}},
 		{"corropt optimizer (fig 10c)", func(net *core.Network) int {
-			opt := core.NewOptimizer(net, core.LinearPenalty, core.OptimizerConfig{})
+			opt := core.NewOptimizer(net, core.LinearPenalty)
 			disabled, _ := opt.Run(1e-6)
 			return len(disabled)
 		}},
@@ -147,7 +147,7 @@ func fig11(Config) (*Report, error) {
 	for _, n := range []string{"G-A", "H-A", "I-B", "J-A", "J-B"} {
 		net.SetCorruption(links[n], 1e-3)
 	}
-	opt := core.NewOptimizer(net, core.LinearPenalty, core.OptimizerConfig{})
+	opt := core.NewOptimizer(net, core.LinearPenalty)
 	disabled, st := opt.Run(1e-6)
 	r.AddRow("corrupting links", "5 (G-A, H-A, I-B, J-A, J-B)")
 	r.AddRow("endangered ToRs", "1 (J)")

@@ -85,7 +85,7 @@ func tiers(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := core.NewOptimizer(netCO, core.LinearPenalty, core.OptimizerConfig{})
+		opt := core.NewOptimizer(netCO, core.LinearPenalty)
 		coDisabled, _ := opt.Run(1e-6)
 
 		r.AddRow(fmt.Sprintf("%d", b.r), fmt.Sprintf("%.4f", sc), fmt.Sprintf("%d", budget),

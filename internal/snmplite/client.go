@@ -20,7 +20,8 @@ var ErrTimeout = errors.New("snmplite: response timeout")
 
 // ClientConfig parameterizes a Client. The zero value polls with a 500ms
 // per-attempt deadline and 4 attempts spaced by backoff.Delay
-// (10ms/20ms/40ms ±20% jitter).
+// (10ms/20ms/40ms ±20% jitter). Deadlines are read from the system clock,
+// simclock.Real.
 type ClientConfig struct {
 	// Timeout is the per-attempt response deadline (default 500ms).
 	Timeout time.Duration
@@ -30,8 +31,6 @@ type ClientConfig struct {
 	// RNG jitters the retransmit schedule; default a fixed-seed substream
 	// (deterministic unless the caller injects entropy).
 	RNG *rngutil.Source
-	// Clock supplies deadline reads; default simclock.Real.
-	Clock simclock.WallClock
 	// Dial opens the server connection; default net.Dial.
 	Dial func(network, address string) (net.Conn, error)
 	// Sleep pauses between retransmits; default time.Sleep.
@@ -47,9 +46,6 @@ func (cfg ClientConfig) normalized() ClientConfig {
 	}
 	if cfg.RNG == nil {
 		cfg.RNG = rngutil.New(1).Split("snmplite-retry")
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.Real{}
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = net.Dial
@@ -117,13 +113,13 @@ func (c *Client) getOnce(dst []Value, queries []Query) ([]Value, error) {
 		// The send gets the same per-attempt bound as the response wait: UDP
 		// writes rarely block, but a wrapped (chaos) or backpressured socket
 		// must not wedge the poll loop past its attempts.
-		if err := c.conn.SetWriteDeadline(c.cfg.Clock.Now().Add(c.cfg.Timeout)); err != nil {
+		if err := c.conn.SetWriteDeadline(simclock.Real{}.Now().Add(c.cfg.Timeout)); err != nil {
 			return nil, err
 		}
 		if _, err := c.conn.Write(pkt); err != nil {
 			return nil, fmt.Errorf("snmplite: send: %w", err)
 		}
-		deadline := c.cfg.Clock.Now().Add(c.cfg.Timeout)
+		deadline := simclock.Real{}.Now().Add(c.cfg.Timeout)
 		if err := c.conn.SetReadDeadline(deadline); err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ var hotpathFloors = []hotpathFloor{{
 	name:  "open_resolve",
 	roots: []string{"(*Queue).Open", "(*Queue).Resolve"},
 	setup: func(tb testing.TB) func() {
-		q := NewQueue(QueueConfig{Quiet: true})
+		q := NewQueue(QueueConfig{})
 		now := time.Duration(0)
 		return func() {
 			for l := topology.LinkID(0); l < 4096; l++ {

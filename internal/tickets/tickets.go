@@ -57,14 +57,6 @@ type Ticket struct {
 	ActionTaken faults.RepairAction
 	// Succeeded records whether the repair eliminated corruption.
 	Succeeded bool
-	// Diary collects free-form log lines, mirroring the ticket diaries
-	// the paper's analysis reads.
-	Diary []string
-}
-
-// Log appends a diary line.
-func (t *Ticket) Log(format string, args ...interface{}) {
-	t.Diary = append(t.Diary, fmt.Sprintf(format, args...))
 }
 
 // Staffing is the repair crew.
@@ -81,9 +73,8 @@ type Staffing struct {
 // QueueConfig parameterizes the repair queue.
 type QueueConfig struct {
 	Staffing
-	// Quiet suppresses diary lines. The experiment drivers never read
-	// diaries (only the diary tests do), and each line costs a Sprintf on
-	// the hot ticket path, so pooled simulation scratch runs quiet.
+	// Quiet has no effect. Tickets keep no diary; the field stays only
+	// because the benchmark module under bench/ sets it.
 	Quiet bool
 }
 
@@ -157,7 +148,7 @@ func (q *Queue) newTicket() *Ticket {
 	if n := len(q.free); n > 0 {
 		t := q.free[n-1]
 		q.free = q.free[:n-1]
-		*t = Ticket{slot: t.slot, Diary: t.Diary[:0]}
+		*t = Ticket{slot: t.slot}
 		return t
 	}
 	t := &Ticket{slot: int32(len(q.all))}
@@ -195,10 +186,6 @@ func (q *Queue) Open(l topology.LinkID, rec faults.RepairAction, now time.Durati
 	t.Status = InRepair
 	done := start + q.cfg.ServiceTime
 	q.open++
-	if !q.cfg.Quiet {
-		//lint:allow escapes diary lines are off in Quiet mode
-		t.Log("opened at %v, repair scheduled to finish at %v (attempt %d, recommendation %v)", now, done, t.Attempt, rec)
-	}
 	return t, done
 }
 
@@ -217,10 +204,6 @@ func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction
 	t.ResolvedAt = now
 	t.ActionTaken = action
 	t.Succeeded = succeeded
-	if !q.cfg.Quiet {
-		//lint:allow escapes diary lines are off in Quiet mode
-		t.Log("resolved at %v: action %v, success %v", now, action, succeeded)
-	}
 	q.open--
 	q.resolved++
 	if t.Attempt == 1 {

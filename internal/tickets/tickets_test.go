@@ -107,15 +107,6 @@ func TestFirstAttemptSuccessRate(t *testing.T) {
 	}
 }
 
-func TestDiary(t *testing.T) {
-	q := NewQueue(QueueConfig{})
-	tk, d := q.Open(1, faults.ActionCleanFiber, 0)
-	q.Resolve(tk, d, faults.ActionCleanFiber, true)
-	if len(tk.Diary) < 2 {
-		t.Fatalf("diary has %d entries", len(tk.Diary))
-	}
-}
-
 func TestTechnicianFollowsRecommendation(t *testing.T) {
 	tech := NewTechnician(1.0, rngutil.New(1))
 	tk := &Ticket{Recommendation: faults.ActionReplaceSharedComponent, Attempt: 1}
@@ -218,10 +209,10 @@ func mapMeanAttempts(log []resolvedTicket) float64 {
 // queue and requires MeanAttempts to equal the map reference over the test's
 // own log of resolves exactly.
 func TestMeanAttemptsMatchesMapReference(t *testing.T) {
-	q := NewQueue(QueueConfig{Quiet: true})
+	q := NewQueue(QueueConfig{})
 	rng := rngutil.New(7)
 	for run := 0; run < 20; run++ {
-		q.Reset(QueueConfig{Quiet: true})
+		q.Reset(QueueConfig{})
 		var log []resolvedTicket
 		now := time.Duration(0)
 		for i := 0; i < 300; i++ {
@@ -279,16 +270,13 @@ func TestQueueReset(t *testing.T) {
 	q.Resolve(t1, d1, faults.ActionCleanFiber, false)
 	q.Open(4, faults.ActionCleanFiber, d1) // left open across Reset
 
-	q.Reset(QueueConfig{Staffing: Staffing{Technicians: 2}, Quiet: true})
+	q.Reset(QueueConfig{Staffing: Staffing{Technicians: 2}})
 	if q.OpenCount() != 0 || q.Resolved() != 0 {
 		t.Fatalf("Reset left %d open, %d resolved", q.OpenCount(), q.Resolved())
 	}
 	t2, _ := q.Open(4, faults.ActionCleanFiber, 0)
 	if t2.ID != 0 || t2.Attempt != 1 {
 		t.Fatalf("post-Reset ticket ID=%d attempt=%d, want 0 and 1", t2.ID, t2.Attempt)
-	}
-	if len(t2.Diary) != 0 {
-		t.Fatalf("quiet queue wrote %d diary lines", len(t2.Diary))
 	}
 	// Two technicians now: a second concurrent ticket starts immediately.
 	t3, d3 := q.Open(5, faults.ActionCleanFiber, 0)
@@ -303,7 +291,7 @@ func TestQueueReset(t *testing.T) {
 // TestQueueResetRecyclesTickets pins the ticket arena: a warm
 // open/resolve/Reset cycle allocates no tickets.
 func TestQueueResetRecyclesTickets(t *testing.T) {
-	q := NewQueue(QueueConfig{Quiet: true})
+	q := NewQueue(QueueConfig{})
 	cycle := func() {
 		for i := 0; i < 16; i++ {
 			tk, done := q.Open(topology.LinkID(i), faults.ActionCleanFiber, 0)
@@ -311,7 +299,7 @@ func TestQueueResetRecyclesTickets(t *testing.T) {
 				panic(err)
 			}
 		}
-		q.Reset(QueueConfig{Quiet: true})
+		q.Reset(QueueConfig{})
 	}
 	cycle() // warm up the free list and map capacity
 	allocs := testing.AllocsPerRun(10, cycle)
