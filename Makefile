@@ -97,7 +97,8 @@ cover:
 ## incremental path-counting engine to the full-sweep reference and its
 ## probe-then-commit split to Apply/Revert, the
 ## optimizer's switch-reach pruning and segmentation to the link-cone
-## reference, an activation's skipped or narrowed re-check to the re-check
+## reference and its exact search to an independent include-first search
+## that never tests a superset of a subset it rejected, an activation's skipped or narrowed re-check to the re-check
 ## over every active corrupting link, and Network's cached ToR fractions
 ## (and the sum of a run of 1.0 terms inside them) to the in-order loop; of
 ## the repair loop's ticket and hold invariants; of the sim clock's firing

@@ -40,7 +40,7 @@ func BenchmarkExperiment(b *testing.B) {
 
 // largeNetwork builds the O(35K)-link evaluation topology with a
 // population of corrupting links for the performance benchmarks.
-func largeNetwork(b *testing.B, capacity float64, nCorrupt int) (*Network, []LinkID) {
+func largeNetwork(b testing.TB, capacity float64, nCorrupt int) (*Network, []LinkID) {
 	b.Helper()
 	topo, err := experiments.DCN(experiments.ScaleLarge)
 	if err != nil {
@@ -134,9 +134,9 @@ func BenchmarkPathCountingIncremental(b *testing.B) {
 }
 
 // ablationScenario: a small DCN with heavy corruption clustered so that
-// the optimizer's pruning, segmentation and reject cache all engage and the
-// exact search has work to do.
-func ablationScenario(b *testing.B) *Network {
+// the optimizer's pruning and segmentation both engage and the exact
+// search has work to do.
+func ablationScenario(b testing.TB) *Network {
 	b.Helper()
 	topo, err := experiments.DCN(experiments.ScaleSmall)
 	if err != nil {
@@ -162,7 +162,8 @@ func ablationScenario(b *testing.B) *Network {
 	return net
 }
 
-// BenchmarkAblationBaseline times one optimizer run on ablationScenario.
+// BenchmarkAblationBaseline times one optimizer run on ablationScenario
+// and reports its feasibility probes, which TestWorkCeilings pins.
 func BenchmarkAblationBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -171,6 +172,34 @@ func BenchmarkAblationBaseline(b *testing.B) {
 		b.StartTimer()
 		_, st := opt.Run(1e-6)
 		b.ReportMetric(float64(st.FeasibilityChecks), "feas-checks")
+	}
+}
+
+// TestWorkCeilings holds the optimizer's feasibility probes per run under a
+// ceiling on the two benchmark scenarios. A probe count is a property of
+// the code, not the machine, so it shows a change in the search's work
+// exactly where wall time on a shared host cannot; a change that lowers a
+// reading lowers its ceiling with it.
+func TestWorkCeilings(t *testing.T) {
+	large := func(t testing.TB) *Network {
+		net, _ := largeNetwork(t, 0.75, 200)
+		return net
+	}
+	for _, c := range []struct {
+		name    string
+		net     func(testing.TB) *Network
+		ceiling int
+	}{
+		{"ablation", ablationScenario, 65}, // BenchmarkAblationBaseline's run
+		{"large", large, 19},               // BenchmarkOptimizer's run
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, st := NewOptimizer(c.net(t), LinearPenalty, OptimizerConfig{}).Run(1e-6)
+			t.Logf("%d feasibility checks, ceiling %d (%+v)", st.FeasibilityChecks, c.ceiling, st)
+			if st.FeasibilityChecks > c.ceiling {
+				t.Errorf("feasibility checks exceed the ceiling")
+			}
+		})
 	}
 }
 

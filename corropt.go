@@ -92,8 +92,8 @@ type (
 	EngineConfig = core.EngineConfig
 	// FastChecker is phase one: instant global-path-count decisions.
 	FastChecker = core.FastChecker
-	// Optimizer is phase two: the exact NP-complete search with pruning,
-	// segmentation, and the reject cache.
+	// Optimizer is phase two: the exact NP-complete search with pruning
+	// and segmentation.
 	Optimizer = core.Optimizer
 	// OptimizeStats describes one optimizer run.
 	OptimizeStats = core.OptimizeStats
@@ -122,8 +122,8 @@ func NewEngine(net *Network, cfg EngineConfig) *Engine { return core.NewEngine(n
 // NewFastChecker returns phase one alone.
 func NewFastChecker(net *Network) *FastChecker { return core.NewFastChecker(net) }
 
-// OptimizerConfig is empty: pruning, segmentation and the reject cache are
-// the algorithm, and its search limits are constants. It stays, with
+// OptimizerConfig is empty: pruning and segmentation are the algorithm,
+// and its search limits are constants. It stays, with
 // NewOptimizer's third parameter, only because the benchmark module under
 // bench/ passes one.
 type OptimizerConfig struct{}

@@ -93,6 +93,20 @@ var docIdentifier = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z]\\w*)(?:\\.([A
 // an optional `/subtest` suffix.
 var docTestName = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z]\\w*)(?:/[^`]*)?`")
 
+// docMember matches a back-quoted `Type.Member` with no package qualifier,
+// and an optional call suffix.
+var docMember = regexp.MustCompile("`([A-Za-z]\\w*)\\.([A-Za-z_]\\w*)(?:\\([^`]*\\))?`")
+
+// docMake matches a back-quoted `make <target>`, capturing the target.
+var docMake = regexp.MustCompile("`make ([A-Za-z][\\w.-]*)[^`]*`")
+
+// docPath matches a back-quoted span that starts with a repo path under
+// one of the directories the docs point into, capturing the whole span.
+var docPath = regexp.MustCompile("`((?:internal|cmd|scripts|scenarios|results)/[^`]*)`")
+
+// makeTarget matches a rule's target in the Makefile.
+var makeTarget = regexp.MustCompile(`(?m)^([A-Za-z][\w.-]*)\s*:([^=]|$)`)
+
 // testFunc matches the declaration of a test, benchmark or fuzz target.
 var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 
@@ -105,8 +119,14 @@ var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 // or struct field of any of the package's types (`sim.RunEvents` names
 // `Sim.RunEvents`); Member is a method or field of Type. pkg is a package
 // name of the module (`corropt` for the root); other spans, such as
-// `time.Now`, are not checked. bench/README.md is left out: the benchmark
-// is a separate module whose files change only together with its own runs.
+// `time.Now`, are not checked. An unqualified `Type.Member` must resolve in
+// one of the module packages that declare a type Type; one no package
+// declares, such as `WaitGroup.Wait`, is not checked. A `make <target>`
+// must name a Makefile target, and a span starting with a path under
+// internal/, cmd/, scripts/, scenarios/ or results/ must name an existing
+// file or directory unless it holds a `*` or `<` placeholder.
+// bench/README.md is left out: the benchmark is a separate module whose
+// files change only together with its own runs.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	out, err := exec.Command("go", "list", "-f", "{{.Name}} {{.Dir}}", "./...").Output()
 	if err != nil {
@@ -120,7 +140,15 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		}
 	}
 	tests := testFuncs(t)
-	refs, testRefs := 0, 0
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeTarget.FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	refs, testRefs, memberRefs, makeRefs, pathRefs := 0, 0, 0, 0, 0
 	for _, file := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		doc, err := os.ReadFile(file)
 		if err != nil {
@@ -132,8 +160,26 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 				continue
 			}
 			refs++
-			if !p[m[2]][m[3]] && !(m[3] == "" && p[""][m[2]]) {
+			if !p.members[m[2]][m[3]] && !(m[3] == "" && p.members[""][m[2]]) {
 				t.Errorf("%s names %s, which the source does not declare", file, m[0])
+			}
+		}
+		for _, m := range docMember.FindAllStringSubmatch(string(doc), -1) {
+			if _, qualified := pkgs[m[1]]; qualified {
+				continue
+			}
+			declared, found := false, false
+			for _, p := range pkgs {
+				if p.types[m[1]] {
+					declared = true
+					found = found || p.members[m[1]][m[2]]
+				}
+			}
+			if declared {
+				memberRefs++
+				if !found {
+					t.Errorf("%s names %s, which no package declaring %s declares", file, m[0], m[1])
+				}
 			}
 		}
 		for _, m := range docTestName.FindAllStringSubmatch(string(doc), -1) {
@@ -142,11 +188,28 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 				t.Errorf("%s names %s, which no _test.go file declares", file, m[0])
 			}
 		}
+		for _, m := range docMake.FindAllStringSubmatch(string(doc), -1) {
+			makeRefs++
+			if !targets[m[1]] {
+				t.Errorf("%s names %s, which is no Makefile target", file, m[0])
+			}
+		}
+		for _, m := range docPath.FindAllStringSubmatch(string(doc), -1) {
+			if strings.ContainsAny(m[1], "*<") {
+				continue
+			}
+			pathRefs++
+			if _, err := os.Stat(strings.Fields(m[1])[0]); err != nil {
+				t.Errorf("%s names %s, which does not exist", file, m[0])
+			}
+		}
 	}
-	if refs == 0 || testRefs == 0 {
-		t.Fatalf("found %d package-qualified identifiers and %d test names in the docs: a pattern is broken", refs, testRefs)
+	if refs == 0 || testRefs == 0 || memberRefs == 0 || makeRefs == 0 || pathRefs == 0 {
+		t.Fatalf("found %d package-qualified identifiers, %d Type.Member spans, %d test names, %d make targets and %d paths in the docs: a pattern is broken",
+			refs, memberRefs, testRefs, makeRefs, pathRefs)
 	}
-	t.Logf("%d references and %d test names resolved", refs, testRefs)
+	t.Logf("%d references, %d Type.Member spans, %d test names, %d make targets and %d paths resolved",
+		refs, memberRefs, testRefs, makeRefs, pathRefs)
 }
 
 // testFuncs returns the names of the tests, benchmarks and fuzz targets
@@ -182,11 +245,15 @@ func testFuncs(t *testing.T) map[string]bool {
 	return names
 }
 
-// docPackage maps each top-level name a package declares to its members:
-// p[name][""] is set for every declaration, p[typ][member] for each method
-// and struct field (an embedded one by its type's name) of named type typ,
-// and p[""][member] for a member of any type.
-type docPackage map[string]map[string]bool
+// docPackage holds the names a package declares. members maps each
+// top-level name to its members: members[name][""] is set for every
+// declaration, members[typ][member] for each method and struct field (an
+// embedded one by its type's name) of named type typ, and
+// members[""][member] for a member of any type. types holds the type names.
+type docPackage struct {
+	members map[string]map[string]bool
+	types   map[string]bool
+}
 
 func loadDocPackage(t *testing.T, dir string) docPackage {
 	t.Helper()
@@ -195,12 +262,12 @@ func loadDocPackage(t *testing.T, dir string) docPackage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := docPackage{}
+	p := docPackage{members: map[string]map[string]bool{}, types: map[string]bool{}}
 	set := func(k, v string) {
-		if p[k] == nil {
-			p[k] = map[string]bool{}
+		if p.members[k] == nil {
+			p.members[k] = map[string]bool{}
 		}
-		p[k][v] = true
+		p.members[k][v] = true
 	}
 	declare := func(name string) { set(name, "") }
 	member := func(typ, name string) { set(typ, name); set("", name) }
@@ -223,6 +290,7 @@ func loadDocPackage(t *testing.T, dir string) docPackage {
 							}
 						case *ast.TypeSpec:
 							declare(s.Name.Name)
+							p.types[s.Name.Name] = true
 							var fields []*ast.Field
 							switch ty := s.Type.(type) {
 							case *ast.StructType:

@@ -132,7 +132,7 @@ func activationDifferential(t *testing.T, seed uint64, p activationPolicy, ops [
 	graphs := segmentGraphs(t, topo)
 	reference := func() []topology.LinkID {
 		if p.kind == PolicyCorrOpt {
-			d, _ := referenceRun(want, LinearPenalty, p.maxExact, threshold)
+			d, _, _ := referenceRun(want, LinearPenalty, p.maxExact, threshold)
 			return d
 		}
 		return referenceSweep(want, we, threshold)

@@ -338,7 +338,7 @@ func (e *Engine) LinkRepaired(l topology.LinkID) []topology.LinkID {
 //
 // The same argument holds per topology segment (topology.Partition): a
 // toggle changes path counts only inside its own segment, each optimizer
-// segment, reject cache and budget lies inside one, and so does every
+// segment and budget lies inside one, and so does every
 // input of a link's check. A segment where no link passes alone therefore
 // contributes nothing to a whole-fabric step, and the step over the
 // segments where some link passes returns the same list.

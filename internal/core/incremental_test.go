@@ -157,30 +157,6 @@ func TestLoadStateRebuildsIncrementalState(t *testing.T) {
 	}
 }
 
-// TestRejectCacheCapKeepsAnswer: capping the reject cache may cost probes
-// but must never change the chosen subset; evictions are surfaced in stats.
-func TestRejectCacheCapKeepsAnswer(t *testing.T) {
-	for seed := uint64(0); seed < 8; seed++ {
-		uncapped := randomCorruptionScenario(t, seed+7000, 16)
-		capped := randomCorruptionScenario(t, seed+7000, 16)
-		uo := NewOptimizer(uncapped, LinearPenalty)
-		co := NewOptimizer(capped, LinearPenalty)
-		co.cacheCap = 1
-		ud, ust := uo.Run(1e-7)
-		cd, cst := co.Run(1e-7)
-		if disabledPenalty(uncapped, ud, LinearPenalty) != disabledPenalty(capped, cd, LinearPenalty) {
-			t.Fatalf("seed %d: capped cache changed the answer", seed)
-		}
-		if ust.RejectCacheEvictions != 0 {
-			t.Fatalf("seed %d: uncapped run evicted %d entries", seed, ust.RejectCacheEvictions)
-		}
-		if cst.RejectCacheHits > 0 && cst.RejectCacheEvictions == 0 && ust.RejectCacheHits > cst.RejectCacheHits {
-			t.Fatalf("seed %d: cap reduced hits (%d -> %d) without recording evictions",
-				seed, ust.RejectCacheHits, cst.RejectCacheHits)
-		}
-	}
-}
-
 // FuzzFastCheckDifferential fuzzes the incremental fast check against the
 // full-recount reference across random disable states.
 func FuzzFastCheckDifferential(f *testing.F) {

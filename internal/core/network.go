@@ -3,8 +3,8 @@
 // (SIGCOMM 2017): the fast checker that decides in O(downstream cone)
 // whether a newly corrupting link can be disabled without violating per-ToR
 // capacity constraints, the optimizer that computes the exact optimal set of
-// corrupting links to disable (topology pruning + segmentation + reject
-// cache over an NP-complete search space), the switch-local baseline used in
+// corrupting links to disable (topology pruning + segmentation over an
+// NP-complete search space), the switch-local baseline used in
 // production before CorrOpt, and the root-cause-aware repair recommendation
 // engine of Algorithm 1.
 package core

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 
 	"corropt/internal/topology"
@@ -11,13 +10,10 @@ import (
 // links falls back to a greedy maximal solution (the mask is a uint64, so
 // the cap can rise to 62). The exact search of one segment spends at most
 // maxFeasibilityChecks probes; when they run out, the best subset found so
-// far is used, maximal-feasible but possibly not optimal. Each segment's
-// reject cache holds at most maxRejectCacheEntries subsets; when full, the
-// least-general (largest) cached subset is evicted.
+// far is used, maximal-feasible but possibly not optimal.
 const (
-	maxExactLinks         = 24
-	maxFeasibilityChecks  = 500000
-	maxRejectCacheEntries = 4096
+	maxExactLinks        = 24
+	maxFeasibilityChecks = 500000
 )
 
 // OptimizeStats describes one optimizer run.
@@ -34,12 +30,6 @@ type OptimizeStats struct {
 	// FeasibilityChecks counts feasibility evaluations: incremental
 	// probes.
 	FeasibilityChecks int
-	// RejectCacheHits counts subsets rejected by the cache without a
-	// feasibility probe.
-	RejectCacheHits int
-	// RejectCacheEvictions counts cache entries dropped (or refused
-	// admission) because a segment's cache was full.
-	RejectCacheEvictions int
 	// GreedyFallbacks counts segments too large for exact search.
 	GreedyFallbacks int
 	// BudgetExhausted counts segments whose exact search ran out of its
@@ -50,19 +40,19 @@ type OptimizeStats struct {
 // Optimizer implements CorrOpt's second phase (§5.1): when links are
 // re-enabled after repair, compute the optimal subset of the remaining
 // active corrupting links to disable — the exact solution to the
-// NP-complete problem of Theorem 5.1 — using topology pruning, topology
-// segmentation, and a reject cache to make practical instances fast. Every
-// feasibility test inside a segment is one incremental probe walk on the
-// path counter rather than a full topology sweep, so its cost scales with
-// the candidate link's downstream cone; a reject costs that walk alone, an
-// accept a write-back of what it found.
+// NP-complete problem of Theorem 5.1 — using topology pruning and topology
+// segmentation to make practical instances fast. Every feasibility test
+// inside a segment is one incremental probe walk on the path counter
+// rather than a full topology sweep, so its cost scales with the candidate
+// link's downstream cone; a reject costs that walk alone, an accept a
+// write-back of what it found.
 type Optimizer struct {
 	net     *Network
 	penalty PenaltyFunc
 	// The search limits, set from their constants; in-package tests lower
-	// them to reach the greedy fallback, budget exhaustion and cache
-	// eviction on small fabrics.
-	maxExact, budget, cacheCap int
+	// them to reach the greedy fallback and budget exhaustion on small
+	// fabrics.
+	maxExact, budget int
 
 	// Per-Run scratch, reused across invocations: an Optimizer lives for a
 	// whole simulation or fleet shard and Run fires on every repair event,
@@ -108,7 +98,7 @@ func NewOptimizer(net *Network, penalty PenaltyFunc) *Optimizer {
 		penalty = LinearPenalty
 	}
 	return &Optimizer{net: net, penalty: penalty,
-		maxExact: maxExactLinks, budget: maxFeasibilityChecks, cacheCap: maxRejectCacheEntries}
+		maxExact: maxExactLinks, budget: maxFeasibilityChecks}
 }
 
 // Run optimizes over all active corrupting links at or above threshold,
@@ -329,15 +319,13 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 	}
 
 	*s = segSolver{
-		net:      o.net,
-		pc:       pc,
-		links:    links,
-		pen:      pen,
-		ranked:   ranked,
-		suffix:   slices.Grow(s.suffix[:0], len(links)+1)[:len(links)+1],
-		cache:    s.cache[:0],
-		cacheCap: o.cacheCap,
-		budget:   o.budget,
+		net:    o.net,
+		pc:     pc,
+		links:  links,
+		pen:    pen,
+		ranked: ranked,
+		suffix: slices.Grow(s.suffix[:0], len(links)+1)[:len(links)+1],
+		budget: o.budget,
 	}
 	s.suffix[len(links)] = 0
 	for i := len(links) - 1; i >= 0; i-- {
@@ -345,8 +333,6 @@ func (o *Optimizer) solveSegment(disabled []topology.LinkID, seg segment, st *Op
 	}
 	s.dfs(0, 0, 0)
 	st.FeasibilityChecks += s.checks
-	st.RejectCacheHits += s.cacheHits
-	st.RejectCacheEvictions += s.cacheEvictions
 	if s.budget <= 0 {
 		st.BudgetExhausted++
 	}
@@ -379,7 +365,7 @@ func (o *Optimizer) greedy(disabled, links []topology.LinkID, st *OptimizeStats)
 // segSolver is the branch-and-bound exact search over one segment. Subsets
 // are explored by including or excluding links in penalty order; the
 // monotonicity of the capacity constraint (disabling more links never adds
-// paths) makes infeasible-subset pruning and the reject cache sound.
+// paths) makes infeasible-subset pruning sound.
 //
 // Feasibility is evaluated incrementally: trying a link is one probe walk,
 // which a reject leaves at that and an accept commits; backing out of an
@@ -392,25 +378,27 @@ type segSolver struct {
 	pen    []float64 // pen[i] is links[i]'s penalty
 	suffix []float64
 	ranked []rankedLink // scratch for sorting links by penalty
-
-	// cache holds infeasible subset masks ordered by ascending popcount,
-	// so a membership scan can stop as soon as cached subsets are larger
-	// than the candidate (a larger set cannot be a subset of a smaller
-	// one).
-	cache          []uint64
-	cacheCap       int
-	cacheEvictions int
-	budget         int
+	budget int
 
 	best     float64
 	bestMask uint64
 
-	checks    int
-	cacheHits int
+	checks int
 }
 
 // dfs explores subsets of links[i:] given the current mask (whose links are
 // applied on pc). It restores pc's state before returning.
+//
+// The search needs no reject cache (§5.1: a superset of an infeasible set
+// is infeasible), because it never tests a superset of a subset it
+// rejected. A candidate mask|1<<i is tested only at node (i, mask), and
+// include is tried before exclude. Suppose P∪{k} was rejected at node
+// (k, P); a later candidate Q∪{j} containing it has j ≥ k. If j = k, then
+// Q ⊋ P, and include-first order visits (k, Q) before (k, P). If j > k,
+// node (j, Q) descends from (k, Q∩[0,k)), which took k: that is either the
+// rejected branch itself, never entered, or a proper superset of P, whose
+// whole subtree finished before (k, P). Each segment's search starts
+// afresh, so no earlier rejection carries over.
 func (s *segSolver) dfs(i int, mask uint64, got float64) {
 	if got > s.best {
 		s.best = got
@@ -425,9 +413,8 @@ func (s *segSolver) dfs(i int, mask uint64, got float64) {
 	}
 	// Branch 1: disable links[i]. feasible leaves the link committed on
 	// success; revert after exploring the branch.
-	cand := mask | 1<<uint(i)
-	if s.feasible(cand, s.links[i]) {
-		s.dfs(i+1, cand, got+s.pen[i])
+	if s.feasible(s.links[i]) {
+		s.dfs(i+1, mask|1<<uint(i), got+s.pen[i])
 		s.pc.Revert(s.links[i])
 	}
 	// Branch 2: keep links[i] active.
@@ -435,57 +422,15 @@ func (s *segSolver) dfs(i int, mask uint64, got float64) {
 }
 
 // feasible tests whether the current subset plus link l keeps the segment's
-// ToRs within their constraints, consulting the reject cache first. On
-// success the probe is committed, so the link stays disabled on the
-// counter; on failure the counter is left as it was.
-func (s *segSolver) feasible(cand uint64, l topology.LinkID) bool {
-	candPop := bits.OnesCount64(cand)
-	for _, m := range s.cache {
-		if bits.OnesCount64(m) > candPop {
-			break // sorted by popcount: no later entry can be a subset
-		}
-		if cand&m == m {
-			s.cacheHits++
-			return false
-		}
-	}
+// ToRs within their constraints. On success the probe is committed, so the
+// link stays disabled on the counter; on failure the counter is left as it
+// was.
+func (s *segSolver) feasible(l topology.LinkID) bool {
 	s.checks++
 	s.budget--
 	if !s.net.tors.ProbeMeets(s.pc.Probe(l), s.pc) {
-		s.cacheInsert(cand)
 		return false
 	}
 	s.pc.Commit()
 	return true
-}
-
-// cacheInsert records an infeasible subset, keeping the cache ordered by
-// ascending popcount and bounded by cacheCap. At capacity the least-general
-// entry (largest subset, pruning the fewest candidates) is sacrificed.
-func (s *segSolver) cacheInsert(m uint64) {
-	p := bits.OnesCount64(m)
-	if len(s.cache) >= s.cacheCap {
-		last := s.cache[len(s.cache)-1]
-		if bits.OnesCount64(last) <= p {
-			// New entry is no more general than the worst cached one:
-			// refuse admission.
-			s.cacheEvictions++
-			return
-		}
-		s.cache = s.cache[:len(s.cache)-1]
-		s.cacheEvictions++
-	}
-	// Binary search for the insertion point among ascending popcounts.
-	lo, hi := 0, len(s.cache)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bits.OnesCount64(s.cache[mid]) <= p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s.cache = append(s.cache, 0)
-	copy(s.cache[lo+1:], s.cache[lo:])
-	s.cache[lo] = m
 }

@@ -3,8 +3,11 @@ package core
 // The optimizer's pruning and segmentation decide "is link l upstream of
 // endangered ToR t?" by a stage-bounded switch-reach test. These tests hold
 // it to the link-cone formulation: one upstream link bitset per endangered
-// ToR, their union for pruning, and map-based grouping for segmentation,
-// with a fresh exact-search solver per segment.
+// ToR, their union for pruning, and map-based grouping for segmentation.
+// Each segment is solved by referenceSearch, a plain include-first search
+// kept apart from segSolver, which also checks that the search never tests
+// a superset of a subset it rejected — the reason segSolver keeps no reject
+// cache.
 
 import (
 	"cmp"
@@ -36,13 +39,15 @@ func referenceCone(topo *topology.Topology, tor topology.SwitchID, set *topology
 }
 
 // referenceRun is Optimizer.Run over per-ToR upstream link cones, with
-// segments of more than maxExact links solved greedily.
-func referenceRun(net *Network, penalty PenaltyFunc, maxExact int, threshold float64) ([]topology.LinkID, OptimizeStats) {
-	var st OptimizeStats
+// segments of more than maxExact links solved greedily. supersets counts
+// the exact searches' candidates that contained a subset the same search
+// had rejected; the optimizer is correct without a reject cache only while
+// it stays 0.
+func referenceRun(net *Network, penalty PenaltyFunc, maxExact int, threshold float64) (disabled []topology.LinkID, st OptimizeStats, supersets int) {
 	active := net.ActiveCorrupting(threshold)
 	st.Active = len(active)
 	if len(active) == 0 {
-		return nil, st
+		return nil, st, 0
 	}
 	violated, _ := net.violatedUnder(active, nil, nil)
 	if len(violated) == 0 {
@@ -50,7 +55,7 @@ func referenceRun(net *Network, penalty PenaltyFunc, maxExact int, threshold flo
 			net.Disable(l)
 		}
 		st.SafelyDisabled = len(active)
-		return slices.Clone(active), st
+		return slices.Clone(active), st, 0
 	}
 
 	topo := net.Topology()
@@ -73,14 +78,16 @@ func referenceRun(net *Network, penalty PenaltyFunc, maxExact int, threshold flo
 		net.Disable(l)
 	}
 	st.SafelyDisabled = len(safe)
-	disabled := slices.Clone(safe)
+	disabled = slices.Clone(safe)
 	for _, seg := range referenceSegments(contested, violated, torUp, &st) {
-		for _, l := range referenceSolveSegment(net, penalty, maxExact, seg, &st) {
+		chosen, n := referenceSolveSegment(net, penalty, maxExact, seg, &st)
+		for _, l := range chosen {
 			net.Disable(l)
 			disabled = append(disabled, l)
 		}
+		supersets += n
 	}
-	return disabled, st
+	return disabled, st, supersets
 }
 
 func referenceSegments(contested []topology.LinkID, violated []topology.SwitchID, torUp []*topology.LinkSet, st *OptimizeStats) []segment {
@@ -143,10 +150,12 @@ func referenceSegments(contested []topology.LinkID, violated []topology.SwitchID
 	return out
 }
 
-func referenceSolveSegment(net *Network, penalty PenaltyFunc, maxExact int, seg segment, st *OptimizeStats) []topology.LinkID {
+// referenceSolveSegment picks seg's links to disable without changing the
+// network, returning them with the exact search's superset count.
+func referenceSolveSegment(net *Network, penalty PenaltyFunc, maxExact int, seg segment, st *OptimizeStats) ([]topology.LinkID, int) {
 	pc := net.pc
 	if !net.meetsAll(seg.tors, pc.IncCounts(), pc.Total()) {
-		return nil
+		return nil, 0
 	}
 	links := slices.Clone(seg.links)
 	slices.SortFunc(links, func(a, b topology.LinkID) int {
@@ -171,16 +180,15 @@ func referenceSolveSegment(net *Network, penalty PenaltyFunc, maxExact int, seg 
 		for _, l := range chosen {
 			pc.Revert(l)
 		}
-		return chosen
+		return chosen, 0
 	}
-	s := &segSolver{
-		net:      net,
-		pc:       pc,
-		links:    links,
-		pen:      make([]float64, len(links)),
-		suffix:   make([]float64, len(links)+1),
-		cacheCap: maxRejectCacheEntries,
-		budget:   maxFeasibilityChecks,
+	s := &referenceSearch{
+		net:    net,
+		links:  links,
+		tors:   seg.tors,
+		pen:    make([]float64, len(links)),
+		suffix: make([]float64, len(links)+1),
+		budget: maxFeasibilityChecks,
 	}
 	for i, l := range links {
 		s.pen[i] = penalty(net.CorruptionRate(l))
@@ -188,10 +196,8 @@ func referenceSolveSegment(net *Network, penalty PenaltyFunc, maxExact int, seg 
 	for i := len(links) - 1; i >= 0; i-- {
 		s.suffix[i] = s.suffix[i+1] + s.pen[i]
 	}
-	s.dfs(0, 0, 0)
+	s.search(0, 0, 0)
 	st.FeasibilityChecks += s.checks
-	st.RejectCacheHits += s.cacheHits
-	st.RejectCacheEvictions += s.cacheEvictions
 	if s.budget <= 0 {
 		st.BudgetExhausted++
 	}
@@ -200,7 +206,62 @@ func referenceSolveSegment(net *Network, penalty PenaltyFunc, maxExact int, seg 
 			chosen = append(chosen, l)
 		}
 	}
-	return chosen
+	return chosen, s.supersets
+}
+
+// referenceSearch is the exact branch-and-bound search over one segment's
+// links, sorted worst first: the same include-first order, bound and
+// budget as segSolver, so it makes the same probes, but each candidate is
+// tested by applying it and checking every segment ToR. It records each
+// rejected subset and counts the later candidates that contain one.
+type referenceSearch struct {
+	net         *Network
+	links       []topology.LinkID
+	tors        []topology.SwitchID
+	pen, suffix []float64
+	budget      int
+	checks      int
+
+	best     float64
+	bestMask uint64
+
+	rejected  []uint64
+	supersets int
+}
+
+func (s *referenceSearch) search(i int, mask uint64, got float64) {
+	if got > s.best {
+		s.best, s.bestMask = got, mask
+	}
+	if i == len(s.links) || s.budget <= 0 || got+s.suffix[i] <= s.best {
+		return
+	}
+	if cand := mask | 1<<uint(i); s.test(cand, s.links[i]) {
+		s.search(i+1, cand, got+s.pen[i])
+		s.net.pc.Revert(s.links[i])
+	}
+	s.search(i+1, mask, got)
+}
+
+// test reports whether disabling l on top of the applied links keeps every
+// segment ToR within its constraint, leaving l applied if so.
+func (s *referenceSearch) test(cand uint64, l topology.LinkID) bool {
+	for _, r := range s.rejected {
+		if cand&r == r {
+			s.supersets++
+			break
+		}
+	}
+	s.checks++
+	s.budget--
+	pc := s.net.pc
+	pc.Apply(l)
+	if s.net.meetsAll(s.tors, pc.IncCounts(), pc.Total()) {
+		return true
+	}
+	pc.Revert(l)
+	s.rejected = append(s.rejected, cand)
+	return false
 }
 
 // differentialConfigs are the segment caps the differential covers: the
@@ -327,7 +388,8 @@ func differentialFabrics(t *testing.T) []differentialFabric {
 // optimizer reused across runs, as an Engine reuses it across activations —
 // on four fabrics under both segment caps, and requires the disabled list
 // (order included), every OptimizeStats field and the resulting network
-// state to equal the link-cone reference's.
+// state to equal the link-cone reference's, and the reference's search to
+// test no superset of a subset it rejected.
 func TestRunMatchesConeReference(t *testing.T) {
 	const threshold = DefaultDetectionThreshold
 	for _, fab := range differentialFabrics(t) {
@@ -364,10 +426,14 @@ func TestRunMatchesConeReference(t *testing.T) {
 					}
 
 					gd, gst := opt.Run(threshold)
-					wd, wst := referenceRun(want, LinearPenalty, maxExact, threshold)
+					wd, wst, supersets := referenceRun(want, LinearPenalty, maxExact, threshold)
 					if !slices.Equal(gd, wd) || gst != wst {
 						t.Fatalf("%s config %d seed %d step %d: disabled %v (%+v), reference %v (%+v)",
 							fab.name, ci, seed, step, gd, gst, wd, wst)
+					}
+					if supersets != 0 {
+						t.Fatalf("%s config %d seed %d step %d: the search tested %d supersets of rejected subsets",
+							fab.name, ci, seed, step, supersets)
 					}
 					sameOptimizerState(t, fab.name, got, want)
 					if gst.Segments > 1 {
@@ -393,7 +459,7 @@ func TestRunMatchesConeReference(t *testing.T) {
 // seed, on a fleet shard of it: its first pod's sub-topology, loaded with
 // the pod's state. Each op byte sets a corruption rate, forces a link down,
 // enables one, raises a ToR constraint or runs both optimizers, which must
-// then agree exactly.
+// then agree exactly, with no superset of a rejected subset tested.
 func FuzzOptimizerDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(0), []byte{0, 5, 10, 4, 15, 9, 20, 14})
 	f.Add(uint64(7), uint8(5), []byte{0xff, 0x10, 0x24, 0x4b, 0x64, 0x99})
@@ -427,9 +493,12 @@ func FuzzOptimizerDifferential(f *testing.F) {
 				op.v = rng.Range(0.3, 1)
 			case 4:
 				gd, gst := opt.Run(1e-7)
-				wd, wst := referenceRun(want, LinearPenalty, maxExact, 1e-7)
+				wd, wst, supersets := referenceRun(want, LinearPenalty, maxExact, 1e-7)
 				if !slices.Equal(gd, wd) || gst != wst {
 					t.Fatalf("disabled %v (%+v), reference %v (%+v)", gd, gst, wd, wst)
+				}
+				if supersets != 0 {
+					t.Fatalf("the search tested %d supersets of rejected subsets", supersets)
 				}
 				sameOptimizerState(t, "fuzz", got, want)
 				continue
