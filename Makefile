@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-smoke lint lint-fast vet ci test-race test-chaos test-scenarios cover fuzz
+.PHONY: all build test bench-smoke lint lint-fast vet ci test-race test-chaos test-scenarios cover fuzz results
 
 all: build test
 
@@ -92,6 +92,14 @@ test-scenarios:
 ## below its recorded floor; `scripts/coverage.sh update` re-records them.
 cover:
 	./scripts/coverage.sh
+
+## results: regenerate every driver at medium scale (seed 1, 2 workers) and
+## compare it byte for byte with the committed results/all_medium.tsv. It
+## takes ~20 s, so it stays out of `ci`; the small-scale goldens of
+## TestAllExperimentsRunSmall are tier-1's copy of the same check.
+results:
+	@tmp=$$(mktemp) && $(GO) run ./cmd/corropt-experiments -exp all -scale medium -seed 1 -workers 2 -o $$tmp && \
+		cmp $$tmp results/all_medium.tsv; status=$$?; rm -f $$tmp; exit $$status
 
 ## fuzz: short smoke runs of the differential fuzzers that pin the
 ## incremental path-counting engine to the full-sweep reference and its

@@ -80,7 +80,7 @@ func main() {
 	// Optional demo fault injection: wrap both dialers (control-plane TCP
 	// and telemetry UDP) in one seeded netchaos injector so the hardened
 	// clients can be watched retrying through a corrupting deployment path.
-	chaos := netchaos.New(rngutil.New(*seed).Split("agent-chaos"), simclock.Real{}, netchaos.Config{
+	chaos := netchaos.New(rngutil.New(*seed).Split("agent-chaos"), netchaos.Config{
 		Drop:      *chaosDrop,
 		Dup:       *chaosDup,
 		Corrupt:   *chaosCorrupt,

@@ -19,7 +19,9 @@ var inventoryRow = regexp.MustCompile("^\\| `((?:internal|cmd)/[^`]+)` \\|")
 
 // TestDesignInventoryMatchesPackages holds DESIGN.md §3's inventory table to
 // the module's packages both ways: every internal/ and cmd/ package listed
-// by `go list ./...` has a row, and every row names such a package.
+// by `go list ./...` has a row, and every row names such a package. Each
+// package a row's "Depends on" cell names must be among that package's
+// in-module `go list -deps`; "–" names none and "everything" is exempt.
 func TestDesignInventoryMatchesPackages(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -30,38 +32,63 @@ func TestDesignInventoryMatchesPackages(t *testing.T) {
 		t.Fatal("DESIGN.md has no §3")
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
-	rows := map[string]bool{}
+	rows := map[string]string{} // package → its "Depends on" cell
 	for _, line := range strings.Split(section, "\n") {
 		if m := inventoryRow.FindStringSubmatch(line); m != nil {
-			if rows[m[1]] {
+			if _, dup := rows[m[1]]; dup {
 				t.Errorf("DESIGN.md §3 lists %s twice", m[1])
 			}
-			rows[m[1]] = true
+			cells := strings.Split(line, "|")
+			if len(cells) != 5 {
+				t.Errorf("DESIGN.md §3 row %s has %d cells, want 3", m[1], len(cells)-2)
+				continue
+			}
+			rows[m[1]] = strings.TrimSpace(cells[3])
 		}
 	}
 
-	out, err := exec.Command("go", "list", "./...").Output()
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}{{range .Deps}} {{.}}{{end}}", "./...").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
-	pkgs := map[string]bool{}
-	for _, path := range strings.Fields(string(out)) {
-		rel := strings.TrimPrefix(path, "corropt/")
-		if strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/") {
-			pkgs[rel] = true
+	deps := map[string]map[string]bool{} // internal/ or cmd/ package → its in-module deps
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Fields(line)
+		rel := strings.TrimPrefix(fields[0], "corropt/")
+		if !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
+			continue
+		}
+		deps[rel] = map[string]bool{}
+		for _, d := range fields[1:] {
+			if strings.HasPrefix(d, "corropt/") {
+				deps[rel][strings.TrimPrefix(d, "corropt/")] = true
+			}
 		}
 	}
-	if len(pkgs) == 0 {
+	if len(deps) == 0 {
 		t.Fatalf("go list found no internal/ or cmd/ packages:\n%s", out)
 	}
-	for p := range pkgs {
-		if !rows[p] {
+	for p := range deps {
+		if _, ok := rows[p]; !ok {
 			t.Errorf("package %s has no row in DESIGN.md §3", p)
 		}
 	}
-	for r := range rows {
-		if !pkgs[r] {
+	for r, cell := range rows {
+		if deps[r] == nil {
 			t.Errorf("DESIGN.md §3 row %s names no package", r)
+			continue
+		}
+		if cell == "–" || cell == "everything" {
+			continue
+		}
+		for _, name := range strings.Split(cell, ",") {
+			dep := strings.TrimSpace(name)
+			if !strings.HasPrefix(dep, "internal/") {
+				dep = "internal/" + dep
+			}
+			if !deps[r][dep] {
+				t.Errorf("DESIGN.md §3 row %s depends on %s, which %s does not import", r, dep, r)
+			}
 		}
 	}
 }

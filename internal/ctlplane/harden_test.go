@@ -140,7 +140,7 @@ func TestClientReconnectsThroughReset(t *testing.T) {
 
 	// The first connection is reset mid-stream on its first write; the
 	// budget then runs dry, so the client's redial gets a clean path.
-	inj := netchaos.New(rngutil.New(3), nil, netchaos.Config{Reset: 1, MaxFaults: 1})
+	inj := netchaos.New(rngutil.New(3), netchaos.Config{Reset: 1, MaxFaults: 1})
 	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{
 		Dial:     inj.Dialer(nil),
 		Attempts: 4,

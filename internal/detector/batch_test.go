@@ -399,8 +399,8 @@ func TestBatchSweepThroughChaos(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel() // every lost datagram is a 200 ms wait
 			root := rngutil.New(23).Split("batch-chaos-" + name)
-			injClient := netchaos.New(root.Split("client"), nil, cfg)
-			injServer := netchaos.New(root.Split("server"), nil, cfg)
+			injClient := netchaos.New(root.Split("client"), cfg)
+			injServer := netchaos.New(root.Split("server"), cfg)
 			got := sweep(t, rigConfig{
 				server: injServer.PacketConn,
 				dial:   injClient.DatagramDialer(nil),

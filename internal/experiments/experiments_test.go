@@ -3,6 +3,10 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,8 +40,11 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRunSmall smoke-runs every experiment at small scale and
-// checks the reports are well-formed.
+var update = flag.Bool("update", false, "rewrite the small-scale TSV goldens in testdata/small")
+
+// TestAllExperimentsRunSmall runs every experiment at small scale, checks
+// the reports are well-formed, and holds each TSV byte for byte to
+// testdata/small/<id>.tsv. Run with -update to regenerate the goldens.
 func TestAllExperimentsRunSmall(t *testing.T) {
 	for _, e := range List() {
 		id := e[0]
@@ -64,8 +71,40 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 			if !strings.HasPrefix(buf.String(), "# "+id) {
 				t.Fatalf("%s: TSV preamble missing", id)
 			}
+			golden := filepath.Join("testdata", "small", id+".tsv")
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatalf("write golden: %v", err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("%s differs from %s (run with -update to regenerate):\n%s", id, golden, firstDiff(want, buf.Bytes()))
+			}
 		})
 	}
+}
+
+// firstDiff names the first line where got departs from want.
+func firstDiff(want, got []byte) string {
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, w, g)
+		}
+	}
+	return "no line differs"
 }
 
 func TestExperimentsDeterministic(t *testing.T) {

@@ -181,8 +181,8 @@ func chaosCells() []chaosCell {
 // its own substream of the cell's seed.
 func runCell(c chaosCell) (string, error) {
 	root := rngutil.New(c.seed).Split("chaos-" + c.proto + "-" + c.profile)
-	injClient := netchaos.New(root.Split("client"), nil, c.cfg)
-	injServer := netchaos.New(root.Split("server"), nil, c.cfg)
+	injClient := netchaos.New(root.Split("client"), c.cfg)
+	injServer := netchaos.New(root.Split("server"), c.cfg)
 	if c.proto == "ctlplane" {
 		return runCtlScenario(injClient, injServer)
 	}
@@ -193,7 +193,7 @@ func runCell(c chaosCell) (string, error) {
 // injectors: the baseline every chaos cell must converge to.
 func cleanTranscripts(t *testing.T) (ctl, snmp string) {
 	t.Helper()
-	cleanInj := func() *netchaos.Injector { return netchaos.New(rngutil.New(0), nil, netchaos.Config{}) }
+	cleanInj := func() *netchaos.Injector { return netchaos.New(rngutil.New(0), netchaos.Config{}) }
 	ctl, err := runCtlScenario(cleanInj(), cleanInj())
 	if err != nil {
 		t.Fatalf("clean ctlplane run: %v", err)

@@ -16,6 +16,13 @@ func errReset() error {
 	return fmt.Errorf("netchaos: injected connection reset: %w", net.ErrClosed)
 }
 
+// packet is one payload a write plan forwards, with its destination (nil
+// on a connected socket).
+type packet struct {
+	p    []byte
+	addr net.Addr
+}
+
 // writePlan is the outcome of one fault decision: the payloads to forward
 // (in order), an optional pause to serve first, and whether the write dies
 // with an injected reset. The plan is computed under the endpoint's lock
@@ -23,85 +30,47 @@ func errReset() error {
 // no blocking I/O ever happens with a mutex held (the repo's lockorder
 // contract).
 type writePlan struct {
-	sends [][]byte
+	sends []packet
 	pause time.Duration
 	sleep func(time.Duration)
 	reset bool
 }
 
-// chaosConn wraps a net.Conn with write-path fault injection. datagram
-// mode adapts the semantics to connected packet sockets: a reset becomes
-// loss instead of closing the socket, and truncation keeps at least one
-// byte-range prefix per datagram.
-type chaosConn struct {
-	net.Conn
-	inj      *Injector
-	rng      *rngutil.Source
-	name     string
+// endpoint is the write path every wrapper shares: one substream, one
+// reorder hold and one reset latch per wrapped socket. The wrappers differ
+// only in forward and close.
+type endpoint struct {
+	inj *Injector
+	rng *rngutil.Source
+	// datagram turns a reset into loss: the socket survives and the
+	// datagram does not, the only way UDP sees a peer reset.
 	datagram bool
+	forward  func(p []byte, addr net.Addr) error
+	closeFn  func() error
 
 	// mu serializes the decision/state half of the write and close paths:
 	// net.Conn permits Close (and Write) from a goroutine concurrent with
-	// a writer, and the held reorder buffer plus op counter must not race
-	// when that happens. Lock ordering: mu is acquired before the
-	// injector's lock (taken inside decide); never the other way around.
-	// The forwarding I/O itself runs after mu is released.
-	mu    sync.Mutex
-	op    int
-	held  []byte // payload held back by a pending reorder
-	reset bool
+	// a writer, and the held reorder payload must not race when that
+	// happens. Lock ordering: mu is acquired before the injector's lock
+	// (taken inside decide); never the other way around. The forwarding
+	// I/O itself runs after mu is released.
+	mu       sync.Mutex
+	held     []byte // payload held back by a pending reorder
+	heldAddr net.Addr
+	reset    bool
 }
 
-// Conn wraps c with stream-semantics fault injection: an injected reset
-// closes the underlying conn and fails the write, like a TCP RST.
-func (in *Injector) Conn(c net.Conn) net.Conn {
-	name, rng := in.newEndpoint("conn")
-	return &chaosConn{Conn: c, inj: in, rng: rng, name: name}
+// newEndpoint wraps a socket's forward and close in the next endpoint.
+func (in *Injector) newEndpoint(prefix string, datagram bool, forward func([]byte, net.Addr) error, closeFn func() error) *endpoint {
+	return &endpoint{inj: in, rng: in.substream(prefix), datagram: datagram, forward: forward, closeFn: closeFn}
 }
 
-// DatagramConn wraps a connected packet socket (e.g. a dialed UDP conn)
-// with datagram-semantics fault injection: each Write is one datagram and
-// an injected reset manifests as loss, the only way UDP sees one.
-func (in *Injector) DatagramConn(c net.Conn) net.Conn {
-	name, rng := in.newEndpoint("dconn")
-	return &chaosConn{Conn: c, inj: in, rng: rng, name: name, datagram: true}
-}
-
-// Dialer wraps base so every dialed conn carries stream fault injection;
-// pass net.Dial (or any DialFunc) as the base.
-func (in *Injector) Dialer(base DialFunc) DialFunc {
-	if base == nil {
-		base = net.Dial
-	}
-	return func(network, address string) (net.Conn, error) {
-		c, err := base(network, address)
-		if err != nil {
-			return nil, err
-		}
-		return in.Conn(c), nil
-	}
-}
-
-// DatagramDialer is Dialer with datagram semantics for the wrapped conns.
-func (in *Injector) DatagramDialer(base DialFunc) DialFunc {
-	if base == nil {
-		base = net.Dial
-	}
-	return func(network, address string) (net.Conn, error) {
-		c, err := base(network, address)
-		if err != nil {
-			return nil, err
-		}
-		return in.DatagramConn(c), nil
-	}
-}
-
-// Write applies at most one injected fault, then forwards. The caller's
+// write applies at most one injected fault, then forwards. The caller's
 // buffer is never modified; on success the caller always sees len(b)
 // written (a dropped or truncated payload is the network's secret, exactly
 // as a lossy path would behave above the socket API).
-func (c *chaosConn) Write(b []byte) (int, error) {
-	p, err := c.plan(b)
+func (e *endpoint) write(b []byte, addr net.Addr) (int, error) {
+	p, err := e.plan(b, addr)
 	if err != nil {
 		return 0, err
 	}
@@ -109,101 +78,141 @@ func (c *chaosConn) Write(b []byte) (int, error) {
 		p.sleep(p.pause)
 	}
 	if p.reset {
-		_ = c.Conn.Close() // the reset is the error being reported
+		_ = e.closeFn() // the reset is the error being reported
 		return 0, errReset()
 	}
-	for _, payload := range p.sends {
-		if err := c.forward(payload); err != nil {
+	for _, s := range p.sends {
+		if err := e.forward(s.p, s.addr); err != nil {
 			return 0, err
 		}
 	}
 	return len(b), nil
 }
 
-// plan draws one fault decision and applies its state effects (op counter,
-// reorder hold-back, reset latch) under mu, returning the I/O the caller
-// must perform after the lock is released.
-func (c *chaosConn) plan(b []byte) (writePlan, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.reset {
+// plan draws one fault decision and applies its state effects (reorder
+// hold-back, reset latch) under mu, returning the I/O the caller must
+// perform after the lock is released.
+func (e *endpoint) plan(b []byte, addr net.Addr) (writePlan, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.reset {
 		return writePlan{}, errReset()
 	}
-	d := c.inj.decide(c.rng, c.name, c.op, len(b))
-	c.op++
+	d := e.inj.decide(e.rng, len(b))
 	var p writePlan
 	switch d.kind {
-	case KindDrop:
+	case KindDrop, KindReset:
+		if d.kind == KindReset && !e.datagram {
+			e.reset, p.reset = true, true
+			return p, nil
+		}
 		// Flush any held reorder payload so the stream doesn't starve,
-		// then swallow this write.
-		p.sends = c.takeHeld(p.sends)
+		// then swallow this write (a datagram reset is a drop).
+		p.sends = e.takeHeld(p.sends)
 		return p, nil
 	case KindDup:
-		p.sends = append(p.sends, b, b)
+		p.sends = append(p.sends, packet{b, addr}, packet{b, addr})
 		return p, nil
 	case KindReorder:
-		if c.held == nil {
-			c.held = append([]byte(nil), b...)
+		if e.held == nil {
+			e.held, e.heldAddr = append([]byte(nil), b...), addr
 			return p, nil
 		}
 		// Already holding one payload: emit this write first, then the
 		// held one — the swap is the reorder.
-		p.sends = append(p.sends, b)
-		p.sends = c.takeHeld(p.sends)
+		p.sends = append(p.sends, packet{b, addr})
+		p.sends = e.takeHeld(p.sends)
 		return p, nil
-	case KindCorrupt:
-		p.sends = append(p.sends, corruptCopy(b, d.flips))
-		return p, nil
-	case KindTruncate:
-		if d.cut > 0 {
-			p.sends = append(p.sends, b[:d.cut])
+	case KindCorrupt, KindTruncate:
+		if out := damage(b, d); len(out) > 0 {
+			p.sends = append(p.sends, packet{out, addr})
 		}
-		return p, nil
-	case KindReset:
-		if c.datagram {
-			// UDP cannot observe a reset mid-flight; the datagram is lost.
-			return p, nil
-		}
-		c.reset = true
-		p.reset = true
 		return p, nil
 	case KindDelay:
 		p.pause = d.pause
-		p.sleep = c.inj.sleepFn()
+		p.sleep = e.inj.sleepFn()
 	}
-	p.sends = c.takeHeld(p.sends)
-	p.sends = append(p.sends, b)
+	p.sends = e.takeHeld(p.sends)
+	p.sends = append(p.sends, packet{b, addr})
 	return p, nil
 }
 
 // takeHeld moves a pending reordered payload (if any) onto sends. Caller
 // must hold mu.
-func (c *chaosConn) takeHeld(sends [][]byte) [][]byte {
-	if c.held != nil {
-		sends = append(sends, c.held)
-		c.held = nil
+func (e *endpoint) takeHeld(sends []packet) []packet {
+	if e.held != nil {
+		sends = append(sends, packet{e.held, e.heldAddr})
+		e.held, e.heldAddr = nil, nil
 	}
 	return sends
 }
 
-// forward writes p fully to the underlying conn.
-func (c *chaosConn) forward(p []byte) error {
-	_, err := c.Conn.Write(p)
-	return err
+// close flushes a pending reordered payload (best-effort) unless the
+// stream was reset, then closes the underlying socket.
+func (e *endpoint) close() error {
+	e.mu.Lock()
+	held, addr, wasReset := e.held, e.heldAddr, e.reset
+	e.held, e.heldAddr = nil, nil
+	e.mu.Unlock()
+	if held != nil && !wasReset {
+		_ = e.forward(held, addr) // best-effort: the socket is going away either way
+	}
+	return e.closeFn()
 }
+
+// chaosConn wraps a net.Conn with write-path fault injection.
+type chaosConn struct {
+	net.Conn
+	ep *endpoint
+}
+
+// Conn wraps c with stream-semantics fault injection: an injected reset
+// closes the underlying conn and fails the write, like a TCP RST.
+func (in *Injector) Conn(c net.Conn) net.Conn {
+	return in.wrapConn("conn", false, c)
+}
+
+// DatagramConn wraps a connected packet socket (e.g. a dialed UDP conn)
+// with datagram-semantics fault injection: each Write is one datagram and
+// an injected reset manifests as loss, the only way UDP sees one.
+func (in *Injector) DatagramConn(c net.Conn) net.Conn {
+	return in.wrapConn("dconn", true, c)
+}
+
+func (in *Injector) wrapConn(prefix string, datagram bool, c net.Conn) net.Conn {
+	forward := func(p []byte, _ net.Addr) error {
+		_, err := c.Write(p)
+		return err
+	}
+	return &chaosConn{Conn: c, ep: in.newEndpoint(prefix, datagram, forward, c.Close)}
+}
+
+func (c *chaosConn) Write(b []byte) (int, error) { return c.ep.write(b, nil) }
 
 // Close flushes a pending reordered payload (best-effort) and closes the
 // underlying conn.
-func (c *chaosConn) Close() error {
-	c.mu.Lock()
-	held := c.held
-	c.held = nil
-	wasReset := c.reset
-	c.mu.Unlock()
-	if held != nil && !wasReset {
-		_ = c.forward(held) // best-effort: the conn is going away either way
+func (c *chaosConn) Close() error { return c.ep.close() }
+
+// Dialer wraps base so every dialed conn carries stream fault injection;
+// pass net.Dial (or any DialFunc) as the base.
+func (in *Injector) Dialer(base DialFunc) DialFunc { return dialWrapped(base, in.Conn) }
+
+// DatagramDialer is Dialer with datagram semantics for the wrapped conns.
+func (in *Injector) DatagramDialer(base DialFunc) DialFunc {
+	return dialWrapped(base, in.DatagramConn)
+}
+
+func dialWrapped(base DialFunc, wrap func(net.Conn) net.Conn) DialFunc {
+	if base == nil {
+		base = net.Dial
 	}
-	return c.Conn.Close()
+	return func(network, address string) (net.Conn, error) {
+		c, err := base(network, address)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(c), nil
+	}
 }
 
 // chaosListener wraps accepted conns with stream fault injection.
@@ -226,121 +235,27 @@ func (l *chaosListener) Accept() (net.Conn, error) {
 	return l.inj.Conn(c), nil
 }
 
-// dgramSend is one datagram of a packet-conn write plan.
-type dgramSend struct {
-	p    []byte
-	addr net.Addr
-}
-
-// dgramPlan mirrors writePlan for the unconnected packet socket.
-type dgramPlan struct {
-	sends []dgramSend
-	pause time.Duration
-	sleep func(time.Duration)
-}
-
 // chaosPacketConn wraps a net.PacketConn with datagram fault injection on
 // the WriteTo path.
 type chaosPacketConn struct {
 	net.PacketConn
-	inj  *Injector
-	rng  *rngutil.Source
-	name string
-
-	// mu serializes the decision/state half of WriteTo/Close, mirroring
-	// chaosConn.mu (same lock ordering: mu before the injector's lock;
-	// I/O happens after mu is released).
-	mu       sync.Mutex
-	op       int
-	held     []byte
-	heldAddr net.Addr
+	ep *endpoint
 }
 
 // PacketConn wraps pc with datagram fault injection; an injected reset
 // manifests as loss (the socket survives).
 func (in *Injector) PacketConn(pc net.PacketConn) net.PacketConn {
-	name, rng := in.newEndpoint("pconn")
-	return &chaosPacketConn{PacketConn: pc, inj: in, rng: rng, name: name}
+	forward := func(p []byte, addr net.Addr) error {
+		_, err := pc.WriteTo(p, addr)
+		return err
+	}
+	return &chaosPacketConn{PacketConn: pc, ep: in.newEndpoint("pconn", true, forward, pc.Close)}
 }
 
 func (c *chaosPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	p := c.plan(b, addr)
-	if p.sleep != nil {
-		p.sleep(p.pause)
-	}
-	for _, s := range p.sends {
-		if err := c.forward(s.p, s.addr); err != nil {
-			return 0, err
-		}
-	}
-	return len(b), nil
-}
-
-// plan is chaosConn.plan for the unconnected socket: fault decision and
-// state effects under mu, blocking I/O left to the caller.
-func (c *chaosPacketConn) plan(b []byte, addr net.Addr) dgramPlan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := c.inj.decide(c.rng, c.name, c.op, len(b))
-	c.op++
-	var p dgramPlan
-	switch d.kind {
-	case KindDrop, KindReset:
-		p.sends = c.takeHeld(p.sends)
-		return p
-	case KindDup:
-		p.sends = append(p.sends, dgramSend{b, addr}, dgramSend{b, addr})
-		return p
-	case KindReorder:
-		if c.held == nil {
-			c.held = append([]byte(nil), b...)
-			c.heldAddr = addr
-			return p
-		}
-		p.sends = append(p.sends, dgramSend{b, addr})
-		p.sends = c.takeHeld(p.sends)
-		return p
-	case KindCorrupt:
-		p.sends = append(p.sends, dgramSend{corruptCopy(b, d.flips), addr})
-		return p
-	case KindTruncate:
-		if d.cut > 0 {
-			p.sends = append(p.sends, dgramSend{b[:d.cut], addr})
-		}
-		return p
-	case KindDelay:
-		p.pause = d.pause
-		p.sleep = c.inj.sleepFn()
-	}
-	p.sends = c.takeHeld(p.sends)
-	p.sends = append(p.sends, dgramSend{b, addr})
-	return p
-}
-
-// takeHeld moves a pending reordered datagram (if any) onto sends. Caller
-// must hold mu.
-func (c *chaosPacketConn) takeHeld(sends []dgramSend) []dgramSend {
-	if c.held != nil {
-		sends = append(sends, dgramSend{c.held, c.heldAddr})
-		c.held, c.heldAddr = nil, nil
-	}
-	return sends
-}
-
-func (c *chaosPacketConn) forward(p []byte, addr net.Addr) error {
-	_, err := c.PacketConn.WriteTo(p, addr)
-	return err
+	return c.ep.write(b, addr)
 }
 
 // Close flushes a pending reordered datagram (best-effort) and closes the
 // underlying socket.
-func (c *chaosPacketConn) Close() error {
-	c.mu.Lock()
-	held, addr := c.held, c.heldAddr
-	c.held, c.heldAddr = nil, nil
-	c.mu.Unlock()
-	if held != nil {
-		_ = c.forward(held, addr) // best-effort: the socket is going away either way
-	}
-	return c.PacketConn.Close()
-}
+func (c *chaosPacketConn) Close() error { return c.ep.close() }

@@ -7,11 +7,11 @@
 //
 // Determinism contract (DESIGN.md §7.3): every fault decision is drawn
 // from a seeded `rngutil` substream, one substream per wrapped endpoint in
-// creation order, and timestamps come from an injected simclock.WallClock.
-// No wall-clock reads, no global randomness, no background goroutines:
-// wrapping is purely synchronous, so a scenario replays byte-for-byte —
-// same seed and operation sequence, same faults — and the package passes
-// the `nodeterminism` gate with RulesAll and zero `lint:allow`.
+// creation order. No wall-clock reads, no global randomness, no background
+// goroutines: wrapping is purely synchronous, so a scenario replays
+// byte-for-byte — same seed and operation sequence, same faults — and the
+// package passes the `nodeterminism` gate with RulesAll and zero
+// `lint:allow`.
 //
 // Faults are injected on the *write* path only. The writer's operation
 // sequence is what the seeded stream indexes, so the schedule does not
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"corropt/internal/rngutil"
-	"corropt/internal/simclock"
 )
 
 // Kind enumerates the injected fault classes.
@@ -88,15 +87,13 @@ type Config struct {
 	// Truncate sends a strict prefix of the payload.
 	Truncate float64
 	// Reset tears the transport down mid-stream: the underlying conn is
-	// closed and the write fails. On datagram sockets a reset manifests as
-	// loss (the socket survives; the datagram does not), mirroring how UDP
+	// closed and the write fails. On datagram sockets a reset is a drop
+	// (the socket survives; the datagram does not), mirroring how UDP
 	// sees a peer reset only as silence.
 	Reset float64
 	// Delay pauses via the injector's sleep hook before sending. The
-	// magnitude is drawn uniformly in (0, MaxDelay].
+	// magnitude is drawn uniformly in (0, maxDelay].
 	Delay float64
-	// MaxDelay bounds injected delays; default 10ms when Delay > 0.
-	MaxDelay time.Duration
 	// MaxFaults bounds the total number of faults the injector introduces
 	// across all wrapped endpoints; once spent, traffic flows clean. This
 	// is the convergence guarantee chaos tests lean on: a client whose
@@ -127,18 +124,8 @@ func (s Stats) Faults() int {
 	return s.Drops + s.Dups + s.Reorders + s.Corrupts + s.Truncates + s.Resets + s.Delays
 }
 
-// Event records one injected fault, for replay debugging and the
-// determinism pin in tests.
-type Event struct {
-	// At is the injected clock's reading when the fault fired.
-	At time.Time
-	// Endpoint is the wrapped endpoint's substream name ("conn-0", ...).
-	Endpoint string
-	// Op is the endpoint's 0-based write-operation index.
-	Op int
-	// Kind is the fault class.
-	Kind Kind
-}
+// maxDelay bounds an injected delay.
+const maxDelay = 10 * time.Millisecond
 
 // DialFunc matches the dial hooks ctlplane and snmplite clients accept.
 type DialFunc func(network, address string) (net.Conn, error)
@@ -148,34 +135,24 @@ type DialFunc func(network, address string) (net.Conn, error)
 // holds per endpoint (each endpoint's schedule depends only on its own
 // operation sequence, plus the shared budget's consumption order).
 type Injector struct {
-	cfg   Config
-	clock simclock.WallClock
-	root  *rngutil.Source
+	cfg  Config
+	root *rngutil.Source
 
 	mu        sync.Mutex
 	sleep     func(time.Duration)
 	endpoints int
 	injected  int
 	stats     Stats
-	trace     []Event
-	tracing   bool
 }
 
-// New returns an Injector drawing fault decisions from rng and timestamps
-// from clock. A nil clock defaults to simclock.Real{}; injected delays are
-// no-ops until SetSleep installs a sleeper (keeps virtual-time harnesses
-// from stalling on real sleeps).
-func New(rng *rngutil.Source, clock simclock.WallClock, cfg Config) *Injector {
+// New returns an Injector drawing fault decisions from rng. Injected
+// delays are no-ops until SetSleep installs a sleeper (keeps virtual-time
+// harnesses from stalling on real sleeps).
+func New(rng *rngutil.Source, cfg Config) *Injector {
 	if rng == nil {
 		rng = rngutil.New(0)
 	}
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	if cfg.Delay > 0 && cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 10 * time.Millisecond
-	}
-	return &Injector{cfg: cfg, clock: clock, root: rng, sleep: func(time.Duration) {}}
+	return &Injector{cfg: cfg, root: rng, sleep: func(time.Duration) {}}
 }
 
 // SetSleep installs the function KindDelay faults call; production wiring
@@ -198,22 +175,6 @@ func (in *Injector) sleepFn() func(time.Duration) {
 	return in.sleep
 }
 
-// EnableTrace starts recording an Event per injected fault.
-func (in *Injector) EnableTrace() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.tracing = true
-}
-
-// Trace returns a copy of the recorded fault events.
-func (in *Injector) Trace() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]Event, len(in.trace))
-	copy(out, in.trace)
-	return out
-}
-
 // Stats returns a snapshot of the fault counters.
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()
@@ -221,13 +182,13 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// newEndpoint allocates the next endpoint substream.
-func (in *Injector) newEndpoint(prefix string) (string, *rngutil.Source) {
+// substream allocates the next endpoint substream under prefix; every
+// wrapper and Mutator shares one creation-order index.
+func (in *Injector) substream(prefix string) *rngutil.Source {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	name := fmt.Sprintf("%s-%d", prefix, in.endpoints)
 	in.endpoints++
-	return name, in.root.SplitIndex(prefix, in.endpoints-1)
+	return in.root.SplitIndex(prefix, in.endpoints-1)
 }
 
 // decision is one resolved fault for one write operation.
@@ -238,11 +199,11 @@ type decision struct {
 	pause time.Duration // KindDelay: how long to sleep
 }
 
-// decide resolves the fault (if any) for one write of n bytes on the named
-// endpoint. All RNG draws happen under the injector lock so concurrent
-// endpoints stay race-free; each endpoint draws only from its own
-// substream, so its schedule is independent of its neighbours'.
-func (in *Injector) decide(rng *rngutil.Source, name string, op, n int) decision {
+// decide resolves the fault (if any) for one write of n bytes on the
+// endpoint drawing from rng. All RNG draws happen under the injector lock
+// so concurrent endpoints stay race-free; each endpoint draws only from its
+// own substream, so its schedule is independent of its neighbours'.
+func (in *Injector) decide(rng *rngutil.Source, n int) decision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.stats.Ops++
@@ -285,13 +246,10 @@ func (in *Injector) decide(rng *rngutil.Source, name string, op, n int) decision
 	case KindTruncate:
 		d.cut = rng.Intn(n) // strict prefix: 0..n-1 bytes survive
 	case KindDelay:
-		d.pause = time.Duration(1 + rng.Int63()%int64(in.cfg.MaxDelay))
+		d.pause = time.Duration(1 + rng.Int63()%int64(maxDelay))
 	}
 	in.injected++
 	in.count(d.kind)
-	if in.tracing {
-		in.trace = append(in.trace, Event{At: in.clock.Now(), Endpoint: name, Op: op, Kind: d.kind})
-	}
 	return d
 }
 
@@ -314,12 +272,16 @@ func (in *Injector) count(k Kind) {
 	}
 }
 
-// corruptCopy returns a copy of b with the decided bit flips applied; the
-// caller's buffer is never mutated (io.Writer contract).
-func corruptCopy(b []byte, flips []int) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	for _, bit := range flips {
+// damage returns what a corrupt or truncate decision leaves of b: a copy
+// with the decided bits flipped, or a copy of the strict prefix it keeps
+// (empty, never nil, when it keeps none). The caller's buffer is never
+// mutated (io.Writer contract).
+func damage(b []byte, d decision) []byte {
+	if d.kind == KindTruncate {
+		return append([]byte{}, b[:d.cut]...)
+	}
+	out := append([]byte{}, b...)
+	for _, bit := range d.flips {
 		out[bit/8] ^= 1 << (bit % 8)
 	}
 	return out
@@ -331,16 +293,13 @@ func corruptCopy(b []byte, flips []int) []byte {
 type Mutator struct {
 	inj *Injector
 	rng *rngutil.Source
-	nm  string
-	op  int
 }
 
 // NewMutator returns a Mutator drawing from its own endpoint substream of
 // a fresh injector over cfg.
 func NewMutator(rng *rngutil.Source, cfg Config) *Mutator {
-	in := New(rng, nil, cfg)
-	name, sub := in.newEndpoint("mutator")
-	return &Mutator{inj: in, rng: sub, nm: name}
+	in := New(rng, cfg)
+	return &Mutator{inj: in, rng: in.substream("mutator")}
 }
 
 // Mutate returns a possibly-faulted copy of pkt and the fault class
@@ -348,20 +307,12 @@ func NewMutator(rng *rngutil.Source, cfg Config) *Mutator {
 // KindReorder and KindDelay return the packet unchanged (those classes
 // need a transport to be observable).
 func (m *Mutator) Mutate(pkt []byte) ([]byte, Kind) {
-	d := m.inj.decide(m.rng, m.nm, m.op, len(pkt))
-	m.op++
+	d := m.inj.decide(m.rng, len(pkt))
 	switch d.kind {
-	case KindCorrupt:
-		return corruptCopy(pkt, d.flips), d.kind
-	case KindTruncate:
-		out := make([]byte, d.cut)
-		copy(out, pkt[:d.cut])
-		return out, d.kind
+	case KindCorrupt, KindTruncate:
+		return damage(pkt, d), d.kind
 	case KindDrop, KindReset:
 		return nil, d.kind
-	default:
-		out := make([]byte, len(pkt))
-		copy(out, pkt)
-		return out, d.kind
 	}
+	return append([]byte{}, pkt...), d.kind
 }

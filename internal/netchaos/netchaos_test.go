@@ -3,6 +3,7 @@ package netchaos
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"corropt/internal/rngutil"
-	"corropt/internal/simclock"
 )
 
 // fakeAddr satisfies net.Addr for the in-memory endpoints.
@@ -85,7 +85,7 @@ func mustWrite(t *testing.T, c net.Conn, payload []byte) {
 
 func TestZeroConfigIsTransparent(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{})
+	inj := New(rngutil.New(1), Config{})
 	c := inj.Conn(under)
 	payloads := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
 	for _, p := range payloads {
@@ -106,39 +106,36 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	run := func(seed uint64) ([]Event, [][]byte) {
+	run := func(seed uint64) (Stats, [][]byte) {
 		under := &fakeConn{}
-		clock := simclock.Virtual{Clock: simclock.New()}
-		inj := New(rngutil.New(seed), clock, Config{
+		inj := New(rngutil.New(seed), Config{
 			Drop: 0.2, Dup: 0.1, Reorder: 0.1, Corrupt: 0.2, Truncate: 0.1,
 		})
-		inj.EnableTrace()
 		c := inj.Conn(under)
 		for i := 0; i < 64; i++ {
 			mustWrite(t, c, []byte("payload-payload-payload"))
 		}
-		return inj.Trace(), under.recorded()
+		return inj.Stats(), under.recorded()
 	}
-	t1, w1 := run(42)
-	t2, w2 := run(42)
-	if !reflect.DeepEqual(t1, t2) {
-		t.Fatalf("same seed produced different fault traces:\n%v\n%v", t1, t2)
+	s1, w1 := run(42)
+	s2, w2 := run(42)
+	if s1 != s2 {
+		t.Fatalf("same seed produced different fault counts:\n%+v\n%+v", s1, s2)
 	}
 	if !reflect.DeepEqual(w1, w2) {
 		t.Fatal("same seed produced different byte streams")
 	}
-	if len(t1) == 0 {
+	if s1.Faults() == 0 {
 		t.Fatal("scenario injected no faults; probabilities too low for the test to mean anything")
 	}
-	t3, _ := run(43)
-	if reflect.DeepEqual(t1, t3) {
-		t.Error("different seeds produced identical fault traces")
+	if _, w3 := run(43); reflect.DeepEqual(w1, w3) {
+		t.Error("different seeds produced identical byte streams")
 	}
 }
 
 func TestDropSwallowsWrite(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Drop: 1})
+	inj := New(rngutil.New(1), Config{Drop: 1})
 	c := inj.Conn(under)
 	mustWrite(t, c, []byte("gone"))
 	if got := under.recorded(); len(got) != 0 {
@@ -151,7 +148,7 @@ func TestDropSwallowsWrite(t *testing.T) {
 
 func TestDupSendsTwice(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Dup: 1})
+	inj := New(rngutil.New(1), Config{Dup: 1})
 	c := inj.Conn(under)
 	mustWrite(t, c, []byte("twice"))
 	got := under.recorded()
@@ -162,7 +159,7 @@ func TestDupSendsTwice(t *testing.T) {
 
 func TestReorderSwapsAdjacentWrites(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Reorder: 1})
+	inj := New(rngutil.New(1), Config{Reorder: 1})
 	c := inj.Conn(under)
 	mustWrite(t, c, []byte("first"))
 	mustWrite(t, c, []byte("second"))
@@ -172,9 +169,161 @@ func TestReorderSwapsAdjacentWrites(t *testing.T) {
 	}
 }
 
+// payloads are the writes of TestEveryWrapperFault, by label. Their
+// lengths differ, so a damaged payload is attributed by length alone.
+var payloads = map[string][]byte{
+	"one": []byte("first-payload"),
+	"two": []byte("the-second-payload"),
+}
+
+// label names a forwarded payload: the write it equals, or "~" and the
+// write it is a strict prefix of (truncated) or as long as (corrupted).
+func label(p []byte) string {
+	names := []string{"one", "two"}
+	for _, n := range names {
+		if bytes.Equal(p, payloads[n]) {
+			return n
+		}
+	}
+	for _, n := range names {
+		if bytes.HasPrefix(payloads[n], p) {
+			return "~" + n
+		}
+	}
+	for _, n := range names {
+		if len(p) == len(payloads[n]) {
+			return "~" + n
+		}
+	}
+	return fmt.Sprintf("%q", p)
+}
+
+// drawn is the fault class a write drew, read from the Stats around it.
+func drawn(before, after Stats) Kind {
+	for _, c := range []struct {
+		n int
+		k Kind
+	}{
+		{after.Drops - before.Drops, KindDrop},
+		{after.Dups - before.Dups, KindDup},
+		{after.Reorders - before.Reorders, KindReorder},
+		{after.Corrupts - before.Corrupts, KindCorrupt},
+		{after.Truncates - before.Truncates, KindTruncate},
+		{after.Resets - before.Resets, KindReset},
+		{after.Delays - before.Delays, KindDelay},
+	} {
+		if c.n > 0 {
+			return c.k
+		}
+	}
+	return KindNone
+}
+
+// TestEveryWrapperFault drives Conn, DatagramConn and PacketConn through
+// each fault class and holds all three to the same forwarded payloads. A
+// stream reset is the one exception: it closes the Conn and fails every
+// later write, where a datagram reset is a drop.
+func TestEveryWrapperFault(t *testing.T) {
+	peer := fakeAddr("peer")
+	wrappers := []struct {
+		name   string
+		stream bool
+		open   func(t *testing.T, inj *Injector) (write func([]byte) error, under *fakeConn)
+	}{
+		{"Conn", true, func(t *testing.T, inj *Injector) (func([]byte) error, *fakeConn) {
+			under := &fakeConn{}
+			c := inj.Conn(under)
+			return func(b []byte) error { _, err := c.Write(b); return err }, under
+		}},
+		{"DatagramConn", false, func(t *testing.T, inj *Injector) (func([]byte) error, *fakeConn) {
+			under := &fakeConn{}
+			c := inj.DatagramConn(under)
+			return func(b []byte) error { _, err := c.Write(b); return err }, under
+		}},
+		{"PacketConn", false, func(t *testing.T, inj *Injector) (func([]byte) error, *fakeConn) {
+			under := &fakePacketConn{}
+			pc := inj.PacketConn(under)
+			return func(b []byte) error {
+				_, err := pc.WriteTo(b, peer)
+				for i, a := range under.addrs {
+					if a != peer {
+						t.Errorf("datagram %d went to %v, want %v", i, a, peer)
+					}
+				}
+				return err
+			}, &under.fakeConn
+		}},
+	}
+	rows := []struct {
+		name  string
+		cfg   Config
+		kinds []Kind   // the fault each write draws; seeds are searched until one does
+		want  []string // forwarded payloads, by label
+		// streamWant is Conn's forwarded payloads in a row that resets.
+		streamWant []string
+	}{
+		{"none", Config{}, []Kind{KindNone, KindNone}, []string{"one", "two"}, nil},
+		{"drop", Config{Drop: 1, MaxFaults: 1}, []Kind{KindDrop, KindNone}, []string{"two"}, nil},
+		{"dup", Config{Dup: 1, MaxFaults: 1}, []Kind{KindDup, KindNone}, []string{"one", "one", "two"}, nil},
+		{"reorder", Config{Reorder: 1}, []Kind{KindReorder, KindReorder}, []string{"two", "one"}, nil},
+		{"corrupt", Config{Corrupt: 1, MaxFaults: 1}, []Kind{KindCorrupt, KindNone}, []string{"~one", "two"}, nil},
+		{"truncate", Config{Truncate: 1, MaxFaults: 1}, []Kind{KindTruncate, KindNone}, []string{"~one", "two"}, nil},
+		{"delay", Config{Delay: 1, MaxFaults: 1}, []Kind{KindDelay, KindNone}, []string{"one", "two"}, nil},
+		{"reorder held, then drop", Config{Reorder: 0.5, Drop: 0.5}, []Kind{KindReorder, KindDrop}, []string{"one"}, nil},
+		{"reset", Config{Reset: 1, MaxFaults: 1}, []Kind{KindReset, KindNone}, []string{"two"}, []string{}},
+		{"reorder held, then reset", Config{Reorder: 0.5, Reset: 0.5}, []Kind{KindReorder, KindReset}, []string{"one"}, []string{}},
+	}
+	for _, row := range rows {
+		for _, w := range wrappers {
+			t.Run(row.name+"/"+w.name, func(t *testing.T) {
+				for seed := uint64(1); seed <= 64; seed++ {
+					inj := New(rngutil.New(seed), row.cfg)
+					write, under := w.open(t, inj)
+					var kinds []Kind
+					var errs []error
+					for _, n := range []string{"one", "two"} {
+						before := inj.Stats()
+						errs = append(errs, write(payloads[n]))
+						kinds = append(kinds, drawn(before, inj.Stats()))
+					}
+					if !reflect.DeepEqual(kinds, row.kinds) {
+						continue
+					}
+					want := row.want
+					reset := false
+					for i, k := range kinds {
+						reset = reset || (w.stream && k == KindReset)
+						if reset && !errors.Is(errs[i], net.ErrClosed) {
+							t.Errorf("write %d after a stream reset: err = %v, want wrapped net.ErrClosed", i, errs[i])
+						}
+						if !reset && errs[i] != nil {
+							t.Errorf("write %d: %v", i, errs[i])
+						}
+					}
+					if reset {
+						want = row.streamWant
+					}
+					if under.isClosed() != reset {
+						t.Errorf("underlying socket closed = %v, want %v", under.isClosed(), reset)
+					}
+					got := []string{}
+					for _, p := range under.recorded() {
+						got = append(got, label(p))
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d forwarded %q, want %q", seed, got, want)
+					}
+					return
+				}
+				t.Fatalf("no seed in 1..64 draws %v", row.kinds)
+			})
+		}
+	}
+}
+
 func TestReorderFlushedOnClose(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Reorder: 1, MaxFaults: 1})
+	inj := New(rngutil.New(1), Config{Reorder: 1, MaxFaults: 1})
 	c := inj.Conn(under)
 	mustWrite(t, c, []byte("held"))
 	if err := c.Close(); err != nil {
@@ -191,7 +340,7 @@ func TestReorderFlushedOnClose(t *testing.T) {
 
 func TestCorruptFlipsBitsWithoutMutatingCaller(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Corrupt: 1})
+	inj := New(rngutil.New(1), Config{Corrupt: 1})
 	c := inj.Conn(under)
 	orig := []byte("do-not-touch-me")
 	payload := append([]byte(nil), orig...)
@@ -210,7 +359,7 @@ func TestCorruptFlipsBitsWithoutMutatingCaller(t *testing.T) {
 
 func TestTruncateSendsStrictPrefix(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Truncate: 1})
+	inj := New(rngutil.New(1), Config{Truncate: 1})
 	c := inj.Conn(under)
 	payload := []byte("a-long-enough-payload-to-truncate")
 	for i := 0; i < 16; i++ {
@@ -228,7 +377,7 @@ func TestTruncateSendsStrictPrefix(t *testing.T) {
 
 func TestResetClosesStream(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Reset: 1})
+	inj := New(rngutil.New(1), Config{Reset: 1})
 	c := inj.Conn(under)
 	if _, err := c.Write([]byte("doomed")); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("reset write error = %v, want wrapped net.ErrClosed", err)
@@ -243,7 +392,7 @@ func TestResetClosesStream(t *testing.T) {
 
 func TestResetOnDatagramIsLoss(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Reset: 1, MaxFaults: 1})
+	inj := New(rngutil.New(1), Config{Reset: 1, MaxFaults: 1})
 	c := inj.DatagramConn(under)
 	mustWrite(t, c, []byte("lost"))
 	if under.isClosed() {
@@ -258,13 +407,13 @@ func TestResetOnDatagramIsLoss(t *testing.T) {
 
 func TestDelayUsesSleepHook(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Delay: 1, MaxDelay: 5 * time.Millisecond})
+	inj := New(rngutil.New(1), Config{Delay: 1})
 	var slept []time.Duration
 	inj.SetSleep(func(d time.Duration) { slept = append(slept, d) })
 	c := inj.Conn(under)
 	mustWrite(t, c, []byte("late"))
-	if len(slept) != 1 || slept[0] <= 0 || slept[0] > 5*time.Millisecond {
-		t.Fatalf("sleep calls = %v, want one in (0, 5ms]", slept)
+	if len(slept) != 1 || slept[0] <= 0 || slept[0] > maxDelay {
+		t.Fatalf("sleep calls = %v, want one in (0, %v]", slept, maxDelay)
 	}
 	got := under.recorded()
 	if len(got) != 1 || !bytes.Equal(got[0], []byte("late")) {
@@ -274,7 +423,7 @@ func TestDelayUsesSleepHook(t *testing.T) {
 
 func TestMaxFaultsBudget(t *testing.T) {
 	under := &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Drop: 1, MaxFaults: 3})
+	inj := New(rngutil.New(1), Config{Drop: 1, MaxFaults: 3})
 	c := inj.Conn(under)
 	for i := 0; i < 10; i++ {
 		mustWrite(t, c, []byte("x"))
@@ -289,7 +438,7 @@ func TestMaxFaultsBudget(t *testing.T) {
 
 func TestBudgetSharedAcrossEndpoints(t *testing.T) {
 	a, b := &fakeConn{}, &fakeConn{}
-	inj := New(rngutil.New(1), nil, Config{Drop: 1, MaxFaults: 1})
+	inj := New(rngutil.New(1), Config{Drop: 1, MaxFaults: 1})
 	ca, cb := inj.Conn(a), inj.Conn(b)
 	mustWrite(t, ca, []byte("one"))
 	mustWrite(t, cb, []byte("two"))
@@ -302,7 +451,7 @@ func TestBudgetSharedAcrossEndpoints(t *testing.T) {
 
 func TestPacketConnFaults(t *testing.T) {
 	under := &fakePacketConn{}
-	inj := New(rngutil.New(1), nil, Config{Dup: 1, MaxFaults: 1})
+	inj := New(rngutil.New(1), Config{Dup: 1, MaxFaults: 1})
 	pc := inj.PacketConn(under)
 	addr := fakeAddr("peer")
 	if _, err := pc.WriteTo([]byte("dgram"), addr); err != nil {
@@ -324,7 +473,7 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := New(rngutil.New(1), nil, Config{Drop: 1, MaxFaults: 1})
+	inj := New(rngutil.New(1), Config{Drop: 1, MaxFaults: 1})
 	ln := inj.Listener(raw)
 	defer ln.Close()
 
@@ -354,7 +503,7 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 	mustWrite(t, res.conn, []byte("hello"))
 	mustWrite(t, res.conn, []byte("world"))
 	buf := make([]byte, 5)
-	if err := cli.SetReadDeadline(inj.clock.Now().Add(2 * time.Second)); err != nil {
+	if err := cli.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := io.ReadFull(cli, buf); err != nil {
@@ -389,6 +538,14 @@ func TestMutator(t *testing.T) {
 	out, kind = trunc.Mutate(pkt)
 	if kind != KindTruncate || len(out) >= len(pkt) || !bytes.Equal(out, pkt[:len(out)]) {
 		t.Fatalf("truncate mutate = (%q, %v), want a strict prefix", out, kind)
+	}
+	// A truncation that keeps nothing and an empty packet both come back
+	// empty, never nil.
+	if out, kind := trunc.Mutate([]byte("x")); out == nil || len(out) != 0 || kind != KindTruncate {
+		t.Fatalf("one-byte truncate mutate = (%#v, %v), want an empty non-nil slice", out, kind)
+	}
+	if out, kind := clean.Mutate(nil); out == nil || len(out) != 0 || kind != KindNone {
+		t.Fatalf("empty mutate = (%#v, %v), want an empty non-nil slice", out, kind)
 	}
 
 	// Same seed, same mutation sequence.

@@ -70,7 +70,7 @@ func TestClientRetransmitsThroughRequestLoss(t *testing.T) {
 	}
 	defer srv.Close()
 
-	inj := netchaos.New(rngutil.New(5), nil, netchaos.Config{Drop: 1, MaxFaults: 2})
+	inj := netchaos.New(rngutil.New(5), netchaos.Config{Drop: 1, MaxFaults: 2})
 	cli := chaosClient(t, srv.Addr().String(), inj, 5)
 	values, err := cli.Get([]Query{{Link: 3, Counter: CounterErrorsUp}})
 	if err != nil {
@@ -93,7 +93,7 @@ func TestClientRetransmitsThroughCorruptedRequests(t *testing.T) {
 
 	// The corrupted request fails the server's checksum and is dropped like
 	// line noise; the client's retransmit (budget spent) gets through.
-	inj := netchaos.New(rngutil.New(5), nil, netchaos.Config{Corrupt: 1, MaxFaults: 1})
+	inj := netchaos.New(rngutil.New(5), netchaos.Config{Corrupt: 1, MaxFaults: 1})
 	cli := chaosClient(t, srv.Addr().String(), inj, 4)
 	values, err := cli.Get([]Query{{Link: 2, Counter: CounterPacketsDown}})
 	if err != nil {
@@ -112,14 +112,14 @@ func TestClientDiscardsCorruptedResponses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := netchaos.New(rngutil.New(11), nil, netchaos.Config{Corrupt: 1, MaxFaults: 1})
+	inj := netchaos.New(rngutil.New(11), netchaos.Config{Corrupt: 1, MaxFaults: 1})
 	srv, err := NewServerConn(inj.PacketConn(conn), ProviderFunc(echoProvider), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	clean := netchaos.New(rngutil.New(0), nil, netchaos.Config{})
+	clean := netchaos.New(rngutil.New(0), netchaos.Config{})
 	cli := chaosClient(t, srv.Addr().String(), clean, 4)
 	values, err := cli.Get([]Query{{Link: 4, Counter: CounterDropsUp}})
 	if err != nil {
@@ -141,7 +141,7 @@ func TestClientTimeoutSentinel(t *testing.T) {
 	defer srv.Close()
 
 	// Unlimited drops: every attempt is lost and the sentinel surfaces.
-	inj := netchaos.New(rngutil.New(5), nil, netchaos.Config{Drop: 1})
+	inj := netchaos.New(rngutil.New(5), netchaos.Config{Drop: 1})
 	cli := chaosClient(t, srv.Addr().String(), inj, 2)
 	if _, err := cli.Get([]Query{{Link: 1, Counter: CounterPacketsUp}}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want wrapped ErrTimeout", err)
@@ -153,14 +153,14 @@ func TestResponseSurvivesDupAndReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := netchaos.New(rngutil.New(2), nil, netchaos.Config{Dup: 0.5, Reorder: 0.5, MaxFaults: 8})
+	inj := netchaos.New(rngutil.New(2), netchaos.Config{Dup: 0.5, Reorder: 0.5, MaxFaults: 8})
 	srv, err := NewServerConn(inj.PacketConn(conn), ProviderFunc(echoProvider), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	clean := netchaos.New(rngutil.New(0), nil, netchaos.Config{})
+	clean := netchaos.New(rngutil.New(0), netchaos.Config{})
 	cli := chaosClient(t, srv.Addr().String(), clean, 4)
 	for i := 0; i < 8; i++ {
 		link := uint32(i)
