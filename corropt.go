@@ -152,7 +152,7 @@ func Recommend(d Diagnostics) RepairAction { return core.Recommend(d) }
 
 // RecommendDeployed is the simplified engine variant deployed across 70
 // data centers (§7.2).
-func RecommendDeployed(d Diagnostics) RepairAction { return core.RecommendDeployed(d) }
+func RecommendDeployed(d Diagnostics) RepairAction { return core.Recommend(d.Deployed()) }
 
 // Optics and faults.
 type (

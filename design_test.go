@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,33 @@ var makeTarget = regexp.MustCompile(`(?m)^([A-Za-z][\w.-]*)\s*:([^=]|$)`)
 // testFunc matches the declaration of a test, benchmark or fuzz target.
 var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 
+// docSpan matches one back-quoted span. Matches are taken left to right, so
+// a fenced code block's three back quotes pair off into spans of their own.
+var docSpan = regexp.MustCompile("`[^`]*`")
+
+// docFlag matches a word that names a flag, capturing the name.
+var docFlag = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?:=.*)?$`)
+
+// goToolFlags are the go command's build and test flags that the docs name
+// bare, like `-race`.
+var goToolFlags = map[string]bool{
+	"race": true, "run": true, "bench": true, "benchtime": true, "benchmem": true,
+	"count": true, "cpu": true, "cpuprofile": true, "memprofile": true, "cover": true,
+	"coverprofile": true, "fuzz": true, "fuzztime": true, "fuzzminimizetime": true,
+	"gcflags": true, "json": true, "v": true, "short": true, "timeout": true,
+	"parallel": true, "tags": true, "mod": true, "overlay": true, "update": true,
+}
+
+// flagDefiners are the flag package's functions and FlagSet methods that
+// define a flag; the first string literal among a call's arguments is its
+// name.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
 // TestDocsNameLiveIdentifiers resolves every back-quoted `pkg.Name` and
 // `pkg.Type.Member` in README.md, DESIGN.md and EXPERIMENTS.md against the
 // module's non-test Go source, and every back-quoted test, benchmark or
@@ -151,9 +179,12 @@ var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 // declares, such as `WaitGroup.Wait`, is not checked. A `make <target>`
 // must name a Makefile target, and a span starting with a path under
 // internal/, cmd/, scripts/, scenarios/ or results/ must name an existing
-// file or directory unless it holds a `*` or `<` placeholder.
-// bench/README.md is left out: the benchmark is a separate module whose
-// files change only together with its own runs.
+// file or directory unless it holds a `*` or `<` placeholder. A span that
+// starts with a `-name` flag must name a flag that some cmd/ binary defines
+// or one of goToolFlags; in a span that starts with a cmd/ binary's name
+// (or `go run ./cmd/<name>`), every `-name` word must be a flag of that
+// binary. bench/README.md is left out: the benchmark is a separate module
+// whose files change only together with its own runs.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	out, err := exec.Command("go", "list", "-f", "{{.Name}} {{.Dir}}", "./...").Output()
 	if err != nil {
@@ -175,7 +206,8 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 	for _, m := range makeTarget.FindAllSubmatch(makefile, -1) {
 		targets[string(m[1])] = true
 	}
-	refs, testRefs, memberRefs, makeRefs, pathRefs := 0, 0, 0, 0, 0
+	cmdFlags := commandFlags(t)
+	refs, testRefs, memberRefs, makeRefs, pathRefs, flagRefs := 0, 0, 0, 0, 0, 0
 	for _, file := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		doc, err := os.ReadFile(file)
 		if err != nil {
@@ -230,13 +262,80 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 				t.Errorf("%s names %s, which does not exist", file, m[0])
 			}
 		}
+		for _, span := range docSpan.FindAllString(string(doc), -1) {
+			words := strings.Fields(strings.Trim(span, "`"))
+			if len(words) >= 3 && words[0] == "go" && words[1] == "run" && strings.HasPrefix(words[2], "./cmd/") {
+				words = append([]string{strings.TrimPrefix(words[2], "./cmd/")}, words[3:]...)
+			}
+			if len(words) == 0 {
+				continue
+			}
+			if m := docFlag.FindStringSubmatch(words[0]); m != nil {
+				flagRefs++
+				if !goToolFlags[m[1]] && !cmdFlags[""][m[1]] {
+					t.Errorf("%s names %s, which no cmd/ binary and no go command defines", file, span)
+				}
+				continue
+			}
+			flags, ok := cmdFlags[words[0]]
+			if !ok {
+				continue
+			}
+			for _, w := range words[1:] {
+				if m := docFlag.FindStringSubmatch(w); m != nil {
+					flagRefs++
+					if !flags[m[1]] {
+						t.Errorf("%s names %s, but %s defines no flag -%s", file, span, words[0], m[1])
+					}
+				}
+			}
+		}
 	}
-	if refs == 0 || testRefs == 0 || memberRefs == 0 || makeRefs == 0 || pathRefs == 0 {
-		t.Fatalf("found %d package-qualified identifiers, %d Type.Member spans, %d test names, %d make targets and %d paths in the docs: a pattern is broken",
-			refs, memberRefs, testRefs, makeRefs, pathRefs)
+	if refs == 0 || testRefs == 0 || memberRefs == 0 || makeRefs == 0 || pathRefs == 0 || flagRefs == 0 {
+		t.Fatalf("found %d package-qualified identifiers, %d Type.Member spans, %d test names, %d make targets, %d paths and %d flags in the docs: a pattern is broken",
+			refs, memberRefs, testRefs, makeRefs, pathRefs, flagRefs)
 	}
-	t.Logf("%d references, %d Type.Member spans, %d test names, %d make targets and %d paths resolved",
-		refs, memberRefs, testRefs, makeRefs, pathRefs)
+	t.Logf("%d references, %d Type.Member spans, %d test names, %d make targets, %d paths and %d flags resolved",
+		refs, memberRefs, testRefs, makeRefs, pathRefs, flagRefs)
+}
+
+// commandFlags returns the flags each cmd/ binary defines, by directory
+// name, and under "" the flags of them all.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := map[string]map[string]bool{"": {}}
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	for _, dir := range dirs {
+		parsed, err := parser.ParseDir(token.NewFileSet(), filepath.Join("cmd", dir.Name()), notTest, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags := map[string]bool{}
+		for _, pkg := range parsed {
+			ast.Inspect(pkg, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && flagDefiners[sel.Sel.Name] {
+					for _, arg := range call.Args {
+						if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							name, _ := strconv.Unquote(lit.Value)
+							flags[name], all[""][name] = true, true
+							break
+						}
+					}
+				}
+				return true
+			})
+		}
+		all[dir.Name()] = flags
+	}
+	return all
 }
 
 // testFuncs returns the names of the tests, benchmarks and fuzz targets

@@ -87,33 +87,15 @@ var DeployedThresholds = optics.Technology{
 	RxThreshold: -10,
 }
 
-// RecommendDeployed mirrors the simplified engine actually deployed across
-// the 70 data centers (§7.2): it compares power levels against
-// DeployedThresholds instead of the link's per-technology values, and keeps
-// no repair history, so it always suggests reseating before replacement and
-// cannot escalate. The neighbor-corruption input remains available — it
-// comes from the packet counters the monitoring system already collects,
-// not from optics.
-func RecommendDeployed(d Diagnostics) faults.RepairAction {
-	if d.NeighborCorrupting {
-		return faults.ActionReplaceSharedComponent
-	}
-	if d.OppositeCorrupting {
-		return faults.ActionReplaceFiber
-	}
-	if !d.HasOptics {
-		return faults.ActionUnknown
-	}
-	if d.Tx2 <= DeployedThresholds.TxThreshold {
-		return faults.ActionReplaceOppositeTransceiver
-	}
-	if d.Rx1 < DeployedThresholds.RxThreshold && d.Rx2 < DeployedThresholds.RxThreshold {
-		return faults.ActionReplaceFiber
-	}
-	if d.Rx1 < DeployedThresholds.RxThreshold {
-		return faults.ActionCleanFiber
-	}
-	return faults.ActionReseatTransceiver
+// Deployed returns d as the simplified engine deployed across the 70 data
+// centers (§7.2) saw it: power compared against DeployedThresholds instead
+// of the link's per-technology values, and no repair history, so Recommend
+// always suggests reseating before replacement and cannot escalate. The
+// neighbor-corruption input stays — it comes from the packet counters the
+// monitoring system already collects, not from optics.
+func (d Diagnostics) Deployed() Diagnostics {
+	d.Tech, d.RecentlyReseated = DeployedThresholds, false
+	return d
 }
 
 // Diagnose assembles Diagnostics for link l from the latest telemetry.

@@ -96,20 +96,108 @@ func TestRecommendDeployedSimplifications(t *testing.T) {
 	// needs no optics)...
 	d := base()
 	d.NeighborCorrupting = true
-	if got := RecommendDeployed(d); got != faults.ActionReplaceSharedComponent {
+	if got := Recommend(d.Deployed()); got != faults.ActionReplaceSharedComponent {
 		t.Fatalf("got %v", got)
 	}
 	// ...but without history it never escalates a reseat to replacement.
 	d = base()
 	d.RecentlyReseated = true
-	if got := RecommendDeployed(d); got != faults.ActionReseatTransceiver {
+	if got := Recommend(d.Deployed()); got != faults.ActionReseatTransceiver {
 		t.Fatalf("got %v", got)
 	}
 	// The optical rules are unchanged.
 	d = base()
 	d.Rx1 = -12
-	if got := RecommendDeployed(d); got != faults.ActionCleanFiber {
+	if got := Recommend(d.Deployed()); got != faults.ActionCleanFiber {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// referenceRecommendDeployed is the deployed engine as it was written
+// before it became Recommend over Diagnostics.Deployed: its own copy of
+// Algorithm 1 with the global thresholds and no history branch.
+func referenceRecommendDeployed(d Diagnostics) faults.RepairAction {
+	if d.NeighborCorrupting {
+		return faults.ActionReplaceSharedComponent
+	}
+	if d.OppositeCorrupting {
+		return faults.ActionReplaceFiber
+	}
+	if !d.HasOptics {
+		return faults.ActionUnknown
+	}
+	if d.Tx2 <= DeployedThresholds.TxThreshold {
+		return faults.ActionReplaceOppositeTransceiver
+	}
+	if d.Rx1 < DeployedThresholds.RxThreshold && d.Rx2 < DeployedThresholds.RxThreshold {
+		return faults.ActionReplaceFiber
+	}
+	if d.Rx1 < DeployedThresholds.RxThreshold {
+		return faults.ActionCleanFiber
+	}
+	return faults.ActionReseatTransceiver
+}
+
+// TestDeployedMatchesReference holds Recommend over Deployed to the old
+// deployed engine on every branch: the three booleans it reads, the history
+// input it ignores, and Tx2, Rx1 and Rx2 each just below, at and just above
+// both the global thresholds and the per-technology ones, for a technology
+// tighter and one looser than the global values.
+func TestDeployedMatchesReference(t *testing.T) {
+	g := DeployedThresholds
+	techs := []optics.Technology{
+		{Name: "tight", TxThreshold: g.TxThreshold - 2, RxThreshold: g.RxThreshold - 3},
+		{Name: "loose", TxThreshold: g.TxThreshold + 2, RxThreshold: g.RxThreshold + 3},
+	}
+	around := func(ts ...optics.DBm) []optics.DBm {
+		var out []optics.DBm
+		for _, x := range ts {
+			out = append(out, x-0.5, x, x+0.5)
+		}
+		return out
+	}
+	seen, starved := make(map[faults.RepairAction]int), 0
+	for _, tech := range techs {
+		txs := around(g.TxThreshold, tech.TxThreshold)
+		rxs := around(g.RxThreshold, tech.RxThreshold)
+		for bits := 0; bits < 16; bits++ {
+			for _, tx2 := range txs {
+				for _, rx1 := range rxs {
+					for _, rx2 := range rxs {
+						d := Diagnostics{
+							NeighborCorrupting: bits&1 != 0,
+							OppositeCorrupting: bits&2 != 0,
+							HasOptics:          bits&4 != 0,
+							RecentlyReseated:   bits&8 != 0,
+							Tx2:                tx2, Rx1: rx1, Rx2: rx2,
+							Tech: tech,
+						}
+						want := referenceRecommendDeployed(d)
+						if got := Recommend(d.Deployed()); got != want {
+							t.Fatalf("%+v: Recommend(Deployed) = %v, reference %v", d, got, want)
+						}
+						seen[want]++
+						if want == faults.ActionReplaceFiber && !d.OppositeCorrupting {
+							starved++
+						}
+					}
+				}
+			}
+		}
+	}
+	// Every return of the reference is reached, ReplaceFiber by both of
+	// its branches: the opposite direction and two starved receivers.
+	if starved == 0 {
+		t.Error("no case reaches ReplaceFiber through two starved receivers")
+	}
+	for _, a := range []faults.RepairAction{faults.ActionReplaceSharedComponent, faults.ActionReplaceFiber,
+		faults.ActionUnknown, faults.ActionReplaceOppositeTransceiver, faults.ActionCleanFiber, faults.ActionReseatTransceiver} {
+		if seen[a] == 0 {
+			t.Errorf("no case reaches %v", a)
+		}
+	}
+	if seen[faults.ActionReplaceTransceiver] != 0 {
+		t.Errorf("the deployed engine escalated to replacement %d times", seen[faults.ActionReplaceTransceiver])
 	}
 }
 
@@ -257,7 +345,7 @@ func TestMixedTechnologyFabric(t *testing.T) {
 		t.Fatalf("no diagnostics for the tolerant-tech link; rate up=%v", st2.CorruptionRate(4, topology.Up))
 	}
 	full := Recommend(d2)
-	deployed := RecommendDeployed(d2)
+	deployed := Recommend(d2.Deployed())
 	if full != faults.ActionCleanFiber {
 		t.Fatalf("full engine with per-tech threshold: %v, want clean-fiber", full)
 	}

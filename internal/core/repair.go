@@ -15,8 +15,8 @@ import (
 type RepairConfig struct {
 	// Staffing staffs the ticket queue.
 	tickets.Staffing
-	// UseDeployedEngine recommends with RecommendDeployed (§7.2) instead
-	// of full Algorithm 1.
+	// UseDeployedEngine recommends from Diagnostics.Deployed (§7.2)
+	// instead of the full Algorithm 1 inputs.
 	UseDeployedEngine bool
 	// DrainMode is §8's "removing traffic instead of disabling links": a
 	// failed repair shows on test traffic, so the link is re-ticketed
@@ -267,10 +267,9 @@ func (r *RepairLoop) openTicket(l topology.LinkID, now time.Duration) {
 	if r.diagnose != nil {
 		if d, ok := r.diagnose(l, r.reseated[l]); ok {
 			if r.cfg.UseDeployedEngine {
-				rec = RecommendDeployed(d)
-			} else {
-				rec = Recommend(d)
+				d = d.Deployed()
 			}
+			rec = Recommend(d)
 		}
 	}
 	t, done := r.queue.Open(l, rec, now)

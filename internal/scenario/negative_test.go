@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -62,17 +64,39 @@ func TestBadScenarios(t *testing.T) {
 }
 
 // TestErrorsCarryPositions spot-checks that parse errors point at the
-// offending token, not just the file.
+// offending token, not just the file. A case with at set also requires the
+// input at the reported line:col to begin with at, and, when the message
+// quotes a character, that character to be the one there: a syntax error
+// names the offending byte, not the start of its token. A case with eof
+// set requires the position one past the input's last byte.
 func TestErrorsCarryPositions(t *testing.T) {
 	cases := []struct {
 		file string
 		frag string
+		at   string
+		eof  bool
 	}{
-		{"unknown_field.json", "unknown field"},
-		{"duplicate_key.json", "duplicate key"},
-		{"negative_event_time.json", "before t=0"},
-		{"unknown_metric.json", "metric"},
-		{"bad_version.json", "version"},
+		{file: "unknown_field.json", frag: "unknown field", at: `"typo_field"`},
+		{file: "duplicate_key.json", frag: "duplicate key", at: `"name"`},
+		{file: "negative_event_time.json", frag: "before t=0"},
+		{file: "unknown_metric.json", frag: "metric"},
+		{file: "bad_version.json", frag: "version"},
+		{file: "missing_colon.json", frag: "after object key", at: `"bad"`},
+		{file: "trailing_comma_object.json", frag: "object key string", at: "}"},
+		{file: "trailing_comma_array.json", frag: "beginning of value", at: "]"},
+		{file: "unterminated_string.json", frag: "end of", eof: true},
+		{file: "raw_control_char.json", frag: "in string literal", at: "\t"},
+		{file: "invalid_escape.json", frag: "escape", at: "w"},
+		{file: "unicode_escape_bad_hex.json", frag: "escape", at: "z"},
+		{file: "bad_literal_true.json", frag: "literal true", at: "v"},
+		{file: "bad_literal_null.json", frag: "literal null", at: ","},
+		{file: "number_missing_fraction.json", frag: "decimal point", at: ","},
+		{file: "number_lone_minus.json", frag: "numeric literal", at: "}"},
+		{file: "number_missing_exponent.json", frag: "exponent", at: "}"},
+		{file: "invalid_utf8_string.json", frag: "UTF-8", at: "\xe9"},
+		{file: "lone_surrogate.json", frag: "lone surrogate", at: `\ud83d!`},
+		{file: "surrogate_bad_pair.json", frag: "lone surrogate", at: `\ud83d\u0041`},
+		{file: "trailing_garbage.json", frag: "trailing data", at: "extra"},
 	}
 	for _, tc := range cases {
 		data, err := os.ReadFile(filepath.Join("testdata", "bad", tc.file))
@@ -98,7 +122,42 @@ func TestErrorsCarryPositions(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.file+":") {
 			t.Errorf("%s: error %q does not lead with the file name", tc.file, err)
 		}
+		rest := data[offsetOf(data, perr.Line, perr.Col):]
+		if tc.eof && len(rest) != 0 {
+			t.Errorf("%s: error %q lies before the end of the input, at %q", tc.file, err, rest)
+		}
+		if tc.at == "" {
+			continue
+		}
+		if !bytes.HasPrefix(rest, []byte(tc.at)) {
+			t.Errorf("%s: error %q points at %.12q, want %q", tc.file, err, rest, tc.at)
+		}
+		if q := quotedChar(perr.Msg); q != "" && !strings.HasPrefix(tc.at, q) {
+			t.Errorf("%s: error %q quotes %q, but the input there is %q", tc.file, err, q, tc.at)
+		}
 	}
+}
+
+// offsetOf returns the byte offset of the 1-based line:col in data.
+func offsetOf(data []byte, line, col int) int {
+	off := 0
+	for ; line > 1; line-- {
+		off += bytes.IndexByte(data[off:], '\n') + 1
+	}
+	return off + col - 1
+}
+
+// quotedRune matches a single-quoted Go character literal.
+var quotedRune = regexp.MustCompile(`'(\\.|[^'\\])+'`)
+
+// quotedChar returns the first single-quoted Go character literal in msg,
+// unquoted, or "".
+func quotedChar(msg string) string {
+	q, err := strconv.Unquote(quotedRune.FindString(msg))
+	if err != nil {
+		return ""
+	}
+	return q
 }
 
 func asScenarioError(err error, target **Error) bool {

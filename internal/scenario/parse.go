@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -93,349 +95,198 @@ func (v *value) field(key string) *value {
 }
 
 // maxParseDepth bounds object/array nesting so hostile (fuzzer) inputs
-// cannot overflow the stack.
+// cannot build arbitrarily deep trees.
 const maxParseDepth = 64
 
 type parser struct {
-	file  string
-	data  []byte
-	i     int
-	line  int
-	col   int
-	depth int
+	file string
+	src  []byte // the input with its comments blanked
+	// The position cursor: the last offset asked for, its line, and the
+	// offset at which that line starts.
+	off, line, lineStart int
+}
+
+// member names one key of one object, for the duplicate-key check.
+type member struct {
+	obj *value
+	key string
 }
 
 // parseTree parses data into a positioned value tree. The grammar is
 // strict JSON plus full-line or trailing `#` comments (the YAML-flavored
-// authoring nicety); duplicate object keys, trailing commas, and invalid
-// UTF-8 inside strings are rejected.
+// authoring nicety). encoding/json reads the tokens from a copy of data
+// whose comments are blanked to spaces, so its offsets are offsets into
+// data. On top of the standard library's syntax, the parser rejects
+// duplicate object keys, nesting deeper than maxParseDepth, invalid UTF-8
+// and lone-surrogate escapes (both of which encoding/json would decode to
+// U+FFFD), trailing data, and numbers outside float64's range.
 func parseTree(data []byte, file string) (*value, error) {
-	p := &parser{file: file, data: data, line: 1, col: 1}
-	v, err := p.parseValue()
-	if err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	if p.i < len(p.data) {
-		return nil, p.errHere("trailing data after scenario value")
-	}
-	return v, nil
-}
-
-func (p *parser) errHere(format string, args ...any) error {
-	return &Error{File: p.file, Line: p.line, Col: p.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) errAt(at pos, format string, args ...any) error {
-	return &Error{File: p.file, Line: at.line, Col: at.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) pos() pos { return pos{line: p.line, col: p.col} }
-
-// advance consumes one byte, tracking line/column.
-func (p *parser) advance() byte {
-	c := p.data[p.i]
-	p.i++
-	if c == '\n' {
-		p.line++
-		p.col = 1
-	} else {
-		p.col++
-	}
-	return c
-}
-
-func (p *parser) skipSpace() {
-	for p.i < len(p.data) {
-		switch p.data[p.i] {
-		case ' ', '\t', '\r', '\n':
-			p.advance()
-		case '#':
-			for p.i < len(p.data) && p.data[p.i] != '\n' {
-				p.advance()
-			}
-		default:
-			return
+	p := &parser{file: file, src: blankComments(data), line: 1}
+	for i := 0; i < len(p.src); {
+		r, n := utf8.DecodeRune(p.src[i:])
+		if r == utf8.RuneError && n == 1 {
+			return nil, p.errAt(i, "invalid UTF-8 byte %#x", p.src[i])
 		}
+		i += n
 	}
-}
-
-func (p *parser) parseValue() (*value, error) {
-	if p.depth >= maxParseDepth {
-		return nil, p.errHere("nesting deeper than %d levels", maxParseDepth)
-	}
-	p.depth++
-	defer func() { p.depth-- }()
-	p.skipSpace()
-	if p.i >= len(p.data) {
-		return nil, p.errHere("unexpected end of input")
-	}
-	at := p.pos()
-	switch c := p.data[p.i]; {
-	case c == '{':
-		return p.parseObject(at)
-	case c == '[':
-		return p.parseArray(at)
-	case c == '"':
-		s, err := p.parseString()
+	dec := json.NewDecoder(bytes.NewReader(p.src))
+	dec.UseNumber()
+	var open []*value // containers not yet closed, outermost first
+	seen := make(map[member]bool)
+	for {
+		prev := int(dec.InputOffset())
+		tok, err := dec.Token()
 		if err != nil {
-			return nil, err
+			return nil, p.syntaxError(err)
 		}
-		return &value{at: at, kind: vStr, str: s}, nil
-	case c == 't' || c == 'f':
-		word := "true"
-		if c == 'f' {
-			word = "false"
+		// The token starts after the separators the decoder skipped.
+		start := len(p.src) - len(bytes.TrimLeft(p.src[prev:], " \t\r\n,:"))
+		end := int(dec.InputOffset())
+		var v *value
+		if tok == json.Delim('}') || tok == json.Delim(']') {
+			v, open = open[len(open)-1], open[:len(open)-1]
+		} else if n := len(open); n > 0 && open[n-1].kind == vObj && awaitingKey(open[n-1]) {
+			obj, key := open[n-1], tok.(string)
+			if err := p.checkEscapes(key, start, end); err != nil {
+				return nil, err
+			}
+			if seen[member{obj, key}] {
+				return nil, p.errAt(start, "duplicate key %q", key)
+			}
+			seen[member{obj, key}] = true
+			obj.fields = append(obj.fields, vfield{key: key, at: p.pos(start)})
+			continue
+		} else {
+			if len(open) >= maxParseDepth {
+				return nil, p.errAt(start, "nesting deeper than %d levels", maxParseDepth)
+			}
+			v = &value{at: p.pos(start)}
+			switch t := tok.(type) {
+			case json.Delim:
+				v.kind = vArr
+				if t == '{' {
+					v.kind = vObj
+				}
+				open = append(open, v)
+				continue
+			case string:
+				if err := p.checkEscapes(t, start, end); err != nil {
+					return nil, err
+				}
+				v.kind, v.str = vStr, t
+			case json.Number:
+				f, err := strconv.ParseFloat(string(t), 64)
+				if err != nil {
+					return nil, p.errAt(start, "number out of range")
+				}
+				v.kind, v.num, v.raw = vNum, f, string(t)
+			case bool:
+				v.kind, v.boolv = vBool, t
+			default:
+				v.kind = vNull
+			}
 		}
-		if err := p.expectWord(word); err != nil {
-			return nil, err
+		if len(open) == 0 {
+			if rest := bytes.TrimLeft(p.src[end:], " \t\r\n"); len(rest) > 0 {
+				return nil, p.errAt(len(p.src)-len(rest), "trailing data after scenario value")
+			}
+			return v, nil
 		}
-		return &value{at: at, kind: vBool, boolv: c == 't'}, nil
-	case c == 'n':
-		if err := p.expectWord("null"); err != nil {
-			return nil, err
+		if parent := open[len(open)-1]; parent.kind == vArr {
+			parent.items = append(parent.items, v)
+		} else {
+			parent.fields[len(parent.fields)-1].val = v
 		}
-		return &value{at: at, kind: vNull}, nil
-	case c == '-' || (c >= '0' && c <= '9'):
-		return p.parseNumber(at)
-	default:
-		return nil, p.errHere("unexpected character %q", c)
 	}
 }
 
-func (p *parser) expectWord(word string) error {
-	if !strings.HasPrefix(string(p.data[p.i:]), word) {
-		return p.errHere("invalid literal (expected %q)", word)
+// awaitingKey reports whether obj's next token is a key: every member
+// read so far has its value.
+func awaitingKey(obj *value) bool {
+	return len(obj.fields) == 0 || obj.fields[len(obj.fields)-1].val != nil
+}
+
+// blankComments returns a copy of data in which every `#` comment outside
+// a string, up to its line's end, is overwritten with spaces.
+func blankComments(data []byte) []byte {
+	src := bytes.Clone(data)
+	inString := false
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; {
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case !inString && c == '#':
+			for ; i < len(src) && src[i] != '\n'; i++ {
+				src[i] = ' '
+			}
+		}
 	}
-	for range word {
-		p.advance()
+	return src
+}
+
+// checkEscapes rejects a string token, src[start:end], that encoding/json
+// decoded to s with a U+FFFD standing in for a \u escape that is half of a
+// surrogate pair without its other half. The input is valid UTF-8, so a
+// U+FFFD in s comes from such an escape, from a \ufffd escape, or from
+// the character itself; only a string holding one is scanned.
+func (p *parser) checkEscapes(s string, start, end int) error {
+	if !bytes.ContainsRune([]byte(s), utf8.RuneError) {
+		return nil
+	}
+	raw := p.src[start:end] // a string literal the decoder has checked
+	hex := func(i int) rune {
+		n, _ := strconv.ParseUint(string(raw[i:i+4]), 16, 32) // four hex digits
+		return rune(n)
+	}
+	for i := 0; i < len(raw); i++ {
+		if raw[i] != '\\' {
+			continue
+		}
+		if raw[i+1] != 'u' {
+			i++
+			continue
+		}
+		if r := hex(i + 2); utf16.IsSurrogate(r) {
+			if !bytes.HasPrefix(raw[i+6:], []byte(`\u`)) || utf16.DecodeRune(r, hex(i+8)) == utf8.RuneError {
+				return p.errAt(start+i, "lone surrogate in \\u escape")
+			}
+			i += 6
+		}
+		i += 5
 	}
 	return nil
 }
 
-func (p *parser) parseObject(at pos) (*value, error) {
-	p.advance() // '{'
-	v := &value{at: at, kind: vObj}
-	seen := make(map[string]bool)
-	p.skipSpace()
-	if p.i < len(p.data) && p.data[p.i] == '}' {
-		p.advance()
-		return v, nil
+// syntaxError reports the input's first syntax error, where the decoder
+// stopped with err. The decoder's own SyntaxError offsets count from the
+// value it was reading, so json.Unmarshal re-scans the whole input: its
+// Offset counts the bytes up to and including the offending one. A
+// trailing space stands for the end of the input, so a document that stops
+// short is reported one past its last byte.
+func (p *parser) syntaxError(err error) error {
+	var se *json.SyntaxError
+	if !errors.As(json.Unmarshal(append(p.src[:len(p.src):len(p.src)], ' '), new(json.RawMessage)), &se) {
+		return p.errAt(len(p.src), "%v", err)
 	}
-	for {
-		p.skipSpace()
-		if p.i >= len(p.data) || p.data[p.i] != '"' {
-			return nil, p.errHere("expected object key string")
-		}
-		keyAt := p.pos()
-		key, err := p.parseString()
-		if err != nil {
-			return nil, err
-		}
-		if seen[key] {
-			return nil, p.errAt(keyAt, "duplicate key %q", key)
-		}
-		seen[key] = true
-		p.skipSpace()
-		if p.i >= len(p.data) || p.data[p.i] != ':' {
-			return nil, p.errHere("expected ':' after object key")
-		}
-		p.advance()
-		val, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		v.fields = append(v.fields, vfield{key: key, at: keyAt, val: val})
-		p.skipSpace()
-		if p.i >= len(p.data) {
-			return nil, p.errHere("unterminated object")
-		}
-		switch p.data[p.i] {
-		case ',':
-			p.advance()
-		case '}':
-			p.advance()
-			return v, nil
-		default:
-			return nil, p.errHere("expected ',' or '}' in object")
-		}
-	}
+	return p.errAt(int(se.Offset)-1, "%s", se.Error())
 }
 
-func (p *parser) parseArray(at pos) (*value, error) {
-	p.advance() // '['
-	v := &value{at: at, kind: vArr}
-	p.skipSpace()
-	if p.i < len(p.data) && p.data[p.i] == ']' {
-		p.advance()
-		return v, nil
-	}
-	for {
-		item, err := p.parseValue()
-		if err != nil {
-			return nil, err
-		}
-		v.items = append(v.items, item)
-		p.skipSpace()
-		if p.i >= len(p.data) {
-			return nil, p.errHere("unterminated array")
-		}
-		switch p.data[p.i] {
-		case ',':
-			p.advance()
-		case ']':
-			p.advance()
-			return v, nil
-		default:
-			return nil, p.errHere("expected ',' or ']' in array")
-		}
-	}
+func (p *parser) errAt(off int, format string, args ...any) error {
+	at := p.pos(off)
+	return &Error{File: p.file, Line: at.line, Col: at.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) parseString() (string, error) {
-	p.advance() // opening '"'
-	var b strings.Builder
-	for {
-		if p.i >= len(p.data) {
-			return "", p.errHere("unterminated string")
-		}
-		c := p.data[p.i]
-		switch {
-		case c == '"':
-			p.advance()
-			return b.String(), nil
-		case c == '\\':
-			p.advance()
-			if p.i >= len(p.data) {
-				return "", p.errHere("unterminated escape")
-			}
-			e := p.advance()
-			switch e {
-			case '"', '\\', '/':
-				b.WriteByte(e)
-			case 'b':
-				b.WriteByte('\b')
-			case 'f':
-				b.WriteByte('\f')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 't':
-				b.WriteByte('\t')
-			case 'u':
-				r, err := p.parseUnicodeEscape()
-				if err != nil {
-					return "", err
-				}
-				b.WriteRune(r)
-			default:
-				return "", p.errHere("invalid escape character %q", e)
-			}
-		case c < 0x20:
-			return "", p.errHere("raw control character in string")
-		case c < utf8.RuneSelf:
-			p.advance()
-			b.WriteByte(c)
-		default:
-			r, size := utf8.DecodeRune(p.data[p.i:])
-			if r == utf8.RuneError && size == 1 {
-				return "", p.errHere("invalid UTF-8 in string")
-			}
-			for j := 0; j < size; j++ {
-				p.advance()
-			}
-			b.WriteRune(r)
-		}
+// pos returns the 1-based position of byte offset off. parseTree asks for
+// offsets in increasing order (an error lies at or after the last token
+// start it positioned), so the cursor moves forward over each newline once.
+func (p *parser) pos(off int) pos {
+	seg := p.src[p.off:off]
+	if n := bytes.Count(seg, []byte{'\n'}); n > 0 {
+		p.line += n
+		p.lineStart = p.off + bytes.LastIndexByte(seg, '\n') + 1
 	}
-}
-
-// parseUnicodeEscape reads the XXXX of a \uXXXX escape (the backslash and
-// 'u' are already consumed), combining surrogate pairs; lone surrogates
-// are rejected so every parsed string is valid UTF-8.
-func (p *parser) parseUnicodeEscape() (rune, error) {
-	hi, err := p.parseHex4()
-	if err != nil {
-		return 0, err
-	}
-	if !utf16.IsSurrogate(rune(hi)) {
-		return rune(hi), nil
-	}
-	if p.i+1 >= len(p.data) || p.data[p.i] != '\\' || p.data[p.i+1] != 'u' {
-		return 0, p.errHere("lone surrogate in \\u escape")
-	}
-	p.advance()
-	p.advance()
-	lo, err := p.parseHex4()
-	if err != nil {
-		return 0, err
-	}
-	r := utf16.DecodeRune(rune(hi), rune(lo))
-	if r == utf8.RuneError {
-		return 0, p.errHere("invalid surrogate pair in \\u escape")
-	}
-	return r, nil
-}
-
-func (p *parser) parseHex4() (uint32, error) {
-	var x uint32
-	for j := 0; j < 4; j++ {
-		if p.i >= len(p.data) {
-			return 0, p.errHere("unterminated \\u escape")
-		}
-		c := p.advance()
-		switch {
-		case c >= '0' && c <= '9':
-			x = x<<4 | uint32(c-'0')
-		case c >= 'a' && c <= 'f':
-			x = x<<4 | uint32(c-'a'+10)
-		case c >= 'A' && c <= 'F':
-			x = x<<4 | uint32(c-'A'+10)
-		default:
-			return 0, p.errHere("invalid hex digit %q in \\u escape", c)
-		}
-	}
-	return x, nil
-}
-
-func (p *parser) parseNumber(at pos) (*value, error) {
-	start := p.i
-	if p.data[p.i] == '-' {
-		p.advance()
-	}
-	digits := func() bool {
-		n := 0
-		for p.i < len(p.data) && p.data[p.i] >= '0' && p.data[p.i] <= '9' {
-			p.advance()
-			n++
-		}
-		return n > 0
-	}
-	// Integer part: either a single 0 or a nonzero-led digit run.
-	if p.i < len(p.data) && p.data[p.i] == '0' {
-		p.advance()
-	} else if !digits() {
-		return nil, p.errAt(at, "invalid number")
-	}
-	if p.i < len(p.data) && p.data[p.i] == '.' {
-		p.advance()
-		if !digits() {
-			return nil, p.errAt(at, "invalid number (missing fraction digits)")
-		}
-	}
-	if p.i < len(p.data) && (p.data[p.i] == 'e' || p.data[p.i] == 'E') {
-		p.advance()
-		if p.i < len(p.data) && (p.data[p.i] == '+' || p.data[p.i] == '-') {
-			p.advance()
-		}
-		if !digits() {
-			return nil, p.errAt(at, "invalid number (missing exponent digits)")
-		}
-	}
-	raw := string(p.data[start:p.i])
-	f, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return nil, p.errAt(at, "number out of range")
-	}
-	return &value{at: at, kind: vNum, num: f, raw: raw}, nil
+	p.off = off
+	return pos{line: p.line, col: off - p.lineStart + 1}
 }

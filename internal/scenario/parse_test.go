@@ -65,3 +65,28 @@ func TestParseRejectsInvalidUTF8(t *testing.T) {
 		t.Fatal("invalid UTF-8 accepted")
 	}
 }
+
+// TestParseRules pins the rules parseTree adds to encoding/json's syntax,
+// each on both sides of its line: a surrogate pair, an escaped and a literal
+// U+FFFD and other escapes parse, and so do null and an underflowing
+// number; a lone surrogate, in a key or after a U+FFFD in a value, and an
+// overflowing number do not.
+func TestParseRules(t *testing.T) {
+	for _, src := range []string{
+		`{"k": "\ud83d\udd0c \ufffd � \u00e9 \n \"#\\"}`,
+		`{"k": null, "tiny": 1e-400}`,
+	} {
+		if _, err := parseTree([]byte(src), "ok"); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
+	for _, tc := range []struct{ src, frag string }{
+		{`{"\udc00": 1}`, "lone surrogate"},
+		{`{"k": "� \ud83dA"}`, "lone surrogate"},
+		{`{"k": 1e400}`, "number out of range"},
+	} {
+		if _, err := parseTree([]byte(tc.src), "bad"); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("%s: got %v, want an error mentioning %q", tc.src, err, tc.frag)
+		}
+	}
+}
