@@ -53,8 +53,8 @@ ci: build test bench-smoke lint cover test-race test-chaos test-scenarios fuzz
 ## run covers sim.RunAll, the one pooled replay path (experiments and
 ## scenario.Execute both call it), at workers 1 and 4 in
 ## TestScratchMatchesFresh. The experiments run covers every replaying
-## driver: the global RunMany replay list, the memoized topology/trace cache
-## under concurrent misses and FIFO eviction, and per-worker Scratch reuse.
+## driver: the global RunMany replay list, two concurrent RunMany batches
+## building their own inputs, and per-worker Scratch reuse.
 ## The fleet run pins TestFleetMatchesSerial — byte-identical supervisor
 ## snapshots for every worker count and flush batching — with shard drains
 ## racing on the worker pool, two of its DCNs on one shardSet. ctlplane, snmplite and detector are the
@@ -68,7 +68,7 @@ ci: build test bench-smoke lint cover test-race test-chaos test-scenarios fuzz
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/topology/... ./internal/sim/... ./internal/runner/... ./internal/fleet/...
 	$(GO) test -race ./internal/ctlplane/... ./internal/snmplite/... ./internal/detector/... ./internal/telemetry/... ./internal/faults/...
-	$(GO) test -race -run 'TestParallelRunnerDeterminism|TestRunMany|TestMemoTrace|TestConcurrentRunMany' ./internal/experiments
+	$(GO) test -race -run 'TestParallelRunnerDeterminism|TestRunMany|TestConcurrentRunMany' ./internal/experiments
 
 ## test-chaos: the deployment-path chaos matrix (DESIGN.md §7.3) under the
 ## race detector — netchaos fault injection on live TCP/UDP sockets, every
@@ -101,28 +101,39 @@ results:
 	@tmp=$$(mktemp) && $(GO) run ./cmd/corropt-experiments -exp all -scale medium -seed 1 -workers 2 -o $$tmp && \
 		cmp $$tmp results/all_medium.tsv; status=$$?; rm -f $$tmp; exit $$status
 
-## fuzz: short smoke runs of the differential fuzzers that pin the
+## fuzz: short smoke runs of every fuzz target in the tree
+## (TestMakeFuzzCoversEveryTarget fails on one without a line here): the
+## differential fuzzers that pin the
 ## incremental path-counting engine to the full-sweep reference and its
 ## probe-then-commit split to Apply/Revert, the
 ## optimizer's switch-reach pruning and segmentation to the link-cone
 ## reference and its exact search to an independent include-first search
 ## that never tests a superset of a subset it rejected, an activation's skipped or narrowed re-check to the re-check
-## over every active corrupting link, and Network's cached ToR fractions
-## (and the sum of a run of 1.0 terms inside them) to the in-order loop; of
-## the repair loop's ticket and hold invariants; of the sim clock's firing
-## order against a stable sort of its schedule; and of the protocol and
-## scenario-parser fuzzers.
+## over every active corrupting link, Network's cached ToR fractions
+## (and the sum of a run of 1.0 terms inside them) to the in-order loop,
+## and netstate's link indexes, faults.State's cached rates and the
+## telemetry collector to their references; of the repair loop's ticket and
+## hold invariants; of the sim clock's firing order against a stable sort of
+## its schedule; and of the protocol codecs, their fault-injected frames and
+## the scenario parser. -fuzzminimizetime 100x bounds the minimization of
+## each new input, which under the 60 s default could take most of a run.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s ./internal/topology
-	$(GO) test -run '^$$' -fuzz FuzzProbeCommit -fuzztime 10s ./internal/topology
-	$(GO) test -run '^$$' -fuzz FuzzFastCheckDifferential -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzOptimizerDifferential -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzActivationDifferential -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzToRFractionsDifferential -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzAddOnes -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzRepairLoop -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzClockOrder -fuzztime 10s ./internal/simclock
-	$(GO) test -run '^$$' -fuzz FuzzFaultyFrame -fuzztime 10s ./internal/ctlplane
-	$(GO) test -run '^$$' -fuzz FuzzFaultyRequest -fuzztime 10s ./internal/snmplite
-	$(GO) test -run '^$$' -fuzz FuzzFaultyResponse -fuzztime 10s ./internal/snmplite
-	$(GO) test -run '^$$' -fuzz FuzzScenarioParse -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz FuzzIncrementalCounts -fuzztime 10s -fuzzminimizetime 100x ./internal/topology
+	$(GO) test -run '^$$' -fuzz FuzzProbeCommit -fuzztime 10s -fuzzminimizetime 100x ./internal/topology
+	$(GO) test -run '^$$' -fuzz FuzzFastCheckDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzOptimizerDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzActivationDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzToRFractionsDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzAddOnes -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRepairLoop -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLinksDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/core/netstate
+	$(GO) test -run '^$$' -fuzz FuzzStateDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/faults
+	$(GO) test -run '^$$' -fuzz FuzzCollectorDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzClockOrder -fuzztime 10s -fuzzminimizetime 100x ./internal/simclock
+	$(GO) test -run '^$$' -fuzz FuzzReadMsg -fuzztime 10s -fuzzminimizetime 100x ./internal/ctlplane
+	$(GO) test -run '^$$' -fuzz FuzzFaultyFrame -fuzztime 10s -fuzzminimizetime 100x ./internal/ctlplane
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x ./internal/snmplite
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime 10s -fuzzminimizetime 100x ./internal/snmplite
+	$(GO) test -run '^$$' -fuzz FuzzFaultyRequest -fuzztime 10s -fuzzminimizetime 100x ./internal/snmplite
+	$(GO) test -run '^$$' -fuzz FuzzFaultyResponse -fuzztime 10s -fuzzminimizetime 100x ./internal/snmplite
+	$(GO) test -run '^$$' -fuzz FuzzScenarioParse -fuzztime 10s -fuzzminimizetime 100x ./internal/scenario

@@ -97,7 +97,7 @@ func main() {
 		Timeout:  time.Second,
 		Attempts: *retries + 1,
 		RNG:      rngutil.New(*seed).Split("agent-snmp-retry"),
-		Dial:     chaos.DatagramDialer(nil),
+		Dial:     chaos.DatagramDialer(),
 	})
 	if err != nil {
 		fatalf("snmplite dial: %v", err)
@@ -114,7 +114,7 @@ func main() {
 	}
 
 	cli, err := ctlplane.DialConfig(*controller, ctlplane.ClientConfig{
-		Dial:     chaos.Dialer(nil),
+		Dial:     chaos.Dialer(),
 		Attempts: *retries + 1,
 		RNG:      rngutil.New(*seed).Split("agent-ctl-retry"),
 		AgentID:  *agentID,

@@ -125,6 +125,14 @@ var docTestName = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)[A-Z]\\w*)(?:/[^`
 // and an optional call suffix.
 var docMember = regexp.MustCompile("`([A-Za-z]\\w*)\\.([A-Za-z_]\\w*)(?:\\([^`]*\\))?`")
 
+// docLowerCamel matches a back-quoted lowerCamel identifier such as
+// `violatedUnder`, with an optional call suffix.
+var docLowerCamel = regexp.MustCompile("`([a-z][a-z0-9]*[A-Z]\\w*)(?:\\([^`]*\\))?`")
+
+// quotedWord matches a double-quoted word in Go source, such as a compiler
+// diagnostic code "isInBounds".
+var quotedWord = regexp.MustCompile(`"([a-z]\w*)"`)
+
 // docMake matches a back-quoted `make <target>`, capturing the target.
 var docMake = regexp.MustCompile("`make ([A-Za-z][\\w.-]*)[^`]*`")
 
@@ -170,7 +178,10 @@ var flagDefiners = map[string]bool{
 // module's non-test Go source, and every back-quoted test, benchmark or
 // fuzz target name against the tree's _test.go files (bench/'s included,
 // testdata's not), so deleting an identifier or a test fails here until
-// the docs stop naming it. Name may be a top-level declaration or a method
+// the docs stop naming it. A back-quoted lowerCamel identifier, such as
+// `violatedUnder`, must be declared by some Go file of the tree (tests
+// included) or be a compiler diagnostic code that gcdiag or the escapes
+// analyzer quote, such as `isInBounds`. Name may be a top-level declaration or a method
 // or struct field of any of the package's types (`sim.RunEvents` names
 // `Sim.RunEvents`); Member is a method or field of Type. pkg is a package
 // name of the module (`corropt` for the root); other spans, such as
@@ -197,7 +208,16 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			pkgs[name] = loadDocPackage(t, dir)
 		}
 	}
-	tests := testFuncs(t)
+	tests, decls := treeDecls(t)
+	for _, file := range []string{"internal/analysis/gcdiag/gcdiag.go", "internal/analysis/escapes.go"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range quotedWord.FindAllSubmatch(src, -1) {
+			decls[string(m[1])] = true
+		}
+	}
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +227,7 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		targets[string(m[1])] = true
 	}
 	cmdFlags := commandFlags(t)
-	refs, testRefs, memberRefs, makeRefs, pathRefs, flagRefs := 0, 0, 0, 0, 0, 0
+	refs, testRefs, memberRefs, camelRefs, makeRefs, pathRefs, flagRefs := 0, 0, 0, 0, 0, 0, 0
 	for _, file := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		doc, err := os.ReadFile(file)
 		if err != nil {
@@ -243,8 +263,14 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		}
 		for _, m := range docTestName.FindAllStringSubmatch(string(doc), -1) {
 			testRefs++
-			if !tests[m[1]] {
+			if len(tests[m[1]]) == 0 {
 				t.Errorf("%s names %s, which no _test.go file declares", file, m[0])
+			}
+		}
+		for _, m := range docLowerCamel.FindAllStringSubmatch(string(doc), -1) {
+			camelRefs++
+			if !decls[m[1]] {
+				t.Errorf("%s names %s, which no Go file declares and no compiler diagnostic code is", file, m[0])
 			}
 		}
 		for _, m := range docMake.FindAllStringSubmatch(string(doc), -1) {
@@ -291,12 +317,12 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			}
 		}
 	}
-	if refs == 0 || testRefs == 0 || memberRefs == 0 || makeRefs == 0 || pathRefs == 0 || flagRefs == 0 {
-		t.Fatalf("found %d package-qualified identifiers, %d Type.Member spans, %d test names, %d make targets, %d paths and %d flags in the docs: a pattern is broken",
-			refs, memberRefs, testRefs, makeRefs, pathRefs, flagRefs)
+	if refs == 0 || testRefs == 0 || memberRefs == 0 || camelRefs == 0 || makeRefs == 0 || pathRefs == 0 || flagRefs == 0 {
+		t.Fatalf("found %d package-qualified identifiers, %d Type.Member spans, %d test names, %d lowerCamel names, %d make targets, %d paths and %d flags in the docs: a pattern is broken",
+			refs, memberRefs, testRefs, camelRefs, makeRefs, pathRefs, flagRefs)
 	}
-	t.Logf("%d references, %d Type.Member spans, %d test names, %d make targets, %d paths and %d flags resolved",
-		refs, memberRefs, testRefs, makeRefs, pathRefs, flagRefs)
+	t.Logf("%d references, %d Type.Member spans, %d test names, %d lowerCamel names, %d make targets, %d paths and %d flags resolved",
+		refs, memberRefs, testRefs, camelRefs, makeRefs, pathRefs, flagRefs)
 }
 
 // commandFlags returns the flags each cmd/ binary defines, by directory
@@ -338,12 +364,14 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	return all
 }
 
-// testFuncs returns the names of the tests, benchmarks and fuzz targets
-// declared by the _test.go files under the working directory, skipping
-// testdata and dot directories.
-func testFuncs(t *testing.T) map[string]bool {
+// treeDecls returns the tests, benchmarks and fuzz targets declared by the
+// _test.go files under the working directory, each with the directories
+// that declare it, and every name some Go file there declares (a function,
+// method, type, variable, constant, field or parameter), skipping testdata
+// and dot directories.
+func treeDecls(t *testing.T) (tests map[string][]string, decls map[string]bool) {
 	t.Helper()
-	names := map[string]bool{}
+	tests, decls = map[string][]string{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -353,22 +381,80 @@ func testFuncs(t *testing.T) map[string]bool {
 				return filepath.SkipDir
 			}
 			return nil
-		case !strings.HasSuffix(path, "_test.go"):
+		case !strings.HasSuffix(path, ".go"):
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, m := range testFunc.FindAllSubmatch(src, -1) {
-			names[string(m[1])] = true
+		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var names []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				names = []*ast.Ident{n.Name}
+			case *ast.ValueSpec:
+				names = n.Names
+			case *ast.Field:
+				names = n.Names
+			}
+			for _, id := range names {
+				decls[id.Name] = true
+			}
+			return true
+		})
+		if strings.HasSuffix(path, "_test.go") {
+			for _, m := range testFunc.FindAllSubmatch(src, -1) {
+				tests[string(m[1])] = append(tests[string(m[1])], filepath.Dir(path))
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return names
+	return tests, decls
+}
+
+// makeFuzz matches a Makefile line that fuzzes one target, capturing the
+// target and the package directory the line ends with.
+var makeFuzz = regexp.MustCompile(`(?m)-fuzz (\w+) .*\./(\S+)$`)
+
+// TestMakeFuzzCoversEveryTarget requires `make fuzz` to run every fuzz
+// target in the tree: each `func FuzzX` needs a Makefile line with
+// `-fuzz FuzzX` that ends with its package's directory.
+func TestMakeFuzzCoversEveryTarget(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]bool{}
+	for _, m := range makeFuzz.FindAllSubmatch(makefile, -1) {
+		lines[string(m[1])+" "+string(m[2])] = true
+	}
+	tests, _ := treeDecls(t)
+	targets := 0
+	for name, dirs := range tests {
+		if !strings.HasPrefix(name, "Fuzz") {
+			continue
+		}
+		for _, dir := range dirs {
+			targets++
+			if !lines[name+" "+filepath.ToSlash(dir)] {
+				t.Errorf("%s (%s) has no `-fuzz %s … ./%s` line in the Makefile", name, dir, name, filepath.ToSlash(dir))
+			}
+		}
+	}
+	if targets == 0 {
+		t.Fatal("found no fuzz targets in the tree: the pattern is broken")
+	}
+	t.Logf("%d fuzz targets, %d Makefile lines", targets, len(lines))
 }
 
 // docPackage holds the names a package declares. members maps each

@@ -142,7 +142,7 @@ func TestClientReconnectsThroughReset(t *testing.T) {
 	// budget then runs dry, so the client's redial gets a clean path.
 	inj := netchaos.New(rngutil.New(3), netchaos.Config{Reset: 1, MaxFaults: 1})
 	cli, err := DialConfig(ctl.Addr().String(), ClientConfig{
-		Dial:     inj.Dialer(nil),
+		Dial:     inj.Dialer(),
 		Attempts: 4,
 		AgentID:  "reconnector",
 		Sleep:    func(time.Duration) {},

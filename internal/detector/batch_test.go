@@ -403,7 +403,7 @@ func TestBatchSweepThroughChaos(t *testing.T) {
 			injServer := netchaos.New(root.Split("server"), cfg)
 			got := sweep(t, rigConfig{
 				server: injServer.PacketConn,
-				dial:   injClient.DatagramDialer(nil),
+				dial:   injClient.DatagramDialer(),
 			})
 			if faults := injClient.Stats().Faults() + injServer.Stats().Faults(); faults == 0 {
 				t.Fatal("no fault was injected: the comparison is vacuous")

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"corropt/internal/faults"
@@ -11,27 +9,15 @@ import (
 	"corropt/internal/topology"
 )
 
-// This file memoizes the expensive, immutable inputs of the experiment
-// drivers: evaluation topologies and the fault traces generated over them.
-// Both are read-only during simulation (DESIGN.md §7.4) — a Sim never
-// mutates its Topology or the *faults.Fault records it replays — so one
-// cached copy can feed any number of concurrent replays. Memoization is
-// what makes repeated driver runs (benchmarks, RunMany over overlapping
-// scales, back-to-back CLI invocations in one process) pay for topology
-// construction and trace generation once instead of per run.
-//
-// Keys are strings of the full derivation recipe (builder, seed, scale or
-// index), so a cache hit is byte-identical to a rebuild by construction.
-// Entries carry a sync.Once: concurrent callers (RunMany batches on
-// separate goroutines) missing on distinct keys build in parallel, while
-// callers racing on the same key block on the one build instead of
-// duplicating it. Eviction is FIFO over an insertion-order
-// slice — deterministic, no map iteration.
+// This file builds the inputs of the experiment drivers: evaluation
+// topologies and the fault traces generated over them. Both are read-only
+// during simulation (DESIGN.md §7.4) — a Sim never mutates its Topology or
+// the *faults.Fault records it replays — so a driver builds each input once
+// in its plan and every replay of it shares the one copy.
 
-// traceEntry is one memoized (topology, trace) pair plus the scalars
-// derived alongside them.
+// traceEntry is one (topology, trace) pair plus the scalars derived
+// alongside them.
 type traceEntry struct {
-	once    sync.Once
 	topo    *topology.Topology
 	trace   []*faults.Fault
 	horizon time.Duration
@@ -39,173 +25,90 @@ type traceEntry struct {
 	// Figure 1's DCNs, derived from the same substream as their trace; zero
 	// for every other entry kind.
 	simSeed uint64
-	err     error
 }
 
-// traceCacheCap bounds the cache. The full suite at one scale needs a few
-// dozen entries (one per experiment name × scale, plus one per fleet
-// member and per Figure 1 DCN); 128 covers a multi-scale sweep without letting a long-lived
-// process accumulate fabrics without bound.
-const traceCacheCap = 128
-
-// traceCache maps derivation keys to entries. order mirrors insertion
-// order for FIFO eviction.
-var traceCache = struct {
-	mu    sync.Mutex
-	m     map[string]*traceEntry
-	order []string
-}{m: map[string]*traceEntry{}}
-
-// memoTrace returns the entry for key, building it with build on first use.
-// build runs outside the cache lock (entries serialize on their own
-// sync.Once), so slow topology or trace construction never blocks hits on
-// other keys.
-func memoTrace(key string, build func(e *traceEntry)) (*traceEntry, error) {
-	traceCache.mu.Lock()
-	e, ok := traceCache.m[key]
-	if !ok {
-		e = &traceEntry{}
-		traceCache.m[key] = e
-		traceCache.order = append(traceCache.order, key)
-		if len(traceCache.order) > traceCacheCap {
-			evicted := traceCache.order[0]
-			traceCache.order = traceCache.order[1:]
-			delete(traceCache.m, evicted)
-		}
-	}
-	traceCache.mu.Unlock()
-	e.once.Do(func() { build(e) })
-	return e, e.err
-}
-
-// cachedDCN memoizes DCN(scale): one shared immutable topology per scale.
-// Sharing the pointer also maximizes sim.Scratch pool hits, since the pool
-// is keyed by topology identity.
-func cachedDCN(scale Scale) (*topology.Topology, error) {
-	e, err := memoTrace("dcn/"+scale.String(), func(e *traceEntry) {
-		e.topo, e.err = DCN(scale)
-	})
+// injectTrace generates a single-technology fault trace over topo at rate
+// faults per link per day for horizon, drawn from rng.
+func injectTrace(topo *topology.Topology, rate float64, rng *rngutil.Source, horizon time.Duration) (*traceEntry, error) {
+	inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: rate}, rng)
 	if err != nil {
 		return nil, err
 	}
-	return e.topo, nil
+	return &traceEntry{topo: topo, trace: inj.Generate(horizon), horizon: horizon}, nil
 }
 
-// cachedEvalTrace memoizes the standard evaluation workload of §7.1: the
-// scale's DCN plus the fault trace seeded by (seed, name). Every driver
-// that shares a (seed, name, scale) triple also shares one topology and one
-// trace.
-func cachedEvalTrace(seed uint64, name string, scale Scale) (*traceEntry, error) {
-	key := fmt.Sprintf("eval/%d/%s/%s", seed, scale, name)
-	return memoTrace(key, func(e *traceEntry) {
-		topo, err := cachedDCN(scale)
-		if err != nil {
-			e.err = err
-			return
-		}
-		horizon := evalHorizon(scale)
-		inj, err := faults.NewInjector(topo, optics.EvalTech(),
-			faults.InjectorConfig{FaultsPerLinkPerDay: FaultRate(scale)},
-			rngutil.New(seed).Split(name))
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.topo, e.trace, e.horizon = topo, inj.Generate(horizon), horizon
-	})
+// evalTrace is the standard evaluation workload of §7.1 over topo, the
+// scale's DCN: the fault trace seeded by (seed, name) at the scale's fault
+// rate and horizon.
+func evalTrace(topo *topology.Topology, seed uint64, name string, scale Scale) (*traceEntry, error) {
+	return injectTrace(topo, FaultRate(scale), rngutil.New(seed).Split(name), evalHorizon(scale))
 }
 
-// cachedSec2Trace memoizes the §2 workload: the radix-8 fabric (where the
-// production switch-local rule has a usable disable budget) under a doubled
-// fault rate.
-func cachedSec2Trace(seed uint64, scale Scale) (*traceEntry, error) {
-	key := fmt.Sprintf("sec2/%d/%s", seed, scale)
-	return memoTrace(key, func(e *traceEntry) {
-		pods := 8
-		if scale != ScaleSmall {
-			pods = 30
-		}
-		topo, err := closWithPods(pods)
-		if err != nil {
-			e.err = err
-			return
-		}
-		horizon := evalHorizon(scale)
-		inj, err := faults.NewInjector(topo, optics.EvalTech(),
-			faults.InjectorConfig{FaultsPerLinkPerDay: 2 * FaultRate(scale)},
-			rngutil.New(seed).Split("sec2"))
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.topo, e.trace, e.horizon = topo, inj.Generate(horizon), horizon
-	})
+// sec2Trace is the §2 workload: the radix-8 fabric (where the production
+// switch-local rule has a usable disable budget) under a doubled fault
+// rate.
+func sec2Trace(seed uint64, scale Scale) (*traceEntry, error) {
+	pods := 8
+	if scale != ScaleSmall {
+		pods = 30
+	}
+	topo, err := closWithPods(pods)
+	if err != nil {
+		return nil, err
+	}
+	return injectTrace(topo, 2*FaultRate(scale), rngutil.New(seed).Split("sec2"), evalHorizon(scale))
 }
 
-// cachedFig1DCN memoizes Figure 1's DCN dcn at scale: a fabric of the
-// dcn-th of 15 sizes, its fault trace under four times the scale's fault
-// rate, and its simulation seed, drawn from the DCN's substream as
-// Split("faults") then Split("sim"). The key names every input, so a cache
-// hit is byte-identical to a rebuild.
-func cachedFig1DCN(seed uint64, scale Scale, dcn int) (*traceEntry, error) {
-	key := fmt.Sprintf("fig1/%d/%s/%d", seed, scale, dcn)
-	return memoTrace(key, func(e *traceEntry) {
-		maxPods := map[Scale]int{ScaleSmall: 8, ScaleMedium: 40, ScaleLarge: 110}[scale]
-		if maxPods == 0 {
-			maxPods = 8
-		}
-		topo, err := closWithPods(1 + dcn*(maxPods-1)/14)
-		if err != nil {
-			e.err = err
-			return
-		}
-		rng := rngutil.New(seed).Split("fig1").SplitIndex("dcn", dcn)
-		inj, err := faults.NewInjector(topo, optics.EvalTech(), faults.InjectorConfig{FaultsPerLinkPerDay: 4 * FaultRate(scale)}, rng.Split("faults"))
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.simSeed = rng.Split("sim").Seed()
-		e.topo, e.horizon = topo, time.Duration(fig1Days)*24*time.Hour
-		e.trace = inj.Generate(e.horizon)
-	})
+// fig1DCN is Figure 1's DCN dcn at scale: a fabric of the dcn-th of 15
+// sizes, its fault trace under four times the scale's fault rate, and its
+// simulation seed, drawn from the DCN's substream as Split("faults") then
+// Split("sim").
+func fig1DCN(seed uint64, scale Scale, dcn int) (*traceEntry, error) {
+	maxPods := map[Scale]int{ScaleSmall: 8, ScaleMedium: 40, ScaleLarge: 110}[scale]
+	if maxPods == 0 {
+		maxPods = 8
+	}
+	topo, err := closWithPods(1 + dcn*(maxPods-1)/14)
+	if err != nil {
+		return nil, err
+	}
+	rng := rngutil.New(seed).Split("fig1").SplitIndex("dcn", dcn)
+	e, err := injectTrace(topo, 4*FaultRate(scale), rng.Split("faults"), time.Duration(fig1Days)*24*time.Hour)
+	if err != nil {
+		return nil, err
+	}
+	e.simSeed = rng.Split("sim").Seed()
+	return e, nil
 }
 
 // fleetHorizon is the fleet study's fixed three-month window.
 const fleetHorizon = 90 * 24 * time.Hour
 
-// cachedFleetMember memoizes one fleet DCN: its topology, multi-technology
-// fault trace, and simulation seed, all derived from the per-index rngutil
-// substream. The rng draw order below must match the original inline
-// construction exactly — pods, ToRsPerPod, SpineUplinksPerAgg, fault rate,
+// fleetMember is one fleet DCN: its topology, multi-technology fault trace,
+// and simulation seed, all derived from the per-index rngutil substream.
+// The rng draw order below must match the original inline construction
+// exactly — pods, ToRsPerPod, SpineUplinksPerAgg, fault rate,
 // Split("faults"), Split("sim") — because the substream state threads
 // through every draw.
-func cachedFleetMember(seed uint64, index int) (*traceEntry, error) {
-	key := fmt.Sprintf("fleet/%d/%d", seed, index)
-	return memoTrace(key, func(e *traceEntry) {
-		techs := optics.DefaultTechnologies()
-		rng := rngutil.New(seed).Split("fleet").SplitIndex("dcn", index)
-		pods := 2 + rng.Intn(10)
-		topo, err := topology.NewClos(topology.ClosConfig{
-			Pods: pods, ToRsPerPod: 4 + rng.Intn(8), AggsPerPod: 4,
-			Spines: 16, SpineUplinksPerAgg: 4 + 2*rng.Intn(3), BreakoutSize: 4,
-		})
-		if err != nil {
-			e.err = err
-			return
-		}
-		inj, err := faults.NewMultiTechInjector(topo, fleetAssign(techs, index),
-			faults.InjectorConfig{FaultsPerLinkPerDay: rng.Range(1, 4) / 4500},
-			rng.Split("faults"))
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.topo = topo
-		e.trace = inj.Generate(fleetHorizon)
-		e.horizon = fleetHorizon
-		e.simSeed = rng.Split("sim").Seed()
+func fleetMember(seed uint64, index int) (*traceEntry, error) {
+	techs := optics.DefaultTechnologies()
+	rng := rngutil.New(seed).Split("fleet").SplitIndex("dcn", index)
+	pods := 2 + rng.Intn(10)
+	topo, err := topology.NewClos(topology.ClosConfig{
+		Pods: pods, ToRsPerPod: 4 + rng.Intn(8), AggsPerPod: 4,
+		Spines: 16, SpineUplinksPerAgg: 4 + 2*rng.Intn(3), BreakoutSize: 4,
 	})
+	if err != nil {
+		return nil, err
+	}
+	inj, err := faults.NewMultiTechInjector(topo, fleetAssign(techs, index),
+		faults.InjectorConfig{FaultsPerLinkPerDay: rng.Range(1, 4) / 4500},
+		rng.Split("faults"))
+	if err != nil {
+		return nil, err
+	}
+	return &traceEntry{topo: topo, trace: inj.Generate(fleetHorizon), horizon: fleetHorizon,
+		simSeed: rng.Split("sim").Seed()}, nil
 }
 
 // fleetAssign is fleet member index's technology mix: the default

@@ -25,7 +25,11 @@ func init() {
 //     one link of a breakout cable takes its healthy siblings down for the
 //     service window, costing capacity that the basic model ignores.
 func ext8(cfg Config) (*plan, error) {
-	e, err := cachedEvalTrace(cfg.Seed, "ext8", cfg.Scale)
+	topo, err := DCN(cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
+	e, err := evalTrace(topo, cfg.Seed, "ext8", cfg.Scale)
 	if err != nil {
 		return nil, err
 	}

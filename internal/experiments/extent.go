@@ -47,7 +47,7 @@ func fig1(cfg Config) (*plan, error) {
 	// channel §2 measures. One replay per DCN.
 	replays := make([]sim.Replay, 15)
 	for dcn := range replays {
-		e, err := cachedFig1DCN(cfg.Seed, cfg.Scale, dcn)
+		e, err := fig1DCN(cfg.Seed, cfg.Scale, dcn)
 		if err != nil {
 			return nil, err
 		}

@@ -38,12 +38,14 @@ func fleetStudy(cfg Config) (*plan, error) {
 		nDCNs = 12
 	}
 	techs := optics.DefaultTechnologies()
+	members := make([]*traceEntry, nDCNs)
 	replays := make([]sim.Replay, nDCNs)
 	for i := range replays {
-		m, err := cachedFleetMember(cfg.Seed, i)
+		m, err := fleetMember(cfg.Seed, i)
 		if err != nil {
 			return nil, err
 		}
+		members[i] = m
 		replays[i] = m.replay(sim.Config{
 			Policy:           sim.PolicyCorrOpt,
 			Capacity:         0.5,
@@ -88,7 +90,7 @@ func fleetStudy(cfg Config) (*plan, error) {
 		r.AddNote("%d of %d simulated DCNs produced tickets; %d tickets fleet-wide (paper: ~2000 across 70 DCNs in the same window)",
 			len(accuracies), nDCNs, totalTickets)
 		r.AddNote("deployed conditions: simplified engine, 30%% of recommendations ignored, 25%% of links without optical data; paper measured 58%% overall success in this regime")
-		note, err := fleetSupervisorNote(cfg, nDCNs)
+		note, err := fleetSupervisorNote(cfg, members)
 		if err != nil {
 			return nil, err
 		}
@@ -108,14 +110,10 @@ const fleetRepairAfter = 48 * time.Hour
 // controller did. Every value in the note is shard- and worker-count
 // invariant: the event stream is sorted deterministically, the supervisor
 // snapshot contains no packing-dependent fields.
-func fleetSupervisorNote(cfg Config, nDCNs int) (string, error) {
-	dcns := make([]fleet.DCN, nDCNs)
+func fleetSupervisorNote(cfg Config, members []*traceEntry) (string, error) {
+	dcns := make([]fleet.DCN, len(members))
 	var evs []fleet.Event
-	for i := 0; i < nDCNs; i++ {
-		m, err := cachedFleetMember(cfg.Seed, i)
-		if err != nil {
-			return "", err
-		}
+	for i, m := range members {
 		dcns[i] = fleet.DCN{Name: fmt.Sprintf("dcn%02d", i), Topo: m.topo}
 		for _, f := range m.trace {
 			for _, e := range f.Effects {

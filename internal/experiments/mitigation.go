@@ -324,7 +324,11 @@ func fig18(cfg Config) (*plan, error) {
 	if scale != ScaleSmall {
 		scale = ScaleLarge // the paper isolates this on its large DCN
 	}
-	e, err := cachedEvalTrace(cfg.Seed, "fig18", scale)
+	topo, err := DCN(scale)
+	if err != nil {
+		return nil, err
+	}
+	e, err := evalTrace(topo, cfg.Seed, "fig18", scale)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +437,11 @@ func fig19(cfg Config) (*plan, error) {
 // recommendations ignored, and when recommendations are followed.
 func sec72(cfg Config) (*plan, error) {
 	scale := cfg.Scale
-	e, err := cachedEvalTrace(cfg.Seed, "sec72-topo", scale)
+	topo, err := DCN(scale)
+	if err != nil {
+		return nil, err
+	}
+	e, err := evalTrace(topo, cfg.Seed, "sec72-topo", scale)
 	if err != nil {
 		return nil, err
 	}
@@ -491,13 +499,12 @@ func sec72(cfg Config) (*plan, error) {
 // accuracy), plus the capacity cost: the mean per-ToR available-path
 // fraction drops by at most ~0.2%.
 func sec73(cfg Config) (*plan, error) {
-	scales := evalScales(cfg.Scale)
+	dcns, err := evalDCNs(cfg, "sec73")
+	if err != nil {
+		return nil, err
+	}
 	var replays []sim.Replay
-	for _, scale := range scales {
-		e, err := cachedEvalTrace(cfg.Seed, "sec73-"+scale.String(), scale)
-		if err != nil {
-			return nil, err
-		}
+	for _, e := range dcns {
 		replays = append(replays,
 			e.policyReplay(sim.PolicySwitchLocal, 0.75, 0.5, cfg.Seed),
 			e.policyReplay(sim.PolicyCorrOpt, 0.75, 0.8, cfg.Seed))
@@ -508,7 +515,7 @@ func sec73(cfg Config) (*plan, error) {
 			Title:  "Combined impact vs current practice (c=75%)",
 			Header: []string{"dcn", "quantity", "current_practice", "corropt", "paper"},
 		}
-		for i, scale := range scales {
+		for i, e := range dcns {
 			current, corropt := results[2*i], results[2*i+1]
 			ratio := 0.0
 			if current.IntegratedPenalty > 0 {
@@ -522,10 +529,10 @@ func sec73(cfg Config) (*plan, error) {
 				return stats.Mean(xs)
 			}
 			mc, mo := meanFrac(current), meanFrac(corropt)
-			r.AddRow(scale.String(), "integrated penalty", fmtF(current.IntegratedPenalty), fmtF(corropt.IntegratedPenalty), "3-6 orders of magnitude lower")
-			r.AddRow(scale.String(), "penalty ratio", "1", fmtF(ratio), "1e-3 .. 1e-6")
-			r.AddRow(scale.String(), "mean ToR path fraction", fmtF(mc), fmtF(mo), "reduced by at most 0.2%")
-			r.AddNote("%s: capacity cost %.3f%% (paper ≤ 0.2%%)", scale, 100*(mc-mo))
+			r.AddRow(e.scale.String(), "integrated penalty", fmtF(current.IntegratedPenalty), fmtF(corropt.IntegratedPenalty), "3-6 orders of magnitude lower")
+			r.AddRow(e.scale.String(), "penalty ratio", "1", fmtF(ratio), "1e-3 .. 1e-6")
+			r.AddRow(e.scale.String(), "mean ToR path fraction", fmtF(mc), fmtF(mo), "reduced by at most 0.2%")
+			r.AddNote("%s: capacity cost %.3f%% (paper ≤ 0.2%%)", e.scale, 100*(mc-mo))
 		}
 		return r, nil
 	}

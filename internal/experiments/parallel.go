@@ -43,14 +43,17 @@ type evalDCN struct {
 	*traceEntry
 }
 
-// evalDCNs builds the standard evaluation DCNs for the configured scale.
-// Construction is memoized by (seed, name, scale), so repeated plans —
-// benchmark iterations, RunMany batches — reuse one topology and trace.
+// evalDCNs builds the standard evaluation DCNs for the configured scale,
+// each with its fault trace seeded by (seed, name-scale).
 func evalDCNs(cfg Config, name string) ([]evalDCN, error) {
 	scales := evalScales(cfg.Scale)
 	out := make([]evalDCN, len(scales))
 	for i, scale := range scales {
-		e, err := cachedEvalTrace(cfg.Seed, name+"-"+scale.String(), scale)
+		topo, err := DCN(scale)
+		if err != nil {
+			return nil, err
+		}
+		e, err := evalTrace(topo, cfg.Seed, name+"-"+scale.String(), scale)
 		if err != nil {
 			return nil, err
 		}

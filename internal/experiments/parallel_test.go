@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+
+	"corropt/internal/sim"
 )
 
 // renderReport renders a report to its canonical TSV bytes.
@@ -43,10 +46,6 @@ func replayIDs(t *testing.T) []string {
 // Workers=8, given the same seed. This is what allows -workers to be a pure
 // wall-clock knob.
 func TestParallelRunnerDeterminism(t *testing.T) {
-	// Note: the two renders per id also pin the memo layer — the first
-	// render builds each topology and trace (cold cache), the second reuses
-	// the cached copies, and the byte-equality check proves a cache hit is
-	// indistinguishable from a rebuild.
 	if testing.Short() {
 		t.Skip("multi-scenario replay grid; skipped in -short mode")
 	}
@@ -65,14 +64,14 @@ func TestParallelRunnerDeterminism(t *testing.T) {
 }
 
 // TestDriverAllocCeilings holds each replaying driver's steady-state
-// allocations per replay at ScaleSmall, Workers=1 under a ceiling.
-// testing.AllocsPerRun replays the driver once unmeasured first, so the
-// measured replay runs over the memoized topology and trace — one-time
-// construction is not what repeated runs pay — and with runs == 1 the count
-// is not averaged. Allocation counts are a property of the code, not the
-// machine; the ceilings carry 35% or more headroom over the readings beside
-// them for small legitimate growth (ticketq read 162,526 before scratch
-// pooling).
+// allocations per replay at ScaleSmall, Workers=1 under a ceiling. The plan
+// — topology and trace construction — is built once outside the count, and
+// what is measured is one sim.RunAll of its replays plus its finish, the
+// work that repeated runs of one plan pay. testing.AllocsPerRun replays the
+// plan once unmeasured first, and with runs == 1 the count is not averaged.
+// Allocation counts are a property of the code, not the machine; the
+// ceilings carry 35% or more headroom over the readings beside them for
+// small legitimate growth (ticketq read 162,526 before scratch pooling).
 func TestDriverAllocCeilings(t *testing.T) {
 	for _, c := range []struct {
 		id      string
@@ -92,8 +91,17 @@ func TestDriverAllocCeilings(t *testing.T) {
 		{"fig1", 38400},    // 28,280
 	} {
 		t.Run(c.id, func(t *testing.T) {
+			cfg := Config{Scale: ScaleSmall, Seed: 1, Workers: 1}
+			pl, err := registry[c.id](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			allocs := testing.AllocsPerRun(1, func() {
-				rep, err := Run(c.id, Config{Scale: ScaleSmall, Seed: 1, Workers: 1})
+				results, err := sim.RunAll(cfg.Workers, pl.replays)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := pl.finish(results)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,5 +162,44 @@ func TestRunManyMatchesRun(t *testing.T) {
 func TestRunManyUnknownID(t *testing.T) {
 	if _, err := RunMany([]string{"fig14", "no-such-experiment"}, Config{Scale: ScaleSmall, Seed: 1}); err == nil {
 		t.Fatal("RunMany accepted an unknown experiment id")
+	}
+}
+
+// TestConcurrentRunManyBatches runs two overlapping RunMany batches
+// concurrently — workers from both pools building inputs, replaying on their
+// own scratch, and driving the runner at once — and checks both produce the
+// bytes a quiet serial run does.
+func TestConcurrentRunManyBatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays two experiment batches; skipped in -short mode")
+	}
+	ids := []string{"fig14", "sec2"}
+	cfg := Config{Scale: ScaleSmall, Seed: 1, Workers: 4}
+
+	want := make([][]byte, len(ids))
+	for i, id := range ids {
+		want[i] = renderReport(t, id, Config{Scale: ScaleSmall, Seed: 1, Workers: 1})
+	}
+
+	var wg sync.WaitGroup
+	got := make([][]*Report, 2)
+	errs := make([]error, 2)
+	for b := 0; b < 2; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[b], errs[b] = RunMany(ids, cfg)
+		}()
+	}
+	wg.Wait()
+	for b := 0; b < 2; b++ {
+		if errs[b] != nil {
+			t.Fatalf("batch %d: %v", b, errs[b])
+		}
+		for i, id := range ids {
+			if !bytes.Equal(renderTSV(t, got[b][i]), want[i]) {
+				t.Errorf("batch %d: %s differs from serial reference", b, id)
+			}
+		}
 	}
 }

@@ -16,7 +16,7 @@ func init() {
 // gives switch-local a usable (non-zero) disable budget (its budget is
 // ⌊8·(1−√0.75)⌋ = 1 per radix-8 switch).
 func sec2(cfg Config) (*plan, error) {
-	e, err := cachedSec2Trace(cfg.Seed, cfg.Scale)
+	e, err := sec2Trace(cfg.Seed, cfg.Scale)
 	if err != nil {
 		return nil, err
 	}

@@ -27,13 +27,18 @@ func ticketq(cfg Config) (*plan, error) {
 	staffing := []int{1, 2, 4, 0}
 	accuracies := []float64{0.5, 0.8}
 	// Flatten the whole staffing grid — (technicians × accuracy) cells ×
-	// reps — into one replay list. All cells of one rep share a memoized
-	// trace (deterministic in rep and seed, so identical across cells and
-	// worker counts) and the per-cell averages accumulate in rep order
-	// after collection.
+	// reps — into one replay list. All cells of one rep share one trace
+	// (deterministic in rep and seed, so identical across cells and worker
+	// counts) and the per-cell averages accumulate in rep order after
+	// collection. Every rep's trace runs over one DCN, so the replays, which
+	// cycle through the reps, all reuse one fabric's scratch.
+	topo, err := DCN(cfg.Scale)
+	if err != nil {
+		return nil, err
+	}
 	traces := make([]*traceEntry, reps)
 	for rep := range traces {
-		e, err := cachedEvalTrace(cfg.Seed+uint64(rep), fmt.Sprintf("ticketq-%d", rep), cfg.Scale)
+		e, err := evalTrace(topo, cfg.Seed+uint64(rep), fmt.Sprintf("ticketq-%d", rep), cfg.Scale)
 		if err != nil {
 			return nil, err
 		}

@@ -71,7 +71,7 @@ func runCtlScenario(injClient, injServer *netchaos.Injector) (string, error) {
 
 	agent, err := ctlplane.DialConfig(ctl.Addr().String(), ctlplane.ClientConfig{
 		Timeout:  200 * time.Millisecond,
-		Dial:     injClient.Dialer(nil),
+		Dial:     injClient.Dialer(),
 		Attempts: retryAttempts,
 		AgentID:  "chaos-agent",
 		Sleep:    func(time.Duration) {},
@@ -127,7 +127,7 @@ func runSnmpScenario(injClient, injServer *netchaos.Injector) (string, error) {
 	cli, err := snmplite.DialConfig(srv.Addr().String(), snmplite.ClientConfig{
 		Timeout:  200 * time.Millisecond,
 		Attempts: retryAttempts,
-		Dial:     injClient.DatagramDialer(nil),
+		Dial:     injClient.DatagramDialer(),
 		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {

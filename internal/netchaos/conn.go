@@ -193,21 +193,16 @@ func (c *chaosConn) Write(b []byte) (int, error) { return c.ep.write(b, nil) }
 // underlying conn.
 func (c *chaosConn) Close() error { return c.ep.close() }
 
-// Dialer wraps base so every dialed conn carries stream fault injection;
-// pass net.Dial (or any DialFunc) as the base.
-func (in *Injector) Dialer(base DialFunc) DialFunc { return dialWrapped(base, in.Conn) }
+// Dialer dials with net.Dial and gives every dialed conn stream fault
+// injection.
+func (in *Injector) Dialer() DialFunc { return dialWrapped(in.Conn) }
 
 // DatagramDialer is Dialer with datagram semantics for the wrapped conns.
-func (in *Injector) DatagramDialer(base DialFunc) DialFunc {
-	return dialWrapped(base, in.DatagramConn)
-}
+func (in *Injector) DatagramDialer() DialFunc { return dialWrapped(in.DatagramConn) }
 
-func dialWrapped(base DialFunc, wrap func(net.Conn) net.Conn) DialFunc {
-	if base == nil {
-		base = net.Dial
-	}
+func dialWrapped(wrap func(net.Conn) net.Conn) DialFunc {
 	return func(network, address string) (net.Conn, error) {
-		c, err := base(network, address)
+		c, err := net.Dial(network, address)
 		if err != nil {
 			return nil, err
 		}

@@ -14,11 +14,11 @@ import (
 
 // Scratch is the per-worker reusable state behind NewWithScratch: the event
 // clock, the repair loop (with its ticket queue's recycled-ticket arena and
-// its bookkeeping maps), and a small pool of per-topology Network/State pairs that are Reset
-// between scenarios instead of reallocated. A fresh Sim costs one
-// PathCounter sweep plus O(links) allocations; a Scratch-backed Sim reuses
-// all of it, which is what drives the experiment suite's event path toward
-// zero allocations per scenario.
+// its bookkeeping maps), and the last topology's Network/State pair, which is
+// Reset between scenarios on that topology instead of reallocated. A fresh
+// Sim costs one PathCounter sweep plus O(links) allocations; a Scratch-backed
+// Sim reuses all of it, which is what drives the experiment suite's event
+// path toward zero allocations per scenario.
 //
 // Ownership rules:
 //
@@ -34,12 +34,10 @@ import (
 type Scratch struct {
 	clock *simclock.Clock
 	loop  *core.RepairLoop
-	// pools is a tiny LRU (most-recently-used last) of per-topology reusable
-	// state. Scenario work lists are grouped by driver, so consecutive
-	// scenarios on one worker overwhelmingly share a topology; the LRU keeps
-	// the hit path O(maxTopoPools) with deterministic slice-order eviction
-	// (no map iteration).
-	pools []*topoScratch
+	// last is the most recent topology's reusable state. RunAll's chunked
+	// claiming keeps a fabric's consecutive replays on one worker, so one
+	// slot is what those replays hit; a new topology replaces it.
+	last *topoScratch
 }
 
 // topoScratch is the reusable per-topology state: the Network (owning the
@@ -51,11 +49,6 @@ type topoScratch struct {
 	state *faults.State
 }
 
-// maxTopoPools bounds the per-worker pool: Network+State are O(links) each,
-// and workers that sweep many distinct fabrics (the fleet study) must not
-// accumulate one pair per DCN.
-const maxTopoPools = 4
-
 // NewScratch returns an empty Scratch ready to back NewWithScratch calls.
 func NewScratch() *Scratch {
 	return &Scratch{clock: simclock.New(), loop: new(core.RepairLoop)}
@@ -63,16 +56,10 @@ func NewScratch() *Scratch {
 
 // pool returns reusable per-topology state for topo, reset to the
 // fresh-construction state for the given capacity and technology
-// assignment. On a miss it builds a new pair, evicting the
-// least-recently-used entry once the pool is full.
+// assignment. On a miss it builds a new pair in place of the last one.
 func (sc *Scratch) pool(topo *topology.Topology, capacity float64,
 	assign func(topology.LinkID) optics.Technology) (*topoScratch, error) {
-	for i, ts := range sc.pools {
-		if ts.topo != topo {
-			continue
-		}
-		copy(sc.pools[i:], sc.pools[i+1:])
-		sc.pools[len(sc.pools)-1] = ts
+	if ts := sc.last; ts != nil && ts.topo == topo {
 		if err := ts.net.Reset(capacity); err != nil {
 			return nil, err
 		}
@@ -83,13 +70,8 @@ func (sc *Scratch) pool(topo *topology.Topology, capacity float64,
 	if err != nil {
 		return nil, err
 	}
-	ts := &topoScratch{topo: topo, net: net, state: faults.NewMultiTechState(topo, assign)}
-	if len(sc.pools) >= maxTopoPools {
-		copy(sc.pools, sc.pools[1:])
-		sc.pools = sc.pools[:len(sc.pools)-1]
-	}
-	sc.pools = append(sc.pools, ts)
-	return ts, nil
+	sc.last = &topoScratch{topo: topo, net: net, state: faults.NewMultiTechState(topo, assign)}
+	return sc.last, nil
 }
 
 // Replay is one independent trace replay: the unit of fan-out of the

@@ -53,7 +53,7 @@ func chaosClient(t *testing.T, addr string, inj *netchaos.Injector, attempts int
 	cli, err := DialConfig(addr, ClientConfig{
 		Timeout:  100 * time.Millisecond,
 		Attempts: attempts,
-		Dial:     inj.DatagramDialer(nil),
+		Dial:     inj.DatagramDialer(),
 		Sleep:    func(time.Duration) {},
 	})
 	if err != nil {
