@@ -369,10 +369,11 @@ func differentialFabrics(t *testing.T) []differentialFabric {
 	// The sub-topology of two pods: a fleet shard's shape, with more than
 	// one segment.
 	clos := shardTestTopo(t)
-	sg, err := clos.SegmentGraph(clos.Partition()[1:3])
+	sgs, err := clos.SegmentGraphs([][]topology.Segment{clos.Partition()[1:3]})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sg := sgs[0]
 	if n := sg.Topo.NumSegments(); n != 2 {
 		t.Fatalf("shard has %d segments, want 2", n)
 	}

@@ -54,13 +54,13 @@ func corruptShardPattern(net *Network, topo *topology.Topology, segs []topology.
 // ToR-less segments.
 func segmentGraphs(tb testing.TB, topo *topology.Topology) []*topology.SegmentGraph {
 	tb.Helper()
-	var out []*topology.SegmentGraph
+	var units [][]topology.Segment
 	for _, seg := range topo.Partition() {
-		sg, err := topo.SegmentGraph([]topology.Segment{seg})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		out = append(out, sg)
+		units = append(units, []topology.Segment{seg})
+	}
+	out, err := topo.SegmentGraphs(units)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return out
 }

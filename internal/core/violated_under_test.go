@@ -47,10 +47,11 @@ func metStatus(n *Network) []bool {
 // and the constraint status exactly as it found them.
 func TestViolatedUnderMatchesFullScan(t *testing.T) {
 	medium := mediumNetwork(t).Topology()
-	shard, err := medium.SegmentGraph(medium.Partition()[:2])
+	shards, err := medium.SegmentGraphs([][]topology.Segment{medium.Partition()[:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
+	shard := shards[0]
 	for _, topo := range []*topology.Topology{medium, shard.Topo} {
 		segs := topo.Partition()
 		if len(segs) < 2 {

@@ -130,12 +130,12 @@ type Func func(Config) (*Report, error)
 
 // registry maps experiment ids to their plan builders; populated by init
 // functions next to each driver.
-var registry = map[string]func(Config) (*plan, error){}
+var registry = map[string]func(Config, scaleDCNs) (*plan, error){}
 
 // descriptions holds one-line summaries for listings.
 var descriptions = map[string]string{}
 
-func register(id, description string, build func(Config) (*plan, error)) {
+func register(id, description string, build func(Config, scaleDCNs) (*plan, error)) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}

@@ -24,8 +24,8 @@ func init() {
 //   - Repair collateral ("accounting for the impact of repair"): repairing
 //     one link of a breakout cable takes its healthy siblings down for the
 //     service window, costing capacity that the basic model ignores.
-func ext8(cfg Config) (*plan, error) {
-	topo, err := DCN(cfg.Scale)
+func ext8(cfg Config, batch scaleDCNs) (*plan, error) {
+	topo, err := batch.get(cfg.Scale)
 	if err != nil {
 		return nil, err
 	}

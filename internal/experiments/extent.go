@@ -35,7 +35,7 @@ func closWithPods(pods int) (*topology.Topology, error) {
 // normalized corruption loss hovers around 1 (the dashed parity line):
 // corruption loses about as many packets as congestion on switch-to-switch
 // links, even with the production mitigation running.
-func fig1(cfg Config) (*plan, error) {
+func fig1(cfg Config, _ scaleDCNs) (*plan, error) {
 	root := rngutil.New(cfg.Seed).Split("fig1")
 	const pps = 1e6 // packets/s at full utilization; cancels in normalization
 

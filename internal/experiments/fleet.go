@@ -32,7 +32,7 @@ func init() {
 // Results are collected in DCN order and the supervisor snapshot is shard-
 // and worker-count invariant, so reports stay byte-identical for any
 // Workers or Shards value.
-func fleetStudy(cfg Config) (*plan, error) {
+func fleetStudy(cfg Config, _ scaleDCNs) (*plan, error) {
 	nDCNs := 70
 	if cfg.Scale == ScaleSmall {
 		nDCNs = 12

@@ -163,8 +163,8 @@ func fig11(Config) (*Report, error) {
 // switch-local and CorrOpt at c=75%. The switch-local line stays flat and
 // high (a persistent set of corrupting links it cannot disable); CorrOpt's
 // hugs zero.
-func fig14(cfg Config) (*plan, error) {
-	dcns, err := evalDCNs(cfg, "fig14")
+func fig14(cfg Config, batch scaleDCNs) (*plan, error) {
+	dcns, err := evalDCNs(cfg, batch, "fig14")
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +215,8 @@ func evalScales(s Scale) []Scale {
 // available spine paths over time under both methods, at c=75% and c=50%.
 // CorrOpt rides the capacity limit when it needs to; switch-local stays
 // needlessly high because it cannot disable enough links.
-func fig1516(cfg Config) (*plan, error) {
-	dcns, err := evalDCNs(cfg, "fig1516")
+func fig1516(cfg Config, batch scaleDCNs) (*plan, error) {
+	dcns, err := evalDCNs(cfg, batch, "fig1516")
 	if err != nil {
 		return nil, err
 	}
@@ -274,8 +274,8 @@ func fig1516(cfg Config) (*plan, error) {
 // switch-local's, for capacity constraints from lax to demanding. At 25%
 // both disable everything (ratio 1); at 50–75% CorrOpt wins by orders of
 // magnitude.
-func fig17(cfg Config) (*plan, error) {
-	dcns, err := evalDCNs(cfg, "fig17")
+func fig17(cfg Config, batch scaleDCNs) (*plan, error) {
+	dcns, err := evalDCNs(cfg, batch, "fig17")
 	if err != nil {
 		return nil, err
 	}
@@ -319,12 +319,12 @@ func fig17(cfg Config) (*plan, error) {
 // fast checker — hourly penalty ratio over a month and its CDF. Most of the
 // time the fast checker alone is already optimal; occasionally the
 // optimizer cuts the penalty by an order of magnitude or more.
-func fig18(cfg Config) (*plan, error) {
+func fig18(cfg Config, batch scaleDCNs) (*plan, error) {
 	scale := cfg.Scale
 	if scale != ScaleSmall {
 		scale = ScaleLarge // the paper isolates this on its large DCN
 	}
-	topo, err := DCN(scale)
+	topo, err := batch.get(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -394,8 +394,8 @@ func fig18Report(co, fo *sim.Result) *Report {
 // corruption losses, because faster repairs put healthy links back sooner,
 // letting more corrupting links be disabled. Ratio of integrated penalty
 // with 80% vs 50% first-attempt repair accuracy, across constraints.
-func fig19(cfg Config) (*plan, error) {
-	dcns, err := evalDCNs(cfg, "fig19")
+func fig19(cfg Config, batch scaleDCNs) (*plan, error) {
+	dcns, err := evalDCNs(cfg, batch, "fig19")
 	if err != nil {
 		return nil, err
 	}
@@ -435,9 +435,9 @@ func fig19(cfg Config) (*plan, error) {
 // sec72 reproduces §7.2's deployment analysis: first-attempt repair success
 // under the legacy manual process, under the deployed engine with ~30% of
 // recommendations ignored, and when recommendations are followed.
-func sec72(cfg Config) (*plan, error) {
+func sec72(cfg Config, batch scaleDCNs) (*plan, error) {
 	scale := cfg.Scale
-	topo, err := DCN(scale)
+	topo, err := batch.get(scale)
 	if err != nil {
 		return nil, err
 	}
@@ -498,8 +498,8 @@ func sec72(cfg Config) (*plan, error) {
 // repair recommendations) against current practice (switch-local + 50%
 // accuracy), plus the capacity cost: the mean per-ToR available-path
 // fraction drops by at most ~0.2%.
-func sec73(cfg Config) (*plan, error) {
-	dcns, err := evalDCNs(cfg, "sec73")
+func sec73(cfg Config, batch scaleDCNs) (*plan, error) {
+	dcns, err := evalDCNs(cfg, batch, "sec73")
 	if err != nil {
 		return nil, err
 	}

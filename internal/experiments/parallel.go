@@ -5,6 +5,7 @@ import (
 
 	"corropt/internal/optics"
 	"corropt/internal/sim"
+	"corropt/internal/topology"
 )
 
 // plan is one experiment decomposed into the independent trace replays it
@@ -18,10 +19,24 @@ type plan struct {
 	finish  func(results []*sim.Result) (*Report, error)
 }
 
+// scaleDCNs is one batch's evaluation DCNs, one per scale, each built by
+// the first plan that needs it: every plan of a RunMany batch that replays
+// over the DCN of a scale gets the same *Topology, which replays only read
+// (DESIGN.md §7.4), so the batch holds one copy per scale while it runs.
+type scaleDCNs map[Scale]*topology.Topology
+
+// get returns the batch's DCN of scale.
+func (d scaleDCNs) get(scale Scale) (topo *topology.Topology, err error) {
+	if d[scale] == nil {
+		d[scale], err = DCN(scale)
+	}
+	return d[scale], err
+}
+
 // analytic turns a driver that replays nothing on the pool into a plan
 // builder: its plan has no replays and its finish runs the driver.
-func analytic(fn Func) func(Config) (*plan, error) {
-	return func(cfg Config) (*plan, error) {
+func analytic(fn Func) func(Config, scaleDCNs) (*plan, error) {
+	return func(cfg Config, _ scaleDCNs) (*plan, error) {
 		return &plan{finish: func([]*sim.Result) (*Report, error) { return fn(cfg) }}, nil
 	}
 }
@@ -43,13 +58,13 @@ type evalDCN struct {
 	*traceEntry
 }
 
-// evalDCNs builds the standard evaluation DCNs for the configured scale,
-// each with its fault trace seeded by (seed, name-scale).
-func evalDCNs(cfg Config, name string) ([]evalDCN, error) {
+// evalDCNs takes the batch's standard evaluation DCNs for the configured
+// scale, each with its own fault trace seeded by (seed, name-scale).
+func evalDCNs(cfg Config, batch scaleDCNs, name string) ([]evalDCN, error) {
 	scales := evalScales(cfg.Scale)
 	out := make([]evalDCN, len(scales))
 	for i, scale := range scales {
-		topo, err := DCN(scale)
+		topo, err := batch.get(scale)
 		if err != nil {
 			return nil, err
 		}
@@ -72,6 +87,24 @@ func CheckIDs(ids []string) error {
 	return nil
 }
 
+// buildPlans checks ids and builds the plan of each as one batch: plans
+// that replay over the evaluation DCN of one scale share one copy of it.
+func buildPlans(ids []string, cfg Config) ([]*plan, error) {
+	if err := CheckIDs(ids); err != nil {
+		return nil, err
+	}
+	batch := scaleDCNs{}
+	plans := make([]*plan, len(ids))
+	for i, id := range ids {
+		pl, err := registry[id](cfg, batch)
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = pl
+	}
+	return plans, nil
+}
+
 // RunMany executes several experiments as one batch. It builds every plan,
 // replays all of their replays in one sim.RunAll call — a driver with a few
 // long replays no longer serializes the suite behind its stragglers while
@@ -79,17 +112,12 @@ func CheckIDs(ids []string) error {
 // its slice of the results, so the reports are byte-identical to running
 // each id individually.
 func RunMany(ids []string, cfg Config) ([]*Report, error) {
-	if err := CheckIDs(ids); err != nil {
+	plans, err := buildPlans(ids, cfg)
+	if err != nil {
 		return nil, err
 	}
-	plans := make([]*plan, len(ids))
 	var replays []sim.Replay
-	for i, id := range ids {
-		pl, err := registry[id](cfg)
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = pl
+	for _, pl := range plans {
 		replays = append(replays, pl.replays...)
 	}
 	results, err := sim.RunAll(cfg.Workers, replays)

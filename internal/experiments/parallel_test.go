@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
 	"corropt/internal/sim"
+	"corropt/internal/topology"
 )
 
 // renderReport renders a report to its canonical TSV bytes.
@@ -29,11 +31,11 @@ func replayIDs(t *testing.T) []string {
 	t.Helper()
 	var ids []string
 	for _, e := range List() {
-		pl, err := registry[e[0]](Config{Scale: ScaleSmall, Seed: 1})
+		pls, err := buildPlans([]string{e[0]}, Config{Scale: ScaleSmall, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", e[0], err)
 		}
-		if len(pl.replays) > 0 {
+		if len(pls[0].replays) > 0 {
 			ids = append(ids, e[0])
 		}
 	}
@@ -92,10 +94,11 @@ func TestDriverAllocCeilings(t *testing.T) {
 	} {
 		t.Run(c.id, func(t *testing.T) {
 			cfg := Config{Scale: ScaleSmall, Seed: 1, Workers: 1}
-			pl, err := registry[c.id](cfg)
+			pls, err := buildPlans([]string{c.id}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			pl := pls[0]
 			allocs := testing.AllocsPerRun(1, func() {
 				results, err := sim.RunAll(cfg.Workers, pl.replays)
 				if err != nil {
@@ -201,5 +204,43 @@ func TestConcurrentRunManyBatches(t *testing.T) {
 				t.Errorf("batch %d: %s differs from serial reference", b, id)
 			}
 		}
+	}
+}
+
+// TestRunManySharesDCNs holds a batch to one copy of each scale's
+// evaluation DCN: at ScaleMedium every replay of the drivers that replay
+// over the medium or large DCN references one of two topologies, one per
+// scale, while a batch of its own still builds its own.
+func TestRunManySharesDCNs(t *testing.T) {
+	ids := []string{"fig14", "fig1516", "fig17", "fig18", "fig19", "sec72", "sec73", "ext8", "ticketq"}
+	cfg := Config{Scale: ScaleMedium, Seed: 1}
+	plans, err := buildPlans(ids, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var topos []*topology.Topology
+	for i, pl := range plans {
+		if len(pl.replays) == 0 {
+			t.Fatalf("%s: no replays", ids[i])
+		}
+		for _, r := range pl.replays {
+			if !slices.Contains(topos, r.Topo) {
+				topos = append(topos, r.Topo)
+			}
+		}
+	}
+	var links []int
+	for _, topo := range topos {
+		links = append(links, topo.NumLinks())
+	}
+	if !slices.Equal(links, []int{15120, 34560}) {
+		t.Fatalf("the batch's replays run over topologies of %v links, want one medium and one large DCN", links)
+	}
+	alone, err := buildPlans(ids[:1], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(topos, alone[0].replays[0].Topo) {
+		t.Fatalf("a separate batch reused another batch's DCN")
 	}
 }

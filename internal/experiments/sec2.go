@@ -15,7 +15,7 @@ func init() {
 // switch-local system, and with CorrOpt, on a fabric whose switch radix
 // gives switch-local a usable (non-zero) disable budget (its budget is
 // ⌊8·(1−√0.75)⌋ = 1 per radix-8 switch).
-func sec2(cfg Config) (*plan, error) {
+func sec2(cfg Config, _ scaleDCNs) (*plan, error) {
 	e, err := sec2Trace(cfg.Seed, cfg.Scale)
 	if err != nil {
 		return nil, err

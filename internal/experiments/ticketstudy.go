@@ -20,7 +20,7 @@ func init() {
 // the technician pool size and measure time-to-repair and the corruption
 // penalty that queueing adds — the operational cost the recommendation
 // engine's higher accuracy (fewer re-repairs, §7.2) buys back.
-func ticketq(cfg Config) (*plan, error) {
+func ticketq(cfg Config, batch scaleDCNs) (*plan, error) {
 	// A single capacity-blocked high-rate link dominates one trace's
 	// penalty integral, so each cell averages several independent traces.
 	const reps = 5
@@ -32,7 +32,7 @@ func ticketq(cfg Config) (*plan, error) {
 	// counts) and the per-cell averages accumulate in rep order after
 	// collection. Every rep's trace runs over one DCN, so the replays, which
 	// cycle through the reps, all reuse one fabric's scratch.
-	topo, err := DCN(cfg.Scale)
+	topo, err := batch.get(cfg.Scale)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,10 @@ import (
 // ToR-bearing cone-closed segment with any ToR-less orphan segments glued to
 // it: the Network with its incremental path counter, and the
 // core.RepairLoop that decides and tickets over it. The sub-topology is the
-// shape's, shared read-only with every DCN of that shape. drain runs on a
-// worker pool but writes shard-local state only.
+// shape's, shared read-only with every DCN of that shape; sub.Topo also with
+// every unit of its shape, so its switch names and pods are the first
+// unit's, and nothing here reads them (errors name source links). drain runs
+// on a worker pool but writes shard-local state only.
 type shard struct {
 	sub  *topology.SegmentGraph
 	dcn  int
@@ -89,7 +91,7 @@ func (sh *shard) drain() error {
 // shardSet is one shape cut into its units, built once and shared read-only
 // by every DCN of that shape: the routing tables from a source link to its
 // shard (relative to the DCN's first shard) and to its id in that shard's
-// sub-topology, and each unit's sub-topology.
+// sub-topology, and each unit's sub-topology, one Topology per unit shape.
 type shardSet struct {
 	topo    *topology.Topology
 	shardOf []int32
@@ -97,10 +99,10 @@ type shardSet struct {
 	subs    []*topology.SegmentGraph
 }
 
-// newShardSet partitions topo and builds one sub-topology per unit: a
-// ToR-bearing segment with the ToR-less orphan segments after it (or, for
-// orphans before the first ToR-bearing segment, the first one) glued on, so
-// every unit anchors a valid sub-topology.
+// newShardSet partitions topo and builds one sub-topology per unit shape: a
+// unit is a ToR-bearing segment with the ToR-less orphan segments after it
+// (or, for orphans before the first ToR-bearing segment, the first one)
+// glued on, so every unit anchors a valid sub-topology.
 func newShardSet(topo *topology.Topology) (*shardSet, error) {
 	if topo.NumLinks() == 0 {
 		return nil, fmt.Errorf("fleet: topology has no links")
@@ -121,21 +123,21 @@ func newShardSet(topo *topology.Topology) (*shardSet, error) {
 	if len(units[0][0].ToRs) == 0 {
 		return nil, fmt.Errorf("fleet: topology has no ToR-bearing segments")
 	}
+	subs, err := topo.SegmentGraphs(units)
+	if err != nil {
+		return nil, err
+	}
 	set := &shardSet{
 		topo:    topo,
 		shardOf: make([]int32, topo.NumLinks()),
 		localOf: make([]topology.LinkID, topo.NumLinks()),
+		subs:    subs,
 	}
-	for i, unit := range units {
-		sub, err := topo.SegmentGraph(unit)
-		if err != nil {
-			return nil, err
-		}
+	for i, sub := range subs {
 		for local, src := range sub.Links {
 			set.shardOf[src] = int32(i)
 			set.localOf[src] = topology.LinkID(local)
 		}
-		set.subs = append(set.subs, sub)
 	}
 	return set, nil
 }

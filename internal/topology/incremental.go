@@ -41,9 +41,20 @@ func (pc *PathCounter) ResetIncremental(disabled *LinkSet) {
 }
 
 // IncCounts returns the per-switch counts under the incremental disabled
-// set, indexed by SwitchID. The slice is live: Apply/Revert mutate it in
-// place. Callers must not modify it.
+// set, indexed by SwitchID. It covers every ToR and every switch under the
+// top stage, but not the top-stage switches numbered after all of those,
+// whose count is always 1 (see PathCounter). The slice is live:
+// Apply/Revert mutate it in place. Callers must not modify it.
 func (pc *PathCounter) IncCounts() []int64 { return pc.inc }
+
+// incCount reads switch s's incremental count, 1 for a top-stage switch
+// IncCounts does not cover.
+func (pc *PathCounter) incCount(s SwitchID) int64 {
+	if int(s) < len(pc.inc) {
+		return pc.inc[s]
+	}
+	return 1
+}
 
 // IncDisabled returns a read-only view of the incremental engine's disabled
 // set; only Apply, Revert, Commit and ResetIncremental change it.
@@ -72,7 +83,7 @@ func (pc *PathCounter) Apply(l LinkID) []SwitchID {
 	pc.incDisabled.Add(l)
 	pc.numIncDisabled++
 	lk := pc.t.Link(l)
-	return pc.propagate(lk.Lower, -pc.inc[lk.Upper], true)
+	return pc.propagate(lk.Lower, -pc.incCount(lk.Upper), true)
 }
 
 // Revert re-enables link l in the incremental state and propagates the
@@ -91,7 +102,7 @@ func (pc *PathCounter) Revert(l LinkID) []SwitchID {
 	lk := pc.t.Link(l)
 	// l's upper endpoint is unaffected by l itself, so its current count is
 	// exactly the number of paths the re-enabled link contributes to lower.
-	return pc.propagate(lk.Lower, pc.inc[lk.Upper], true)
+	return pc.propagate(lk.Lower, pc.incCount(lk.Upper), true)
 }
 
 // Probe runs Apply(l)'s walk without taking l down: it returns the ToRs whose
@@ -108,13 +119,13 @@ func (pc *PathCounter) Probe(l LinkID) []SwitchID {
 		return nil
 	}
 	lk := pc.t.Link(l)
-	changed := pc.propagate(lk.Lower, -pc.inc[lk.Upper], false)
+	changed := pc.propagate(lk.Lower, -pc.incCount(lk.Upper), false)
 	pc.probed = l
 	return changed
 }
 
 // Probed returns switch s's count as the pending probe would leave it; with
-// no probe pending it is IncCounts()[s].
+// no probe pending it is IncCounts()[s]. s must be an id IncCounts covers.
 func (pc *PathCounter) Probed(s SwitchID) int64 { return pc.inc[s] + pc.delta[s] }
 
 // panicNoProbe is pre-converted at package scope, so that Commit's panic

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,12 +11,27 @@ import (
 // full sweep under pc's incremental disabled set, for every switch.
 func checkIncrementalState(t *testing.T, pc *PathCounter, context string) {
 	t.Helper()
-	want := pc.Count(pc.IncDisabled().Func())
+	checkIncCounts(t, pc, pc.Count(pc.IncDisabled().Func()), context)
+}
+
+// checkIncCounts asserts that pc's incremental counts equal want, a count of
+// every switch: each id IncCounts covers against want, and each id past
+// them, which must be a top-stage switch, against want's 1.
+func checkIncCounts(t *testing.T, pc *PathCounter, want []int64, context string) {
+	t.Helper()
 	got := pc.IncCounts()
-	for id := range got {
-		if got[id] != want[id] {
-			t.Fatalf("%s: inc count[%d] = %d, full = %d (disabled=%d)",
-				context, id, got[id], want[id], pc.IncDisabled().Len())
+	top := Stage(pc.t.Stages() - 1)
+	for id := range want {
+		if id < len(got) {
+			if got[id] != want[id] {
+				t.Fatalf("%s: inc count[%d] = %d, full = %d (disabled=%d)",
+					context, id, got[id], want[id], pc.IncDisabled().Len())
+			}
+			continue
+		}
+		if st := pc.t.Switch(SwitchID(id)).Stage; st != top || want[id] != 1 {
+			t.Fatalf("%s: switch %d past the incremental counts is at stage %d with %d paths, want top stage %d with 1",
+				context, id, st, want[id], top)
 		}
 	}
 }
@@ -114,11 +130,7 @@ func TestResetIncremental(t *testing.T) {
 	set.Clear()
 	checkIncrementalState(t, pc, "after caller mutation")
 	pc.ResetIncremental(nil)
-	for id, want := range pc.Total() {
-		if got := pc.IncCounts()[id]; got != want {
-			t.Fatalf("reset(nil) count[%d] = %d, want total %d", id, got, want)
-		}
-	}
+	checkIncCounts(t, pc, pc.Total(), "reset(nil) against the totals")
 }
 
 // TestIncrementalInterleavedWithFull asserts the two engines share one
@@ -142,7 +154,8 @@ func TestIncrementalInterleavedWithFull(t *testing.T) {
 
 // FuzzIncrementalCounts drives random toggle sequences on fuzzer-chosen
 // topologies and cross-checks the incremental counts against a full sweep
-// after every operation.
+// after every operation. The random topologies number their top stage last,
+// so the counter keeps no count for it and the walks read it as 1.
 func FuzzIncrementalCounts(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 1, 0})
 	f.Add(int64(9), []byte{5, 5, 5})
@@ -153,6 +166,9 @@ func FuzzIncrementalCounts(f *testing.F) {
 		}
 		topo := randomTopology(t, seed)
 		pc := NewPathCounter(topo)
+		if n := len(pc.IncCounts()); n != topo.NumSwitches()-len(topo.Spines()) {
+			t.Fatalf("seed %d: %d incremental counts for %d switches under the top stage", seed, n, topo.NumSwitches()-len(topo.Spines()))
+		}
 		for _, b := range ops {
 			l := LinkID(int(b) % topo.NumLinks())
 			if pc.IncDisabled().Has(l) {
@@ -160,12 +176,7 @@ func FuzzIncrementalCounts(f *testing.F) {
 			} else {
 				pc.Apply(l)
 			}
-			want := pc.Count(pc.IncDisabled().Func())
-			for id := range want {
-				if got := pc.IncCounts()[id]; got != want[id] {
-					t.Fatalf("seed %d: count[%d] = %d, full = %d", seed, id, got, want[id])
-				}
-			}
+			checkIncCounts(t, pc, pc.Count(pc.IncDisabled().Func()), fmt.Sprintf("seed %d", seed))
 		}
 	})
 }

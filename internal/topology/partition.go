@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -64,65 +65,103 @@ func (t *Topology) Partition() []Segment {
 // segments of a source topology, with the id-mapping tables needed to route
 // events between the two id spaces.
 type SegmentGraph struct {
-	// Topo is the induced topology. Switches keep their source names,
-	// stages and pods; breakout groups carry over unchanged (breakout
-	// siblings share a lower switch, so they are never split across
-	// segments).
+	// Topo is the induced topology, shared by every graph of its shape (see
+	// SegmentGraphs). Switches keep their source stages, links their
+	// breakout-group pattern (breakout siblings share a lower switch, so
+	// they are never split across segments); names, pods and group numbers
+	// are those of the first graph of the shape.
 	Topo *Topology
 	// Links maps local link id → source link id, ascending in both id
 	// spaces: local id i is the i-th smallest source link.
 	Links []LinkID
-	// Switches maps local switch id → source switch id, ascending in both
-	// id spaces.
+	// Switches maps local switch id → source switch id, ascending by source
+	// id within each class: the switches under the graph's top stage, then
+	// its top stage, for which Topo's counters keep no count.
 	Switches []SwitchID
 }
 
-// SegmentGraph builds the induced subgraph of the given segments. The
+// SegmentGraphs builds the induced subgraph of each unit of segments. The
 // segments must come from this topology's Partition (link-disjoint); at
-// least one must contain a ToR, since a topology cannot be built without
-// one.
-func (t *Topology) SegmentGraph(segs []Segment) (*SegmentGraph, error) {
-	nLinks := 0
-	for _, s := range segs {
-		nLinks += len(s.Links)
-	}
-	if nLinks == 0 {
-		return nil, fmt.Errorf("topology: segment graph needs at least one link")
-	}
-	links := make([]LinkID, 0, nLinks)
-	for _, s := range segs {
-		links = append(links, s.Links...)
-	}
-	slices.Sort(links)
-
-	// Collect endpoint switches, ascending by source id.
-	inGraph := make([]bool, t.NumSwitches())
-	for _, l := range links {
-		lk := t.Link(l)
-		inGraph[lk.Lower] = true
-		inGraph[lk.Upper] = true
-	}
-	switches := make([]SwitchID, 0, 2*len(links))
-	localSwitch := make([]SwitchID, t.NumSwitches())
-	for s := range inGraph {
-		if inGraph[s] {
-			localSwitch[s] = SwitchID(len(switches))
-			switches = append(switches, SwitchID(s))
+// least one of each unit's must contain a ToR, since a topology cannot be
+// built without one. Units whose induced topologies are identical — the
+// same switch stages, the same local link endpoints in the same order, the
+// same breakout-group pattern — share one Topo, which only the first of
+// them builds: a fabric of repeated pod designs stores each design once.
+func (t *Topology) SegmentGraphs(units [][]Segment) ([]*SegmentGraph, error) {
+	out := make([]*SegmentGraph, len(units))
+	shapes := make(map[string]*Topology)
+	local := make([]SwitchID, t.NumSwitches()) // source → local switch id
+	groups := make(map[int]uint64)
+	var ends []SwitchID
+	var key []byte
+	for i, segs := range units {
+		nLinks := 0
+		for _, s := range segs {
+			nLinks += len(s.Links)
 		}
+		if nLinks == 0 {
+			return nil, fmt.Errorf("topology: segment graph needs at least one link")
+		}
+		links := make([]LinkID, 0, nLinks)
+		top := Stage(0)
+		ends = ends[:0]
+		for _, s := range segs {
+			links = append(links, s.Links...)
+			for _, l := range s.Links {
+				ends = append(ends, t.links[l].Lower, t.links[l].Upper)
+				top = max(top, t.switches[t.links[l].Upper].Stage)
+			}
+		}
+		slices.Sort(links)
+		slices.Sort(ends)
+		ends = slices.Compact(ends)
+		g := &SegmentGraph{Links: links, Switches: make([]SwitchID, 0, len(ends))}
+		// The shape key: the switch and link counts, each local switch's
+		// stage, and each local link's endpoints and breakout group, the
+		// groups numbered by first use (0 for none).
+		key = binary.AppendUvarint(binary.AppendUvarint(key[:0], uint64(len(ends))), uint64(nLinks))
+		for _, atTop := range [2]bool{false, true} {
+			for _, s := range ends {
+				if (t.switches[s].Stage == top) == atTop {
+					local[s] = SwitchID(len(g.Switches))
+					g.Switches = append(g.Switches, s)
+					key = binary.AppendUvarint(key, uint64(t.switches[s].Stage))
+				}
+			}
+		}
+		clear(groups)
+		for _, l := range links {
+			lk := &t.links[l]
+			group := uint64(0)
+			if lk.BreakoutGroup >= 0 {
+				if group = groups[lk.BreakoutGroup]; group == 0 {
+					group = uint64(len(groups)) + 1
+					groups[lk.BreakoutGroup] = group
+				}
+			}
+			for _, v := range [3]uint64{uint64(local[lk.Lower]), uint64(local[lk.Upper]), group} {
+				key = binary.AppendUvarint(key, v)
+			}
+		}
+		out[i] = g
+		if g.Topo = shapes[string(key)]; g.Topo != nil {
+			continue
+		}
+		b := NewBuilder()
+		for _, src := range g.Switches {
+			sw := t.Switch(src)
+			b.AddSwitch(sw.Name, sw.Stage, sw.Pod)
+		}
+		for _, src := range links {
+			lk := t.Link(src)
+			b.AddLink(local[lk.Lower], local[lk.Upper], lk.BreakoutGroup)
+		}
+		topo, err := b.Build()
+		if err != nil {
+			return nil, fmt.Errorf("topology: segment graph: %w", err)
+		}
+		g.Topo = topo
+		shapes[string(key)] = topo
 	}
-
-	b := NewBuilder()
-	for _, src := range switches {
-		sw := t.Switch(src)
-		b.AddSwitch(sw.Name, sw.Stage, sw.Pod)
-	}
-	for _, src := range links {
-		lk := t.Link(src)
-		b.AddLink(localSwitch[lk.Lower], localSwitch[lk.Upper], lk.BreakoutGroup)
-	}
-	topo, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("topology: segment graph: %w", err)
-	}
-	return &SegmentGraph{Topo: topo, Links: links, Switches: switches}, nil
+	return out, nil
 }

@@ -229,10 +229,11 @@ func TestSegmentGraphCountsMatch(t *testing.T) {
 		full := NewPathCounter(topo)
 		disabled := NewLinkSet(topo.NumLinks())
 		for si, seg := range segs {
-			sg, err := topo.SegmentGraph([]Segment{seg})
+			sgs, err := topo.SegmentGraphs([][]Segment{{seg}})
 			if err != nil {
-				t.Fatalf("%s: SegmentGraph(%d): %v", name, si, err)
+				t.Fatalf("%s: SegmentGraphs(%d): %v", name, si, err)
 			}
+			sg := sgs[0]
 			if got := sg.Topo.NumLinks(); got != len(seg.Links) {
 				t.Fatalf("%s: segment %d graph has %d links, want %d", name, si, got, len(seg.Links))
 			}
@@ -264,16 +265,36 @@ func TestSegmentGraphCountsMatch(t *testing.T) {
 }
 
 // TestSegmentGraphMapping checks the id-mapping tables and metadata carry
-// over: ascending maps, preserved names/stages/pods/breakout groups.
+// over: an ascending link map, a switch map ascending within each class
+// with the top stage last, preserved names/stages/pods/breakout groups. The
+// graph's counter keeps counts for the switches under the top stage only;
+// the source Clos, which numbers its spines first, keeps them for all.
 func TestSegmentGraphMapping(t *testing.T) {
 	topo := testClos(t)
 	segs := topo.Partition()
-	sg, err := topo.SegmentGraph(segs[1:3])
+	sgs, err := topo.SegmentGraphs([][]Segment{segs[1:3]})
 	if err != nil {
-		t.Fatalf("SegmentGraph: %v", err)
+		t.Fatalf("SegmentGraphs: %v", err)
 	}
-	if !slices.IsSorted(sg.Links) || !slices.IsSorted(sg.Switches) {
-		t.Fatalf("mapping tables not ascending")
+	sg := sgs[0]
+	if !slices.IsSorted(sg.Links) {
+		t.Fatalf("link map not ascending")
+	}
+	top := Stage(sg.Topo.Stages() - 1)
+	below := slices.IndexFunc(sg.Switches, func(s SwitchID) bool { return topo.Switch(s).Stage == top })
+	if below <= 0 || !slices.IsSorted(sg.Switches[:below]) || !slices.IsSorted(sg.Switches[below:]) {
+		t.Fatalf("switch map %v is not ascending under the top stage, then ascending over it", sg.Switches)
+	}
+	for _, s := range sg.Switches[below:] {
+		if topo.Switch(s).Stage != top {
+			t.Fatalf("switch map %v: stage %d switch %d after the top stage's first", sg.Switches, topo.Switch(s).Stage, s)
+		}
+	}
+	if n := len(NewPathCounter(sg.Topo).IncCounts()); n != below {
+		t.Errorf("graph counter keeps %d counts, want the %d switches under the top stage", n, below)
+	}
+	if n := len(NewPathCounter(topo).IncCounts()); n != topo.NumSwitches() {
+		t.Errorf("Clos counter keeps %d counts, want all %d switches", n, topo.NumSwitches())
 	}
 	if want := len(segs[1].Links) + len(segs[2].Links); sg.Topo.NumLinks() != want {
 		t.Fatalf("got %d links, want %d", sg.Topo.NumLinks(), want)
@@ -294,7 +315,7 @@ func TestSegmentGraphMapping(t *testing.T) {
 			t.Errorf("link %d: breakout group %d, want %d", local, got.BreakoutGroup, want.BreakoutGroup)
 		}
 	}
-	if _, err := topo.SegmentGraph(nil); err == nil {
-		t.Fatalf("SegmentGraph(nil) succeeded, want error")
+	if _, err := topo.SegmentGraphs([][]Segment{nil}); err == nil {
+		t.Fatalf("SegmentGraphs of an empty unit succeeded, want error")
 	}
 }

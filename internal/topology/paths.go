@@ -31,7 +31,9 @@ type DisabledFunc func(LinkID) bool
 // The two engines share the topology's skeleton — the evaluation order and
 // the all-links-active totals Build computes once — but use disjoint result
 // buffers, so interleaving Count and Apply/Revert is safe (though the slice
-// Count returns is invalidated by the next Count).
+// Count returns is invalidated by the next Count). Count covers every
+// switch; the incremental engine only the ids under the topology's below, as
+// a top-stage switch has exactly one path and no walk ever reaches one.
 type PathCounter struct {
 	t      *Topology
 	counts []int64 // per switch, Count's result (allocated on first Count)
@@ -56,8 +58,8 @@ type PathCounter struct {
 func NewPathCounter(t *Topology) *PathCounter {
 	pc := &PathCounter{
 		t:       t,
-		inc:     slices.Clone(t.total),
-		delta:   make([]int64, t.NumSwitches()),
+		inc:     slices.Clone(t.total[:t.below]),
+		delta:   make([]int64, t.below),
 		buckets: make([][]SwitchID, t.Stages()),
 		probed:  NoLink,
 	}
@@ -76,12 +78,17 @@ func (pc *PathCounter) Count(disabled DisabledFunc) []int64 {
 	return pc.counts
 }
 
-// sweep fills counts with every switch's path count, skipping the links
-// disabled reports, in one pass over t.order: spines are seeded with one
-// path each, and every other switch follows all switches one stage above it.
+// sweep fills counts with the path count of every switch it covers,
+// skipping the links disabled reports, in one pass over t.order: spines are
+// seeded with one path each, and every other switch follows all switches
+// one stage above it. counts covers every switch or, for the incremental
+// engine, the ids under t.below; a spine past its end reads as 1.
 func (t *Topology) sweep(counts []int64, disabled DisabledFunc) {
 	top := Stage(t.stages - 1)
 	for _, id := range t.order {
+		if int(id) >= len(counts) {
+			continue
+		}
 		sw := &t.switches[id]
 		if sw.Stage == top {
 			counts[id] = 1
@@ -92,7 +99,11 @@ func (t *Topology) sweep(counts []int64, disabled DisabledFunc) {
 			if disabled != nil && disabled(l) {
 				continue
 			}
-			n += counts[t.links[l].Upper]
+			if up := t.links[l].Upper; int(up) < len(counts) {
+				n += counts[up]
+			} else {
+				n++
+			}
 		}
 		counts[id] = n
 	}

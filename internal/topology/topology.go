@@ -94,6 +94,10 @@ type Topology struct {
 	tors     []SwitchID
 	spines   []SwitchID
 	segments int // number of link segments (see Partition)
+	// below is one past the highest id of a ToR or of a switch under the
+	// top stage: every switch at or past it sits in the top stage, where
+	// each path count is 1, so a PathCounter keeps no count for it.
+	below int
 	// The path-count skeleton every PathCounter over t shares: the
 	// evaluation order (stages top-down) and each switch's path count with
 	// every link active.
@@ -286,6 +290,9 @@ func (b *Builder) Build() (*Topology, error) {
 		}
 		if sw.Stage < top && len(sw.Uplinks) == 0 {
 			return nil, fmt.Errorf("topology: switch %q at stage %d has no uplinks", sw.Name, sw.Stage)
+		}
+		if sw.Stage < top || sw.Stage == 0 {
+			t.below = i + 1
 		}
 	}
 	if len(t.tors) == 0 {
