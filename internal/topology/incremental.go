@@ -47,15 +47,6 @@ func (pc *PathCounter) ResetIncremental(disabled *LinkSet) {
 // Apply/Revert mutate it in place. Callers must not modify it.
 func (pc *PathCounter) IncCounts() []int64 { return pc.inc }
 
-// incCount reads switch s's incremental count, 1 for a top-stage switch
-// IncCounts does not cover.
-func (pc *PathCounter) incCount(s SwitchID) int64 {
-	if int(s) < len(pc.inc) {
-		return pc.inc[s]
-	}
-	return 1
-}
-
 // IncDisabled returns a read-only view of the incremental engine's disabled
 // set; only Apply, Revert, Commit and ResetIncremental change it.
 func (pc *PathCounter) IncDisabled() LinkSetView { return pc.incDisabled.View() }
@@ -83,7 +74,7 @@ func (pc *PathCounter) Apply(l LinkID) []SwitchID {
 	pc.incDisabled.Add(l)
 	pc.numIncDisabled++
 	lk := pc.t.Link(l)
-	return pc.propagate(lk.Lower, -pc.incCount(lk.Upper), true)
+	return pc.propagate(lk.Lower, -countAt(pc.inc, lk.Upper), true)
 }
 
 // Revert re-enables link l in the incremental state and propagates the
@@ -102,7 +93,7 @@ func (pc *PathCounter) Revert(l LinkID) []SwitchID {
 	lk := pc.t.Link(l)
 	// l's upper endpoint is unaffected by l itself, so its current count is
 	// exactly the number of paths the re-enabled link contributes to lower.
-	return pc.propagate(lk.Lower, pc.incCount(lk.Upper), true)
+	return pc.propagate(lk.Lower, countAt(pc.inc, lk.Upper), true)
 }
 
 // Probe runs Apply(l)'s walk without taking l down: it returns the ToRs whose
@@ -119,7 +110,7 @@ func (pc *PathCounter) Probe(l LinkID) []SwitchID {
 		return nil
 	}
 	lk := pc.t.Link(l)
-	changed := pc.propagate(lk.Lower, -pc.incCount(lk.Upper), false)
+	changed := pc.propagate(lk.Lower, -countAt(pc.inc, lk.Upper), false)
 	pc.probed = l
 	return changed
 }

@@ -99,14 +99,19 @@ func (t *Topology) sweep(counts []int64, disabled DisabledFunc) {
 			if disabled != nil && disabled(l) {
 				continue
 			}
-			if up := t.links[l].Upper; int(up) < len(counts) {
-				n += counts[up]
-			} else {
-				n++
-			}
+			n += countAt(counts, t.links[l].Upper)
 		}
 		counts[id] = n
 	}
+}
+
+// countAt reads switch s's count from counts, 1 for a top-stage switch past
+// its end: the incremental engine keeps no count for those (see PathCounter).
+func countAt(counts []int64, s SwitchID) int64 {
+	if int(s) < len(counts) {
+		return counts[s]
+	}
+	return 1
 }
 
 // Total returns the per-switch path counts with every link active, which
