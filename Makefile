@@ -112,7 +112,8 @@ results:
 ## that never tests a superset of a subset it rejected, an activation's skipped or narrowed re-check to the re-check
 ## over every active corrupting link, Network's cached ToR fractions
 ## (and the sum of a run of 1.0 terms inside them) to the in-order loop,
-## and netstate's link indexes, faults.State's cached rates and the
+## and netstate's link indexes, faults.State's cached rates, the ticket
+## queue's sparse tallies and the
 ## telemetry collector to their references; of the repair loop's ticket and
 ## hold invariants; of the sim clock's firing order against a stable sort of
 ## its schedule; and of the protocol codecs, their fault-injected frames and
@@ -127,6 +128,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzToRFractionsDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAddOnes -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRepairLoop -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzQueueDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/tickets
 	$(GO) test -run '^$$' -fuzz FuzzLinksDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/core/netstate
 	$(GO) test -run '^$$' -fuzz FuzzStateDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/faults
 	$(GO) test -run '^$$' -fuzz FuzzCollectorDifferential -fuzztime 10s -fuzzminimizetime 100x ./internal/telemetry

@@ -14,9 +14,9 @@
 package netstate
 
 import (
-	"math/bits"
 	"slices"
 
+	"corropt/internal/linkmap"
 	"corropt/internal/topology"
 )
 
@@ -27,7 +27,7 @@ type Links struct {
 	// rates holds the worst-direction corruption rate per link; zero for
 	// healthy links. Disabled links keep their rate so that re-enabling a
 	// still-broken link is visible to the caller.
-	rates sparse
+	rates linkmap.Table[float64]
 	// corrupting indexes the links with a recorded rate. They are a few dozen
 	// among tens of thousands, so every read that needs them walks this set
 	// word by word, and it is the O(1) check for a healthy link.
@@ -43,119 +43,6 @@ type Links struct {
 	live []topology.LinkID
 }
 
-// sparse maps links to float64 values, zero by default, storing only the
-// non-zero ones: an open-addressing hash table with linear probing, grown
-// to the most values it has held at once and kept at that size, so memory
-// follows the corrupting links, not the fabric, and a steady state
-// allocates nothing. Reads and writes are O(1) expected. The table's order
-// is no order: every walk in link order goes through a LinkSet.
-type sparse struct {
-	slots []slot // empty, or a power of two of them
-	shift uint8  // 64 - log2(len(slots)): home keeps a hash's top bits
-	n     int    // occupied slots
-}
-
-// slot is one entry of a sparse table; key is the link plus one, and zero
-// marks an empty slot.
-type slot struct {
-	key int32
-	v   float64
-}
-
-// home is the slot where link l's probe starts (Fibonacci hashing).
-func (s *sparse) home(l topology.LinkID) int {
-	return int((uint64(l) * 0x9E3779B97F4A7C15) >> s.shift)
-}
-
-// find returns the slot holding link l, or the empty slot that ends its
-// probe, and whether l is there. The table must not be empty.
-func (s *sparse) find(l topology.LinkID) (int, bool) {
-	mask := len(s.slots) - 1
-	for i := s.home(l); ; i = (i + 1) & mask {
-		switch s.slots[i].key {
-		case int32(l) + 1:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
-}
-
-// get returns link l's value.
-func (s *sparse) get(l topology.LinkID) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	if i, ok := s.find(l); ok {
-		return s.slots[i].v
-	}
-	return 0
-}
-
-// set stores v as link l's value and returns the value it replaced.
-func (s *sparse) set(l topology.LinkID, v float64) (old float64) {
-	if s.n == 0 && v == 0 {
-		return 0
-	}
-	if len(s.slots) == 0 {
-		s.resize(8)
-	}
-	i, ok := s.find(l)
-	switch {
-	case ok && v == 0:
-		old = s.slots[i].v
-		s.remove(i)
-	case ok:
-		old, s.slots[i].v = s.slots[i].v, v
-	case v != 0:
-		if 4*(s.n+1) > 3*len(s.slots) {
-			s.resize(2 * len(s.slots))
-			i, _ = s.find(l)
-		}
-		s.slots[i] = slot{int32(l) + 1, v}
-		s.n++
-	}
-	return old
-}
-
-// remove empties slot i, moving back each later entry of its probe run
-// that an empty slot at i would hide from its home.
-func (s *sparse) remove(i int) {
-	mask := len(s.slots) - 1
-	for j := (i + 1) & mask; s.slots[j].key != 0; j = (j + 1) & mask {
-		// The entry at j stays unless its home lies cyclically outside
-		// (i, j].
-		h := s.home(topology.LinkID(s.slots[j].key - 1))
-		if (i < j && i < h && h <= j) || (j < i && (i < h || h <= j)) {
-			continue
-		}
-		s.slots[i] = s.slots[j]
-		i = j
-	}
-	s.slots[i] = slot{}
-	s.n--
-}
-
-// resize rehashes the table into size slots.
-func (s *sparse) resize(size int) {
-	old := s.slots
-	//lint:allow escapes the table grows only past the most values it has held at once
-	s.slots = make([]slot, size)
-	s.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	for _, e := range old {
-		if e.key != 0 {
-			i, _ := s.find(topology.LinkID(e.key - 1))
-			s.slots[i] = e
-		}
-	}
-}
-
-// reset makes every value zero, keeping the table.
-func (s *sparse) reset() {
-	clear(s.slots)
-	s.n = 0
-}
-
 // NewLinks returns an index of numLinks healthy links keyed to threshold.
 func NewLinks(numLinks int, threshold float64) Links {
 	return Links{
@@ -167,7 +54,7 @@ func NewLinks(numLinks int, threshold float64) Links {
 // Reset makes every link healthy and keys the index to threshold, reusing
 // its storage.
 func (x *Links) Reset(threshold float64) {
-	x.rates.reset()
+	x.rates.Reset()
 	x.corrupting.Clear()
 	x.live = x.live[:0]
 	x.threshold = threshold
@@ -180,7 +67,7 @@ func (x *Links) Rate(l topology.LinkID) float64 {
 	if !x.corrupting.Has(l) {
 		return 0
 	}
-	return x.rates.get(l)
+	return x.rates.Get(l)
 }
 
 // Threshold reports the detection threshold the live list is keyed to.
@@ -200,7 +87,7 @@ func (x *Links) Set(l topology.LinkID, rate float64, disabled bool) bool {
 		}
 		rate = 0
 	}
-	old := x.rates.set(l, rate)
+	old := x.rates.Set(l, rate)
 	if old == rate {
 		return false
 	}
@@ -238,7 +125,7 @@ func (x *Links) Rebuild(disabled topology.LinkSetView) {
 	x.live = x.live[:0]
 	it := x.corrupting.Iter(disabled)
 	for l := it.Next(); l != topology.NoLink; l = it.Next() {
-		if x.reportable(x.rates.get(l)) {
+		if x.reportable(x.rates.Get(l)) {
 			x.live = append(x.live, l)
 		}
 	}
@@ -274,7 +161,7 @@ func (x *Links) Corrupting() topology.LinkIter {
 // ascending link order; see Links.Active.
 type ActiveIter struct {
 	links     topology.LinkIter
-	rates     *sparse
+	rates     *linkmap.Table[float64]
 	threshold float64
 	rate      float64 // the rate of the link Next last returned
 }
@@ -296,7 +183,7 @@ func (it *ActiveIter) Next() topology.LinkID {
 		if l == topology.NoLink {
 			return l
 		}
-		if it.rate = it.rates.get(l); it.rate >= it.threshold {
+		if it.rate = it.rates.Get(l); it.rate >= it.threshold {
 			return l
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"corropt/internal/rngutil"
 	"corropt/internal/topology"
 )
 
@@ -109,8 +108,8 @@ func checkLinks(t *testing.T, step int, x *Links, ref []float64, disabled *topol
 			corrupting = append(corrupting, l)
 		}
 	}
-	if x.rates.n != len(corrupting) {
-		t.Fatalf("step %d: %d rates stored for %d corrupting links", step, x.rates.n, len(corrupting))
+	if x.rates.Len() != len(corrupting) {
+		t.Fatalf("step %d: %d rates stored for %d corrupting links", step, x.rates.Len(), len(corrupting))
 	}
 	var got []topology.LinkID
 	it := x.Corrupting()
@@ -168,7 +167,7 @@ func checkPenalty(t *testing.T, step int, pen *Penalty, x *Links, ref []float64,
 		if r > 0 && !disabled.Has(l) {
 			c = fn(r)
 		}
-		if got := pen.contribs.get(l); got != c {
+		if got := pen.contribs.Get(l); got != c {
 			t.Fatalf("step %d: link %d contributes %v, reference %v", step, l, got, c)
 		}
 		want += c
@@ -182,41 +181,5 @@ func checkPenalty(t *testing.T, step int, pen *Penalty, x *Links, ref []float64,
 	pen.Rebuild(x)
 	if got := pen.Sum(x); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("step %d: rebuilt penalty %v, in-order dense scan %v", step, got, want)
-	}
-}
-
-// TestSparseMatchesMap drives one sparse table through seeded random
-// writes, a third of them zeros that delete, over enough links to grow it
-// several times and wrap its probe runs, and holds every value, the count
-// and the load bound to a map after each write.
-func TestSparseMatchesMap(t *testing.T) {
-	const numLinks = 700
-	var s sparse
-	ref := map[topology.LinkID]float64{}
-	rng := rngutil.New(1)
-	for step := 0; step < 20000; step++ {
-		l := topology.LinkID(rng.Intn(numLinks))
-		v := 0.0
-		if rng.Intn(3) > 0 {
-			v = float64(rng.Intn(5) + 1)
-		}
-		if got, want := s.set(l, v), ref[l]; got != want {
-			t.Fatalf("step %d: set(%d, %v) replaced %v, want %v", step, l, v, got, want)
-		}
-		if v == 0 {
-			delete(ref, l)
-		} else {
-			ref[l] = v
-		}
-		if s.n != len(ref) || 4*s.n > 3*len(s.slots) {
-			t.Fatalf("step %d: %d values in %d slots, want %d values at most 3/4 full", step, s.n, len(s.slots), len(ref))
-		}
-		if step%97 == 0 {
-			for m := topology.LinkID(0); m < numLinks; m++ {
-				if got := s.get(m); got != ref[m] {
-					t.Fatalf("step %d: get(%d) = %v, want %v", step, m, got, ref[m])
-				}
-			}
-		}
 	}
 }

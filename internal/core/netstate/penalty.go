@@ -1,6 +1,9 @@
 package netstate
 
-import "corropt/internal/topology"
+import (
+	"corropt/internal/linkmap"
+	"corropt/internal/topology"
+)
 
 // RebuildEvery bounds floating-point drift of the incremental penalty sum:
 // after this many O(1) delta updates, the next Sum re-sums the cached
@@ -14,7 +17,7 @@ const RebuildEvery = 1024
 // and sum is Σ contribs, maintained in O(1) per rate change or toggle.
 type Penalty struct {
 	fn       func(rate float64) float64
-	contribs sparse
+	contribs linkmap.Table[float64]
 	sum      float64
 	// ops counts updates folded into sum since the last exact rebuild.
 	ops int
@@ -33,7 +36,7 @@ func (p *Penalty) Register(fn func(rate float64) float64, links *Links, disabled
 		p.sum, p.ops = 0, 0
 		return
 	}
-	p.contribs.reset()
+	p.contribs.Reset()
 	p.Refresh(links, disabled)
 }
 
@@ -50,7 +53,7 @@ func (p *Penalty) Update(l topology.LinkID, rate float64, disabled bool) {
 	if rate > 0 && !disabled {
 		c = p.fn(rate)
 	}
-	if old := p.contribs.set(l, c); old != c {
+	if old := p.contribs.Set(l, c); old != c {
 		p.sum += c - old
 		p.ops++
 	}
@@ -88,9 +91,9 @@ func (p *Penalty) Refresh(links *Links, disabled topology.LinkSetView) {
 	for l := it.Next(); l != topology.NoLink; l = it.Next() {
 		var c float64
 		if !disabled.Has(l) {
-			c = p.fn(links.rates.get(l))
+			c = p.fn(links.rates.Get(l))
 		}
-		p.contribs.set(l, c)
+		p.contribs.Set(l, c)
 	}
 	p.Rebuild(links)
 }
@@ -102,7 +105,7 @@ func (p *Penalty) Rebuild(links *Links) {
 	sum := 0.0
 	it := links.Corrupting()
 	for l := it.Next(); l != topology.NoLink; l = it.Next() {
-		sum += p.contribs.get(l)
+		sum += p.contribs.Get(l)
 	}
 	p.sum, p.ops = sum, 0
 }

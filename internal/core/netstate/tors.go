@@ -3,6 +3,7 @@ package netstate
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"corropt/internal/topology"
 )
@@ -19,9 +20,12 @@ const constraintSlack = 1e-9
 // (topology.ToRIndex), so no slot is kept for a switch above the ToRs.
 type ToRs struct {
 	topo *topology.Topology
-	// constraint is each ToR's minimum fraction of valley-free spine paths
-	// that must remain available.
-	constraint []float64
+	// uniform is every ToR's minimum fraction of valley-free spine paths
+	// that must remain available, until SetConstraint gives one ToR its
+	// own; from then on own holds each ToR's. Most networks never do, and
+	// keep no per-ToR slot for it.
+	uniform float64
+	own     []float64
 	// meetsNow caches whether each ToR meets its constraint under the
 	// incremental counts; numViolated counts the ToRs that do not.
 	meetsNow    []bool
@@ -48,31 +52,45 @@ type ToRs struct {
 // NewToRs returns the status of topo's ToRs, each constrained to c, under
 // pc's incremental counts.
 func NewToRs(topo *topology.Topology, c float64, pc *topology.PathCounter) ToRs {
-	s := ToRs{
-		topo:       topo,
-		constraint: make([]float64, len(topo.ToRs())),
-		meetsNow:   make([]bool, len(topo.ToRs())),
-	}
+	s := ToRs{topo: topo, meetsNow: make([]bool, len(topo.ToRs()))}
 	s.Reset(c, pc)
 	return s
 }
 
-// Reset constrains every ToR to c and rebuilds the status from pc.
+// Reset constrains every ToR to c and rebuilds the status from pc. The
+// per-ToR constraints are dropped, their storage kept for the next
+// SetConstraint.
 func (s *ToRs) Reset(c float64, pc *topology.PathCounter) {
-	for p := range s.constraint {
-		s.constraint[p] = c
-	}
+	s.uniform, s.own = c, s.own[:0]
 	s.Recompute(pc)
+}
+
+// constraint reports the capacity constraint of the ToR at position p.
+func (s *ToRs) constraint(p int) float64 {
+	if p < len(s.own) {
+		return s.own[p]
+	}
+	return s.uniform
 }
 
 // Constraint reports the capacity constraint of a ToR.
 func (s *ToRs) Constraint(tor topology.SwitchID) float64 {
-	return s.constraint[s.topo.ToRIndex(tor)]
+	p := s.topo.ToRIndex(tor)
+	_ = s.meetsNow[p] // a switch that is not a ToR panics
+	return s.constraint(p)
 }
 
-// SetConstraint sets one ToR's constraint and re-evaluates it.
+// SetConstraint sets one ToR's constraint and re-evaluates it. The first
+// call gives every ToR its own slot, holding the uniform constraint.
 func (s *ToRs) SetConstraint(tor topology.SwitchID, c float64, pc *topology.PathCounter) {
-	s.constraint[s.topo.ToRIndex(tor)] = c
+	p := s.topo.ToRIndex(tor)
+	if len(s.own) == 0 {
+		s.own = slices.Grow(s.own, len(s.meetsNow))[:len(s.meetsNow)]
+		for i := range s.own {
+			s.own[i] = s.uniform
+		}
+	}
+	s.own[p] = c
 	s.refresh(tor, pc.IncCounts(), pc.Total())
 }
 
@@ -104,14 +122,14 @@ func (s *ToRs) Meets(tor topology.SwitchID, counts, total []int64) bool {
 // meetsCount reports whether ToR tor meets its constraint with count paths.
 func (s *ToRs) meetsCount(tor topology.SwitchID, count int64, total []int64) bool {
 	i, p := int(tor), s.topo.ToRIndex(tor)
-	if i < 0 || i >= len(total) || p < 0 || p >= len(s.constraint) {
+	if i < 0 || i >= len(total) || p < 0 || p >= len(s.meetsNow) {
 		panic(panicToRRange)
 	}
 	if total[i] == 0 {
-		return s.constraint[p] <= 0
+		return s.constraint(p) <= 0
 	}
 	frac := float64(count) / float64(total[i])
-	return frac+constraintSlack >= s.constraint[p]
+	return frac+constraintSlack >= s.constraint(p)
 }
 
 // ProbeMeets reports whether every ToR in tors would meet its constraint at
@@ -195,7 +213,7 @@ func Fraction(count, total int64) float64 {
 // pass over the ToRs; see core.Network.ToRFractions. The first read builds
 // the cache: O(|ToRs|) once.
 func (s *ToRs) Fractions(pc *topology.PathCounter) (worst, mean float64) {
-	if len(s.constraint) == 0 {
+	if len(s.meetsNow) == 0 {
 		return 1.0, 0
 	}
 	if s.frac == nil {
@@ -203,13 +221,13 @@ func (s *ToRs) Fractions(pc *topology.PathCounter) (worst, mean float64) {
 		s.build(pc)
 	}
 	sum, worst := s.sumFractions()
-	return worst, sum / float64(len(s.constraint))
+	return worst, sum / float64(len(s.meetsNow))
 }
 
 // build allocates the fraction cache and fills it.
 func (s *ToRs) build(pc *topology.PathCounter) {
-	blocks := (len(s.constraint) + 63) / 64
-	s.frac = make([]float64, len(s.constraint))
+	blocks := (len(s.meetsNow) + 63) / 64
+	s.frac = make([]float64, len(s.meetsNow))
 	s.notOne = make([]uint64, blocks)
 	s.sum = make([]float64, blocks+1)
 	s.low = make([]float64, blocks+1)

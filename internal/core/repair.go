@@ -117,6 +117,9 @@ type RepairLoop struct {
 	diagnose DiagnoseFunc
 	queue    *tickets.Queue // owns each link's open ticket
 
+	// Each map is made only for the feature that writes it (reseated: a
+	// DiagnoseFunc; collateral: RepairCollateral; flapAt and dampUntil:
+	// Dampening), and otherwise stays nil or empty.
 	reseated   map[topology.LinkID]bool // since the last successful repair
 	collateral map[topology.LinkID]int  // breakout repairs holding the link down
 	flapAt     map[topology.LinkID][]time.Duration
@@ -143,22 +146,28 @@ func (r *RepairLoop) Reset(eng *Engine, cfg RepairConfig, diagnose DiagnoseFunc)
 	}
 	if r.queue == nil {
 		r.queue = tickets.NewQueue(tickets.QueueConfig{})
-		r.reseated = make(map[topology.LinkID]bool)
-		r.collateral, r.dampUntil = make(map[topology.LinkID]int), make(map[topology.LinkID]time.Duration)
-		r.flapAt = make(map[topology.LinkID][]time.Duration)
 	}
 	r.eng, r.net, r.cfg, r.diagnose = eng, eng.Network(), cfg, diagnose
 	r.queue.Reset(tickets.QueueConfig{Staffing: cfg.Staffing})
-	clear(r.reseated)
-	clear(r.collateral)
-	clear(r.flapAt)
-	clear(r.dampUntil)
+	r.reseated = resetMap(r.reseated, diagnose != nil)
+	r.collateral = resetMap(r.collateral, cfg.RepairCollateral)
+	r.flapAt = resetMap(r.flapAt, cfg.Dampening != nil)
+	r.dampUntil = resetMap(r.dampUntil, cfg.Dampening != nil)
 	for l := range topology.LinkID(r.net.Topology().NumLinks()) {
 		if r.net.Disabled(l) && r.collateral[l] == 0 {
 			r.openTicket(l, 0)
 		}
 	}
 	return nil
+}
+
+// resetMap returns m emptied, or a new map if m is nil and its feature is on.
+func resetMap[M ~map[K]V, K comparable, V any](m M, on bool) M {
+	if m == nil && on {
+		return make(M)
+	}
+	clear(m)
+	return m
 }
 
 // Step applies one input and reports what the engine decided (reports
@@ -215,10 +224,12 @@ func (r *RepairLoop) resolve(in Input) (RepairStep, error) {
 	if err := r.queue.Resolve(t, now, in.Action, ok); err != nil {
 		return RepairStep{}, err
 	}
-	if !ok && (r.reseated[l] || in.Action == faults.ActionReseatTransceiver) {
-		r.reseated[l] = true
-	} else {
-		delete(r.reseated, l)
+	if r.diagnose != nil { // the reseat history's only reader
+		if !ok && (r.reseated[l] || in.Action == faults.ActionReseatTransceiver) {
+			r.reseated[l] = true
+		} else {
+			delete(r.reseated, l)
+		}
 	}
 	r.releaseCollateral(l)
 	switch {

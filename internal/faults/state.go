@@ -30,11 +30,25 @@ type State struct {
 	// free lists the slots no link holds, for the next link a fault
 	// strikes to reuse.
 	free   []int32
-	faults map[ID]*Fault
-	// suppressed[id] marks links whose effects of fault id were repaired
-	// individually (a link-scoped repair fixes the connector or
-	// transceiver of one link without touching the fault's other links).
-	suppressed map[ID]map[topology.LinkID]bool
+	faults map[ID]applied
+	// strays are the links SuppressLinkEffect named for a fault that does
+	// not touch them, each once: they count toward clearing the fault.
+	strays []stray
+}
+
+// applied is an active fault and the number of distinct links
+// SuppressLinkEffect has named for it. A named link the fault touches no
+// longer holds it in its active list, which is how a second naming of it
+// is told apart.
+type applied struct {
+	f     *Fault
+	named int
+}
+
+// stray is a link named for fault id that the fault does not touch.
+type stray struct {
+	id ID
+	l  topology.LinkID
 }
 
 // noSlot marks a link with no active fault in State.slot.
@@ -100,11 +114,10 @@ func NewState(topo *topology.Topology, tech optics.Technology) *State {
 func NewMultiTechState(topo *topology.Topology, assign func(topology.LinkID) optics.Technology) *State {
 	n := topo.NumLinks()
 	s := &State{
-		topo:       topo,
-		kind:       make([]uint16, n),
-		slot:       make([]int32, n),
-		faults:     make(map[ID]*Fault),
-		suppressed: make(map[ID]map[topology.LinkID]bool),
+		topo:   topo,
+		kind:   make([]uint16, n),
+		slot:   make([]int32, n),
+		faults: make(map[ID]applied),
 	}
 	s.Reset(assign)
 	return s
@@ -141,7 +154,7 @@ func (s *State) Reset(assign func(topology.LinkID) optics.Technology) {
 		s.free = append(s.free, int32(i))
 	}
 	clear(s.faults)
-	clear(s.suppressed)
+	s.strays = s.strays[:0]
 }
 
 // TechOf reports the transceiver technology of link l.
@@ -165,7 +178,7 @@ func (s *State) Apply(f *Fault) {
 	if _, dup := s.faults[f.ID]; dup {
 		return
 	}
-	s.faults[f.ID] = f
+	s.faults[f.ID] = applied{f: f}
 	for _, e := range f.Effects {
 		fl := s.take(e.Link)
 		fl.active = append(fl.active, f)
@@ -212,13 +225,15 @@ func (s *State) drop(l topology.LinkID, id ID) bool {
 // list still held the fault are recomputed: a link's state is a function of
 // that list alone, and SuppressLinkEffect has already recomputed the rest.
 func (s *State) Clear(id ID) {
-	f, ok := s.faults[id]
+	a, ok := s.faults[id]
 	if !ok {
 		return
 	}
 	delete(s.faults, id)
-	delete(s.suppressed, id)
-	for _, e := range f.Effects {
+	if len(s.strays) > 0 {
+		s.strays = slices.DeleteFunc(s.strays, func(x stray) bool { return x.id == id })
+	}
+	for _, e := range a.f.Effects {
 		if s.drop(e.Link, id) {
 			s.recompute(e.Link)
 		}
@@ -229,27 +244,28 @@ func (s *State) Clear(id ID) {
 // outcome of a successful link-scoped repair (cleaning one connector,
 // replacing one transceiver) on a fault that may span several links. When
 // every affected link of the fault has been repaired this way, the fault is
-// removed entirely.
+// removed entirely: once as many distinct links have been named for it as
+// it has effects, whether it touches them or not. A fault's effects name
+// distinct links.
 func (s *State) SuppressLinkEffect(id ID, l topology.LinkID) {
-	f, ok := s.faults[id]
+	a, ok := s.faults[id]
 	if !ok {
 		return
 	}
-	m := s.suppressed[id]
-	if m == nil {
-		m = make(map[topology.LinkID]bool)
-		s.suppressed[id] = m
+	switch {
+	case s.drop(l, id):
+		s.recompute(l)
+	case slices.ContainsFunc(a.f.Effects, func(e LinkEffect) bool { return e.Link == l }),
+		slices.Contains(s.strays, stray{id, l}):
+		return // named before
+	default:
+		s.strays = append(s.strays, stray{id, l})
 	}
-	if m[l] {
+	if a.named++; a.named == len(a.f.Effects) {
+		s.Clear(id)
 		return
 	}
-	m[l] = true
-	if s.drop(l, id) {
-		s.recompute(l)
-	}
-	if len(m) == len(f.Effects) {
-		s.Clear(id)
-	}
+	s.faults[id] = a
 }
 
 // RepairLink removes every active fault effect on link l (a fully
@@ -399,8 +415,8 @@ func (s *State) ActiveFaults(l topology.LinkID) []*Fault {
 
 // Fault returns an active fault by id.
 func (s *State) Fault(id ID) (*Fault, bool) {
-	f, ok := s.faults[id]
-	return f, ok
+	a, ok := s.faults[id]
+	return a.f, ok
 }
 
 // NumActiveFaults reports how many faults are currently active.

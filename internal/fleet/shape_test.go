@@ -110,6 +110,49 @@ func TestFirstDCNAllocCeiling(t *testing.T) {
 	}
 }
 
+// retainedHeapCeiling bounds the heap a fleet over one large-Clos DCN still
+// holds after one replay pass: each shard's Network, repair loop and ticket
+// queue. The tree whose queues kept a tally for every link they ever
+// ticketed, four repair maps per shard and a constraint per ToR read
+// 1,590,080 bytes (go1.24), and fails it; this tree reads 1,233,376–1,243,360.
+const retainedHeapCeiling = 1_400_000
+
+// liveHeap returns the bytes of live heap after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestRetainedHeapCeiling measures the live heap New and one pass of 20,000
+// events over one DCN of the large Clos leave behind, net of the topology
+// and the events.
+func TestRetainedHeapCeiling(t *testing.T) {
+	dcns := []DCN{{Topo: largeClos(t)}}
+	evs := synthesizeEvents(dcns, 3, 20_000)
+	base := liveHeap()
+	sup, err := New(dcns, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for lo := 0; lo < len(evs); lo += 1000 {
+		if err := sup.Ingest(evs[lo:min(lo+1000, len(evs))]); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		if err := sup.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	}
+	retained := int64(liveHeap()) - int64(base)
+	runtime.KeepAlive(sup)
+	runtime.KeepAlive(evs)
+	t.Logf("the fleet retains %d bytes after one pass, ceiling %d", retained, retainedHeapCeiling)
+	if retained > retainedHeapCeiling {
+		t.Errorf("the fleet retains %d bytes after one pass, over the ceiling %d", retained, retainedHeapCeiling)
+	}
+}
+
 // checkUnitMaps checks that every shard of DCN dcn routes through its own
 // maps onto its (possibly shared) unit topology: each local link joins the
 // local switches that map to its source link's endpoints, at the source

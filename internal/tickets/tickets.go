@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"corropt/internal/faults"
+	"corropt/internal/linkmap"
 	"corropt/internal/topology"
 )
 
@@ -51,12 +52,8 @@ type Ticket struct {
 	// re-opened tickets (Figure 12's unsuccessful-repair loop).
 	Attempt int
 	Status  Status
-	// CreatedAt, StartedAt and ResolvedAt are virtual times.
-	CreatedAt, StartedAt, ResolvedAt time.Duration
-	// ActionTaken is what the technician actually did.
-	ActionTaken faults.RepairAction
-	// Succeeded records whether the repair eliminated corruption.
-	Succeeded bool
+	// CreatedAt and StartedAt are virtual times.
+	CreatedAt, StartedAt time.Duration
 }
 
 // Staffing is the repair crew.
@@ -79,15 +76,23 @@ type QueueConfig struct {
 }
 
 // Queue is the FIFO maintenance queue. It keeps no resolved ticket: its
-// statistics are running tallies whose per-link state is bounded by the
-// number of links, and Resolve recycles the ticket, so a warm queue's
-// Open+Resolve allocates nothing.
+// statistics are running tallies, and Resolve recycles the ticket, so a
+// warm queue's Open+Resolve allocates nothing.
+//
+// Per-link state is kept only where there is some. links holds a tally for
+// a link with an open ticket, an unfinished repair episode or a highest
+// attempt of 2 or more. A link whose every episode so far ended in a
+// first-try repair, the common case, is one bit of settled instead.
 type Queue struct {
 	cfg    QueueConfig
 	nextID int64
 	// workers is a min-heap of the technicians' busy-until times.
 	workers []time.Duration
-	links   map[topology.LinkID]linkTally
+	links   linkmap.Table[linkTally]
+	// settled has bit l set for each link l whose tally is settledTally
+	// (or was: a tally in links takes precedence); it grows on demand to
+	// the highest such link.
+	settled []uint64
 	// all is every ticket the queue has allocated; free, those not open.
 	all, free []*Ticket
 
@@ -101,11 +106,41 @@ type Queue struct {
 // linkTally is one link's state: attempts numbers its open repair episode
 // (a success ends it), maxAttempt is its highest resolved attempt, open is
 // 1 + the arena slot of its open ticket (0: none), and repaired whether any
-// ticket succeeded. The fields are 32-bit: a queue keeps one tally per link
-// it ever ticketed, and no link reaches 2³¹ tries.
+// ticket succeeded. The fields are 32-bit: no link reaches 2³¹ tries. The
+// zero tally is a link never ticketed; no link returns to it.
 type linkTally struct {
 	attempts, maxAttempt, open int32
 	repaired                   bool
+}
+
+// settledTally is the state most ticketed links end in: repaired, never
+// past a first attempt, nothing open. The queue keeps it as a bit.
+var settledTally = linkTally{maxAttempt: 1, repaired: true}
+
+// tally returns link l's state.
+func (q *Queue) tally(l topology.LinkID) linkTally {
+	if lt := q.links.Get(l); lt != (linkTally{}) {
+		return lt
+	}
+	if w := int(l >> 6); w < len(q.settled) && q.settled[w]&(1<<(uint(l)&63)) != 0 {
+		return settledTally
+	}
+	return linkTally{}
+}
+
+// store records link l's state: settledTally as l's bit of settled, any
+// other in links. A tally leaves links only by settling, so a bit left set
+// under a tally in links is never read.
+func (q *Queue) store(l topology.LinkID, lt linkTally) {
+	if lt == settledTally {
+		w := int(l >> 6)
+		for w >= len(q.settled) {
+			q.settled = append(q.settled, 0)
+		}
+		q.settled[w] |= 1 << (uint(l) & 63)
+		lt = linkTally{}
+	}
+	q.links.Set(l, lt)
 }
 
 // siftDown restores the min-heap h after h[0] grew.
@@ -123,7 +158,7 @@ func siftDown(h []time.Duration) {
 
 // NewQueue returns an empty Queue.
 func NewQueue(cfg QueueConfig) *Queue {
-	q := &Queue{links: make(map[topology.LinkID]linkTally)}
+	q := new(Queue)
 	q.Reset(cfg)
 	return q
 }
@@ -136,8 +171,9 @@ func (q *Queue) Reset(cfg QueueConfig) {
 	if cfg.ServiceTime == 0 {
 		cfg.ServiceTime = 48 * time.Hour
 	}
-	*q = Queue{cfg: cfg, workers: q.workers[:0], links: q.links, all: q.all, free: append(q.free[:0], q.all...)}
-	clear(q.links)
+	*q = Queue{cfg: cfg, workers: q.workers[:0], links: q.links, settled: q.settled, all: q.all, free: append(q.free[:0], q.all...)}
+	q.links.Reset()
+	clear(q.settled)
 	for i := 0; i < cfg.Technicians; i++ {
 		q.workers = append(q.workers, 0)
 	}
@@ -165,10 +201,10 @@ func (q *Queue) newTicket() *Ticket {
 func (q *Queue) Open(l topology.LinkID, rec faults.RepairAction, now time.Duration) (*Ticket, time.Duration) {
 	//lint:allow escapes a ticket is allocated only while the arena grows to the most ever open at once
 	t := q.newTicket()
-	lt := q.links[l]
+	lt := q.tally(l)
 	lt.attempts++
 	lt.open = t.slot + 1
-	q.links[l] = lt
+	q.store(l, lt)
 	t.ID = q.nextID
 	t.Link = l
 	t.Recommendation = rec
@@ -189,10 +225,11 @@ func (q *Queue) Open(l topology.LinkID, rec faults.RepairAction, now time.Durati
 	return t, done
 }
 
-// Resolve marks a ticket finished at virtual time now, recording the action
-// taken and whether it succeeded, and recycles it for the next Open. Until
-// then a second Resolve is rejected; after, t names the new ticket, so only
-// the caller's ownership guards a stale t (core.RepairLoop's per link).
+// Resolve marks a ticket finished, counting whether it succeeded, and
+// recycles it for the next Open. The time now and the action taken are not
+// kept. Until the next Open a second Resolve is rejected; after, t names the
+// new ticket, so only the caller's ownership guards a stale t
+// (core.RepairLoop's per link).
 //
 //lint:hotpath every repair completion of the simulator and the fleet shards
 func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction, succeeded bool) error {
@@ -201,9 +238,6 @@ func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction
 		return fmt.Errorf("tickets: ticket %d is not open", t.ID)
 	}
 	t.Status = Resolved
-	t.ResolvedAt = now
-	t.ActionTaken = action
-	t.Succeeded = succeeded
 	q.open--
 	q.resolved++
 	if t.Attempt == 1 {
@@ -212,7 +246,7 @@ func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction
 			q.firstFixes++
 		}
 	}
-	lt := q.links[t.Link]
+	lt := q.tally(t.Link)
 	if lt.open == t.slot+1 {
 		lt.open = 0
 	}
@@ -232,7 +266,7 @@ func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction
 	if lt.repaired {
 		q.attemptSum += int(lt.maxAttempt)
 	}
-	q.links[t.Link] = lt
+	q.store(t.Link, lt)
 	q.free = append(q.free, t)
 	return nil
 }
@@ -240,7 +274,7 @@ func (q *Queue) Resolve(t *Ticket, now time.Duration, action faults.RepairAction
 // OpenTicket returns the ticket Open last gave link l while it is unresolved,
 // and nil otherwise.
 func (q *Queue) OpenTicket(l topology.LinkID) *Ticket {
-	if i := q.links[l].open; i > 0 {
+	if i := q.links.Get(l).open; i > 0 { // a link with an open ticket is in links
 		return q.all[i-1]
 	}
 	return nil

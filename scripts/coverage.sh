@@ -8,8 +8,9 @@
 # merge / snapshot paths are, so this gate fails the build when any
 # ratcheted package's statement coverage drops below its recorded floor.
 # telemetry and faults are the counters and the ground truth every one of
-# those packages is driven from, and core/netstate the sparse per-link
-# state every shard's decisions read.
+# those packages is driven from, core/netstate and linkmap the sparse
+# per-link state every shard's decisions read, and tickets the sparse ticket
+# tallies every shard's repairs go through.
 #
 # Usage:
 #   scripts/coverage.sh          check against scripts/coverage_floors.txt
@@ -22,7 +23,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PACKAGES="corropt/internal/backoff corropt/internal/core/netstate corropt/internal/ctlplane corropt/internal/detector corropt/internal/faults corropt/internal/fleet corropt/internal/netchaos corropt/internal/scenario corropt/internal/snmplite corropt/internal/telemetry"
+PACKAGES="corropt/internal/backoff corropt/internal/core/netstate corropt/internal/ctlplane corropt/internal/detector corropt/internal/faults corropt/internal/fleet corropt/internal/linkmap corropt/internal/netchaos corropt/internal/scenario corropt/internal/snmplite corropt/internal/telemetry corropt/internal/tickets"
 FLOORS=scripts/coverage_floors.txt
 MARGIN=2.0 # update mode records measured - MARGIN
 mode="${1:-check}"
