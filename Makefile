@@ -48,9 +48,11 @@ ci: build test bench-smoke lint cover test-race test-chaos test-scenarios fuzz
 ## runner under the race detector — the pool shares topologies and fault
 ## traces across workers, so this is the guard on that immutability contract
 ## (core and topology start no goroutine; each worker owns its Network and
-## PathCounter, and shares read-only the topology's path-count order/total
-## and, in fleet, a shape's shardSet of routing tables and unit maps, and one
-## unit topology per pod shape, which every shard of that shape reads). The sim
+## PathCounter, and shares read-only the topology — its one adjacency array,
+## whose Uplinks/Downlinks rows are clipped so an append copies, and its
+## path-count order/total — and, in fleet, a shape's shardSet of routing
+## tables and unit maps, and one unit topology per pod shape, which every
+## shard of that shape reads). The sim
 ## run covers sim.RunAll, the one pooled replay path (experiments and
 ## scenario.Execute both call it), at workers 1 and 4 in
 ## TestScratchMatchesFresh. The experiments run covers every replaying

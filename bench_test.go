@@ -124,7 +124,7 @@ func BenchmarkPathCountingIncremental(b *testing.B) {
 		b.Fatal(err)
 	}
 	pc := topology.NewPathCounter(topo)
-	links := topo.Switch(topo.ToRs()[0]).Uplinks
+	links := topo.Uplinks(topo.ToRs()[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := links[i%len(links)]
@@ -152,7 +152,7 @@ func ablationScenario(b testing.TB) *Network {
 	tors := topo.ToRs()
 	for i := 0; i < 6; i++ {
 		tor := tors[rng.Intn(len(tors))]
-		for _, l := range topo.Switch(tor).Uplinks {
+		for _, l := range topo.Uplinks(tor) {
 			net.SetCorruption(l, math.Pow(10, rng.Range(-5, -2)))
 		}
 	}

@@ -121,7 +121,7 @@ func info(args []string) {
 			return
 		}
 		e, ok := radix[int(s.Stage)]
-		n := len(s.Uplinks)
+		n := len(topo.Uplinks(s.ID))
 		if !ok {
 			radix[int(s.Stage)] = [2]int{n, n}
 			return
@@ -173,11 +173,11 @@ func paths(args []string) {
 	fmt.Printf("switch-local equivalent: sc = c^(1/%d) = %.4f\n", r, sc)
 	seen := make(map[int]bool)
 	topo.Switches(func(s *topology.Switch) {
-		if int(s.Stage) == topo.Stages()-1 || seen[len(s.Uplinks)] {
+		m := len(topo.Uplinks(s.ID))
+		if int(s.Stage) == topo.Stages()-1 || seen[m] {
 			return
 		}
-		seen[len(s.Uplinks)] = true
-		m := len(s.Uplinks)
+		seen[m] = true
 		budget := int(float64(m) * (1 - sc))
 		fmt.Printf("  a %d-uplink switch may disable at most %d uplink(s) under switch-local\n", m, budget)
 	})

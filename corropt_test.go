@@ -21,7 +21,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	engine := NewEngine(net, EngineConfig{})
 
 	tor := topo.ToRs()[0]
-	link := topo.Switch(tor).Uplinks[0]
+	link := topo.Uplinks(tor)[0]
 	d := engine.ReportCorruption(link, 1e-3)
 	if !d.Disabled {
 		t.Fatalf("link not disabled: %+v", d)

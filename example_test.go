@@ -16,7 +16,7 @@ func ExampleNewEngine() {
 	net, _ := corropt.NewNetwork(topo, 0.5) // every ToR keeps ≥50% of its paths
 	engine := corropt.NewEngine(net, corropt.EngineConfig{})
 
-	up := topo.Switch(topo.ToRs()[0]).Uplinks
+	up := topo.Uplinks(topo.ToRs()[0])
 	d1 := engine.ReportCorruption(up[0], 1e-3)
 	d2 := engine.ReportCorruption(up[1], 1e-2)
 	d3 := engine.ReportCorruption(up[2], 1e-4)
@@ -56,7 +56,7 @@ func Example_quickstart() {
 
 	// A ToR's first uplink starts corrupting at 1e-3 (0.1% loss — enough
 	// to halve TCP throughput per the papers cited in §1).
-	up := topo.Switch(topo.ToRs()[0]).Uplinks
+	up := topo.Uplinks(topo.ToRs()[0])
 	report := func(l corropt.LinkID, rate float64) {
 		d := engine.ReportCorruption(l, rate)
 		if d.Disabled {
@@ -120,7 +120,7 @@ func ExampleNewPathCounter() {
 	fmt.Println("total paths:", pc.Total()[tor])
 
 	// Disabling one of the ToR's two uplinks halves them.
-	dead := topo.Switch(tor).Uplinks[0]
+	dead := topo.Uplinks(tor)[0]
 	counts := pc.Count(func(l corropt.LinkID) bool { return l == dead })
 	fmt.Println("after one uplink down:", counts[tor])
 	// Output:

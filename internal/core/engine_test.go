@@ -17,7 +17,7 @@ func TestEngineReportAndRepair(t *testing.T) {
 	e := NewEngine(net, EngineConfig{})
 
 	tor := topo.ToRs()[0]
-	l1, l2 := topo.Switch(tor).Uplinks[0], topo.Switch(tor).Uplinks[1]
+	l1, l2 := topo.Uplinks(tor)[0], topo.Uplinks(tor)[1]
 
 	// Below-threshold reports are recorded but not acted upon.
 	d := e.ReportCorruption(l1, 1e-8)
@@ -112,7 +112,7 @@ func TestEngineRejectsInvalidThreshold(t *testing.T) {
 			if e == nil {
 				continue
 			}
-			l := topo.Switch(topo.ToRs()[0]).Uplinks[0]
+			l := topo.Uplinks(topo.ToRs()[0])[0]
 			if d := e.ReportCorruption(l, 0); d.Outcome != OutcomeBelowThreshold || d.Disabled || net.NumDisabled() != 0 {
 				t.Errorf("threshold %v, %v: zero-rate report came back %+v with %d links disabled",
 					tc.threshold, policy, d, net.NumDisabled())

@@ -86,7 +86,7 @@ var hotpathFloors = []hotpathFloor{{
 	setup: func(tb testing.TB) func() {
 		net, corrupting := largeCorruptingNetwork(tb)
 		topo := net.Topology()
-		corrupting = append(corrupting, topo.Switch(topo.ToRs()[0]).Uplinks...)
+		corrupting = append(corrupting, topo.Uplinks(topo.ToRs()[0])...)
 		engine := NewEngine(net, EngineConfig{})
 		return func() {
 			var seen [4]int
@@ -115,7 +115,7 @@ var hotpathFloors = []hotpathFloor{{
 	setup: func(tb testing.TB) func() {
 		net, corrupting := largeCorruptingNetwork(tb)
 		topo := net.Topology()
-		corrupting = append(corrupting, topo.Switch(topo.ToRs()[0]).Uplinks...)
+		corrupting = append(corrupting, topo.Uplinks(topo.ToRs()[0])...)
 		loop, err := NewRepairLoop(NewEngine(net, EngineConfig{}), RepairConfig{}, nil)
 		if err != nil {
 			tb.Fatal(err)

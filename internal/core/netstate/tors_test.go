@@ -25,7 +25,7 @@ func TestToRsOwnConstraints(t *testing.T) {
 		t.Fatalf("a uniform network keeps %d per-ToR constraints", len(s.own))
 	}
 	// Half the spine paths of the first ToR go down: it meets 0.5, not 0.75.
-	pc.Apply(topo.Switch(tors[0]).Uplinks[0])
+	pc.Apply(topo.Uplinks(tors[0])[0])
 	s.Recompute(pc)
 	s.SetConstraint(tors[0], 0.75, pc)
 	for i, tor := range tors {

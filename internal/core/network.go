@@ -102,7 +102,7 @@ func (n *Network) SetToRConstraint(tor topology.SwitchID, c float64) error {
 		return fmt.Errorf("core: switch %q is not a ToR", n.topo.Switch(tor).Name)
 	}
 	n.tors.SetConstraint(tor, c, n.pc)
-	if up := n.topo.Switch(tor).Uplinks; len(up) > 0 {
+	if up := n.topo.Uplinks(tor); len(up) > 0 {
 		n.gen[n.topo.LinkSegment(up[0])]++
 	}
 	return nil

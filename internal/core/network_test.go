@@ -79,7 +79,7 @@ func TestViolatedToRs(t *testing.T) {
 	}
 	// Disabling one of a ToR's two agg uplinks halves its paths: 0.5 < 0.75.
 	tor := topo.ToRs()[0]
-	l := topo.Switch(tor).Uplinks[0]
+	l := topo.Uplinks(tor)[0]
 	violated := n.ViolatedToRs(map[topology.LinkID]bool{l: true})
 	if len(violated) != 1 || violated[0] != tor {
 		t.Fatalf("violated = %v, want [%d]", violated, tor)
@@ -134,7 +134,7 @@ func TestWorstAndMeanFractions(t *testing.T) {
 		t.Fatal("healthy network fractions != 1")
 	}
 	tor := topo.ToRs()[0]
-	n.Disable(topo.Switch(tor).Uplinks[0])
+	n.Disable(topo.Uplinks(tor)[0])
 	if w := n.WorstToRFraction(); w != 0.5 {
 		t.Fatalf("worst fraction = %v, want 0.5", w)
 	}

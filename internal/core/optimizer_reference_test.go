@@ -28,7 +28,7 @@ func referenceCone(topo *topology.Topology, tor topology.SwitchID, set *topology
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ul := range topo.Switch(cur).Uplinks {
+		for _, ul := range topo.Uplinks(cur) {
 			set.Add(ul)
 			if nxt := topo.Link(ul).Upper; !seen[nxt] {
 				seen[nxt] = true
@@ -304,9 +304,9 @@ func drawOps(rng *rngutil.Source, topo *topology.Topology, maxStage topology.Sta
 	for hot := 1 + rng.Intn(4); hot > 0; hot-- {
 		sw := topo.Link(topology.LinkID(rng.Intn(topo.NumLinks()))).Lower
 		for topo.Switch(sw).Stage > maxStage {
-			sw = topo.Link(topo.Switch(sw).Downlinks[0]).Lower
+			sw = topo.Link(topo.Downlinks(sw)[0]).Lower
 		}
-		for _, ul := range topo.Switch(sw).Uplinks {
+		for _, ul := range topo.Uplinks(sw) {
 			switch {
 			case rng.Bool(0.6):
 				ops = append(ops, stateOp{kind: 0, link: ul, v: math.Pow(10, rng.Range(-6, -2))})
@@ -320,7 +320,7 @@ func drawOps(rng *rngutil.Source, topo *topology.Topology, maxStage topology.Sta
 		}
 		if rng.Bool(0.3) {
 			for topo.Switch(sw).Stage > 0 {
-				sw = topo.Link(topo.Switch(sw).Downlinks[0]).Lower
+				sw = topo.Link(topo.Downlinks(sw)[0]).Lower
 			}
 			ops = append(ops, stateOp{kind: 3, tor: sw, v: rng.Range(0.5, 1)})
 		}

@@ -33,7 +33,7 @@ func corruptShardPattern(net *Network, topo *topology.Topology, segs []topology.
 	for _, si := range []int{0, 2} {
 		seg := segs[si]
 		tor := seg.ToRs[0]
-		for _, l := range topo.Switch(tor).Uplinks {
+		for _, l := range topo.Uplinks(tor) {
 			net.SetCorruption(l, 1e-3)
 		}
 		// Every third agg→spine link of the segment.

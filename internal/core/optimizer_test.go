@@ -78,7 +78,7 @@ func TestOptimizerDisablesEverythingWhenFeasible(t *testing.T) {
 	net, _ := NewNetwork(topo, 0.25)
 	// Corrupt one agg uplink per pod; with c=25% all can go.
 	for _, tor := range topo.ToRs() {
-		net.SetCorruption(topo.Switch(tor).Uplinks[0], 1e-4)
+		net.SetCorruption(topo.Uplinks(tor)[0], 1e-4)
 	}
 	opt := NewOptimizer(net, LinearPenalty)
 	disabled, st := opt.Run(1e-6)
@@ -204,8 +204,8 @@ func TestGreedyFallbackAtDefaultCap(t *testing.T) {
 	net := mediumNetwork(t)
 	topo := net.Topology()
 	n := 0
-	for _, up := range topo.Switch(topo.ToRs()[0]).Uplinks {
-		for _, l := range topo.Switch(topo.Link(up).Upper).Uplinks[:5] {
+	for _, up := range topo.Uplinks(topo.ToRs()[0]) {
+		for _, l := range topo.Uplinks(topo.Link(up).Upper)[:5] {
 			n++
 			net.SetCorruption(l, 1e-5*float64(n))
 		}
@@ -280,7 +280,7 @@ func activationState(tb testing.TB, pods int) (*Engine, []topology.SwitchID) {
 	for pod := 0; pod < pods; pod++ {
 		tor := topo.ToRs()[pod*40]
 		hot = append(hot, tor)
-		ups := topo.Switch(tor).Uplinks
+		ups := topo.Uplinks(tor)
 		for k := len(ups) - 1; k >= 0; k-- {
 			e.ReportCorruption(ups[k], 1e-4*float64(1+k))
 		}
@@ -290,7 +290,7 @@ func activationState(tb testing.TB, pods int) (*Engine, []topology.SwitchID) {
 
 // disabledUplink returns one of tor's disabled uplinks.
 func disabledUplink(tb testing.TB, net *Network, tor topology.SwitchID) topology.LinkID {
-	for _, l := range net.Topology().Switch(tor).Uplinks {
+	for _, l := range net.Topology().Uplinks(tor) {
 		if net.Disabled(l) {
 			return l
 		}
@@ -310,7 +310,7 @@ func TestActivationRecheckAllocs(t *testing.T) {
 		t.Fatalf("re-check finds %d violated ToRs in %d segments, want ≥ 5 in ≥ 3", len(e.opt.violatedBuf), st.Segments)
 	}
 	// An enabled clean agg uplink in a pod with no corruption.
-	clean := topo.Switch(topo.Link(topo.Switch(topo.ToRs()[len(topo.ToRs())-1]).Uplinks[0]).Upper).Uplinks[0]
+	clean := topo.Uplinks(topo.Link(topo.Uplinks(topo.ToRs()[len(topo.ToRs())-1])[0]).Upper)[0]
 	nothing := func() {
 		for range hot {
 			if got := e.Activate(clean); got != nil {
@@ -352,7 +352,7 @@ func TestActivationRecheckAllocs(t *testing.T) {
 func settledToggle(tb testing.TB, e *Engine, hot topology.SwitchID) func() {
 	net := e.Network()
 	topo := net.Topology()
-	clean := topo.Switch(topo.Link(topo.Switch(hot).Uplinks[0]).Upper).Uplinks[0]
+	clean := topo.Uplinks(topo.Link(topo.Uplinks(hot)[0]).Upper)[0]
 	if e.Activate(clean) != nil {
 		tb.Fatal("activating a clean link disabled links")
 	}
@@ -387,7 +387,7 @@ func BenchmarkActivationBlocked(b *testing.B) {
 	e, _ := activationState(b, 6)
 	topo := e.Network().Topology()
 	// An enabled clean agg uplink in a pod with no corruption.
-	clean := topo.Switch(topo.Link(topo.Switch(topo.ToRs()[len(topo.ToRs())-1]).Uplinks[0]).Upper).Uplinks[0]
+	clean := topo.Uplinks(topo.Link(topo.Uplinks(topo.ToRs()[len(topo.ToRs())-1])[0]).Upper)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -123,8 +123,12 @@ func (n *Network) LoadState(r io.Reader) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	tors := make(map[string]topology.SwitchID, len(n.topo.ToRs()))
+	for _, tor := range n.topo.ToRs() {
+		tors[n.topo.Switch(tor).Name] = tor
+	}
 	for _, name := range names {
-		id, ok := n.topo.SwitchByName(name)
+		id, ok := tors[name]
 		if !ok {
 			return fmt.Errorf("core: state references unknown ToR %q", name)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -97,5 +98,48 @@ func TestLoadStateRejectsGarbage(t *testing.T) {
 	s := strings.Replace(buf.String(), `"disabled": null`, `"disabled": [99999]`, 1)
 	if err := n.LoadState(strings.NewReader(s)); err == nil {
 		t.Error("out-of-range link id accepted")
+	}
+}
+
+// TestLoadStateRejectsBadConstraint holds LoadState's constraint names to
+// the topology's ToRs: a name no switch has, or the name of a switch above
+// stage 0, is an error naming it, and a ToR's name restores its constraint.
+func TestLoadStateRejectsBadConstraint(t *testing.T) {
+	topo := smallClos(t)
+	n, _ := NewNetwork(topo, 0.5)
+	var buf bytes.Buffer
+	if err := n.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	agg := topo.Link(topo.Uplinks(topo.ToRs()[0])[0]).Upper
+	tor := topo.ToRs()[len(topo.ToRs())-1]
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"no-such-switch", false},
+		{topo.Switch(agg).Name, false},
+		{topo.Switch(tor).Name, true},
+	} {
+		var sf stateFile
+		if err := json.Unmarshal(saved, &sf); err != nil {
+			t.Fatal(err)
+		}
+		sf.Constraints[c.name] = 0.9
+		b, err := json.Marshal(sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, _ := NewNetwork(topo, 0.5)
+		err = m.LoadState(bytes.NewReader(b))
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("constraint on ToR %q: %v", c.name, err)
+		case c.ok && m.Constraint(tor) != 0.9:
+			t.Errorf("constraint on ToR %q restored as %v, want 0.9", c.name, m.Constraint(tor))
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), c.name)):
+			t.Errorf("constraint on %q: err = %v, want one naming it", c.name, err)
+		}
 	}
 }

@@ -57,11 +57,12 @@ func (s *SwitchLocal) CanDisable(l topology.LinkID) bool {
 	if s.net.Disabled(l) {
 		return true
 	}
-	sw := s.net.Topology().Switch(s.net.Topology().Link(l).Lower)
-	m := len(sw.Uplinks)
+	topo := s.net.Topology()
+	up := topo.Uplinks(topo.Link(l).Lower)
+	m := len(up)
 	maxDown := int(math.Floor(float64(m) * (1 - s.sc) * (1 + 1e-12)))
 	down := 0
-	for _, ul := range sw.Uplinks {
+	for _, ul := range up {
 		if s.net.Disabled(ul) {
 			down++
 		}

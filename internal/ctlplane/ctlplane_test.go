@@ -95,7 +95,7 @@ func TestControllerWorkflow(t *testing.T) {
 
 	topo := engine.Network().Topology()
 	tor := topo.ToRs()[0]
-	l1, l2 := topo.Switch(tor).Uplinks[0], topo.Switch(tor).Uplinks[1]
+	l1, l2 := topo.Uplinks(tor)[0], topo.Uplinks(tor)[1]
 
 	d, err := cli.Report(l1, 1e-3)
 	if err != nil {

@@ -153,7 +153,7 @@ func TestClientReconnectsThroughReset(t *testing.T) {
 	defer cli.Close()
 
 	topo := engine.Network().Topology()
-	l := topo.Switch(topo.ToRs()[0]).Uplinks[0]
+	l := topo.Uplinks(topo.ToRs()[0])[0]
 	d, err := cli.Report(l, 1e-3)
 	if err != nil {
 		t.Fatalf("report through reset: %v", err)
@@ -176,7 +176,7 @@ func TestIdempotentReplayDoesNotRerunOptimizer(t *testing.T) {
 
 	topo := engine.Network().Topology()
 	tor := topo.ToRs()[0]
-	l1, l2 := topo.Switch(tor).Uplinks[0], topo.Switch(tor).Uplinks[1]
+	l1, l2 := topo.Uplinks(tor)[0], topo.Uplinks(tor)[1]
 
 	conn, err := net.Dial("tcp", ctl.Addr().String())
 	if err != nil {
@@ -258,7 +258,7 @@ func TestRestartedAgentIsNotServedStaleReplies(t *testing.T) {
 	defer ctl.Close()
 	topo := engine.Network().Topology()
 	tor := topo.ToRs()[0]
-	l1, l2 := topo.Switch(tor).Uplinks[0], topo.Switch(tor).Uplinks[1]
+	l1, l2 := topo.Uplinks(tor)[0], topo.Uplinks(tor)[1]
 
 	life := func() *Client {
 		t.Helper()
@@ -347,7 +347,7 @@ func TestSweepStale(t *testing.T) {
 	defer ctl.Close()
 
 	topo := engine.Network().Topology()
-	l := topo.Switch(topo.ToRs()[0]).Uplinks[0]
+	l := topo.Uplinks(topo.ToRs()[0])[0]
 	for _, agent := range []string{"a2", "a1"} {
 		cli, err := DialConfig(ctl.Addr().String(), ClientConfig{AgentID: agent})
 		if err != nil {

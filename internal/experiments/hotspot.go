@@ -49,7 +49,7 @@ func hotspot(cfg Config) (*Report, error) {
 		if sw.Pod != pod0 {
 			continue
 		}
-		up := sw.Uplinks
+		up := topo.Uplinks(tor)
 		perm := rng.Perm(len(up))
 		for i := 0; i < 3; i++ { // 3 of 4 uplinks corrupt
 			corrupting = append(corrupting, up[perm[i]])

@@ -44,7 +44,7 @@ func fig13(cfg Config) (*Report, error) {
 	// Script: a burst of corruption reports on one ToR's uplinks, more
 	// than capacity allows, then a repair freeing the optimizer.
 	tor := topo.ToRs()[0]
-	uplinks := topo.Switch(tor).Uplinks
+	uplinks := topo.Uplinks(tor)
 	rates := []float64{1e-2, 1e-3, 1e-4}
 	var blocked []topology.LinkID
 	for i, l := range uplinks[:3] {

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -420,10 +421,14 @@ func TestRepairLink(t *testing.T) {
 	f2 := &Fault{ID: 61, Cause: ConnectorContamination, Effects: []LinkEffect{{Link: 3, ExtraLossFrom: [2]optics.DB{12, 0}}}}
 	st.Apply(f1)
 	st.Apply(f2)
-	causes := st.RepairLink(3)
-	if len(causes) != 2 {
-		t.Fatalf("repaired causes = %v", causes)
+	var causes []RootCause
+	for _, f := range st.ActiveFaults(3) {
+		causes = append(causes, f.Cause)
 	}
+	if !slices.Equal(causes, []RootCause{BadTransceiver, ConnectorContamination}) {
+		t.Fatalf("causes before repair = %v", causes)
+	}
+	st.RepairLink(3)
 	if st.Corrupting(3, 1e-8) {
 		t.Fatal("link still corrupting after RepairLink")
 	}

@@ -269,15 +269,12 @@ func (s *State) SuppressLinkEffect(id ID, l topology.LinkID) {
 }
 
 // RepairLink removes every active fault effect on link l (a fully
-// successful link repair) and returns the root causes that were addressed.
-func (s *State) RepairLink(l topology.LinkID) []RootCause {
-	var causes []RootCause
+// successful link repair). The faults it addresses are ActiveFaults(l)
+// before the call.
+func (s *State) RepairLink(l topology.LinkID) {
 	for s.slot[l] != noSlot {
-		f := s.slots[s.slot[l]].active[0]
-		causes = append(causes, f.Cause)
-		s.SuppressLinkEffect(f.ID, l)
+		s.SuppressLinkEffect(s.slots[s.slot[l]].active[0].ID, l)
 	}
-	return causes
 }
 
 // recompute rebuilds link l's optical state and corruption rates from its

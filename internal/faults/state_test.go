@@ -232,9 +232,14 @@ func FuzzStateDifferential(f *testing.F) {
 						suppress(f.ID, l)
 					}
 				}
-				if got := st.RepairLink(l); !slices.Equal(got, want) {
-					t.Fatalf("step %d: RepairLink(%d) = %v, want %v", step/2, l, got, want)
+				var got []RootCause
+				for _, f := range st.ActiveFaults(l) {
+					got = append(got, f.Cause)
 				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: ActiveFaults(%d) before RepairLink = %v, want %v", step/2, l, got, want)
+				}
+				st.RepairLink(l)
 			case 4:
 				op = "reset"
 				assign = assigns[arg%len(assigns)]

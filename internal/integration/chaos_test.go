@@ -83,7 +83,7 @@ func runCtlScenario(injClient, injServer *netchaos.Injector) (string, error) {
 
 	var b strings.Builder
 	tor := topo.ToRs()[0]
-	up := topo.Switch(tor).Uplinks
+	up := topo.Uplinks(tor)
 	rates := []float64{1e-2, 1e-3, 1e-4, 1e-5}
 	for i, l := range up {
 		d, err := agent.Report(l, rates[i])

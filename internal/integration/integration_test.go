@@ -72,7 +72,7 @@ func TestFullPipelineOverTheWire(t *testing.T) {
 
 	// 1. A contamination fault strikes a ToR uplink.
 	tor := topo.ToRs()[0]
-	link := topo.Switch(tor).Uplinks[0]
+	link := topo.Uplinks(tor)[0]
 	fault := &faults.Fault{
 		ID:    1,
 		Cause: faults.ConnectorContamination,
@@ -196,7 +196,7 @@ func TestCapacityPressureOverTheWire(t *testing.T) {
 	defer agent.Close()
 
 	tor := topo.ToRs()[0]
-	up := topo.Switch(tor).Uplinks // 4 uplinks, c=0.5 → at most 2 down
+	up := topo.Uplinks(tor) // 4 uplinks, c=0.5 → at most 2 down
 	rates := []float64{1e-2, 1e-3, 1e-4, 1e-5}
 	disabled := 0
 	for i, l := range up {

@@ -133,13 +133,12 @@ func (r *Router) bfs(dst topology.SwitchID, disabled topology.DisabledFunc) {
 		cur := r.queue[0]
 		r.queue = r.queue[1:]
 		d := r.dist[cur.ph][cur.sw]
-		sw := t.Switch(cur.sw)
 		switch cur.ph {
 		case down:
 			// Predecessors descend into cur.sw from above via its
 			// uplinks' upper ends (cost 1), or turn here: the same
 			// switch in the up phase (cost 0).
-			for _, l := range sw.Uplinks {
+			for _, l := range t.Uplinks(cur.sw) {
 				if active(l) {
 					relax(t.Link(l).Upper, down, d+1)
 				}
@@ -148,7 +147,7 @@ func (r *Router) bfs(dst topology.SwitchID, disabled topology.DisabledFunc) {
 		case up:
 			// Predecessors climb into cur.sw from below via its
 			// downlinks' lower ends, still in the up phase.
-			for _, l := range sw.Downlinks {
+			for _, l := range t.Downlinks(cur.sw) {
 				if active(l) {
 					relax(t.Link(l).Lower, up, d+1)
 				}
@@ -253,7 +252,6 @@ func (r *Router) Route(demands []Demand, disabled topology.DisabledFunc) (*Loads
 			if d == 0 {
 				continue // delivered
 			}
-			sw := t.Switch(cur.sw)
 			// Collect equal-cost next hops.
 			type hop struct {
 				link topology.LinkID
@@ -266,7 +264,7 @@ func (r *Router) Route(demands []Demand, disabled topology.DisabledFunc) (*Loads
 				if r.dist[down][cur.sw] == d {
 					hops = append(hops, hop{link: topology.NoLink, to: stateRef{cur.sw, down}})
 				}
-				for _, l := range sw.Uplinks {
+				for _, l := range t.Uplinks(cur.sw) {
 					if !active(l) {
 						continue
 					}
@@ -276,7 +274,7 @@ func (r *Router) Route(demands []Demand, disabled topology.DisabledFunc) (*Loads
 					}
 				}
 			} else {
-				for _, l := range sw.Downlinks {
+				for _, l := range t.Downlinks(cur.sw) {
 					if !active(l) {
 						continue
 					}
@@ -289,7 +287,7 @@ func (r *Router) Route(demands []Demand, disabled topology.DisabledFunc) (*Loads
 			if len(hops) == 0 {
 				// Cannot happen if dist is consistent.
 				return nil, fmt.Errorf("routing: internal: no next hop from %s/%v at distance %d",
-					sw.Name, cur.ph, d)
+					t.Switch(cur.sw).Name, cur.ph, d)
 			}
 			share := m / float64(len(hops))
 			for _, h := range hops {

@@ -39,21 +39,21 @@ func TestSingleDemandHealthy(t *testing.T) {
 	// Conservation: src's uplinks carry the full unit up; dst's downlinks
 	// carry it down.
 	sumUp := 0.0
-	for _, l := range topo.Switch(src).Uplinks {
+	for _, l := range topo.Uplinks(src) {
 		sumUp += loads.Load(l, topology.Up)
 	}
 	if !almost(sumUp, 1) {
 		t.Fatalf("src uplink load = %v, want 1", sumUp)
 	}
 	sumDown := 0.0
-	for _, l := range topo.Switch(dst).Uplinks { // dst's uplinks, Down direction
+	for _, l := range topo.Uplinks(dst) { // dst's uplinks, Down direction
 		sumDown += loads.Load(l, topology.Down)
 	}
 	if !almost(sumDown, 1) {
 		t.Fatalf("dst downlink load = %v, want 1", sumDown)
 	}
 	// ECMP at the source splits equally over its 2 uplinks.
-	for _, l := range topo.Switch(src).Uplinks {
+	for _, l := range topo.Uplinks(src) {
 		if !almost(loads.Load(l, topology.Up), 0.5) {
 			t.Fatalf("src uplink share = %v, want 0.5", loads.Load(l, topology.Up))
 		}
@@ -109,7 +109,7 @@ func TestDisabledLinksAvoided(t *testing.T) {
 	topo := clos(t, 2, 2, 2, 4, 2)
 	r := New(topo)
 	src, dst := topo.ToRs()[0], topo.ToRs()[2]
-	dead := topo.Switch(src).Uplinks[0]
+	dead := topo.Uplinks(src)[0]
 	loads, err := r.Route([]Demand{{Src: src, Dst: dst, Rate: 1}},
 		func(l topology.LinkID) bool { return l == dead })
 	if err != nil {
@@ -119,7 +119,7 @@ func TestDisabledLinksAvoided(t *testing.T) {
 		t.Fatal("traffic crossed a disabled link")
 	}
 	// The surviving uplink carries everything.
-	other := topo.Switch(src).Uplinks[1]
+	other := topo.Uplinks(src)[1]
 	if !almost(loads.Load(other, topology.Up), 1) {
 		t.Fatalf("surviving uplink load = %v, want 1", loads.Load(other, topology.Up))
 	}
@@ -131,7 +131,7 @@ func TestPartitionDetected(t *testing.T) {
 	src, dst := topo.ToRs()[0], topo.ToRs()[2]
 	// Kill all of src's uplinks.
 	dead := make(map[topology.LinkID]bool)
-	for _, l := range topo.Switch(src).Uplinks {
+	for _, l := range topo.Uplinks(src) {
 		dead[l] = true
 	}
 	loads, err := r.Route([]Demand{
@@ -208,7 +208,7 @@ func TestUniformLoadSymmetric(t *testing.T) {
 	}
 	var want float64 = -1
 	for _, tor := range topo.ToRs() {
-		for _, l := range topo.Switch(tor).Uplinks {
+		for _, l := range topo.Uplinks(tor) {
 			v := loads.Load(l, topology.Up)
 			if want < 0 {
 				want = v
@@ -233,7 +233,7 @@ func TestDisablingConcentratesLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	tor := topo.ToRs()[0]
-	up := topo.Switch(tor).Uplinks
+	up := topo.Uplinks(tor)
 	dead := map[topology.LinkID]bool{up[0]: true, up[1]: true, up[2]: true}
 	degraded, err := r.Route(demands, func(l topology.LinkID) bool { return dead[l] })
 	if err != nil {

@@ -129,7 +129,7 @@ func heapRunEvents(s *Sim, trace []*faults.Fault, clears []Clear, horizon time.D
 // loop's.
 func TestRunEventsSharedInstant(t *testing.T) {
 	topo := simTopo(t)
-	uplink := func(i int) topology.LinkID { return topo.Switch(topo.ToRs()[i]).Uplinks[0] }
+	uplink := func(i int) topology.LinkID { return topo.Uplinks(topo.ToRs()[i])[0] }
 	cfg := Config{Policy: PolicyCorrOpt, FixedAccuracy: 1.0, RepairConfig: core.RepairConfig{Staffing: tickets.Staffing{ServiceTime: 2 * time.Hour}}, Seed: 1}
 	a := directFault(1, uplink(0), 0, 1e-3)
 	b := directFault(2, uplink(1), time.Hour, 6e-7)

@@ -419,8 +419,8 @@ func TestOptimizerDisablesMoreOverTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	tor := topo.ToRs()[0]
-	l1 := topo.Switch(tor).Uplinks[0]
-	l2 := topo.Switch(tor).Uplinks[1]
+	l1 := topo.Uplinks(tor)[0]
+	l2 := topo.Uplinks(tor)[1]
 	trace := []*faults.Fault{
 		{ID: 1, Start: 0, Cause: faults.BadTransceiver,
 			Effects: []faults.LinkEffect{{Link: l1, DirectRate: [2]float64{0.01, 0}}}},

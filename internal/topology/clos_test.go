@@ -43,7 +43,7 @@ func TestClosSizes(t *testing.T) {
 	pc := NewPathCounter(topo)
 	total := pc.Total()
 	for _, tor := range topo.ToRs() {
-		if got := len(topo.Switch(tor).Uplinks); got != cfg.AggsPerPod {
+		if got := len(topo.Uplinks(tor)); got != cfg.AggsPerPod {
 			t.Fatalf("ToR uplinks = %d, want %d", got, cfg.AggsPerPod)
 		}
 		want := int64(cfg.AggsPerPod * cfg.SpineUplinksPerAgg)

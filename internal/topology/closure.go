@@ -24,12 +24,11 @@ func (t *Topology) torsBelow(s SwitchID) []SwitchID {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		sw := t.Switch(cur)
-		if sw.Stage == 0 {
+		if t.switches[cur].Stage == 0 {
 			tors = append(tors, cur)
 			continue
 		}
-		for _, dl := range sw.Downlinks {
+		for _, dl := range t.Downlinks(cur) {
 			nxt := t.Link(dl).Lower
 			if !seen[nxt] {
 				seen[nxt] = true
@@ -78,11 +77,11 @@ func (w *UpstreamWalker) FromToR(t *Topology, tor SwitchID, top Stage) {
 	w.marked = append(w.marked[:0], tor)
 	w.seen[tor] = true
 	for i := 0; i < len(w.marked); i++ {
-		sw := &t.switches[w.marked[i]]
-		if sw.Stage >= top {
+		s := w.marked[i]
+		if t.switches[s].Stage >= top {
 			continue
 		}
-		for _, ul := range sw.Uplinks {
+		for _, ul := range t.Uplinks(s) {
 			if up := t.links[ul].Upper; !w.seen[up] {
 				w.seen[up] = true
 				w.marked = append(w.marked, up)

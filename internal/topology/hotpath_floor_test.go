@@ -34,7 +34,7 @@ var hotpathFloors = []hotpathFloor{{
 			tb.Fatal(err)
 		}
 		pc := NewPathCounter(topo)
-		links := topo.Switch(topo.ToRs()[0]).Uplinks
+		links := topo.Uplinks(topo.ToRs()[0])
 		return func() {
 			for _, l := range links {
 				if len(pc.Apply(l)) == 0 || len(pc.Revert(l)) == 0 {
@@ -59,8 +59,8 @@ var hotpathFloors = []hotpathFloor{{
 			tb.Fatal(err)
 		}
 		pc := NewPathCounter(topo)
-		agg := topo.Link(topo.Switch(topo.ToRs()[0]).Uplinks[0]).Upper
-		links := topo.Switch(agg).Uplinks
+		agg := topo.Link(topo.Uplinks(topo.ToRs()[0])[0]).Upper
+		links := topo.Uplinks(agg)
 		return func() {
 			for i, l := range links {
 				if len(pc.Probe(l)) == 0 {

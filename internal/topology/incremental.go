@@ -188,7 +188,7 @@ func (pc *PathCounter) propagate(start SwitchID, d0 int64, commit bool) []Switch
 				pc.changedToRs = append(pc.changedToRs, u)
 				continue
 			}
-			for _, dl := range t.Switch(u).Downlinks {
+			for _, dl := range t.Downlinks(u) {
 				if pc.incDisabled.Has(dl) {
 					continue
 				}

@@ -36,7 +36,7 @@ func (t *Topology) WriteTo(w io.Writer) (int64, error) {
 		wt.Links = append(wt.Links, wireLink{
 			Lower:         t.Switch(l.Lower).Name,
 			Upper:         t.Switch(l.Upper).Name,
-			BreakoutGroup: l.BreakoutGroup,
+			BreakoutGroup: int(l.BreakoutGroup),
 		})
 	})
 	cw := &countingWriter{w: w}

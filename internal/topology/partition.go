@@ -48,7 +48,7 @@ func (t *Topology) Partition() []Segment {
 		s.Links = append(s.Links, LinkID(i))
 	}
 	for _, tor := range t.ToRs() {
-		up := t.Switch(tor).Uplinks
+		up := t.Uplinks(tor)
 		if len(up) == 0 {
 			// Unreachable with links present: any link forces ≥2
 			// stages, and Build rejects below-top switches without
@@ -91,7 +91,7 @@ func (t *Topology) SegmentGraphs(units [][]Segment) ([]*SegmentGraph, error) {
 	out := make([]*SegmentGraph, len(units))
 	shapes := make(map[string]*Topology)
 	local := make([]SwitchID, t.NumSwitches()) // source → local switch id
-	groups := make(map[int]uint64)
+	groups := make(map[int32]uint64)
 	var ends []SwitchID
 	var key []byte
 	for i, segs := range units {
@@ -154,7 +154,7 @@ func (t *Topology) SegmentGraphs(units [][]Segment) ([]*SegmentGraph, error) {
 		}
 		for _, src := range links {
 			lk := t.Link(src)
-			b.AddLink(local[lk.Lower], local[lk.Upper], lk.BreakoutGroup)
+			b.AddLink(local[lk.Lower], local[lk.Upper], int(lk.BreakoutGroup))
 		}
 		topo, err := b.Build()
 		if err != nil {

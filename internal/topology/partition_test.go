@@ -108,10 +108,11 @@ func TestPartitionConeClosed(t *testing.T) {
 // TestLinkSegmentMatchesComponents holds Build's segment numbering to a
 // flood fill: two links share a LinkSegment iff a walk through switches
 // below the top stage joins them, and segments are numbered in order of
-// their smallest link. Link stays 24 bytes: the segment sits in padding.
+// their smallest link. Link stays 20 bytes: five 4-byte fields, the segment
+// among them.
 func TestLinkSegmentMatchesComponents(t *testing.T) {
-	if size := unsafe.Sizeof(Link{}); size != 24 {
-		t.Fatalf("Link is %d bytes, want 24", size)
+	if size := unsafe.Sizeof(Link{}); size != 20 {
+		t.Fatalf("Link is %d bytes, want 20", size)
 	}
 	topos := []*Topology{testClos(t), testMultiTierPartition(t)}
 	for seed := int64(0); seed < 20; seed++ {

@@ -89,13 +89,12 @@ func (t *Topology) sweep(counts []int64, disabled DisabledFunc) {
 		if int(id) >= len(counts) {
 			continue
 		}
-		sw := &t.switches[id]
-		if sw.Stage == top {
+		if t.switches[id].Stage == top {
 			counts[id] = 1
 			continue
 		}
 		var n int64
-		for _, l := range sw.Uplinks {
+		for _, l := range t.Uplinks(id) {
 			if disabled != nil && disabled(l) {
 				continue
 			}

@@ -14,6 +14,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -34,7 +35,8 @@ const (
 // topology whose top stage is r.
 type Stage int
 
-// Switch is one network switch.
+// Switch is one network switch. Its links are Topology.Uplinks and
+// Topology.Downlinks.
 type Switch struct {
 	ID SwitchID
 	// tor is the switch's position in Topology.ToRs, or -1 above stage 0;
@@ -44,10 +46,6 @@ type Switch struct {
 	Stage Stage
 	// Pod groups switches that share a pod; -1 for spine switches.
 	Pod int
-	// Uplinks are links whose lower endpoint is this switch.
-	Uplinks []LinkID
-	// Downlinks are links whose upper endpoint is this switch.
-	Downlinks []LinkID
 }
 
 // Link is a bidirectional switch-to-switch optical link between adjacent
@@ -58,13 +56,12 @@ type Link struct {
 	ID LinkID
 	// Lower is the endpoint at the smaller stage, Upper at Lower's stage+1.
 	Lower, Upper SwitchID
-	// seg is the link's segment (Topology.LinkSegment); it sits in the
-	// padding after Upper.
+	// seg is the link's segment (Topology.LinkSegment).
 	seg int32
 	// BreakoutGroup is a shared breakout-cable identifier: links on the
 	// same switch with equal non-negative groups share a physical cable
 	// (root cause 5 in §4 takes all of them down together). -1 if none.
-	BreakoutGroup int
+	BreakoutGroup int32
 }
 
 // Direction selects one of the two directions of a Link.
@@ -89,7 +86,12 @@ func (d Direction) String() string {
 type Topology struct {
 	switches []Switch
 	links    []Link
-	byName   map[string]SwitchID
+	// adj holds every switch's links, switch by switch in id order: its
+	// uplinks, then its downlinks, each in link-id order. Switch s's
+	// uplinks are adj[off[2s]:off[2s+1]] and its downlinks
+	// adj[off[2s+1]:off[2s+2]]; every link appears twice, once per end.
+	adj      []LinkID
+	off      []int32
 	stages   int // number of stages = top stage + 1
 	tors     []SwitchID
 	spines   []SwitchID
@@ -127,10 +129,19 @@ func (t *Topology) Switch(id SwitchID) *Switch { return &t.switches[id] }
 // topology's storage; callers must not mutate it.
 func (t *Topology) Link(id LinkID) *Link { return &t.links[id] }
 
-// SwitchByName looks a switch up by name.
-func (t *Topology) SwitchByName(name string) (SwitchID, bool) {
-	id, ok := t.byName[name]
-	return id, ok
+// Uplinks returns the links whose lower endpoint is s, in id order. The
+// slice is shared and clipped to its length, so an append copies it rather
+// than writing into the next switch's links; callers must not mutate it.
+func (t *Topology) Uplinks(s SwitchID) []LinkID {
+	lo, hi := t.off[2*s], t.off[2*s+1]
+	return t.adj[lo:hi:hi]
+}
+
+// Downlinks returns the links whose upper endpoint is s, in id order, shared
+// and clipped like Uplinks.
+func (t *Topology) Downlinks(s SwitchID) []LinkID {
+	lo, hi := t.off[2*s+1], t.off[2*s+2]
+	return t.adj[lo:hi:hi]
 }
 
 // ToRs returns the stage-0 switches. The returned slice is shared; callers
@@ -177,13 +188,10 @@ func (t *Topology) Opposite(l LinkID, s SwitchID) SwitchID {
 	return lk.Lower
 }
 
-// LinksOnSwitch returns all links (up and down) attached to s.
+// LinksOnSwitch returns all links attached to s, its uplinks then its
+// downlinks, in a new slice.
 func (t *Topology) LinksOnSwitch(s SwitchID) []LinkID {
-	sw := &t.switches[s]
-	out := make([]LinkID, 0, len(sw.Uplinks)+len(sw.Downlinks))
-	out = append(out, sw.Uplinks...)
-	out = append(out, sw.Downlinks...)
-	return out
+	return append([]LinkID(nil), t.adj[t.off[2*s]:t.off[2*s+2]]...)
 }
 
 // SameBreakout returns the links that share l's breakout cable, including l
@@ -211,13 +219,16 @@ func sharesEndpoint(a, b *Link) bool {
 // most callers use the Clos or fat-tree generators instead. Builders are not
 // safe for concurrent use.
 type Builder struct {
-	t   Topology
-	err error
+	switches []Switch
+	links    []Link
+	// byName serves AddSwitch's duplicate check; Build drops it.
+	byName map[string]SwitchID
+	err    error
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{t: Topology{byName: make(map[string]SwitchID)}}
+	return &Builder{byName: make(map[string]SwitchID)}
 }
 
 // AddSwitch adds a switch and returns its id. Names must be unique.
@@ -229,37 +240,39 @@ func (b *Builder) AddSwitch(name string, stage Stage, pod int) SwitchID {
 		b.err = fmt.Errorf("topology: switch %q has negative stage %d", name, stage)
 		return NoSwitch
 	}
-	if _, dup := b.t.byName[name]; dup {
+	if _, dup := b.byName[name]; dup {
 		b.err = fmt.Errorf("topology: duplicate switch name %q", name)
 		return NoSwitch
 	}
-	id := SwitchID(len(b.t.switches))
-	b.t.switches = append(b.t.switches, Switch{ID: id, Name: name, Stage: stage, Pod: pod})
-	b.t.byName[name] = id
+	id := SwitchID(len(b.switches))
+	b.switches = append(b.switches, Switch{ID: id, Name: name, Stage: stage, Pod: pod})
+	b.byName[name] = id
 	return id
 }
 
 // AddLink adds a bidirectional link between lower and upper, which must sit
 // on adjacent stages (upper one stage above lower). breakoutGroup is -1 for
-// links not on a breakout cable.
+// links not on a breakout cable, and must fit in an int32.
 func (b *Builder) AddLink(lower, upper SwitchID, breakoutGroup int) LinkID {
 	if b.err != nil {
 		return NoLink
 	}
-	if int(lower) >= len(b.t.switches) || int(upper) >= len(b.t.switches) || lower < 0 || upper < 0 {
+	if int(lower) >= len(b.switches) || int(upper) >= len(b.switches) || lower < 0 || upper < 0 {
 		b.err = fmt.Errorf("topology: link endpoints out of range (%d, %d)", lower, upper)
 		return NoLink
 	}
-	lo, up := &b.t.switches[lower], &b.t.switches[upper]
+	lo, up := &b.switches[lower], &b.switches[upper]
 	if up.Stage != lo.Stage+1 {
 		b.err = fmt.Errorf("topology: link %s(stage %d) -> %s(stage %d) does not connect adjacent stages",
 			lo.Name, lo.Stage, up.Name, up.Stage)
 		return NoLink
 	}
-	id := LinkID(len(b.t.links))
-	b.t.links = append(b.t.links, Link{ID: id, Lower: lower, Upper: upper, BreakoutGroup: breakoutGroup})
-	lo.Uplinks = append(lo.Uplinks, id)
-	up.Downlinks = append(up.Downlinks, id)
+	if breakoutGroup < math.MinInt32 || breakoutGroup > math.MaxInt32 {
+		b.err = fmt.Errorf("topology: breakout group %d out of int32 range", breakoutGroup)
+		return NoLink
+	}
+	id := LinkID(len(b.links))
+	b.links = append(b.links, Link{ID: id, Lower: lower, Upper: upper, BreakoutGroup: int32(breakoutGroup)})
 	return id
 }
 
@@ -269,10 +282,16 @@ func (b *Builder) Build() (*Topology, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	t := &b.t
-	if len(t.switches) == 0 {
+	if len(b.switches) == 0 {
 		return nil, fmt.Errorf("topology: no switches")
 	}
+	// The topology keeps exact-length copies; the builder's append-grown
+	// slices and its name index are left to the collector.
+	t := &Topology{
+		switches: append(make([]Switch, 0, len(b.switches)), b.switches...),
+		links:    append(make([]Link, 0, len(b.links)), b.links...),
+	}
+	t.layOut()
 	top := Stage(0)
 	for i := range t.switches {
 		if s := t.switches[i].Stage; s > top {
@@ -288,7 +307,7 @@ func (b *Builder) Build() (*Topology, error) {
 		case sw.Stage == top:
 			t.spines = append(t.spines, sw.ID)
 		}
-		if sw.Stage < top && len(sw.Uplinks) == 0 {
+		if sw.Stage < top && len(t.Uplinks(sw.ID)) == 0 {
 			return nil, fmt.Errorf("topology: switch %q at stage %d has no uplinks", sw.Name, sw.Stage)
 		}
 		if sw.Stage < top || sw.Stage == 0 {
@@ -320,6 +339,29 @@ func (b *Builder) Build() (*Topology, error) {
 	return t, nil
 }
 
+// layOut fills adj and off from the links. A counting pass sizes every
+// run, a prefix sum puts each run's end in off, and a fill in descending
+// link-id order walks each run's offset back to its start, so every run
+// lists its links in ascending id order.
+func (t *Topology) layOut() {
+	t.off = make([]int32, 2*len(t.switches)+1)
+	for i := range t.links {
+		t.off[2*t.links[i].Lower]++
+		t.off[2*t.links[i].Upper+1]++
+	}
+	for i := 1; i < len(t.off); i++ {
+		t.off[i] += t.off[i-1]
+	}
+	t.adj = make([]LinkID, 2*len(t.links))
+	for i := len(t.links) - 1; i >= 0; i-- {
+		lk := &t.links[i]
+		for _, run := range [2]int32{2 * int32(lk.Lower), 2*int32(lk.Upper) + 1} {
+			t.off[run]--
+			t.adj[t.off[run]] = lk.ID
+		}
+	}
+}
+
 // numberSegments sets every link's segment: two links share one iff they
 // are joined through switches below the top stage. Top-stage switches do
 // not join — valley-free paths end there, so two pods hanging off the same
@@ -346,16 +388,14 @@ func (t *Topology) numberSegments() {
 			continue
 		}
 		first := int32(-1)
-		for _, ls := range [2][]LinkID{sw.Uplinks, sw.Downlinks} {
-			for _, l := range ls {
-				if first < 0 {
-					first = find(int32(l))
-					continue
-				}
-				if r := find(int32(l)); r != first {
-					parent[max(r, first)] = min(r, first)
-					first = min(r, first)
-				}
+		for _, l := range t.adj[t.off[2*i]:t.off[2*i+2]] {
+			if first < 0 {
+				first = find(int32(l))
+				continue
+			}
+			if r := find(int32(l)); r != first {
+				parent[max(r, first)] = min(r, first)
+				first = min(r, first)
 			}
 		}
 	}

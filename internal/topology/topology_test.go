@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -70,6 +71,78 @@ func TestBuilderValidation(t *testing.T) {
 	if _, err := NewBuilder().Build(); err == nil {
 		t.Fatal("empty topology accepted")
 	}
+
+	b = NewBuilder()
+	lo, hi := b.AddSwitch("lo", 0, 0), b.AddSwitch("hi", 1, -1)
+	b.AddLink(lo, hi, 1<<40)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Fatalf("breakout group past int32 accepted: %v", err)
+	}
+}
+
+// TestAdjacencyMatchesLinkScan holds Uplinks and Downlinks to a scan of the
+// links in id order, on every kind of topology the package builds: the
+// generators, random fabrics, segment graphs (alone and merged) and a JSON
+// round trip. An append to any row must leave every other row intact.
+func TestAdjacencyMatchesLinkScan(t *testing.T) {
+	clos := testClos(t)
+	fat, err := NewFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := map[string]*Topology{"clos": clos, "fattree": fat, "multitier": testMultiTierPartition(t)}
+	for seed := int64(0); seed < 20; seed++ {
+		topos[fmt.Sprintf("random%d", seed)] = randomTopology(t, seed)
+	}
+	for _, src := range []*Topology{clos, testMultiTierPartition(t)} {
+		segs := src.Partition()
+		units := [][]Segment{segs}
+		for _, seg := range segs {
+			units = append(units, []Segment{seg})
+		}
+		sgs, err := src.SegmentGraphs(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sg := range sgs {
+			topos[fmt.Sprintf("segment%d/%d", len(topos), i)] = sg.Topo
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := clos.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if topos["roundtrip"], err = Read(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, topo := range topos {
+		up := make([][]LinkID, topo.NumSwitches())
+		down := make([][]LinkID, topo.NumSwitches())
+		topo.Links(func(l *Link) {
+			up[l.Lower] = append(up[l.Lower], l.ID)
+			down[l.Upper] = append(down[l.Upper], l.ID)
+		})
+		check := func(when string) {
+			for s := range up {
+				id := SwitchID(s)
+				if got := topo.Uplinks(id); !slices.Equal(got, up[s]) {
+					t.Fatalf("%s %s: Uplinks(%d) = %v, want %v", name, when, s, got, up[s])
+				}
+				if got := topo.Downlinks(id); !slices.Equal(got, down[s]) {
+					t.Fatalf("%s %s: Downlinks(%d) = %v, want %v", name, when, s, got, down[s])
+				}
+				if got := topo.LinksOnSwitch(id); !slices.Equal(got, append(slices.Clip(up[s]), down[s]...)) {
+					t.Fatalf("%s %s: LinksOnSwitch(%d) = %v", name, when, s, got)
+				}
+			}
+		}
+		check("after Build")
+		for s := range up {
+			_ = append(topo.Uplinks(SwitchID(s)), NoLink)
+			_ = append(topo.Downlinks(SwitchID(s)), NoLink)
+		}
+		check("after appends to every row")
+	}
 }
 
 func TestFig10Structure(t *testing.T) {
@@ -87,7 +160,7 @@ func TestFig10Structure(t *testing.T) {
 		t.Fatalf("tors = %d spines = %d", len(topo.ToRs()), len(topo.Spines()))
 	}
 	tor := topo.ToRs()[0]
-	if got := len(topo.Switch(tor).Uplinks); got != 5 {
+	if got := len(topo.Uplinks(tor)); got != 5 {
 		t.Fatalf("ToR uplinks = %d", got)
 	}
 	_ = torUp
@@ -172,7 +245,7 @@ func TestWorstAndMeanToRFraction(t *testing.T) {
 	}
 	// Disable one ToR's single uplink to its first agg.
 	tor := topo.ToRs()[0]
-	l := topo.Switch(tor).Uplinks[0]
+	l := topo.Uplinks(tor)[0]
 	w := pc.WorstToRFraction(func(id LinkID) bool { return id == l })
 	if w >= 1 || w <= 0 {
 		t.Fatalf("worst fraction = %v, want in (0,1)", w)
@@ -263,7 +336,7 @@ func TestUpstreamLinksPartial(t *testing.T) {
 	var w UpstreamWalker
 	up := upstreamCone(&w, topo, tor)
 	// The other pod's ToR uplinks must not be upstream of this ToR.
-	for _, l := range topo.Switch(otherTor).Uplinks {
+	for _, l := range topo.Uplinks(otherTor) {
 		if slices.Contains(up, l) {
 			t.Fatalf("link %d of a different pod's ToR marked upstream", l)
 		}
@@ -330,18 +403,18 @@ func TestSameBreakout(t *testing.T) {
 	}
 	// Breakout cables sit at the aggregation→spine boundary: each agg's
 	// four spine uplinks share a cable.
-	agg, ok := topo.SwitchByName("agg-0-0")
-	if !ok {
-		t.Fatal("agg-0-0 missing")
+	agg := topo.Link(topo.Uplinks(topo.ToRs()[0])[0]).Upper
+	if name := topo.Switch(agg).Name; name != "agg-0-0" {
+		t.Fatalf("the ToR's first uplink reaches %s, want agg-0-0", name)
 	}
-	l := topo.Switch(agg).Uplinks[0]
+	l := topo.Uplinks(agg)[0]
 	group := topo.SameBreakout(l)
 	if len(group) != 4 {
 		t.Fatalf("breakout group size = %d, want 4", len(group))
 	}
 	// ToR uplinks are never grouped.
 	tor := topo.ToRs()[0]
-	lt := topo.Switch(tor).Uplinks[0]
+	lt := topo.Uplinks(tor)[0]
 	if got := topo.SameBreakout(lt); len(got) != 1 || got[0] != lt {
 		t.Fatalf("ToR uplink SameBreakout = %v, want singleton", got)
 	}
@@ -350,7 +423,7 @@ func TestSameBreakout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2 := topo2.Switch(topo2.ToRs()[0]).Uplinks[0]
+	l2 := topo2.Uplinks(topo2.ToRs()[0])[0]
 	if got := topo2.SameBreakout(l2); len(got) != 1 || got[0] != l2 {
 		t.Fatalf("ungrouped SameBreakout = %v", got)
 	}

@@ -9,8 +9,9 @@
 # ratcheted package's statement coverage drops below its recorded floor.
 # telemetry and faults are the counters and the ground truth every one of
 # those packages is driven from, core/netstate and linkmap the sparse
-# per-link state every shard's decisions read, and tickets the sparse ticket
-# tallies every shard's repairs go through.
+# per-link state every shard's decisions read, tickets the sparse ticket
+# tallies every shard's repairs go through, and topology the fabric graph
+# (adjacency rows, path counts, segments) every one of them is built on.
 #
 # Usage:
 #   scripts/coverage.sh          check against scripts/coverage_floors.txt
@@ -23,7 +24,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-PACKAGES="corropt/internal/backoff corropt/internal/core/netstate corropt/internal/ctlplane corropt/internal/detector corropt/internal/faults corropt/internal/fleet corropt/internal/linkmap corropt/internal/netchaos corropt/internal/scenario corropt/internal/snmplite corropt/internal/telemetry corropt/internal/tickets"
+PACKAGES="corropt/internal/backoff corropt/internal/core/netstate corropt/internal/ctlplane corropt/internal/detector corropt/internal/faults corropt/internal/fleet corropt/internal/linkmap corropt/internal/netchaos corropt/internal/scenario corropt/internal/snmplite corropt/internal/telemetry corropt/internal/tickets corropt/internal/topology"
 FLOORS=scripts/coverage_floors.txt
 MARGIN=2.0 # update mode records measured - MARGIN
 mode="${1:-check}"
